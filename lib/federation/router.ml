@@ -55,6 +55,43 @@ type entry = {
   mutable e_queued : bool;
 }
 
+(* One upstream request awaiting its reply. *)
+type call = { mutable reply : (Protocol.response, string) result }
+
+(* The requests queued on one shard's connection in the current batch,
+   oldest first: a shard answers strictly in order, so replies need no
+   correlation. *)
+type lane = { conn : Client.t; calls : call Queue.t }
+
+(* A batch: one lane per touched shard, flushed once by {!exchange}. *)
+type batch = lane option array
+
+(* What a client request of the current batch still waits for after
+   its issue phase. *)
+type wait =
+  | Answered
+  | Submit_on of { sx : int; size : int; call : call }
+  | Finish_on of { gid : int; e : entry; freed : int; call : call }
+  | Query_on of { gid : int; e : entry; call : call }
+
+type slot = {
+  binary : bool;
+  rid : int option;
+  req : Protocol.request;
+  mutable resp : Protocol.response;
+  mutable served : int option;
+  mutable wait : wait;
+}
+
+(* The client batch being issued: its upstream lanes, its requests in
+   client order, and what a later request must not overtake. *)
+type pipeline = {
+  lanes : batch;
+  slots : slot Queue.t;
+  finishing : (int, unit) Hashtbl.t;  (** gids whose finish is in flight *)
+  mutable submits : int;  (** submits in flight *)
+}
+
 type t = {
   config : config;
   plan : Fed_id.plan;
@@ -65,17 +102,20 @@ type t = {
   quota_pes : int option;
   index : Fed_index.t;
   ledger : (int, entry) Hashtbl.t;
-  mutable conn_tenants : (Netbuf.t * int) list;  (** keyed physically *)
+  mutable conn_tenants : (Netbuf.t * int) list;
+      (** open connections only, keyed physically *)
   mutable next_tenant : int;
   tenant_used : (int, int) Hashtbl.t;
   registry : Metrics.Registry.t;
   c_requests : Metrics.Counter.t;
+  c_upstream_batches : Metrics.Counter.t;
   c_rejects : Metrics.Counter.t;
   c_markdowns : Metrics.Counter.t;
   c_readmitted : Metrics.Counter.t;
   c_rebalanced : Metrics.Counter.t;
   c_rebalanced_bytes : Metrics.Counter.t;
   c_audit_failures : Metrics.Counter.t;
+  g_connections : Metrics.Gauge.t;
   recorder : Recorder.t;
   t0 : float;
   mutable last_poll : float;
@@ -84,6 +124,7 @@ type t = {
   mutable dump_requested : bool;
   cur : Wire.cursor;
   scratch : Buffer.t;
+  pipe : pipeline;
 }
 
 let shards t = Array.length t.shardv
@@ -104,20 +145,65 @@ let close t =
     t.shardv
 
 (* ------------------------------------------------------------------ *)
-(* creation                                                            *)
+(* the upstream batch: the only way a request reaches a shard          *)
 
-let probe_shard socket =
-  match Client.connect_unix ~proto:Client.Binary socket with
-  | Error e -> Error (Printf.sprintf "%s: %s" socket e)
-  | Ok c -> (
-      match Client.request c Protocol.Loads with
-      | Ok (Protocol.Loads_reply loads) -> Ok (c, Array.length loads)
-      | Ok _ ->
-          Client.close c;
-          Error (Printf.sprintf "%s: unexpected loads reply" socket)
-      | Error e ->
-          Client.close c;
-          Error (Printf.sprintf "%s: %s" socket e))
+let issue (b : batch) sx client req =
+  let lane =
+    match b.(sx) with
+    | Some lane -> lane
+    | None ->
+        let lane = { conn = client; calls = Queue.create () } in
+        b.(sx) <- Some lane;
+        lane
+  in
+  let call = { reply = Error "no reply" } in
+  Client.queue client req;
+  Queue.push call lane.calls;
+  call
+
+(* Flush every touched shard once, then read each one's replies in
+   order. Returns the shards whose connection failed, in index order;
+   their unanswered calls carry the error. Marking them down is the
+   caller's move, once it has applied the replies that did arrive. The
+   batch is empty again afterwards. *)
+let exchange ~flushes (b : batch) =
+  let failed = ref [] in
+  let fail sx lane e =
+    Queue.iter (fun c -> c.reply <- Error e) lane.calls;
+    Queue.clear lane.calls;
+    failed := sx :: !failed
+  in
+  Array.iteri
+    (fun sx -> function
+      | None -> ()
+      | Some lane -> (
+          Metrics.Counter.incr flushes;
+          match Client.flush lane.conn with
+          | Ok () -> ()
+          | Error e -> fail sx lane e))
+    b;
+  Array.iteri
+    (fun sx -> function
+      | None -> ()
+      | Some lane ->
+          let rec read () =
+            match Queue.peek_opt lane.calls with
+            | None -> ()
+            | Some call -> (
+                match Client.receive lane.conn with
+                | Ok r ->
+                    call.reply <- Ok r;
+                    ignore (Queue.pop lane.calls);
+                    read ()
+                | Error e -> fail sx lane e)
+          in
+          read ();
+          b.(sx) <- None)
+    b;
+  List.rev !failed
+
+(* ------------------------------------------------------------------ *)
+(* creation                                                            *)
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -125,6 +211,43 @@ let rec mkdir_p dir =
     if parent <> dir then mkdir_p parent;
     try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ()
   end
+
+(* Connect to every shard and learn its machine size from one [loads]
+   fan-out. *)
+let connect_shards ~flushes sockets =
+  let b = Array.make (Array.length sockets) None in
+  let fail sx e = Error (Printf.sprintf "shard %d: %s: %s" sx sockets.(sx) e) in
+  let close_all = List.iter (fun (c, _) -> Client.close c) in
+  let rec connect acc sx =
+    if sx = Array.length sockets then Ok (List.rev acc)
+    else
+      match Client.connect_unix ~proto:Client.Binary sockets.(sx) with
+      | Ok c -> connect ((c, issue b sx c Protocol.Loads) :: acc) (sx + 1)
+      | Error e ->
+          close_all acc;
+          fail sx e
+  in
+  match connect [] 0 with
+  | Error e -> Error e
+  | Ok conns -> (
+      ignore (exchange ~flushes b);
+      let sized =
+        List.mapi
+          (fun sx (_, call) ->
+            match call.reply with
+            | Ok (Protocol.Loads_reply loads) -> Ok (Array.length loads)
+            | Ok _ -> fail sx "unexpected loads reply"
+            | Error e -> fail sx e)
+          conns
+      in
+      match List.find_opt Result.is_error sized with
+      | Some (Error e) ->
+          close_all conns;
+          Error e
+      | _ ->
+          Ok
+            ( Array.of_list (List.map fst conns),
+              Array.of_list (List.map Result.get_ok sized) ))
 
 let create config =
   let m = Array.length config.sockets in
@@ -135,28 +258,20 @@ let create config =
   match Fed_id.plan ~shards:m with
   | Error e -> Error e
   | Ok plan -> (
-      let rec connect acc sx =
-        if sx = m then Ok (Array.of_list (List.rev acc))
-        else
-          match probe_shard config.sockets.(sx) with
-          | Ok cs -> connect (cs :: acc) (sx + 1)
-          | Error e ->
-              List.iter (fun (c, _) -> Client.close c) acc;
-              Error ("shard " ^ string_of_int sx ^ ": " ^ e)
+      let registry = Metrics.Registry.create () in
+      let counter name help = Metrics.Registry.counter registry ~help name in
+      let c_requests = counter "fed_requests_total" "requests routed" in
+      let c_upstream_batches =
+        counter "fed_upstream_batches_total"
+          "upstream flushes: one per shard per batch of requests"
       in
-      match connect [] 0 with
+      match connect_shards ~flushes:c_upstream_batches config.sockets with
       | Error e -> Error e
-      | Ok conns ->
-          let shard_sizes = Array.map snd conns in
+      | Ok (clients, shard_sizes) ->
           let offsets =
             Array.init m (fun sx -> Fed_id.leaf_offset ~shard_sizes sx)
           in
           let aggregate = Array.fold_left ( + ) 0 shard_sizes in
-          let registry = Metrics.Registry.create () in
-          let counter name help =
-            Metrics.Registry.counter registry ~help name
-          in
-          let c_requests = counter "fed_requests_total" "requests routed" in
           let c_rejects =
             counter "fed_admission_rejects_total"
               "submits rejected by router-level admission"
@@ -177,6 +292,11 @@ let create config =
           let c_audit_failures =
             counter "fed_audit_failures_total"
               "rebalance audits that found inconsistent shard accounting"
+          in
+          let g_connections =
+            Metrics.Registry.gauge registry
+              ~help:"open client connections holding a tenant slot"
+              "fed_connections"
           in
           let shard_labels sx = [ ("shard", string_of_int sx) ] in
           let ups =
@@ -200,7 +320,7 @@ let create config =
                 {
                   socket = config.sockets.(sx);
                   size = shard_sizes.(sx);
-                  client = Some (fst conns.(sx));
+                  client = Some clients.(sx);
                   g_up = ups.(sx);
                   g_load = loadsg.(sx);
                   c_routed = routed.(sx);
@@ -228,12 +348,14 @@ let create config =
               tenant_used = Hashtbl.create 16;
               registry;
               c_requests;
+              c_upstream_batches;
               c_rejects;
               c_markdowns;
               c_readmitted;
               c_rebalanced;
               c_rebalanced_bytes;
               c_audit_failures;
+              g_connections;
               recorder = Recorder.create config.recorder_size;
               t0 = now;
               last_poll = now;
@@ -242,19 +364,52 @@ let create config =
               dump_requested = false;
               cur = { Wire.pos = 0 };
               scratch = Buffer.create 256;
+              pipe =
+                {
+                  lanes = Array.make m None;
+                  slots = Queue.create ();
+                  finishing = Hashtbl.create 16;
+                  submits = 0;
+                };
             })
 
 (* ------------------------------------------------------------------ *)
-(* upstream RPC, mark-down and failover                                *)
+(* mark-down and failover                                              *)
 
 let used t tenant = try Hashtbl.find t.tenant_used tenant with Not_found -> 0
+
+let add_used t tenant delta =
+  Hashtbl.replace t.tenant_used tenant (used t tenant + delta)
 
 let note_event t =
   Recorder.record t.recorder ~kind:Recorder.kind_event ~op:0 ~tenant:0 ~size:0
     ~seq:0 ~dur_ns:0 ~ts_us:0 ~ok:false
 
+let new_batch t : batch = Array.make (shards t) None
+let exchange t b = exchange ~flushes:t.c_upstream_batches b
+
+let issue_to t b sx req =
+  match t.shardv.(sx).client with
+  | Some c -> issue b sx c req
+  | None -> { reply = Error "shard down" }
+
+(* Pick a submit's shard and queue it there, noting the placement in
+   the index up front so later picks in the same batch see it. *)
+let issue_submit t b ~size =
+  match Fed_index.pick t.index ~size with
+  | None -> None
+  | Some sx ->
+      Fed_index.note_submit t.index sx ~size;
+      Some (sx, issue_to t b sx (Protocol.Submit size))
+
+(* Once the shard has answered (or failed): only a placement keeps the
+   optimistic load. *)
+let settle_submit t sx ~size = function
+  | Ok (Protocol.Placed _) -> ()
+  | Ok _ | Error _ -> Fed_index.note_finish t.index sx ~size
+
 let rec mark_down t sx =
-  (match t.shardv.(sx).client with
+  match t.shardv.(sx).client with
   | Some c ->
       Client.close c;
       t.shardv.(sx).client <- None;
@@ -263,7 +418,7 @@ let rec mark_down t sx =
       Metrics.Counter.incr t.c_markdowns;
       note_event t;
       readmit_queued t sx
-  | None -> ())
+  | None -> ()
 
 (* A queued task on a dead shard is pure backlog the federation can
    still serve: re-admit it to a healthy shard under the same
@@ -281,17 +436,10 @@ and readmit_queued t sx =
   List.iter
     (fun (_gid, e) ->
       match route_submit t ~size:e.e_size with
-      | Ok (sx', Protocol.Placed (local', _)) ->
+      | Ok (sx', (Protocol.Placed (local', _) | Protocol.Queued local' as r)) ->
           e.e_shard <- sx';
           e.e_local <- local';
-          e.e_queued <- false;
-          Fed_index.note_submit t.index sx' ~size:e.e_size;
-          Metrics.Counter.incr t.shardv.(sx').c_routed;
-          Metrics.Counter.incr t.c_readmitted
-      | Ok (sx', Protocol.Queued local') ->
-          e.e_shard <- sx';
-          e.e_local <- local';
-          e.e_queued <- true;
+          e.e_queued <- (match r with Protocol.Queued _ -> true | _ -> false);
           Metrics.Counter.incr t.shardv.(sx').c_routed;
           Metrics.Counter.incr t.c_readmitted
       | Ok _ | Error _ -> ()
@@ -299,186 +447,227 @@ and readmit_queued t sx =
          brings the shard back *))
     queued
 
-and rpc t sx req =
-  match t.shardv.(sx).client with
-  | None -> Error "shard down"
-  | Some c -> (
-      match Client.send c req with
-      | Error e ->
-          mark_down t sx;
-          Error e
-      | Ok () -> (
-          match Client.receive c with
-          | Error e ->
-              mark_down t sx;
-              Error e
-          | Ok r -> Ok r))
-
-(* Route a submit, failing over: a shard that dies mid-request is
-   marked down (which re-admits its queued backlog) and the pick is
-   retried against the survivors. *)
+(* Route one submit as a batch of its own, failing over: a shard that
+   dies mid-request is marked down (which re-admits its queued
+   backlog) and the pick is retried against the survivors. *)
 and route_submit t ~size =
   let rec attempt tries =
     if tries <= 0 then Error "no shard available"
     else
-      match Fed_index.pick t.index ~size with
+      let b = new_batch t in
+      match issue_submit t b ~size with
       | None -> Error (Printf.sprintf "no shard can host size %d" size)
-      | Some sx -> (
-          match rpc t sx req_submit with
+      | Some (sx, call) -> (
+          List.iter (mark_down t) (exchange t b);
+          settle_submit t sx ~size call.reply;
+          match call.reply with
           | Ok resp -> Ok (sx, resp)
           | Error _ -> attempt (tries - 1))
-  and req_submit = Protocol.Submit size in
-  attempt (Array.length t.shardv)
+  in
+  attempt (shards t)
+
+(* A batch of one. *)
+let rpc t sx req =
+  let b = new_batch t in
+  let call = issue_to t b sx req in
+  List.iter (mark_down t) (exchange t b);
+  call.reply
+
+(* The same request to every up shard in one batch; the replies come
+   back by shard, [None] where the shard was down or failed. *)
+let broadcast t req =
+  let b = new_batch t in
+  let calls =
+    Array.init (shards t) (fun sx ->
+        if shard_up t sx then Some (issue_to t b sx req) else None)
+  in
+  List.iter (mark_down t) (exchange t b);
+  Array.map
+    (function Some { reply = Ok r } -> Some r | Some _ | None -> None)
+    calls
 
 (* ------------------------------------------------------------------ *)
-(* request dispatch                                                    *)
+(* per-task requests: issue, then complete                             *)
+
+let globalize t sx p =
+  { p with Protocol.base = p.Protocol.base + t.offsets.(sx) }
 
 let globalize_state t sx = function
-  | Protocol.Active p ->
-      Protocol.Active { p with Protocol.base = p.Protocol.base + t.offsets.(sx) }
+  | Protocol.Active p -> Protocol.Active (globalize t sx p)
   | (Protocol.Queued_task | Protocol.Unknown) as st -> st
 
-let dispatch t ~tenant req =
-  Metrics.Counter.incr t.c_requests;
-  match req with
+let unexpected = Protocol.Error "unexpected shard reply"
+
+(* A shard's answer to a client's submit: record the task in the ledger
+   under its federated id. Admission was charged to the tenant at issue
+   time; a refusal gives it back. *)
+let submitted t ~tenant ~size sx resp =
+  let admit local ~queued =
+    let gid = Fed_id.global_id t.plan ~shard:sx local in
+    Hashtbl.replace t.ledger gid
+      {
+        e_shard = sx;
+        e_local = local;
+        e_size = size;
+        e_tenant = tenant;
+        e_queued = queued;
+      };
+    Metrics.Counter.incr t.shardv.(sx).c_routed;
+    gid
+  in
+  match resp with
+  | Protocol.Placed (local, p) ->
+      (Protocol.Placed (admit local ~queued:false, globalize t sx p), Some sx)
+  | Protocol.Queued local ->
+      (Protocol.Queued (admit local ~queued:true), Some sx)
+  | resp ->
+      add_used t tenant (-size);
+      ((match resp with Protocol.Error _ -> resp | _ -> unexpected), Some sx)
+
+let reject t e =
+  Metrics.Counter.incr t.c_rejects;
+  (Protocol.Error e, None)
+
+(* The issue phase of one per-task request: answer it now, or queue it
+   upstream with the index and tenant accounting updated as if it had
+   already succeeded. *)
+let issue_request t ~tenant s =
+  let answer (resp, served) =
+    s.resp <- resp;
+    s.served <- served
+  in
+  let down e =
+    answer (Protocol.Error (Printf.sprintf "shard %d down" e.e_shard), None)
+  in
+  let p = t.pipe in
+  match s.req with
   | Protocol.Submit size -> (
       let over_quota =
         match t.quota_pes with
         | Some q -> size > 0 && used t tenant + size > q
         | None -> false
       in
-      if over_quota then begin
-        Metrics.Counter.incr t.c_rejects;
-        (Protocol.Error "tenant admission quota exceeded", None, false)
-      end
+      if over_quota then answer (reject t "tenant admission quota exceeded")
       else
-        match route_submit t ~size with
-        | Error e ->
-            Metrics.Counter.incr t.c_rejects;
-            (Protocol.Error e, None, false)
-        | Ok (sx, Protocol.Placed (local, p)) ->
-            let gid = Fed_id.global_id t.plan ~shard:sx local in
-            Hashtbl.replace t.ledger gid
-              {
-                e_shard = sx;
-                e_local = local;
-                e_size = size;
-                e_tenant = tenant;
-                e_queued = false;
-              };
-            Hashtbl.replace t.tenant_used tenant (used t tenant + size);
-            Fed_index.note_submit t.index sx ~size;
-            Metrics.Counter.incr t.shardv.(sx).c_routed;
-            ( Protocol.Placed
-                (gid, { p with Protocol.base = p.Protocol.base + t.offsets.(sx) }),
-              Some sx,
-              false )
-        | Ok (sx, Protocol.Queued local) ->
-            let gid = Fed_id.global_id t.plan ~shard:sx local in
-            Hashtbl.replace t.ledger gid
-              {
-                e_shard = sx;
-                e_local = local;
-                e_size = size;
-                e_tenant = tenant;
-                e_queued = true;
-              };
-            Hashtbl.replace t.tenant_used tenant (used t tenant + size);
-            Metrics.Counter.incr t.shardv.(sx).c_routed;
-            (Protocol.Queued gid, Some sx, false)
-        | Ok (sx, (Protocol.Error _ as e)) -> (e, Some sx, false)
-        | Ok (sx, _) ->
-            (Protocol.Error "unexpected shard reply", Some sx, false))
+        match issue_submit t p.lanes ~size with
+        | None ->
+            answer (reject t (Printf.sprintf "no shard can host size %d" size))
+        | Some (sx, call) ->
+            add_used t tenant size;
+            p.submits <- p.submits + 1;
+            s.wait <- Submit_on { sx; size; call })
   | Protocol.Finish gid -> (
       match Hashtbl.find_opt t.ledger gid with
-      | None -> (Protocol.Error "unknown or finished task", None, false)
-      | Some e when not (shard_up t e.e_shard) ->
-          ( Protocol.Error (Printf.sprintf "shard %d down" e.e_shard),
-            None,
-            false )
-      | Some e -> (
-          match rpc t e.e_shard (Protocol.Finish e.e_local) with
-          | Ok Protocol.Finished ->
-              Hashtbl.remove t.ledger gid;
-              Hashtbl.replace t.tenant_used e.e_tenant
-                (max 0 (used t e.e_tenant - e.e_size));
-              if not e.e_queued then
-                Fed_index.note_finish t.index e.e_shard ~size:e.e_size;
-              (Protocol.Finished, Some e.e_shard, false)
-          | Ok (Protocol.Error _ as err) -> (err, Some e.e_shard, false)
-          | Ok _ ->
-              (Protocol.Error "unexpected shard reply", Some e.e_shard, false)
-          | Error err ->
-              (Protocol.Error ("shard failure: " ^ err), None, false)))
+      | None -> answer (Protocol.Error "unknown or finished task", None)
+      | Some e when not (shard_up t e.e_shard) -> down e
+      | Some e ->
+          let freed = min e.e_size (used t e.e_tenant) in
+          add_used t e.e_tenant (-freed);
+          if not e.e_queued then
+            Fed_index.note_finish t.index e.e_shard ~size:e.e_size;
+          Hashtbl.replace p.finishing gid ();
+          let call = issue_to t p.lanes e.e_shard (Protocol.Finish e.e_local) in
+          s.wait <- Finish_on { gid; e; freed; call })
   | Protocol.Query gid -> (
       match Hashtbl.find_opt t.ledger gid with
-      | None -> (Protocol.State (gid, Protocol.Unknown), None, false)
-      | Some e when not (shard_up t e.e_shard) ->
-          ( Protocol.Error (Printf.sprintf "shard %d down" e.e_shard),
-            None,
-            false )
-      | Some e -> (
-          match rpc t e.e_shard (Protocol.Query e.e_local) with
-          | Ok (Protocol.State (_, st)) ->
-              ( Protocol.State (gid, globalize_state t e.e_shard st),
-                Some e.e_shard,
-                false )
-          | Ok (Protocol.Error _ as err) -> (err, Some e.e_shard, false)
-          | Ok _ ->
-              (Protocol.Error "unexpected shard reply", Some e.e_shard, false)
-          | Error err ->
-              (Protocol.Error ("shard failure: " ^ err), None, false)))
+      | None -> answer (Protocol.State (gid, Protocol.Unknown), None)
+      | Some e when not (shard_up t e.e_shard) -> down e
+      | Some e ->
+          let call = issue_to t p.lanes e.e_shard (Protocol.Query e.e_local) in
+          s.wait <- Query_on { gid; e; call })
+  | _ -> invalid_arg "Router.issue_request: not a per-task request"
+
+(* The completion of one request whose shard answered: apply the reply,
+   or undo the optimistic update. A submit whose shard failed keeps
+   waiting — it fails over once the shard is marked down. *)
+let settle t ~tenant s =
+  let answer (resp, served) =
+    s.resp <- resp;
+    s.served <- served;
+    s.wait <- Answered
+  in
+  match s.wait with
+  | Answered -> ()
+  | Submit_on { sx; size; call } -> (
+      settle_submit t sx ~size call.reply;
+      match call.reply with
+      | Ok resp -> answer (submitted t ~tenant ~size sx resp)
+      | Error _ -> ())
+  | Finish_on { gid; e; freed; call } -> (
+      match call.reply with
+      | Ok Protocol.Finished ->
+          Hashtbl.remove t.ledger gid;
+          answer (Protocol.Finished, Some e.e_shard)
+      | reply ->
+          add_used t e.e_tenant freed;
+          if not e.e_queued then
+            Fed_index.note_submit t.index e.e_shard ~size:e.e_size;
+          answer
+            (match reply with
+            | Ok (Protocol.Error _ as err) -> (err, Some e.e_shard)
+            | Ok _ -> (unexpected, Some e.e_shard)
+            | Error err -> (Protocol.Error ("shard failure: " ^ err), None)))
+  | Query_on { gid; e; call } ->
+      answer
+        (match call.reply with
+        | Ok (Protocol.State (_, st)) ->
+            ( Protocol.State (gid, globalize_state t e.e_shard st),
+              Some e.e_shard )
+        | Ok (Protocol.Error _ as err) -> (err, Some e.e_shard)
+        | Ok _ -> (unexpected, Some e.e_shard)
+        | Error err -> (Protocol.Error ("shard failure: " ^ err), None))
+
+(* ------------------------------------------------------------------ *)
+(* fan-out requests                                                    *)
+
+let dispatch t req =
+  match req with
+  | Protocol.Submit _ | Protocol.Finish _ | Protocol.Query _ ->
+      invalid_arg "Router.dispatch: per-task requests are pipelined"
   | Protocol.Stats -> (
-      let collected = ref [] in
-      for sx = shards t - 1 downto 0 do
-        if shard_up t sx then
-          match rpc t sx Protocol.Stats with
-          | Ok (Protocol.Stats_reply s) -> collected := s :: !collected
-          | Ok _ | Error _ -> ()
-      done;
-      match !collected with
-      | [] -> (Protocol.Error "no shard up", None, false)
+      let replies = broadcast t Protocol.Stats in
+      match
+        List.filter_map
+          (function Some (Protocol.Stats_reply s) -> Some s | _ -> None)
+          (Array.to_list replies)
+      with
+      | [] -> (Protocol.Error "no shard up", false)
       | stats ->
           ( Protocol.Stats_reply
               (Mserver.merge_stats ~machine_size:t.aggregate stats),
-            None,
             false ))
   | Protocol.Loads ->
-      let parts =
-        Array.to_list
-          (Array.init (shards t) (fun sx ->
-               if shard_up t sx then
-                 match rpc t sx Protocol.Loads with
-                 | Ok (Protocol.Loads_reply l)
-                   when Array.length l = t.shard_sizes.(sx) ->
-                     l
-                 | _ -> Array.make t.shard_sizes.(sx) 0
-               else Array.make t.shard_sizes.(sx) 0))
+      let replies = broadcast t Protocol.Loads in
+      let part sx = function
+        | Some (Protocol.Loads_reply l) when Array.length l = t.shard_sizes.(sx)
+          ->
+            l
+        | _ -> Array.make t.shard_sizes.(sx) 0
       in
-      (Protocol.Loads_reply (Array.concat parts), None, false)
+      ( Protocol.Loads_reply
+          (Array.concat (Array.to_list (Array.mapi part replies))),
+        false )
   | Protocol.Metrics ->
       Array.iteri
         (fun sx s ->
           Metrics.Gauge.set s.g_load (float_of_int (Fed_index.load t.index sx));
           Metrics.Gauge.set s.g_up (if shard_up t sx then 1.0 else 0.0))
         t.shardv;
+      Metrics.Gauge.set t.g_connections
+        (float_of_int (List.length t.conn_tenants));
       let router_dump = Metrics.prometheus t.registry in
-      let shard_dumps = ref [] in
-      for sx = shards t - 1 downto 0 do
-        if shard_up t sx then
-          match rpc t sx Protocol.Metrics with
-          | Ok (Protocol.Metrics_reply txt) -> shard_dumps := txt :: !shard_dumps
-          | Ok _ | Error _ -> ()
-      done;
+      let shard_dumps =
+        List.filter_map
+          (function Some (Protocol.Metrics_reply txt) -> Some txt | _ -> None)
+          (Array.to_list (broadcast t Protocol.Metrics))
+      in
       ( Protocol.Metrics_reply
-          (router_dump ^ Metrics.merge_prometheus !shard_dumps),
-        None,
+          (router_dump ^ Metrics.merge_prometheus shard_dumps),
         false )
   | Protocol.Snapshot ->
       ( Protocol.Error "snapshots are per-shard; connect to a shard directly",
-        None,
         false )
-  | Protocol.Ping -> (Protocol.Pong, None, false)
+  | Protocol.Ping -> (Protocol.Pong, false)
   | Protocol.Health ->
       let any_up =
         Array.exists (fun s -> s.client <> None) t.shardv
@@ -491,68 +680,87 @@ let dispatch t ~tenant req =
             seq = 0;
             recovered_ops = 0;
           },
-        None,
         false )
   | Protocol.Shutdown ->
-      if t.config.shutdown_shards then
-        for sx = 0 to shards t - 1 do
-          if shard_up t sx then ignore (rpc t sx Protocol.Shutdown)
-        done;
-      (Protocol.Bye, None, true)
+      if t.config.shutdown_shards then ignore (broadcast t Protocol.Shutdown);
+      (Protocol.Bye, true)
 
 (* ------------------------------------------------------------------ *)
 (* periodic work                                                       *)
 
 let poll t =
-  for sx = 0 to shards t - 1 do
-    if shard_up t sx then
-      match rpc t sx Protocol.Stats with
-      | Ok (Protocol.Stats_reply s) ->
+  Array.iteri
+    (fun sx -> function
+      | Some (Protocol.Stats_reply s) ->
           Fed_index.observe t.index sx ~max_load:s.Cluster.max_load
             ~active_size:s.Cluster.active_size;
           Metrics.Gauge.set t.shardv.(sx).g_load
             (float_of_int (Fed_index.load t.index sx))
-      | Ok _ | Error _ -> ()
-  done
+      | _ -> ())
+    (broadcast t Protocol.Stats)
 
+(* Reconnect every down shard that answers a health probe as ready, and
+   refresh its summary right away: the recovered shard still carries
+   its durable active tasks. All probes share one batch. *)
 let probe t =
-  for sx = 0 to shards t - 1 do
-    if not (shard_up t sx) then
-      match Client.connect_unix ~proto:Client.Binary t.shardv.(sx).socket with
-      | Error _ -> ()
-      | Ok c -> (
-          match Client.request c Protocol.Health with
-          | Ok (Protocol.Health_reply { Protocol.ready = true; _ }) ->
+  let b = new_batch t in
+  let fresh =
+    Array.init (shards t) (fun sx ->
+        if shard_up t sx then None
+        else
+          match
+            Client.connect_unix ~proto:Client.Binary t.shardv.(sx).socket
+          with
+          | Error _ -> None
+          | Ok c ->
+              let health = issue b sx c Protocol.Health in
+              Some (c, health, issue b sx c Protocol.Stats))
+  in
+  ignore (exchange t b);
+  Array.iteri
+    (fun sx -> function
+      | None -> ()
+      | Some (c, health, stats) -> (
+          match (health.reply, stats.reply) with
+          | ( Ok (Protocol.Health_reply { Protocol.ready = true; _ }),
+              Ok (Protocol.Stats_reply s) ) ->
               t.shardv.(sx).client <- Some c;
               Fed_index.set_up t.index sx true;
               Metrics.Gauge.set t.shardv.(sx).g_up 1.0;
-              (* refresh the summary right away: the recovered shard
-                 still carries its durable active tasks *)
-              (match rpc t sx Protocol.Stats with
-              | Ok (Protocol.Stats_reply s) ->
-                  Fed_index.observe t.index sx ~max_load:s.Cluster.max_load
-                    ~active_size:s.Cluster.active_size
-              | Ok _ | Error _ -> ())
-          | Ok _ | Error _ -> Client.close c)
-  done
+              Fed_index.observe t.index sx ~max_load:s.Cluster.max_load
+                ~active_size:s.Cluster.active_size
+          | _ -> Client.close c))
+    fresh
 
-(* Consistency audit after a rebalance round: the shard's own
+(* Consistency audit after a rebalance round: each shard's own
    accounting must still balance (sum of PE loads = active size, max
    of PE loads = reported max). The full conformance oracle runs
    inside each shard at recovery; this is the cheap online check the
-   router can make from outside. *)
-let audit t sx =
-  if shard_up t sx then begin
-    match (rpc t sx Protocol.Stats, rpc t sx Protocol.Loads) with
-    | Ok (Protocol.Stats_reply s), Ok (Protocol.Loads_reply loads) ->
-        let sum = Array.fold_left ( + ) 0 loads in
-        let mx = Array.fold_left max 0 loads in
-        if sum <> s.Cluster.active_size || mx <> s.Cluster.max_load then begin
-          Metrics.Counter.incr t.c_audit_failures;
-          note_event t
-        end
-    | _ -> ()
-  end
+   router can make from outside — [stats] and [loads] to every audited
+   shard in one batch. *)
+let audit t sxs =
+  let b = new_batch t in
+  let calls =
+    List.filter_map
+      (fun sx ->
+        if shard_up t sx then
+          Some (issue_to t b sx Protocol.Stats, issue_to t b sx Protocol.Loads)
+        else None)
+      sxs
+  in
+  List.iter (mark_down t) (exchange t b);
+  List.iter
+    (fun (stats, loads) ->
+      match (stats.reply, loads.reply) with
+      | Ok (Protocol.Stats_reply s), Ok (Protocol.Loads_reply loads) ->
+          let sum = Array.fold_left ( + ) 0 loads in
+          let mx = Array.fold_left max 0 loads in
+          if sum <> s.Cluster.active_size || mx <> s.Cluster.max_load then begin
+            Metrics.Counter.incr t.c_audit_failures;
+            note_event t
+          end
+      | _ -> ())
+    calls
 
 let rebalance_round t config =
   let m = shards t in
@@ -570,7 +778,7 @@ let rebalance_round t config =
   let moves =
     Rebalance.plan config ~loads ~up ~shard_sizes:t.shard_sizes ~tasks
   in
-  let touched = Hashtbl.create 4 in
+  let touched = Array.make m false in
   List.iter
     (fun (mv : Rebalance.move) ->
       match Hashtbl.find_opt t.ledger mv.task.gid with
@@ -595,14 +803,14 @@ let rebalance_round t config =
                   Metrics.Counter.incr t.c_rebalanced;
                   Metrics.Counter.inc t.c_rebalanced_bytes
                     (Rebalance.move_bytes config mv);
-                  Hashtbl.replace touched mv.src ();
-                  Hashtbl.replace touched mv.dst ()
+                  touched.(mv.src) <- true;
+                  touched.(mv.dst) <- true
               | Ok _ | Error _ ->
                   (* drain refused or source died: undo the replay *)
                   ignore (rpc t mv.dst (Protocol.Finish local')))
           | Ok _ | Error _ -> ()))
     moves;
-  Hashtbl.iter (fun sx () -> audit t sx) touched
+  audit t (List.filter (fun sx -> touched.(sx)) (List.init m Fun.id))
 
 let tick t =
   if t.dump_requested then begin
@@ -637,6 +845,9 @@ let tenant_of_conn t inbuf =
       t.conn_tenants <- (inbuf, id) :: t.conn_tenants;
       id
 
+let forget_conn t inbuf =
+  t.conn_tenants <- List.filter (fun (b, _) -> b != inbuf) t.conn_tenants
+
 let reply t out ~binary ~rid ~shard resp =
   if binary then begin
     Buffer.clear t.scratch;
@@ -667,8 +878,7 @@ let op_index = function
   | Protocol.Shutdown -> 9
   | Protocol.Health -> 10
 
-let process t ~tenant ~binary ~rid req out =
-  let resp, served_by, stop = dispatch t ~tenant req in
+let respond t out ~tenant ~binary ~rid ~served req resp =
   Recorder.record t.recorder ~kind:Recorder.kind_request ~op:(op_index req)
     ~tenant
     ~size:(match req with Protocol.Submit s -> s | _ -> 0)
@@ -676,9 +886,52 @@ let process t ~tenant ~binary ~rid req out =
     ~ok:(match resp with Protocol.Error _ -> false | _ -> true);
   (* the shard tag rides the rid echo: only attributed responses
      carry it *)
-  let shard = if rid = None then None else served_by in
-  reply t out ~binary ~rid ~shard resp;
-  stop
+  let shard = if rid = None then None else served in
+  reply t out ~binary ~rid ~shard resp
+
+(* The completion phase: flush each touched shard once, read its
+   replies in order, apply them, then answer the client in its own
+   order. A shard that failed mid-batch is marked down only after the
+   replies that did arrive are applied (so re-admission sees them);
+   its unanswered submits then fail over through the normal pick. *)
+let complete t ~tenant out =
+  let p = t.pipe in
+  if not (Queue.is_empty p.slots) then begin
+    let failed = exchange t p.lanes in
+    Queue.iter (settle t ~tenant) p.slots;
+    List.iter (mark_down t) failed;
+    Queue.iter
+      (fun s ->
+        (match s.wait with
+        | Submit_on { size; _ } -> (
+            s.wait <- Answered;
+            let resp, served =
+              match route_submit t ~size with
+              | Ok (sx, resp) -> submitted t ~tenant ~size sx resp
+              | Error e ->
+                  add_used t tenant (-size);
+                  reject t e
+            in
+            s.resp <- resp;
+            s.served <- served)
+        | Answered | Finish_on _ | Query_on _ -> ());
+        respond t out ~tenant ~binary:s.binary ~rid:s.rid ~served:s.served
+          s.req s.resp)
+      p.slots;
+    Queue.clear p.slots;
+    Hashtbl.reset p.finishing;
+    p.submits <- 0
+  end
+
+(* A request that must not join the batch in flight: it names a task
+   whose finish is already in flight, or one the ledger does not know
+   yet while submits are in flight (a client guessing the id a submit
+   will get). Serial order decides these, so the batch is cut first. *)
+let overtakes t = function
+  | Protocol.Finish gid | Protocol.Query gid ->
+      Hashtbl.mem t.pipe.finishing gid
+      || (t.pipe.submits > 0 && not (Hashtbl.mem t.ledger gid))
+  | _ -> false
 
 (* One complete binary frame off the front of [inbuf], if present. *)
 let take_binary t inbuf =
@@ -711,6 +964,31 @@ let take_binary t inbuf =
     end
   end
 
+(* The next request off the front of [inbuf], in either encoding. *)
+let next_request t inbuf =
+  if Netbuf.get_byte inbuf 0 = Wire.request_magic then
+    match take_binary t inbuf with
+    | `Incomplete -> `Incomplete
+    | `Poison e ->
+        Netbuf.clear inbuf;
+        `Bad (true, e)
+    | `Frame payload -> (
+        match
+          Protocol.decode_request_payload_rid payload ~pos:0
+            ~limit:(String.length payload)
+        with
+        | Error e -> `Bad (true, e)
+        | Ok (req, rid) -> `Request (true, rid, req))
+  else
+    match Netbuf.find_byte inbuf '\n' with
+    | None -> `Incomplete
+    | Some i -> (
+        let line = Netbuf.sub_string inbuf ~off:0 ~len:i in
+        Netbuf.consume inbuf (i + 1);
+        match Protocol.decode_request_rid line with
+        | Error e -> `Bad (false, e)
+        | Ok (req, rid) -> `Request (false, rid, req))
+
 let handle_conn t inbuf out ~budget =
   let tenant = tenant_of_conn t inbuf in
   let consumed = ref 0 in
@@ -718,44 +996,44 @@ let handle_conn t inbuf out ~budget =
   let continue = ref true in
   while !continue && (not !stop) && !consumed < budget
         && not (Netbuf.is_empty inbuf) do
-    if Netbuf.get_byte inbuf 0 = Wire.request_magic then begin
-      match take_binary t inbuf with
-      | `Incomplete -> continue := false
-      | `Poison e ->
-          reply t out ~binary:true ~rid:None ~shard:None (Protocol.Error e);
-          Netbuf.clear inbuf;
-          incr consumed
-      | `Frame payload -> (
-          incr consumed;
-          match
-            Protocol.decode_request_payload_rid payload ~pos:0
-              ~limit:(String.length payload)
-          with
-          | Error e ->
-              reply t out ~binary:true ~rid:None ~shard:None (Protocol.Error e)
-          | Ok (req, rid) ->
-              if process t ~tenant ~binary:true ~rid req out then stop := true)
-    end
-    else begin
-      match Netbuf.find_byte inbuf '\n' with
-      | None -> continue := false
-      | Some i -> (
-          let line = Netbuf.sub_string inbuf ~off:0 ~len:i in
-          Netbuf.consume inbuf (i + 1);
-          incr consumed;
-          match Protocol.decode_request_rid line with
-          | Error e ->
-              reply t out ~binary:false ~rid:None ~shard:None (Protocol.Error e)
-          | Ok (req, rid) ->
-              if process t ~tenant ~binary:false ~rid req out then stop := true)
-    end
+    match next_request t inbuf with
+    | `Incomplete -> continue := false
+    | `Bad (binary, e) ->
+        incr consumed;
+        complete t ~tenant out;
+        reply t out ~binary ~rid:None ~shard:None (Protocol.Error e)
+    | `Request (binary, rid, req) -> (
+        incr consumed;
+        Metrics.Counter.incr t.c_requests;
+        match req with
+        | Protocol.Submit _ | Protocol.Finish _ | Protocol.Query _ ->
+            if overtakes t req then complete t ~tenant out;
+            let s =
+              {
+                binary;
+                rid;
+                req;
+                resp = Protocol.Error "no reply";
+                served = None;
+                wait = Answered;
+              }
+            in
+            issue_request t ~tenant s;
+            Queue.push s t.pipe.slots
+        | _ ->
+            complete t ~tenant out;
+            let resp, halt = dispatch t req in
+            respond t out ~tenant ~binary ~rid ~served:None req resp;
+            stop := halt)
   done;
+  complete t ~tenant out;
   if !stop then `Stop !consumed else `Handled !consumed
 
 let serve t ~listeners =
   match
     Loop.run ~config:t.config.loop
       ~on_usr1:(fun () -> t.dump_requested <- true)
+      ~on_drop:(forget_conn t)
       ~tick:(fun () -> tick t)
       ~listeners
       ~handle:(fun inbuf out ~budget -> handle_conn t inbuf out ~budget)

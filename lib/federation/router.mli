@@ -18,14 +18,46 @@
     the coldest shard under a migration budget, audited against the
     shards' own accounting after every round.
 
-    On an upstream failure mid-request the shard is marked down, its
-    queued tasks are re-admitted to healthy shards under the same
-    federated ids, and in-flight submits fail over — at-least-once
-    semantics: a crashed shard's WAL may keep an orphan copy of a
-    re-routed task, which its own recovery audits but the ledger no
-    longer points at. No acknowledged task is ever lost: every acked
-    id resolves on a healthy shard, or again on the crashed shard once
-    a probe brings it back. *)
+    {b The pipelined hop.} Each batch of client frames the event loop
+    hands {!handle_conn} crosses to the shards in two phases. The
+    issue phase walks the requests in client order: every [submit],
+    [finish] and [query] picks its shard (quota check, {!Fed_index}
+    pick, ledger lookup) and is encoded into that shard's upstream
+    buffer, with the index and the tenant's quota updated as if it had
+    already succeeded. The completion phase flushes each touched shard
+    once, reads its replies in order, applies them (ledger, global
+    bases), and answers the client in its own order; a refused or
+    queued reply undoes its optimistic update. Placements are
+    therefore those of a router that forwards one request at a time
+    whenever shards answer [placed] or [finished]. The batch is cut —
+    completed before the next request is issued — when a [finish] or
+    [query] names a task whose [finish] is in flight, or one the
+    ledger does not know while submits are in flight; before every
+    other request ([stats], [loads], [metrics], [health], [ping],
+    [snapshot], [shutdown]; those that fan out are one batch to every
+    up shard); and at a frame that fails to decode. Polls,
+    probes, rebalance moves and audits take the same batch code: no
+    request reaches a shard any other way.
+
+    {b Ordering and durability.} Every client frame gets exactly one
+    reply, in the order the frames arrived. A reply is written only
+    after the shard's own reply has been read, and a shard writes a
+    reply only after its group commit has made the request durable
+    ({!Pmp_server.Loop}); so an acknowledgement through the router is
+    as durable as one straight from the shard. [fed_requests_total]
+    over [fed_upstream_batches_total] (one per shard flush) is the
+    average batch a shard's group commit sees from the router.
+
+    On an upstream failure the replies of the healthy shards are read
+    first and applied; then the shard is marked down, its queued tasks
+    are re-admitted to healthy shards under the same federated ids,
+    and the dead shard's unanswered submits fail over through the
+    normal pick (its unanswered finishes and queries answer an error)
+    — at-least-once semantics: a crashed shard's WAL may keep an
+    orphan copy of a re-routed task, which its own recovery audits but
+    the ledger no longer points at. No acknowledged task is ever lost:
+    every acked id resolves on a healthy shard, or again on the
+    crashed shard once a probe brings it back. *)
 
 type config = {
   sockets : string array;  (** one upstream Unix socket per shard *)
@@ -67,9 +99,11 @@ val handle_conn :
   Pmp_server.Netbuf.t ->
   budget:int ->
   [ `Handled of int | `Stop of int ]
-(** The loop handler: consume complete requests (either encoding)
-    from the in-buffer, append responses to the out-buffer. Exposed
-    for in-process tests. *)
+(** The loop handler: consume up to [budget] complete requests (either
+    encoding) from the in-buffer as one pipelined batch, append their
+    responses to the out-buffer in request order. The in-buffer also
+    names the connection, which is the tenant. Exposed for in-process
+    tests and benchmarks. *)
 
 val tick : t -> float
 (** Run due periodic work (polls, probes, rebalance, requested
@@ -78,7 +112,9 @@ val tick : t -> float
 
 val serve : t -> listeners:Unix.file_descr list -> unit
 (** Run the event loop until a [shutdown] request. Dumps the flight
-    recorder to [dir/flightrec.jsonl] on abnormal exit or [SIGUSR1]. *)
+    recorder to [dir/flightrec.jsonl] on abnormal exit or [SIGUSR1].
+    A closed client connection gives back its tenant slot
+    ([fed_connections] counts the open ones). *)
 
 val dump_recorder : t -> string
 (** Dump the flight ring now; returns the path written. *)

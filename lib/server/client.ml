@@ -13,6 +13,8 @@ type t = {
   ic : in_channel;
   oc : out_channel;
   mutable proto : proto;
+  pending : Buffer.t;  (** queued request bytes not yet written *)
+  scratch : Buffer.t;  (** one binary payload being framed *)
 }
 
 let of_fd ?(proto = Json) fd =
@@ -21,6 +23,8 @@ let of_fd ?(proto = Json) fd =
     ic = Unix.in_channel_of_descr fd;
     oc = Unix.out_channel_of_descr fd;
     proto;
+    pending = Buffer.create 256;
+    scratch = Buffer.create 32;
   }
 
 let connect ?proto sockaddr =
@@ -45,18 +49,34 @@ let connect_tcp ?proto ~host ~port () =
 let proto t = t.proto
 let set_proto t proto = t.proto <- proto
 
+let queue t ?rid req =
+  match t.proto with
+  | Json ->
+      Buffer.add_string t.pending (Protocol.encode_request ?rid req);
+      Buffer.add_char t.pending '\n'
+  | Binary ->
+      Buffer.clear t.scratch;
+      (match rid with
+      | None -> Protocol.request_payload t.scratch req
+      | Some rid -> Protocol.request_payload_rid t.scratch ~rid req);
+      Protocol.add_frame t.pending t.scratch
+
+let flush t =
+  let r =
+    match
+      Buffer.output_buffer t.oc t.pending;
+      Stdlib.flush t.oc
+    with
+    | () -> Ok ()
+    | exception Sys_error e -> Error e
+    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  in
+  Buffer.clear t.pending;
+  r
+
 let send t ?rid req =
-  match
-    (match t.proto with
-    | Json ->
-        output_string t.oc (Protocol.encode_request ?rid req);
-        output_char t.oc '\n'
-    | Binary -> output_string t.oc (Protocol.encode_request_binary ?rid req));
-    flush t.oc
-  with
-  | () -> Ok ()
-  | exception Sys_error e -> Error e
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  queue t ?rid req;
+  flush t
 
 let input_varint ic =
   let rec go v shift n =
@@ -109,5 +129,5 @@ let request t req =
   match send t req with Ok () -> receive t | Error _ as e -> e
 
 let close t =
-  (try flush t.oc with Sys_error _ -> ());
+  (try Stdlib.flush t.oc with Sys_error _ -> ());
   try Unix.close t.fd with Unix.Unix_error _ -> ()

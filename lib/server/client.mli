@@ -30,10 +30,19 @@ val request : t -> Protocol.request -> (Protocol.response, string) result
 (** Send one request and wait for its response. *)
 
 val send : t -> ?rid:int -> Protocol.request -> (unit, string) result
-(** Queue a request without waiting (flushes the socket). [?rid]
+(** Send a request without waiting: {!queue} then {!flush}. [?rid]
     attaches a client-chosen request id the server echoes on the
     response — the handle for per-request latency attribution across
     pipelining. *)
+
+val queue : t -> ?rid:int -> Protocol.request -> unit
+(** Encode a request into the connection's pending bytes without
+    writing anything; {!flush} sends everything queued in one write.
+    This is how a batch of requests reaches the server as one read. *)
+
+val flush : t -> (unit, string) result
+(** Write every queued request. [Error] when the peer is gone; the
+    queued bytes are dropped either way. *)
 
 val receive : t -> (Protocol.response, string) result
 (** Read the next response; [Error] on a closed connection — which is

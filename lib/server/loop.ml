@@ -35,16 +35,17 @@ let setup_sigusr1 on_usr1 =
   | _ -> ()
   | exception (Invalid_argument _ | Sys_error _) -> ()
 
-let run ?(config = default_config) ?(on_accept = ignore) ?(on_batch = ignore)
-    ?(on_commit = ignore) ?on_usr1 ?on_read_io ?on_write_io
-    ?(tick = fun () -> -1.0) ~listeners ~handle () =
+let run ?(config = default_config) ?(on_accept = ignore) ?(on_drop = ignore)
+    ?(on_batch = ignore) ?(on_commit = ignore) ?on_usr1 ?on_read_io
+    ?on_write_io ?(tick = fun () -> -1.0) ~listeners ~handle () =
   ignore_sigpipe ();
   setup_sigusr1 on_usr1;
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
   let stopping = ref false in
   let drop c =
     close_quietly c.fd;
-    Hashtbl.remove conns c.fd
+    Hashtbl.remove conns c.fd;
+    on_drop c.inbuf
   in
   let pump_reads ready =
     List.iter

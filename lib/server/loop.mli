@@ -55,6 +55,7 @@ val setup_sigusr1 : (unit -> unit) option -> unit
 val run :
   ?config:config ->
   ?on_accept:(unit -> unit) ->
+  ?on_drop:(Netbuf.t -> unit) ->
   ?on_batch:(int -> unit) ->
   ?on_commit:(unit -> unit) ->
   ?on_usr1:(unit -> unit) ->
@@ -81,6 +82,12 @@ val run :
     the first [select] — see {!setup_sigusr1}. A signal interrupting
     [select] surfaces as [EINTR], which the loop treats as an idle
     round: handlers run, then the loop re-selects.
+
+    [on_drop inbuf] runs when a connection is closed and forgotten —
+    the peer finished or reset it — with that connection's in-buffer,
+    the same value [handle] received, so a handler keying state by
+    connection can release it. Connections still open when [run]
+    returns are closed without it.
 
     [on_read_io]/[on_write_io], when given, receive the wall-clock
     seconds spent refilling input buffers (the {e read} stage) and

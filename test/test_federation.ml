@@ -491,6 +491,321 @@ let test_failover_no_acked_loss () =
         (fun k (_, d) -> if k <> victim then ignore (Domain.join d))
         shards)
 
+(* --- the pipelined hop ---------------------------------------------- *)
+
+module Netbuf = Pmp_server.Netbuf
+module Wire = Pmp_server.Wire
+
+let scrape_metric dump name =
+  let prefix = name ^ " " in
+  let plen = String.length prefix in
+  List.find_map
+    (fun l ->
+      if String.length l > plen && String.sub l 0 plen = prefix then
+        float_of_string_opt (String.sub l plen (String.length l - plen))
+      else None)
+    (String.split_on_char '\n' dump)
+
+let metric_of client name =
+  match Client.request client Protocol.Metrics with
+  | Ok (Protocol.Metrics_reply dump) -> (
+      match scrape_metric dump name with
+      | Some v -> v
+      | None -> Alcotest.failf "metrics: no %s" name)
+  | Ok r -> Alcotest.failf "metrics: unexpected %s" (Protocol.encode_response r)
+  | Error e -> Alcotest.failf "metrics: %s" e
+
+(* One response, either encoding, with its rid and shard tags. *)
+let decode_reply s =
+  if Char.code s.[0] = Wire.request_magic then begin
+    let cur = { Wire.pos = 2 } in
+    let len = Wire.read_varint (Bytes.of_string s) cur (String.length s) in
+    Protocol.decode_response_payload_attr s ~pos:cur.Wire.pos
+      ~limit:(cur.Wire.pos + len)
+  end
+  else Protocol.decode_response_attr (String.sub s 0 (String.length s - 1))
+
+(* A router driven in process, on one connection's buffers, over its
+   own pair of fresh shards. *)
+let in_process_router ~dir ~machine_size =
+  Unix.mkdir dir 0o755;
+  let shards = List.init 2 (start_shard ~dir ~machine_size) in
+  let sockets = Array.of_list (List.map fst shards) in
+  let router =
+    get_ok ~ctx:"router" (Router.create (router_config ~sockets ~dir))
+  in
+  (router, shards, Netbuf.create 256, Netbuf.create 256)
+
+(* Feed frames and return the bytes of every response they produced. *)
+let feed (router, _, inb, out) frames =
+  List.iter (Netbuf.add_string inb) frames;
+  let n =
+    match Router.handle_conn router inb out ~budget:64 with
+    | `Handled n | `Stop n -> n
+  in
+  let bytes = Netbuf.sub_string out ~off:0 ~len:(Netbuf.length out) in
+  Netbuf.clear out;
+  (n, bytes)
+
+let stop_router ((router, shards, _, _) as r) =
+  ignore (feed r [ Protocol.encode_request_binary Protocol.Shutdown ]);
+  List.iter (fun (_, d) -> ignore (Domain.join d)) shards;
+  Router.close router
+
+(* The tentpole contract: a 64-frame batch through the pipelined hop
+   answers byte for byte what the same frames answer one at a time —
+   same gids, same placement bases, same errors, same order. The
+   stream mixes both encodings, rid-tagged and bare frames, fan-outs
+   that cut the batch, an undecodable frame, ids no submit has
+   returned yet, and a task finished twice in one batch. *)
+let test_pipelined_matches_serial () =
+  with_dir (fun dir ->
+      let machine_size = 16 in
+      let serial =
+        in_process_router ~dir:(Filename.concat dir "serial") ~machine_size
+      in
+      let piped =
+        in_process_router ~dir:(Filename.concat dir "piped") ~machine_size
+      in
+      let g = Sm.create 0x5EED in
+      let live = ref [] and newest = ref 0 in
+      let guessed = Hashtbl.create 16 in
+      let take_live () =
+        let a = Array.of_list !live in
+        let gid = a.(Sm.int g (Array.length a)) in
+        live := List.filter (( <> ) gid) !live;
+        gid
+      in
+      let rid = ref 0 in
+      let frame req =
+        incr rid;
+        match !rid mod 9 with
+        | 0 -> Protocol.encode_request ~rid:!rid req ^ "\n"
+        | 4 -> Protocol.encode_request_binary req
+        | _ -> Protocol.encode_request_binary ~rid:!rid req
+      in
+      let bad_frame =
+        String.init 4 (function
+          | 0 -> Char.chr Wire.request_magic
+          | 1 -> Char.chr Wire.version
+          | 2 -> '\001'
+          | _ -> '\099')
+      in
+      let random_req () =
+        let r = Sm.int g 100 in
+        if r < 45 || !live = [] then Protocol.Submit (1 lsl Sm.int g 4)
+        else if r < 70 then Protocol.Finish (take_live ())
+        else if r < 88 then
+          Protocol.Query (List.nth !live (Sm.int g (List.length !live)))
+        else if r < 96 then begin
+          (* a guessed id: maybe one a submit of this very batch gets *)
+          let gid = !newest + 1 + Sm.int g 6 in
+          Hashtbl.replace guessed gid ();
+          Protocol.Query gid
+        end
+        else Protocol.Stats
+      in
+      let double_finishes = ref 0 and guessed_hits = ref 0 in
+      for chunk = 0 to 4 do
+        let special =
+          if chunk >= 1 && !live <> [] then begin
+            let gid = take_live () in
+            [ Protocol.Finish gid; Protocol.Query gid; Protocol.Finish gid ]
+          end
+          else []
+        in
+        let frames =
+          List.map frame special
+          @ List.init
+              (63 - List.length special)
+              (fun _ -> frame (random_req ()))
+          @ [ bad_frame ]
+        in
+        let expect =
+          String.concat ""
+            (List.map
+               (fun f ->
+                 let n, bytes = feed serial [ f ] in
+                 Alcotest.(check int) "serial: one frame per call" 1 n;
+                 (match decode_reply bytes with
+                 | Ok ((Protocol.Placed (gid, _) | Protocol.Queued gid), _, _) ->
+                     live := gid :: !live;
+                     newest := max !newest gid
+                 | Ok (Protocol.Error "unknown or finished task", _, _) ->
+                     incr double_finishes
+                 | Ok (Protocol.State (gid, Protocol.Active _), _, _)
+                   when Hashtbl.mem guessed gid ->
+                     incr guessed_hits
+                 | Ok _ -> ()
+                 | Error e -> Alcotest.failf "serial reply: %s" e);
+                 bytes)
+               frames)
+        in
+        let n, got = feed piped frames in
+        Alcotest.(check int) "pipelined: the whole chunk in one call" 64 n;
+        Alcotest.(check string)
+          (Printf.sprintf "chunk %d: pipelined = serial, byte for byte" chunk)
+          expect got
+      done;
+      Alcotest.(check bool) "a task was finished twice within a batch" true
+        (!double_finishes > 0);
+      Alcotest.(check bool) "a guessed id named a submit of its own batch"
+        true (!guessed_hits > 0);
+      let batches r =
+        let _, bytes =
+          feed r [ Protocol.encode_request_binary Protocol.Metrics ]
+        in
+        match decode_reply bytes with
+        | Ok (Protocol.Metrics_reply dump, _, _) ->
+            Option.get (scrape_metric dump "fed_upstream_batches_total")
+        | _ -> Alcotest.fail "metrics reply"
+      in
+      let bs = batches serial and bp = batches piped in
+      if not (bp *. 2.0 < bs) then
+        Alcotest.failf "pipelined router flushed %.0f batches, serial %.0f" bp
+          bs;
+      stop_router serial;
+      stop_router piped)
+
+let submit_batch ~ctx client ~first_rid ~size n =
+  for i = 0 to n - 1 do
+    Client.queue client ~rid:(first_rid + i) (Protocol.Submit size)
+  done;
+  get_ok ~ctx (Client.flush client);
+  List.init n (fun i ->
+      match Client.receive_attr client with
+      | Ok ((Protocol.Placed (gid, _) | Protocol.Queued gid), Some rid, _)
+        when rid = first_rid + i ->
+          gid
+      | Ok (r, rid, _) ->
+          Alcotest.failf "%s: reply %d: %s (rid %s)" ctx i
+            (Protocol.encode_response r)
+            (Option.fold ~none:"none" ~some:string_of_int rid)
+      | Error e -> Alcotest.failf "%s: reply %d: %s" ctx i e)
+
+(* A shard dies while a client batch is in flight on it: the client
+   still gets exactly one reply per frame, in order (the victim's
+   submits fail over), every acked gid resolves once the victim is
+   back, and the rebalance audits that run throughout find nothing. *)
+let test_shard_dies_mid_batch () =
+  with_dir (fun dir ->
+      (* machine-filling tasks raise a shard's load by one each, so
+         min-of-max deals them round-robin *)
+      let machine_size = 8 and victim = 1 in
+      let shards =
+        List.init 3 (fun k ->
+            start_shard ~dir ~machine_size
+              ?crash_after:(if k = victim then Some 6 else None)
+              k)
+      in
+      let sockets = Array.of_list (List.map fst shards) in
+      let config =
+        {
+          (router_config ~sockets ~dir) with
+          rebalance = Some { Rebalance.default_config with threshold = 1 };
+          rebalance_interval = 0.05;
+        }
+      in
+      let router = get_ok ~ctx:"router" (Router.create config) in
+      let fed_path = Filename.concat dir "fed.sock" in
+      let listener = Server.listen_unix fed_path in
+      let rdom =
+        Domain.spawn (fun () -> Router.serve router ~listeners:[ listener ])
+      in
+      let client =
+        get_ok ~ctx:"connect" (Client.connect_unix ~proto:Client.Binary fed_path)
+      in
+      (* two tasks per shard: the victim is 4 mutations short of its trip *)
+      let warm = submit_batch ~ctx:"warm-up" client ~first_rid:0 ~size:8 6 in
+      (* 16 of these land on the victim, which dies a few in *)
+      let hot =
+        submit_batch ~ctx:"crash batch" client ~first_rid:6 ~size:8 48
+      in
+      (match Client.send client ~rid:999 Protocol.Ping with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "ping: %s" e);
+      (match Client.receive_attr client with
+      | Ok (Protocol.Pong, Some 999, _) -> ()
+      | Ok (r, _, _) ->
+          Alcotest.failf "a stray reply after the batch: %s"
+            (Protocol.encode_response r)
+      | Error e -> Alcotest.failf "ping: %s" e);
+      let crashed = Domain.join (snd (List.nth shards victim)) in
+      Alcotest.(check bool) "crash injection fired" true crashed;
+      Alcotest.(check bool) "the victim was marked down" true
+        (metric_of client "fed_markdowns_total" >= 1.0);
+      let _, victim_dom = start_shard ~dir ~machine_size victim in
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      let rec wait_resolved g =
+        match Client.request client (Protocol.Query g) with
+        | Ok (Protocol.State (_, (Protocol.Active _ | Protocol.Queued_task)))
+          -> ()
+        | Ok (Protocol.Error _) when Unix.gettimeofday () < deadline ->
+            Unix.sleepf 0.05;
+            wait_resolved g
+        | Ok r ->
+            Alcotest.failf "query %d after restart: %s" g
+              (Protocol.encode_response r)
+        | Error e -> Alcotest.failf "query %d after restart: %s" g e
+      in
+      List.iter wait_resolved (warm @ hot);
+      (* let a few rebalance rounds (and their audits) run over the
+         recovered federation *)
+      Unix.sleepf 0.3;
+      Alcotest.(check (float 0.0)) "no audit failures" 0.0
+        (metric_of client "fed_audit_failures_total");
+      shutdown_router client;
+      Client.close client;
+      Domain.join rdom;
+      ignore (Domain.join victim_dom);
+      List.iteri
+        (fun k (_, d) -> if k <> victim then ignore (Domain.join d))
+        shards)
+
+(* Every accepted connection gets a tenant slot; a closed one must give
+   it back, or each leaks its slot and the in-buffer it pins. *)
+let test_connection_slots_released () =
+  with_dir (fun dir ->
+      let shards = [ start_shard ~dir ~machine_size:8 0 ] in
+      let sockets = Array.of_list (List.map fst shards) in
+      let router =
+        get_ok ~ctx:"router" (Router.create (router_config ~sockets ~dir))
+      in
+      let fed_path = Filename.concat dir "fed.sock" in
+      let listener = Server.listen_unix fed_path in
+      let rdom =
+        Domain.spawn (fun () -> Router.serve router ~listeners:[ listener ])
+      in
+      let client =
+        get_ok ~ctx:"connect" (Client.connect_unix ~proto:Client.Binary fed_path)
+      in
+      let start = metric_of client "fed_connections" in
+      for _ = 1 to 200 do
+        let c =
+          get_ok ~ctx:"connect"
+            (Client.connect_unix ~proto:Client.Binary fed_path)
+        in
+        (match Client.request c Protocol.Ping with
+        | Ok Protocol.Pong -> ()
+        | _ -> Alcotest.fail "ping");
+        Client.close c
+      done;
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      let rec settled () =
+        let n = metric_of client "fed_connections" in
+        if n = start || Unix.gettimeofday () > deadline then n
+        else begin
+          Unix.sleepf 0.02;
+          settled ()
+        end
+      in
+      Alcotest.(check (float 0.0)) "back to the starting size" start
+        (settled ());
+      shutdown_router client;
+      Client.close client;
+      Domain.join rdom;
+      List.iter (fun (_, d) -> ignore (Domain.join d)) shards)
+
 let suite =
   [
     Alcotest.test_case "fed_id plan and offsets" `Quick test_fed_id_plan;
@@ -504,6 +819,12 @@ let suite =
     Alcotest.test_case "live 3-shard session" `Quick test_live_session;
     Alcotest.test_case "failover keeps every acked task" `Quick
       test_failover_no_acked_loss;
+    Alcotest.test_case "pipelined batch = serial, byte for byte" `Quick
+      test_pipelined_matches_serial;
+    Alcotest.test_case "shard dies with a batch in flight" `Quick
+      test_shard_dies_mid_batch;
+    Alcotest.test_case "closed connections release their slot" `Quick
+      test_connection_slots_released;
   ]
   @ Helpers.qtests
       [
