@@ -354,7 +354,7 @@ let e9 () =
         List.map
           (fun (task, (p : Pmp_core.Placement.t)) ->
             { Scheduler.task; sub = p.Pmp_core.Placement.sub; work = 50.0 })
-          (alloc.Allocator.placements ())
+          (Allocator.placements alloc)
       in
       let slowdown = Scheduler.max_slowdown (Scheduler.simulate machine jobs) in
       Table.add_row table

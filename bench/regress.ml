@@ -59,6 +59,14 @@ let max_federation_overhead = 4.0
    a clock, so it gates hard. *)
 let min_requests_per_upstream_batch = 2.0
 
+(* the audit ceiling: the structural oracle replaying a greedy churn
+   at N=4096 compares only the placements each event wrote, so its
+   allocation per event is O(1 + moves) and independent of the active
+   set. Comparing the whole placement table per event costs O(active)
+   words (~3.4k on this trace) and fails the gate. GC words are
+   deterministic, so this gates hard. *)
+let max_audit_words_per_event = 250.0
+
 (* the same seeded churn as Workloads.churn in the experiment harness
    (dune forbids sharing a module across two executables in one
    directory, and the suite's workload must stay pinned either way) *)
@@ -203,7 +211,7 @@ let speedup_probe () =
            (fun ((t : Pmp_workload.Task.t), (p : Pmp_core.Placement.t)) ->
              (t.Pmp_workload.Task.id, p.Pmp_core.Placement.sub,
               p.Pmp_core.Placement.copy))
-           (alloc.Pmp_core.Allocator.placements ()))
+           (Pmp_core.Allocator.placements alloc))
     in
     (wall *. 1e9 /. float_of_int (max 1 (Array.length events)), final)
   in
@@ -231,6 +239,38 @@ let speedup_probe () =
       ("index_ns_per_event", Json.Num (Float.round index_ns));
       ("speedup", Json.Num speedup);
       ("min_required", Json.Num min_speedup);
+    ]
+
+(* The audit probe: [Oracle.run structural_only] over a fixed churn,
+   the loop the daemon's recovery audit runs over its history. *)
+let audit_probe () =
+  let n = 4096 in
+  let machine = Machine.create n in
+  let seq = churn ~steps:14_000 n in
+  let make () = build_alloc "greedy" machine in
+  Gc.full_major ();
+  let gc0 = Gc.quick_stat () in
+  let t0 = Unix.gettimeofday () in
+  (match Pmp_oracle.Oracle.run Pmp_oracle.Oracle.structural_only ~make seq with
+  | Ok () -> ()
+  | Error v ->
+      failwith
+        (Format.asprintf "audit probe: %a" Pmp_oracle.Oracle.pp_violation v));
+  let wall = Unix.gettimeofday () -. t0 in
+  let gc1 = Gc.quick_stat () in
+  let words =
+    gc1.Gc.minor_words -. gc0.Gc.minor_words
+    +. (gc1.Gc.major_words -. gc0.Gc.major_words)
+    -. (gc1.Gc.promoted_words -. gc0.Gc.promoted_words)
+  in
+  let events = float_of_int (Pmp_workload.Sequence.length seq) in
+  Json.Obj
+    [
+      ("case", Json.Str "oracle structural_only, greedy/N=4096 churn");
+      ("events", Json.Num events);
+      ("words_per_event", Json.Num (Float.round (words /. events)));
+      ("ns_per_event", Json.Num (Float.round (wall *. 1e9 /. events)));
+      ("max_words_per_event", Json.Num max_audit_words_per_event);
     ]
 
 (* The service gate: a live pmpd on a Unix socket, driven through the
@@ -578,7 +618,7 @@ let scenario_verdicts () =
         Pmp_scenario.Verdict.golden_json verdict ))
     Pmp_scenario.Registry.fast_subset
 
-let report calib cases speedup service multicore federation scenarios =
+let report calib cases speedup audit service multicore federation scenarios =
   Json.Obj
     [
       ("suite", Json.Str "pmp bench-regress");
@@ -588,6 +628,7 @@ let report calib cases speedup service multicore federation scenarios =
       ("dropped", Json.Arr (List.map (fun s -> Json.Str s) dropped));
       ("cases", Json.Obj cases);
       ("speedup", speedup);
+      ("audit", audit);
       ("service", service);
       ("multicore", multicore);
       ("federation", federation);
@@ -662,6 +703,35 @@ let check_speedup sp =
           };
         ]
       else []
+
+(* The audit gates: the absolute ceiling, and no growth over the
+   baseline's figure beyond the tolerance. Both deterministic. *)
+let check_audit ~tolerance baseline au =
+  let w = get_num "audit" au "words_per_event" in
+  let fail msg = [ { key = "audit"; msg; timing = false } ] in
+  let ceiling =
+    if w > max_audit_words_per_event then
+      fail
+        (Printf.sprintf
+           "audit allocates %.0f words/event, above the %.0f ceiling: the \
+            accounting check is no longer incremental"
+           w max_audit_words_per_event)
+    else []
+  in
+  let drift =
+    match Option.bind baseline (Json.member "audit") with
+    | None -> []
+    | Some base ->
+        let b = get_num "audit(baseline)" base "words_per_event" in
+        if w > b *. (1.0 +. tolerance) then
+          fail
+            (Printf.sprintf
+               "audit: words_per_event regressed %.0f -> %.0f (>%.0f%% over \
+                baseline)"
+               b w (tolerance *. 100.0))
+        else []
+  in
+  ceiling @ drift
 
 (* The service gates: a hard same-host speedup floor (binary+group
    must beat json+always by min_service_speedup regardless of any
@@ -931,6 +1001,12 @@ let () =
   let sp = speedup_probe () in
   let speedup = Option.bind (Json.member "speedup" sp) Json.to_float in
   Printf.printf "speedup: %.1fx\n%!" (Option.value ~default:nan speedup);
+  Printf.printf "measuring the recovery audit (oracle, greedy, N=4096)...\n%!";
+  let au = audit_probe () in
+  Printf.printf "audit: %.0f words/event (ceiling %.0f)\n%!"
+    (Option.value ~default:nan
+       (Option.bind (Json.member "words_per_event" au) Json.to_float))
+    max_audit_words_per_event;
   Printf.printf "measuring service throughput (binary+group vs json+always)...\n%!";
   let sv = service_probe calib in
   let service_speedup = Option.bind (Json.member "speedup" sv) Json.to_float in
@@ -1018,6 +1094,7 @@ let () =
   done;
   let failures =
     check_speedup sp
+    @ check_audit ~tolerance:!tolerance baseline au
     @ check_service ~tolerance:!tolerance baseline sv
     @ check_multicore mc
     @ check_federation baseline fd
@@ -1032,7 +1109,7 @@ let () =
   let hard, soft =
     List.partition (fun f -> !strict_time || not f.timing) failures
   in
-  let rep = report calib !cases sp sv mc fd scenarios in
+  let rep = report calib !cases sp au sv mc fd scenarios in
   Json.to_file !out rep;
   Printf.printf "wrote %s (%d cases)\n%!" !out (List.length !cases);
   if !update_baseline then begin

@@ -38,7 +38,7 @@ let slowdown_of_final machine (alloc : Allocator.t) =
     List.map
       (fun (task, (p : Pmp_core.Placement.t)) ->
         { Scheduler.task; sub = p.Pmp_core.Placement.sub; work = 100.0 })
-      (alloc.Allocator.placements ())
+      (Allocator.placements alloc)
   in
   Scheduler.max_slowdown (Scheduler.simulate machine jobs)
 

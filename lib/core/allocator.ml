@@ -9,9 +9,11 @@ type t = {
   machine : Pmp_machine.Machine.t;
   assign : Task.t -> response;
   remove : Task.id -> unit;
-  placements : unit -> (Task.t * Placement.t) list;
+  table : Ptable.t;
   realloc_events : unit -> int;
 }
+
+let placements t = Ptable.to_list t.table
 
 let sub_in_machine machine sub =
   Sub.order sub >= 0

@@ -9,10 +9,10 @@
     traffic.
 
     Allocators are first-class values (a record of operations closing
-    over private state) because different algorithms need different
-    construction parameters ([d], a PRNG, a fit policy) while the
-    simulator, the adversaries, and the benchmarks drive them
-    uniformly. *)
+    over private state, plus the placement table they maintain)
+    because different algorithms need different construction
+    parameters ([d], a PRNG, a fit policy) while the simulator, the
+    adversaries, and the benchmarks drive them uniformly. *)
 
 type move = {
   task : Pmp_workload.Task.t;
@@ -35,11 +35,17 @@ type t = {
   remove : Pmp_workload.Task.id -> unit;
       (** departure of an active task. Implementations may raise
           [Invalid_argument] on unknown ids. *)
-  placements : unit -> (Pmp_workload.Task.t * Placement.t) list;
-      (** all active tasks and their current homes. *)
+  table : Ptable.t;
+      (** all active tasks and their current homes. [assign] and
+          [remove] keep it current; every write is journalled, which
+          is what lets {!Mirror.check_against} audit only the tasks an
+          event touched. *)
   realloc_events : unit -> int;
       (** number of reallocation (repack) operations performed. *)
 }
+
+val placements : t -> (Pmp_workload.Task.t * Placement.t) list
+(** All active tasks and their current homes, read from [table]. *)
 
 val check_response :
   ?active:(Pmp_workload.Task.id -> bool) ->

@@ -6,7 +6,7 @@ module Load_view = Pmp_index.Load_view
    index for an arrival, given the per-submachine loads at its order. *)
 let make ?backend m ~name ~choose : Allocator.t =
   let loads = Load_view.create ?backend m in
-  let table : (Task.id, Task.t * Placement.t) Hashtbl.t = Hashtbl.create 64 in
+  let table = Ptable.create 64 in
   let assign (task : Task.t) =
     if task.size > Pmp_machine.Machine.size m then
       invalid_arg (name ^ ".assign: task larger than machine");
@@ -15,23 +15,22 @@ let make ?backend m ~name ~choose : Allocator.t =
     let sub = Sub.make m ~order ~index in
     Load_view.add loads sub 1;
     let placement = Placement.direct sub in
-    Hashtbl.replace table task.id (task, placement);
+    Ptable.replace table task placement;
     { Allocator.placement; moves = [] }
   in
   let remove id =
-    match Hashtbl.find_opt table id with
+    match Ptable.find_opt table id with
     | None -> invalid_arg (name ^ ".remove: unknown task")
     | Some (_, p) ->
         Load_view.add loads p.sub (-1);
-        Hashtbl.remove table id
+        Ptable.remove table id
   in
-  let placements () = Hashtbl.fold (fun _ tp acc -> tp :: acc) table [] in
   {
     Allocator.name = name;
     machine = m;
     assign;
     remove;
-    placements;
+    table;
     realloc_events = (fun () -> 0);
   }
 
@@ -73,7 +72,7 @@ let round_robin ?backend m =
    O(log N) subtree-max queries, not the full per-level load scan. *)
 let two_choice ?backend m ~rng : Allocator.t =
   let loads = Load_view.create ?backend m in
-  let table : (Task.id, Task.t * Placement.t) Hashtbl.t = Hashtbl.create 64 in
+  let table = Ptable.create 64 in
   let assign (task : Task.t) =
     if task.size > Pmp_machine.Machine.size m then
       invalid_arg "two-choice.assign: task larger than machine";
@@ -88,23 +87,22 @@ let two_choice ?backend m ~rng : Allocator.t =
     let sub = sub_of index in
     Load_view.add loads sub 1;
     let placement = Placement.direct sub in
-    Hashtbl.replace table task.id (task, placement);
+    Ptable.replace table task placement;
     { Allocator.placement; moves = [] }
   in
   let remove id =
-    match Hashtbl.find_opt table id with
+    match Ptable.find_opt table id with
     | None -> invalid_arg "two-choice.remove: unknown task"
     | Some (_, p) ->
         Load_view.add loads p.Placement.sub (-1);
-        Hashtbl.remove table id
+        Ptable.remove table id
   in
-  let placements () = Hashtbl.fold (fun _ tp acc -> tp :: acc) table [] in
   {
     Allocator.name = "two-choice";
     machine = m;
     assign;
     remove;
-    placements;
+    table;
     realloc_events = (fun () -> 0);
   }
 

@@ -2,22 +2,21 @@ module Task = Pmp_workload.Task
 
 let create ?(fit = Copystack.Leftmost) m : Allocator.t =
   let stack = Copystack.create ~fit m in
-  let table : (Task.id, Task.t * Placement.t) Hashtbl.t = Hashtbl.create 64 in
+  let table = Ptable.create 64 in
   let assign (task : Task.t) =
     if task.size > Pmp_machine.Machine.size m then
       invalid_arg "Copies.assign: task larger than machine";
     let placement = Copystack.alloc stack ~order:(Task.order task) in
-    Hashtbl.replace table task.id (task, placement);
+    Ptable.replace table task placement;
     { Allocator.placement; moves = [] }
   in
   let remove id =
-    match Hashtbl.find_opt table id with
+    match Ptable.find_opt table id with
     | None -> invalid_arg "Copies.remove: unknown task"
     | Some (_, p) ->
         Copystack.free stack p;
-        Hashtbl.remove table id
+        Ptable.remove table id
   in
-  let placements () = Hashtbl.fold (fun _ tp acc -> tp :: acc) table [] in
   {
     Allocator.name =
       (match fit with
@@ -26,6 +25,6 @@ let create ?(fit = Copystack.Leftmost) m : Allocator.t =
     machine = m;
     assign;
     remove;
-    placements;
+    table;
     realloc_events = (fun () -> 0);
   }

@@ -4,7 +4,7 @@ module Probe = Pmp_telemetry.Probe
 
 let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) m : Allocator.t =
   let loads = Load_view.create ~backend m in
-  let table : (Task.id, Task.t * Placement.t) Hashtbl.t = Hashtbl.create 64 in
+  let table = Ptable.create 64 in
   let assign (task : Task.t) =
     if task.size > Pmp_machine.Machine.size m then
       invalid_arg "Greedy.assign: task larger than machine";
@@ -13,22 +13,21 @@ let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) m : Allocator.t 
     Probe.record_placement probe ~elapsed:(Probe.now probe -. t0);
     Load_view.add loads sub 1;
     let placement = Placement.direct sub in
-    Hashtbl.replace table task.id (task, placement);
+    Ptable.replace table task placement;
     { Allocator.placement; moves = [] }
   in
   let remove id =
-    match Hashtbl.find_opt table id with
+    match Ptable.find_opt table id with
     | None -> invalid_arg "Greedy.remove: unknown task"
     | Some (_, p) ->
         Load_view.add loads p.sub (-1);
-        Hashtbl.remove table id
+        Ptable.remove table id
   in
-  let placements () = Hashtbl.fold (fun _ tp acc -> tp :: acc) table [] in
   {
     Allocator.name = "greedy";
     machine = m;
     assign;
     remove;
-    placements;
+    table;
     realloc_events = (fun () -> 0);
   }

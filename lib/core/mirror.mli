@@ -60,6 +60,16 @@ val loads_at_order : t -> order:int -> int array
 val leaf_loads : t -> int array
 
 val check_against : t -> Allocator.t -> (unit, string) result
-(** Cross-validate the mirror against the allocator's own
-    [placements] view (same active set, same homes). Used in checked
-    simulation mode. *)
+(** Cross-validate the mirror against the allocator's own placement
+    table (same active set, same homes). Used in checked simulation
+    mode, by the conformance oracle and by the daemon's recovery audit.
+
+    Cost: O(1 + moves) per call when called after every event. The
+    mirror keeps a cursor into both tables' write journals (see
+    {!Ptable}) and compares only the ids written on either side since
+    its last clean check. It falls back to the full O(active)
+    comparison on the first call, against a different allocator, when
+    more than {!Ptable.journal_size} writes happened on either side
+    since the last check (a repack that rewrites every task), and on
+    any disagreement. The verdict and its message are therefore always
+    exactly those of the full comparison. *)

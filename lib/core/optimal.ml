@@ -1,13 +1,13 @@
 module Task = Pmp_workload.Task
 
 let create m : Allocator.t =
-  let table : (Task.id, Task.t * Placement.t) Hashtbl.t = Hashtbl.create 64 in
+  let table = Ptable.create 64 in
   let stack = ref (Copystack.create m) in
   let reallocs = ref 0 in
   let assign (task : Task.t) =
     if task.size > Pmp_machine.Machine.size m then
       invalid_arg "Optimal.assign: task larger than machine";
-    let actives = Hashtbl.fold (fun _ (t, p) acc -> (t, p) :: acc) table [] in
+    let actives = Ptable.to_list table in
     let all_tasks = task :: List.map fst actives in
     let new_stack, packed = Repack.pack m all_tasks in
     stack := new_stack;
@@ -16,28 +16,27 @@ let create m : Allocator.t =
       List.filter_map
         (fun ((t : Task.t), old_p) ->
           let new_p = Hashtbl.find packed t.id in
-          Hashtbl.replace table t.id (t, new_p);
+          Ptable.replace table t new_p;
           if Placement.equal old_p new_p then None
           else Some { Allocator.task = t; from_ = old_p; to_ = new_p })
         actives
     in
     let placement = Hashtbl.find packed task.id in
-    Hashtbl.replace table task.id (task, placement);
+    Ptable.replace table task placement;
     { Allocator.placement; moves }
   in
   let remove id =
-    match Hashtbl.find_opt table id with
+    match Ptable.find_opt table id with
     | None -> invalid_arg "Optimal.remove: unknown task"
     | Some (_, p) ->
         Copystack.free !stack p;
-        Hashtbl.remove table id
+        Ptable.remove table id
   in
-  let placements () = Hashtbl.fold (fun _ tp acc -> tp :: acc) table [] in
   {
     Allocator.name = "optimal";
     machine = m;
     assign;
     remove;
-    placements;
+    table;
     realloc_events = (fun () -> !reallocs);
   }

@@ -2,7 +2,7 @@ module Task = Pmp_workload.Task
 module Probe = Pmp_telemetry.Probe
 
 let copy_branch m ~d ~eager ~name ~probe : Allocator.t =
-  let table : (Task.id, Task.t * Placement.t) Hashtbl.t = Hashtbl.create 64 in
+  let table = Ptable.create 64 in
   let stack = ref (Copystack.create m) in
   let arrived_since_repack = ref 0 in
   let reallocs = ref 0 in
@@ -13,7 +13,7 @@ let copy_branch m ~d ~eager ~name ~probe : Allocator.t =
      of previously-active tasks (the newcomer is not a "move"). *)
   let repack_with (task : Task.t) =
     let t0 = Probe.now probe in
-    let actives = Hashtbl.fold (fun _ (t, p) acc -> (t, p) :: acc) table [] in
+    let actives = Ptable.to_list table in
     let new_stack, packed = Repack.pack m (task :: List.map fst actives) in
     stack := new_stack;
     incr reallocs;
@@ -22,7 +22,7 @@ let copy_branch m ~d ~eager ~name ~probe : Allocator.t =
       List.filter_map
         (fun ((t : Task.t), old_p) ->
           let new_p = Hashtbl.find packed t.id in
-          Hashtbl.replace table t.id (t, new_p);
+          Ptable.replace table t new_p;
           if Placement.equal old_p new_p then None
           else Some { Allocator.task = t; from_ = old_p; to_ = new_p })
         actives
@@ -46,23 +46,22 @@ let copy_branch m ~d ~eager ~name ~probe : Allocator.t =
       if budget_open && (eager || needs_room) then repack_with task
       else (Copystack.alloc !stack ~order, [])
     in
-    Hashtbl.replace table task.id (task, placement);
+    Ptable.replace table task placement;
     { Allocator.placement; moves }
   in
   let remove id =
-    match Hashtbl.find_opt table id with
+    match Ptable.find_opt table id with
     | None -> invalid_arg "Periodic.remove: unknown task"
     | Some (_, p) ->
         Copystack.free !stack p;
-        Hashtbl.remove table id
+        Ptable.remove table id
   in
-  let placements () = Hashtbl.fold (fun _ tp acc -> tp :: acc) table [] in
   {
     Allocator.name;
     machine = m;
     assign;
     remove;
-    placements;
+    table;
     realloc_events = (fun () -> !reallocs);
   }
 

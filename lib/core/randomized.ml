@@ -2,7 +2,7 @@ module Task = Pmp_workload.Task
 module Sub = Pmp_machine.Submachine
 
 let create m ~rng : Allocator.t =
-  let table : (Task.id, Task.t * Placement.t) Hashtbl.t = Hashtbl.create 64 in
+  let table = Ptable.create 64 in
   let assign (task : Task.t) =
     if task.size > Pmp_machine.Machine.size m then
       invalid_arg "Randomized.assign: task larger than machine";
@@ -10,20 +10,19 @@ let create m ~rng : Allocator.t =
     let slots = Sub.count_at_order m order in
     let index = Pmp_prng.Splitmix64.int rng slots in
     let placement = Placement.direct (Sub.make m ~order ~index) in
-    Hashtbl.replace table task.id (task, placement);
+    Ptable.replace table task placement;
     { Allocator.placement; moves = [] }
   in
   let remove id =
-    if not (Hashtbl.mem table id) then
+    if not (Ptable.mem table id) then
       invalid_arg "Randomized.remove: unknown task";
-    Hashtbl.remove table id
+    Ptable.remove table id
   in
-  let placements () = Hashtbl.fold (fun _ tp acc -> tp :: acc) table [] in
   {
     Allocator.name = "randomized";
     machine = m;
     assign;
     remove;
-    placements;
+    table;
     realloc_events = (fun () -> 0);
   }

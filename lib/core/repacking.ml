@@ -4,7 +4,7 @@ module Probe = Pmp_telemetry.Probe
 
 let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) m ~name ~d
     ~choose : Allocator.t =
-  let table : (Task.id, Task.t * Placement.t) Hashtbl.t = Hashtbl.create 64 in
+  let table = Ptable.create 64 in
   let loads = Load_view.create ~backend m in
   let active_size = ref 0 in
   let arrived_since_repack = ref 0 in
@@ -13,7 +13,7 @@ let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) m ~name ~d
   let threshold = Realloc.threshold_size d ~machine_size:n in
   let repack_all () =
     let t0 = Probe.now probe in
-    let actives = Hashtbl.fold (fun _ (t, p) acc -> (t, p) :: acc) table [] in
+    let actives = Ptable.to_list table in
     let _, packed = Repack.pack m (List.map fst actives) in
     incr reallocs;
     arrived_since_repack := 0;
@@ -22,7 +22,7 @@ let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) m ~name ~d
       List.filter_map
         (fun ((t : Task.t), old_p) ->
           let new_p = Hashtbl.find packed t.id in
-          Hashtbl.replace table t.id (t, new_p);
+          Ptable.replace table t new_p;
           Load_view.add loads new_p.Placement.sub 1;
           if Placement.equal old_p new_p then None
           else Some { Allocator.task = t; from_ = old_p; to_ = new_p })
@@ -38,7 +38,7 @@ let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) m ~name ~d
     arrived_since_repack := !arrived_since_repack + task.size;
     active_size := !active_size + task.size;
     let sub = choose loads ~order in
-    Hashtbl.replace table task.id (task, Placement.direct sub);
+    Ptable.replace table task (Placement.direct sub);
     Load_view.add loads sub 1;
     let budget_open =
       match threshold with
@@ -57,23 +57,22 @@ let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) m ~name ~d
           (repack_all ())
       else []
     in
-    let _, placement = Hashtbl.find table task.id in
+    let _, placement = Ptable.find table task.id in
     { Allocator.placement; moves }
   in
   let remove id =
-    match Hashtbl.find_opt table id with
+    match Ptable.find_opt table id with
     | None -> invalid_arg (name ^ ".remove: unknown task")
     | Some (task, p) ->
         Load_view.add loads p.Placement.sub (-1);
         active_size := !active_size - task.Task.size;
-        Hashtbl.remove table id
+        Ptable.remove table id
   in
-  let placements () = Hashtbl.fold (fun _ tp acc -> tp :: acc) table [] in
   {
     Allocator.name = name;
     machine = m;
     assign;
     remove;
-    placements;
+    table;
     realloc_events = (fun () -> !reallocs);
   }

@@ -5,7 +5,7 @@
     - {b structural} validity of the response (placement and move sizes,
       in-machine submachines, moved tasks actually active, the arriving
       id fresh), via the extended {!Pmp_core.Allocator.check_response};
-    - {b accounting}: the allocator's own [placements] view agrees with
+    - {b accounting}: the allocator's own placement table agrees with
       an independent {!Pmp_core.Mirror}; optionally, no two live tasks
       of the same virtual copy overlap (the copy-based packing
       invariant behind Lemmas 1-2);
@@ -18,6 +18,13 @@
     - the {b d-reallocation budget}: repacks fire only once arrivals
       since the last repack total at least [d * N], never during a
       departure, and [realloc_events] moves in step with reported moves.
+
+    Cost: the structural, accounting, budget and load checks are
+    O(1 + moves) per event — the accounting check compares only the
+    placements the event wrote ({!Pmp_core.Mirror.check_against}) and
+    falls back to the full O(active) comparison only when a repack
+    rewrote more than a journal's worth of tasks. [disjoint_copies]
+    scans the active set per changed placement.
 
     On a violation, {!check} replays the trace through the
     delta-debugging {!Shrink} pass so the failure comes back as a
@@ -69,7 +76,7 @@ val pp_violation : Format.formatter -> violation -> unit
 (** Incremental interface, for wiring into a driving loop (the
     simulation engine's checked mode uses this). The observer holds a
     reference to the allocator it audits so it can read
-    [realloc_events] and [placements] after every event. *)
+    [realloc_events] and its placement table after every event. *)
 module Observer : sig
   type t
 

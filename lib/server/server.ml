@@ -484,12 +484,18 @@ let snapshot_now t =
          t.cluster)
   with
   | path ->
+      (* [save] returned: the snapshot and its directory entry are
+         durable, so the WAL it covers and the snapshots it supersedes
+         can go *)
       Wal.reset t.wal;
+      Snapshot.prune ~dir:t.config.dir ~keep:t.seq;
       t.snap_seq <- t.seq;
       Metrics.Counter.incr t.ins.c_snapshots;
       Metrics.Span.add t.ins.s_snapshot (Unix.gettimeofday () -. t0);
       Ok path
   | exception Sys_error e -> Error e
+  | exception Unix.Unix_error (err, fn, _) ->
+      Error (fn ^ ": " ^ Unix.error_message err)
 
 let observe_group t =
   let n = Wal.pending_records t.wal in

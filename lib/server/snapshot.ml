@@ -169,6 +169,14 @@ let seq_of_file name =
   | Some seq when name = file_of_seq seq -> Some seq
   | _ -> None
 
+(* A rename is durable only once the directory holding it is fsynced.
+   The caller truncates the WAL as soon as [save] returns; without this
+   a power loss could bring back the old directory (no new snapshot)
+   with the WAL already empty, losing acked mutations. *)
+let fsync_dir dir =
+  let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
+
 let save ~dir t =
   let path = Filename.concat dir (file_of_seq t.seq) in
   let tmp = path ^ ".tmp" in
@@ -181,6 +189,7 @@ let save ~dir t =
       flush oc;
       Unix.fsync (Unix.descr_of_out_channel oc));
   Sys.rename tmp path;
+  fsync_dir dir;
   path
 
 let load path =
@@ -200,3 +209,13 @@ let latest ~dir =
             Some (Filename.concat dir name, seq)
         | _ -> best)
       None (Sys.readdir dir)
+
+let prune ~dir ~keep =
+  Array.iter
+    (fun name ->
+      match seq_of_file name with
+      | Some seq when seq < keep -> (
+          (* one that cannot be removed only wastes space *)
+          try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+      | Some _ | None -> ())
+    (Sys.readdir dir)

@@ -38,7 +38,7 @@ let test_checked_catches_cheater () =
   (* an allocator that reports placements of the wrong size *)
   let m = Machine.create 4 in
   let cheater : Allocator.t =
-    let table = Hashtbl.create 4 in
+    let table = Pmp_core.Ptable.create 4 in
     {
       Allocator.name = "cheater";
       machine = m;
@@ -46,10 +46,10 @@ let test_checked_catches_cheater () =
         (fun task ->
           (* always claims a single PE regardless of the task's size *)
           let p = Placement.direct (Sub.make m ~order:0 ~index:0) in
-          Hashtbl.replace table task.Task.id (task, p);
+          Pmp_core.Ptable.replace table task p;
           { Allocator.placement = p; moves = [] });
-      remove = (fun id -> Hashtbl.remove table id);
-      placements = (fun () -> Hashtbl.fold (fun _ tp acc -> tp :: acc) table []);
+      remove = Pmp_core.Ptable.remove table;
+      table;
       realloc_events = (fun () -> 0);
     }
   in
@@ -174,7 +174,7 @@ let prop_load_conservation =
             List.fold_left
               (fun acc ((t : Task.t), _) -> acc + t.Task.size)
               0
-              (alloc.Allocator.placements ())
+              (Allocator.placements alloc)
           in
           coverage = active)
         [
@@ -200,7 +200,7 @@ let prop_leaf_loads_match_naive =
       List.iter
         (fun ((_ : Task.t), (p : Placement.t)) ->
           Helpers.Naive_loads.add naive p.Placement.sub 1)
-        (alloc.Allocator.placements ());
+        (Allocator.placements alloc);
       naive.Helpers.Naive_loads.loads = r.Engine.final_leaf_loads)
 
 let suite =

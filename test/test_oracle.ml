@@ -11,6 +11,8 @@ module Event = Pmp_workload.Event
 module Sequence = Pmp_workload.Sequence
 module Allocator = Pmp_core.Allocator
 module Placement = Pmp_core.Placement
+module Ptable = Pmp_core.Ptable
+module Mirror = Pmp_core.Mirror
 module Realloc = Pmp_core.Realloc
 module Bounds = Pmp_core.Bounds
 module Oracle = Pmp_oracle.Oracle
@@ -115,33 +117,65 @@ let test_reject_degenerate_moves () =
 (* Piles every arrival onto the leftmost submachine of its order —
    structurally impeccable, hopelessly unbalanced. *)
 let pile_allocator m : Allocator.t =
-  let table : (Task.id, Task.t * Placement.t) Hashtbl.t = Hashtbl.create 16 in
+  let table = Ptable.create 16 in
   {
     Allocator.name = "mutant-pile";
     machine = m;
     assign =
       (fun task ->
         let p = Placement.direct (sub m ~order:(Task.order task) ~index:0) in
-        Hashtbl.replace table task.Task.id (task, p);
+        Ptable.replace table task p;
         { Allocator.placement = p; moves = [] });
-    remove = (fun id -> Hashtbl.remove table id);
-    placements = (fun () -> Hashtbl.fold (fun _ tp acc -> tp :: acc) table []);
+    remove = Ptable.remove table;
+    table;
     realloc_events = (fun () -> 0);
   }
 
 (* Claims an order-0 home for every task, whatever its size. *)
 let wrong_size_allocator m : Allocator.t =
-  let table : (Task.id, Task.t * Placement.t) Hashtbl.t = Hashtbl.create 16 in
+  let table = Ptable.create 16 in
   {
     Allocator.name = "mutant-wrong-size";
     machine = m;
     assign =
       (fun task ->
         let p = Placement.direct (sub m ~order:0 ~index:0) in
-        Hashtbl.replace table task.Task.id (task, p);
+        Ptable.replace table task p;
         { Allocator.placement = p; moves = [] });
-    remove = (fun id -> Hashtbl.remove table id);
-    placements = (fun () -> Hashtbl.fold (fun _ tp acc -> tp :: acc) table []);
+    remove = Ptable.remove table;
+    table;
+    realloc_events = (fun () -> 0);
+  }
+
+(* Piles like [pile_allocator], but every fifth arrival also moves the
+   lowest-id other active task to the next copy — inside its table,
+   without reporting the move. Only the placement journal tells the
+   accounting check that this task changed. *)
+let silent_mover m : Allocator.t =
+  let table = Ptable.create 16 in
+  let arrivals = ref 0 in
+  let lowest_id (((t : Task.t), _) as entry) acc =
+    match acc with
+    | Some ((u : Task.t), _) when u.Task.id < t.Task.id -> acc
+    | Some _ | None -> Some entry
+  in
+  {
+    Allocator.name = "mutant-silent-mover";
+    machine = m;
+    assign =
+      (fun task ->
+        incr arrivals;
+        (if !arrivals mod 5 = 0 then
+           match Ptable.fold lowest_id table None with
+           | Some (victim, (p : Placement.t)) ->
+               Ptable.replace table victim
+                 (Placement.make ~copy:(p.Placement.copy + 1) p.Placement.sub)
+           | None -> ());
+        let p = Placement.direct (sub m ~order:(Task.order task) ~index:0) in
+        Ptable.replace table task p;
+        { Allocator.placement = p; moves = [] });
+    remove = Ptable.remove table;
+    table;
     realloc_events = (fun () -> 0);
   }
 
@@ -264,6 +298,126 @@ let test_engine_oracle_wiring () =
      with Invalid_argument msg -> contains ~needle:"oracle" msg)
 
 (* ------------------------------------------------------------------ *)
+(* the incremental accounting check against a full comparison          *)
+
+(* The comparison [Mirror.check_against] answers for, restated
+   independently: the same number of active tasks, then every task the
+   allocator reports known to the mirror at the same home. *)
+let full_comparison mirror alloc =
+  let theirs = Allocator.placements alloc in
+  if List.length theirs <> Mirror.num_active mirror then
+    Error
+      (Printf.sprintf "mirror has %d active tasks, allocator reports %d"
+         (Mirror.num_active mirror) (List.length theirs))
+  else
+    match
+      List.find_map
+        (fun ((task : Task.t), p) ->
+          match Mirror.placement mirror task.Task.id with
+          | None ->
+              Some
+                (Printf.sprintf "allocator reports unknown task %d"
+                   task.Task.id)
+          | Some q when Placement.equal p q -> None
+          | Some _ ->
+              Some
+                (Printf.sprintf "task %d: mirror and allocator disagree"
+                   task.Task.id))
+        theirs
+    with
+    | None -> Ok ()
+    | Some e -> Error e
+
+(* Drive [alloc] and a mirror over [seq], checking after every event.
+   Returns the first event at which the incremental check and the full
+   comparison disagree (if any), the first event the full comparison
+   rejects with its message, and whether some event wrote more
+   placements than the journal holds. *)
+let audit_trail (alloc : Allocator.t) seq =
+  let mirror = Mirror.create alloc.Allocator.machine in
+  let divergence = ref None and first_error = ref None in
+  let overflowed = ref false in
+  List.iteri
+    (fun i (ev : Event.t) ->
+      let before = Ptable.writes alloc.Allocator.table in
+      (match ev with
+      | Arrive task ->
+          Mirror.apply_assign mirror task (alloc.Allocator.assign task)
+      | Depart id ->
+          alloc.Allocator.remove id;
+          Mirror.apply_remove mirror id);
+      let written = Ptable.writes alloc.Allocator.table - before in
+      if written > Ptable.journal_size then overflowed := true;
+      let incremental = Mirror.check_against mirror alloc in
+      let full = full_comparison mirror alloc in
+      if incremental <> full && !divergence = None then divergence := Some i;
+      match full with
+      | Error msg when !first_error = None -> first_error := Some (i, msg)
+      | Ok () | Error _ -> ())
+    (Sequence.to_list seq);
+  (!divergence, !first_error, !overflowed)
+
+let prop_incremental_check_is_full =
+  QCheck.Test.make
+    ~name:"differential: incremental accounting check = full comparison"
+    ~count:40
+    (Helpers.seq_params ~max_levels:7 ~max_steps:300 ())
+    (fun (levels, seed, steps) ->
+      Helpers.with_seed ~label:"incremental-check" seed (fun _g ->
+          let m = Machine.of_levels levels in
+          let d = Realloc.Budget 1 in
+          let seq =
+            Helpers.random_sequence ~seed ~machine_size:(Machine.size m) ~steps
+          in
+          List.for_all
+            (fun (name, make) ->
+              match audit_trail (make ()) seq with
+              | None, _, _ -> true
+              | Some i, _, _ ->
+                  Printf.eprintf
+                    "[incremental-check] %s diverges at event %d\n%!" name i;
+                  false)
+            (("mutant-silent-mover", fun () -> silent_mover m)
+            :: List.map
+                 (fun name -> (name, make_for name m ~d ~seed))
+                 Builders.allocator_names)))
+
+(* A_C rewrites every active task on each arrival; once more than a
+   journal's worth are active the check must fall back to the full
+   comparison rather than trust a ring that lost writes. *)
+let test_incremental_check_overflow () =
+  let m = Machine.create 256 in
+  let seq =
+    Sequence.of_events_exn
+      (List.init 100 (fun id -> Event.arrive (Task.make ~id ~size:1))
+      @ List.init 50 (fun i -> Event.depart (2 * i)))
+  in
+  let divergence, first_error, overflowed =
+    audit_trail (Pmp_core.Optimal.create m) seq
+  in
+  Alcotest.(check bool) "some event overflowed the journal" true overflowed;
+  Alcotest.(check (option int))
+    "incremental = full at every event" None divergence;
+  Alcotest.(check bool) "A_C is consistent" true (first_error = None)
+
+let test_silent_mover_caught () =
+  let m = Machine.create 8 in
+  let seq = mutant_seq ~machine_size:8 in
+  let divergence, expected, _ = audit_trail (silent_mover m) seq in
+  Alcotest.(check (option int))
+    "incremental = full at every event" None divergence;
+  let make () = silent_mover m in
+  match (expected, Oracle.run Oracle.structural_only ~make seq) with
+  | None, _ -> Alcotest.fail "the sequence never exposes a silent move"
+  | Some _, Ok () -> Alcotest.fail "oracle missed the silent mover"
+  | Some (step, message), Error v ->
+      Alcotest.(check bool) "accounting kind" true
+        (v.Oracle.kind = Oracle.Accounting);
+      Alcotest.(check int) "same step as a full comparison" step v.Oracle.step;
+      Alcotest.(check string) "same message as a full comparison" message
+        v.Oracle.message
+
+(* ------------------------------------------------------------------ *)
 (* the shrinker on its own                                             *)
 
 let test_shrink_no_failure_is_identity () =
@@ -353,7 +507,7 @@ let prop_all_allocators_conform =
                   false)
             Builders.allocator_names))
 
-(* Differential: after any sequence, every allocator's placements ()
+(* Differential: after any sequence, every allocator's placements
    reports exactly the multiset of active task ids, each at its task's
    size. *)
 let prop_placements_match_active_set =
@@ -391,7 +545,7 @@ let prop_placements_match_active_set =
                 List.sort compare
                   (List.map
                      (fun ((t : Task.t), _) -> (t.Task.id, t.Task.size))
-                     (alloc.Allocator.placements ()))
+                     (Allocator.placements alloc))
               in
               if got = expected then true
               else begin
@@ -431,6 +585,10 @@ let suite =
     Alcotest.test_case "copies is not optimal" `Quick test_copies_is_not_optimal;
     Alcotest.test_case "engine --check=oracle wiring" `Quick
       test_engine_oracle_wiring;
+    Alcotest.test_case "silent mover caught like a full comparison" `Quick
+      test_silent_mover_caught;
+    Alcotest.test_case "incremental check: journal overflow" `Quick
+      test_incremental_check_overflow;
     Alcotest.test_case "shrink: no failure = identity" `Quick
       test_shrink_no_failure_is_identity;
     Alcotest.test_case "shrink: to cardinality" `Quick test_shrink_to_cardinality;
@@ -441,5 +599,6 @@ let suite =
         prop_theorem_sweep;
         prop_all_allocators_conform;
         prop_placements_match_active_set;
+        prop_incremental_check_is_full;
         prop_optimal_hits_lstar;
       ]

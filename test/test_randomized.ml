@@ -50,7 +50,7 @@ let test_remove () =
   let alloc = Randomized.create m ~rng:(Sm.create 1) in
   ignore (alloc.Allocator.assign (Task.make ~id:0 ~size:1));
   alloc.Allocator.remove 0;
-  Alcotest.(check int) "empty" 0 (List.length (alloc.Allocator.placements ()));
+  Alcotest.(check int) "empty" 0 (List.length (Allocator.placements alloc));
   Alcotest.check_raises "unknown" (Invalid_argument "Randomized.remove: unknown task")
     (fun () -> alloc.Allocator.remove 0)
 

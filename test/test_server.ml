@@ -723,6 +723,52 @@ let test_recovery_counts_ops () =
         (contains "pmpd_recoveries_total 1");
       Server.close s')
 
+(* Each snapshot holds the whole event history, so the ones a newer
+   snapshot supersedes must go: after five snapshot intervals the
+   directory holds exactly one, and recovering from it still equals
+   the uninterrupted run. *)
+let test_snapshots_pruned () =
+  with_dir (fun dir ->
+      with_dir (fun dir_ref ->
+          let every = 4 in
+          let config dir snapshot_every =
+            {
+              (Server.default_config ~machine_size:32 ~policy:Cluster.Greedy
+                 ~dir)
+              with
+              Server.snapshot_every;
+            }
+          in
+          (* 20 mutations: three submits, then a finish of the oldest *)
+          let reqs =
+            List.init (5 * every) (fun i ->
+                if i mod 4 = 3 then Protocol.Finish (i / 4)
+                else Protocol.Submit (1 lsl (i mod 3)))
+          in
+          let s = Result.get_ok (Server.create (config dir every)) in
+          apply s reqs;
+          Alcotest.(check int) "every request mutated" (5 * every)
+            (Server.seq s);
+          Server.close s;
+          let snapshots =
+            List.filter
+              (fun f -> String.starts_with ~prefix:"snapshot-" f)
+              (Array.to_list (Sys.readdir dir))
+          in
+          Alcotest.(check (list string)) "only the newest snapshot is left"
+            [ Printf.sprintf "snapshot-%010d.json" (5 * every) ]
+            snapshots;
+          let recovered = Result.get_ok (Server.create (config dir every)) in
+          let reference = Result.get_ok (Server.create (config dir_ref 0)) in
+          apply reference reqs;
+          Alcotest.(check int) "seq" (Server.seq reference)
+            (Server.seq recovered);
+          get_ok ~ctx:"same state"
+            (Server.same_state (Server.cluster recovered)
+               (Server.cluster reference));
+          Server.close recovered;
+          Server.close reference))
+
 let test_recovery_rejects_config_mismatch () =
   with_dir (fun dir ->
       let config policy =
@@ -1663,6 +1709,7 @@ let suite =
     ("snapshot latest", `Quick, test_snapshot_latest);
     ("group commit crash durability", `Quick, test_group_commit_crash_durability);
     ("recovery counts ops", `Quick, test_recovery_counts_ops);
+    ("superseded snapshots pruned", `Quick, test_snapshots_pruned);
     ("recovery rejects config mismatch", `Quick, test_recovery_rejects_config_mismatch);
     ("unix socket session", `Quick, test_unix_socket);
     ("unix socket session, binary", `Quick, test_unix_socket_binary);
