@@ -11,10 +11,11 @@
      ratio) must match the baseline bit-for-bit — any drift means the
      allocation behaviour changed, which a perf PR must not do;
    - cost outputs are compared with a tolerance. The hard gates are
-     allocations per event (GC words, deterministic up to OCaml
-     version) and the scan-vs-index per-event speedup measured
-     in-process on the same trace (both sides see the same host, so
-     the ratio transports across machines). Wall-clock — raw and
+     allocations (GC words per event and per run set-up, and none at
+     all per load-index add; deterministic up to OCaml version) and
+     the scan-vs-index per-event speedup measured in-process on the
+     same trace (both sides see the same host, so the ratio
+     transports across machines). Wall-clock — raw and
      calibration-normalised ns/event — is measured best-of-k,
      re-measured on a miss, and then still only warns unless
      [--strict-time], because shared CI hosts see sustained load
@@ -28,7 +29,9 @@ module Builders = Pmp_cli.Builders
 
 let seed = 42
 let default_tolerance = 0.25
-let min_speedup = 5.0
+(* recorded at 100-145x on a 2-vCPU Xeon host; 15-27x before index
+   adds recombined only the slots they change *)
+let min_speedup = 25.0
 let min_service_speedup = 5.0
 
 (* the multicore floor: at --domains=4 the sharded event loop must move
@@ -77,6 +80,18 @@ let churn ?(steps = 4_000) ?(target_util = 1.5) n =
     ~machine_size:n ~steps ~target_util
     ~max_order:(max 0 (levels - 1))
     ~size_bias:0.6
+
+(* GC words allocated so far: minor allocations plus direct-to-major
+   allocations. major_words alone also counts promotions, which depend
+   on GC timing and are not reproducible. Under OCaml 5.1
+   [Gc.quick_stat] credits words only at the next collection (so a
+   short span's allocations, and arrays allocated straight into the
+   major heap since the last slice, went uncounted) and [Gc.counters]
+   scales the minor heap's uncollected part by 1/8; [Gc.minor_words]
+   is exact, and [Gc.counters]' major and promoted words are *)
+let alloc_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 (* ns per iteration of a fixed integer loop, used to normalise wall
    times across hosts: a 2x-slower machine scales both the calibration
@@ -130,29 +145,27 @@ let build_alloc ?backend name machine =
 let max_reps = 200
 let min_measured_s = 0.25
 
+(* Each rep counts the words of building the allocator plus running
+   the engine. The same with an empty sequence is the run's set-up —
+   the O(N) allocator, Mirror and final-load arrays — reported as
+   [setup_words] and taken out of [words_per_event], which is then the
+   event loop's own cost. *)
 let run_case calib c =
   let machine = Machine.create c.n in
   let seq = churn ~steps:c.steps c.n in
-  let one () =
-    let alloc = build_alloc c.alloc machine in
+  let run seq =
     (* a clean heap per rep so one run's garbage cannot perturb the
        next one's timings or promotion counts *)
     Gc.full_major ();
-    let gc0 = Gc.quick_stat () in
+    let w0 = alloc_words () in
+    let alloc = build_alloc c.alloc machine in
     let t0 = Unix.gettimeofday () in
     let r = Engine.run alloc seq in
     let wall = Unix.gettimeofday () -. t0 in
-    let gc1 = Gc.quick_stat () in
-    (* total words allocated: minor allocations plus direct-to-major
-       allocations. major_words alone also counts promotions, which
-       depend on GC timing and are not reproducible *)
-    let words =
-      gc1.Gc.minor_words -. gc0.Gc.minor_words
-      +. (gc1.Gc.major_words -. gc0.Gc.major_words)
-      -. (gc1.Gc.promoted_words -. gc0.Gc.promoted_words)
-    in
-    (r, wall, words)
+    (r, wall, alloc_words () -. w0)
   in
+  let _, _, setup_words = run (Pmp_workload.Sequence.of_events_exn []) in
+  let one () = run seq in
   let r, wall, words = one () in
   let best = ref wall and total = ref wall and n = ref 1 in
   while !n < max_reps && !total < min_measured_s do
@@ -174,7 +187,9 @@ let run_case calib c =
         ("optimal_load", Json.Num (float_of_int r.Engine.optimal_load));
         ("ratio", Json.Num r.Engine.ratio);
         ("max_ratio_over_time", Json.Num (Engine.max_ratio_over_time r));
-        ("words_per_event", Json.Num (Float.round (words /. events)));
+        ("setup_words", Json.Num setup_words);
+        ( "words_per_event",
+          Json.Num (Float.round ((words -. setup_words) /. events)) );
         ("ns_per_event", Json.Num (Float.round ns_per_event));
         ("norm_ns_per_event", Json.Num (ns_per_event /. calib));
         ("events_per_second", Json.Num (Float.round (events /. wall)));
@@ -249,7 +264,7 @@ let audit_probe () =
   let seq = churn ~steps:14_000 n in
   let make () = build_alloc "greedy" machine in
   Gc.full_major ();
-  let gc0 = Gc.quick_stat () in
+  let w0 = alloc_words () in
   let t0 = Unix.gettimeofday () in
   (match Pmp_oracle.Oracle.run Pmp_oracle.Oracle.structural_only ~make seq with
   | Ok () -> ()
@@ -257,12 +272,7 @@ let audit_probe () =
       failwith
         (Format.asprintf "audit probe: %a" Pmp_oracle.Oracle.pp_violation v));
   let wall = Unix.gettimeofday () -. t0 in
-  let gc1 = Gc.quick_stat () in
-  let words =
-    gc1.Gc.minor_words -. gc0.Gc.minor_words
-    +. (gc1.Gc.major_words -. gc0.Gc.major_words)
-    -. (gc1.Gc.promoted_words -. gc0.Gc.promoted_words)
-  in
+  let words = alloc_words () -. w0 in
   let events = float_of_int (Pmp_workload.Sequence.length seq) in
   Json.Obj
     [
@@ -271,6 +281,106 @@ let audit_probe () =
       ("words_per_event", Json.Num (Float.round (words /. events)));
       ("ns_per_event", Json.Num (Float.round (wall *. 1e9 /. events)));
       ("max_words_per_event", Json.Num max_audit_words_per_event);
+    ]
+
+(* The load-index probe, the first row of the cost ledger: the index's
+   two operations alone, at three machine sizes. The pinned churn is
+   played once through greedy's rule (each arrival picks the leftmost
+   min-of-max window of its order and adds 1 there; a departure
+   subtracts it again) to fix the trace of adds, which is then replayed
+   on fresh indexes: adds alone, and with each arrival's pick (repeated
+   [pick_reps] times, so it is not lost in the noise of the adds) before
+   its add. GC words are deterministic and an add must allocate none;
+   ns is best-of-k and advisory, a pick's being the difference of the
+   two loops. *)
+let load_index_sizes = [ 256; 4096; 65536 ]
+let pick_reps = 8
+
+let load_index_probe calib =
+  let module Ix = Pmp_index.Load_index in
+  let row n =
+    let machine = Machine.create n in
+    let events = Pmp_workload.Sequence.events (churn n) in
+    let k = Array.length events in
+    let subs = Array.make k (Pmp_machine.Submachine.make machine ~order:0 ~index:0)
+    and deltas = Array.make k 0
+    and pick_order = Array.make k (-1) in
+    let ix = Ix.create machine in
+    let placed = Hashtbl.create 64 in
+    Array.iteri
+      (fun i (ev : Pmp_workload.Event.t) ->
+        match ev with
+        | Arrive task ->
+            let order = Pmp_workload.Task.order task in
+            let _, sub = Ix.min_load_subtree ix ~order in
+            Hashtbl.replace placed task.Pmp_workload.Task.id sub;
+            subs.(i) <- sub;
+            deltas.(i) <- 1;
+            pick_order.(i) <- order;
+            Ix.range_add ix sub 1
+        | Depart id ->
+            subs.(i) <- Hashtbl.find placed id;
+            deltas.(i) <- -1;
+            Ix.range_add ix subs.(i) (-1))
+      events;
+    let adds = float_of_int k
+    and picks =
+      float_of_int
+        (pick_reps
+        * Array.fold_left (fun a o -> if o >= 0 then a + 1 else a) 0 pick_order)
+    in
+    let replay ~picks ix =
+      for i = 0 to k - 1 do
+        if picks && pick_order.(i) >= 0 then
+          for _ = 1 to pick_reps do
+            ignore
+              (Sys.opaque_identity (Ix.min_load_subtree ix ~order:pick_order.(i)))
+          done;
+        Ix.range_add ix subs.(i) deltas.(i)
+      done
+    in
+    (* words of [f ix] net of what the two readings allocate *)
+    let words f =
+      let ix = Ix.create machine in
+      let w0 = alloc_words () in
+      f ix;
+      let w = alloc_words () -. w0 in
+      let w0 = alloc_words () in
+      w -. (alloc_words () -. w0)
+    in
+    let best_ns f =
+      let best = ref infinity in
+      for _ = 1 to 15 do
+        let ix = Ix.create machine in
+        let t0 = Unix.gettimeofday () in
+        f ix;
+        best := Float.min !best (Unix.gettimeofday () -. t0)
+      done;
+      !best *. 1e9
+    in
+    let add_words = words (replay ~picks:false)
+    and both_words = words (replay ~picks:true) in
+    let add_ns = best_ns (replay ~picks:false)
+    and both_ns = best_ns (replay ~picks:true) in
+    let add_ns = add_ns /. adds in
+    let pick_ns = Float.max 0.0 ((both_ns -. (add_ns *. adds)) /. picks) in
+    ( Printf.sprintf "N=%d" n,
+      Json.Obj
+        [
+          ("adds", Json.Num adds);
+          ("picks", Json.Num picks);
+          ("words_per_add", Json.Num (add_words /. adds));
+          ("words_per_pick", Json.Num ((both_words -. add_words) /. picks));
+          ("ns_per_add", Json.Num (Float.round add_ns));
+          ("ns_per_pick", Json.Num (Float.round pick_ns));
+          ("norm_ns_per_add", Json.Num (add_ns /. calib));
+        ] )
+  in
+  Json.Obj
+    [
+      ("case", Json.Str "Load_index add/pick over the pinned churn");
+      ("sizes", Json.Obj (List.map row load_index_sizes));
+      ("max_words_per_add", Json.Num 0.0);
     ]
 
 (* The service gate: a live pmpd on a Unix socket, driven through the
@@ -618,7 +728,8 @@ let scenario_verdicts () =
         Pmp_scenario.Verdict.golden_json verdict ))
     Pmp_scenario.Registry.fast_subset
 
-let report calib cases speedup audit service multicore federation scenarios =
+let report calib cases speedup audit load_index service multicore federation
+    scenarios =
   Json.Obj
     [
       ("suite", Json.Str "pmp bench-regress");
@@ -629,6 +740,7 @@ let report calib cases speedup audit service multicore federation scenarios =
       ("cases", Json.Obj cases);
       ("speedup", speedup);
       ("audit", audit);
+      ("load_index", load_index);
       ("service", service);
       ("multicore", multicore);
       ("federation", federation);
@@ -648,7 +760,7 @@ let get_num path j key =
 let exact_fields = [ "events"; "max_load"; "optimal_load"; "ratio" ]
 
 (* fields gated with the tolerance (higher = worse) *)
-let toleranced_fields = [ "words_per_event"; "norm_ns_per_event" ]
+let toleranced_fields = [ "setup_words"; "words_per_event"; "norm_ns_per_event" ]
 
 (* one comparison failure; [timing] marks the wall-clock-derived
    fields, which the driver may retry once before failing (a transient
@@ -732,6 +844,48 @@ let check_audit ~tolerance baseline au =
         else []
   in
   ceiling @ drift
+
+(* The load-index gates: an add allocates nothing (hard, words are
+   deterministic), and its normalised ns stays within the tolerance of
+   the baseline's (a timing field: warn-only unless --strict-time). *)
+let check_load_index ~tolerance baseline li =
+  let sizes j =
+    match Json.member "sizes" j with
+    | Some (Json.Obj o) -> o
+    | _ -> failwith "load_index: missing sizes object"
+  in
+  let base = Option.bind baseline (Json.member "load_index") in
+  List.concat_map
+    (fun (key, row) ->
+      let fail timing fmt =
+        Printf.ksprintf
+          (fun msg -> [ { key = "load_index/" ^ key; msg; timing } ])
+          fmt
+      in
+      let w = get_num "load_index" row "words_per_add" in
+      let words =
+        if w > 0.0 then
+          fail false
+            "load_index %s: range_add allocates %g words per add; it must \
+             allocate none"
+            key w
+        else []
+      in
+      let time =
+        match Option.bind (Option.map sizes base) (List.assoc_opt key) with
+        | None -> []
+        | Some b ->
+            let b = get_num "load_index(baseline)" b "norm_ns_per_add"
+            and c = get_num "load_index" row "norm_ns_per_add" in
+            if c > b *. (1.0 +. tolerance) then
+              fail true
+                "load_index %s: norm_ns_per_add regressed %.1f -> %.1f (>%.0f%% \
+                 over baseline)"
+                key b c (tolerance *. 100.0)
+            else []
+      in
+      words @ time)
+    (sizes li)
 
 (* The service gates: a hard same-host speedup floor (binary+group
    must beat json+always by min_service_speedup regardless of any
@@ -1007,6 +1161,20 @@ let () =
     (Option.value ~default:nan
        (Option.bind (Json.member "words_per_event" au) Json.to_float))
     max_audit_words_per_event;
+  Printf.printf "measuring load-index add/pick (N=%s)...\n%!"
+    (String.concat ", " (List.map string_of_int load_index_sizes));
+  let li = load_index_probe calib in
+  (match Json.member "sizes" li with
+  | Some (Json.Obj rows) ->
+      List.iter
+        (fun (key, row) ->
+          let num f = Option.value ~default:nan (Option.bind (Json.member f row) Json.to_float) in
+          Printf.printf
+            "load_index %-8s add %4.0f ns %g words, pick %4.0f ns %.1f words\n%!"
+            key (num "ns_per_add") (num "words_per_add") (num "ns_per_pick")
+            (num "words_per_pick"))
+        rows
+  | _ -> ());
   Printf.printf "measuring service throughput (binary+group vs json+always)...\n%!";
   let sv = service_probe calib in
   let service_speedup = Option.bind (Json.member "speedup" sv) Json.to_float in
@@ -1095,6 +1263,7 @@ let () =
   let failures =
     check_speedup sp
     @ check_audit ~tolerance:!tolerance baseline au
+    @ check_load_index ~tolerance:!tolerance baseline li
     @ check_service ~tolerance:!tolerance baseline sv
     @ check_multicore mc
     @ check_federation baseline fd
@@ -1105,11 +1274,11 @@ let () =
      unless --strict-time: shared CI hosts see sustained load bursts
      no amount of best-of-k smoothing absorbs, so the hard gate rests
      on the deterministic proxies (behaviour drift, allocations per
-     event, the scan-vs-index speedup floor) *)
+     event and per index add, the scan-vs-index speedup floor) *)
   let hard, soft =
     List.partition (fun f -> !strict_time || not f.timing) failures
   in
-  let rep = report calib !cases sp au sv mc fd scenarios in
+  let rep = report calib !cases sp au li sv mc fd scenarios in
   Json.to_file !out rep;
   Printf.printf "wrote %s (%d cases)\n%!" !out (List.length !cases);
   if !update_baseline then begin

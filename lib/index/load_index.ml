@@ -28,10 +28,13 @@
      mm[v][0]  = pending(v) + max mm[l][0] mm[r][0]
      mm[v][e]  = pending(v) + min mm[l][e-1] mm[r][e-1]   (e >= 1)
 
-   A range add at depth [d] rewrites one slice and recombines the
-   slices of its [d] ancestors, costing O(log^2 N) in the worst case
-   and O(log N) for unit (leaf) tasks; every query below is O(log N)
-   or better. *)
+   Slot 0 reads the children's slot 0 and slot [e >= 1] their slot
+   [e - 1], so when a child's slots [lo..hi] change, only the parent's
+   slots [(if lo = 0 then 0 else lo + 1) .. hi + 1] can. A range add shifts
+   one slice, then walks up recombining just those slots and stops at
+   the first ancestor where none moved: O(log N) plus the slots that
+   change, O(log^2 N) at worst, with no allocation. Every query below
+   is O(log N) or better. *)
 
 module Machine = Pmp_machine.Machine
 module Sub = Pmp_machine.Submachine
@@ -40,9 +43,9 @@ type t = {
   m : Machine.t;
   levels : int;
   pending : int array; (* lazy add at node, applies to its whole subtree *)
-  sum : int array; (* absolute sum of leaf loads in the subtree *)
   mm : int array; (* flattened per-node slices, see above *)
   off : int array; (* start of node v's slice in [mm] *)
+  mutable total : int; (* sum of all leaf loads *)
 }
 
 (* floor log2: heap node [v] sits at depth [floor (log2 v)] *)
@@ -63,51 +66,57 @@ let create m =
     m;
     levels;
     pending = Array.make (2 * n) 0;
-    sum = Array.make (2 * n) 0;
     mm = Array.make !total 0;
     off;
+    total = 0;
   }
 
 let machine t = t.m
 
 let node_of t (sub : Sub.t) = (1 lsl (t.levels - sub.order)) + sub.index
 
-(* recombine node [v]'s slice from its children (internal nodes only) *)
-let recompute t v d =
-  let ov = t.off.(v) and ol = t.off.(2 * v) and or_ = t.off.((2 * v) + 1) in
-  let p = t.pending.(v) in
-  t.mm.(ov) <- p + max t.mm.(ol) t.mm.(or_);
-  for e = 1 to t.levels - d do
-    t.mm.(ov + e) <- p + min t.mm.(ol + e - 1) t.mm.(or_ + e - 1)
-  done
+(* [a]'s child just changed its slots [lo..hi]: recombine the slots of
+   [a] they feed, then continue from [a] with the range that moved *)
+let rec propagate t a lo hi =
+  if a >= 1 then begin
+    let ov = t.off.(a) and ol = t.off.(2 * a) and or_ = t.off.((2 * a) + 1) in
+    let p = t.pending.(a) in
+    let first = ref (-1) and last = ref (-1) in
+    for e = (if lo = 0 then 0 else lo + 1) to hi + 1 do
+      let x =
+        if e = 0 then p + max t.mm.(ol) t.mm.(or_)
+        else p + min t.mm.(ol + e - 1) t.mm.(or_ + e - 1)
+      in
+      if x <> t.mm.(ov + e) then begin
+        t.mm.(ov + e) <- x;
+        if !last < 0 then first := e;
+        last := e
+      end
+    done;
+    if !last >= 0 then propagate t (a / 2) !first !last
+  end
 
 let range_add t (sub : Sub.t) delta =
-  let v = node_of t sub in
-  let d = t.levels - sub.order in
-  t.pending.(v) <- t.pending.(v) + delta;
-  (* pending shifts every slot of v's own slice uniformly *)
-  for e = t.off.(v) to t.off.(v) + (t.levels - d) do
-    t.mm.(e) <- t.mm.(e) + delta
-  done;
-  let dsum = delta * Sub.size sub in
-  t.sum.(v) <- t.sum.(v) + dsum;
-  let rec up a da =
-    if a >= 1 then begin
-      t.sum.(a) <- t.sum.(a) + dsum;
-      recompute t a da;
-      up (a / 2) (da - 1)
-    end
-  in
-  up (v / 2) (d - 1)
+  if delta <> 0 then begin
+    let v = node_of t sub in
+    t.pending.(v) <- t.pending.(v) + delta;
+    (* pending shifts every slot of v's own slice, 0..order, uniformly *)
+    let ov = t.off.(v) in
+    for e = ov to ov + sub.order do
+      t.mm.(e) <- t.mm.(e) + delta
+    done;
+    t.total <- t.total + (delta * Sub.size sub);
+    propagate t (v / 2) 0 sub.order
+  end
 
 let max_load t = t.mm.(t.off.(1))
-let total_load t = t.sum.(1)
+let total_load t = t.total
 
 let mean_load t =
-  float_of_int t.sum.(1) /. float_of_int (Machine.size t.m)
+  float_of_int t.total /. float_of_int (Machine.size t.m)
 
 let imbalance t =
-  if t.sum.(1) <= 0 then Float.nan else float_of_int (max_load t) /. mean_load t
+  if t.total <= 0 then Float.nan else float_of_int (max_load t) /. mean_load t
 
 let max_load_in t (sub : Sub.t) =
   let v = node_of t sub in
@@ -160,5 +169,5 @@ let leaf_loads t = loads_at_order t 0
 
 let clear t =
   Array.fill t.pending 0 (Array.length t.pending) 0;
-  Array.fill t.sum 0 (Array.length t.sum) 0;
-  Array.fill t.mm 0 (Array.length t.mm) 0
+  Array.fill t.mm 0 (Array.length t.mm) 0;
+  t.total <- 0

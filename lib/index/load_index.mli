@@ -9,9 +9,10 @@
     the current max load vs [L{^*}]?" — in [O(log N)] instead of a
     leaf scan.
 
-    Cost model: {!range_add} is [O(log{^2} N)] worst case (an aligned
-    add at an intermediate depth recombines one depth-indexed slice
-    per ancestor) and [O(log N)] for unit tasks; {!max_load},
+    Cost model: {!range_add} is [O(log N)] plus the aggregate slots
+    the add actually changes — it recombines only those and stops at
+    the first ancestor left unchanged — so [O(log{^2} N)] in the worst
+    case, and it allocates nothing; {!max_load},
     {!total_load}, {!mean_load} and {!imbalance} are [O(1)];
     {!min_load_subtree} and {!max_load_in} are [O(log N)];
     {!leaf_loads} and {!loads_at_order} are [O(N)] snapshots. *)

@@ -179,6 +179,59 @@ let prop_index_matches_scan (levels, seed, steps) =
   && Index.leaf_loads ix = Load_map.leaf_loads lm
   && Index.total_load ix = Array.fold_left ( + ) 0 (Load_map.leaf_loads lm)
 
+(* The index's add walk recombines only the aggregate slots a change
+   can reach, so check every slot it answers from after every op:
+   min_load_subtree (value and leftmost window) and a random window's
+   max at every order, plus the max and total. The traffic mixes unit
+   adds with the deltas Fed_index issues — the 2^30 poison and
+   arbitrary set-to-value jumps — on windows of every order, the root
+   included. *)
+let prop_every_order_matches_scan (levels, seed, steps) =
+  let n = 1 lsl levels in
+  let m = Machine.create n in
+  let ix = Index.create m in
+  let lm = Load_map.create m in
+  let g = Sm.create seed in
+  (* value currently installed on each window, as Fed_index.set_leaf
+     keeps per shard: every delta moves a window to a new value, so no
+     load can go negative *)
+  let installed = Hashtbl.create 16 in
+  let ok = ref true in
+  let value () =
+    match Sm.int g 4 with
+    | 0 -> 0
+    | 1 -> 1 lsl 30 (* Fed_index's load for a down shard *)
+    | 2 -> 1 + Sm.int g 3
+    | _ -> Sm.int g 1_000_000
+  in
+  for _ = 1 to steps do
+    if Sm.int g 20 = 0 then begin
+      Hashtbl.reset installed;
+      Index.clear ix;
+      Load_map.clear lm
+    end
+    else begin
+      let order = Sm.int g (levels + 1) in
+      let s = sub m ~order ~index:(Sm.int g (1 lsl (levels - order))) in
+      let cur = Option.value ~default:0 (Hashtbl.find_opt installed s) in
+      let next = if Sm.bool g then cur + 1 else value () in
+      Hashtbl.replace installed s next;
+      Index.range_add ix s (next - cur);
+      Load_map.add lm s (next - cur)
+    end;
+    if Index.max_load ix <> Load_map.max_overall lm then ok := false;
+    if Index.total_load ix <> Array.fold_left ( + ) 0 (Load_map.leaf_loads lm)
+    then ok := false;
+    for order = 0 to levels do
+      let v, s = Index.min_load_subtree ix ~order in
+      let v', s' = Load_map.min_max_at_order lm order in
+      if v <> v' || Sub.index s <> Sub.index s' then ok := false;
+      let w = sub m ~order ~index:(Sm.int g (1 lsl (levels - order))) in
+      if Index.max_load_in ix w <> Load_map.max_load lm w then ok := false
+    done
+  done;
+  !ok
+
 let prop_checked_view_no_divergence (levels, seed, steps) =
   let n = 1 lsl levels in
   let m = Machine.create n in
@@ -236,6 +289,8 @@ let qsuite =
   [
     QCheck.Test.make ~count:80 ~name:"index = scan (value and argmin)" params
       prop_index_matches_scan;
+    QCheck.Test.make ~count:80 ~name:"index = scan at every order, any delta"
+      params prop_every_order_matches_scan;
     QCheck.Test.make ~count:60 ~name:"checked view never diverges" params
       prop_checked_view_no_divergence;
     QCheck.Test.make ~count:60 ~name:"greedy: indexed = scan placements" params
