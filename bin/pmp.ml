@@ -494,11 +494,13 @@ let serve_cmd =
   in
   let domains_arg =
     let doc =
-      "Worker domains (shards). 1 runs the classic single-core event loop; a \
-       power of two > 1 partitions the machine into that many subtree shards, \
-       each served by its own domain, with a dedicated WAL-writer domain and \
-       work-stealing admission (see $(b,--steal-threshold)). Snapshots, \
-       latency profiling and the flight recorder are unavailable above 1."
+      "Worker domains (shards). 1 serves inline on one event loop; a power \
+       of two K > 1 partitions the machine into K subtree shards, each the \
+       same daemon core (WAL, snapshots, recovery audit, metrics, flight \
+       recorder) over N/K PEs in its own domain and state directory \
+       <dir>/shard-<s>, with work-stealing admission (see \
+       $(b,--steal-threshold)). A state directory only restarts with the \
+       K it was written with."
     in
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K" ~doc)
   in
@@ -538,6 +540,8 @@ let serve_cmd =
           latency_profile;
           slow_ms;
           recorder_size;
+          domains;
+          steal_threshold;
         }
       in
       let socket =
@@ -545,7 +549,10 @@ let serve_cmd =
         | None, None -> Some (Filename.concat dir "pmp.sock")
         | _ -> socket
       in
-      let mk_listeners () =
+      let* server =
+        Result.map_error (fun e -> `Msg e) (Pmp_server.Server.create config)
+      in
+      let listeners =
         (match socket with
         | Some path ->
             Printf.printf "listening on unix socket %s\n%!" path;
@@ -554,57 +561,24 @@ let serve_cmd =
         @
         match port with
         | Some port ->
-            let fd, bound =
-              Pmp_server.Server.listen_tcp ~host ~port
-            in
+            let fd, bound = Pmp_server.Server.listen_tcp ~host ~port in
             Printf.printf "listening on %s:%d\n%!" host bound;
             [ fd ]
         | None -> []
       in
-      if domains > 1 then begin
-        if latency_profile || slow_ms <> None then
-          prerr_endline
-            "pmpd: --latency-profile and --slow-ms are ignored with --domains \
-             > 1";
-        if snapshot_every > 0 then
-          prerr_endline "pmpd: snapshots are disabled with --domains > 1";
-        let config =
-          {
-            config with
-            snapshot_every = 0;
-            latency_profile = false;
-            slow_ms = None;
-          }
-        in
-        let* mserver =
-          Result.map_error
-            (fun e -> `Msg e)
-            (Pmp_server.Mserver.create
-               { Pmp_server.Mserver.base = config; domains; steal_threshold })
-        in
-        let listeners = mk_listeners () in
-        if Pmp_server.Mserver.recovered_ops mserver > 0 then
-          Printf.printf "recovered %d WAL records (seq %d)\n%!"
-            (Pmp_server.Mserver.recovered_ops mserver)
-            (Pmp_server.Mserver.seq mserver);
-        Ok (Pmp_server.Mserver.serve mserver ~listeners)
-      end
-      else begin
-        let* server =
-          Result.map_error (fun e -> `Msg e) (Pmp_server.Server.create config)
-        in
-        let listeners = mk_listeners () in
-        if Pmp_server.Server.recovered_ops server > 0 then
-          Printf.printf "recovered %d WAL records (seq %d)\n%!"
-            (Pmp_server.Server.recovered_ops server)
-            (Pmp_server.Server.seq server);
-        match Pmp_server.Server.serve server ~listeners with
-        | () -> Ok ()
-        | exception Pmp_server.Server.Crash ->
-            Printf.eprintf "crash injection tripped; flight recorder at %s\n%!"
-              (Pmp_server.Server.flightrec_path server);
-            exit 42
-      end
+      let shards = Pmp_server.Server.shards server in
+      let total f = Array.fold_left (fun n s -> n + f s) 0 shards in
+      if total Pmp_server.Server.recovered_ops > 0 then
+        Printf.printf "recovered %d WAL records (seq %d)\n%!"
+          (total Pmp_server.Server.recovered_ops)
+          (total Pmp_server.Server.seq);
+      match Pmp_server.Server.serve server ~listeners with
+      | () -> Ok ()
+      | exception Pmp_server.Server.Crash ->
+          Printf.eprintf "crash injection tripped; flight recorder at %s\n%!"
+            (String.concat ", "
+               (Array.to_list (Array.map Pmp_server.Server.flightrec_path shards)));
+          exit 42
     end
   in
   let term =
@@ -1043,28 +1017,12 @@ let fed_serve_cmd =
             let* policy =
               Builders.cluster_policy alloc_name ~d ~seed:(seed + (k * 7919))
             in
-            let* fsync_policy =
-              Result.map_error (fun e -> `Msg e)
-                (Pmp_server.Wal.parse_policy "group")
-            in
-            let* wal_format =
-              Result.map_error (fun e -> `Msg e)
-                (Pmp_server.Wal.parse_format "binary")
-            in
             let config =
               {
-                Pmp_server.Server.machine_size;
-                policy;
+                (Pmp_server.Server.default_config ~machine_size ~policy
+                   ~dir:sdir)
+                with
                 admission_cap = cap;
-                dir = sdir;
-                fsync_policy;
-                wal_format;
-                snapshot_every = 1024;
-                crash_after = None;
-                loop = Pmp_server.Loop.default_config;
-                latency_profile = false;
-                slow_ms = None;
-                recorder_size = 256;
               }
             in
             let* server =

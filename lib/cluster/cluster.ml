@@ -183,6 +183,34 @@ let stats (t : t) =
     tasks_migrated = t.tasks_migrated;
   }
 
+(* The shards of a partitioned machine own disjoint PEs, so the global
+   max load is the max of the shard maxes (likewise the peaks); the
+   counts add, and [optimal_now] is recomputed over the whole machine. *)
+let merge_stats ~machine_size = function
+  | [] -> invalid_arg "Cluster.merge_stats: no shards"
+  | hd :: tl ->
+      let acc =
+        List.fold_left
+          (fun a s ->
+            {
+              submitted = a.submitted + s.submitted;
+              completed = a.completed + s.completed;
+              queued_now = a.queued_now + s.queued_now;
+              active_now = a.active_now + s.active_now;
+              active_size = a.active_size + s.active_size;
+              max_load = max a.max_load s.max_load;
+              peak_load = max a.peak_load s.peak_load;
+              optimal_now = 0;
+              reallocations = a.reallocations + s.reallocations;
+              tasks_migrated = a.tasks_migrated + s.tasks_migrated;
+            })
+          hd tl
+      in
+      {
+        acc with
+        optimal_now = Pmp_util.Pow2.ceil_div acc.active_size machine_size;
+      }
+
 let leaf_loads t = Mirror.leaf_loads t.mirror
 let machine_size t = Machine.size t.machine
 

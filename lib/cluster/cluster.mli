@@ -75,6 +75,14 @@ type stats = {
 }
 
 val stats : t -> stats
+
+val merge_stats : machine_size:int -> stats list -> stats
+(** Combine the statistics of clusters that partition a machine of
+    [machine_size] PEs into the view one cluster over the whole machine
+    would report: counts add, the load fields take the max, and
+    [optimal_now] is recomputed at [machine_size].
+    @raise Invalid_argument on an empty list. *)
+
 val leaf_loads : t -> int array
 val machine_size : t -> int
 

@@ -4,7 +4,6 @@ module Netbuf = Pmp_server.Netbuf
 module Protocol = Pmp_server.Protocol
 module Wire = Pmp_server.Wire
 module Recorder = Pmp_server.Recorder
-module Mserver = Pmp_server.Mserver
 module Metrics = Pmp_telemetry.Metrics
 module Cluster = Pmp_cluster.Cluster
 
@@ -205,13 +204,6 @@ let exchange ~flushes (b : batch) =
 (* ------------------------------------------------------------------ *)
 (* creation                                                            *)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ()
-  end
-
 (* Connect to every shard and learn its machine size from one [loads]
    fan-out. *)
 let connect_shards ~flushes sockets =
@@ -254,7 +246,7 @@ let create config =
   (* the recorder dumps (and, for routers serving on a Unix socket
      under [dir], the listen socket) need the directory to exist —
      shards the router spawns itself create only their own subdirs *)
-  mkdir_p config.dir;
+  Pmp_server.Server.mkdir_p config.dir;
   match Fed_id.plan ~shards:m with
   | Error e -> Error e
   | Ok plan -> (
@@ -634,7 +626,7 @@ let dispatch t req =
       | [] -> (Protocol.Error "no shard up", false)
       | stats ->
           ( Protocol.Stats_reply
-              (Mserver.merge_stats ~machine_size:t.aggregate stats),
+              (Cluster.merge_stats ~machine_size:t.aggregate stats),
             false ))
   | Protocol.Loads ->
       let replies = broadcast t Protocol.Loads in
@@ -981,7 +973,14 @@ let next_request t inbuf =
         | Ok (req, rid) -> `Request (true, rid, req))
   else
     match Netbuf.find_byte inbuf '\n' with
-    | None -> `Incomplete
+    | None when Netbuf.length inbuf <= Wire.max_payload -> `Incomplete
+    | None ->
+        (* no request line is this long: answer once, drop the input *)
+        Netbuf.clear inbuf;
+        `Bad
+          ( false,
+            Printf.sprintf "request line longer than %d bytes" Wire.max_payload
+          )
     | Some i -> (
         let line = Netbuf.sub_string inbuf ~off:0 ~len:i in
         Netbuf.consume inbuf (i + 1);

@@ -1,7 +1,7 @@
 (** The federation router: many tree machines behind one allocator.
 
     A router sits in front of [M] independent pmpd shards — each a
-    {!Pmp_server.Server} (or [Mserver]) over its own disjoint machine
+    {!Pmp_server.Server} over its own disjoint machine
     — and speaks the existing wire protocol on both sides, so a
     federated endpoint is a drop-in replacement for a single shard.
     Placement is the paper's greedy rule one level up: each submit

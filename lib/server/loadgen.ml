@@ -210,8 +210,7 @@ let service_counter = Atomic.make 0
 let with_local_service ?(machine_size = 256) ?(policy = Cluster.Greedy)
     ?(fsync_policy = Wal.Group) ?(wal_format = Wal.Binary_records)
     ?(snapshot_every = 0) ?(max_pending = 64) ?(latency_profile = false)
-    ?recorder_size ?(domains = 1)
-    ?(steal_threshold = Mserver.default_steal_threshold) f =
+    ?recorder_size ?(domains = 1) f =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -230,37 +229,17 @@ let with_local_service ?(machine_size = 256) ?(policy = Cluster.Greedy)
       latency_profile;
       recorder_size =
         (match recorder_size with Some n -> n | None -> base.recorder_size);
+      domains;
     }
   in
   let socket = Filename.concat dir "bench.sock" in
-  let spawn () =
-    if domains <= 1 then
-      match Server.create config with
-      | Error e -> Error ("server: " ^ e)
-      | Ok server ->
-          let listener = Server.listen_unix socket in
-          Ok
-            (Domain.spawn (fun () ->
-                 Server.serve server ~listeners:[ listener ]))
-    else
-      match
-        Mserver.create
-          {
-            Mserver.base = { config with snapshot_every = 0 };
-            domains;
-            steal_threshold;
-          }
-      with
-      | Error e -> Error ("server: " ^ e)
-      | Ok server ->
-          let listener = Server.listen_unix socket in
-          Ok
-            (Domain.spawn (fun () ->
-                 Mserver.serve server ~listeners:[ listener ]))
-  in
-  match spawn () with
-  | Error e -> Error e
-  | Ok domain ->
+  match Server.create config with
+  | Error e -> Error ("server: " ^ e)
+  | Ok server ->
+      let listener = Server.listen_unix socket in
+      let domain =
+        Domain.spawn (fun () -> Server.serve server ~listeners:[ listener ])
+      in
       let shutdown () =
         match Client.connect_unix socket with
         | Ok c ->
@@ -289,11 +268,9 @@ let with_local_service ?(machine_size = 256) ?(policy = Cluster.Greedy)
 let bench ?(seed = 0xB00) ?(machine_size = 256) ?(policy = Cluster.Greedy)
     ?(fsync_policy = Wal.Group) ?(wal_format = Wal.Binary_records)
     ?(proto = Client.Binary) ?(window = 32) ?latency ?(latency_profile = false)
-    ?recorder_size ?(domains = 1)
-    ?(steal_threshold = Mserver.default_steal_threshold) ?(conns = 1) ~requests
-    () =
+    ?recorder_size ?(domains = 1) ?(conns = 1) ~requests () =
   with_local_service ~machine_size ~policy ~fsync_policy ~wal_format
-    ~latency_profile ?recorder_size ~domains ~steal_threshold (fun socket ->
+    ~latency_profile ?recorder_size ~domains (fun socket ->
       if conns <= 1 then
         match Client.connect_unix ~proto socket with
         | Error e -> Error ("connect: " ^ e)

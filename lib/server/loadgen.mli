@@ -83,7 +83,6 @@ val with_local_service :
   ?latency_profile:bool ->
   ?recorder_size:int ->
   ?domains:int ->
-  ?steal_threshold:int ->
   (string -> ('a, string) result) ->
   ('a, string) result
 (** Run [f socket_path] against a server serving in its own domain
@@ -91,9 +90,7 @@ val with_local_service :
     the domain and delete the directory afterwards (also on
     exceptions). Defaults: machine 256, greedy, group commit, binary
     WAL, no periodic snapshots, no latency profiling, the server's
-    default flight-recorder size, [domains = 1]. With [domains > 1]
-    the service is a sharded {!Mserver} ([snapshot_every] forced to 0
-    — snapshots are unsupported there). *)
+    default flight-recorder size, [domains = 1]. *)
 
 val bench :
   ?seed:int ->
@@ -107,7 +104,6 @@ val bench :
   ?latency_profile:bool ->
   ?recorder_size:int ->
   ?domains:int ->
-  ?steal_threshold:int ->
   ?conns:int ->
   requests:int ->
   unit ->

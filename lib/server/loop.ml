@@ -37,7 +37,7 @@ let setup_sigusr1 on_usr1 =
 
 let run ?(config = default_config) ?(on_accept = ignore) ?(on_drop = ignore)
     ?(on_batch = ignore) ?(on_commit = ignore) ?on_usr1 ?on_read_io
-    ?on_write_io ?(tick = fun () -> -1.0) ~listeners ~handle () =
+    ?on_write_io ?(tick = fun () -> -1.0) ?inbox ~listeners ~handle () =
   ignore_sigpipe ();
   setup_sigusr1 on_usr1;
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
@@ -101,6 +101,18 @@ let run ?(config = default_config) ?(on_accept = ignore) ?(on_drop = ignore)
       on_commit ()
     end
   in
+  let adopt fd =
+    on_accept ();
+    Hashtbl.replace conns fd
+      {
+        fd;
+        inbuf = Netbuf.create 256;
+        out = Netbuf.create 256;
+        eof = false;
+        pending = false;
+      }
+  in
+  let inbox_fd = match inbox with Some (fd, _) -> [ fd ] | None -> [] in
   let finally () =
     List.iter close_quietly listeners;
     Hashtbl.iter (fun fd _ -> close_quietly fd) conns
@@ -109,6 +121,12 @@ let run ?(config = default_config) ?(on_accept = ignore) ?(on_drop = ignore)
       let listeners_open = ref true in
       let rec go () =
         process_batch ();
+        (match inbox with
+        | None -> ()
+        | Some (_, take) -> (
+            match take () with
+            | Some fds -> List.iter adopt fds
+            | None -> stopping := true));
         if !stopping && !listeners_open then begin
           List.iter close_quietly listeners;
           listeners_open := false
@@ -130,7 +148,8 @@ let run ?(config = default_config) ?(on_accept = ignore) ?(on_drop = ignore)
             Hashtbl.fold (fun _ c acc -> acc || c.pending) conns false
           in
           let read_fds =
-            (if !listeners_open then listeners else [])
+            inbox_fd
+            @ (if !listeners_open then listeners else [])
             @ Hashtbl.fold
                 (fun fd c acc ->
                   if
@@ -164,20 +183,15 @@ let run ?(config = default_config) ?(on_accept = ignore) ?(on_drop = ignore)
                   match Unix.accept fd with
                   | client, _ ->
                       Unix.set_nonblock client;
-                      on_accept ();
-                      Hashtbl.replace conns client
-                        {
-                          fd = client;
-                          inbuf = Netbuf.create 256;
-                          out = Netbuf.create 256;
-                          eof = false;
-                          pending = false;
-                        }
+                      adopt client
                   | exception Unix.Unix_error _ -> ()
                 end)
               readable;
             let conn_readable =
-              List.filter (fun fd -> not (List.memq fd listeners)) readable
+              List.filter
+                (fun fd ->
+                  not (List.memq fd listeners || List.memq fd inbox_fd))
+                readable
             in
             (match on_read_io with
             | None -> pump_reads conn_readable

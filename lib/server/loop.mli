@@ -62,6 +62,7 @@ val run :
   ?on_read_io:(float -> unit) ->
   ?on_write_io:(float -> unit) ->
   ?tick:(unit -> float) ->
+  ?inbox:Unix.file_descr * (unit -> Unix.file_descr list option) ->
   listeners:Unix.file_descr list ->
   handle:(Netbuf.t -> Netbuf.t -> budget:int -> [ `Handled of int | `Stop of int ]) ->
   unit ->
@@ -88,6 +89,14 @@ val run :
     the same value [handle] received, so a handler keying state by
     connection can release it. Connections still open when [run]
     returns are closed without it.
+
+    [inbox = (fd, take)] feeds the loop from other threads (a sharded
+    server's acceptor and peer shards): [fd] joins the read set as a
+    wake-up, and [take ()] runs once every round, after the batch and
+    before the loop sleeps. It returns connections accepted elsewhere,
+    to be served like the loop's own, or [None] to stop as [`Stop]
+    does. With an inbox the loop runs until stopped even without
+    listeners or connections.
 
     [on_read_io]/[on_write_io], when given, receive the wall-clock
     seconds spent refilling input buffers (the {e read} stage) and

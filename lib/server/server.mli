@@ -2,7 +2,13 @@
 
     Wraps a {!Pmp_cluster.Cluster} in the {!Protocol}, a {!Wal} and
     periodic {!Snapshot}s, and serves it over TCP and/or Unix-domain
-    sockets through {!Loop}.
+    sockets through {!Loop}. One value of {!t} is one {e core}: a
+    cluster with its WAL, snapshots, recovery audit, metrics registry
+    and flight recorder. With [domains = 1] the daemon is a single core
+    running inline on the calling thread; with [domains = K > 1] it is
+    K copies of the same core, one per OCaml domain, each over an
+    aligned [N/K]-PE subtree — in the paper's tree machine every such
+    subtree is itself a tree machine.
 
     {b Durability contract.} Every acknowledged mutation reaches the
     WAL before its response reaches the socket — structurally: the
@@ -27,14 +33,60 @@
     and answered through a reused scratch buffer — no intermediate
     request/response values, strings or JSON on the submit, finish,
     query and stats opcodes. JSON lines remain fully supported as the
-    debug encoding; the two can interleave on one connection.
+    debug encoding; the two can interleave on one connection. A JSON
+    line still unterminated after {!Wire.max_payload} bytes gets one
+    error reply and the buffered input is dropped.
 
     {b Crash injection.} With [crash_after = Some k], {!Crash} is
     raised once the [k]-th mutation accepted by this process is
     covered by a WAL commit — after durability, before its response is
     delivered: the harshest acknowledged-but-unreported point. Tests
     and the CI smoke job use it to prove recovery equals uninterrupted
-    execution. *)
+    execution.
+
+    {b Sharding ([domains = K > 1]).} Each shard keeps a complete
+    single-core state directory, [<dir>/shard-<s>], with its own WAL,
+    snapshots and [flightrec.jsonl], recovered and audited exactly as
+    an unsharded directory. The calling thread is the acceptor: it
+    deals connections round-robin to the shards over bounded
+    {!Pmp_util.Spsc} rings, and each shard serves its connections with
+    its own {!Loop}.
+    - {e Ids.} Shard [s]'s [i]-th task is globally [i * K + s]
+      ({!Pmp_util.Sharding.global_id}), so [g mod K] routes any
+      client-visible id back to its shard with no shared counter, and
+      placements are shifted by the shard's leaf offset so clients
+      see coordinates on the full machine. WAL records keep local ids.
+      The largest admissible task is [N/K] PEs.
+    - {e Peer calls.} A finish or query of another shard's id, a steal
+      and the [stats], [loads], [metrics] and [snapshot] fan-outs are
+      synchronous calls over per-pair SPSC rings. While it waits for a
+      response a shard keeps serving the calls addressed to it, so
+      shards blocked on each other still progress.
+    - {e Cross-shard durability.} A mutation that ran on another shard
+      is acknowledged only once that shard's WAL commit covers it: a
+      batch's {!commit} also waits for the published durable watermark
+      of every shard the batch mutated, serving and committing peer
+      calls meanwhile. No request costs an extra fsync.
+    - {e Work stealing.} When admission would queue at the home shard
+      (or its queue is already [steal_threshold] deep), the
+      least-loaded idle peer admits the task instead, in its {e own}
+      id namespace, so the task runs exactly once and routes exactly
+      thereafter.
+    - {e Observability.} Each core registers the same instruments,
+      labelled with its shard; a [metrics] request answers with their
+      {!Pmp_telemetry.Metrics.merge_prometheus} merge, which speaks the
+      unsharded series names plus per-shard [pmpd_shard_*] series.
+      Latency profiling, the slow-request log and the flight recorder
+      work per shard.
+    - {e Crash injection} counts fresh mutations across all shards;
+      the shard that trips raises {!Crash} after its covering commit,
+      the others stop abandoning their buffers, and {!serve} re-raises
+      it once every shard domain has left its black box behind.
+    - {e Shard-count fence.} The number of [shard-*] directories is the
+      shard count a state directory was written with (none: 1), and
+      ids only route under that count, so {!create} refuses any other.
+      A directory holding a [domains] file — the old single-WAL sharded
+      layout — is refused too. *)
 
 type config = {
   machine_size : int;
@@ -55,6 +107,12 @@ type config = {
           (implies timing, like [latency_profile]) *)
   recorder_size : int;
       (** flight-recorder ring capacity in records; 0 disables it *)
+  domains : int;
+      (** shard count K: 1 (or less) serves inline; otherwise a power
+          of two dividing [machine_size] *)
+  steal_threshold : int;
+      (** sharded: steal when the home queue is at least this deep (0
+          never steals; admissions that would queue always try) *)
 }
 
 val default_config :
@@ -62,7 +120,7 @@ val default_config :
 (** No admission cap, [fsync_policy = Group], [wal_format =
     Binary_records], [snapshot_every = 1024], no crash injection,
     {!Loop.default_config}, no latency profiling or slow-request log,
-    [recorder_size = 256]. *)
+    [recorder_size = 256], [domains = 1], [steal_threshold = 1]. *)
 
 exception Crash
 (** Raised by the crash-injection trip; escapes {!serve} with all
@@ -73,14 +131,24 @@ type t
 val create : config -> (t, string) result
 (** Create the state directory if needed, recover from whatever
     snapshot and WAL it holds (an empty directory is a fresh cluster),
-    verify the recovery, and open the WAL for appending. *)
+    verify the recovery, and open the WAL for appending. Sharded, this
+    is done for every shard directory and the first core is returned;
+    {!shards} lists them all. Refuses a shard count that does not
+    match the directory (see the shard-count fence above). *)
+
+val shards : t -> t array
+(** Every core of [t]'s daemon in shard order; [[| t |]] unsharded. *)
 
 val cluster : t -> Pmp_cluster.Cluster.t
+(** This core's cluster (a shard's covers its [N/K]-PE subtree, with
+    shard-local ids). *)
+
 val seq : t -> int
-(** Mutations applied since genesis (the durable sequence number). *)
+(** Mutations this core applied since genesis (the durable sequence
+    number of its WAL). *)
 
 val recovered_ops : t -> int
-(** WAL records replayed by {!create} (0 on a fresh start). *)
+(** WAL records this core's {!create} replayed (0 on a fresh start). *)
 
 val same_state : Pmp_cluster.Cluster.t -> Pmp_cluster.Cluster.t -> (unit, string) result
 (** Bit-for-bit behavioural equality of two clusters — stats, loads,
@@ -88,28 +156,9 @@ val same_state : Pmp_cluster.Cluster.t -> Pmp_cluster.Cluster.t -> (unit, string
     relation recovery is verified under (and the one the
     crash-recovery tests assert). *)
 
-val apply_wal_op : Pmp_cluster.Cluster.t -> Wal.op -> (unit, string) result
-(** Replay one WAL record against a cluster, cross-checking that a
-    submission is assigned the id the original run acknowledged. The
-    unit of recovery for both the single-threaded server and (per
-    shard, after id translation) the sharded one. *)
-
-val verify_cluster :
-  machine_size:int ->
-  policy:Pmp_cluster.Cluster.policy ->
-  admission_cap:float option ->
-  Pmp_cluster.Cluster.t ->
-  (unit, string) result
-(** The full recovery audit on an arbitrary cluster: its event history
-    must pass the structural conformance oracle with a fresh
-    allocator, and an independent {!Pmp_cluster.Cluster.restore}
-    replay of its externalised state must reproduce it bit for bit
-    ({!same_state}). {!create} runs this on the recovered cluster; the
-    sharded server runs it on every shard's. *)
-
 val registry : t -> Pmp_telemetry.Metrics.Registry.t
 val metrics : t -> string
-(** Prometheus dump of the server registry: requests, mutations,
+(** Prometheus dump of this core's registry: requests, mutations,
     batches, group sizes, connections, fsyncs, snapshots, recoveries
     and spans, plus the SLO gauges — [pmpd_wal_lag] (records written
     but not yet known durable) and [pmpd_p99_load_ratio] (rolling p99
@@ -124,7 +173,7 @@ val recorder : t -> Recorder.t
     and timestamp when timing is on, success flag). *)
 
 val flightrec_path : t -> string
-(** Where dumps go: [<dir>/flightrec.jsonl]. *)
+(** Where dumps go: [flightrec.jsonl] in this core's directory. *)
 
 val dump_recorder : t -> string
 (** Dump the flight recorder to {!flightrec_path} now (truncating any
@@ -144,7 +193,12 @@ val handle : t -> Protocol.request -> Protocol.response * bool
     (pending) before returning; call {!commit} to make them durable —
     the event loop does this once per batch.
     @raise Crash when crash injection trips under [fsync_policy =
-    Always] (other policies trip in {!commit}). *)
+    Always] (other policies trip in {!commit}).
+
+    Sharded, a request that needs another shard is a synchronous call
+    answered by that shard's event loop, so {!handle}, {!handle_conn}
+    and {!commit} on a sharded core only make progress inside
+    {!serve}. *)
 
 val handle_line :
   t ->
@@ -172,16 +226,20 @@ val commit : t -> unit
     refresh the load gauges, and fire any armed crash injection. The
     event loop calls this after every batch, before responses are
     written; tests driving {!handle} directly must call it themselves
-    to make mutations durable.
+    to make mutations durable. Sharded, it then waits until every shard
+    this batch mutated through a peer call has committed that mutation.
     @raise Crash when crash injection tripped in this batch. *)
 
 val snapshot_now : t -> (string, string) result
-(** Write a snapshot covering everything applied so far and rotate the
-    WAL; returns the path written. *)
+(** Write a snapshot of this core covering everything it applied so far
+    and rotate its WAL; returns the path written. *)
 
 val close : t -> unit
-(** Flush and fsync the WAL, then close it (no implicit final
+(** Flush and fsync every core's WAL, then close it (no implicit final
     snapshot). *)
+
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents. *)
 
 val listen_unix : string -> Unix.file_descr
 (** Bind and listen on a Unix-domain socket path, replacing a stale
@@ -197,4 +255,7 @@ val serve : t -> listeners:Unix.file_descr list -> unit
     WAL cleanly — which is the point — but not before the flight
     recorder is dumped. SIGUSR1 requests a dump from a live server:
     the handler (installed race-free before the first [select]) only
-    sets a flag; the loop writes the dump on its next tick or batch. *)
+    sets a flag; the loop writes the dump on its next tick or batch.
+    Sharded, the calling thread accepts while one domain per shard
+    serves; a shard that fails stops them all, and [serve] re-raises
+    its exception after joining every domain. *)

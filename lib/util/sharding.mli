@@ -13,10 +13,9 @@
 
     {b Ids are interleaved}, not blocked: shard [s]'s [i]-th task gets
     global id [i*K + s]. The owner of any global id is therefore
-    [id mod K] — a WAL written by a [K]-sharded server replays to the
-    same shards with no routing table, and the id sequences of
-    different shards never collide no matter how unevenly traffic
-    lands. *)
+    [id mod K] — any client-visible id routes to its shard with no
+    routing table, and the id sequences of different shards never
+    collide no matter how unevenly traffic lands. *)
 
 type plan = private {
   shards : int;  (** K; a power of two *)

@@ -1,9 +1,9 @@
 (** A bounded, lock-free single-producer/single-consumer ring.
 
     The queue between two specific domains in the sharded server: the
-    acceptor hands connections to each shard over one, every shard
-    feeds the WAL writer over one, and each ordered pair of shards
-    exchanges steal/forward messages over one. Exactly one domain may
+    acceptor hands connections to each shard over one, and each ordered
+    pair of shards exchanges steal/forward calls and their responses
+    over one. Exactly one domain may
     call {!push} and exactly one (possibly different) domain may call
     {!pop} — under that contract every operation is wait-free: one
     atomic read, one atomic write, no locks, no CAS loops.

@@ -806,6 +806,28 @@ let test_connection_slots_released () =
       Domain.join rdom;
       List.iter (fun (_, d) -> ignore (Domain.join d)) shards)
 
+(* The router's JSON path has the daemon's frame cap: a line still
+   unterminated past Wire.max_payload bytes is answered with one error
+   and dropped, not buffered (and rescanned) without bound. *)
+let test_unterminated_line_capped () =
+  with_dir (fun dir ->
+      let ((_, _, inb, _) as r) =
+        in_process_router ~dir:(Filename.concat dir "fed") ~machine_size:16
+      in
+      let n, reply = feed r [ String.make Wire.max_payload 'x' ] in
+      Alcotest.(check int) "within the cap: incomplete" 0 n;
+      Alcotest.(check string) "no reply yet" "" reply;
+      let n, reply = feed r [ "x" ] in
+      Alcotest.(check int) "one failed request" 1 n;
+      Alcotest.(check int) "input dropped" 0 (Netbuf.length inb);
+      (match String.split_on_char '\n' reply with
+      | [ line; "" ] -> (
+          match Protocol.decode_response line with
+          | Ok (Protocol.Error _) -> ()
+          | _ -> Alcotest.failf "not an error reply: %s" line)
+      | _ -> Alcotest.failf "expected exactly one reply line: %S" reply);
+      stop_router r)
+
 let suite =
   [
     Alcotest.test_case "fed_id plan and offsets" `Quick test_fed_id_plan;
@@ -825,6 +847,8 @@ let suite =
       test_shard_dies_mid_batch;
     Alcotest.test_case "closed connections release their slot" `Quick
       test_connection_slots_released;
+    Alcotest.test_case "unterminated json line capped" `Quick
+      test_unterminated_line_capped;
   ]
   @ Helpers.qtests
       [

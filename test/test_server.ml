@@ -1430,8 +1430,9 @@ let test_metrics_monotone_across_recovery () =
 
 (* --- the sharded (multicore) server ------------------------------- *)
 
-module Mserver = Pmp_server.Mserver
 module Loadgen = Pmp_server.Loadgen
+module Netbuf = Pmp_server.Netbuf
+module Wire = Pmp_server.Wire
 
 let stats_of client =
   match Client.request client Protocol.Stats with
@@ -1454,12 +1455,7 @@ let scrape_sum dump name sel =
          if
            String.length line > String.length name
            && String.sub line 0 (String.length name) = name
-           && (let rec contains i =
-                 i + String.length sel <= String.length line
-                 && (String.sub line i (String.length sel) = sel
-                    || contains (i + 1))
-               in
-               sel = "" || contains 0)
+           && string_contains line sel
          then
            match String.rindex_opt line ' ' with
            | Some sp -> (
@@ -1472,6 +1468,34 @@ let scrape_sum dump name sel =
            | None -> acc
          else acc)
        0.0
+
+let sharded_config ?(domains = 4) ~dir () =
+  {
+    (Server.default_config ~machine_size:64 ~policy:Cluster.Greedy ~dir) with
+    Server.snapshot_every = 0;
+    domains;
+  }
+
+(* Serve [config] in its own domain over a socket in [dir]; [f] gets
+   the socket path and must shut the daemon down. *)
+let with_sharded config ~dir f =
+  let server = get_ok ~ctx:"create" (Server.create config) in
+  let path = Filename.concat dir "pmp.sock" in
+  let listener = Server.listen_unix path in
+  let domain = Domain.spawn (fun () -> Server.serve server ~listeners:[ listener ]) in
+  Fun.protect ~finally:(fun () -> Domain.join domain) (fun () -> f path)
+
+let connect path =
+  get_ok ~ctx:"connect" (Client.connect_unix ~proto:Client.Binary path)
+
+(* The daemon-wide statistics of a created (not serving) daemon. *)
+let merged_stats server =
+  Cluster.merge_stats ~machine_size:64
+    (Array.to_list
+       (Array.map (fun s -> Cluster.stats (Server.cluster s)) (Server.shards server)))
+
+let total_recovered server =
+  Array.fold_left (fun n s -> n + Server.recovered_ops s) 0 (Server.shards server)
 
 let drive_service ~domains ~requests ~seed =
   get_ok ~ctx:"service"
@@ -1509,21 +1533,8 @@ let test_multicore_stats_equivalence () =
    registries into the single-server series names. *)
 let test_multicore_session () =
   with_dir (fun dir ->
-      let base =
-        {
-          (Server.default_config ~machine_size:64 ~policy:Cluster.Greedy ~dir) with
-          Server.snapshot_every = 0;
-        }
-      in
-      let m =
-        get_ok ~ctx:"create"
-          (Mserver.create { Mserver.base; domains = 4; steal_threshold = 1 })
-      in
-      let path = Filename.concat dir "pmp.sock" in
-      let listener = Server.listen_unix path in
-      let domain = Domain.spawn (fun () -> Mserver.serve m ~listeners:[ listener ]) in
-      Fun.protect ~finally:(fun () -> Domain.join domain) (fun () ->
-          let client = get_ok ~ctx:"connect" (Client.connect_unix ~proto:Client.Binary path) in
+      with_sharded (sharded_config ~dir ()) ~dir (fun path ->
+          let client = connect path in
           let ids =
             List.init 12 (fun i ->
                 expect_placed ~ctx:(Printf.sprintf "submit %d" i)
@@ -1568,7 +1579,7 @@ let test_multicore_session () =
           Alcotest.(check (float 0.0)) "merged submissions+finishes" 24.0
             (scrape_sum dump "pmpd_mutations_total " "");
           Alcotest.(check bool) "per-shard queue depth series" true
-            (scrape_sum dump "pmpd_shard_queue_depth{" "" = 0.0);
+            (string_contains dump "pmpd_shard_queue_depth{shard=\"3\"}");
           shutdown_server client;
           Client.close client))
 
@@ -1579,22 +1590,11 @@ let test_multicore_session () =
    still finishes exactly once, and the books balance. *)
 let test_multicore_steal () =
   with_dir (fun dir ->
-      let base =
-        {
-          (Server.default_config ~machine_size:64 ~policy:Cluster.Greedy ~dir) with
-          Server.snapshot_every = 0;
-          admission_cap = Some 0.5;
-        }
+      let config =
+        { (sharded_config ~dir ()) with Server.admission_cap = Some 0.5 }
       in
-      let m =
-        get_ok ~ctx:"create"
-          (Mserver.create { Mserver.base; domains = 4; steal_threshold = 1 })
-      in
-      let path = Filename.concat dir "pmp.sock" in
-      let listener = Server.listen_unix path in
-      let domain = Domain.spawn (fun () -> Mserver.serve m ~listeners:[ listener ]) in
-      Fun.protect ~finally:(fun () -> Domain.join domain) (fun () ->
-          let client = get_ok ~ctx:"connect" (Client.connect_unix ~proto:Client.Binary path) in
+      with_sharded config ~dir (fun path ->
+          let client = connect path in
           (* 24 x size-4 = 96 PEs of demand against a 64-PE machine
              capped at 0.5 per subtree: shard 0 alone (16 PEs) can hold
              at most a few, so admission must spread or queue *)
@@ -1631,26 +1631,15 @@ let test_multicore_steal () =
           shutdown_server client;
           Client.close client))
 
-(* Clean shutdown, then recovery: a second Mserver.create over the
-   same directory must replay the whole WAL, pass every per-shard
-   audit and reproduce the merged statistics; the single-core server
-   and wrong shard counts must refuse the directory outright. *)
+(* Clean shutdown, then recovery: a second create over the same
+   directory must replay every shard's WAL, pass every shard's audit
+   and reproduce the merged statistics. *)
 let test_multicore_recovery () =
   with_dir (fun dir ->
-      let base =
-        {
-          (Server.default_config ~machine_size:64 ~policy:Cluster.Greedy ~dir) with
-          Server.snapshot_every = 0;
-        }
-      in
-      let mcfg = { Mserver.base; domains = 4; steal_threshold = 1 } in
-      let m = get_ok ~ctx:"create" (Mserver.create mcfg) in
-      let path = Filename.concat dir "pmp.sock" in
-      let listener = Server.listen_unix path in
-      let domain = Domain.spawn (fun () -> Mserver.serve m ~listeners:[ listener ]) in
+      let config = sharded_config ~dir () in
       let live_stats =
-        Fun.protect ~finally:(fun () -> Domain.join domain) (fun () ->
-            let client = get_ok ~ctx:"connect" (Client.connect_unix ~proto:Client.Binary path) in
+        with_sharded config ~dir (fun path ->
+            let client = connect path in
             let gen = Loadgen.make_gen ~seed:7 ~machine_size:64 in
             let o = get_ok ~ctx:"drive" (Loadgen.drive client gen ~requests:300 ~window:8 ()) in
             let st = stats_of client in
@@ -1659,37 +1648,273 @@ let test_multicore_recovery () =
             ignore o.Loadgen.elapsed;
             st)
       in
-      let m' = get_ok ~ctx:"recover" (Mserver.create mcfg) in
-      Alcotest.(check int) "recovered every mutation" 300 (Mserver.recovered_ops m');
-      let st = Mserver.merged_stats m' in
+      let m' = get_ok ~ctx:"recover" (Server.create config) in
+      Alcotest.(check int) "recovered every mutation" 300 (total_recovered m');
+      let st = merged_stats m' in
       Alcotest.(check int) "submitted" live_stats.Cluster.submitted st.Cluster.submitted;
       Alcotest.(check int) "completed" live_stats.Cluster.completed st.Cluster.completed;
       Alcotest.(check int) "active size" live_stats.Cluster.active_size st.Cluster.active_size;
       Alcotest.(check int) "queued" live_stats.Cluster.queued_now st.Cluster.queued_now;
-      (* the marker fences both doors *)
-      (match Server.create base with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "single-core server must refuse a sharded directory");
-      (match Mserver.create { mcfg with domains = 2 } with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "wrong shard count must refuse the directory"))
+      Server.close m')
 
-(* The reverse fence: a directory with single-core history (no marker)
-   refuses to open sharded. *)
-let test_multicore_refuses_singlecore_dir () =
+(* The shard count a directory was written with is the number of its
+   shard-* directories (none: 1), and ids only route under that count:
+   every other count is refused, and so is the old single-WAL sharded
+   layout, whose marker the message must name. *)
+let test_shard_count_fence () =
+  let refused ~ctx config =
+    match Server.create config with
+    | Error e -> e
+    | Ok s ->
+        Server.close s;
+        Alcotest.failf "%s: must refuse the directory" ctx
+  in
   with_dir (fun dir ->
-      let base =
-        {
-          (Server.default_config ~machine_size:64 ~policy:Cluster.Greedy ~dir) with
-          Server.snapshot_every = 0;
-        }
-      in
-      let s = Result.get_ok (Server.create base) in
+      let s = get_ok ~ctx:"k=1" (Server.create (sharded_config ~domains:1 ~dir ())) in
       apply s [ Protocol.Submit 4; Protocol.Submit 8 ];
       Server.close s;
-      match Mserver.create { Mserver.base; domains = 4; steal_threshold = 1 } with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "sharded server must refuse single-core history")
+      ignore (refused ~ctx:"k=1 history at k=4" (sharded_config ~dir ())));
+  with_dir (fun dir ->
+      Server.close (get_ok ~ctx:"k=4" (Server.create (sharded_config ~dir ())));
+      ignore (refused ~ctx:"k=4 dir at k=1" (sharded_config ~domains:1 ~dir ()));
+      ignore (refused ~ctx:"k=4 dir at k=2" (sharded_config ~domains:2 ~dir ()));
+      Server.close (get_ok ~ctx:"k=4 again" (Server.create (sharded_config ~dir ()))));
+  with_dir (fun dir ->
+      Out_channel.with_open_text (Filename.concat dir "domains") (fun oc ->
+          output_string oc "4\n");
+      List.iter
+        (fun domains ->
+          let e = refused ~ctx:"old layout" (sharded_config ~domains ~dir ()) in
+          Alcotest.(check bool) "message names the marker" true
+            (string_contains e (Filename.concat dir "domains")))
+        [ 1; 4 ])
+
+(* Drive a K=4 victim with crash injection over a socket, one request
+   at a time: submits (capped, so some steal or queue) and finishes of
+   random acked tasks, whichever shard owns them. Returns the acked
+   live ids, the acked submit/finish counts and the in-flight request
+   the crash abandoned. *)
+let crash_sharded ~dir ~seed ~crash_at ~snapshot_every =
+  let config =
+    {
+      (sharded_config ~dir ()) with
+      Server.snapshot_every;
+      admission_cap = Some 0.5;
+      crash_after = Some crash_at;
+    }
+  in
+  let server = get_ok ~ctx:"create victim" (Server.create config) in
+  let path = Filename.concat dir "pmp.sock" in
+  let listener = Server.listen_unix path in
+  let domain =
+    Domain.spawn (fun () ->
+        match Server.serve server ~listeners:[ listener ] with
+        | () -> false
+        | exception Server.Crash -> true)
+  in
+  let g = Sm.create seed in
+  let client = connect path in
+  let live = ref [] and submits = ref 0 and finishes = ref 0 in
+  let rec go () =
+    let req =
+      if !live = [] || Sm.int g 3 > 0 then Protocol.Submit (1 lsl Sm.int g 4)
+      else Protocol.Finish (List.nth !live (Sm.int g (List.length !live)))
+    in
+    match (req, Client.request client req) with
+    | Protocol.Submit _, Ok (Protocol.Placed (id, _) | Protocol.Queued id) ->
+        incr submits;
+        live := id :: !live;
+        go ()
+    | Protocol.Finish id, Ok Protocol.Finished ->
+        incr finishes;
+        live := List.filter (( <> ) id) !live;
+        go ()
+    | _, Ok r ->
+        Alcotest.failf "unexpected reply %s" (Protocol.encode_response r)
+    | _, Error _ -> req
+  in
+  let lost = go () in
+  Client.close client;
+  Alcotest.(check bool) "crash injection fired" true (Domain.join domain);
+  ({ config with crash_after = None }, !live, !submits, !finishes, lost)
+
+(* Crash recovery at K=4: the restart replays every shard's WAL and
+   passes every shard's audit, its merged counts are exactly the acked
+   mutations plus the in-flight one (durable by the time the crash
+   fires, unreported), and every acked live id queries back. The cap
+   makes shard 0, which holds the connection, steal: mutations — the
+   lost one too, at times — run on the other shards. *)
+let test_sharded_crash_recovery () =
+  let off_home = ref 0 in
+  List.iter
+    (fun (seed, crash_at, snapshot_every) ->
+      with_dir (fun dir ->
+          let config, live, submits, finishes, lost =
+            crash_sharded ~dir ~seed ~crash_at ~snapshot_every
+          in
+          let submits, finishes =
+            match lost with
+            | Protocol.Submit _ -> (submits + 1, finishes)
+            | _ -> (submits, finishes + 1)
+          in
+          let recovered = get_ok ~ctx:"recover" (Server.create config) in
+          let st = merged_stats recovered in
+          Alcotest.(check int) "submitted" submits st.Cluster.submitted;
+          Alcotest.(check int) "completed" finishes st.Cluster.completed;
+          (* one count across shards: the lost request was mutation
+             [crash_at] *)
+          Alcotest.(check int) "crash_at mutations durable" crash_at
+            (Array.fold_left (fun n c -> n + Server.seq c) 0 (Server.shards recovered));
+          Array.iter
+            (fun c -> if c != recovered then off_home := !off_home + Server.seq c)
+            (Server.shards recovered);
+          Server.close recovered;
+          with_sharded config ~dir (fun path ->
+              let client = connect path in
+              List.iter
+                (fun id ->
+                  match Client.request client (Protocol.Query id) with
+                  | Ok (Protocol.State (_, (Protocol.Active _ | Protocol.Queued_task)))
+                    ->
+                      ()
+                  | Ok r ->
+                      (* only the lost request may have finished it *)
+                      if lost <> Protocol.Finish id then
+                        Alcotest.failf "acked id %d: %s" id
+                          (Protocol.encode_response r)
+                  | Error e -> Alcotest.failf "query %d: %s" id e)
+                live;
+              shutdown_server client;
+              Client.close client)))
+    [ (11, 9, 0); (23, 17, 3); (37, 30, 4) ];
+  (* the one connection lives on shard 0: steals must have moved work *)
+  Alcotest.(check bool) "mutations ran on other shards" true (!off_home > 0)
+
+(* Every shard directory keeps its black box through a crash: a
+   well-formed JSONL dump whose entries are all on record. *)
+let test_sharded_crash_flightrec () =
+  with_dir (fun dir ->
+      let _ = crash_sharded ~dir ~seed:5 ~crash_at:12 ~snapshot_every:0 in
+      for s = 0 to 3 do
+        let dump =
+          Filename.concat dir (Printf.sprintf "shard-%d/flightrec.jsonl" s)
+        in
+        Alcotest.(check bool) (dump ^ " exists") true (Sys.file_exists dump);
+        List.iter
+          (fun l -> ignore (entry_str ~ctx:dump l "kind"))
+          (read_lines dump)
+      done)
+
+(* Snapshots bound every shard's recovery: four connections (one per
+   shard) make ten mutations each at snapshot_every = 4, so each shard
+   directory ends with exactly one snapshot (seq 8, the older one
+   pruned) and replays two records; a snapshot request then succeeds
+   on every shard. *)
+let test_sharded_snapshots () =
+  with_dir (fun dir ->
+      let config = { (sharded_config ~dir ()) with Server.snapshot_every = 4 } in
+      with_sharded config ~dir (fun path ->
+          for c = 0 to 3 do
+            let client = connect path in
+            let ids =
+              List.init 5 (fun i ->
+                  expect_placed ~ctx:(Printf.sprintf "conn %d submit %d" c i)
+                    (Client.request client (Protocol.Submit 2)))
+            in
+            List.iter
+              (fun id ->
+                match Client.request client (Protocol.Finish id) with
+                | Ok Protocol.Finished -> ()
+                | _ -> Alcotest.failf "conn %d: finish %d" c id)
+              ids;
+            Client.close client
+          done;
+          let client = connect path in
+          let st = stats_of client in
+          Alcotest.(check int) "submitted" 20 st.Cluster.submitted;
+          Alcotest.(check int) "completed" 20 st.Cluster.completed;
+          shutdown_server client;
+          Client.close client);
+      let recovered = get_ok ~ctx:"recover" (Server.create config) in
+      Array.iteri
+        (fun s core ->
+          let sdir = Filename.concat dir (Printf.sprintf "shard-%d" s) in
+          let snaps =
+            List.filter
+              (String.starts_with ~prefix:"snapshot-")
+              (Array.to_list (Sys.readdir sdir))
+          in
+          Alcotest.(check int) (sdir ^ ": one snapshot") 1 (List.length snaps);
+          Alcotest.(check bool) (sdir ^ ": short replay") true
+            (Server.recovered_ops core < 4))
+        (Server.shards recovered);
+      Alcotest.(check int) "all shards" 4 (Array.length (Server.shards recovered));
+      Server.close recovered;
+      with_sharded config ~dir (fun path ->
+          let client = connect path in
+          (match Client.request client Protocol.Snapshot with
+          | Ok (Protocol.Snapshot_reply paths) ->
+              let paths = String.split_on_char ',' paths in
+              Alcotest.(check int) "one path per shard" 4 (List.length paths);
+              List.iter
+                (fun p -> Alcotest.(check bool) p true (Sys.file_exists p))
+                paths
+          | Ok r ->
+              Alcotest.failf "snapshot: unexpected reply %s"
+                (Protocol.encode_response r)
+          | Error e -> Alcotest.failf "snapshot: %s" e);
+          shutdown_server client;
+          Client.close client))
+
+(* Latency attribution works per shard and survives the merge: the
+   daemon-wide dump of a profiled K=4 service counts apply and fsync
+   stage samples. *)
+let test_sharded_latency_profile () =
+  let dump =
+    get_ok ~ctx:"service"
+      (Loadgen.with_local_service ~machine_size:64 ~domains:4
+         ~latency_profile:true (fun socket ->
+           let client = connect socket in
+           let gen = Loadgen.make_gen ~seed:3 ~machine_size:64 in
+           let r = Loadgen.drive client gen ~requests:200 ~window:8 () in
+           let dump = metrics_of client in
+           Client.close client;
+           Result.map (fun _ -> dump) r))
+  in
+  List.iter
+    (fun stage ->
+      let n =
+        scrape_sum dump "pmpd_stage_seconds_count{"
+          (Printf.sprintf "stage=\"%s\"" stage)
+      in
+      if n <= 0.0 then Alcotest.failf "no %s stage samples in:\n%s" stage dump)
+    [ "apply"; "fsync" ]
+
+(* A JSON request line can never outgrow a frame: one that is still
+   unterminated past Wire.max_payload bytes gets a single error reply
+   and the buffered input is dropped, instead of buffering (and
+   rescanning) without bound. *)
+let test_unterminated_line_capped () =
+  with_dir (fun dir ->
+      let s = get_ok ~ctx:"create" (Server.create (sharded_config ~domains:1 ~dir ())) in
+      let inb = Netbuf.create 256 and out = Netbuf.create 256 in
+      Netbuf.add_string inb (String.make Wire.max_payload 'x');
+      (match Server.handle_conn s inb out ~budget:64 with
+      | `Handled 0 -> ()
+      | _ -> Alcotest.fail "a line within the cap is just incomplete");
+      Netbuf.add_char inb 'x';
+      (match Server.handle_conn s inb out ~budget:64 with
+      | `Handled 1 -> ()
+      | _ -> Alcotest.fail "an over-long line is one (failed) request");
+      Alcotest.(check int) "input dropped" 0 (Netbuf.length inb);
+      let reply = Netbuf.sub_string out ~off:0 ~len:(Netbuf.length out) in
+      (match String.split_on_char '\n' reply with
+      | [ line; "" ] -> (
+          match Protocol.decode_response line with
+          | Ok (Protocol.Error _) -> ()
+          | _ -> Alcotest.failf "not an error reply: %s" line)
+      | _ -> Alcotest.failf "expected exactly one reply line: %S" reply);
+      Server.close s)
 
 let suite =
   [
@@ -1729,7 +1954,12 @@ let suite =
     ("multicore session", `Quick, test_multicore_session);
     ("multicore stealing", `Quick, test_multicore_steal);
     ("multicore recovery", `Quick, test_multicore_recovery);
-    ("multicore refuses single-core dir", `Quick, test_multicore_refuses_singlecore_dir);
+    ("shard-count fence", `Quick, test_shard_count_fence);
+    ("sharded crash recovery", `Quick, test_sharded_crash_recovery);
+    ("sharded crash keeps every flight recorder", `Quick, test_sharded_crash_flightrec);
+    ("sharded snapshots bound recovery", `Quick, test_sharded_snapshots);
+    ("sharded latency profile", `Quick, test_sharded_latency_profile);
+    ("unterminated json line capped", `Quick, test_unterminated_line_capped);
   ]
   @ Helpers.qtests
       [
