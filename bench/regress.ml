@@ -257,7 +257,8 @@ let speedup_probe () =
     ]
 
 (* The audit probe: [Oracle.run structural_only] over a fixed churn,
-   the loop the daemon's recovery audit runs over its history. *)
+   the per-event loop the daemon's recovery audit runs over the WAL
+   tail it replays. *)
 let audit_probe () =
   let n = 4096 in
   let machine = Machine.create n in
@@ -281,6 +282,84 @@ let audit_probe () =
       ("words_per_event", Json.Num (Float.round (words /. events)));
       ("ns_per_event", Json.Num (Float.round (wall *. 1e9 /. events)));
       ("max_words_per_event", Json.Num max_audit_words_per_event);
+    ]
+
+(* The state gate: a daemon's durable state and the work of its
+   recovery are O(live tasks), not O(history). A stationary churn —
+   1000 live size-4 tasks on N=4096 (load 1 throughout), then each
+   finish of the oldest task followed by a fresh submit — runs through
+   an in-process greedy [Server] at the default snapshot interval, to
+   [state_runs] mutations. Snapshot bytes per live task and the WAL
+   records a restart replays are counts, so the gate is hard: neither
+   may grow from the shorter run to the longer one. *)
+let state_runs = [ 50_000; 200_000 ]
+let state_live = 1_000
+
+let state_run mutations =
+  let module Server = Pmp_server.Server in
+  let module Protocol = Pmp_server.Protocol in
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pmp-regress-state-%d-%d" (Unix.getpid ()) mutations)
+  in
+  ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ]));
+  let config =
+    {
+      (Server.default_config ~machine_size:4096 ~policy:Pmp_cluster.Cluster.Greedy
+         ~dir)
+      with
+      Server.fsync_policy = Pmp_server.Wal.Never;
+    }
+  in
+  let get = function Ok v -> v | Error e -> failwith ("state probe: " ^ e) in
+  let s = get (Server.create config) in
+  let oldest = ref 0 in
+  for i = 1 to mutations do
+    let req =
+      if i <= state_live || (i - state_live) land 1 = 0 then Protocol.Submit 4
+      else begin
+        incr oldest;
+        Protocol.Finish (!oldest - 1)
+      end
+    in
+    ignore (Server.handle s req);
+    if i land 63 = 0 then Server.commit s
+  done;
+  Server.commit s;
+  let live = (Pmp_cluster.Cluster.stats (Server.cluster s)).Pmp_cluster.Cluster.active_now in
+  Server.close s;
+  let bytes =
+    match Pmp_server.Snapshot.latest ~dir with
+    | Some (path, _) -> (Unix.stat path).Unix.st_size
+    | None -> failwith "state probe: no snapshot written"
+  in
+  let t0 = Unix.gettimeofday () in
+  let r = get (Server.create config) in
+  let recover_s = Unix.gettimeofday () -. t0 in
+  let replayed = Server.recovered_ops r in
+  Server.close r;
+  ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ]));
+  ( string_of_int mutations,
+    Json.Obj
+      [
+        ("mutations", Json.Num (float_of_int mutations));
+        ("live_tasks", Json.Num (float_of_int live));
+        ("snapshot_bytes", Json.Num (float_of_int bytes));
+        ( "snapshot_bytes_per_live_task",
+          Json.Num (float_of_int bytes /. float_of_int live) );
+        ("wal_records_replayed", Json.Num (float_of_int replayed));
+        ("recover_ms", Json.Num (Float.round (recover_s *. 1e4) /. 10.0));
+      ] )
+
+let state_probe () =
+  Json.Obj
+    [
+      ( "case",
+        Json.Str
+          "stationary churn, greedy N=4096, 1000 live size-4 tasks, snapshot \
+           every 1024" );
+      ("runs", Json.Obj (List.map state_run state_runs));
     ]
 
 (* The load-index probe, the first row of the cost ledger: the index's
@@ -728,8 +807,8 @@ let scenario_verdicts () =
         Pmp_scenario.Verdict.golden_json verdict ))
     Pmp_scenario.Registry.fast_subset
 
-let report calib cases speedup audit load_index service multicore federation
-    scenarios =
+let report calib cases speedup audit state load_index service multicore
+    federation scenarios =
   Json.Obj
     [
       ("suite", Json.Str "pmp bench-regress");
@@ -740,6 +819,7 @@ let report calib cases speedup audit load_index service multicore federation
       ("cases", Json.Obj cases);
       ("speedup", speedup);
       ("audit", audit);
+      ("state", state);
       ("load_index", load_index);
       ("service", service);
       ("multicore", multicore);
@@ -844,6 +924,38 @@ let check_audit ~tolerance baseline au =
         else []
   in
   ceiling @ drift
+
+(* The state gates: from the shorter stationary run to the longer,
+   neither the snapshot bytes per live task nor the WAL records
+   replayed at recovery may grow. Both are counts. *)
+let check_state st =
+  let runs =
+    match Json.member "runs" st with
+    | Some (Json.Obj o) -> List.map snd o
+    | _ -> failwith "state: missing runs object"
+  in
+  let field f j = get_num "state" j f in
+  let grows f =
+    match runs with
+    | short :: (_ :: _ as rest) ->
+        let long = List.nth rest (List.length rest - 1) in
+        if field f long > field f short then
+          [
+            {
+              key = "state";
+              msg =
+                Printf.sprintf
+                  "state: %s grew from %g at %g mutations to %g at %g: the \
+                   daemon's state is no longer O(live tasks)"
+                  f (field f short) (field "mutations" short) (field f long)
+                  (field "mutations" long);
+              timing = false;
+            };
+          ]
+        else []
+    | _ -> []
+  in
+  grows "snapshot_bytes_per_live_task" @ grows "wal_records_replayed"
 
 (* The load-index gates: an add allocates nothing (hard, words are
    deterministic), and its normalised ns stays within the tolerance of
@@ -1161,6 +1273,21 @@ let () =
     (Option.value ~default:nan
        (Option.bind (Json.member "words_per_event" au) Json.to_float))
     max_audit_words_per_event;
+  Printf.printf "measuring durable state size (stationary churn to %s mutations)...\n%!"
+    (String.concat ", " (List.map string_of_int state_runs));
+  let st = state_probe () in
+  (match Json.member "runs" st with
+  | Some (Json.Obj rows) ->
+      List.iter
+        (fun (key, row) ->
+          let num f = Option.value ~default:nan (Option.bind (Json.member f row) Json.to_float) in
+          Printf.printf
+            "state %-7s %6.0f snapshot bytes, %.2f per live task, %.0f WAL records \
+             replayed, recovery %.1f ms\n%!"
+            key (num "snapshot_bytes") (num "snapshot_bytes_per_live_task")
+            (num "wal_records_replayed") (num "recover_ms"))
+        rows
+  | _ -> ());
   Printf.printf "measuring load-index add/pick (N=%s)...\n%!"
     (String.concat ", " (List.map string_of_int load_index_sizes));
   let li = load_index_probe calib in
@@ -1263,6 +1390,7 @@ let () =
   let failures =
     check_speedup sp
     @ check_audit ~tolerance:!tolerance baseline au
+    @ check_state st
     @ check_load_index ~tolerance:!tolerance baseline li
     @ check_service ~tolerance:!tolerance baseline sv
     @ check_multicore mc
@@ -1278,7 +1406,7 @@ let () =
   let hard, soft =
     List.partition (fun f -> !strict_time || not f.timing) failures
   in
-  let rep = report calib !cases sp au li sv mc fd scenarios in
+  let rep = report calib !cases sp au st li sv mc fd scenarios in
   Json.to_file !out rep;
   Printf.printf "wrote %s (%d cases)\n%!" !out (List.length !cases);
   if !update_baseline then begin

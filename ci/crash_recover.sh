@@ -15,7 +15,9 @@
 # durable (exit 42, that ack abandoned). Its restart must pass the
 # recovery audit, leave a well-formed flight-recorder dump in every
 # state directory, and report the stats of a daemon that was fed just
-# those 7 mutations and never crashed.
+# those 7 mutations and never crashed. Recovery must also be bounded:
+# it replays fewer than DOMAINS x SNAPSHOT_EVERY WAL records, and each
+# state directory holds at most one snapshot and no *.tmp.
 set -eu
 usage="usage: sh ci/crash_recover.sh DOMAINS json|binary SNAPSHOT_EVERY [WORKDIR]"
 K=${1:?$usage}
@@ -104,11 +106,29 @@ python3 -c 'import json, sys
 for path in sys.argv[1:]:
     [json.loads(line) for line in open(path)]' $dumps
 
-# 3. restart on the same directory: recovery must succeed
+# 3. restart on the same directory: recovery must succeed, bounded
 serve victim
-printf 'stats\nshutdown\n' | client victim > "$WORK/recovered.txt"
+printf 'health\nstats\nshutdown\n' | client victim > "$WORK/recovered.txt"
 wait "$SERVER"
 SERVER=
+replayed=$(sed -n 's/.* recovered_ops=\([0-9][0-9]*\).*/\1/p' "$WORK/recovered.txt")
+if [ -z "$replayed" ] || [ "$replayed" -ge $((K * SNAP)) ]; then
+  echo "crash_recover: recovery replayed '$replayed' WAL records, not fewer than $((K * SNAP))" >&2
+  exit 1
+fi
+if [ "$K" -gt 1 ]; then
+  states=$(ls -d "$WORK"/victim/shard-*)
+else
+  states=$WORK/victim
+fi
+for d in $states; do
+  snaps=$(find "$d" -maxdepth 1 -name 'snapshot-*' ! -name '*.tmp' | wc -l)
+  tmps=$(find "$d" -maxdepth 1 -name '*.tmp' | wc -l)
+  if [ "$snaps" -gt 1 ] || [ "$tmps" -gt 0 ]; then
+    echo "crash_recover: $d holds $snaps snapshots and $tmps *.tmp files" >&2
+    exit 1
+  fi
+done
 
 # 4. the reference: fed exactly the durable prefix, never crashed
 serve reference
@@ -120,4 +140,4 @@ SERVER=
 grep '^submitted=' "$WORK/recovered.txt" > "$WORK/recovered-stats.txt"
 grep '^submitted=' "$WORK/reference.txt" > "$WORK/reference-stats.txt"
 diff -u "$WORK/reference-stats.txt" "$WORK/recovered-stats.txt"
-echo "crash_recover: K=$K $PROTO snapshot-every $SNAP: recovered = reference"
+echo "crash_recover: K=$K $PROTO snapshot-every $SNAP: recovered = reference ($replayed WAL records replayed)"

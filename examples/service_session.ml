@@ -118,7 +118,8 @@ let () =
   ignore (Client.request client Protocol.Shutdown);
   ignore (Domain.join domain);
   Client.close client;
-  print_endline "\nEvery acknowledged mutation survived the crash: the WAL is\n\
-                 replayed on top of the latest snapshot and the recovered\n\
-                 state is audited against a fresh oracle-checked replay\n\
-                 before the daemon accepts its first request."
+  print_endline "\nEvery acknowledged mutation survived the crash: the latest\n\
+                 snapshot (the live allocator state) is imported and checked\n\
+                 structurally, the WAL tail is replayed on top of it under\n\
+                 the oracle, and the recovered state must round-trip before\n\
+                 the daemon accepts its first request."

@@ -2,6 +2,8 @@ module Machine = Pmp_machine.Machine
 module Task = Pmp_workload.Task
 module Allocator = Pmp_core.Allocator
 module Mirror = Pmp_core.Mirror
+module Observer = Pmp_oracle.Oracle.Observer
+module Ptable = Pmp_core.Ptable
 
 type policy =
   | Greedy
@@ -34,48 +36,68 @@ type t = {
   mutable completed : int;
   mutable peak_load : int;
   mutable tasks_migrated : int;
-  mutable rev_history : Pmp_workload.Event.t list;
-      (** allocator-visible events, newest first *)
+  mutable audit : Observer.t option;  (** see {!start_audit} *)
+  mutable audit_error : Pmp_oracle.Oracle.violation option;
 }
 
-let build_allocator policy machine =
+let build_allocator ?state policy machine =
   match policy with
-  | Greedy -> Pmp_core.Greedy.create machine
-  | Copies -> Pmp_core.Copies.create machine
-  | Optimal -> Pmp_core.Optimal.create machine
-  | Periodic d -> Pmp_core.Periodic.create machine ~d
-  | Hybrid d -> Pmp_core.Hybrid.create machine ~d
+  | Greedy -> Pmp_core.Greedy.create ?state machine
+  | Copies -> Pmp_core.Copies.create ?state machine
+  | Optimal -> Pmp_core.Optimal.create ?state machine
+  | Periodic d -> Pmp_core.Periodic.create ?state machine ~d
+  | Hybrid d -> Pmp_core.Hybrid.create ?state machine ~d
   | Randomized seed ->
-      Pmp_core.Randomized.create machine ~rng:(Pmp_prng.Splitmix64.create seed)
+      let rng =
+        match state with
+        | Some (st : Allocator.state) -> Pmp_prng.Splitmix64.of_state st.rng
+        | None -> Pmp_prng.Splitmix64.create seed
+      in
+      Pmp_core.Randomized.create ?state machine ~rng
+
+let ( let* ) = Result.bind
+let check b msg = if b then Ok () else Error msg
+
+(* [create], or with [state] the allocator half of {!import}. *)
+let make ?state ~machine_size ~policy ~admission_cap () =
+  let* () =
+    check
+      (Pmp_util.Pow2.is_pow2 machine_size)
+      "machine size must be a positive power of two"
+  in
+  let* () =
+    check
+      (match admission_cap with Some cap when cap <= 0.0 -> false | _ -> true)
+      "admission cap must be positive"
+  in
+  let machine = Machine.create machine_size in
+  let* () = Option.fold ~none:(Ok ()) ~some:(Allocator.check_state machine) state in
+  let* alloc =
+    try Ok (build_allocator ?state policy machine) with Invalid_argument e -> Error e
+  in
+  Ok
+    {
+      machine;
+      policy;
+      alloc;
+      mirror = Mirror.create machine;
+      capacity =
+        Option.map
+          (fun cap -> int_of_float (cap *. float_of_int machine_size))
+          admission_cap;
+      queue = Queue.create ();
+      queued_ids = Hashtbl.create 16;
+      next_id = 0;
+      submitted = 0;
+      completed = 0;
+      peak_load = 0;
+      tasks_migrated = 0;
+      audit = None;
+      audit_error = None;
+    }
 
 let create ~machine_size ~policy ?(admission_cap = None) () =
-  if not (Pmp_util.Pow2.is_pow2 machine_size) then
-    Error "machine size must be a positive power of two"
-  else begin
-    match admission_cap with
-    | Some cap when cap <= 0.0 -> Error "admission cap must be positive"
-    | _ ->
-        let machine = Machine.create machine_size in
-        Ok
-          {
-            machine;
-            policy;
-            alloc = build_allocator policy machine;
-            mirror = Mirror.create machine;
-            capacity =
-              Option.map
-                (fun cap -> int_of_float (cap *. float_of_int machine_size))
-                admission_cap;
-            queue = Queue.create ();
-            queued_ids = Hashtbl.create 16;
-            next_id = 0;
-            submitted = 0;
-            completed = 0;
-            peak_load = 0;
-            tasks_migrated = 0;
-            rev_history = [];
-          }
-  end
+  make ~machine_size ~policy ~admission_cap ()
 
 type submission = Placed of Task.id * Pmp_core.Placement.t | Queued of Task.id
 
@@ -84,9 +106,19 @@ let fits t size =
   | None -> true
   | Some cap -> Mirror.active_size t.mirror + size <= cap
 
+(* The first violation ends the audit: the observer's mirror may no
+   longer match after one. *)
+let note_audit t = function
+  | Ok () -> ()
+  | Error v ->
+      t.audit <- None;
+      t.audit_error <- Some v
+
 let place t task =
   let resp = t.alloc.Allocator.assign task in
-  t.rev_history <- Pmp_workload.Event.Arrive task :: t.rev_history;
+  (match t.audit with
+  | Some obs -> note_audit t (Observer.observe_assign obs task resp)
+  | None -> ());
   Mirror.apply_assign t.mirror task resp;
   t.tasks_migrated <- t.tasks_migrated + List.length resp.Allocator.moves;
   let load = Mirror.max_load t.mirror in
@@ -144,8 +176,10 @@ let finish t id =
     | None -> Error (Printf.sprintf "task %d is not active" id)
     | Some _ ->
         t.alloc.Allocator.remove id;
+        (match t.audit with
+        | Some obs -> note_audit t (Observer.observe_remove obs id)
+        | None -> ());
         Mirror.apply_remove t.mirror id;
-        t.rev_history <- Pmp_workload.Event.Depart id :: t.rev_history;
         t.completed <- t.completed + 1;
         drain t;
         Ok ()
@@ -214,11 +248,6 @@ let merge_stats ~machine_size = function
 let leaf_loads t = Mirror.leaf_loads t.mirror
 let machine_size t = Machine.size t.machine
 
-let history t =
-  Pmp_workload.Sequence.of_events_exn (List.rev t.rev_history)
-
-let events t = List.rev t.rev_history
-
 let queued_tasks t =
   List.rev
     (Queue.fold
@@ -229,74 +258,104 @@ let next_id t = t.next_id
 let policy t = t.policy
 let admission_capacity t = t.capacity
 
-(* Rebuild a cluster from externalised state (snapshot + WAL replay).
-   The allocator, mirror, peak load and migration count are all
-   deterministic functions of the event history for a fixed policy, so
-   they are reconstructed by replaying the events through the same code
-   path live traffic took; only the queue and the submit/complete
-   counters (which queued cancellations decouple from the history) are
-   taken from the caller. *)
-let restore ~machine_size ~policy ?(admission_cap = None) ~events:evs ~queued
-    ~next_id ~submitted ~completed () =
-  let ( let* ) = Result.bind in
-  let* t = create ~machine_size ~policy ~admission_cap () in
-  let* seq = Pmp_workload.Sequence.of_events evs in
-  if not (Pmp_workload.Sequence.fits seq ~machine_size) then
-    Error "history contains a task larger than the machine"
-  else begin
-    List.iter
-      (fun ev ->
-        match ev with
-        | Pmp_workload.Event.Arrive task -> ignore (place t task)
-        | Pmp_workload.Event.Depart id ->
-            t.alloc.Allocator.remove id;
-            Mirror.apply_remove t.mirror id;
-            t.rev_history <- Pmp_workload.Event.Depart id :: t.rev_history)
-      evs;
-    let used = Hashtbl.create 64 in
-    List.iter
-      (function
-        | Pmp_workload.Event.Arrive task -> Hashtbl.replace used task.Task.id ()
-        | Pmp_workload.Event.Depart _ -> ())
-      evs;
-    let queued_ok =
-      List.for_all
-        (fun (id, size) ->
-          let fresh = id >= 0 && not (Hashtbl.mem used id) in
-          Hashtbl.replace used id ();
-          fresh && Pmp_util.Pow2.is_pow2 size && size <= machine_size
-          && match t.capacity with Some cap -> size <= cap | None -> true)
-        queued
-    in
-    if not queued_ok then Error "queued tasks are inconsistent with the history"
-    else if queued <> [] && t.capacity = None then
-      Error "queued tasks without an admission capacity"
-    else if Hashtbl.fold (fun id () acc -> max acc id) used (-1) >= next_id then
-      Error "next id collides with a used task id"
-    else begin
-      List.iter
-        (fun (id, size) ->
-          let task = Task.make ~id ~size in
-          Queue.push { task } t.queue;
-          Hashtbl.replace t.queued_ids id ())
-        queued;
-      let departed =
-        List.length
-          (List.filter
-             (function Pmp_workload.Event.Depart _ -> true | _ -> false)
-             evs)
-      in
-      if completed < departed then
-        Error "completed count below the departures in the history"
-      else if
-        submitted - completed
-        <> Mirror.num_active t.mirror + Queue.length t.queue
-      then Error "submitted/completed counters do not balance the live tasks"
-      else begin
-        t.next_id <- next_id;
-        t.submitted <- submitted;
-        t.completed <- completed;
-        Ok t
-      end
-    end
-  end
+type state = {
+  next_id : int;
+  submitted : int;
+  completed : int;
+  peak_load : int;
+  tasks_migrated : int;
+  queued : (Task.id * int) list;
+  alloc : Allocator.state;
+}
+
+let export (t : t) =
+  {
+    next_id = t.next_id;
+    submitted = t.submitted;
+    completed = t.completed;
+    peak_load = t.peak_load;
+    tasks_migrated = t.tasks_migrated;
+    queued = queued_tasks t;
+    alloc = t.alloc.Allocator.export ();
+  }
+
+(* The allocator checked its own half (see [make]); what is left is
+   how the parts fit together: ids, the queue, the counters. *)
+let import ~machine_size ~policy ?(admission_cap = None) (st : state) =
+  let* () =
+    check
+      (List.for_all
+         (fun (_, (p : Pmp_core.Placement.t)) -> p.copy < st.submitted)
+         st.alloc.Allocator.tasks)
+      "a placement's copy number exceeds the tasks ever submitted"
+  in
+  let* t = make ~state:st.alloc ~machine_size ~policy ~admission_cap () in
+  List.iter
+    (fun (task, placement) ->
+      Mirror.apply_assign t.mirror task { Allocator.placement; moves = [] })
+    st.alloc.Allocator.tasks;
+  let* () =
+    check
+      (List.for_all (fun ((task : Task.t), _) -> task.id < st.next_id)
+         st.alloc.Allocator.tasks)
+      "a placed task's id is not below the next id"
+  in
+  let* () =
+    check (st.queued = [] || t.capacity <> None)
+      "queued tasks without an admission capacity"
+  in
+  let* () =
+    List.fold_left
+      (fun acc (id, size) ->
+        let* () = acc in
+        if id < 0 || id >= st.next_id then
+          Error (Printf.sprintf "queued task %d is outside the id range" id)
+        else if Ptable.mem t.alloc.Allocator.table id || Hashtbl.mem t.queued_ids id
+        then Error (Printf.sprintf "queued task %d is not distinct" id)
+        else if
+          not
+            (Pmp_util.Pow2.is_pow2 size && size <= machine_size
+            && match t.capacity with Some cap -> size <= cap | None -> true)
+        then Error (Printf.sprintf "queued task %d has inadmissible size %d" id size)
+        else begin
+          Queue.push { task = Task.make ~id ~size } t.queue;
+          Hashtbl.replace t.queued_ids id ();
+          Ok ()
+        end)
+      (Ok ()) st.queued
+  in
+  let* () =
+    check
+      (match (t.capacity, Queue.peek_opt t.queue) with
+      | Some cap, _ when Mirror.active_size t.mirror > cap -> false
+      | _, Some q -> not (fits t q.task.Task.size)
+      | _, None -> true)
+      "the active tasks and the queue head break the admission capacity"
+  in
+  let* () =
+    check
+      (0 <= st.completed && st.completed <= st.submitted
+      && st.submitted <= st.next_id
+      && st.submitted - st.completed
+         = Mirror.num_active t.mirror + Queue.length t.queue)
+      "submitted/completed counters do not balance the live tasks"
+  in
+  let* () =
+    check
+      (st.peak_load >= Mirror.max_load t.mirror && st.tasks_migrated >= 0)
+      "peak load below the current load, or a negative migration count"
+  in
+  t.next_id <- st.next_id;
+  t.submitted <- st.submitted;
+  t.completed <- st.completed;
+  t.peak_load <- st.peak_load;
+  t.tasks_migrated <- st.tasks_migrated;
+  Ok t
+
+let start_audit (t : t) spec =
+  t.audit <- Some (Observer.create spec t.alloc);
+  t.audit_error <- None
+
+let finish_audit (t : t) =
+  t.audit <- None;
+  match t.audit_error with None -> Ok () | Some v -> Error v

@@ -86,13 +86,6 @@ val merge_stats : machine_size:int -> stats list -> stats
 val leaf_loads : t -> int array
 val machine_size : t -> int
 
-val events : t -> Pmp_workload.Event.t list
-(** The allocator-visible history as a plain event list, oldest first —
-    the same events {!history} validates into a sequence. This is the
-    externalisable state: together with {!queued_tasks}, {!next_id} and
-    the submit/complete counters it determines the cluster exactly (see
-    {!restore}). *)
-
 val queued_tasks : t -> (Pmp_workload.Task.id * int) list
 (** Queued [(id, size)] pairs in FIFO admission order. *)
 
@@ -105,29 +98,66 @@ val admission_capacity : t -> int option
 (** The capacity in PEs ([cap *. machine_size] truncated), or [None]
     for the paper's unlimited real-time model. *)
 
-val restore :
+(** {2 Externalised state}
+
+    A cluster is determined by its configuration (machine size, policy,
+    admission cap) and a {!state}: the live placements and the
+    allocator's scalars, the queue, and the counters. Its size is
+    O(live tasks + queued tasks), however long the cluster has run;
+    the cluster keeps no event history. *)
+
+type state = {
+  next_id : int;
+  submitted : int;
+  completed : int;
+  peak_load : int;  (** lifetime high-water mark, as {!stats} reports *)
+  tasks_migrated : int;
+  queued : (Pmp_workload.Task.id * int) list;  (** FIFO order *)
+  alloc : Pmp_core.Allocator.state;
+      (** the live placements, the arrivals since [A_M]'s (or the
+          hybrid's) last repack, the repack count ([reallocations]) and
+          the PRNG state of [Randomized] *)
+}
+
+val export : t -> state
+(** O(live) capture; equal clusters export equal states. *)
+
+val import :
   machine_size:int ->
   policy:policy ->
   ?admission_cap:float option ->
-  events:Pmp_workload.Event.t list ->
-  queued:(Pmp_workload.Task.id * int) list ->
-  next_id:int ->
-  submitted:int ->
-  completed:int ->
-  unit ->
+  state ->
   (t, string) result
-(** Rebuild a cluster from externalised state: replays [events] through
-    a fresh allocator of [policy] (allocator internals, mirror, peak
-    load and migration counters are deterministic functions of the
-    history), then re-enqueues [queued] and installs the counters.
-    Errors if the history is not a valid sequence, a queued task
-    collides with a history id or violates the admission rules, or the
-    counters do not balance the live tasks. *)
+(** The cluster an {!export} came from: it answers every later request
+    exactly as the exporting cluster would, with the same placements,
+    queue, ids and {!stats}. Loads, copy stacks and buddies are rebuilt
+    from the placements. The state is checked structurally first and
+    refused, with the cause named, unless:
+    - {!Pmp_core.Allocator.check_state} holds (distinct ascending ids,
+      power-of-two sizes within the machine, placements inside the
+      machine and exactly their task's size);
+    - under a copy-stack policy ([Copies], [Optimal], [Periodic]'s
+      copy branch) no two placements overlap on one copy;
+    - every placed and queued id is distinct and below [next_id], and
+      copy numbers are below [submitted];
+    - queued tasks exist only under an admission cap, have admissible
+      sizes, and the queue head does not fit (it would have been
+      admitted); the active size is within the cap;
+    - [completed <= submitted <= next_id], and [submitted - completed]
+      is the number of live plus queued tasks;
+    - [peak_load] is at least the recomputed current load, and
+      [tasks_migrated] is non-negative. *)
 
-val history : t -> Pmp_workload.Sequence.t
-(** The traffic the {e allocator} has seen so far — admissions as
-    arrivals (in admission order, so queued tasks appear when they were
-    actually placed) and completions of admitted tasks as departures.
-    Always a valid sequence; replay it through {!Pmp_sim.Engine} to
-    compare alternative policies on exactly the traffic a live cluster
-    served ("what would d = 4 have cost us yesterday?"). *)
+(** {2 Auditing} *)
+
+val start_audit : t -> Pmp_oracle.Oracle.spec -> unit
+(** Check every allocator decision from now on — each admission's
+    response and each departure — with an
+    {!Pmp_oracle.Oracle.Observer} created over the allocator as it
+    stands, so its mirror starts from the current placements. Recovery
+    uses this to audit the WAL tail it replays onto an imported
+    snapshot. *)
+
+val finish_audit : t -> (unit, Pmp_oracle.Oracle.violation) result
+(** Stop auditing: the first violation seen since {!start_audit}, if
+    any. *)

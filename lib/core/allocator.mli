@@ -28,6 +28,22 @@ type response = {
           arrival triggered; excludes the arriving task itself *)
 }
 
+type state = {
+  tasks : (Pmp_workload.Task.t * Placement.t) list;
+      (** every active task and its home, ascending id *)
+  arrived : int;
+      (** PEs arrived since the last repack — the [d * N] trigger of
+          [A_M] and the hybrid; 0 for allocators that never repack *)
+  repacks : int;  (** reallocation events so far ([realloc_events]) *)
+  rng : int64;  (** PRNG state ({!Pmp_prng.Splitmix64.state}); 0 if none *)
+}
+(** Everything an allocator's future decisions depend on. The paper's
+    allocators decide from the current assignment and a few scalars,
+    so this is O(live tasks) however long the allocator has run; copy
+    stacks, buddies and load views are rebuilt from the placements,
+    which determine them. Each policy's [create] takes it back as
+    [?state]. *)
+
 type t = {
   name : string;
   machine : Pmp_machine.Machine.t;
@@ -42,7 +58,29 @@ type t = {
           event touched. *)
   realloc_events : unit -> int;
       (** number of reallocation (repack) operations performed. *)
+  export : unit -> state;
+      (** the current state; an allocator of the same kind created
+          from it answers every later request exactly as this one
+          does. Allocators no cluster policy uses raise
+          [Invalid_argument] (see {!no_export}). *)
 }
+
+val state_of :
+  ?arrived:int -> ?repacks:int -> ?rng:int64 -> Ptable.t -> state
+(** A {!state} from a placement table (sorted by id) and the scalars
+    (default 0). *)
+
+val no_export : string -> unit -> state
+(** [export] for an allocator that has no restorable state (baselines,
+    ablations, test mutants): raises [Invalid_argument] naming it. *)
+
+val check_state : Pmp_machine.Machine.t -> state -> (unit, string) result
+(** What any allocator's state must satisfy before a [create ?state]
+    may load it: ids distinct and ascending; sizes powers of two that
+    fit the machine; every placement inside the machine, on a copy
+    [>= 0] and exactly its task's size; counters non-negative. A copy
+    stack additionally refuses two placements overlapping on one copy
+    when it loads them. *)
 
 val placements : t -> (Pmp_workload.Task.t * Placement.t) list
 (** All active tasks and their current homes, read from [table]. *)

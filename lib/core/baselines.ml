@@ -32,6 +32,7 @@ let make ?backend m ~name ~choose : Allocator.t =
     remove;
     table;
     realloc_events = (fun () -> 0);
+    export = Allocator.no_export name;
   }
 
 let min_load arr = Array.fold_left min arr.(0) arr
@@ -104,6 +105,7 @@ let two_choice ?backend m ~rng : Allocator.t =
     remove;
     table;
     realloc_events = (fun () -> 0);
+    export = Allocator.no_export "two-choice";
   }
 
 let worst_fit ?backend m =

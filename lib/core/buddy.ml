@@ -19,7 +19,7 @@ let create m =
 
 let machine t = t.m
 
-let claim t ~order (start, block_order) =
+let carve t ~order (start, block_order) =
   t.blocks <- IntMap.remove start t.blocks;
   (* keep the remainder as aligned blocks of orders order..block_order-1 *)
   for o = order to block_order - 1 do
@@ -35,7 +35,31 @@ let alloc t ~order =
      to 2^order because maximal blocks align to their own size *)
   IntMap.to_seq t.blocks
   |> Seq.find (fun (_, block_order) -> block_order >= order)
-  |> Option.map (claim t ~order)
+  |> Option.map (carve t ~order)
+
+let claim t sub =
+  let start = Sub.first_leaf sub and order = Sub.order sub in
+  match IntMap.find_last_opt (fun s -> s <= start) t.blocks with
+  | Some (s, o) when o >= order && start < s + (1 lsl o) ->
+      t.blocks <- IntMap.remove s t.blocks;
+      (* halve down to [order], freeing each half that misses [sub] *)
+      let rec split s o =
+        if o > order then begin
+          let half = 1 lsl (o - 1) in
+          if start < s + half then begin
+            t.blocks <- IntMap.add (s + half) (o - 1) t.blocks;
+            split s (o - 1)
+          end
+          else begin
+            t.blocks <- IntMap.add s (o - 1) t.blocks;
+            split (s + half) (o - 1)
+          end
+        end
+      in
+      split s o;
+      t.free_pes <- t.free_pes - (1 lsl order);
+      true
+  | Some _ | None -> false
 
 let alloc_best_fit t ~order =
   if order < 0 || order > Pmp_machine.Machine.levels t.m then
@@ -51,7 +75,7 @@ let alloc_best_fit t ~order =
         end)
       t.blocks None
   in
-  Option.map (claim t ~order) best
+  Option.map (carve t ~order) best
 
 let free t sub =
   let start = Sub.first_leaf sub and order = Sub.order sub in

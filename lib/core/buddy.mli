@@ -27,6 +27,13 @@ val alloc_best_fit : t -> order:int -> Pmp_machine.Submachine.t option
     among equally small ones), so large blocks are preserved for large
     requests. Same failure condition as {!alloc}. *)
 
+val claim : t -> Pmp_machine.Submachine.t -> bool
+(** Claim one given submachine, splitting the free block that holds
+    it; [false] (and no change) when some PE of it is already
+    allocated. The free blocks stay maximal, so a copy rebuilt by
+    claiming a set of blocks equals any copy that allocated the same
+    set. *)
+
 val free : t -> Pmp_machine.Submachine.t -> unit
 (** Release a previously allocated submachine.
     @raise Invalid_argument if any PE of it is already vacant. *)

@@ -1,8 +1,9 @@
 module Task = Pmp_workload.Task
 
-let create ?(fit = Copystack.Leftmost) m : Allocator.t =
+let create ?(fit = Copystack.Leftmost) ?state m : Allocator.t =
   let stack = Copystack.create ~fit m in
   let table = Ptable.create 64 in
+  Option.iter (Copystack.restore stack table) state;
   let assign (task : Task.t) =
     if task.size > Pmp_machine.Machine.size m then
       invalid_arg "Copies.assign: task larger than machine";
@@ -27,4 +28,5 @@ let create ?(fit = Copystack.Leftmost) m : Allocator.t =
     remove;
     table;
     realloc_events = (fun () -> 0);
+    export = (fun () -> Allocator.state_of table);
   }

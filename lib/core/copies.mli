@@ -8,6 +8,9 @@
     holds two maximal vacant blocks of the same size, so fragmentation
     is bounded. [A_M] uses this between repacks. *)
 
-val create : ?fit:Copystack.fit -> Pmp_machine.Machine.t -> Allocator.t
+val create :
+  ?fit:Copystack.fit -> ?state:Allocator.state -> Pmp_machine.Machine.t ->
+  Allocator.t
 (** [fit] defaults to [Copystack.Leftmost], the paper's rule;
-    [Best_fit] is the within-copy placement ablation (E10). *)
+    [Best_fit] is the within-copy placement ablation (E10). [?state]
+    resumes an exported allocator (see {!Copystack.restore}). *)

@@ -32,6 +32,33 @@ let alloc t ~order =
   in
   try_copy 0
 
+let occupy t (p : Placement.t) =
+  let n = Array.length t.copies in
+  if p.copy >= n then
+    t.copies <-
+      Array.append t.copies (Array.init (p.copy + 1 - n) (fun _ -> Buddy.create t.m));
+  Buddy.claim t.copies.(p.copy) p.sub
+
+let restore t table (st : Allocator.state) =
+  List.iter
+    (fun ((task : Pmp_workload.Task.t), (p : Placement.t)) ->
+      if not (occupy t p) then begin
+        let clash ((_ : Pmp_workload.Task.t), (q : Placement.t)) =
+          q.copy = p.copy
+          && Pmp_machine.Submachine.(contains q.sub p.sub || contains p.sub q.sub)
+        in
+        let other =
+          match List.find_opt clash (Ptable.to_list table) with
+          | Some (o, _) -> o.Pmp_workload.Task.id
+          | None -> -1
+        in
+        invalid_arg
+          (Printf.sprintf "tasks %d and %d overlap on copy %d" other task.id
+             p.copy)
+      end;
+      Ptable.replace table task p)
+    st.tasks
+
 let trim t =
   (* drop fully vacant copies from the top of the stack, keeping one *)
   let n = ref (Array.length t.copies) in

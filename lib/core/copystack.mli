@@ -25,6 +25,16 @@ val alloc : t -> order:int -> Placement.t
     is too fragmented. Never fails (the stack grows as needed).
     @raise Invalid_argument if [order] exceeds the machine. *)
 
+val restore : t -> Ptable.t -> Allocator.state -> unit
+(** Load an exported state's placements into a fresh stack, each
+    claimed in its copy (the stack grows to reach it), and into the
+    allocator's (empty) table. This reproduces the exporting stack
+    exactly: it never keeps a vacant copy above the highest occupied
+    one, and each copy's free blocks are determined by its allocated
+    ones ({!Buddy.claim}).
+    @raise Invalid_argument naming both tasks when two placements
+    overlap on one copy. *)
+
 val free : t -> Placement.t -> unit
 (** Release a placement previously returned by [alloc].
     @raise Invalid_argument on unknown copies or double frees. *)

@@ -2,9 +2,18 @@ module Task = Pmp_workload.Task
 module Load_view = Pmp_index.Load_view
 module Probe = Pmp_telemetry.Probe
 
-let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) m : Allocator.t =
+let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) ?state m :
+    Allocator.t =
   let loads = Load_view.create ~backend m in
   let table = Ptable.create 64 in
+  Option.iter
+    (fun (st : Allocator.state) ->
+      List.iter
+        (fun (task, (p : Placement.t)) ->
+          Ptable.replace table task p;
+          Load_view.add loads p.sub 1)
+        st.tasks)
+    state;
   let assign (task : Task.t) =
     if task.size > Pmp_machine.Machine.size m then
       invalid_arg "Greedy.assign: task larger than machine";
@@ -30,4 +39,5 @@ let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) m : Allocator.t 
     remove;
     table;
     realloc_events = (fun () -> 0);
+    export = (fun () -> Allocator.state_of table);
   }

@@ -1,9 +1,14 @@
 module Task = Pmp_workload.Task
 
-let create m : Allocator.t =
+let create ?state m : Allocator.t =
   let table = Ptable.create 64 in
   let stack = ref (Copystack.create m) in
   let reallocs = ref 0 in
+  Option.iter
+    (fun (st : Allocator.state) ->
+      Copystack.restore !stack table st;
+      reallocs := st.repacks)
+    state;
   let assign (task : Task.t) =
     if task.size > Pmp_machine.Machine.size m then
       invalid_arg "Optimal.assign: task larger than machine";
@@ -39,4 +44,5 @@ let create m : Allocator.t =
     remove;
     table;
     realloc_events = (fun () -> !reallocs);
+    export = (fun () -> Allocator.state_of ~repacks:!reallocs table);
   }

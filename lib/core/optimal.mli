@@ -9,4 +9,5 @@
     that (almost) every active task may migrate on every arrival, which
     is what the migration-cost experiments quantify. *)
 
-val create : Pmp_machine.Machine.t -> Allocator.t
+val create : ?state:Allocator.state -> Pmp_machine.Machine.t -> Allocator.t
+(** [?state] resumes an exported allocator (see {!Copystack.restore}). *)

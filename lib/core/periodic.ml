@@ -1,11 +1,17 @@
 module Task = Pmp_workload.Task
 module Probe = Pmp_telemetry.Probe
 
-let copy_branch m ~d ~eager ~name ~probe : Allocator.t =
+let copy_branch ?state m ~d ~eager ~name ~probe : Allocator.t =
   let table = Ptable.create 64 in
   let stack = ref (Copystack.create m) in
   let arrived_since_repack = ref 0 in
   let reallocs = ref 0 in
+  Option.iter
+    (fun (st : Allocator.state) ->
+      Copystack.restore !stack table st;
+      arrived_since_repack := st.arrived;
+      reallocs := st.repacks)
+    state;
   let threshold =
     Realloc.threshold_size d ~machine_size:(Pmp_machine.Machine.size m)
   in
@@ -63,13 +69,20 @@ let copy_branch m ~d ~eager ~name ~probe : Allocator.t =
     remove;
     table;
     realloc_events = (fun () -> !reallocs);
+    export =
+      (fun () ->
+        Allocator.state_of ~arrived:!arrived_since_repack ~repacks:!reallocs
+          table);
   }
 
 let create ?(force_copies = false) ?(eager = false) ?(probe = Probe.noop)
-    ?backend m ~d =
+    ?backend ?state m ~d =
   let name = Printf.sprintf "periodic(d=%s)" (Realloc.to_string d) in
   if (not force_copies) && Realloc.exceeds_greedy_threshold d m then
-    { (Greedy.create ~probe ?backend m) with Allocator.name = name ^ "=greedy" }
+    {
+      (Greedy.create ~probe ?backend ?state m) with
+      Allocator.name = name ^ "=greedy";
+    }
   else
-    copy_branch m ~d ~eager ~probe
+    copy_branch ?state m ~d ~eager ~probe
       ~name:(if eager then name ^ ",eager" else name)

@@ -39,9 +39,12 @@ val create :
   ?eager:bool ->
   ?probe:Pmp_telemetry.Probe.t ->
   ?backend:Pmp_index.Load_view.backend ->
+  ?state:Allocator.state ->
   Pmp_machine.Machine.t ->
   d:Realloc.t ->
   Allocator.t
 (** [?probe] (default {!Pmp_telemetry.Probe.noop}) receives one
     [record_repack] per reallocation event, attributing repack
-    wall-clock and burst size at the source. *)
+    wall-clock and burst size at the source. [?state] resumes an
+    exported allocator of the same branch: its placements, the arrival
+    volume since the last repack and the repack count. *)

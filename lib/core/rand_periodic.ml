@@ -5,6 +5,9 @@ let create ?probe ?backend m ~rng ~d =
     let slots = Sub.count_at_order m order in
     Sub.make m ~order ~index:(Pmp_prng.Splitmix64.int rng slots)
   in
-  Repacking.create ?probe ?backend m
-    ~name:(Printf.sprintf "rand-periodic(d=%s)" (Realloc.to_string d))
-    ~d ~choose
+  let name = Printf.sprintf "rand-periodic(d=%s)" (Realloc.to_string d) in
+  (* the skeleton's export cannot see [rng] *)
+  {
+    (Repacking.create ?probe ?backend m ~name ~d ~choose) with
+    Allocator.export = Allocator.no_export name;
+  }

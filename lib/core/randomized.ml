@@ -1,8 +1,12 @@
 module Task = Pmp_workload.Task
 module Sub = Pmp_machine.Submachine
 
-let create m ~rng : Allocator.t =
+let create ?state m ~rng : Allocator.t =
   let table = Ptable.create 64 in
+  Option.iter
+    (fun (st : Allocator.state) ->
+      List.iter (fun (task, p) -> Ptable.replace table task p) st.tasks)
+    state;
   let assign (task : Task.t) =
     if task.size > Pmp_machine.Machine.size m then
       invalid_arg "Randomized.assign: task larger than machine";
@@ -25,4 +29,6 @@ let create m ~rng : Allocator.t =
     remove;
     table;
     realloc_events = (fun () -> 0);
+    export =
+      (fun () -> Allocator.state_of ~rng:(Pmp_prng.Splitmix64.state rng) table);
   }

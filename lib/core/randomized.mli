@@ -8,4 +8,10 @@
     deterministic no-reallocation algorithm (Theorem 4.3 forces those
     to [ceil ((log N + 1)/2) * L*]). *)
 
-val create : Pmp_machine.Machine.t -> rng:Pmp_prng.Splitmix64.t -> Allocator.t
+val create :
+  ?state:Allocator.state ->
+  Pmp_machine.Machine.t ->
+  rng:Pmp_prng.Splitmix64.t ->
+  Allocator.t
+(** [export] records [rng]'s state; to resume, pass the exported state
+    as [?state] together with [Splitmix64.of_state state.rng]. *)

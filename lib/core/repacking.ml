@@ -2,13 +2,24 @@ module Task = Pmp_workload.Task
 module Load_view = Pmp_index.Load_view
 module Probe = Pmp_telemetry.Probe
 
-let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) m ~name ~d
-    ~choose : Allocator.t =
+let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) ?state m ~name
+    ~d ~choose : Allocator.t =
   let table = Ptable.create 64 in
   let loads = Load_view.create ~backend m in
   let active_size = ref 0 in
   let arrived_since_repack = ref 0 in
   let reallocs = ref 0 in
+  Option.iter
+    (fun (st : Allocator.state) ->
+      List.iter
+        (fun ((task : Task.t), (p : Placement.t)) ->
+          Ptable.replace table task p;
+          Load_view.add loads p.sub 1;
+          active_size := !active_size + task.size)
+        st.tasks;
+      arrived_since_repack := st.arrived;
+      reallocs := st.repacks)
+    state;
   let n = Pmp_machine.Machine.size m in
   let threshold = Realloc.threshold_size d ~machine_size:n in
   let repack_all () =
@@ -75,4 +86,8 @@ let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) m ~name ~d
     remove;
     table;
     realloc_events = (fun () -> !reallocs);
+    export =
+      (fun () ->
+        Allocator.state_of ~arrived:!arrived_since_repack ~repacks:!reallocs
+          table);
   }

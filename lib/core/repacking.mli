@@ -19,6 +19,7 @@
 val create :
   ?probe:Pmp_telemetry.Probe.t ->
   ?backend:Pmp_index.Load_view.backend ->
+  ?state:Allocator.state ->
   Pmp_machine.Machine.t ->
   name:string ->
   d:Realloc.t ->
@@ -27,4 +28,6 @@ val create :
 (** [choose loads ~order] must return a submachine of size [2{^order}]
     inside the machine; the skeleton handles everything else. [?probe]
     (default {!Pmp_telemetry.Probe.noop}) receives one [record_repack]
-    per reallocation event. *)
+    per reallocation event. [?state] resumes an exported allocator
+    built with the same [d] and [choose]. [export] does not capture
+    state [choose] keeps for itself (a PRNG, say). *)

@@ -7,6 +7,7 @@ module Allocator = Pmp_core.Allocator
 module Placement = Pmp_core.Placement
 module Mirror = Pmp_core.Mirror
 module Realloc = Pmp_core.Realloc
+module Ptable = Pmp_core.Ptable
 
 type load_bound =
   | Exact
@@ -57,16 +58,25 @@ module Observer = struct
   }
 
   let create spec (alloc : Allocator.t) =
+    let machine = alloc.Allocator.machine in
+    let mirror = Mirror.create machine in
+    let full_ids = Hashtbl.create 8 in
+    Ptable.fold
+      (fun ((task : Task.t), p) () ->
+        Mirror.apply_assign mirror task { Allocator.placement = p; moves = [] };
+        if task.Task.size = Machine.size machine then
+          Hashtbl.replace full_ids task.Task.id ())
+      alloc.Allocator.table ();
     {
       spec;
       alloc;
-      mirror = Mirror.create alloc.Allocator.machine;
-      n = Machine.size alloc.Allocator.machine;
+      mirror;
+      n = Machine.size machine;
       step = -1;
-      peak_size = 0;
-      peak_load = 0;
-      full_ids = Hashtbl.create 8;
-      full_peak = 0;
+      peak_size = Mirror.active_size mirror;
+      peak_load = Mirror.max_load mirror;
+      full_ids;
+      full_peak = Hashtbl.length full_ids;
       last_reallocs = alloc.Allocator.realloc_events ();
       arrived_since_repack = 0;
     }

@@ -81,7 +81,16 @@ module Observer : sig
   type t
 
   val create : spec -> Pmp_core.Allocator.t -> t
-  (** Fresh observer for a {e fresh} allocator (no tasks active yet). *)
+  (** An observer for the allocator as it stands. For a fresh
+      allocator that is a fresh observer. For one resumed from an
+      exported {!Pmp_core.Allocator.state}, the observer resumes too:
+      its mirror starts from the allocator's placement table, and the
+      running peaks ([L*]'s active size, the load, the full-machine
+      count) from their current values, and the budget count from
+      zero. Those stand in for a history the observer never saw, so a
+      load-bound or budget spec may flag what that history would have
+      justified; {!structural_only}, which the daemon's recovery audit
+      uses, reads none of them. *)
 
   val observe_assign :
     t ->

@@ -9,6 +9,8 @@ let mix z =
 
 let create seed = { state = Int64.of_int seed }
 let copy t = { state = t.state }
+let state t = t.state
+let of_state state = { state }
 
 let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;

@@ -17,6 +17,13 @@ val create : int -> t
 val copy : t -> t
 (** Independent copy with identical current state. *)
 
+val state : t -> int64
+(** The whole current state, for externalising a generator. *)
+
+val of_state : int64 -> t
+(** A generator resuming from a {!state}: its stream continues exactly
+    where the exported generator's did. *)
+
 val split : t -> t
 (** [split t] draws from [t] and returns a new generator whose stream is
     (statistically) independent of the continuation of [t]. *)

@@ -1,6 +1,5 @@
 module Cluster = Pmp_cluster.Cluster
 module Metrics = Pmp_telemetry.Metrics
-module Event = Pmp_workload.Event
 module Sharding = Pmp_util.Sharding
 module Spsc = Pmp_util.Spsc
 
@@ -51,6 +50,7 @@ type instruments = {
   c_connections : Metrics.Counter.t;
   c_fsyncs : Metrics.Counter.t;
   c_snapshots : Metrics.Counter.t;
+  c_snapshot_failures : Metrics.Counter.t;
   c_recoveries : Metrics.Counter.t;
   c_recovered_ops : Metrics.Counter.t;
   s_recovery : Metrics.Span.t;
@@ -162,6 +162,8 @@ let make_instruments reg ~shard =
     c_connections = counter ~help:"Connections accepted" "pmpd_connections_total";
     c_fsyncs = counter ~help:"WAL fsyncs" "pmpd_fsync_total";
     c_snapshots = counter ~help:"Snapshots written" "pmpd_snapshots_total";
+    c_snapshot_failures =
+      counter ~help:"Snapshot writes that failed" "pmpd_snapshot_failures_total";
     c_recoveries =
       counter ~help:"Startups that replayed durable state" "pmpd_recoveries_total";
     c_recovered_ops =
@@ -236,7 +238,8 @@ type t = {
           storage, so the fast path encodes without allocating *)
   cur : Wire.cursor;  (** reusable varint decode position, same idea *)
   mutable seq : int;  (** durable mutation count since genesis *)
-  mutable snap_seq : int;  (** seq covered by the latest snapshot *)
+  mutable snap_tried : int;
+      (** seq at the last periodic snapshot attempt, failed or not *)
   mutable fresh_mutations : int;  (** accepted by this process *)
   mutable crash_armed : bool;
       (** crash injection tripped; fires after the covering commit *)
@@ -344,67 +347,29 @@ let rec mkdir_p dir =
     with Unix.Unix_error (EEXIST, _, _) -> ()
   end
 
-let build_allocator policy machine =
-  match (policy : Cluster.policy) with
-  | Cluster.Greedy -> Pmp_core.Greedy.create machine
-  | Cluster.Copies -> Pmp_core.Copies.create machine
-  | Cluster.Optimal -> Pmp_core.Optimal.create machine
-  | Cluster.Periodic d -> Pmp_core.Periodic.create machine ~d
-  | Cluster.Hybrid d -> Pmp_core.Hybrid.create machine ~d
-  | Cluster.Randomized seed ->
-      Pmp_core.Randomized.create machine ~rng:(Pmp_prng.Splitmix64.create seed)
-
-(* Bit-for-bit behavioural equality of two clusters: stats, loads,
-   queue, id counter, and the placement of every task either side has
-   ever admitted. *)
+(* Bit-for-bit behavioural equality of two clusters: stats, loads and
+   the exported state — counters, queue, every live placement and the
+   allocator's scalars. *)
 let same_state a b =
-  let arrived c =
-    List.filter_map
-      (function Event.Arrive task -> Some task.Pmp_workload.Task.id | _ -> None)
-      (Cluster.events c)
-  in
   if Cluster.stats a <> Cluster.stats b then Error "stats differ"
   else if Cluster.leaf_loads a <> Cluster.leaf_loads b then Error "loads differ"
-  else if Cluster.queued_tasks a <> Cluster.queued_tasks b then
-    Error "queues differ"
-  else if Cluster.next_id a <> Cluster.next_id b then Error "next ids differ"
-  else begin
-    let mismatch =
-      List.find_opt
-        (fun id ->
-          match (Cluster.placement a id, Cluster.placement b id) with
-          | None, None -> false
-          | Some p, Some q -> not (Pmp_core.Placement.equal p q)
-          | _ -> true)
-        (arrived a @ arrived b)
-    in
-    match mismatch with
-    | None -> Ok ()
-    | Some id -> Error (Printf.sprintf "placement of task %d differs" id)
-  end
+  else if Cluster.export a <> Cluster.export b then
+    Error "queues, placements or allocator scalars differ"
+  else Ok ()
 
-(* The recovered state must prove itself: the history passes the
-   structural conformance oracle with a fresh allocator, and a fresh
-   replay of the externalised state reproduces the cluster exactly. *)
-let verify_cluster ~machine_size ~policy ~admission_cap cluster =
-  let machine = Pmp_machine.Machine.create machine_size in
-  let make () = build_allocator policy machine in
-  let* () =
-    match
-      Pmp_oracle.Oracle.run Pmp_oracle.Oracle.structural_only ~make
-        (Cluster.history cluster)
-    with
-    | Ok () -> Ok ()
-    | Error v ->
-        Error
-          (Format.asprintf "recovered history fails the oracle: %a"
-             Pmp_oracle.Oracle.pp_violation v)
-  in
-  let snap = Snapshot.of_cluster ~seq:0 ~admission_cap cluster in
-  let* replayed = Snapshot.restore snap in
-  match same_state cluster replayed with
-  | Ok () -> Ok ()
-  | Error e -> Error ("recovered state diverges from a fresh replay: " ^ e)
+(* The recovered state must prove itself beyond the import's structural
+   checks: exported, encoded, decoded and imported again it gives the
+   same bytes, and the re-import — whose loads are recomputed from the
+   placements — equals the running cluster. *)
+let verify_cluster ~seq ~admission_cap cluster =
+  let bytes = Snapshot.encode (Snapshot.of_cluster ~seq ~admission_cap cluster) in
+  let* again = Result.bind (Snapshot.decode bytes) Snapshot.restore in
+  if Snapshot.encode (Snapshot.of_cluster ~seq ~admission_cap again) <> bytes then
+    Error "recovered state does not survive an export/import round trip"
+  else
+    Result.map_error
+      (fun e -> "recovered state diverges from its re-import: " ^ e)
+      (same_state cluster again)
 
 let apply_op cluster (op : Wal.op) =
   match op with
@@ -423,6 +388,17 @@ let apply_op cluster (op : Wal.op) =
       | Error e -> Error (Printf.sprintf "wal finish of task %d rejected: %s" id e))
 
 let recover config recorder =
+  let* () =
+    match Snapshot.legacy ~dir:config.dir with
+    | None -> Ok ()
+    | Some path ->
+        Error
+          (Printf.sprintf
+             "%s is a JSON snapshot from pmp 1.7 or earlier, which held the \
+              event history; this version keeps only the live state and \
+              cannot recover it; serve a fresh --dir"
+             path)
+  in
   let* snap =
     match Snapshot.latest ~dir:config.dir with
     | None -> Ok None
@@ -446,11 +422,17 @@ let recover config recorder =
         else if s.Snapshot.admission_cap <> config.admission_cap then
           Error "snapshot admission cap does not match the configuration"
         else
-          let* c = Snapshot.restore s in
+          let* c =
+            Result.map_error (fun e -> "snapshot refused: " ^ e)
+              (Snapshot.restore s)
+          in
           Ok (c, s.Snapshot.seq)
   in
   let* records = Wal.load (Filename.concat config.dir "wal.log") in
   let tail = List.filter (fun (seq, _) -> seq > snap_seq) records in
+  (* the imported state passed its structural checks; what the WAL
+     tail does to it is audited as it is replayed *)
+  Cluster.start_audit cluster Pmp_oracle.Oracle.structural_only;
   let* last_seq =
     List.fold_left
       (fun acc (seq, op) ->
@@ -472,8 +454,13 @@ let recover config recorder =
       (Ok snap_seq) tail
   in
   let* () =
-    verify_cluster ~machine_size:config.machine_size ~policy:config.policy
-      ~admission_cap:config.admission_cap cluster
+    Result.map_error
+      (Format.asprintf "recovered WAL tail fails the oracle: %a"
+         Pmp_oracle.Oracle.pp_violation)
+      (Cluster.finish_audit cluster)
+  in
+  let* () =
+    verify_cluster ~seq:last_seq ~admission_cap:config.admission_cap cluster
   in
   Ok (cluster, last_seq, snap_seq, List.length tail, snap <> None)
 
@@ -510,6 +497,9 @@ let create_core config ~shard ~k ~mesh =
       Recorder.dump recorder (Filename.concat config.dir "flightrec.jsonl");
       Error e
   | Ok (cluster, seq, snap_seq, replayed, had_snapshot) ->
+      (* what a crash left behind: a [.tmp] from an interrupted save,
+         a snapshot superseded before its prune ran *)
+      Snapshot.prune ~dir:config.dir ~keep:snap_seq;
       let reg = Metrics.Registry.create () in
       let ins = make_instruments reg ~shard:(Option.map (fun _ -> shard) mesh) in
       if replayed > 0 || had_snapshot then begin
@@ -531,7 +521,7 @@ let create_core config ~shard ~k ~mesh =
           scratch = Buffer.create 256;
           cur = { Wire.pos = 0 };
           seq;
-          snap_seq;
+          snap_tried = snap_seq;
           fresh_mutations = 0;
           crash_armed = false;
           last_fsync = Unix.gettimeofday ();
@@ -592,6 +582,7 @@ let check_layout dir ~k =
   in
   let history () =
     Snapshot.latest ~dir <> None
+    || Snapshot.legacy ~dir <> None
     ||
     match Unix.stat (Filename.concat dir "wal.log") with
     | st -> st.Unix.st_size > 0
@@ -743,8 +734,17 @@ let pause t m spins =
 (* ------------------------------------------------------------------ *)
 (* committing                                                          *)
 
+(* A failed attempt leaves the WAL whole, so nothing is lost; the next
+   periodic attempt waits another [snapshot_every] mutations rather
+   than retrying on every one. *)
 let snapshot_now t =
   let t0 = Unix.gettimeofday () in
+  t.snap_tried <- t.seq;
+  let failed e =
+    Metrics.Counter.incr t.ins.c_snapshot_failures;
+    Printf.eprintf "pmpd: snapshot at seq %d failed: %s\n%!" t.seq e;
+    Error e
+  in
   match
     Snapshot.save ~dir:t.config.dir
       (Snapshot.of_cluster ~seq:t.seq ~admission_cap:t.config.admission_cap
@@ -756,13 +756,12 @@ let snapshot_now t =
          can go *)
       Wal.reset t.wal;
       Snapshot.prune ~dir:t.config.dir ~keep:t.seq;
-      t.snap_seq <- t.seq;
       Metrics.Counter.incr t.ins.c_snapshots;
       Metrics.Span.add t.ins.s_snapshot (Unix.gettimeofday () -. t0);
       Ok path
-  | exception Sys_error e -> Error e
+  | exception Sys_error e -> failed e
   | exception Unix.Unix_error (err, fn, _) ->
-      Error (fn ^ ": " ^ Unix.error_message err)
+      failed (fn ^ ": " ^ Unix.error_message err)
 
 let observe_group t =
   let n = Wal.pending_records t.wal in
@@ -781,7 +780,7 @@ let after_mutation t =
   Metrics.Counter.incr t.ins.c_mutations;
   if
     t.config.snapshot_every > 0
-    && t.seq - t.snap_seq >= t.config.snapshot_every
+    && t.seq - t.snap_tried >= t.config.snapshot_every
   then ignore (snapshot_now t);
   let crash_due =
     match t.config.crash_after with

@@ -18,15 +18,38 @@
     stable storage at a per-batch (not per-record) fsync cost;
     [Always] forces every record individually, [Interval] trades the
     tail of an interval for even fewer fsyncs, [Never] leaves
-    durability to the OS. On startup, {!create} loads the latest
-    snapshot, replays the WAL tail on top of it, cross-checks every
-    replayed submission against the id the original run acknowledged,
-    and then audits the whole recovered state: the event history must
-    pass the structural conformance oracle with a fresh allocator, and
-    an independent {!Pmp_cluster.Cluster.restore} replay of the
-    recovered state must reproduce the same loads, stats and
-    placements bit for bit. A recovery that cannot prove itself equal
-    to the uninterrupted execution refuses to start.
+    durability to the OS.
+
+    {b Recovery.} Snapshots hold the cluster's O(live) state, not its
+    history (see {!Snapshot}), so recovery costs O(live tasks + WAL
+    tail) however long the daemon ran. On startup, {!create}:
+    - refuses a JSON snapshot left by pmp 1.7 or earlier, by name;
+    - loads the latest snapshot, verifies its checksum and imports it
+      with {!Pmp_cluster.Cluster.import}, whose structural checks
+      (sizes, alignment, placements inside the machine and of their
+      task's size, copy-stack disjointness, distinct ids below the
+      next id, balanced counters) refuse a state no execution could
+      have reached;
+    - replays the WAL tail, cross-checking every replayed submission
+      against the id the original run acknowledged, while the
+      structural conformance oracle — an observer resumed from the
+      imported placements — audits every allocator decision the tail
+      causes;
+    - checks the recovered state round-trips: exported, encoded,
+      decoded and imported again it gives the same bytes, and the
+      re-import, whose loads are recomputed from the placements,
+      equals the running cluster under {!same_state}.
+    What it no longer re-checks is the history before the snapshot:
+    the oracle judges only the tail, and the snapshot's prefix is
+    vouched for by its checksum and the structural checks. A recovery
+    that fails any step refuses to start.
+
+    {b Snapshots} are taken every [snapshot_every] mutations and on a
+    [snapshot] request. One that fails is counted in
+    [pmpd_snapshot_failures_total], leaves the WAL whole, and is tried
+    again only after another [snapshot_every] mutations; stray
+    [snapshot-*.tmp] files go at startup and with the next successful
+    snapshot.
 
     {b Hot path.} Binary-framed requests ({!Wire.request_magic} first
     byte) are decoded straight out of the connection's input buffer
@@ -148,19 +171,23 @@ val seq : t -> int
     number of its WAL). *)
 
 val recovered_ops : t -> int
-(** WAL records this core's {!create} replayed (0 on a fresh start). *)
+(** WAL records this core's {!create} replayed (0 on a fresh start):
+    the tail after the latest snapshot, so below [snapshot_every]
+    while periodic snapshots succeed. *)
 
 val same_state : Pmp_cluster.Cluster.t -> Pmp_cluster.Cluster.t -> (unit, string) result
 (** Bit-for-bit behavioural equality of two clusters — stats, loads,
-    queue, id counter and every admitted task's placement. This is the
-    relation recovery is verified under (and the one the
+    queue, id counter, every live task's placement and the allocator's
+    scalars (arrivals since the last repack, repack count, PRNG
+    state): equal clusters answer every later request alike. This is
+    the relation recovery is verified under (and the one the
     crash-recovery tests assert). *)
 
 val registry : t -> Pmp_telemetry.Metrics.Registry.t
 val metrics : t -> string
 (** Prometheus dump of this core's registry: requests, mutations,
-    batches, group sizes, connections, fsyncs, snapshots, recoveries
-    and spans, plus the SLO gauges — [pmpd_wal_lag] (records written
+    batches, group sizes, connections, fsyncs, snapshots (and failed
+    ones), recoveries and spans, plus the SLO gauges — [pmpd_wal_lag] (records written
     but not yet known durable) and [pmpd_p99_load_ratio] (rolling p99
     of max-load over optimal) — and, when timing is on, per-opcode
     [pmpd_request_seconds{op=...}] and per-stage
@@ -179,9 +206,9 @@ val dump_recorder : t -> string
 (** Dump the flight recorder to {!flightrec_path} now (truncating any
     previous dump); returns the path. {!serve} does this on SIGUSR1
     and on any abnormal exit — crash injection included — and
-    {!create} does it when recovery fails, so a refused startup (an
-    oracle violation, a WAL gap, a divergent replay) leaves its black
-    box behind. *)
+    {!create} does it when recovery fails, so a refused startup (a
+    refused snapshot, an oracle violation, a WAL gap, a failed round
+    trip) leaves its black box behind. *)
 
 val request_dump : t -> string
 (** Alias of {!dump_recorder} — the deterministic, signal-free way for
@@ -232,7 +259,9 @@ val commit : t -> unit
 
 val snapshot_now : t -> (string, string) result
 (** Write a snapshot of this core covering everything it applied so far
-    and rotate its WAL; returns the path written. *)
+    and rotate its WAL; returns the path written. An error is counted
+    in [pmpd_snapshot_failures_total] and leaves the WAL untouched; the
+    next periodic attempt comes [snapshot_every] mutations later. *)
 
 val close : t -> unit
 (** Flush and fsync every core's WAL, then close it (no implicit final

@@ -1,18 +1,15 @@
-module Json = Pmp_util.Json
 module Cluster = Pmp_cluster.Cluster
-module Event = Pmp_workload.Event
+module Allocator = Pmp_core.Allocator
 module Realloc = Pmp_core.Realloc
+module Sub = Pmp_machine.Submachine
+module Task = Pmp_workload.Task
 
 type t = {
   seq : int;
   machine_size : int;
   policy : Cluster.policy;
   admission_cap : float option;
-  next_id : int;
-  submitted : int;
-  completed : int;
-  events : Event.t list;
-  queued : (int * int) list;
+  state : Cluster.state;
 }
 
 let d_to_string = function
@@ -56,116 +53,186 @@ let policy_of_string s =
   | _ -> Error (Printf.sprintf "unknown policy %S" s)
 
 let of_cluster ~seq ~admission_cap cluster =
-  let stats = Cluster.stats cluster in
   {
     seq;
     machine_size = Cluster.machine_size cluster;
     policy = Cluster.policy cluster;
     admission_cap;
-    next_id = Cluster.next_id cluster;
-    submitted = stats.Cluster.submitted;
-    completed = stats.Cluster.completed;
-    events = Cluster.events cluster;
-    queued = Cluster.queued_tasks cluster;
+    state = Cluster.export cluster;
   }
 
 let restore t =
-  Cluster.restore ~machine_size:t.machine_size ~policy:t.policy
-    ~admission_cap:t.admission_cap ~events:t.events ~queued:t.queued
-    ~next_id:t.next_id ~submitted:t.submitted ~completed:t.completed ()
+  Cluster.import ~machine_size:t.machine_size ~policy:t.policy
+    ~admission_cap:t.admission_cap t.state
 
-let num n = Json.Num (float_of_int n)
+(* ------------------------------------------------------------------ *)
+(* the binary record                                                   *)
 
-let to_json t =
-  Json.Obj
-    [
-      ("format", num 1);
-      ("seq", num t.seq);
-      ("machine_size", num t.machine_size);
-      ("policy", Json.Str (policy_to_string t.policy));
-      ( "admission_cap",
-        match t.admission_cap with None -> Json.Null | Some c -> Json.Num c );
-      ("next_id", num t.next_id);
-      ("submitted", num t.submitted);
-      ("completed", num t.completed);
-      ( "events",
-        Json.Arr (List.map (fun e -> Json.Str (Event.to_string e)) t.events) );
-      ( "queued",
-        Json.Arr
-          (List.map (fun (id, size) -> Json.Arr [ num id; num size ]) t.queued)
-      );
-    ]
+(* "PMPS", a version byte, the body as Wire varints (two int64s raw,
+   little-endian), then the MD5 of everything before it. *)
+let magic = "PMPS"
+let format_version = 1
+let digest_len = 16
 
-let int_field v name =
-  match Option.bind (Json.member name v) Json.to_int with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "missing integer field %S" name)
+let encode t =
+  let b = Buffer.create 256 in
+  let v = Wire.add_varint b in
+  Buffer.add_string b magic;
+  Buffer.add_char b (Char.chr format_version);
+  v t.seq;
+  v t.machine_size;
+  let policy = policy_to_string t.policy in
+  v (String.length policy);
+  Buffer.add_string b policy;
+  (match t.admission_cap with
+  | None -> v 0
+  | Some cap ->
+      v 1;
+      Buffer.add_int64_le b (Int64.bits_of_float cap));
+  let st = t.state in
+  List.iter v
+    [ st.next_id; st.submitted; st.completed; st.peak_load; st.tasks_migrated ];
+  v st.alloc.Allocator.arrived;
+  v st.alloc.Allocator.repacks;
+  Buffer.add_int64_le b st.alloc.Allocator.rng;
+  v (List.length st.queued);
+  List.iter
+    (fun (id, size) ->
+      v id;
+      v size)
+    st.queued;
+  (* ascending ids go as gaps, one byte each under steady churn *)
+  v (List.length st.alloc.Allocator.tasks);
+  ignore
+    (List.fold_left
+       (fun prev ((task : Task.t), (p : Pmp_core.Placement.t)) ->
+         v (task.id - prev);
+         v task.size;
+         v p.copy;
+         v (Sub.first_leaf p.sub);
+         task.id)
+       (-1) st.alloc.Allocator.tasks);
+  Buffer.add_string b (Digest.string (Buffer.contents b));
+  Buffer.contents b
 
-let of_json v =
-  let* seq = int_field v "seq" in
-  let* machine_size = int_field v "machine_size" in
-  let* policy =
-    match Option.bind (Json.member "policy" v) Json.to_str with
-    | Some s -> policy_of_string s
-    | None -> Error "missing string field \"policy\""
+exception Bad of string
+
+let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
+
+let decode_body s limit =
+  let pos = ref (String.length magic + 1) in
+  let int () =
+    let n, p = Wire.get_varint_string s !pos limit in
+    pos := p;
+    n
   in
-  let* admission_cap =
-    match Json.member "admission_cap" v with
-    | Some Json.Null | None -> Ok None
-    | Some (Json.Num c) -> Ok (Some c)
-    | Some _ -> Error "bad admission_cap"
+  let int64 () =
+    if !pos + 8 > limit then bad "truncated";
+    let x = String.get_int64_le s !pos in
+    pos := !pos + 8;
+    x
   in
-  let* next_id = int_field v "next_id" in
-  let* submitted = int_field v "submitted" in
-  let* completed = int_field v "completed" in
-  let* events =
-    match Option.bind (Json.member "events" v) Json.to_list with
-    | None -> Error "missing array field \"events\""
-    | Some elems ->
-        List.fold_left
-          (fun acc e ->
-            let* acc = acc in
-            match Json.to_str e with
-            | None -> Error "non-string event"
-            | Some s ->
-                let* ev = Event.of_string s in
-                Ok (ev :: acc))
-          (Ok []) elems
-        |> Result.map List.rev
+  let count () =
+    (* entries take at least a byte each: a larger count is corrupt,
+       and is refused before anything is allocated for it *)
+    let n = int () in
+    if n < 0 || n > limit - !pos then bad "bad entry count %d" n;
+    n
   in
-  let* queued =
-    match Option.bind (Json.member "queued" v) Json.to_list with
-    | None -> Error "missing array field \"queued\""
-    | Some elems ->
-        List.fold_left
-          (fun acc e ->
-            let* acc = acc in
-            match e with
-            | Json.Arr [ id; size ] -> (
-                match (Json.to_int id, Json.to_int size) with
-                | Some id, Some size -> Ok ((id, size) :: acc)
-                | _ -> Error "non-integer queued entry")
-            | _ -> Error "bad queued entry")
-          (Ok []) elems
-        |> Result.map List.rev
+  let seq = int () in
+  let machine_size = int () in
+  let policy_len = count () in
+  let policy =
+    match policy_of_string (String.sub s !pos policy_len) with
+    | Ok p ->
+        pos := !pos + policy_len;
+        p
+    | Error e -> bad "%s" e
   in
-  Ok
-    {
-      seq;
-      machine_size;
-      policy;
-      admission_cap;
-      next_id;
-      submitted;
-      completed;
-      events;
-      queued;
-    }
+  let admission_cap =
+    match int () with
+    | 0 -> None
+    | 1 -> Some (Int64.float_of_bits (int64 ()))
+    | n -> bad "bad admission cap tag %d" n
+  in
+  let next_id = int () in
+  let submitted = int () in
+  let completed = int () in
+  let peak_load = int () in
+  let tasks_migrated = int () in
+  let arrived = int () in
+  let repacks = int () in
+  let rng = int64 () in
+  let queued =
+    List.init (count ()) (fun _ ->
+        let id = int () in
+        let size = int () in
+        (id, size))
+  in
+  (* only what a (task, placement) pair cannot represent is checked
+     here; Allocator.check_state judges the rest *)
+  let prev = ref (-1) in
+  let tasks =
+    List.init (count ()) (fun _ ->
+        let id = !prev + int () in
+        let size = int () in
+        let copy = int () in
+        let first_leaf = int () in
+        prev := id;
+        if not (Pmp_util.Pow2.is_pow2 size) then
+          bad "task %d has size %d, not a power of two" id size;
+        if first_leaf land (size - 1) <> 0 then
+          bad "task %d of size %d is placed at leaf %d, not aligned to its size"
+            id size first_leaf;
+        let order = Pmp_util.Pow2.ilog2 size in
+        ( { Task.id; size },
+          { Pmp_core.Placement.copy; sub = { Sub.order; index = first_leaf asr order } } ))
+  in
+  if !pos <> limit then bad "%d trailing bytes" (limit - !pos);
+  {
+    seq;
+    machine_size;
+    policy;
+    admission_cap;
+    state =
+      {
+        Cluster.next_id;
+        submitted;
+        completed;
+        peak_load;
+        tasks_migrated;
+        queued;
+        alloc = { Allocator.tasks; arrived; repacks; rng };
+      };
+  }
 
-let file_of_seq seq = Printf.sprintf "snapshot-%010d.json" seq
+let decode s =
+  let n = String.length s in
+  let header = String.length magic + 1 in
+  if n < header + digest_len || String.sub s 0 (String.length magic) <> magic
+  then Error "not a pmp snapshot"
+  else if Char.code s.[String.length magic] <> format_version then
+    Error
+      (Printf.sprintf "unsupported snapshot format version %d"
+         (Char.code s.[String.length magic]))
+  else begin
+    let limit = n - digest_len in
+    if Digest.substring s 0 limit <> String.sub s limit digest_len then
+      Error "checksum mismatch: the snapshot is corrupt"
+    else
+      match decode_body s limit with
+      | t -> Ok t
+      | exception Bad m -> Error m
+      | exception Wire.Corrupt m -> Error m
+  end
+
+(* ------------------------------------------------------------------ *)
+(* files                                                               *)
+
+let file_of_seq seq = Printf.sprintf "snapshot-%010d.bin" seq
 
 let seq_of_file name =
-  match Scanf.sscanf_opt name "snapshot-%d.json%!" Fun.id with
+  match Scanf.sscanf_opt name "snapshot-%d.bin%!" Fun.id with
   | Some seq when name = file_of_seq seq -> Some seq
   | _ -> None
 
@@ -180,42 +247,56 @@ let fsync_dir dir =
 let save ~dir t =
   let path = Filename.concat dir (file_of_seq t.seq) in
   let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Json.to_string ~indent:2 (to_json t));
-      output_char oc '\n';
-      flush oc;
-      Unix.fsync (Unix.descr_of_out_channel oc));
-  Sys.rename tmp path;
+  let oc = open_out_bin tmp in
+  (try
+     Fun.protect
+       ~finally:(fun () -> close_out_noerr oc)
+       (fun () ->
+         output_string oc (encode t);
+         flush oc;
+         Unix.fsync (Unix.descr_of_out_channel oc));
+     Sys.rename tmp path
+   with e ->
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
   fsync_dir dir;
   path
 
 let load path =
-  match Json.of_file path with
-  | v -> of_json v
-  | exception Json.Parse_error e -> Error ("bad snapshot json: " ^ e)
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> Result.map_error (fun e -> path ^ ": " ^ e) (decode s)
   | exception Sys_error e -> Error e
 
+let entries dir = try Sys.readdir dir with Sys_error _ -> [||]
+
 let latest ~dir =
-  if not (Sys.file_exists dir) then None
-  else
-    Array.fold_left
-      (fun best name ->
-        match seq_of_file name with
-        | Some seq when (match best with None -> true | Some (_, s) -> seq > s)
-          ->
-            Some (Filename.concat dir name, seq)
-        | _ -> best)
-      None (Sys.readdir dir)
+  Array.fold_left
+    (fun best name ->
+      match seq_of_file name with
+      | Some seq when (match best with None -> true | Some (_, s) -> seq > s)
+        ->
+          Some (Filename.concat dir name, seq)
+      | _ -> best)
+    None (entries dir)
+
+let legacy ~dir =
+  Array.find_map
+    (fun name ->
+      match Scanf.sscanf_opt name "snapshot-%d.json%!" Fun.id with
+      | Some _ -> Some (Filename.concat dir name)
+      | None -> None)
+    (entries dir)
 
 let prune ~dir ~keep =
   Array.iter
     (fun name ->
-      match seq_of_file name with
-      | Some seq when seq < keep -> (
-          (* one that cannot be removed only wastes space *)
-          try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-      | Some _ | None -> ())
-    (Sys.readdir dir)
+      let stale =
+        match seq_of_file name with
+        | Some seq -> seq < keep
+        | None ->
+            String.starts_with ~prefix:"snapshot-" name
+            && Filename.check_suffix name ".tmp"
+      in
+      (* one that cannot be removed only wastes space *)
+      if stale then try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+    (entries dir)

@@ -121,33 +121,34 @@ let test_migration_accounting () =
   Alcotest.(check bool) "reallocs counted" true (s.Cluster.reallocations > 0);
   Alcotest.(check int) "stayed optimal" 1 s.Cluster.max_load
 
-let test_history_replay () =
-  (* record a session, then replay it against a different policy *)
-  let t = make ~policy:Cluster.Greedy 16 in
-  let ids = List.init 8 (fun i -> fst (submit_placed t (1 lsl (i mod 3)))) in
-  List.iteri (fun i id -> if i mod 2 = 0 then ignore (Cluster.finish t id)) ids;
-  let history = Cluster.history t in
-  Alcotest.(check int) "8 arrivals" 8
-    (Pmp_workload.Sequence.num_arrivals history);
-  Alcotest.(check int) "12 events" 12 (Pmp_workload.Sequence.length history);
-  (* replay against the optimal policy: same demand, better load *)
-  let machine = Pmp_machine.Machine.create 16 in
-  let r =
-    Pmp_sim.Engine.run ~check:true (Pmp_core.Optimal.create machine) history
+(* Import refuses a state whose allocator half is malformed, naming
+   the cause: a placement that is not its task's size, and ids that
+   are not distinct. *)
+let test_import_refusals () =
+  let t = make 16 in
+  ignore (submit_placed t 4);
+  ignore (submit_placed t 2);
+  let st = Cluster.export t in
+  let alloc = st.Cluster.alloc in
+  let refused ~cause tasks =
+    let bad =
+      { st with Cluster.alloc = { alloc with Pmp_core.Allocator.tasks } }
+    in
+    match Cluster.import ~machine_size:16 ~policy:Cluster.Greedy bad with
+    | Ok _ -> Alcotest.failf "import accepted %s" cause
+    | Error e -> Alcotest.(check string) cause cause e
   in
-  Alcotest.(check int) "replay events" 12 r.Pmp_sim.Engine.events;
-  Alcotest.(check int) "replay optimal" r.Pmp_sim.Engine.optimal_load
-    r.Pmp_sim.Engine.max_load
-
-let test_history_excludes_queued () =
-  let t = make ~cap:(Some 1.0) 4 in
-  let _id0, _ = submit_placed t 4 in
-  (match Cluster.submit t ~size:4 with
-  | Ok (Cluster.Queued _) -> ()
-  | _ -> Alcotest.fail "should queue");
-  (* the queued task never reached the allocator *)
-  Alcotest.(check int) "only one arrival recorded" 1
-    (Pmp_workload.Sequence.num_arrivals (Cluster.history t))
+  (match alloc.Pmp_core.Allocator.tasks with
+  | [ a; (task_b, _) ] ->
+      refused ~cause:"task 1 of size 2 is placed on a submachine of size 4"
+        [ a; (task_b, Pmp_core.Placement.direct { Pmp_machine.Submachine.order = 2; index = 1 }) ];
+      refused ~cause:"task ids are not distinct and ascending (0 after 0)" [ a; a ]
+  | _ -> Alcotest.fail "expected two live tasks");
+  match Cluster.import ~machine_size:16 ~policy:Cluster.Greedy st with
+  | Ok t' ->
+      Alcotest.(check bool) "the unaltered state imports" true
+        (Cluster.export t' = st)
+  | Error e -> Alcotest.fail e
 
 (* Random driver: the cluster's accounting must match a naive replay. *)
 let prop_driver_consistency =
@@ -197,7 +198,6 @@ let suite =
     Alcotest.test_case "impossible size" `Quick test_size_exceeding_cap_rejected;
     Alcotest.test_case "all policies" `Quick test_policies_smoke;
     Alcotest.test_case "migration accounting" `Quick test_migration_accounting;
-    Alcotest.test_case "history replay" `Quick test_history_replay;
-    Alcotest.test_case "history excludes queued" `Quick test_history_excludes_queued;
+    Alcotest.test_case "import refusals" `Quick test_import_refusals;
   ]
   @ Helpers.qtests [ prop_driver_consistency ]

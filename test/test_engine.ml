@@ -51,6 +51,7 @@ let test_checked_catches_cheater () =
       remove = Pmp_core.Ptable.remove table;
       table;
       realloc_events = (fun () -> 0);
+      export = Allocator.no_export "cheater";
     }
   in
   let seq = Sequence.of_events_exn [ Event.arrive (Task.make ~id:0 ~size:2) ] in

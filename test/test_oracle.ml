@@ -129,6 +129,7 @@ let pile_allocator m : Allocator.t =
     remove = Ptable.remove table;
     table;
     realloc_events = (fun () -> 0);
+    export = Allocator.no_export "mutant-pile";
   }
 
 (* Claims an order-0 home for every task, whatever its size. *)
@@ -145,6 +146,7 @@ let wrong_size_allocator m : Allocator.t =
     remove = Ptable.remove table;
     table;
     realloc_events = (fun () -> 0);
+    export = Allocator.no_export "mutant-wrong-size";
   }
 
 (* Piles like [pile_allocator], but every fifth arrival also moves the
@@ -177,6 +179,7 @@ let silent_mover m : Allocator.t =
     remove = Ptable.remove table;
     table;
     realloc_events = (fun () -> 0);
+    export = Allocator.no_export "mutant-silent-mover";
   }
 
 let mutant_seq ~machine_size =

@@ -1,6 +1,7 @@
 (* The pmpd subsystem: wire protocol round-trips, WAL semantics
-   (including torn tails), snapshot round-trips, the Cluster.restore
-   equivalence property, and the headline crash-recovery property —
+   (including torn tails), snapshot round-trips and refusals, the
+   split property (a cluster rebuilt from a snapshot answers the rest
+   exactly), and the headline crash-recovery property —
    crash at a random point, restart, and the recovered daemon must be
    bit-for-bit the cluster that never crashed. The socket tests run a
    real server in a domain and talk to it over Unix and TCP sockets. *)
@@ -512,40 +513,223 @@ let test_snapshot_latest () =
       | Some (_, seq) -> Alcotest.failf "latest picked seq %d, wanted 12" seq
       | None -> Alcotest.fail "latest found nothing")
 
-(* --- Cluster.restore equivalence ---------------------------------- *)
+(* --- rebuilding from a snapshot ---------------------------------- *)
 
 let policy_of_index i = List.nth all_policies (i mod List.length all_policies)
 
-let restore_equiv =
-  QCheck.Test.make ~name:"externalise/restore reproduces the cluster" ~count:60
+let string_contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i =
+    i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1))
+  in
+  go 0
+
+(* all_policies plus the budgets whose A_M / hybrid arrival counter
+   decides when a repack fires at these machine sizes *)
+let split_policies =
+  all_policies
+  @ [
+      Cluster.Periodic (Pmp_core.Realloc.make_budget 1);
+      Cluster.Periodic (Pmp_core.Realloc.make_budget 2);
+      Cluster.Hybrid (Pmp_core.Realloc.make_budget 1);
+    ]
+
+type split_op = Sub of int | Fin of int
+
+let split_reply cluster = function
+  | Sub size -> Result.map (fun r -> `Sub r) (Cluster.submit cluster ~size)
+  | Fin id -> Result.map (fun () -> `Fin) (Cluster.finish cluster id)
+
+(* Split a random request sequence at a random step and rebuild the
+   cluster from a snapshot of its state there (export, binary encode,
+   decode, import). For every policy the rebuilt cluster must answer
+   the rest exactly as the original: every reply, and after every step
+   the stats (reallocations and migrations included), the loads and
+   the whole exported state — every live placement, hence every move,
+   the queue and the allocator's scalars. *)
+let split_property =
+  QCheck.Test.make
+    ~name:"split: a cluster rebuilt from its snapshot answers the rest identically"
+    ~count:100
     (QCheck.make
-       ~print:(fun (levels, seed, steps, p, capped) ->
-         Printf.sprintf "levels=%d seed=%d steps=%d policy=%d capped=%b" levels
-           seed steps p capped)
+       ~print:(fun (levels, seed, steps, split, capped) ->
+         Printf.sprintf "levels=%d seed=%d steps=%d split=%d capped=%b" levels
+           seed steps split capped)
        QCheck.Gen.(
-         tup5 (int_range 1 5) (int_range 0 1_000_000) (int_range 1 150)
-           (int_range 0 100) bool))
-    (fun (levels, seed, steps, p, capped) ->
-      Helpers.with_seed ~label:"restore-equiv" seed (fun g ->
+         tup5 (int_range 1 6) (int_range 0 1_000_000) (int_range 1 250)
+           (int_range 0 250) bool))
+    (fun (levels, seed, steps, split, capped) ->
+      Helpers.with_seed ~label:"split" seed (fun g ->
           let machine_size = 1 lsl levels in
-          let policy = policy_of_index p in
           let admission_cap = if capped then Some 1.25 else None in
-          let cluster =
-            Result.get_ok
-              (Cluster.create ~machine_size ~policy ~admission_cap ())
+          (* sizes up to twice the machine and ids past the last one,
+             so refused requests are part of the sequence *)
+          let ops =
+            List.init steps (fun i ->
+                if i = 0 || Sm.int g 5 < 3 then Sub (1 lsl Sm.int g (levels + 2))
+                else Fin (Sm.int g (i + 1)))
           in
-          drive_cluster g cluster ~steps;
-          let restored =
-            Cluster.restore ~machine_size ~policy ~admission_cap
-              ~events:(Cluster.events cluster)
-              ~queued:(Cluster.queued_tasks cluster)
-              ~next_id:(Cluster.next_id cluster)
-              ~submitted:(Cluster.stats cluster).Cluster.submitted
-              ~completed:(Cluster.stats cluster).Cluster.completed ()
-          in
-          match restored with
-          | Error e -> Alcotest.failf "restore failed: %s" e
-          | Ok restored -> Server.same_state cluster restored = Ok ()))
+          List.for_all
+            (fun policy ->
+              let a =
+                Result.get_ok (Cluster.create ~machine_size ~policy ~admission_cap ())
+              in
+              let b = ref None in
+              List.iteri
+                (fun i op ->
+                  if i = split mod steps then begin
+                    let bytes =
+                      Snapshot.encode (Snapshot.of_cluster ~seq:i ~admission_cap a)
+                    in
+                    b :=
+                      Some
+                        (get_ok ~ctx:"rebuild"
+                           (Result.bind (Snapshot.decode bytes) Snapshot.restore))
+                  end;
+                  let ra = split_reply a op in
+                  match !b with
+                  | None -> ()
+                  | Some b ->
+                      let rb = split_reply b op in
+                      if ra <> rb then
+                        Alcotest.failf "%s: step %d replies differ"
+                          (Cluster.policy_name policy) i;
+                      if
+                        Cluster.stats a <> Cluster.stats b
+                        || Cluster.leaf_loads a <> Cluster.leaf_loads b
+                        || Cluster.export a <> Cluster.export b
+                      then
+                        Alcotest.failf "%s: state differs after step %d"
+                          (Cluster.policy_name policy) i)
+                ops;
+              true)
+            split_policies))
+
+(* Recovery refuses a snapshot that is damaged or inconsistent, and
+   names the cause. The state is an A_M (copy-branch) cluster on 64
+   PEs: tasks 0 [0,8), 2 [16,20), 3 [32,48) and 4 [8,10), all on copy
+   0, with task 1 finished. [damage] gets the snapshot's path. *)
+let refused_snapshot ~cause damage =
+  with_dir (fun dir ->
+      let config =
+        Server.default_config ~machine_size:64
+          ~policy:(Cluster.Periodic (Pmp_core.Realloc.make_budget 2)) ~dir
+      in
+      let s = Result.get_ok (Server.create config) in
+      List.iter
+        (fun r -> ignore (Server.handle s r))
+        Protocol.
+          [ Submit 8; Submit 8; Submit 4; Submit 16; Finish 1; Submit 2; Snapshot ];
+      Server.close s;
+      let path =
+        match Snapshot.latest ~dir with
+        | Some (path, 6) -> path
+        | _ -> Alcotest.fail "no snapshot at seq 6"
+      in
+      damage path;
+      match Server.create config with
+      | Ok _ -> Alcotest.failf "recovery accepted a snapshot with %s" cause
+      | Error e ->
+          if not (string_contains e cause) then
+            Alcotest.failf "refusal %S does not name %S" e cause)
+
+let rewrite path f =
+  let snap = get_ok ~ctx:"load" (Snapshot.load path) in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Snapshot.encode (f snap)))
+
+let with_tasks (snap : Snapshot.t) f =
+  let st = snap.Snapshot.state in
+  let alloc = st.Cluster.alloc in
+  {
+    snap with
+    Snapshot.state =
+      {
+        st with
+        Cluster.alloc =
+          { alloc with Pmp_core.Allocator.tasks = List.map f alloc.Pmp_core.Allocator.tasks };
+      };
+  }
+
+let place_at ~order ~index =
+  Pmp_core.Placement.make ~copy:0 { Pmp_machine.Submachine.order; index }
+
+let test_refuse_flipped_byte () =
+  refused_snapshot ~cause:"checksum" (fun path ->
+      let s = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+      let i = Bytes.length s / 2 in
+      Bytes.set s i (Char.chr (Char.code (Bytes.get s i) lxor 0x10));
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc s))
+
+let test_refuse_overlap () =
+  refused_snapshot ~cause:"tasks 0 and 2 overlap on copy 0" (fun path ->
+      rewrite path (fun snap ->
+          with_tasks snap (fun ((task : Pmp_workload.Task.t), p) ->
+              if task.id = 2 then (task, place_at ~order:2 ~index:1)
+              else (task, p))))
+
+(* a size-4 task at leaf 2: the encoding stores the first leaf *)
+let test_refuse_misaligned () =
+  refused_snapshot ~cause:"not aligned to its size" (fun path ->
+      rewrite path (fun snap ->
+          with_tasks snap (fun ((task : Pmp_workload.Task.t), p) ->
+              if task.id = 2 then (task, place_at ~order:1 ~index:1)
+              else (task, p))))
+
+let test_refuse_unbalanced () =
+  refused_snapshot ~cause:"do not balance" (fun path ->
+      rewrite path (fun snap ->
+          let st = snap.Snapshot.state in
+          {
+            snap with
+            Snapshot.state = { st with Cluster.completed = st.Cluster.completed + 1 };
+          }))
+
+(* 1.7 wrote the event history as JSON; this version refuses it by
+   name rather than keep a replay path to read it *)
+let test_refuse_legacy_json () =
+  refused_snapshot ~cause:"snapshot-0000000006.json is a JSON snapshot"
+    (fun path ->
+      Sys.remove path;
+      Out_channel.with_open_text
+        (Filename.concat (Filename.dirname path) "snapshot-0000000006.json")
+        (fun oc -> output_string oc "{\"format\": 1, \"seq\": 6, \"events\": []}\n"))
+
+(* A periodic snapshot that fails is retried only once another
+   [snapshot_every] mutations have passed, not on every mutation, and
+   is counted; no [.tmp] outlives a startup or a successful snapshot. *)
+let test_snapshot_failure_retry () =
+  with_dir (fun dir ->
+      let config =
+        {
+          (Server.default_config ~machine_size:32 ~policy:Cluster.Greedy ~dir) with
+          Server.snapshot_every = 2;
+        }
+      in
+      let touch name = Out_channel.with_open_bin (Filename.concat dir name) ignore in
+      let present name = Sys.file_exists (Filename.concat dir name) in
+      touch "snapshot-0000000001.bin.tmp";
+      let s = Result.get_ok (Server.create config) in
+      Alcotest.(check bool) "startup removed the stray tmp" false
+        (present "snapshot-0000000001.bin.tmp");
+      (* a directory where the seq-2 snapshot's tmp file must go *)
+      Unix.mkdir (Filename.concat dir "snapshot-0000000002.bin.tmp") 0o755;
+      let submit () = ignore (Server.handle s (Protocol.Submit 1)) in
+      submit ();
+      submit ();
+      Alcotest.(check bool) "seq 2 snapshot failed" false (present "snapshot-0000000002.bin");
+      Alcotest.(check bool) "failure counted" true
+        (string_contains (Server.metrics s) "pmpd_snapshot_failures_total 1");
+      touch "snapshot-0000000003.bin.tmp";
+      submit ();
+      Alcotest.(check (option int)) "no retry at seq 3" None
+        (Option.map snd (Snapshot.latest ~dir));
+      submit ();
+      Alcotest.(check (option int)) "retried at seq 4" (Some 4)
+        (Option.map snd (Snapshot.latest ~dir));
+      Alcotest.(check bool) "the snapshot's prune removed the stray tmp" false
+        (present "snapshot-0000000003.bin.tmp");
+      Server.close s)
 
 (* --- crash recovery ----------------------------------------------- *)
 
@@ -711,22 +895,13 @@ let test_recovery_counts_ops () =
       Alcotest.(check int) "replayed ops" 4 (Server.recovered_ops s');
       Alcotest.(check int) "seq" 4 (Server.seq s');
       (* the metrics registry records the recovery *)
-      let dump = Server.metrics s' in
-      let contains needle =
-        let nl = String.length needle and dl = String.length dump in
-        let rec go i =
-          i + nl <= dl && (String.sub dump i nl = needle || go (i + 1))
-        in
-        go 0
-      in
       Alcotest.(check bool) "recovery counter" true
-        (contains "pmpd_recoveries_total 1");
+        (string_contains (Server.metrics s') "pmpd_recoveries_total 1");
       Server.close s')
 
-(* Each snapshot holds the whole event history, so the ones a newer
-   snapshot supersedes must go: after five snapshot intervals the
-   directory holds exactly one, and recovering from it still equals
-   the uninterrupted run. *)
+(* The snapshots a newer one supersedes must go: after five snapshot
+   intervals the directory holds exactly one, and recovering from it
+   still equals the uninterrupted run. *)
 let test_snapshots_pruned () =
   with_dir (fun dir ->
       with_dir (fun dir_ref ->
@@ -756,7 +931,7 @@ let test_snapshots_pruned () =
               (Array.to_list (Sys.readdir dir))
           in
           Alcotest.(check (list string)) "only the newest snapshot is left"
-            [ Printf.sprintf "snapshot-%010d.json" (5 * every) ]
+            [ Printf.sprintf "snapshot-%010d.bin" (5 * every) ]
             snapshots;
           let recovered = Result.get_ok (Server.create (config dir every)) in
           let reference = Result.get_ok (Server.create (config dir_ref 0)) in
@@ -977,13 +1152,6 @@ let test_fast_path_allocation () =
 module Recorder = Pmp_server.Recorder
 module Metrics = Pmp_telemetry.Metrics
 module Json = Pmp_util.Json
-
-let string_contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i =
-    i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1))
-  in
-  go 0
 
 let read_lines path =
   In_channel.with_open_text path (fun ic ->
@@ -1936,6 +2104,12 @@ let suite =
     ("recovery counts ops", `Quick, test_recovery_counts_ops);
     ("superseded snapshots pruned", `Quick, test_snapshots_pruned);
     ("recovery rejects config mismatch", `Quick, test_recovery_rejects_config_mismatch);
+    ("recovery refuses a flipped byte", `Quick, test_refuse_flipped_byte);
+    ("recovery refuses overlapping copies", `Quick, test_refuse_overlap);
+    ("recovery refuses a misaligned placement", `Quick, test_refuse_misaligned);
+    ("recovery refuses unbalanced counters", `Quick, test_refuse_unbalanced);
+    ("recovery refuses a legacy json snapshot", `Quick, test_refuse_legacy_json);
+    ("failed snapshot retried next interval", `Quick, test_snapshot_failure_retry);
     ("unix socket session", `Quick, test_unix_socket);
     ("unix socket session, binary", `Quick, test_unix_socket_binary);
     ("mixed-protocol session", `Quick, test_mixed_protocol_session);
@@ -1965,5 +2139,5 @@ let suite =
       [
         request_roundtrip; response_roundtrip; binary_request_equiv;
         binary_response_equiv; rid_request_roundtrip; rid_response_roundtrip;
-        restore_equiv; crash_recovery;
+        split_property; crash_recovery;
       ]
