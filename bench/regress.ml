@@ -26,6 +26,7 @@ module Realloc = Pmp_core.Realloc
 module Engine = Pmp_sim.Engine
 module Json = Pmp_util.Json
 module Builders = Pmp_cli.Builders
+module Dump = Pmp_telemetry.Metrics.Dump
 
 let seed = 42
 let default_tolerance = 0.25
@@ -33,6 +34,13 @@ let default_tolerance = 0.25
    adds recombined only the slots they change *)
 let min_speedup = 25.0
 let min_service_speedup = 5.0
+
+(* group commit must batch: the binary+group service run writes more
+   than this many WAL records per fsync (recorded ~16 on a 2-vCPU Xeon
+   host), and json+always exactly one. Both ratios come from counters
+   the daemon keeps (pmpd_wal_group_size_sum / pmpd_fsync_total), not
+   from a clock, so they gate hard. *)
+let min_group_records_per_fsync = 2.0
 
 (* the multicore floor: at --domains=4 the sharded event loop must move
    at least this many times the single-domain throughput on the same
@@ -466,9 +474,10 @@ let load_index_probe calib =
    shared Loadgen workload. Both sides of the ratio run on the same
    host, so binary+group vs json+fsync-per-append transports across
    machines like the scan-vs-index speedup does; the allocation budget
-   of the read fast path is deterministic like words_per_event. Raw
-   service ns/request is recorded calibration-normalised and gated as
-   a (warn-only by default) timing field. *)
+   of the read fast path is deterministic like words_per_event, and
+   each side's WAL records per fsync is read from the daemon's own
+   metrics. Raw service ns/request is recorded calibration-normalised
+   and gated as a (warn-only by default) timing field. *)
 let service_probe calib =
   let module L = Pmp_server.Loadgen in
   let run label ?(latency_profile = false) ?recorder_size ~proto ~fsync_policy
@@ -477,38 +486,51 @@ let service_probe calib =
       L.bench ~proto ~fsync_policy ~wal_format ~latency_profile ?recorder_size
         ~requests ()
     with
-    | Ok o -> o
+    | Ok (o, _) when o.L.errors > 0 ->
+        failwith
+          (Printf.sprintf "service probe (%s): %d error responses" label
+             o.L.errors)
+    | Ok (o, dump) -> (
+        match
+          ( Dump.value dump "pmpd_wal_group_size_sum",
+            Dump.value dump "pmpd_fsync_total" )
+        with
+        | Some records, Some fsyncs -> (o, records /. fsyncs)
+        | _ ->
+            failwith
+              (Printf.sprintf
+                 "service probe (%s): metrics lack the WAL counters" label))
     | Error e -> failwith (Printf.sprintf "service probe (%s): %s" label e)
   in
   (* best-of-2 for the two sides of the overhead ratio: a 5%-scale
      comparison needs more smoothing than the 5x-scale speedup floor *)
   let best_ns label ?latency_profile ?recorder_size ~proto ~fsync_policy
       ~wal_format ~requests () =
-    let o1 =
+    let ((o1, _) as r1) =
       run label ?latency_profile ?recorder_size ~proto ~fsync_policy
         ~wal_format ~requests ()
     in
-    let o2 =
+    let ((o2, _) as r2) =
       run label ?latency_profile ?recorder_size ~proto ~fsync_policy
         ~wal_format ~requests ()
     in
-    if L.ns_per_request o1 <= L.ns_per_request o2 then o1 else o2
+    if L.ns_per_request o1 <= L.ns_per_request o2 then r1 else r2
   in
-  let fast =
+  let fast, fast_per_fsync =
     best_ns "binary+group" ~proto:Pmp_server.Client.Binary
       ~fsync_policy:Pmp_server.Wal.Group
       ~wal_format:Pmp_server.Wal.Binary_records ~requests:30_000 ()
   in
   (* the same matrix point with every observability feature on: stage
      and per-opcode histograms plus a live flight recorder *)
-  let instrumented =
+  let instrumented, _ =
     best_ns "binary+group+obs" ~latency_profile:true ~recorder_size:1024
       ~proto:Pmp_server.Client.Binary ~fsync_policy:Pmp_server.Wal.Group
       ~wal_format:Pmp_server.Wal.Binary_records ~requests:30_000 ()
   in
   (* the seed's configuration: JSON lines, fsync on every append — a
      real fsync per mutation, so a tenth of the requests suffices *)
-  let slow =
+  let slow, slow_per_fsync =
     run "json+always" ~proto:Pmp_server.Client.Json
       ~fsync_policy:Pmp_server.Wal.Always
       ~wal_format:Pmp_server.Wal.Json_records ~requests:3_000 ()
@@ -539,6 +561,9 @@ let service_probe calib =
       ("speedup", Json.Num (slow_ns /. fast_ns));
       ("min_required", Json.Num min_service_speedup);
       ("words_per_request", Json.Num words);
+      ("binary_group_records_per_fsync", Json.Num fast_per_fsync);
+      ("json_always_records_per_fsync", Json.Num slow_per_fsync);
+      ("min_group_records_per_fsync", Json.Num min_group_records_per_fsync);
     ]
 
 (* The multicore gate: the same Loadgen workload, four connections,
@@ -576,7 +601,7 @@ let multicore_probe () =
               ~wal_format:Pmp_server.Wal.Binary_records ~domains ~conns:4
               ~requests:30_000 ()
           with
-          | Ok o -> o
+          | Ok (o, _) -> o
           | Error e ->
               failwith (Printf.sprintf "multicore probe (domains=%d): %s" domains e)
         in
@@ -722,27 +747,18 @@ let federation_probe calib =
               match L.drive c gen ~requests ~window:32 ~rids:true () with
               | Error e -> Error e
               | Ok outcome -> (
-                  let counters = Client.request c Protocol.Metrics in
+                  let counters = Client.metrics c in
                   (match Client.request c Protocol.Shutdown with
                   | Ok _ | Error _ -> ());
-                  let scrape dump name =
-                    List.find_map
-                      (fun l ->
-                        match String.split_on_char ' ' l with
-                        | [ n; v ] when n = name -> float_of_string_opt v
-                        | _ -> None)
-                      (String.split_on_char '\n' dump)
-                  in
                   match counters with
-                  | Ok (Protocol.Metrics_reply dump) -> (
+                  | Ok dump -> (
                       match
-                        ( scrape dump "fed_requests_total",
-                          scrape dump "fed_upstream_batches_total" )
+                        ( Dump.value dump "fed_requests_total",
+                          Dump.value dump "fed_upstream_batches_total" )
                       with
                       | Some reqs, Some batches when batches > 0.0 ->
                           Ok (outcome, reqs /. batches)
                       | _ -> Error "router metrics lack the batch counters")
-                  | Ok _ -> Error "unexpected metrics reply"
                   | Error e -> Error e))
     in
     Domain.join rdom;
@@ -757,7 +773,7 @@ let federation_probe calib =
       L.bench ~proto:Client.Binary ~fsync_policy:Pmp_server.Wal.Group
         ~wal_format:Pmp_server.Wal.Binary_records ~requests:10_000 ()
     with
-    | Ok o -> o
+    | Ok (o, _) -> o
     | Error e -> failwith ("federation probe (direct): " ^ e)
   in
   let fed, per_batch = run_federated ~requests:10_000 in
@@ -1001,8 +1017,9 @@ let check_load_index ~tolerance baseline li =
 
 (* The service gates: a hard same-host speedup floor (binary+group
    must beat json+always by min_service_speedup regardless of any
-   baseline), a toleranced allocation budget vs the baseline, and a
-   warn-only normalised wall-time check. *)
+   baseline), hard WAL records-per-fsync checks on both sides, a
+   toleranced allocation budget vs the baseline, and a warn-only
+   normalised wall-time check. *)
 let check_service ~tolerance baseline sv =
   let s = get_num "service" sv "speedup" in
   let floor_failures =
@@ -1040,6 +1057,27 @@ let check_service ~tolerance baseline sv =
       ]
     else []
   in
+  (* group commit, read from the daemon's own counters: counts, not
+     clocks, so both gate hard *)
+  let fsync_failures =
+    let gate ok msg =
+      if ok then [] else [ { key = "service"; msg; timing = false } ]
+    in
+    let group = get_num "service" sv "binary_group_records_per_fsync"
+    and always = get_num "service" sv "json_always_records_per_fsync" in
+    (* no fsync at all reads as infinitely many records per fsync *)
+    gate
+      (Float.is_finite group && group > min_group_records_per_fsync)
+      (Printf.sprintf
+         "service: binary+group wrote %.2f WAL records per fsync: group \
+          commit must fsync, and batch more than %.0f records"
+         group min_group_records_per_fsync)
+    @ gate (always = 1.0)
+        (Printf.sprintf
+           "service: json+always wrote %g WAL records per fsync, not exactly \
+            1: fsync-per-append must sync every record"
+           always)
+  in
   let baseline_failures =
     match Option.bind baseline (Json.member "service") with
     | None -> []
@@ -1063,7 +1101,7 @@ let check_service ~tolerance baseline sv =
         in
         vs "words_per_request" false @ vs "norm_ns_per_request" true
   in
-  floor_failures @ overhead_failures @ baseline_failures
+  floor_failures @ fsync_failures @ overhead_failures @ baseline_failures
 
 (* The multicore gate: an absolute speedup floor like the service one.
    A probe that recorded itself as skipped gates nothing — the report
@@ -1315,6 +1353,15 @@ let () =
     (Option.value ~default:nan service_speedup)
     (Option.value ~default:nan service_words)
     ((Option.value ~default:nan service_overhead -. 1.0) *. 100.0);
+  let per_fsync f =
+    Option.value ~default:nan (Option.bind (Json.member f sv) Json.to_float)
+  in
+  Printf.printf
+    "service WAL records per fsync: binary+group %.1f (floor > %.0f), \
+     json+always %g (must be 1)\n%!"
+    (per_fsync "binary_group_records_per_fsync")
+    min_group_records_per_fsync
+    (per_fsync "json_always_records_per_fsync");
   Printf.printf "measuring multicore scaling (domains=4 vs domains=1)...\n%!";
   let mc = multicore_probe () in
   (match Json.member "skipped" mc with

@@ -23,6 +23,7 @@ module Realloc = Pmp_core.Realloc
 module Bounds = Pmp_core.Bounds
 module Engine = Pmp_sim.Engine
 module Metrics = Pmp_sim.Metrics
+module Dump = Pmp_telemetry.Metrics.Dump
 module Table = Pmp_util.Table
 
 (* ------------------------------------------------------------------ *)
@@ -612,81 +613,6 @@ let connect_client ~proto socket host port =
   | Some _, Some _ -> Error "give either --socket or --port, not both"
   | None, None -> Error "give --socket or --port"
 
-(* ------------------------------------------------------------------ *)
-(* scraping the server's own Prometheus dump — how bench and top read
-   the per-stage and per-opcode histograms back out of a live pmpd     *)
-
-(* Cumulative [(upper, cum)] buckets of one labelled histogram series,
-   e.g. [scrape_buckets dump "pmpd_stage_seconds" {|stage="fsync"|}].
-   The dump renders the [le] label last, so the prefix match pins the
-   full selector. *)
-let scrape_buckets dump name selector =
-  let prefix = Printf.sprintf "%s_bucket{%s,le=\"" name selector in
-  let plen = String.length prefix in
-  List.filter_map
-    (fun l ->
-      if String.length l > plen && String.sub l 0 plen = prefix then begin
-        match String.index_opt l '}' with
-        | Some j when j > plen ->
-            let bound = String.sub l plen (j - 1 - plen) in
-            let upper =
-              if bound = "+Inf" then infinity
-              else float_of_string_opt bound |> Option.value ~default:nan
-            in
-            let v = String.sub l (j + 1) (String.length l - j - 1) in
-            Option.map
-              (fun cum -> (upper, cum))
-              (int_of_string_opt (String.trim v))
-        | _ -> None
-      end
-      else None)
-    (String.split_on_char '\n' dump)
-
-(* One unlabeled metric value ("name value" lines: counters, gauges). *)
-let scrape_value dump name =
-  let prefix = name ^ " " in
-  let plen = String.length prefix in
-  List.find_map
-    (fun l ->
-      if String.length l > plen && String.sub l 0 plen = prefix then
-        float_of_string_opt (String.trim (String.sub l plen (String.length l - plen)))
-      else None)
-    (String.split_on_char '\n' dump)
-
-(* Quantile of the traffic between two dumps of the same series: bucket
-   counts are cumulative counters, so their pointwise difference is the
-   histogram of exactly the interval — which is what lets bench report
-   server-side latency for its own run against a long-lived daemon. *)
-let scrape_quantile ~before ~after name selector q =
-  let b0 = scrape_buckets before name selector in
-  let b1 = scrape_buckets after name selector in
-  let delta =
-    List.map
-      (fun (u, c1) ->
-        let c0 = try List.assoc u b0 with Not_found -> 0 in
-        (u, max 0 (c1 - c0)))
-      b1
-  in
-  match List.rev delta with
-  | (_, total) :: _ when total > 0 ->
-      let max_seen =
-        List.fold_left
-          (fun acc (u, c) -> if Float.is_finite u && c > 0 then u else acc)
-          0.0 delta
-      in
-      Some
-        ( Pmp_telemetry.Metrics.quantile_of_buckets delta ~max_seen
-            ~count:total q,
-          total )
-  | _ -> None
-
-let fetch_metrics conn =
-  match Pmp_server.Client.request conn Pmp_server.Protocol.Metrics with
-  | Ok (Pmp_server.Protocol.Metrics_reply dump) -> Ok dump
-  | Ok r ->
-      Error ("unexpected response: " ^ Pmp_server.Protocol.render_response r)
-  | Error e -> Error e
-
 let stage_names = [ "read"; "decode"; "apply"; "wal_append"; "fsync"; "ack" ]
 
 (* Per-shard throughput attribution, from the shard tags a federation
@@ -771,18 +697,15 @@ let client_bench_cmd =
         Metrics.Histogram.make
           (Metrics.log_bounds ~start:1.0 ~ratio:2.0 ~count:24)
       in
-      let before =
-        match fetch_metrics conn with Ok d -> d | Error _ -> ""
+      let dump () =
+        Result.value ~default:"" (Pmp_server.Client.metrics conn)
       in
+      let before = dump () in
       let gen = Pmp_server.Loadgen.make_gen ~seed ~machine_size in
       let r =
         Pmp_server.Loadgen.drive conn gen ~requests ~window ~latency ~rids ()
       in
-      let after =
-        match r with
-        | Ok _ -> (match fetch_metrics conn with Ok d -> d | Error _ -> "")
-        | Error _ -> ""
-      in
+      let after = match r with Ok _ -> dump () | Error _ -> "" in
       Pmp_server.Client.close conn;
       let* o = Result.map_error (fun e -> `Msg e) r in
       let p = Pmp_server.Loadgen.percentile latency in
@@ -807,18 +730,15 @@ let client_bench_cmd =
       let rows =
         List.filter_map
           (fun stage ->
-            let sel = Printf.sprintf "stage=\"%s\"" stage in
+            let q =
+              Dump.quantile ~labels:[ ("stage", stage) ] ~before ~after
+                "pmpd_stage_seconds"
+            in
             Option.map
               (fun (p99, n) ->
-                let q q' =
-                  match
-                    scrape_quantile ~before ~after "pmpd_stage_seconds" sel q'
-                  with
-                  | Some (v, _) -> v
-                  | None -> 0.0
-                in
-                (stage, q 0.5, p99, q 0.999, n))
-              (scrape_quantile ~before ~after "pmpd_stage_seconds" sel 0.99))
+                let at q' = Option.fold ~none:0.0 ~some:fst (q q') in
+                (stage, at 0.5, p99, at 0.999, n))
+              (q 0.99))
           stage_names
       in
       if rows = [] then
@@ -1134,25 +1054,16 @@ let fed_status_cmd =
       let* health = request Pmp_server.Protocol.Health in
       let* stats = request Pmp_server.Protocol.Stats in
       let* dump =
-        match request Pmp_server.Protocol.Metrics with
-        | Ok (Pmp_server.Protocol.Metrics_reply dump) -> Ok dump
-        | Ok r ->
-            Error
-              (`Msg
-                 ("unexpected response: "
-                 ^ Pmp_server.Protocol.render_response r))
-        | Error e -> Error e
+        Result.map_error (fun e -> `Msg e) (Pmp_server.Client.metrics conn)
       in
       Printf.printf "router   : %s\n"
         (Pmp_server.Protocol.render_response health);
       Printf.printf "aggregate: %s\n"
         (Pmp_server.Protocol.render_response stats);
-      let scrape_shard name sx =
-        scrape_value dump (Printf.sprintf "%s{shard=\"%d\"}" name sx)
+      let shard name sx =
+        Dump.value ~labels:[ ("shard", string_of_int sx) ] dump name
       in
-      let total name =
-        match scrape_value dump name with Some v -> v | None -> 0.0
-      in
+      let total name = Option.value ~default:0.0 (Dump.value dump name) in
       Printf.printf
         "requests : %.0f routed, %.0f quota rejects, %.0f mark-downs, %.0f \
          re-admitted\n"
@@ -1165,15 +1076,12 @@ let fed_status_cmd =
         (total "fed_rebalanced_bytes_total")
         (total "fed_audit_failures_total");
       let rec shard_rows sx =
-        match scrape_shard "fed_shard_up" sx with
+        match shard "fed_shard_up" sx with
         | None -> ()
         | Some up ->
-            let load =
-              Option.value ~default:0.0 (scrape_shard "fed_shard_load" sx)
-            in
+            let load = Option.value ~default:0.0 (shard "fed_shard_load" sx) in
             let routed =
-              Option.value ~default:0.0
-                (scrape_shard "fed_shard_routed_total" sx)
+              Option.value ~default:0.0 (shard "fed_shard_routed_total" sx)
             in
             Printf.printf "  shard %-3d: %-4s load %-6.0f routed %.0f\n" sx
               (if up > 0.0 then "up" else "DOWN")
@@ -1249,21 +1157,24 @@ let top_cmd =
           | P.Loads_reply l -> Ok l
           | r -> Error (`Msg ("unexpected response: " ^ P.render_response r))
         in
-        let* dump = Result.map_error (fun e -> `Msg e) (fetch_metrics conn) in
+        let* dump =
+          Result.map_error (fun e -> `Msg e) (Pmp_server.Client.metrics conn)
+        in
         (* frames after the first show the last interval, not since-boot *)
         let before = match prev with Some d -> d | None -> "" in
         let idle =
           Array.fold_left (fun n l -> if l = 0 then n + 1 else n) 0 loads
         in
         let pes = Array.length loads in
-        let v name = Option.value ~default:0.0 (scrape_value dump name) in
+        let v name = Option.value ~default:0.0 (Dump.value dump name) in
         let dv name =
           match prev with
           | None -> None
           | Some b ->
               Option.map
-                (fun cur -> cur -. Option.value ~default:0.0 (scrape_value b name))
-                (scrape_value dump name)
+                (fun cur ->
+                  cur -. Option.value ~default:0.0 (Dump.value b name))
+                (Dump.value dump name)
         in
         print_string "\027[2J\027[H";
         Printf.printf "pmpd %s  uptime %.1fs  seq %d  recovered %d\n"
@@ -1313,9 +1224,8 @@ let top_cmd =
             (fun op ->
               Option.map
                 (fun (p99, n) -> (op, p99, n))
-                (scrape_quantile ~before ~after:dump "pmpd_request_seconds"
-                   (Printf.sprintf "op=\"%s\"" op)
-                   0.99))
+                (Dump.quantile ~labels:[ ("op", op) ] ~before ~after:dump
+                   "pmpd_request_seconds" 0.99))
             ops
         in
         if rows = [] then

@@ -858,21 +858,9 @@ let reply t out ~binary ~rid ~shard resp =
     Netbuf.add_char out '\n'
   end
 
-let op_index = function
-  | Protocol.Submit _ -> 1
-  | Protocol.Finish _ -> 2
-  | Protocol.Query _ -> 3
-  | Protocol.Stats -> 4
-  | Protocol.Loads -> 5
-  | Protocol.Metrics -> 6
-  | Protocol.Snapshot -> 7
-  | Protocol.Ping -> 8
-  | Protocol.Shutdown -> 9
-  | Protocol.Health -> 10
-
 let respond t out ~tenant ~binary ~rid ~served req resp =
-  Recorder.record t.recorder ~kind:Recorder.kind_request ~op:(op_index req)
-    ~tenant
+  Recorder.record t.recorder ~kind:Recorder.kind_request
+    ~op:(Protocol.opcode req) ~tenant
     ~size:(match req with Protocol.Submit s -> s | _ -> 0)
     ~seq:0 ~dur_ns:0 ~ts_us:0
     ~ok:(match resp with Protocol.Error _ -> false | _ -> true);
@@ -925,7 +913,10 @@ let overtakes t = function
       || (t.pipe.submits > 0 && not (Hashtbl.mem t.ledger gid))
   | _ -> false
 
-(* One complete binary frame off the front of [inbuf], if present. *)
+(* One complete binary frame off the front of [inbuf], if present.
+   As in pmpd, a frame whose length scans is consumed whatever its
+   version or payload, so the requests pipelined behind it are still
+   answered; only a garbage length poisons the stream. *)
 let take_binary t inbuf =
   let avail = Netbuf.length inbuf in
   if avail < 3 then `Incomplete
@@ -933,27 +924,26 @@ let take_binary t inbuf =
     let b = Netbuf.bytes inbuf in
     let off = Netbuf.offset inbuf in
     let hard = off + avail in
-    if Char.code (Bytes.get b (off + 1)) <> Wire.version then
-      `Poison
-        (Printf.sprintf "unsupported wire version %d"
-           (Char.code (Bytes.get b (off + 1))))
-    else begin
-      t.cur.Wire.pos <- off + 2;
-      match Wire.read_varint b t.cur hard with
-      | exception Wire.Corrupt _ ->
-          if hard - (off + 2) >= Wire.max_varint_bytes then
-            `Poison "bad frame length"
-          else `Incomplete
-      | plen ->
-          let ppos = t.cur.Wire.pos in
-          if plen <= 0 || plen > Wire.max_payload then `Poison "bad frame"
-          else if ppos + plen > hard then `Incomplete
-          else begin
-            let payload = Bytes.sub_string b ppos plen in
-            Netbuf.consume inbuf (ppos + plen - off);
-            `Frame payload
-          end
-    end
+    t.cur.Wire.pos <- off + 2;
+    match Wire.read_varint b t.cur hard with
+    | exception Wire.Corrupt _ ->
+        if hard - (off + 2) >= Wire.max_varint_bytes then `Poison
+        else `Incomplete
+    | plen ->
+        let ppos = t.cur.Wire.pos in
+        if plen < 0 || plen > Wire.max_payload then `Poison
+        else if ppos + plen > hard then `Incomplete
+        else begin
+          let version = Char.code (Bytes.get b (off + 1)) in
+          let frame =
+            if version <> Wire.version then
+              `Bad (Printf.sprintf "unsupported wire version %d" version)
+            else if plen = 0 then `Bad "empty frame"
+            else `Frame (Bytes.sub_string b ppos plen)
+          in
+          Netbuf.consume inbuf (ppos + plen - off);
+          frame
+        end
   end
 
 (* The next request off the front of [inbuf], in either encoding. *)
@@ -961,9 +951,10 @@ let next_request t inbuf =
   if Netbuf.get_byte inbuf 0 = Wire.request_magic then
     match take_binary t inbuf with
     | `Incomplete -> `Incomplete
-    | `Poison e ->
+    | `Poison ->
         Netbuf.clear inbuf;
-        `Bad (true, e)
+        `Bad (true, "malformed frame")
+    | `Bad e -> `Bad (true, e)
     | `Frame payload -> (
         match
           Protocol.decode_request_payload_rid payload ~pos:0

@@ -128,6 +128,12 @@ let receive t = Result.map fst (receive_with_rid t)
 let request t req =
   match send t req with Ok () -> receive t | Error _ as e -> e
 
+let metrics t =
+  match request t Protocol.Metrics with
+  | Ok (Protocol.Metrics_reply dump) -> Ok dump
+  | Ok r -> Error ("unexpected response: " ^ Protocol.render_response r)
+  | Error e -> Error e
+
 let close t =
   (try Stdlib.flush t.oc with Sys_error _ -> ());
   try Unix.close t.fd with Unix.Unix_error _ -> ()

@@ -29,6 +29,10 @@ val set_proto : t -> proto -> unit
 val request : t -> Protocol.request -> (Protocol.response, string) result
 (** Send one request and wait for its response. *)
 
+val metrics : t -> (string, string) result
+(** {!request} the server's metrics dump; read it back with
+    {!Pmp_telemetry.Metrics.Dump}. *)
+
 val send : t -> ?rid:int -> Protocol.request -> (unit, string) result
 (** Send a request without waiting: {!queue} then {!flush}. [?rid]
     attaches a client-chosen request id the server echoes on the

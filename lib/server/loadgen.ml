@@ -2,9 +2,9 @@
    generator, a closed-loop socket driver with a pipeline window and
    an optional latency histogram, a spawn-a-server-in-a-domain harness
    over a Unix socket in a throwaway directory, and an in-process
-   allocation probe for the binary fast path. [bench/service.ml], the
-   regression gate's service probe and [pmp client bench] all sit on
-   this module so they measure the same thing. *)
+   allocation probe for the binary fast path. The regression gate's
+   service, multicore and federation probes and [pmp client bench] all
+   sit on this module so they measure the same thing. *)
 
 module Cluster = Pmp_cluster.Cluster
 module Prng = Pmp_prng.Splitmix64
@@ -207,9 +207,8 @@ let rec rm_rf path =
 
 let service_counter = Atomic.make 0
 
-let with_local_service ?(machine_size = 256) ?(policy = Cluster.Greedy)
-    ?(fsync_policy = Wal.Group) ?(wal_format = Wal.Binary_records)
-    ?(snapshot_every = 0) ?(max_pending = 64) ?(latency_profile = false)
+let with_local_service ?(machine_size = 256) ?(fsync_policy = Wal.Group)
+    ?(wal_format = Wal.Binary_records) ?(latency_profile = false)
     ?recorder_size ?(domains = 1) f =
   let dir =
     Filename.concat
@@ -218,14 +217,13 @@ let with_local_service ?(machine_size = 256) ?(policy = Cluster.Greedy)
          (Atomic.fetch_and_add service_counter 1))
   in
   rm_rf dir;
-  let base = Server.default_config ~machine_size ~policy ~dir in
+  let base = Server.default_config ~machine_size ~policy:Cluster.Greedy ~dir in
   let config =
     {
       base with
       fsync_policy;
       wal_format;
-      snapshot_every;
-      loop = { Loop.default_config with max_pending };
+      snapshot_every = 0;
       latency_profile;
       recorder_size =
         (match recorder_size with Some n -> n | None -> base.recorder_size);
@@ -262,27 +260,40 @@ let with_local_service ?(machine_size = 256) ?(policy = Cluster.Greedy)
       rm_rf dir;
       result
 
+(* The daemon's metrics dump, over a connection of its own. *)
+let metrics_of socket =
+  match Client.connect_unix socket with
+  | Error e -> Error ("connect: " ^ e)
+  | Ok client ->
+      let r = Client.metrics client in
+      Client.close client;
+      Result.map_error (fun e -> "metrics: " ^ e) r
+
 (* One complete benchmark: spin a server with the given WAL policy and
-   format, drive the churn workload through one connection, shut the
-   server down, clean up. *)
-let bench ?(seed = 0xB00) ?(machine_size = 256) ?(policy = Cluster.Greedy)
-    ?(fsync_policy = Wal.Group) ?(wal_format = Wal.Binary_records)
-    ?(proto = Client.Binary) ?(window = 32) ?latency ?(latency_profile = false)
-    ?recorder_size ?(domains = 1) ?(conns = 1) ~requests () =
-  with_local_service ~machine_size ~policy ~fsync_policy ~wal_format
-    ~latency_profile ?recorder_size ~domains (fun socket ->
-      if conns <= 1 then
-        match Client.connect_unix ~proto socket with
-        | Error e -> Error ("connect: " ^ e)
-        | Ok client ->
-            let gen = make_gen ~seed ~machine_size in
-            let r = drive client gen ~requests ~window ?latency () in
-            Client.close client;
-            r
-      else
-        drive_parallel
-          ~connect:(fun () -> Client.connect_unix ~proto socket)
-          ~conns ~requests ~window ~seed ~machine_size ())
+   format, drive the churn workload (seed 0xB00, window 32) through
+   one connection or [conns], read the daemon's final metrics, shut
+   the server down, clean up. *)
+let bench ?fsync_policy ?wal_format ?(proto = Client.Binary) ?latency_profile
+    ?recorder_size ?domains ?(conns = 1) ~requests () =
+  let seed = 0xB00 and machine_size = 256 and window = 32 in
+  with_local_service ~machine_size ?fsync_policy ?wal_format ?latency_profile
+    ?recorder_size ?domains (fun socket ->
+      let outcome =
+        if conns <= 1 then
+          match Client.connect_unix ~proto socket with
+          | Error e -> Error ("connect: " ^ e)
+          | Ok client ->
+              let gen = make_gen ~seed ~machine_size in
+              let r = drive client gen ~requests ~window () in
+              Client.close client;
+              r
+        else
+          drive_parallel
+            ~connect:(fun () -> Client.connect_unix ~proto socket)
+            ~conns ~requests ~window ~seed ~machine_size ()
+      in
+      Result.bind outcome (fun o ->
+          Result.map (fun dump -> (o, dump)) (metrics_of socket)))
 
 (* ------------------------------------------------------------------ *)
 (* allocation probe                                                    *)
@@ -293,7 +304,7 @@ let bench ?(seed = 0xB00) ?(machine_size = 256) ?(policy = Cluster.Greedy)
    — no sockets, no strings, no per-request allocation by the harness
    itself. Read-only traffic (query + stats), so the figure isolates
    the dispatch path from the cluster's own mutation bookkeeping. *)
-let words_per_request ?(requests = 100_000) ?(machine_size = 256) () =
+let words_per_request ?(requests = 100_000) () =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -303,7 +314,7 @@ let words_per_request ?(requests = 100_000) ?(machine_size = 256) () =
   rm_rf dir;
   let config =
     {
-      (Server.default_config ~machine_size ~policy:Cluster.Greedy ~dir) with
+      (Server.default_config ~machine_size:256 ~policy:Cluster.Greedy ~dir) with
       snapshot_every = 0;
     }
   in

@@ -4,9 +4,10 @@
     submissions of power-of-two sizes interleaved with finishes of
     live tasks), driven closed-loop through a {!Client} with a
     pipeline window, against a server spun up in its own domain over a
-    Unix socket in a throwaway directory. [bench/service.ml], the
-    bench-regression service probe and [pmp client bench] all measure
-    through this module, so their numbers are comparable. *)
+    Unix socket in a throwaway directory. The bench-regression
+    service, multicore and federation probes and [pmp client bench]
+    all measure through this module, so their numbers are
+    comparable. *)
 
 type gen
 (** Deterministic request-stream state: an RNG plus the pool of live
@@ -75,46 +76,39 @@ val drive_parallel :
 
 val with_local_service :
   ?machine_size:int ->
-  ?policy:Pmp_cluster.Cluster.policy ->
   ?fsync_policy:Wal.fsync_policy ->
   ?wal_format:Wal.format ->
-  ?snapshot_every:int ->
-  ?max_pending:int ->
   ?latency_profile:bool ->
   ?recorder_size:int ->
   ?domains:int ->
   (string -> ('a, string) result) ->
   ('a, string) result
-(** Run [f socket_path] against a server serving in its own domain
-    from a fresh temporary state directory; shut the server down, join
-    the domain and delete the directory afterwards (also on
-    exceptions). Defaults: machine 256, greedy, group commit, binary
-    WAL, no periodic snapshots, no latency profiling, the server's
+(** Run [f socket_path] against a greedy server with no periodic
+    snapshots, serving in its own domain from a fresh temporary state
+    directory; shut the server down, join the domain and delete the
+    directory afterwards (also on exceptions). Defaults: machine 256,
+    group commit, binary WAL, no latency profiling, the server's
     default flight-recorder size, [domains = 1]. *)
 
 val bench :
-  ?seed:int ->
-  ?machine_size:int ->
-  ?policy:Pmp_cluster.Cluster.policy ->
   ?fsync_policy:Wal.fsync_policy ->
   ?wal_format:Wal.format ->
   ?proto:Client.proto ->
-  ?window:int ->
-  ?latency:Pmp_telemetry.Metrics.Histogram.t ->
   ?latency_profile:bool ->
   ?recorder_size:int ->
   ?domains:int ->
   ?conns:int ->
   requests:int ->
   unit ->
-  (outcome, string) result
-(** {!with_local_service} + {!drive} (or {!drive_parallel} when
-    [conns > 1]; [latency] only applies to the single-connection
-    path): the complete measurement for one (protocol, fsync policy,
-    WAL format, domains, connections) point. *)
+  (outcome * string, string) result
+(** {!with_local_service} at machine 256 + {!drive} of the seed-0xB00
+    churn with a window of 32 (or {!drive_parallel} when
+    [conns > 1]): the complete measurement for one (protocol, fsync
+    policy, WAL format, domains, connections) point. Also returns the
+    daemon's {!Pmp_telemetry.Metrics.prometheus} dump, read after the
+    drive. *)
 
-val words_per_request :
-  ?requests:int -> ?machine_size:int -> unit -> (float, string) result
+val words_per_request : ?requests:int -> unit -> (float, string) result
 (** Minor words allocated per request by the binary fast path,
     measured in-process through {!Server.handle_conn} on read-only
     traffic (7/8 query, 1/8 stats) after warm-up — no sockets and no

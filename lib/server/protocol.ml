@@ -362,6 +362,18 @@ let add_len_string buf s =
   Wire.add_varint buf (String.length s);
   Buffer.add_string buf s
 
+let opcode = function
+  | Submit _ -> op_submit
+  | Finish _ -> op_finish
+  | Query _ -> op_query
+  | Stats -> op_stats
+  | Loads -> op_loads
+  | Metrics -> op_metrics
+  | Snapshot -> op_snapshot
+  | Ping -> op_ping
+  | Shutdown -> op_shutdown
+  | Health -> op_health
+
 let request_payload buf = function
   | Submit size ->
       add_tag buf op_submit;

@@ -102,6 +102,10 @@ val decode_response_attr :
     encoding of every message from its first byte and both formats
     interoperate on one connection. *)
 
+val opcode : request -> int
+(** The request's binary opcode (1..10). Server metrics and flight
+    recorders index requests by it, with 0 for an undecodable one. *)
+
 val request_payload : Buffer.t -> request -> unit
 (** Append the payload (opcode + fields, no frame header) to [buf]. *)
 

@@ -91,19 +91,6 @@ let op_name =
     "tagged";
   |]
 
-let op_index (req : Protocol.request) =
-  match req with
-  | Protocol.Submit _ -> 1
-  | Protocol.Finish _ -> 2
-  | Protocol.Query _ -> 3
-  | Protocol.Stats -> 4
-  | Protocol.Loads -> 5
-  | Protocol.Metrics -> 6
-  | Protocol.Snapshot -> 7
-  | Protocol.Ping -> 8
-  | Protocol.Shutdown -> 9
-  | Protocol.Health -> 10
-
 (* 1µs .. ~8s in doubling buckets: spans a cache-warm varint decode to
    a pathological fsync stall with 24 buckets. *)
 let time_bounds = Metrics.log_bounds ~start:1e-6 ~ratio:2.0 ~count:24
@@ -1201,8 +1188,8 @@ let handle_line t line =
       let resp, stop = handle t req in
       let wire = Protocol.encode_response ?rid resp in
       let ok = match resp with Protocol.Error _ -> false | _ -> true in
-      if stop then `Stop (op_index req, ok, wire)
-      else `Reply (op_index req, ok, wire)
+      if stop then `Stop (Protocol.opcode req, ok, wire)
+      else `Reply (Protocol.opcode req, ok, wire)
 
 (* ------------------------------------------------------------------ *)
 (* the wire handler                                                    *)
@@ -1386,7 +1373,7 @@ let dispatch t out b pos0 limit =
           Metrics.Counter.incr t.ins.c_requests;
           `Error e
       | Ok (req, rid) ->
-          t.cur_op <- op_index req;
+          t.cur_op <- Protocol.opcode req;
           let resp, stop = handle t req in
           Buffer.clear t.scratch;
           (match rid with

@@ -73,8 +73,6 @@ let parse_format s =
   | "binary" -> Ok Binary_records
   | s -> Error (Printf.sprintf "unknown wal format %S (want binary|json)" s)
 
-let format_name = function Json_records -> "json" | Binary_records -> "binary"
-
 (* ------------------------------------------------------------------ *)
 (* the log                                                             *)
 

@@ -57,8 +57,6 @@ type format = Json_records | Binary_records
 val parse_format : string -> (format, string) result
 (** [binary | json]. *)
 
-val format_name : format -> string
-
 type t
 (** An open log, positioned for appending. *)
 

@@ -283,13 +283,15 @@ type sample = {
   s_value : string;
 }
 
-(* Parse [name{k="v",...} value] or [name value]; [None] for comments,
-   blank lines, or anything that does not scan (passed through). *)
+(* Parse [name{k="v",...} value] or [name value], unescaping label
+   values; [None] for comments, blank lines, or anything that does not
+   scan (passed through). A value never holds a space, so the last one
+   ends the series even when a label value holds spaces. *)
 let parse_sample line =
   let n = String.length line in
   if n = 0 || line.[0] = '#' then None
   else begin
-    match String.index_opt line ' ' with
+    match String.rindex_opt line ' ' with
     | None -> None
     | Some sp -> (
         let series = String.sub line 0 sp in
@@ -313,20 +315,22 @@ let parse_sample line =
                   ok := false
               | Some eq ->
                   let key = String.sub body !i (eq - !i) in
+                  let v = Buffer.create 16 in
                   let j = ref (eq + 2) in
                   let fin = ref (-1) in
                   while !fin < 0 && !j < len do
                     (match body.[!j] with
-                    | '\\' -> incr j
+                    | '\\' when !j + 1 < len ->
+                        incr j;
+                        Buffer.add_char v
+                          (if body.[!j] = 'n' then '\n' else body.[!j])
                     | '"' -> fin := !j
-                    | _ -> ());
+                    | c -> Buffer.add_char v c);
                     incr j
                   done;
                   if !fin < 0 then ok := false
                   else begin
-                    labels :=
-                      (key, String.sub body (eq + 2) (!fin - eq - 2))
-                      :: !labels;
+                    labels := (key, Buffer.contents v) :: !labels;
                     i := if !fin + 1 < len && body.[!fin + 1] = ',' then !fin + 2
                          else len
                   end
@@ -457,3 +461,63 @@ let merge_prometheus ?(strip_label = "shard")
         done;
         Buffer.contents buf
       end
+
+(* ------------------------------------------------------------------ *)
+(* reading a dump back                                                 *)
+
+module Dump = struct
+  type sample = {
+    name : string;
+    labels : (string * string) list;
+    value : float;
+  }
+
+  let samples dump =
+    List.filter_map
+      (fun line ->
+        match parse_sample line with
+        | Some s ->
+            Option.map
+              (fun value -> { name = s.s_name; labels = s.s_labels; value })
+              (float_of_string_opt s.s_value)
+        | None -> None)
+      (String.split_on_char '\n' dump)
+
+  let matches ~labels name s =
+    s.name = name && List.for_all (fun l -> List.mem l s.labels) labels
+
+  let value ?(labels = []) dump name =
+    List.find_map
+      (fun s -> if matches ~labels name s then Some s.value else None)
+      (samples dump)
+
+  let buckets ?(labels = []) dump name =
+    List.filter_map
+      (fun s ->
+        if matches ~labels (name ^ "_bucket") s then
+          Option.map
+            (fun le -> (le, int_of_float s.value))
+            (Option.bind (List.assoc_opt "le" s.labels) float_of_string_opt)
+        else None)
+      (samples dump)
+
+  (* Bucket counts are cumulative counters, so their pointwise
+     difference is the histogram of exactly the traffic in between. *)
+  let quantile ?labels ~before ~after name q =
+    let b0 = buckets ?labels before name in
+    let delta =
+      List.map
+        (fun (u, c1) ->
+          (u, max 0 (c1 - Option.value ~default:0 (List.assoc_opt u b0))))
+        (buckets ?labels after name)
+    in
+    match List.rev delta with
+    | (_, total) :: _ when total > 0 ->
+        let max_seen =
+          List.fold_left
+            (fun acc (u, c) -> if Float.is_finite u && c > 0 then u else acc)
+            0.0 delta
+        in
+        Some (quantile_of_buckets delta ~max_seen ~count:total q, total)
+    | _ -> None
+end

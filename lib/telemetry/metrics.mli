@@ -178,3 +178,45 @@ val merge_prometheus :
     [merge_prometheus [d]] is [d], byte for byte. Dumps whose shapes
     disagree (different line counts, mismatched names) degrade to
     concatenation / verbatim passthrough rather than dropping data. *)
+
+(** {1 Reading a dump back}
+
+    The one reader for {!prometheus} and {!merge_prometheus} text: how
+    clients, benches and tests get numbers back out of a live daemon's
+    metrics reply. Label values come back unescaped, and a label
+    selector matches every series whose labels include all of its
+    pairs. *)
+module Dump : sig
+  type sample = {
+    name : string;
+    labels : (string * string) list;
+    value : float;
+  }
+
+  val samples : string -> sample list
+  (** Every sample line, in dump order; comments and lines that do not
+      scan are skipped. *)
+
+  val value : ?labels:(string * string) list -> string -> string -> float option
+  (** [value ?labels dump name] is the value of the first series named
+      [name] whose labels include [labels] (default: any series). *)
+
+  val buckets :
+    ?labels:(string * string) list -> string -> string -> (float * int) list
+  (** [buckets ?labels dump name] is histogram [name]'s cumulative
+      [(upper_bound, count)] pairs, read from its [name_bucket] series,
+      in dump order; the [+Inf] bucket's bound is [infinity]. *)
+
+  val quantile :
+    ?labels:(string * string) list ->
+    before:string ->
+    after:string ->
+    string ->
+    float ->
+    (float * int) option
+  (** [quantile ?labels ~before ~after name q] is the [q]-quantile
+      ({!quantile_of_buckets}) of the observations histogram [name]
+      gained between two dumps of one registry, with their number;
+      [None] when it gained none. [~before:""] reads the whole
+      history. *)
+end

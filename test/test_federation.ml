@@ -496,24 +496,11 @@ let test_failover_no_acked_loss () =
 module Netbuf = Pmp_server.Netbuf
 module Wire = Pmp_server.Wire
 
-let scrape_metric dump name =
-  let prefix = name ^ " " in
-  let plen = String.length prefix in
-  List.find_map
-    (fun l ->
-      if String.length l > plen && String.sub l 0 plen = prefix then
-        float_of_string_opt (String.sub l plen (String.length l - plen))
-      else None)
-    (String.split_on_char '\n' dump)
-
 let metric_of client name =
-  match Client.request client Protocol.Metrics with
-  | Ok (Protocol.Metrics_reply dump) -> (
-      match scrape_metric dump name with
-      | Some v -> v
-      | None -> Alcotest.failf "metrics: no %s" name)
-  | Ok r -> Alcotest.failf "metrics: unexpected %s" (Protocol.encode_response r)
-  | Error e -> Alcotest.failf "metrics: %s" e
+  let dump = get_ok ~ctx:"metrics" (Client.metrics client) in
+  match Pmp_telemetry.Metrics.Dump.value dump name with
+  | Some v -> v
+  | None -> Alcotest.failf "metrics: no %s" name
 
 (* One response, either encoding, with its rid and shard tags. *)
 let decode_reply s =
@@ -657,7 +644,9 @@ let test_pipelined_matches_serial () =
         in
         match decode_reply bytes with
         | Ok (Protocol.Metrics_reply dump, _, _) ->
-            Option.get (scrape_metric dump "fed_upstream_batches_total")
+            Option.get
+              (Pmp_telemetry.Metrics.Dump.value dump
+                 "fed_upstream_batches_total")
         | _ -> Alcotest.fail "metrics reply"
       in
       let bs = batches serial and bp = batches piped in
@@ -828,6 +817,70 @@ let test_unterminated_line_capped () =
       | _ -> Alcotest.failf "expected exactly one reply line: %S" reply);
       stop_router r)
 
+(* A frame with an unsupported wire version or an empty payload is
+   consumed and answered with one error, as pmpd does, so a request
+   pipelined behind it is still answered; only a garbage length drops
+   the rest of the input. The router's replies match the daemon's byte
+   for byte. *)
+let test_malformed_frames_match_daemon () =
+  with_dir (fun dir ->
+      let r =
+        in_process_router ~dir:(Filename.concat dir "fed") ~machine_size:16
+      in
+      let server =
+        get_ok ~ctx:"pmpd"
+          (Server.create
+             (Server.default_config ~machine_size:16 ~policy:Cluster.Greedy
+                ~dir:(Filename.concat dir "pmpd")))
+      in
+      let inb = Netbuf.create 256 and out = Netbuf.create 256 in
+      let daemon frames =
+        List.iter (Netbuf.add_string inb) frames;
+        let n =
+          match Server.handle_conn server inb out ~budget:64 with
+          | `Handled n | `Stop n -> n
+        in
+        let bytes = Netbuf.sub_string out ~off:0 ~len:(Netbuf.length out) in
+        Netbuf.clear out;
+        (n, bytes)
+      in
+      let frame ~version payload =
+        String.concat ""
+          [
+            String.make 1 (Char.chr Wire.request_magic);
+            String.make 1 (Char.chr version);
+            String.make 1 (Char.chr (String.length payload));
+            payload;
+          ]
+      in
+      let ping = Protocol.encode_request_binary Protocol.Ping in
+      let reply = Protocol.encode_response_binary in
+      List.iter
+        (fun (label, bad, expect) ->
+          let pmpd = daemon [ bad; ping ] and fed = feed r [ bad; ping ] in
+          Alcotest.(check (pair int string)) (label ^ ": pmpd") expect pmpd;
+          Alcotest.(check (pair int string)) (label ^ ": router") expect fed)
+        [
+          ( "bad version",
+            frame ~version:(Wire.version + 1) "\008",
+            ( 2,
+              reply
+                (Protocol.Error
+                   (Printf.sprintf "unsupported wire version %d"
+                      (Wire.version + 1)))
+              ^ reply Protocol.Pong ) );
+          ( "empty frame",
+            frame ~version:Wire.version "",
+            (2, reply (Protocol.Error "empty frame") ^ reply Protocol.Pong) );
+          ( "garbage length",
+            String.make 1 (Char.chr Wire.request_magic)
+            ^ String.make 1 (Char.chr Wire.version)
+            ^ String.make Wire.max_varint_bytes '\255',
+            (1, reply (Protocol.Error "malformed frame")) );
+        ];
+      Server.close server;
+      stop_router r)
+
 let suite =
   [
     Alcotest.test_case "fed_id plan and offsets" `Quick test_fed_id_plan;
@@ -849,6 +902,8 @@ let suite =
       test_connection_slots_released;
     Alcotest.test_case "unterminated json line capped" `Quick
       test_unterminated_line_capped;
+    Alcotest.test_case "malformed frames answered as pmpd does" `Quick
+      test_malformed_frames_match_daemon;
   ]
   @ Helpers.qtests
       [

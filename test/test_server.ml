@@ -1390,41 +1390,6 @@ let test_rid_echo_over_sockets () =
           shutdown_server client;
           Client.close client))
 
-(* scrape one labelled histogram's cumulative buckets out of a
-   Prometheus dump — the [le] label renders last, so a prefix pins the
-   series (same parser [pmp client bench] and the service bench use) *)
-let scrape_buckets dump name selector =
-  let prefix = Printf.sprintf "%s_bucket{%s,le=\"" name selector in
-  let plen = String.length prefix in
-  List.filter_map
-    (fun l ->
-      if String.length l > plen && String.sub l 0 plen = prefix then
-        match String.index_opt l '}' with
-        | Some j when j > plen ->
-            let bound = String.sub l plen (j - 1 - plen) in
-            let upper =
-              if bound = "+Inf" then infinity
-              else Option.value ~default:nan (float_of_string_opt bound)
-            in
-            let v = String.sub l (j + 1) (String.length l - j - 1) in
-            Option.map
-              (fun cum -> (upper, cum))
-              (int_of_string_opt (String.trim v))
-        | _ -> None
-      else None)
-    (String.split_on_char '\n' dump)
-
-let scraped_count buckets =
-  match List.rev buckets with (_, total) :: _ -> total | [] -> 0
-
-let scraped_quantile buckets q =
-  let max_seen =
-    List.fold_left
-      (fun acc (u, c) -> if Float.is_finite u && c > 0 then u else acc)
-      0.0 buckets
-  in
-  Metrics.quantile_of_buckets buckets ~max_seen ~count:(scraped_count buckets) q
-
 (* The reconciliation criterion: with [latency_profile] on, the p99 a
    client scrapes out of the metrics dump must agree with the
    registry's own histogram — same buckets, so within one bucket
@@ -1464,13 +1429,7 @@ let test_latency_attribution_reconciles () =
                   Alcotest.failf "finish %d: %s" i (Protocol.encode_response r)
               | Error e -> Alcotest.failf "finish %d: %s" i e
             done;
-            let dump =
-              match Client.request client Protocol.Metrics with
-              | Ok (Protocol.Metrics_reply m) -> m
-              | Ok r ->
-                  Alcotest.failf "metrics: %s" (Protocol.encode_response r)
-              | Error e -> Alcotest.failf "metrics: %s" e
-            in
+            let dump = get_ok ~ctx:"metrics" (Client.metrics client) in
             shutdown_server client;
             Client.close client;
             dump)
@@ -1498,14 +1457,12 @@ let test_latency_attribution_reconciles () =
           Alcotest.(check int)
             (Printf.sprintf "registry counted every %s" op)
             50 (Metrics.Histogram.count h);
-          let buckets =
-            scrape_buckets dump "pmpd_request_seconds"
-              (Printf.sprintf "op=\"%s\"" op)
+          let q_dump, n =
+            Option.value ~default:(0.0, 0)
+              (Metrics.Dump.quantile ~labels:[ ("op", op) ] ~before:""
+                 ~after:dump "pmpd_request_seconds" 0.99)
           in
-          Alcotest.(check int)
-            (Printf.sprintf "dump counted every %s" op)
-            50 (scraped_count buckets);
-          let q_dump = scraped_quantile buckets 0.99 in
+          Alcotest.(check int) (Printf.sprintf "dump counted every %s" op) 50 n;
           let q_reg = Metrics.Histogram.quantile h 0.99 in
           if not (q_dump > 0.0 && q_reg > 0.0) then
             Alcotest.failf "%s p99 degenerate: dump %g registry %g" op q_dump
@@ -1519,29 +1476,12 @@ let test_latency_attribution_reconciles () =
       (* the pipeline stages saw each mutation exactly once *)
       List.iter
         (fun stage ->
-          let buckets =
-            scrape_buckets dump "pmpd_stage_seconds"
-              (Printf.sprintf "stage=\"%s\"" stage)
-          in
-          Alcotest.(check int)
+          Alcotest.(check (option (float 0.0)))
             (Printf.sprintf "stage %s counted every mutation" stage)
-            100 (scraped_count buckets))
+            (Some 100.0)
+            (Metrics.Dump.value ~labels:[ ("stage", stage) ] dump
+               "pmpd_stage_seconds_count"))
         [ "decode"; "apply"; "wal_append" ])
-
-(* every sample line of a dump, as (series, value), in dump order *)
-let metric_samples dump =
-  List.filter_map
-    (fun l ->
-      if l = "" || l.[0] = '#' then None
-      else
-        match String.rindex_opt l ' ' with
-        | Some i ->
-            Option.map
-              (fun v -> (String.sub l 0 i, v))
-              (float_of_string_opt
-                 (String.sub l (i + 1) (String.length l - i - 1)))
-        | None -> None)
-    (String.split_on_char '\n' dump)
 
 (* Counters, bucket counts, sums and counts only ever grow within a
    process — across a snapshot too — and the dump's series ordering is
@@ -1559,40 +1499,35 @@ let test_metrics_monotone_across_recovery () =
       let d1 = Server.metrics s in
       apply s [ Protocol.Snapshot; Protocol.Submit 2; Protocol.Submit 1 ];
       let d2 = Server.metrics s in
-      let s1 = metric_samples d1 and s2 = metric_samples d2 in
-      List.iter
-        (fun (series, v1) ->
+      let s1 = Metrics.Dump.samples d1 and s2 = Metrics.Dump.samples d2 in
+      let series =
+        List.map (fun (x : Metrics.Dump.sample) -> (x.name, x.labels))
+      in
+      let order = Alcotest.(list (pair string (list (pair string string)))) in
+      Alcotest.check order "series order is byte-stable" (series s1)
+        (series s2);
+      List.iter2
+        (fun (x1 : Metrics.Dump.sample) (x2 : Metrics.Dump.sample) ->
           let monotone =
-            String.ends_with ~suffix:"_total" series
-            || String.ends_with ~suffix:"_count" series
-            || String.ends_with ~suffix:"_sum" series
-            || string_contains series "_bucket{"
+            List.exists
+              (fun suffix -> String.ends_with ~suffix x1.name)
+              [ "_total"; "_count"; "_sum"; "_bucket" ]
           in
-          if monotone then
-            match List.assoc_opt series s2 with
-            | Some v2 when v2 >= v1 -> ()
-            | Some v2 ->
-                Alcotest.failf "%s went backwards across a snapshot: %g -> %g"
-                  series v1 v2
-            | None -> Alcotest.failf "%s disappeared from the dump" series)
-        s1;
-      Alcotest.(check (list string))
-        "series order is byte-stable" (List.map fst s1) (List.map fst s2);
+          if monotone && x2.value < x1.value then
+            Alcotest.failf "%s went backwards across a snapshot: %g -> %g"
+              x1.name x1.value x2.value)
+        s1 s2;
       Server.close s;
       let s' = Result.get_ok (Server.create config) in
-      let s3 = metric_samples (Server.metrics s') in
-      Alcotest.(check (list string))
-        "series order survives recovery" (List.map fst s1) (List.map fst s3);
-      let v series =
-        match List.assoc_opt series s3 with
-        | Some v -> v
-        | None -> Alcotest.failf "missing %s after recovery" series
-      in
+      let d3 = Server.metrics s' in
+      Alcotest.check order "series order survives recovery" (series s1)
+        (series (Metrics.Dump.samples d3));
       (* the fresh process starts its counters over but records the
          recovery itself: one recovery, two post-snapshot replays *)
-      Alcotest.(check (float 0.0)) "one recovery" 1.0 (v "pmpd_recoveries_total");
-      Alcotest.(check (float 0.0)) "replayed the WAL tail" 2.0
-        (v "pmpd_recovered_ops_total");
+      Alcotest.(check (option (float 0.0))) "one recovery" (Some 1.0)
+        (Metrics.Dump.value d3 "pmpd_recoveries_total");
+      Alcotest.(check (option (float 0.0))) "replayed the WAL tail" (Some 2.0)
+        (Metrics.Dump.value d3 "pmpd_recovered_ops_total");
       Server.close s')
 
 
@@ -1608,34 +1543,7 @@ let stats_of client =
   | Ok r -> Alcotest.failf "stats: unexpected reply %s" (Protocol.encode_response r)
   | Error e -> Alcotest.failf "stats: %s" e
 
-let metrics_of client =
-  match Client.request client Protocol.Metrics with
-  | Ok (Protocol.Metrics_reply dump) -> dump
-  | Ok r -> Alcotest.failf "metrics: unexpected reply %s" (Protocol.encode_response r)
-  | Error e -> Alcotest.failf "metrics: %s" e
-
-(* Sum every sample in a Prometheus dump whose line starts with [name]
-   and contains [sel] as a substring. *)
-let scrape_sum dump name sel =
-  String.split_on_char '\n' dump
-  |> List.fold_left
-       (fun acc line ->
-         if
-           String.length line > String.length name
-           && String.sub line 0 (String.length name) = name
-           && string_contains line sel
-         then
-           match String.rindex_opt line ' ' with
-           | Some sp -> (
-               match
-                 float_of_string_opt
-                   (String.sub line (sp + 1) (String.length line - sp - 1))
-               with
-               | Some v -> acc +. v
-               | None -> acc)
-           | None -> acc
-         else acc)
-       0.0
+let metrics_of client = get_ok ~ctx:"metrics" (Client.metrics client)
 
 let sharded_config ?(domains = 4) ~dir () =
   {
@@ -1744,8 +1652,9 @@ let test_multicore_session () =
           (* the merged dump speaks the single-server metric names, and
              the per-shard series keep their shard labels *)
           let dump = metrics_of client in
-          Alcotest.(check (float 0.0)) "merged submissions+finishes" 24.0
-            (scrape_sum dump "pmpd_mutations_total " "");
+          Alcotest.(check (option (float 0.0))) "merged submissions+finishes"
+            (Some 24.0)
+            (Metrics.Dump.value dump "pmpd_mutations_total");
           Alcotest.(check bool) "per-shard queue depth series" true
             (string_contains dump "pmpd_shard_queue_depth{shard=\"3\"}");
           shutdown_server client;
@@ -1777,9 +1686,20 @@ let test_multicore_steal () =
             | Error e -> Alcotest.failf "submit %d: %s" i e
           done;
           let dump = metrics_of client in
-          let stolen = scrape_sum dump "pmpd_shard_steals_total{" "dir=\"out\"" in
+          (* per shard in the merged dump: sum them *)
+          let steals dir =
+            List.fold_left
+              (fun acc (x : Metrics.Dump.sample) ->
+                if
+                  x.name = "pmpd_shard_steals_total"
+                  && List.mem ("dir", dir) x.labels
+                then acc +. x.value
+                else acc)
+              0.0 (Metrics.Dump.samples dump)
+          in
+          let stolen = steals "out" in
           Alcotest.(check bool) "steals happened" true (stolen > 0.0);
-          let stolen_in = scrape_sum dump "pmpd_shard_steals_total{" "dir=\"in\"" in
+          let stolen_in = steals "in" in
           Alcotest.(check (float 0.0)) "every steal has one receiver" stolen stolen_in;
           (* stolen or not, every task finishes exactly once *)
           List.iter
@@ -2038,22 +1958,16 @@ let test_sharded_snapshots () =
    daemon-wide dump of a profiled K=4 service counts apply and fsync
    stage samples. *)
 let test_sharded_latency_profile () =
-  let dump =
+  let _, dump =
     get_ok ~ctx:"service"
-      (Loadgen.with_local_service ~machine_size:64 ~domains:4
-         ~latency_profile:true (fun socket ->
-           let client = connect socket in
-           let gen = Loadgen.make_gen ~seed:3 ~machine_size:64 in
-           let r = Loadgen.drive client gen ~requests:200 ~window:8 () in
-           let dump = metrics_of client in
-           Client.close client;
-           Result.map (fun _ -> dump) r))
+      (Loadgen.bench ~domains:4 ~latency_profile:true ~requests:200 ())
   in
   List.iter
     (fun stage ->
       let n =
-        scrape_sum dump "pmpd_stage_seconds_count{"
-          (Printf.sprintf "stage=\"%s\"" stage)
+        Option.value ~default:0.0
+          (Metrics.Dump.value ~labels:[ ("stage", stage) ] dump
+             "pmpd_stage_seconds_count")
       in
       if n <= 0.0 then Alcotest.failf "no %s stage samples in:\n%s" stage dump)
     [ "apply"; "fsync" ]

@@ -480,6 +480,68 @@ let test_merge_shape_mismatch () =
   Alcotest.(check string) "concatenation fallback" (d1 ^ d2)
     (Metrics.merge_prometheus [ d1; d2 ])
 
+(* The dump reader, on one registry and on a merge of two shards'
+   registries (which must read back as their sum): a counter, a gauge,
+   a label value holding an escaped quote and a comma, a histogram's
+   buckets through +Inf, and the quantile of the traffic between two
+   dumps. *)
+let test_dump_reader () =
+  let module D = Metrics.Dump in
+  let shard labels =
+    let reg = Metrics.Registry.create () in
+    let c = Metrics.Registry.counter reg ~labels "req_total" in
+    let g = Metrics.Registry.gauge reg ~labels "depth" in
+    let t =
+      Metrics.Registry.counter reg
+        ~labels:(labels @ [ ("tenant", "a\"b,c") ])
+        "tenant_total"
+    in
+    let h =
+      Metrics.Registry.histogram reg
+        ~labels:(labels @ [ ("stage", "fsync") ])
+        "lat" [| 1.0; 2.0; 4.0 |]
+    in
+    Metrics.Counter.inc c 3;
+    Metrics.Gauge.set g 5.0;
+    Metrics.Counter.inc t 2;
+    Metrics.Histogram.observe h 0.5;
+    let before = Metrics.prometheus reg in
+    for _ = 1 to 10 do
+      Metrics.Histogram.observe h 3.0
+    done;
+    (before, Metrics.prometheus reg)
+  in
+  let check ~label k (before, after) =
+    let value ?labels name = D.value ?labels after name in
+    let num = Alcotest.(option (float 0.0)) in
+    let times x = Some (x *. float_of_int k) in
+    Alcotest.check num (label ^ ": counter") (times 3.0) (value "req_total");
+    Alcotest.check num (label ^ ": gauge") (times 5.0) (value "depth");
+    Alcotest.check num (label ^ ": escaped label value") (times 2.0)
+      (value ~labels:[ ("tenant", "a\"b,c") ] "tenant_total");
+    Alcotest.check num (label ^ ": label mismatch") None
+      (value ~labels:[ ("tenant", "a") ] "tenant_total");
+    let stage = [ ("stage", "fsync") ] in
+    Alcotest.(check (list (pair (float 0.0) int)))
+      (label ^ ": buckets")
+      [ (1.0, k); (2.0, k); (4.0, 11 * k); (infinity, 11 * k) ]
+      (D.buckets ~labels:stage after "lat");
+    (match D.quantile ~labels:stage ~before ~after "lat" 0.5 with
+    | Some (q, n) ->
+        Alcotest.(check int) (label ^ ": traffic between the dumps") (10 * k) n;
+        if not (q > 2.0 && q <= 4.0) then
+          Alcotest.failf "%s: p50 %g outside the (2, 4] bucket" label q
+    | None -> Alcotest.failf "%s: no traffic between the dumps" label);
+    Alcotest.(check (option (pair (float 0.0) int)))
+      (label ^ ": no traffic") None
+      (D.quantile ~labels:stage ~before:after ~after "lat" 0.5)
+  in
+  check ~label:"one registry" 1 (shard []);
+  let shards = List.init 2 (fun s -> shard [ ("shard", string_of_int s) ]) in
+  check ~label:"merged shards" 2
+    ( Metrics.merge_prometheus (List.map fst shards),
+      Metrics.merge_prometheus (List.map snd shards) )
+
 let suite =
   [
     Alcotest.test_case "log_bounds" `Quick test_log_bounds;
@@ -508,5 +570,6 @@ let suite =
     Alcotest.test_case "merge keep-prefix list" `Quick test_merge_keep_prefixes;
     Alcotest.test_case "merge strips labels in order" `Quick test_merge_label_strip_and_order;
     Alcotest.test_case "merge shape mismatch" `Quick test_merge_shape_mismatch;
+    Alcotest.test_case "dump reader" `Quick test_dump_reader;
   ]
   @ Helpers.qtests [ prop_counters_match_engine; prop_quantile_bounded ]
