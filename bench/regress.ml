@@ -11,8 +11,9 @@
      ratio) must match the baseline bit-for-bit — any drift means the
      allocation behaviour changed, which a perf PR must not do;
    - cost outputs are compared with a tolerance. The hard gates are
-     allocations (GC words per event and per run set-up, and none at
-     all per load-index add; deterministic up to OCaml version) and
+     allocations (GC words per event and per run set-up, per PE at
+     daemon start-up, and none at all per load-index add;
+     deterministic up to OCaml version) and
      the scan-vs-index per-event speedup measured in-process on the
      same trace (both sides see the same host, so the ratio
      transports across machines). Wall-clock — raw and
@@ -77,6 +78,16 @@ let min_requests_per_upstream_batch = 2.0
    words (~3.4k on this trace) and fails the gate. GC words are
    deterministic, so this gates hard. *)
 let max_audit_words_per_event = 250.0
+
+(* the start-up ceiling: [Server.create] on a fresh directory builds
+   the cluster's allocator, whose placement table indexes its own
+   loads, and recovery's verify round trip re-imports that once and
+   compares two leaf-load arrays. Recorded 14.5 words/PE at N=16384;
+   one load index is ~6 words/PE, so a second index in the cluster or
+   an observer built for an empty WAL tail crosses the ceiling. GC
+   words are deterministic, so this gates hard. *)
+let startup_n = 16_384
+let max_startup_words_per_pe = 18.0
 
 (* the same seeded churn as Workloads.churn in the experiment harness
    (dune forbids sharing a module across two executables in one
@@ -155,9 +166,11 @@ let min_measured_s = 0.25
 
 (* Each rep counts the words of building the allocator plus running
    the engine. The same with an empty sequence is the run's set-up —
-   the O(N) allocator, Mirror and final-load arrays — reported as
-   [setup_words] and taken out of [words_per_event], which is then the
-   event loop's own cost. *)
+   the O(N) load views of the allocator's table (load-aware allocators
+   only; a copy stack's table never builds one) and of the engine's
+   Mirror, and the final-load arrays — reported as [setup_words] and
+   taken out of [words_per_event], which is then the event loop's own
+   cost. *)
 let run_case calib c =
   let machine = Machine.create c.n in
   let seq = churn ~steps:c.steps c.n in
@@ -290,6 +303,44 @@ let audit_probe () =
       ("words_per_event", Json.Num (Float.round (words /. events)));
       ("ns_per_event", Json.Num (Float.round (wall *. 1e9 /. events)));
       ("max_words_per_event", Json.Num max_audit_words_per_event);
+    ]
+
+(* The start-up probe: GC words [Server.create] allocates per PE on a
+   fresh directory, the O(N) state a daemon builds before its first
+   request. *)
+let startup_probe () =
+  let module Server = Pmp_server.Server in
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pmp-regress-startup-%d" (Unix.getpid ()))
+  in
+  ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ]));
+  let config =
+    Server.default_config ~machine_size:startup_n
+      ~policy:Pmp_cluster.Cluster.Greedy ~dir
+  in
+  Gc.full_major ();
+  let w0 = alloc_words () in
+  let s =
+    match Server.create config with
+    | Ok s -> s
+    | Error e -> failwith ("startup probe: " ^ e)
+  in
+  let words = alloc_words () -. w0 in
+  Server.close s;
+  ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ]));
+  Json.Obj
+    [
+      ( "case",
+        Json.Str
+          (Printf.sprintf "Server.create, greedy N=%d, fresh directory" startup_n)
+      );
+      ("machine_size", Json.Num (float_of_int startup_n));
+      ( "words_per_pe",
+        Json.Num (Float.round (words /. float_of_int startup_n *. 10.0) /. 10.0)
+      );
+      ("max_words_per_pe", Json.Num max_startup_words_per_pe);
     ]
 
 (* The state gate: a daemon's durable state and the work of its
@@ -823,8 +874,8 @@ let scenario_verdicts () =
         Pmp_scenario.Verdict.golden_json verdict ))
     Pmp_scenario.Registry.fast_subset
 
-let report calib cases speedup audit state load_index service multicore
-    federation scenarios =
+let report calib cases speedup audit startup state load_index service
+    multicore federation scenarios =
   Json.Obj
     [
       ("suite", Json.Str "pmp bench-regress");
@@ -835,6 +886,7 @@ let report calib cases speedup audit state load_index service multicore
       ("cases", Json.Obj cases);
       ("speedup", speedup);
       ("audit", audit);
+      ("startup", startup);
       ("state", state);
       ("load_index", load_index);
       ("service", service);
@@ -940,6 +992,24 @@ let check_audit ~tolerance baseline au =
         else []
   in
   ceiling @ drift
+
+(* The start-up gate: the absolute ceiling on words per PE. *)
+let check_startup su =
+  let w = get_num "startup" su "words_per_pe" in
+  if w > max_startup_words_per_pe then
+    [
+      {
+        key = "startup";
+        msg =
+          Printf.sprintf
+            "startup: Server.create allocates %.1f words/PE at N=%d, above the \
+             %.0f ceiling: it builds more O(N) state than one load index per \
+             cluster"
+            w startup_n max_startup_words_per_pe;
+        timing = false;
+      };
+    ]
+  else []
 
 (* The state gates: from the shorter stationary run to the longer,
    neither the snapshot bytes per live task nor the WAL records
@@ -1311,6 +1381,12 @@ let () =
     (Option.value ~default:nan
        (Option.bind (Json.member "words_per_event" au) Json.to_float))
     max_audit_words_per_event;
+  Printf.printf "measuring daemon start-up (Server.create, N=%d)...\n%!" startup_n;
+  let su = startup_probe () in
+  Printf.printf "startup: %.1f words/PE (ceiling %.0f)\n%!"
+    (Option.value ~default:nan
+       (Option.bind (Json.member "words_per_pe" su) Json.to_float))
+    max_startup_words_per_pe;
   Printf.printf "measuring durable state size (stationary churn to %s mutations)...\n%!"
     (String.concat ", " (List.map string_of_int state_runs));
   let st = state_probe () in
@@ -1437,6 +1513,7 @@ let () =
   let failures =
     check_speedup sp
     @ check_audit ~tolerance:!tolerance baseline au
+    @ check_startup su
     @ check_state st
     @ check_load_index ~tolerance:!tolerance baseline li
     @ check_service ~tolerance:!tolerance baseline sv
@@ -1453,7 +1530,7 @@ let () =
   let hard, soft =
     List.partition (fun f -> !strict_time || not f.timing) failures
   in
-  let rep = report calib !cases sp au st li sv mc fd scenarios in
+  let rep = report calib !cases sp au su st li sv mc fd scenarios in
   Json.to_file !out rep;
   Printf.printf "wrote %s (%d cases)\n%!" !out (List.length !cases);
   if !update_baseline then begin

@@ -1,7 +1,7 @@
 module Machine = Pmp_machine.Machine
 module Task = Pmp_workload.Task
 module Allocator = Pmp_core.Allocator
-module Mirror = Pmp_core.Mirror
+module Load_view = Pmp_index.Load_view
 module Observer = Pmp_oracle.Oracle.Observer
 module Ptable = Pmp_core.Ptable
 
@@ -21,16 +21,16 @@ let policy_name = function
   | Hybrid d -> Printf.sprintf "hybrid(d=%s)" (Pmp_core.Realloc.to_string d)
   | Randomized seed -> Printf.sprintf "randomized(seed=%d)" seed
 
-type queued_task = { task : Task.t }
-
 type t = {
   machine : Machine.t;
   policy : policy;
   alloc : Allocator.t;
-  mirror : Mirror.t;
+  loads : Load_view.t;  (** the allocator's table's own view *)
   capacity : int option;  (** PEs; [None] = unlimited (real-time model) *)
-  queue : queued_task Queue.t;
-  queued_ids : (Task.id, unit) Hashtbl.t;
+  queue : Task.t Queue.t;
+      (** FIFO; a cancelled task stays in it, dead, until it reaches
+          the head or the queue is compacted (see [compact]) *)
+  queued_ids : (Task.id, unit) Hashtbl.t;  (** the live queued tasks *)
   mutable next_id : int;
   mutable submitted : int;
   mutable completed : int;
@@ -80,7 +80,7 @@ let make ?state ~machine_size ~policy ~admission_cap () =
       machine;
       policy;
       alloc;
-      mirror = Mirror.create machine;
+      loads = Ptable.loads alloc.Allocator.table machine;
       capacity =
         Option.map
           (fun cap -> int_of_float (cap *. float_of_int machine_size))
@@ -101,10 +101,14 @@ let create ~machine_size ~policy ?(admission_cap = None) () =
 
 type submission = Placed of Task.id * Pmp_core.Placement.t | Queued of Task.id
 
+(* every PE counts each task covering it, so the loads sum to the
+   active size *)
+let active_size t = Load_view.total_load t.loads
+
 let fits t size =
   match t.capacity with
   | None -> true
-  | Some cap -> Mirror.active_size t.mirror + size <= cap
+  | Some cap -> active_size t + size <= cap
 
 (* The first violation ends the audit: the observer's mirror may no
    longer match after one. *)
@@ -114,28 +118,56 @@ let note_audit t = function
       t.audit <- None;
       t.audit_error <- Some v
 
+let rec check_moves table = function
+  | [] -> ()
+  | (mv : Allocator.move) :: rest ->
+      let id = mv.task.Task.id in
+      let landed =
+        match Ptable.find table id with
+        | _, p -> Pmp_core.Placement.equal p mv.to_
+        | exception Not_found -> false
+      in
+      if not landed then
+        invalid_arg
+          (Printf.sprintf
+             "Cluster: the allocator reports moving task %d where its table \
+              does not hold it"
+             id);
+      check_moves table rest
+
+let checked_assign (alloc : Allocator.t) (task : Task.t) =
+  let table = alloc.Allocator.table in
+  if Ptable.mem table task.id then
+    invalid_arg (Printf.sprintf "Cluster: task %d is already placed" task.id);
+  let resp = alloc.Allocator.assign task in
+  check_moves table resp.Allocator.moves;
+  resp
+
 let place t task =
-  let resp = t.alloc.Allocator.assign task in
+  let resp = checked_assign t.alloc task in
   (match t.audit with
   | Some obs -> note_audit t (Observer.observe_assign obs task resp)
   | None -> ());
-  Mirror.apply_assign t.mirror task resp;
   t.tasks_migrated <- t.tasks_migrated + List.length resp.Allocator.moves;
-  let load = Mirror.max_load t.mirror in
+  let load = Load_view.max_overall t.loads in
   if load > t.peak_load then t.peak_load <- load;
   resp.Allocator.placement
 
-let drain t =
-  let rec go () =
-    match Queue.peek_opt t.queue with
-    | Some q when fits t q.task.Task.size ->
-        ignore (Queue.pop t.queue);
-        Hashtbl.remove t.queued_ids q.task.Task.id;
-        ignore (place t q.task);
-        go ()
-    | Some _ | None -> ()
-  in
-  go ()
+(* Admit from the head while it fits, dropping cancelled entries. *)
+let rec drain t =
+  if not (Queue.is_empty t.queue) then begin
+    let q = Queue.peek t.queue in
+    if not (Hashtbl.mem t.queued_ids q.Task.id) then begin
+      ignore (Queue.pop t.queue);
+      drain t
+    end
+    else if fits t q.Task.size then begin
+      ignore (Queue.pop t.queue);
+      Hashtbl.remove t.queued_ids q.Task.id;
+      ignore (place t q);
+      drain t
+    end
+  end
 
 let submit t ~size =
   if not (Pmp_util.Pow2.is_pow2 size) then
@@ -148,44 +180,50 @@ let submit t ~size =
         let task = Task.make ~id:t.next_id ~size in
         t.next_id <- t.next_id + 1;
         t.submitted <- t.submitted + 1;
-        if Queue.is_empty t.queue && fits t size then
+        if Hashtbl.length t.queued_ids = 0 && fits t size then
           Ok (Placed (task.Task.id, place t task))
         else begin
-          Queue.push { task } t.queue;
+          Queue.push task t.queue;
           Hashtbl.replace t.queued_ids task.Task.id ();
           Ok (Queued task.Task.id)
         end
   end
 
-let finish t id =
-  if Hashtbl.mem t.queued_ids id then begin
-    (* cancellation of queued work *)
-    Hashtbl.remove t.queued_ids id;
-    let survivors = Queue.create () in
+(* Keep only the live entries, once the dead ones outnumber them: each
+   compaction costs at most twice the cancellations since the last, so
+   a cancellation is O(1) amortised. *)
+let compact t =
+  if Queue.length t.queue > 2 * Hashtbl.length t.queued_ids then begin
+    let live = Queue.create () in
     Queue.iter
-      (fun q -> if q.task.Task.id <> id then Queue.push q survivors)
+      (fun q -> if Hashtbl.mem t.queued_ids q.Task.id then Queue.push q live)
       t.queue;
     Queue.clear t.queue;
-    Queue.transfer survivors t.queue;
+    Queue.transfer live t.queue
+  end
+
+let finish t id =
+  if Hashtbl.mem t.queued_ids id then begin
+    (* cancellation of queued work: its queue entry is now dead *)
+    Hashtbl.remove t.queued_ids id;
+    compact t;
     t.completed <- t.completed + 1;
     drain t;
     Ok ()
   end
-  else begin
-    match Mirror.placement t.mirror id with
-    | None -> Error (Printf.sprintf "task %d is not active" id)
-    | Some _ ->
-        t.alloc.Allocator.remove id;
-        (match t.audit with
-        | Some obs -> note_audit t (Observer.observe_remove obs id)
-        | None -> ());
-        Mirror.apply_remove t.mirror id;
-        t.completed <- t.completed + 1;
-        drain t;
-        Ok ()
+  else if Ptable.mem t.alloc.Allocator.table id then begin
+    t.alloc.Allocator.remove id;
+    (match t.audit with
+    | Some obs -> note_audit t (Observer.observe_remove obs id)
+    | None -> ());
+    t.completed <- t.completed + 1;
+    drain t;
+    Ok ()
   end
+  else Error (Printf.sprintf "task %d is not active" id)
 
-let placement t id = Mirror.placement t.mirror id
+let placement t id = Ptable.placement t.alloc.Allocator.table id
+
 let is_queued t id = Hashtbl.mem t.queued_ids id
 
 type stats = {
@@ -205,14 +243,12 @@ let stats (t : t) =
   {
     submitted = t.submitted;
     completed = t.completed;
-    queued_now = Queue.length t.queue;
-    active_now = Mirror.num_active t.mirror;
-    active_size = Mirror.active_size t.mirror;
-    max_load = Mirror.max_load t.mirror;
+    queued_now = Hashtbl.length t.queued_ids;
+    active_now = Ptable.length t.alloc.Allocator.table;
+    active_size = active_size t;
+    max_load = Load_view.max_overall t.loads;
     peak_load = t.peak_load;
-    optimal_now =
-      Pmp_util.Pow2.ceil_div (Mirror.active_size t.mirror)
-        (Machine.size t.machine);
+    optimal_now = Pmp_util.Pow2.ceil_div (active_size t) (Machine.size t.machine);
     reallocations = t.alloc.Allocator.realloc_events ();
     tasks_migrated = t.tasks_migrated;
   }
@@ -245,13 +281,14 @@ let merge_stats ~machine_size = function
         optimal_now = Pmp_util.Pow2.ceil_div acc.active_size machine_size;
       }
 
-let leaf_loads t = Mirror.leaf_loads t.mirror
+let leaf_loads t = Load_view.leaf_loads t.loads
 let machine_size t = Machine.size t.machine
 
 let queued_tasks t =
   List.rev
     (Queue.fold
-       (fun acc q -> (q.task.Task.id, q.task.Task.size) :: acc)
+       (fun acc (q : Task.t) ->
+         if Hashtbl.mem t.queued_ids q.id then (q.id, q.size) :: acc else acc)
        [] t.queue)
 
 let next_id t = t.next_id
@@ -290,10 +327,6 @@ let import ~machine_size ~policy ?(admission_cap = None) (st : state) =
       "a placement's copy number exceeds the tasks ever submitted"
   in
   let* t = make ~state:st.alloc ~machine_size ~policy ~admission_cap () in
-  List.iter
-    (fun (task, placement) ->
-      Mirror.apply_assign t.mirror task { Allocator.placement; moves = [] })
-    st.alloc.Allocator.tasks;
   let* () =
     check
       (List.for_all (fun ((task : Task.t), _) -> task.id < st.next_id)
@@ -318,7 +351,7 @@ let import ~machine_size ~policy ?(admission_cap = None) (st : state) =
             && match t.capacity with Some cap -> size <= cap | None -> true)
         then Error (Printf.sprintf "queued task %d has inadmissible size %d" id size)
         else begin
-          Queue.push { task = Task.make ~id ~size } t.queue;
+          Queue.push (Task.make ~id ~size) t.queue;
           Hashtbl.replace t.queued_ids id ();
           Ok ()
         end)
@@ -327,8 +360,8 @@ let import ~machine_size ~policy ?(admission_cap = None) (st : state) =
   let* () =
     check
       (match (t.capacity, Queue.peek_opt t.queue) with
-      | Some cap, _ when Mirror.active_size t.mirror > cap -> false
-      | _, Some q -> not (fits t q.task.Task.size)
+      | Some cap, _ when active_size t > cap -> false
+      | _, Some q -> not (fits t q.Task.size)
       | _, None -> true)
       "the active tasks and the queue head break the admission capacity"
   in
@@ -337,12 +370,12 @@ let import ~machine_size ~policy ?(admission_cap = None) (st : state) =
       (0 <= st.completed && st.completed <= st.submitted
       && st.submitted <= st.next_id
       && st.submitted - st.completed
-         = Mirror.num_active t.mirror + Queue.length t.queue)
+         = Ptable.length t.alloc.Allocator.table + Queue.length t.queue)
       "submitted/completed counters do not balance the live tasks"
   in
   let* () =
     check
-      (st.peak_load >= Mirror.max_load t.mirror && st.tasks_migrated >= 0)
+      (st.peak_load >= Load_view.max_overall t.loads && st.tasks_migrated >= 0)
       "peak load below the current load, or a negative migration count"
   in
   t.next_id <- st.next_id;

@@ -20,7 +20,13 @@
     ]}
 
     All ids are allocated by the cluster; completions of queued tasks
-    cancel them. Every mutation updates the running statistics. *)
+    cancel them. Every mutation updates the running statistics.
+
+    The cluster keeps no second copy of the allocation: placements,
+    counts, the active size and every load are read from the
+    allocator's own placement table and the load view it keeps
+    ({!Pmp_core.Ptable.loads}). What it still checks of every decision
+    is {!checked_assign}'s. *)
 
 type policy =
   | Greedy
@@ -54,7 +60,8 @@ val submit : t -> size:int -> (submission, string) result
 val finish : t -> Pmp_workload.Task.id -> (unit, string) result
 (** Completion (or cancellation of a queued submission). Frees
     capacity and admits queued work; the placements of newly admitted
-    tasks are visible through {!placement}. *)
+    tasks are visible through {!placement}. A cancellation costs O(1)
+    amortised, whatever the queue's depth. *)
 
 val placement : t -> Pmp_workload.Task.id -> Pmp_core.Placement.t option
 (** [None] when the task is queued, finished, or unknown. *)
@@ -149,6 +156,13 @@ val import :
       [tasks_migrated] is non-negative. *)
 
 (** {2 Auditing} *)
+
+val checked_assign :
+  Pmp_core.Allocator.t -> Pmp_workload.Task.t -> Pmp_core.Allocator.response
+(** [alloc.assign task] with the checks a cluster makes of every
+    admission: the arriving id is not already placed, and each move the
+    response reports ends where the allocator's table now holds that
+    task. @raise Invalid_argument naming the task otherwise. *)
 
 val start_audit : t -> Pmp_oracle.Oracle.spec -> unit
 (** Check every allocator decision from now on — each admission's

@@ -55,7 +55,9 @@ type t = {
       (** all active tasks and their current homes. [assign] and
           [remove] keep it current; every write is journalled, which
           is what lets {!Mirror.check_against} audit only the tasks an
-          event touched. *)
+          event touched. Load-aware allocators place from the table's
+          own load view ({!Ptable.loads}); a caller that asks for it
+          gets that same view. *)
   realloc_events : unit -> int;
       (** number of reallocation (repack) operations performed. *)
   export : unit -> state;

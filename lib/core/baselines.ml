@@ -2,28 +2,26 @@ module Task = Pmp_workload.Task
 module Sub = Pmp_machine.Submachine
 module Load_view = Pmp_index.Load_view
 
-(* Shared skeleton: a load view plus a policy choosing the submachine
-   index for an arrival, given the per-submachine loads at its order. *)
+(* Shared skeleton: the table's load view plus a policy choosing the
+   submachine index for an arrival, given the per-submachine loads at
+   its order. *)
 let make ?backend m ~name ~choose : Allocator.t =
-  let loads = Load_view.create ?backend m in
   let table = Ptable.create 64 in
+  let loads = Ptable.loads ?backend table m in
   let assign (task : Task.t) =
     if task.size > Pmp_machine.Machine.size m then
       invalid_arg (name ^ ".assign: task larger than machine");
     let order = Task.order task in
     let index = choose ~order (Load_view.loads_at_order loads order) in
     let sub = Sub.make m ~order ~index in
-    Load_view.add loads sub 1;
     let placement = Placement.direct sub in
     Ptable.replace table task placement;
     { Allocator.placement; moves = [] }
   in
   let remove id =
-    match Ptable.find_opt table id with
-    | None -> invalid_arg (name ^ ".remove: unknown task")
-    | Some (_, p) ->
-        Load_view.add loads p.sub (-1);
-        Ptable.remove table id
+    match Ptable.remove table id with
+    | _ -> ()
+    | exception Not_found -> invalid_arg (name ^ ".remove: unknown task")
   in
   {
     Allocator.name = name;
@@ -72,8 +70,8 @@ let round_robin ?backend m =
 (* Not built on [make]: sampling two candidates only needs two
    O(log N) subtree-max queries, not the full per-level load scan. *)
 let two_choice ?backend m ~rng : Allocator.t =
-  let loads = Load_view.create ?backend m in
   let table = Ptable.create 64 in
+  let loads = Ptable.loads ?backend table m in
   let assign (task : Task.t) =
     if task.size > Pmp_machine.Machine.size m then
       invalid_arg "two-choice.assign: task larger than machine";
@@ -86,17 +84,14 @@ let two_choice ?backend m ~rng : Allocator.t =
     and lb = Load_view.max_load loads (sub_of b) in
     let index = if la < lb then a else if lb < la then b else min a b in
     let sub = sub_of index in
-    Load_view.add loads sub 1;
     let placement = Placement.direct sub in
     Ptable.replace table task placement;
     { Allocator.placement; moves = [] }
   in
   let remove id =
-    match Ptable.find_opt table id with
-    | None -> invalid_arg "two-choice.remove: unknown task"
-    | Some (_, p) ->
-        Load_view.add loads p.Placement.sub (-1);
-        Ptable.remove table id
+    match Ptable.remove table id with
+    | _ -> ()
+    | exception Not_found -> invalid_arg "two-choice.remove: unknown task"
   in
   {
     Allocator.name = "two-choice";

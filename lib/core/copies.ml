@@ -12,11 +12,9 @@ let create ?(fit = Copystack.Leftmost) ?state m : Allocator.t =
     { Allocator.placement; moves = [] }
   in
   let remove id =
-    match Ptable.find_opt table id with
-    | None -> invalid_arg "Copies.remove: unknown task"
-    | Some (_, p) ->
-        Copystack.free stack p;
-        Ptable.remove table id
+    match Ptable.remove table id with
+    | _, p -> Copystack.free stack p
+    | exception Not_found -> invalid_arg "Copies.remove: unknown task"
   in
   {
     Allocator.name =

@@ -4,7 +4,7 @@ module Load_view = Pmp_index.Load_view
 
 type t = {
   m : Pmp_machine.Machine.t;
-  loads : Load_view.t;
+  loads : Load_view.t;  (** [table]'s own view *)
   table : Ptable.t;
   mutable active_size : int;
   (* The cursor of the last clean [check_against]: the allocator table
@@ -15,10 +15,11 @@ type t = {
 }
 
 let create ?backend m =
+  let table = Ptable.create 64 in
   {
     m;
-    loads = Load_view.create ?backend m;
-    table = Ptable.create 64;
+    loads = Ptable.loads ?backend table m;
+    table;
     active_size = 0;
     peer = None;
     our_mark = 0;
@@ -34,8 +35,6 @@ let apply_move t (mv : Allocator.move) =
   | Some (task, current) ->
       if not (Placement.equal current mv.from_) then
         invalid_arg "Mirror.apply_assign: move disagrees on old placement";
-      Load_view.add t.loads current.Placement.sub (-1);
-      Load_view.add t.loads mv.to_.Placement.sub 1;
       Ptable.replace t.table task mv.to_
 
 let apply_assign t (task : Task.t) (resp : Allocator.response) =
@@ -43,23 +42,14 @@ let apply_assign t (task : Task.t) (resp : Allocator.response) =
     invalid_arg "Mirror.apply_assign: task already active";
   List.iter (apply_move t) resp.moves;
   Ptable.replace t.table task resp.placement;
-  Load_view.add t.loads resp.placement.Placement.sub 1;
   t.active_size <- t.active_size + task.size
 
 let apply_remove t id =
-  match Ptable.find_opt t.table id with
-  | None -> invalid_arg "Mirror.apply_remove: unknown task"
-  | Some (task, p) ->
-      Load_view.add t.loads p.Placement.sub (-1);
-      Ptable.remove t.table id;
-      t.active_size <- t.active_size - task.Task.size
+  match Ptable.remove t.table id with
+  | task, _ -> t.active_size <- t.active_size - task.Task.size
+  | exception Not_found -> invalid_arg "Mirror.apply_remove: unknown task"
 
-(* [Ptable.find] + handler rather than [Option.map snd << find_opt]:
-   one [Some] instead of two on the daemon's query fast path. *)
-let placement t id =
-  match Ptable.find t.table id with
-  | _, p -> Some p
-  | exception Not_found -> None
+let placement t id = Ptable.placement t.table id
 
 let active t = Ptable.to_list t.table
 let num_active t = Ptable.length t.table

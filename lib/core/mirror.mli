@@ -4,9 +4,10 @@
     authoritative view of where every active task currently sits and
     what every PE's load is — kept {e outside} the allocator, so that
     measurements can't be skewed by an allocator's own accounting bugs.
-    A mirror is fed every response and departure and maintains the
-    task table plus a {!Pmp_index.Load_view} (one increment per task
-    per covered PE, matching the paper's load definition). *)
+    A mirror is fed every response and departure and keeps its own
+    {!Ptable}, apart from the allocator's; that table's load view
+    ({!Ptable.loads}: one increment per task per covered PE, matching
+    the paper's load definition) answers the load queries below. *)
 
 type t
 

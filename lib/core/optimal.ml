@@ -31,11 +31,9 @@ let create ?state m : Allocator.t =
     { Allocator.placement; moves }
   in
   let remove id =
-    match Ptable.find_opt table id with
-    | None -> invalid_arg "Optimal.remove: unknown task"
-    | Some (_, p) ->
-        Copystack.free !stack p;
-        Ptable.remove table id
+    match Ptable.remove table id with
+    | _, p -> Copystack.free !stack p
+    | exception Not_found -> invalid_arg "Optimal.remove: unknown task"
   in
   {
     Allocator.name = "optimal";

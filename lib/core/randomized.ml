@@ -18,9 +18,9 @@ let create ?state m ~rng : Allocator.t =
     { Allocator.placement; moves = [] }
   in
   let remove id =
-    if not (Ptable.mem table id) then
-      invalid_arg "Randomized.remove: unknown task";
-    Ptable.remove table id
+    match Ptable.remove table id with
+    | _ -> ()
+    | exception Not_found -> invalid_arg "Randomized.remove: unknown task"
   in
   {
     Allocator.name = "randomized";

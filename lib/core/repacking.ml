@@ -5,7 +5,6 @@ module Probe = Pmp_telemetry.Probe
 let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) ?state m ~name
     ~d ~choose : Allocator.t =
   let table = Ptable.create 64 in
-  let loads = Load_view.create ~backend m in
   let active_size = ref 0 in
   let arrived_since_repack = ref 0 in
   let reallocs = ref 0 in
@@ -14,12 +13,12 @@ let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) ?state m ~name
       List.iter
         (fun ((task : Task.t), (p : Placement.t)) ->
           Ptable.replace table task p;
-          Load_view.add loads p.sub 1;
           active_size := !active_size + task.size)
         st.tasks;
       arrived_since_repack := st.arrived;
       reallocs := st.repacks)
     state;
+  let loads = Ptable.loads ~backend table m in
   let n = Pmp_machine.Machine.size m in
   let threshold = Realloc.threshold_size d ~machine_size:n in
   let repack_all () =
@@ -28,13 +27,11 @@ let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) ?state m ~name
     let _, packed = Repack.pack m (List.map fst actives) in
     incr reallocs;
     arrived_since_repack := 0;
-    Load_view.clear loads;
     let moves =
       List.filter_map
         (fun ((t : Task.t), old_p) ->
           let new_p = Hashtbl.find packed t.id in
           Ptable.replace table t new_p;
-          Load_view.add loads new_p.Placement.sub 1;
           if Placement.equal old_p new_p then None
           else Some { Allocator.task = t; from_ = old_p; to_ = new_p })
         actives
@@ -50,7 +47,6 @@ let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) ?state m ~name
     active_size := !active_size + task.size;
     let sub = choose loads ~order in
     Ptable.replace table task (Placement.direct sub);
-    Load_view.add loads sub 1;
     let budget_open =
       match threshold with
       | Some limit -> !arrived_since_repack >= limit
@@ -72,12 +68,9 @@ let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) ?state m ~name
     { Allocator.placement; moves }
   in
   let remove id =
-    match Ptable.find_opt table id with
-    | None -> invalid_arg (name ^ ".remove: unknown task")
-    | Some (task, p) ->
-        Load_view.add loads p.Placement.sub (-1);
-        active_size := !active_size - task.Task.size;
-        Ptable.remove table id
+    match Ptable.remove table id with
+    | task, _ -> active_size := !active_size - task.Task.size
+    | exception Not_found -> invalid_arg (name ^ ".remove: unknown task")
   in
   {
     Allocator.name = name;

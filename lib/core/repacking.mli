@@ -1,11 +1,12 @@
 (** Shared skeleton for allocators that combine an arbitrary online
     placement rule with lazily-spent reallocation budget.
 
-    The skeleton owns the task table, a {!Pmp_index.Load_view} (the
-    load-indexed machine view, backend selectable), and the budget
-    accounting; the placement rule only picks a submachine for each
-    arriving order given the current loads. Whenever an
-    arrival leaves the machine above the instantaneous optimum
+    The skeleton owns the task table, whose own load view
+    ({!Ptable.loads}, backend selectable) the placement rule reads, and
+    the budget accounting; the placement rule only picks a submachine
+    for each arriving order given the current loads. A repack rewrites
+    the table, and the view follows every rewritten placement.
+    Whenever an arrival leaves the machine above the instantaneous optimum
     [ceil(S/N)] {e and} the cumulative arrival volume since the last
     repack has reached [d * N], every active task is repacked with
     {!Repack} (first-fit decreasing), restoring the optimum and

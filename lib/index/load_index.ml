@@ -22,6 +22,11 @@
    load (slot 0) and the min-of-max over every aligned window size
    (slot [D] for windows of order [levels - D]).  Slice lengths shrink
    geometrically with the node count, so [mm] is O(N) words in total.
+   The slices of one depth lie side by side, each [levels - d + 1]
+   long, after those of every shallower depth: node [2^d + r], the
+   depth-[d] node of rank [r], starts at [base.(d) + r * (levels - d +
+   1)]. The walks below carry (depth, rank) rather than the node, so a
+   per-depth base replaces a per-node offset table and its set-up.
 
    Combine rule for an internal node [v] with children [l], [r]:
 
@@ -44,30 +49,23 @@ type t = {
   levels : int;
   pending : int array; (* lazy add at node, applies to its whole subtree *)
   mm : int array; (* flattened per-node slices, see above *)
-  off : int array; (* start of node v's slice in [mm] *)
+  base : int array; (* start in [mm] of the depth-[d] slices *)
   mutable total : int; (* sum of all leaf loads *)
 }
-
-(* floor log2: heap node [v] sits at depth [floor (log2 v)] *)
-let depth_of v =
-  let rec go v d = if v <= 1 then d else go (v lsr 1) (d + 1) in
-  go v 0
 
 let create m =
   let n = Machine.size m in
   let levels = Machine.levels m in
-  let off = Array.make (2 * n) 0 in
-  let total = ref 0 in
-  for v = 1 to (2 * n) - 1 do
-    off.(v) <- !total;
-    total := !total + (levels - depth_of v + 1)
+  let base = Array.make (levels + 2) 0 in
+  for d = 0 to levels do
+    base.(d + 1) <- base.(d) + ((1 lsl d) * (levels - d + 1))
   done;
   {
     m;
     levels;
     pending = Array.make (2 * n) 0;
-    mm = Array.make !total 0;
-    off;
+    mm = Array.make base.(levels + 1) 0;
+    base;
     total = 0;
   }
 
@@ -75,12 +73,19 @@ let machine t = t.m
 
 let node_of t (sub : Sub.t) = (1 lsl (t.levels - sub.order)) + sub.index
 
-(* [a]'s child just changed its slots [lo..hi]: recombine the slots of
-   [a] they feed, then continue from [a] with the range that moved *)
-let rec propagate t a lo hi =
-  if a >= 1 then begin
-    let ov = t.off.(a) and ol = t.off.(2 * a) and or_ = t.off.((2 * a) + 1) in
-    let p = t.pending.(a) in
+(* start of the slice of the depth-[d] node of rank [r] *)
+let[@inline] off t d r = t.base.(d) + (r * (t.levels - d + 1))
+
+(* The depth-[d] node of rank [r] just saw a child change its slots
+   [lo..hi]: recombine the slots they feed, then continue from this
+   node with the range that moved. Its children are the depth-[d + 1]
+   nodes of ranks [2r] and [2r + 1], whose slices are adjacent. *)
+let rec propagate t d r lo hi =
+  if d >= 0 then begin
+    let s = t.levels - d (* a child's slice length *) in
+    let ov = off t d r and ol = t.base.(d + 1) + (2 * r * s) in
+    let or_ = ol + s in
+    let p = t.pending.((1 lsl d) + r) in
     let first = ref (-1) and last = ref (-1) in
     for e = (if lo = 0 then 0 else lo + 1) to hi + 1 do
       let x =
@@ -93,23 +98,24 @@ let rec propagate t a lo hi =
         last := e
       end
     done;
-    if !last >= 0 then propagate t (a / 2) !first !last
+    if !last >= 0 then propagate t (d - 1) (r lsr 1) !first !last
   end
 
 let range_add t (sub : Sub.t) delta =
   if delta <> 0 then begin
-    let v = node_of t sub in
+    let v = node_of t sub and d = t.levels - sub.order in
     t.pending.(v) <- t.pending.(v) + delta;
     (* pending shifts every slot of v's own slice, 0..order, uniformly *)
-    let ov = t.off.(v) in
+    let ov = off t d sub.index in
     for e = ov to ov + sub.order do
       t.mm.(e) <- t.mm.(e) + delta
     done;
     t.total <- t.total + (delta * Sub.size sub);
-    propagate t (v / 2) 0 sub.order
+    propagate t (d - 1) (sub.index lsr 1) 0 sub.order
   end
 
-let max_load t = t.mm.(t.off.(1))
+(* the root's slice starts at 0 *)
+let max_load t = t.mm.(0)
 let total_load t = t.total
 
 let mean_load t =
@@ -121,27 +127,26 @@ let imbalance t =
 let max_load_in t (sub : Sub.t) =
   let v = node_of t sub in
   let rec above a acc = if a < 1 then acc else above (a / 2) (acc + t.pending.(a)) in
-  t.mm.(t.off.(v)) + above (v / 2) 0
+  t.mm.(off t (t.levels - sub.order) sub.index) + above (v / 2) 0
+
+(* Descend from the depth-[d] node of rank [r] towards the leftmost
+   depth-[target] node achieving the min: on ties the left child also
+   contains a minimising window, so [<=] preserves the paper's leftmost
+   rule. *)
+let rec down t target d r =
+  if d = target then r
+  else begin
+    let s = t.levels - d in
+    let l = t.base.(d + 1) + (2 * r * s) + (target - (d + 1)) in
+    if t.mm.(l) <= t.mm.(l + s) then down t target (d + 1) (2 * r)
+    else down t target (d + 1) ((2 * r) + 1)
+  end
 
 let min_load_subtree t ~order =
   if order < 0 || order > t.levels then
     invalid_arg "Load_index.min_load_subtree";
   let target = t.levels - order in
-  let value = t.mm.(t.off.(1) + target) in
-  (* descend towards the leftmost depth-[target] node achieving the
-     min: on ties the left child also contains a minimising window, so
-     [<=] preserves the paper's leftmost rule *)
-  let rec down v d =
-    if d = target then v
-    else begin
-      let e = target - (d + 1) in
-      if t.mm.(t.off.(2 * v) + e) <= t.mm.(t.off.((2 * v) + 1) + e) then
-        down (2 * v) (d + 1)
-      else down ((2 * v) + 1) (d + 1)
-    end
-  in
-  let v = down 1 0 in
-  (value, { Sub.order; index = v - (1 lsl target) })
+  (t.mm.(target), { Sub.order; index = down t target 0 0 })
 
 let min_leaf t =
   let value, sub = min_load_subtree t ~order:0 in
@@ -154,20 +159,15 @@ let loads_at_order t order =
   if order < 0 || order > t.levels then invalid_arg "Load_index.loads_at_order";
   let target = t.levels - order in
   let out = Array.make (1 lsl target) 0 in
-  let rec visit v d acc =
-    if d = target then out.(v - (1 lsl target)) <- t.mm.(t.off.(v)) + acc
+  let rec visit d r acc =
+    if d = target then out.(r) <- t.mm.(off t d r) + acc
     else begin
-      let acc = acc + t.pending.(v) in
-      visit (2 * v) (d + 1) acc;
-      visit ((2 * v) + 1) (d + 1) acc
+      let acc = acc + t.pending.((1 lsl d) + r) in
+      visit (d + 1) (2 * r) acc;
+      visit (d + 1) ((2 * r) + 1) acc
     end
   in
-  visit 1 0 0;
+  visit 0 0 0;
   out
 
 let leaf_loads t = loads_at_order t 0
-
-let clear t =
-  Array.fill t.pending 0 (Array.length t.pending) 0;
-  Array.fill t.mm 0 (Array.length t.mm) 0;
-  t.total <- 0

@@ -64,6 +64,3 @@ val leaf_loads : t -> int array
 val loads_at_order : t -> int -> int array
 (** Maximum PE load of every order-[x] window, leftmost first.
     [O(N)]; kept for baseline fit policies that need the full view. *)
-
-val clear : t -> unit
-(** Reset all loads to zero (a repack rebuilds from scratch). *)

@@ -164,10 +164,3 @@ let total_load t =
       and want = Array.fold_left ( + ) 0 (Load_map.leaf_loads lm) in
       check_int "total_load" got want;
       got
-
-let clear = function
-  | I idx -> Load_index.clear idx
-  | S lm -> Load_map.clear lm
-  | C (idx, lm) ->
-      Load_index.clear idx;
-      Load_map.clear lm

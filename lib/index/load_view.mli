@@ -52,4 +52,3 @@ val imbalance : t -> float
 (** [max PE load /. mean PE load]; [nan] when the machine is idle. *)
 
 val total_load : t -> int
-val clear : t -> unit

@@ -33,8 +33,8 @@
     - replays the WAL tail, cross-checking every replayed submission
       against the id the original run acknowledged, while the
       structural conformance oracle — an observer resumed from the
-      imported placements — audits every allocator decision the tail
-      causes;
+      imported placements, built only when there is a tail — audits
+      every allocator decision the tail causes;
     - checks the recovered state round-trips: exported, encoded,
       decoded and imported again it gives the same bytes, and the
       re-import, whose loads are recomputed from the placements,

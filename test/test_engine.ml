@@ -48,7 +48,7 @@ let test_checked_catches_cheater () =
           let p = Placement.direct (Sub.make m ~order:0 ~index:0) in
           Pmp_core.Ptable.replace table task p;
           { Allocator.placement = p; moves = [] });
-      remove = Pmp_core.Ptable.remove table;
+      remove = (fun id -> ignore (Pmp_core.Ptable.remove table id));
       table;
       realloc_events = (fun () -> 0);
       export = Allocator.no_export "cheater";

@@ -99,16 +99,6 @@ let test_n1_machine () =
   Alcotest.(check int) "min" 2 v;
   Alcotest.(check int) "index" 0 (Sub.index s)
 
-let test_clear () =
-  let m = Machine.create 8 in
-  let ix = Index.create m in
-  Index.range_add ix (sub m ~order:1 ~index:2) 4;
-  Index.range_add ix (sub m ~order:3 ~index:0) 1;
-  Index.clear ix;
-  Alcotest.(check int) "max 0" 0 (Index.max_load ix);
-  Alcotest.(check int) "total 0" 0 (Index.total_load ix);
-  Alcotest.(check (array int)) "zero" (Array.make 8 0) (Index.leaf_loads ix)
-
 let test_imbalance () =
   let m = Machine.create 4 in
   let ix = Index.create m in
@@ -149,6 +139,13 @@ let apply_ops ~levels ~seed ~steps f =
     end
   done
 
+(* Neither the index nor the view has a reset: take every leaf back
+   to zero instead. *)
+let drain m add leaf_loads =
+  Array.iteri
+    (fun leaf load -> add (sub m ~order:0 ~index:leaf) (-load))
+    leaf_loads
+
 let prop_index_matches_scan (levels, seed, steps) =
   let n = 1 lsl levels in
   let m = Machine.create n in
@@ -166,7 +163,7 @@ let prop_index_matches_scan (levels, seed, steps) =
             Index.range_add ix (sub m ~order ~index) (-1);
             Load_map.add lm (sub m ~order ~index) (-1)
         | `Clear ->
-            Index.clear ix;
+            drain m (Index.range_add ix) (Index.leaf_loads ix);
             Load_map.clear lm
       end;
       if Index.max_load ix <> Load_map.max_overall lm then ok := false;
@@ -207,7 +204,7 @@ let prop_every_order_matches_scan (levels, seed, steps) =
   for _ = 1 to steps do
     if Sm.int g 20 = 0 then begin
       Hashtbl.reset installed;
-      Index.clear ix;
+      drain m (Index.range_add ix) (Index.leaf_loads ix);
       Load_map.clear lm
     end
     else begin
@@ -244,7 +241,7 @@ let prop_checked_view_no_divergence (levels, seed, steps) =
         match op with
         | `Add (order, index) -> View.add lv (sub m ~order ~index) 1
         | `Remove (order, index) -> View.add lv (sub m ~order ~index) (-1)
-        | `Clear -> View.clear lv
+        | `Clear -> drain m (View.add lv) (View.leaf_loads lv)
       end;
       ignore (View.max_overall lv);
       ignore (View.min_max_at_order lv (Sm.int g (levels + 1)));
@@ -307,7 +304,6 @@ let suite =
     Alcotest.test_case "full-range lazy add" `Quick test_full_range_add;
     Alcotest.test_case "single-leaf windows" `Quick test_single_leaf_windows;
     Alcotest.test_case "N=1 machine" `Quick test_n1_machine;
-    Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "imbalance" `Quick test_imbalance;
   ]
   @ Helpers.qtests qsuite

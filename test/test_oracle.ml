@@ -126,7 +126,7 @@ let pile_allocator m : Allocator.t =
         let p = Placement.direct (sub m ~order:(Task.order task) ~index:0) in
         Ptable.replace table task p;
         { Allocator.placement = p; moves = [] });
-    remove = Ptable.remove table;
+    remove = (fun id -> ignore (Ptable.remove table id));
     table;
     realloc_events = (fun () -> 0);
     export = Allocator.no_export "mutant-pile";
@@ -143,7 +143,7 @@ let wrong_size_allocator m : Allocator.t =
         let p = Placement.direct (sub m ~order:0 ~index:0) in
         Ptable.replace table task p;
         { Allocator.placement = p; moves = [] });
-    remove = Ptable.remove table;
+    remove = (fun id -> ignore (Ptable.remove table id));
     table;
     realloc_events = (fun () -> 0);
     export = Allocator.no_export "mutant-wrong-size";
@@ -176,7 +176,7 @@ let silent_mover m : Allocator.t =
         let p = Placement.direct (sub m ~order:(Task.order task) ~index:0) in
         Ptable.replace table task p;
         { Allocator.placement = p; moves = [] });
-    remove = Ptable.remove table;
+    remove = (fun id -> ignore (Ptable.remove table id));
     table;
     realloc_events = (fun () -> 0);
     export = Allocator.no_export "mutant-silent-mover";
