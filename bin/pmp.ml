@@ -419,6 +419,27 @@ let port_arg =
   let doc = "TCP port to listen on (or connect to); 0 picks a free port." in
   Arg.(value & opt (some int) None & info [ "port" ] ~docv:"PORT" ~doc)
 
+(* What [serve] and [fed serve] listen on: the Unix socket (by default
+   [default] under [dir], unless a TCP port is given) and the TCP port. *)
+let listen ~dir ~default socket host port =
+  let socket =
+    match (socket, port) with
+    | None, None -> Some (Filename.concat dir default)
+    | _ -> socket
+  in
+  (match socket with
+  | Some path ->
+      Printf.printf "listening on unix socket %s\n%!" path;
+      [ Pmp_server.Server.listen_unix path ]
+  | None -> [])
+  @
+  match port with
+  | Some port ->
+      let fd, bound = Pmp_server.Server.listen_tcp ~host ~port in
+      Printf.printf "listening on %s:%d\n%!" host bound;
+      [ fd ]
+  | None -> []
+
 let serve_cmd =
   let dir_arg =
     let doc = "State directory for the WAL and snapshots (created)." in
@@ -461,12 +482,6 @@ let serve_cmd =
     in
     Arg.(value & opt (some int) None & info [ "crash-after" ] ~docv:"K" ~doc)
   in
-  let max_pending_arg =
-    let doc =
-      "Backpressure: requests parsed per connection per batch round."
-    in
-    Arg.(value & opt int 64 & info [ "max-pending" ] ~docv:"K" ~doc)
-  in
   let latency_profile_arg =
     let doc =
       "Time every request and pipeline stage (read, decode, apply, \
@@ -499,23 +514,16 @@ let serve_cmd =
        of two K > 1 partitions the machine into K subtree shards, each the \
        same daemon core (WAL, snapshots, recovery audit, metrics, flight \
        recorder) over N/K PEs in its own domain and state directory \
-       <dir>/shard-<s>, with work-stealing admission (see \
-       $(b,--steal-threshold)). A state directory only restarts with the \
-       K it was written with."
+       <dir>/shard-<s>, with work-stealing admission: a shard with a queue \
+       (or about to start one) hands a submission to the least-loaded idle \
+       peer. A state directory only restarts with the K it was written \
+       with."
     in
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K" ~doc)
   in
-  let steal_arg =
-    let doc =
-      "With $(b,--domains) > 1: a shard tries to hand a submission to the \
-       least-loaded idle peer once its own admission queue is at least this \
-       deep (admissions that would queue always try). 0 disables stealing."
-    in
-    Arg.(value & opt int 1 & info [ "steal-threshold" ] ~docv:"Q" ~doc)
-  in
   let action machine_size alloc_name d_str seed cap dir socket host port
-      fsync_policy wal_format snapshot_every crash_after max_pending
-      latency_profile slow_ms recorder_size domains steal_threshold =
+      fsync_policy wal_format snapshot_every crash_after latency_profile
+      slow_ms recorder_size domains =
     let* _ = Builders.machine machine_size in
     let* d = Builders.parse_d d_str in
     let* policy = Builders.cluster_policy alloc_name ~d ~seed in
@@ -525,71 +533,47 @@ let serve_cmd =
     let* wal_format =
       Result.map_error (fun e -> `Msg e) (Pmp_server.Wal.parse_format wal_format)
     in
-    if max_pending < 1 then Error (`Msg "--max-pending must be at least 1")
-    else begin
-      let config =
-        {
-          Pmp_server.Server.machine_size;
-          policy;
-          admission_cap = cap;
-          dir;
-          fsync_policy;
-          wal_format;
-          snapshot_every;
-          crash_after;
-          loop = { Pmp_server.Loop.default_config with max_pending };
-          latency_profile;
-          slow_ms;
-          recorder_size;
-          domains;
-          steal_threshold;
-        }
-      in
-      let socket =
-        match (socket, port) with
-        | None, None -> Some (Filename.concat dir "pmp.sock")
-        | _ -> socket
-      in
-      let* server =
-        Result.map_error (fun e -> `Msg e) (Pmp_server.Server.create config)
-      in
-      let listeners =
-        (match socket with
-        | Some path ->
-            Printf.printf "listening on unix socket %s\n%!" path;
-            [ Pmp_server.Server.listen_unix path ]
-        | None -> [])
-        @
-        match port with
-        | Some port ->
-            let fd, bound = Pmp_server.Server.listen_tcp ~host ~port in
-            Printf.printf "listening on %s:%d\n%!" host bound;
-            [ fd ]
-        | None -> []
-      in
-      let shards = Pmp_server.Server.shards server in
-      let total f = Array.fold_left (fun n s -> n + f s) 0 shards in
-      if total Pmp_server.Server.recovered_ops > 0 then
-        Printf.printf "recovered %d WAL records (seq %d)\n%!"
-          (total Pmp_server.Server.recovered_ops)
-          (total Pmp_server.Server.seq);
-      match Pmp_server.Server.serve server ~listeners with
-      | () -> Ok ()
-      | exception Pmp_server.Server.Crash ->
-          Printf.eprintf "crash injection tripped; flight recorder at %s\n%!"
-            (String.concat ", "
-               (Array.to_list (Array.map Pmp_server.Server.flightrec_path shards)));
-          exit 42
-    end
+    let config =
+      {
+        Pmp_server.Server.machine_size;
+        policy;
+        admission_cap = cap;
+        dir;
+        fsync_policy;
+        wal_format;
+        snapshot_every;
+        crash_after;
+        latency_profile;
+        slow_ms;
+        recorder_size;
+        domains;
+      }
+    in
+    let* server =
+      Result.map_error (fun e -> `Msg e) (Pmp_server.Server.create config)
+    in
+    let listeners = listen ~dir ~default:"pmp.sock" socket host port in
+    let shards = Pmp_server.Server.shards server in
+    let total f = Array.fold_left (fun n s -> n + f s) 0 shards in
+    if total Pmp_server.Server.recovered_ops > 0 then
+      Printf.printf "recovered %d WAL records (seq %d)\n%!"
+        (total Pmp_server.Server.recovered_ops)
+        (total Pmp_server.Server.seq);
+    match Pmp_server.Server.serve server ~listeners with
+    | () -> Ok ()
+    | exception Pmp_server.Server.Crash ->
+        Printf.eprintf "crash injection tripped; flight recorder at %s\n%!"
+          (String.concat ", "
+             (Array.to_list (Array.map Pmp_server.Server.flightrec_path shards)));
+        exit 42
   in
   let term =
     Term.(
       term_result
         (const action $ machine_arg $ alloc_arg $ d_arg $ seed_arg $ cap_arg
        $ dir_arg $ socket_arg $ host_arg $ port_arg $ fsync_arg
-       $ wal_format_arg $ snapshot_arg $ crash_arg $ max_pending_arg
-       $ latency_profile_arg $ slow_ms_arg $ recorder_arg $ domains_arg
-       $ steal_arg))
+       $ wal_format_arg $ snapshot_arg $ crash_arg $ latency_profile_arg
+       $ slow_ms_arg $ recorder_arg $ domains_arg))
   in
   Cmd.v
     (Cmd.info "serve"
@@ -606,12 +590,26 @@ let proto_arg ~default =
   in
   Arg.(value & opt string default & info [ "proto" ] ~docv:"PROTO" ~doc)
 
+let parse_proto proto =
+  Result.map_error (fun e -> `Msg e) (Pmp_server.Client.parse_proto proto)
+
 let connect_client ~proto socket host port =
   match (socket, port) with
   | Some path, None -> Pmp_server.Client.connect_unix ~proto path
   | None, Some port -> Pmp_server.Client.connect_tcp ~proto ~host ~port ()
   | Some _, Some _ -> Error "give either --socket or --port, not both"
   | None, None -> Error "give --socket or --port"
+
+(* The connection [client], [client bench], [fed status] and [top]
+   share: --proto, the address flags, connect, run [f], close. *)
+let with_client proto socket host port f =
+  let* proto = parse_proto proto in
+  let* conn =
+    Result.map_error (fun e -> `Msg e) (connect_client ~proto socket host port)
+  in
+  Fun.protect
+    ~finally:(fun () -> Pmp_server.Client.close conn)
+    (fun () -> f conn)
 
 let stage_names = [ "read"; "decode"; "apply"; "wal_append"; "fsync"; "ack" ]
 
@@ -661,12 +659,10 @@ let client_bench_cmd =
   let action socket host port proto requests window seed machine_size rids
       conns =
     let module Metrics = Pmp_telemetry.Metrics in
-    let* proto =
-      Result.map_error (fun e -> `Msg e) (Pmp_server.Client.parse_proto proto)
-    in
     if requests < 1 || window < 1 || conns < 1 then
       Error (`Msg "--requests, --window and --conns must be at least 1")
     else if conns > 1 then begin
+      let* proto = parse_proto proto in
       let r =
         Pmp_server.Loadgen.drive_parallel
           ~connect:(fun () -> connect_client ~proto socket host port)
@@ -687,11 +683,8 @@ let client_bench_cmd =
       print_by_shard o;
       Ok ()
     end
-    else begin
-      let* conn =
-        Result.map_error (fun e -> `Msg e)
-          (connect_client ~proto socket host port)
-      in
+    else
+      with_client proto socket host port @@ fun conn ->
       (* buckets from 1 µs to ~8 s *)
       let latency =
         Metrics.Histogram.make
@@ -706,11 +699,10 @@ let client_bench_cmd =
         Pmp_server.Loadgen.drive conn gen ~requests ~window ~latency ~rids ()
       in
       let after = match r with Ok _ -> dump () | Error _ -> "" in
-      Pmp_server.Client.close conn;
       let* o = Result.map_error (fun e -> `Msg e) r in
       let p = Pmp_server.Loadgen.percentile latency in
       Printf.printf "proto          : %s\n"
-        (Pmp_server.Client.proto_name proto);
+        (Pmp_server.Client.proto_name (Pmp_server.Client.proto conn));
       Printf.printf "requests       : %d (%d mutations, %d errors)%s\n"
         o.Pmp_server.Loadgen.requests o.Pmp_server.Loadgen.mutations
         o.Pmp_server.Loadgen.errors
@@ -754,7 +746,6 @@ let client_bench_cmd =
           rows
       end;
       Ok ()
-    end
   in
   let term =
     Term.(
@@ -776,14 +767,7 @@ let client_cmd =
     Arg.(value & flag & info [ "json" ] ~doc)
   in
   let action socket host port proto json =
-    let* proto =
-      Result.map_error (fun e -> `Msg e) (Pmp_server.Client.parse_proto proto)
-    in
-    let* conn =
-      Result.map_error
-        (fun e -> `Msg e)
-        (connect_client ~proto socket host port)
-    in
+    with_client proto socket host port @@ fun conn ->
     let print_response resp =
       if json then
         print_endline (Pmp_server.Protocol.encode_response resp)
@@ -809,9 +793,7 @@ let client_cmd =
                   Printf.printf "connection error: %s\n%!" e;
                   Ok ()))
     in
-    let r = loop () in
-    Pmp_server.Client.close conn;
-    r
+    loop ()
   in
   let term =
     Term.(
@@ -998,25 +980,7 @@ let fed_serve_cmd =
     Printf.printf "federating %d shards, %d PEs aggregate\n%!"
       (Pmp_federation.Router.shards router)
       (Pmp_federation.Router.aggregate_size router);
-    let socket =
-      match (socket, port) with
-      | None, None -> Some (Filename.concat dir "fed.sock")
-      | _ -> socket
-    in
-    let listeners =
-      (match socket with
-      | Some path ->
-          Printf.printf "listening on unix socket %s\n%!" path;
-          [ Pmp_server.Server.listen_unix path ]
-      | None -> [])
-      @
-      match port with
-      | Some port ->
-          let fd, bound = Pmp_server.Server.listen_tcp ~host ~port in
-          Printf.printf "listening on %s:%d\n%!" host bound;
-          [ fd ]
-      | None -> []
-    in
+    let listeners = listen ~dir ~default:"fed.sock" socket host port in
     Pmp_federation.Router.serve router ~listeners;
     List.iter Domain.join domains;
     Ok ()
@@ -1040,59 +1004,49 @@ let fed_serve_cmd =
 
 let fed_status_cmd =
   let action socket host port proto =
-    let* proto =
-      Result.map_error (fun e -> `Msg e) (Pmp_server.Client.parse_proto proto)
-    in
-    let* conn =
-      Result.map_error (fun e -> `Msg e)
-        (connect_client ~proto socket host port)
-    in
+    with_client proto socket host port @@ fun conn ->
     let request req =
       Result.map_error (fun e -> `Msg e) (Pmp_server.Client.request conn req)
     in
-    let r =
-      let* health = request Pmp_server.Protocol.Health in
-      let* stats = request Pmp_server.Protocol.Stats in
-      let* dump =
-        Result.map_error (fun e -> `Msg e) (Pmp_server.Client.metrics conn)
-      in
-      Printf.printf "router   : %s\n"
-        (Pmp_server.Protocol.render_response health);
-      Printf.printf "aggregate: %s\n"
-        (Pmp_server.Protocol.render_response stats);
-      let shard name sx =
-        Dump.value ~labels:[ ("shard", string_of_int sx) ] dump name
-      in
-      let total name = Option.value ~default:0.0 (Dump.value dump name) in
-      Printf.printf
-        "requests : %.0f routed, %.0f quota rejects, %.0f mark-downs, %.0f \
-         re-admitted\n"
-        (total "fed_requests_total")
-        (total "fed_admission_rejects_total")
-        (total "fed_markdowns_total")
-        (total "fed_readmitted_total");
-      Printf.printf "rebalance: %.0f tasks, %.0f bytes, %.0f audit failures\n"
-        (total "fed_rebalanced_total")
-        (total "fed_rebalanced_bytes_total")
-        (total "fed_audit_failures_total");
-      let rec shard_rows sx =
-        match shard "fed_shard_up" sx with
-        | None -> ()
-        | Some up ->
-            let load = Option.value ~default:0.0 (shard "fed_shard_load" sx) in
-            let routed =
-              Option.value ~default:0.0 (shard "fed_shard_routed_total" sx)
-            in
-            Printf.printf "  shard %-3d: %-4s load %-6.0f routed %.0f\n" sx
-              (if up > 0.0 then "up" else "DOWN")
-              load routed;
-            shard_rows (sx + 1)
-      in
-      shard_rows 0;
-      Ok ()
+    let* health = request Pmp_server.Protocol.Health in
+    let* stats = request Pmp_server.Protocol.Stats in
+    let* dump =
+      Result.map_error (fun e -> `Msg e) (Pmp_server.Client.metrics conn)
     in
-    Pmp_server.Client.close conn;
-    r
+    Printf.printf "router   : %s\n"
+      (Pmp_server.Protocol.render_response health);
+    Printf.printf "aggregate: %s\n"
+      (Pmp_server.Protocol.render_response stats);
+    let shard name sx =
+      Dump.value ~labels:[ ("shard", string_of_int sx) ] dump name
+    in
+    let total name = Option.value ~default:0.0 (Dump.value dump name) in
+    Printf.printf
+      "requests : %.0f routed, %.0f quota rejects, %.0f mark-downs, %.0f \
+       re-admitted\n"
+      (total "fed_requests_total")
+      (total "fed_admission_rejects_total")
+      (total "fed_markdowns_total")
+      (total "fed_readmitted_total");
+    Printf.printf "rebalance: %.0f tasks, %.0f bytes, %.0f audit failures\n"
+      (total "fed_rebalanced_total")
+      (total "fed_rebalanced_bytes_total")
+      (total "fed_audit_failures_total");
+    let rec shard_rows sx =
+      match shard "fed_shard_up" sx with
+      | None -> ()
+      | Some up ->
+          let load = Option.value ~default:0.0 (shard "fed_shard_load" sx) in
+          let routed =
+            Option.value ~default:0.0 (shard "fed_shard_routed_total" sx)
+          in
+          Printf.printf "  shard %-3d: %-4s load %-6.0f routed %.0f\n" sx
+            (if up > 0.0 then "up" else "DOWN")
+            load routed;
+          shard_rows (sx + 1)
+    in
+    shard_rows 0;
+    Ok ()
   in
   let term =
     Term.(
@@ -1125,12 +1079,7 @@ let top_cmd =
     Arg.(value & opt int 0 & info [ "count" ] ~docv:"N" ~doc)
   in
   let action socket host port proto interval count =
-    let* proto =
-      Result.map_error (fun e -> `Msg e) (Pmp_server.Client.parse_proto proto)
-    in
-    let* conn =
-      Result.map_error (fun e -> `Msg e) (connect_client ~proto socket host port)
-    in
+    with_client proto socket host port @@ fun conn ->
     if interval <= 0.0 then Error (`Msg "--interval must be positive")
     else begin
       let module P = Pmp_server.Protocol in
@@ -1247,9 +1196,7 @@ let top_cmd =
           frames (i + 1) (Some dump)
         end
       in
-      let r = frames 0 None in
-      Pmp_server.Client.close conn;
-      r
+      frames 0 None
     end
   in
   let term =

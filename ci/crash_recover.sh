@@ -29,11 +29,7 @@ case $PROTO in
 esac
 cd "$(dirname "$0")/.."
 WORK=${4:-crash-recover/k$K-$PROTO}
-if ! command -v dune >/dev/null 2>&1 && command -v opam >/dev/null 2>&1; then
-  eval "$(opam env 2>/dev/null)" || true
-fi
-dune build --root . ./bin/pmp.exe
-PMP=./_build/default/bin/pmp.exe
+. ci/daemon.sh
 rm -rf "$WORK"
 mkdir -p "$WORK"
 
@@ -50,30 +46,14 @@ submit 2
 submit 2
 submit 64"
 
-# a failed check must not leave a daemon behind
-SERVER=
-trap '[ -z "$SERVER" ] || kill "$SERVER" 2>/dev/null' EXIT
-
 # serve NAME [FLAGS...]: start a daemon on $WORK/NAME in the background
 # and wait until its socket is bound (recovery runs before the bind)
 serve() {
   dir=$WORK/$1
   shift
-  rm -f "$dir/pmp.sock" # a crashed victim leaves its socket file behind
-  $PMP serve -m 128 -a am -d 2 --domains="$K" --fsync-policy=group \
-    --wal-format=binary --snapshot-every "$SNAP" \
-    --dir "$dir" --socket "$dir/pmp.sock" "$@" >> "$dir.log" 2>&1 &
-  SERVER=$!
-  tries=0
-  until [ -S "$dir/pmp.sock" ]; do
-    tries=$((tries + 1))
-    if [ "$tries" -gt 100 ] || ! kill -0 "$SERVER" 2>/dev/null; then
-      echo "crash_recover: daemon on $dir did not come up" >&2
-      cat "$dir.log" >&2
-      exit 1
-    fi
-    sleep 0.1
-  done
+  start "$dir.log" "$dir/pmp.sock" serve -m 128 -a am -d 2 --domains="$K" \
+    --fsync-policy=group --wal-format=binary --snapshot-every "$SNAP" \
+    --dir "$dir" --socket "$dir/pmp.sock" "$@"
 }
 
 client() {
@@ -84,14 +64,10 @@ client() {
 serve victim --crash-after 7
 printf '%s\n' "$SCRIPT" | client victim > "$WORK/victim.out" 2>&1 || true
 set +e
-wait "$SERVER"
+wait "$PID"
 code=$?
 set -e
-SERVER=
-if [ "$code" -ne 42 ]; then
-  echo "crash_recover: victim exited $code, not the injected crash (42)" >&2
-  exit 1
-fi
+[ "$code" -eq 42 ] || fail "victim exited $code, not the injected crash (42)"
 
 # 2. every state directory keeps a well-formed black box
 if [ "$K" -gt 1 ]; then
@@ -109,12 +85,10 @@ for path in sys.argv[1:]:
 # 3. restart on the same directory: recovery must succeed, bounded
 serve victim
 printf 'health\nstats\nshutdown\n' | client victim > "$WORK/recovered.txt"
-wait "$SERVER"
-SERVER=
+wait "$PID"
 replayed=$(sed -n 's/.* recovered_ops=\([0-9][0-9]*\).*/\1/p' "$WORK/recovered.txt")
 if [ -z "$replayed" ] || [ "$replayed" -ge $((K * SNAP)) ]; then
-  echo "crash_recover: recovery replayed '$replayed' WAL records, not fewer than $((K * SNAP))" >&2
-  exit 1
+  fail "recovery replayed '$replayed' WAL records, not fewer than $((K * SNAP))"
 fi
 if [ "$K" -gt 1 ]; then
   states=$(ls -d "$WORK"/victim/shard-*)
@@ -125,8 +99,7 @@ for d in $states; do
   snaps=$(find "$d" -maxdepth 1 -name 'snapshot-*' ! -name '*.tmp' | wc -l)
   tmps=$(find "$d" -maxdepth 1 -name '*.tmp' | wc -l)
   if [ "$snaps" -gt 1 ] || [ "$tmps" -gt 0 ]; then
-    echo "crash_recover: $d holds $snaps snapshots and $tmps *.tmp files" >&2
-    exit 1
+    fail "$d holds $snaps snapshots and $tmps *.tmp files"
   fi
 done
 
@@ -134,8 +107,7 @@ done
 serve reference
 printf '%s\n' "$SCRIPT" | head -n 7 | client reference > /dev/null
 printf 'stats\nshutdown\n' | client reference > "$WORK/reference.txt"
-wait "$SERVER"
-SERVER=
+wait "$PID"
 
 grep '^submitted=' "$WORK/recovered.txt" > "$WORK/recovered-stats.txt"
 grep '^submitted=' "$WORK/reference.txt" > "$WORK/reference-stats.txt"

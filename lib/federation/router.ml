@@ -2,7 +2,7 @@ module Client = Pmp_server.Client
 module Loop = Pmp_server.Loop
 module Netbuf = Pmp_server.Netbuf
 module Protocol = Pmp_server.Protocol
-module Wire = Pmp_server.Wire
+module Frame = Pmp_server.Frame
 module Recorder = Pmp_server.Recorder
 module Metrics = Pmp_telemetry.Metrics
 module Cluster = Pmp_cluster.Cluster
@@ -17,7 +17,6 @@ type config = {
   shutdown_shards : bool;
   dir : string;
   recorder_size : int;
-  loop : Loop.config;
 }
 
 let default_config ~sockets ~dir =
@@ -31,7 +30,6 @@ let default_config ~sockets ~dir =
     shutdown_shards = false;
     dir;
     recorder_size = 4096;
-    loop = Loop.default_config;
   }
 
 type shard = {
@@ -121,7 +119,7 @@ type t = {
   mutable last_probe : float;
   mutable last_rebalance : float;
   mutable dump_requested : bool;
-  cur : Wire.cursor;
+  reader : Frame.reader;
   scratch : Buffer.t;
   pipe : pipeline;
 }
@@ -354,7 +352,7 @@ let create config =
               last_probe = now;
               last_rebalance = now;
               dump_requested = false;
-              cur = { Wire.pos = 0 };
+              reader = Frame.reader ();
               scratch = Buffer.create 256;
               pipe =
                 {
@@ -843,20 +841,12 @@ let forget_conn t inbuf =
 let reply t out ~binary ~rid ~shard resp =
   if binary then begin
     Buffer.clear t.scratch;
-    (match (rid, shard) with
-    | Some rid, Some shard ->
-        Protocol.response_payload_attr t.scratch ~rid ~shard resp
-    | Some rid, None -> Protocol.response_payload_rid t.scratch ~rid resp
-    | None, _ -> Protocol.response_payload t.scratch resp);
-    Netbuf.add_char out (Char.chr Wire.request_magic);
-    Netbuf.add_char out (Char.chr Wire.version);
-    Netbuf.add_varint out (Buffer.length t.scratch);
-    Netbuf.add_buffer out t.scratch
+    (match rid with
+    | Some rid -> Protocol.response_payload_rid t.scratch ~rid ?shard resp
+    | None -> Protocol.response_payload t.scratch resp);
+    Frame.add out t.scratch
   end
-  else begin
-    Netbuf.add_string out (Protocol.encode_response ?rid ?shard resp);
-    Netbuf.add_char out '\n'
-  end
+  else Frame.add_line out (Protocol.encode_response ?rid ?shard resp)
 
 let respond t out ~tenant ~binary ~rid ~served req resp =
   Recorder.record t.recorder ~kind:Recorder.kind_request
@@ -913,71 +903,27 @@ let overtakes t = function
       || (t.pipe.submits > 0 && not (Hashtbl.mem t.ledger gid))
   | _ -> false
 
-(* One complete binary frame off the front of [inbuf], if present.
-   As in pmpd, a frame whose length scans is consumed whatever its
-   version or payload, so the requests pipelined behind it are still
-   answered; only a garbage length poisons the stream. *)
-let take_binary t inbuf =
-  let avail = Netbuf.length inbuf in
-  if avail < 3 then `Incomplete
-  else begin
-    let b = Netbuf.bytes inbuf in
-    let off = Netbuf.offset inbuf in
-    let hard = off + avail in
-    t.cur.Wire.pos <- off + 2;
-    match Wire.read_varint b t.cur hard with
-    | exception Wire.Corrupt _ ->
-        if hard - (off + 2) >= Wire.max_varint_bytes then `Poison
-        else `Incomplete
-    | plen ->
-        let ppos = t.cur.Wire.pos in
-        if plen < 0 || plen > Wire.max_payload then `Poison
-        else if ppos + plen > hard then `Incomplete
-        else begin
-          let version = Char.code (Bytes.get b (off + 1)) in
-          let frame =
-            if version <> Wire.version then
-              `Bad (Printf.sprintf "unsupported wire version %d" version)
-            else if plen = 0 then `Bad "empty frame"
-            else `Frame (Bytes.sub_string b ppos plen)
-          in
-          Netbuf.consume inbuf (ppos + plen - off);
-          frame
-        end
-  end
-
-(* The next request off the front of [inbuf], in either encoding. *)
+(* The next request off the front of [inbuf], in either encoding.
+   Refusals follow pmpd's rules ({!Frame.read}), so the requests
+   pipelined behind a refused frame are still answered. *)
 let next_request t inbuf =
-  if Netbuf.get_byte inbuf 0 = Wire.request_magic then
-    match take_binary t inbuf with
-    | `Incomplete -> `Incomplete
-    | `Poison ->
-        Netbuf.clear inbuf;
-        `Bad (true, "malformed frame")
-    | `Bad e -> `Bad (true, e)
-    | `Frame payload -> (
-        match
-          Protocol.decode_request_payload_rid payload ~pos:0
-            ~limit:(String.length payload)
-        with
-        | Error e -> `Bad (true, e)
-        | Ok (req, rid) -> `Request (true, rid, req))
-  else
-    match Netbuf.find_byte inbuf '\n' with
-    | None when Netbuf.length inbuf <= Wire.max_payload -> `Incomplete
-    | None ->
-        (* no request line is this long: answer once, drop the input *)
-        Netbuf.clear inbuf;
-        `Bad
-          ( false,
-            Printf.sprintf "request line longer than %d bytes" Wire.max_payload
-          )
-    | Some i -> (
-        let line = Netbuf.sub_string inbuf ~off:0 ~len:i in
-        Netbuf.consume inbuf (i + 1);
-        match Protocol.decode_request_rid line with
-        | Error e -> `Bad (false, e)
-        | Ok (req, rid) -> `Request (false, rid, req))
+  let r = t.reader in
+  match Frame.read r inbuf with
+  | Frame.Incomplete -> `Incomplete
+  | Frame.Frame -> (
+      let payload = Frame.payload r inbuf in
+      match
+        Protocol.decode_request_payload_rid payload ~pos:0
+          ~limit:(String.length payload)
+      with
+      | Error e -> `Bad (true, e)
+      | Ok (req, rid) -> `Request (true, rid, req))
+  | Frame.Line -> (
+      match Protocol.decode_request_rid (Frame.payload r inbuf) with
+      | Error e -> `Bad (false, e)
+      | Ok (req, rid) -> `Request (false, rid, req))
+  | Frame.Refused_frame -> `Bad (true, r.Frame.refusal)
+  | Frame.Refused_line -> `Bad (false, r.Frame.refusal)
 
 let handle_conn t inbuf out ~budget =
   let tenant = tenant_of_conn t inbuf in
@@ -1021,7 +967,7 @@ let handle_conn t inbuf out ~budget =
 
 let serve t ~listeners =
   match
-    Loop.run ~config:t.config.loop
+    Loop.run
       ~on_usr1:(fun () -> t.dump_requested <- true)
       ~on_drop:(forget_conn t)
       ~tick:(fun () -> tick t)

@@ -73,13 +73,11 @@ type config = {
           routers that own their shards *)
   dir : string;  (** flight-recorder dumps land here *)
   recorder_size : int;
-  loop : Pmp_server.Loop.config;
 }
 
 val default_config : sockets:string array -> dir:string -> config
 (** No tenant quotas, 0.5 s polls, 0.5 s probes, no rebalancing,
-    [shutdown_shards = false], recorder of 4096 entries, default loop
-    config. *)
+    [shutdown_shards = false], recorder of 4096 entries. *)
 
 type t
 
@@ -101,9 +99,10 @@ val handle_conn :
   [ `Handled of int | `Stop of int ]
 (** The loop handler: consume up to [budget] complete requests (either
     encoding) from the in-buffer as one pipelined batch, append their
-    responses to the out-buffer in request order. The in-buffer also
-    names the connection, which is the tenant. Exposed for in-process
-    tests and benchmarks. *)
+    responses to the out-buffer in request order. Requests are found,
+    and refused, by {!Pmp_server.Frame.read}, as in pmpd. The in-buffer
+    also names the connection, which is the tenant. Exposed for
+    in-process tests and benchmarks. *)
 
 val tick : t -> float
 (** Run due periodic work (polls, probes, rebalance, requested

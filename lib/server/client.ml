@@ -10,21 +10,21 @@ let proto_name = function Json -> "json" | Binary -> "binary"
 
 type t = {
   fd : Unix.file_descr;
-  ic : in_channel;
-  oc : out_channel;
   mutable proto : proto;
-  pending : Buffer.t;  (** queued request bytes not yet written *)
+  inbuf : Netbuf.t;  (** response bytes read, not yet decoded *)
+  out : Netbuf.t;  (** queued request bytes not yet written *)
   scratch : Buffer.t;  (** one binary payload being framed *)
+  reader : Frame.reader;
 }
 
 let of_fd ?(proto = Json) fd =
   {
     fd;
-    ic = Unix.in_channel_of_descr fd;
-    oc = Unix.out_channel_of_descr fd;
     proto;
-    pending = Buffer.create 256;
+    inbuf = Netbuf.create 4096;
+    out = Netbuf.create 256;
     scratch = Buffer.create 32;
+    reader = Frame.reader ();
   }
 
 let connect ?proto sockaddr =
@@ -51,79 +51,53 @@ let set_proto t proto = t.proto <- proto
 
 let queue t ?rid req =
   match t.proto with
-  | Json ->
-      Buffer.add_string t.pending (Protocol.encode_request ?rid req);
-      Buffer.add_char t.pending '\n'
+  | Json -> Frame.add_line t.out (Protocol.encode_request ?rid req)
   | Binary ->
       Buffer.clear t.scratch;
       (match rid with
       | None -> Protocol.request_payload t.scratch req
       | Some rid -> Protocol.request_payload_rid t.scratch ~rid req);
-      Protocol.add_frame t.pending t.scratch
+      Frame.add t.out t.scratch
 
-let flush t =
-  let r =
-    match
-      Buffer.output_buffer t.oc t.pending;
-      Stdlib.flush t.oc
-    with
-    | () -> Ok ()
-    | exception Sys_error e -> Error e
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  in
-  Buffer.clear t.pending;
-  r
+(* The socket blocks, so each drain writes what the kernel takes; a
+   signal that interrupts it is retried. *)
+let rec flush t =
+  if Netbuf.is_empty t.out then Ok ()
+  else
+    match Netbuf.drain t.out t.fd with
+    | _ -> flush t
+    | exception Unix.Unix_error (EINTR, _, _) -> flush t
+    | exception Unix.Unix_error (e, _, _) ->
+        Netbuf.clear t.out;
+        Error (Unix.error_message e)
 
 let send t ?rid req =
   queue t ?rid req;
   flush t
 
-let input_varint ic =
-  let rec go v shift n =
-    if n > Wire.max_varint_bytes then Error "overlong varint"
-    else begin
-      let c = input_byte ic in
-      let v = v lor ((c land 0x7f) lsl shift) in
-      if c land 0x80 = 0 then Ok v else go v (shift + 7) (n + 1)
-    end
-  in
-  go 0 0 1
+(* Each response's encoding is told by its first byte, as pmpd tells a
+   request's, so a connection can switch formats mid-stream; a refused
+   frame is consumed whole, so the responses behind it still decode. *)
+let rec receive_attr t =
+  let r = t.reader in
+  match Frame.read r t.inbuf with
+  | Frame.Frame ->
+      let payload = Frame.payload r t.inbuf in
+      Protocol.decode_response_payload_attr payload ~pos:0
+        ~limit:(String.length payload)
+  | Frame.Line -> Protocol.decode_response_attr (Frame.payload r t.inbuf)
+  | Frame.Refused_frame | Frame.Refused_line -> Error r.Frame.refusal
+  | Frame.Incomplete -> (
+      (* room for 4 KiB, not the default 64: replies are mostly a few
+         bytes, and a 64 KiB buffer per upstream connection measurably
+         slowed the router's start-up; a big reply still grows it *)
+      match Netbuf.refill ~chunk:4096 t.inbuf t.fd with
+      | 0 -> Error "connection closed"
+      | _ -> receive_attr t
+      | exception Unix.Unix_error (EINTR, _, _) -> receive_attr t
+      | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
 
-(* The encoding of each response is detected from its first byte, like
-   the server does for requests — so a connection can switch formats
-   mid-stream and both sides stay in step. *)
-let receive_attr t =
-  match
-    let c = input_char t.ic in
-    if Char.code c = Wire.request_magic then begin
-      let v = input_byte t.ic in
-      if v <> Wire.version then
-        Error (Printf.sprintf "unsupported wire version %d" v)
-      else begin
-        match input_varint t.ic with
-        | Error e -> Error e
-        | Ok len ->
-            if len < 0 || len > Wire.max_payload then Error "bad frame length"
-            else begin
-              let payload = really_input_string t.ic len in
-              Protocol.decode_response_payload_attr payload ~pos:0 ~limit:len
-            end
-      end
-    end
-    else begin
-      let line = input_line t.ic in
-      Protocol.decode_response_attr (String.make 1 c ^ line)
-    end
-  with
-  | r -> r
-  | exception End_of_file -> Error "connection closed"
-  | exception Sys_error e -> Error e
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-
-let receive_with_rid t =
-  Result.map (fun (r, rid, _shard) -> (r, rid)) (receive_attr t)
-
-let receive t = Result.map fst (receive_with_rid t)
+let receive t = Result.map (fun (r, _rid, _shard) -> r) (receive_attr t)
 
 let request t req =
   match send t req with Ok () -> receive t | Error _ as e -> e
@@ -134,6 +108,4 @@ let metrics t =
   | Ok r -> Error ("unexpected response: " ^ Protocol.render_response r)
   | Error e -> Error e
 
-let close t =
-  (try Stdlib.flush t.oc with Sys_error _ -> ());
-  try Unix.close t.fd with Unix.Unix_error _ -> ()
+let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()

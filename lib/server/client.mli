@@ -4,8 +4,14 @@
     (the server answers strictly in order). Speaks either encoding —
     compact binary frames or JSON lines — and detects the encoding of
     every incoming response from its first byte, so the format can
-    even switch mid-connection. Used by [pmp client], the examples and
-    the end-to-end tests. *)
+    even switch mid-connection. Bytes move through a {!Netbuf} in each
+    direction and messages are found and framed by {!Frame}, so a
+    response is refused as pmpd refuses a request: a frame of another
+    version or with an empty payload is one [Error] and the responses
+    behind it still decode; a garbage length, or a JSON line longer
+    than {!Wire.max_payload}, is one [Error] that drops what was
+    buffered. Used by [pmp client], the federation router's upstream
+    connections, the examples and the end-to-end tests. *)
 
 type proto = Json | Binary
 
@@ -50,16 +56,14 @@ val flush : t -> (unit, string) result
 
 val receive : t -> (Protocol.response, string) result
 (** Read the next response; [Error] on a closed connection — which is
-    how a client observes a mid-stream server crash. *)
-
-val receive_with_rid : t -> (Protocol.response * int option, string) result
-(** Like {!receive} but also returns the echoed request id, when the
-    response carries one. *)
+    how a client observes a mid-stream server crash — or a refused
+    message (see above). *)
 
 val receive_attr :
   t -> (Protocol.response * int option * int option, string) result
-(** Like {!receive_with_rid} but also returns the serving shard tag
-    ([(response, rid, shard)]) stamped by a federation router;
-    [None] against a plain (non-federated) server. *)
+(** Like {!receive} but also returns the response's tags,
+    [(response, rid, shard)]: the echoed request id, when the request
+    carried one, and the serving shard a federation router stamps on
+    it ([None] against a plain server). *)
 
 val close : t -> unit

@@ -323,28 +323,18 @@ let words_per_request ?(requests = 100_000) () =
   | Ok server ->
       let inbuf = Netbuf.create 4096 and out = Netbuf.create 4096 in
       let payload = Buffer.create 32 in
-      let add_frame () =
-        Netbuf.add_char inbuf (Char.chr Wire.request_magic);
-        Netbuf.add_char inbuf (Char.chr Wire.version);
-        Netbuf.add_varint inbuf (Buffer.length payload);
-        Netbuf.add_buffer inbuf payload
-      in
+      (* payloads written by hand: a [Protocol.request] value would be
+         harness allocation inside the measured loop *)
       let add_query id =
         Buffer.clear payload;
         Buffer.add_char payload '\003';
         Wire.add_varint payload id;
-        add_frame ()
+        Frame.add inbuf payload
       in
       let add_stats () =
         Buffer.clear payload;
         Buffer.add_char payload '\004';
-        add_frame ()
-      in
-      let add_submit size =
-        Buffer.clear payload;
-        Buffer.add_char payload '\001';
-        Wire.add_varint payload size;
-        add_frame ()
+        Frame.add inbuf payload
       in
       let batch = 64 in
       let run_batch fill =
@@ -358,7 +348,9 @@ let words_per_request ?(requests = 100_000) () =
       let live = 16 in
       run_batch (fun () ->
           for _ = 1 to live do
-            add_submit 1
+            Buffer.clear payload;
+            Protocol.request_payload payload (Protocol.Submit 1);
+            Frame.add inbuf payload
           done);
       let fill_reads base =
         for i = 0 to batch - 1 do

@@ -1,6 +1,7 @@
-type config = { max_pending : int; max_out : int }
-
-let default_config = { max_pending = 64; max_out = 1 lsl 20 }
+(* Requests decoded per connection per round, and bytes of queued
+   output that pause reading a connection. *)
+let max_pending = 64
+let max_out = 1 lsl 20
 
 type conn = {
   fd : Unix.file_descr;
@@ -35,7 +36,7 @@ let setup_sigusr1 on_usr1 =
   | _ -> ()
   | exception (Invalid_argument _ | Sys_error _) -> ()
 
-let run ?(config = default_config) ?(on_accept = ignore) ?(on_drop = ignore)
+let run ?(on_accept = ignore) ?(on_drop = ignore)
     ?(on_batch = ignore) ?(on_commit = ignore) ?on_usr1 ?on_read_io
     ?on_write_io ?(tick = fun () -> -1.0) ?inbox ~listeners ~handle () =
   ignore_sigpipe ();
@@ -86,14 +87,14 @@ let run ?(config = default_config) ?(on_accept = ignore) ?(on_drop = ignore)
         c.pending <- false;
         if not (Netbuf.is_empty c.inbuf) then begin
           let n =
-            match handle c.inbuf c.out ~budget:config.max_pending with
+            match handle c.inbuf c.out ~budget:max_pending with
             | `Handled n -> n
             | `Stop n ->
                 stopping := true;
                 n
           in
           total := !total + n;
-          if n >= config.max_pending then c.pending <- true
+          if n >= max_pending then c.pending <- true
         end)
       conns;
     if !total > 0 then begin
@@ -154,7 +155,7 @@ let run ?(config = default_config) ?(on_accept = ignore) ?(on_drop = ignore)
                 (fun fd c acc ->
                   if
                     (not c.eof) && (not !stopping)
-                    && Netbuf.length c.out <= config.max_out
+                    && Netbuf.length c.out <= max_out
                   then fd :: acc
                   else acc)
                 conns []

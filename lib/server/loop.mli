@@ -11,20 +11,20 @@
 
     Requests are drained in {e batches}: each round, every connection
     with buffered input gets one [handle] call that consumes as many
-    complete requests as are available (up to [max_pending]); then,
-    once per round, [on_commit] runs {e before} any response byte is
-    written to any socket. The server points [on_commit] at the WAL's
-    group commit, so a batch's log records always reach the OS (and
-    disk, per policy) strictly before its acknowledgements can reach a
+    complete requests as are available (up to 64); then, once per
+    round, [on_commit] runs {e before} any response byte is written to
+    any socket. The server points [on_commit] at the WAL's group
+    commit, so a batch's log records always reach the OS (and disk,
+    per policy) strictly before its acknowledgements can reach a
     client — the durability watermark is enforced by ordering, not by
     tracking.
 
     Backpressure is applied per connection on both sides: [handle]'s
     budget caps decoding per round (a connection that exhausts it is
     re-polled with a zero timeout rather than waiting for the socket),
-    and a connection whose unsent output exceeds [max_out] bytes is
-    removed from the read set until the client drains it. Neither cap
-    drops data.
+    and a connection whose unsent output exceeds 1 MiB is removed
+    from the read set until the client drains it. Neither cap drops
+    data; both are constants.
 
     [handle] returning [`Stop] (the [shutdown] op) makes this the
     final round: listeners close, every queued response is flushed,
@@ -33,14 +33,6 @@
     the covering WAL commit) propagate immediately, abandoning all out
     buffers — acknowledged-but-unsent responses die with the process,
     exactly the crash the WAL is there to cover. *)
-
-type config = {
-  max_pending : int;  (** requests decoded per connection per round *)
-  max_out : int;  (** bytes of queued output that pause reading *)
-}
-
-val default_config : config
-(** [max_pending = 64], [max_out = 1 lsl 20]. *)
 
 val ignore_sigpipe : unit -> unit
 (** Set [SIGPIPE] to ignore (no-op where unsupported). {!run} and the
@@ -53,7 +45,6 @@ val setup_sigusr1 : (unit -> unit) option -> unit
     disposition while the loop is live. No-op where unsupported. *)
 
 val run :
-  ?config:config ->
   ?on_accept:(unit -> unit) ->
   ?on_drop:(Netbuf.t -> unit) ->
   ?on_batch:(int -> unit) ->

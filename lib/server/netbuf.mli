@@ -31,8 +31,8 @@ val get_byte : t -> int -> int
 (** Byte at offset [i] relative to the read position (unchecked). *)
 
 val consume : t -> int -> unit
-(** Drop [n] bytes from the front. @raise Invalid_argument beyond
-    {!length}. *)
+(** Drop [n] bytes from the front; they stay in {!bytes} until the next
+    write into the buffer. @raise Invalid_argument beyond {!length}. *)
 
 val find_byte : t -> char -> int option
 (** Offset (relative to the read position) of the first occurrence. *)

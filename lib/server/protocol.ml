@@ -297,11 +297,6 @@ let decode_response line =
   let* v = parse line in
   decode_response_value v
 
-let decode_response_rid line =
-  let* v = parse line in
-  let* r = decode_response_value v in
-  Ok (r, rid_of v)
-
 (* Like [rid], "shard" is a tracing aid: absent or mistyped means no
    attribution, never a decode error. *)
 let shard_of v = Option.bind (Json.member "shard" v) Json.to_int
@@ -314,12 +309,10 @@ let decode_response_attr line =
 (* ------------------------------------------------------------------ *)
 (* binary encoding                                                     *)
 
-(* Frame: magic byte, version byte, varint payload length, payload.
-   Payloads open with an opcode (requests) or status tag (responses);
+(* Payloads open with an opcode (requests) or status tag (responses);
    every integer is a varint, every string is varint length + bytes.
-   The magic byte can never open a JSON value, so a server (or a WAL
-   loader) identifies the encoding of each record from its first byte
-   and old JSON peers keep working without negotiation. *)
+   Frame wraps each payload in the header that tells it from a JSON
+   line, so old JSON peers keep working without negotiation. *)
 
 let op_submit = 1
 let op_finish = 2
@@ -455,23 +448,15 @@ let response_payload buf = function
       add_tag buf st_error;
       add_len_string buf e
 
-let response_payload_rid buf ~rid r =
-  add_tag buf st_tagged;
+let response_payload_rid buf ~rid ?shard r =
+  (match shard with
+  | None -> add_tag buf st_tagged
+  | Some _ -> add_tag buf st_shard_tagged);
   Wire.add_varint buf rid;
+  Option.iter (Wire.add_varint buf) shard;
   response_payload buf r
 
-let response_payload_attr buf ~rid ~shard r =
-  add_tag buf st_shard_tagged;
-  Wire.add_varint buf rid;
-  Wire.add_varint buf shard;
-  response_payload buf r
-
-(* Wrap [payload] (already encoded) in a frame. *)
-let add_frame buf payload =
-  Buffer.add_char buf (Char.chr Wire.request_magic);
-  Buffer.add_char buf (Char.chr Wire.version);
-  Wire.add_varint buf (Buffer.length payload);
-  Buffer.add_buffer buf payload
+let add_frame = Frame.add_to_buffer
 
 let encode_binary encode_payload v =
   let payload = Buffer.create 32 in
@@ -486,12 +471,9 @@ let encode_request_binary ?rid r =
   | Some n -> encode_binary (fun buf r -> request_payload_rid buf ~rid:n r) r
 
 let encode_response_binary ?rid ?shard r =
-  match (rid, shard) with
-  | None, _ -> encode_binary response_payload r
-  | Some n, None ->
-      encode_binary (fun buf r -> response_payload_rid buf ~rid:n r) r
-  | Some n, Some s ->
-      encode_binary (fun buf r -> response_payload_attr buf ~rid:n ~shard:s r) r
+  match rid with
+  | None -> encode_binary response_payload r
+  | Some n -> encode_binary (fun buf r -> response_payload_rid buf ~rid:n ?shard r) r
 
 (* --- binary decoding ---------------------------------------------- *)
 
@@ -673,32 +655,25 @@ let decode_response_payload_attr s ~pos ~limit =
   | exception Wire.Corrupt e -> Result.Error e
   | exception Invalid_argument _ -> Result.Error "truncated frame"
 
-let decode_response_payload_rid s ~pos ~limit =
+let decode_response_payload s ~pos ~limit =
   Result.map
-    (fun (r, rid, _shard) -> (r, rid))
+    (fun (r, _rid, _shard) -> r)
     (decode_response_payload_attr s ~pos ~limit)
 
-let decode_response_payload s ~pos ~limit =
-  Result.map fst (decode_response_payload_rid s ~pos ~limit)
-
-(* Decode one complete frame held in [s] (header included). *)
+(* Decode one complete frame held in [s] (header included). A fresh
+   buffer starts at offset 0, so the span [Frame.read] leaves indexes
+   [s] itself. *)
 let decode_frame decode_payload s =
-  let limit = String.length s in
-  if limit < 3 then Result.Error "truncated frame"
-  else if Char.code s.[0] <> Wire.request_magic then
-    Result.Error "not a binary frame"
-  else if Char.code s.[1] <> Wire.version then
-    Result.Error
-      (Printf.sprintf "unsupported wire version %d" (Char.code s.[1]))
-  else begin
-    match Wire.get_varint_string s 2 limit with
-    | exception Wire.Corrupt e -> Result.Error e
-    | len, pos ->
-        if len < 0 || len > Wire.max_payload then
-          Result.Error "bad frame length"
-        else if pos + len <> limit then Result.Error "frame length mismatch"
-        else decode_payload s ~pos ~limit
-  end
+  let nb = Netbuf.create (String.length s) in
+  Netbuf.add_string nb s;
+  let r = Frame.reader () in
+  match Frame.read r nb with
+  | Frame.Frame when Netbuf.is_empty nb ->
+      decode_payload s ~pos:r.Frame.pos ~limit:r.Frame.limit
+  | Frame.Frame -> Result.Error "frame length mismatch"
+  | Frame.Incomplete -> Result.Error "truncated frame"
+  | Frame.Line | Frame.Refused_line -> Result.Error "not a binary frame"
+  | Frame.Refused_frame -> Result.Error r.Frame.refusal
 
 let decode_request_binary s = decode_frame decode_request_payload s
 let decode_response_binary s = decode_frame decode_response_payload s

@@ -85,22 +85,27 @@ val encode_response : ?rid:int -> ?shard:int -> response -> string
     can attribute throughput per shard. *)
 
 val decode_response : string -> (response, string) result
-val decode_response_rid : string -> (response * int option, string) result
 
 val decode_response_attr :
   string -> (response * int option * int option, string) result
-(** Like {!decode_response_rid} but also returns the ["shard"]
-    member when present: [(response, rid, shard)]. *)
+(** Like {!decode_response} but also returns the ["rid"] and ["shard"]
+    members when present: [(response, rid, shard)]. *)
 
 (** {1 Binary encoding}
 
-    The compact wire format for the hot path: a frame is
-    {!Wire.request_magic}, {!Wire.version}, a varint payload length,
-    then the payload — an opcode (or status tag) byte followed by
-    varint fields; strings are varint length + bytes. The magic byte
+    The compact wire format for the hot path: a {!Frame} around a
+    payload — an opcode (or status tag) byte followed by varint
+    fields; strings are varint length + bytes. The frame's first byte
     can never begin a JSON value, so servers and clients detect the
     encoding of every message from its first byte and both formats
-    interoperate on one connection. *)
+    interoperate on one connection.
+
+    A request or response carries at most one tag, in one form per
+    direction: a request id ({!request_payload_rid}, the ["rid"]
+    member in JSON) on requests; on responses the echoed request id
+    and, from a federation router, the serving shard
+    ({!response_payload_rid} [?shard], the ["rid"] and ["shard"]
+    members), read back by the [_attr] decoders. *)
 
 val opcode : request -> int
 (** The request's binary opcode (1..10). Server metrics and flight
@@ -113,17 +118,16 @@ val response_payload : Buffer.t -> response -> unit
 
 val add_frame : Buffer.t -> Buffer.t -> unit
 (** [add_frame buf payload] appends a complete frame wrapping
-    [payload] to [buf]. *)
+    [payload] to [buf] ({!Frame.add_to_buffer}). *)
 
 val request_payload_rid : Buffer.t -> rid:int -> request -> unit
 (** Wrap the request payload in the tagged-wrapper opcode carrying a
     varint request id. The wrapper never nests. *)
 
-val response_payload_rid : Buffer.t -> rid:int -> response -> unit
-
-val response_payload_attr : Buffer.t -> rid:int -> shard:int -> response -> unit
-(** The shard-tagged wrapper ([varint rid], [varint shard], inner
-    payload) used by the federation router. Never nests. *)
+val response_payload_rid : Buffer.t -> rid:int -> ?shard:int -> response -> unit
+(** Wrap the response payload with the echoed request id and, when
+    given, the serving shard (the federation router's attribution):
+    [varint rid], [[varint shard]], inner payload. Never nests. *)
 
 val encode_request_binary : ?rid:int -> request -> string
 (** A complete frame, ready to write to a socket (no newline); [?rid]
@@ -145,9 +149,6 @@ val decode_request_payload_rid :
 val decode_response_payload :
   string -> pos:int -> limit:int -> (response, string) result
 
-val decode_response_payload_rid :
-  string -> pos:int -> limit:int -> (response * int option, string) result
-
 val decode_response_payload_attr :
   string ->
   pos:int ->
@@ -157,7 +158,8 @@ val decode_response_payload_attr :
     shard-tagged wrapper. *)
 
 val decode_request_binary : string -> (request, string) result
-(** Decode one complete frame, header included. Never raises. *)
+(** Decode one complete frame, header included, refused as
+    {!Frame.read} refuses it. Never raises. *)
 
 val decode_response_binary : string -> (response, string) result
 

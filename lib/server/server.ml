@@ -12,12 +12,10 @@ type config = {
   wal_format : Wal.format;
   snapshot_every : int;
   crash_after : int option;
-  loop : Loop.config;
   latency_profile : bool;
   slow_ms : float option;
   recorder_size : int;
   domains : int;
-  steal_threshold : int;
 }
 
 let default_config ~machine_size ~policy ~dir =
@@ -30,12 +28,10 @@ let default_config ~machine_size ~policy ~dir =
     wal_format = Wal.Binary_records;
     snapshot_every = 1024;
     crash_after = None;
-    loop = Loop.default_config;
     latency_profile = false;
     slow_ms = None;
     recorder_size = 256;
     domains = 1;
-    steal_threshold = 1;
   }
 
 exception Crash
@@ -224,6 +220,7 @@ type t = {
       (** reusable response-payload buffer: [Buffer.clear] keeps the
           storage, so the fast path encodes without allocating *)
   cur : Wire.cursor;  (** reusable varint decode position, same idea *)
+  reader : Frame.reader;  (** where the last request read sits *)
   mutable seq : int;  (** durable mutation count since genesis *)
   mutable snap_tried : int;
       (** seq at the last periodic snapshot attempt, failed or not *)
@@ -509,6 +506,7 @@ let create_core config ~shard ~k ~mesh =
           ins;
           scratch = Buffer.create 256;
           cur = { Wire.pos = 0 };
+          reader = Frame.reader ();
           seq;
           snap_tried = snap_seq;
           fresh_mutations = 0;
@@ -987,33 +985,29 @@ let tick t () =
 (* ------------------------------------------------------------------ *)
 (* request handling                                                    *)
 
-(* Steal when the home queue has run [steal_threshold] deep (or this
-   task would join it): [Sharding.pick_victim] over the published
-   depths, stale by at most a batch — which can make the choice
-   suboptimal but never wrong, since the victim admits under its own
-   cluster. *)
+(* Steal when the home shard has a queue (or this task would start
+   one): [Sharding.pick_victim] over the published depths, stale by at
+   most a batch — which can make the choice suboptimal but never
+   wrong, since the victim admits under its own cluster. *)
 let steal_target t m size =
-  if t.config.steal_threshold <= 0 then None
-  else begin
-    let s = Cluster.stats t.cluster in
-    let cap_pes = Cluster.admission_capacity t.cluster in
-    let would_queue =
-      match cap_pes with
-      | Some c -> s.Cluster.active_size + size > c
-      | None -> false
-    in
-    if s.Cluster.queued_now >= t.config.steal_threshold || would_queue then
-      Sharding.pick_victim m.plan ~self:t.shard ~size ~cap_pes
-        ~queued:
-          (Array.init t.k (fun i ->
-               if i = t.shard then s.Cluster.queued_now
-               else Atomic.get m.queued_pub.(i)))
-        ~active:
-          (Array.init t.k (fun i ->
-               if i = t.shard then s.Cluster.active_size
-               else Atomic.get m.active_pub.(i)))
-    else None
-  end
+  let s = Cluster.stats t.cluster in
+  let cap_pes = Cluster.admission_capacity t.cluster in
+  let would_queue =
+    match cap_pes with
+    | Some c -> s.Cluster.active_size + size > c
+    | None -> false
+  in
+  if s.Cluster.queued_now > 0 || would_queue then
+    Sharding.pick_victim m.plan ~self:t.shard ~size ~cap_pes
+      ~queued:
+        (Array.init t.k (fun i ->
+             if i = t.shard then s.Cluster.queued_now
+             else Atomic.get m.queued_pub.(i)))
+      ~active:
+        (Array.init t.k (fun i ->
+             if i = t.shard then s.Cluster.active_size
+             else Atomic.get m.active_pub.(i)))
+  else None
 
 let submit t size =
   match t.mesh with
@@ -1196,20 +1190,15 @@ let handle_line t line =
 (* ------------------------------------------------------------------ *)
 (* the wire handler                                                    *)
 
-(* Frame [t.scratch] (one encoded response payload) into [out]. *)
-let scratch_frame t out =
-  Netbuf.add_char out (Char.chr Wire.request_magic);
-  Netbuf.add_char out (Char.chr Wire.version);
-  Netbuf.add_varint out (Buffer.length t.scratch);
-  Netbuf.add_buffer out t.scratch
-
-let reply_error_binary t out e =
+(* An error response in the request's own encoding. *)
+let reply_error t out ~binary e =
   Metrics.Counter.incr t.ins.c_errors;
-  Buffer.clear t.scratch;
-  Buffer.add_char t.scratch '\000';
-  Wire.add_varint t.scratch (String.length e);
-  Buffer.add_string t.scratch e;
-  scratch_frame t out
+  if binary then begin
+    Buffer.clear t.scratch;
+    Protocol.response_payload t.scratch (Protocol.Error e);
+    Frame.add out t.scratch
+  end
+  else Frame.add_line out (Protocol.encode_response (Protocol.Error e))
 
 let add_scratch_placement t s (p : Pmp_core.Placement.t) =
   Wire.add_varint s
@@ -1225,7 +1214,7 @@ let routed t out req =
   | resp ->
       Buffer.clear t.scratch;
       Protocol.response_payload t.scratch resp;
-      scratch_frame t out;
+      Frame.add out t.scratch;
       `Ok
 
 (* Decode and apply one binary request whose payload spans
@@ -1282,7 +1271,7 @@ let dispatch t out b pos0 limit =
                 | Cluster.Queued id ->
                     Buffer.add_char s '\002';
                     Wire.add_varint s ((id * t.k) + t.shard));
-                scratch_frame t out;
+                Frame.add out t.scratch;
                 `Ok
             | Error e -> `Error e
           end
@@ -1307,7 +1296,7 @@ let dispatch t out b pos0 limit =
                 end;
                 Buffer.clear t.scratch;
                 Buffer.add_char t.scratch '\003';
-                scratch_frame t out;
+                Frame.add out t.scratch;
                 `Ok
             | Error e -> `Error e
           end
@@ -1329,7 +1318,7 @@ let dispatch t out b pos0 limit =
             | None ->
                 if Cluster.is_queued t.cluster lid then Buffer.add_char s '\001'
                 else Buffer.add_char s '\000');
-            scratch_frame t out;
+            Frame.add out t.scratch;
             if t.timed then begin
               Metrics.Histogram.observe t.ins.h_stage_decode (td -. t.req_t0);
               Metrics.Histogram.observe t.ins.h_stage_apply
@@ -1356,7 +1345,7 @@ let dispatch t out b pos0 limit =
             Wire.add_varint s st.Cluster.optimal_now;
             Wire.add_varint s st.Cluster.reallocations;
             Wire.add_varint s st.Cluster.tasks_migrated;
-            scratch_frame t out;
+            Frame.add out t.scratch;
             if t.timed then
               Metrics.Histogram.observe t.ins.h_stage_apply
                 (Unix.gettimeofday () -. td);
@@ -1381,131 +1370,74 @@ let dispatch t out b pos0 limit =
           (match rid with
           | None -> Protocol.response_payload t.scratch resp
           | Some rid -> Protocol.response_payload_rid t.scratch ~rid resp);
-          scratch_frame t out;
+          Frame.add out t.scratch;
           if stop then `Stop else `Ok
     end
   with
   | r -> r
   | exception Wire.Corrupt e -> `Error e
 
-(* One binary frame from the front of [inbuf], if complete. *)
-let handle_binary t inbuf out =
-  let avail = Netbuf.length inbuf in
-  if avail < 3 then `Incomplete
-  else begin
-    let b = Netbuf.bytes inbuf in
-    let off = Netbuf.offset inbuf in
-    let hard = off + avail in
-    t.cur.Wire.pos <- off + 2;
-    match Wire.read_varint b t.cur hard with
-    | exception Wire.Corrupt _ ->
-        if hard - (off + 2) >= Wire.max_varint_bytes then `Poison
-        else `Incomplete
-    | plen ->
-        let ppos = t.cur.Wire.pos in
-        if plen < 0 || plen > Wire.max_payload then `Poison
-        else if ppos + plen > hard then `Incomplete
-        else begin
-          let limit = ppos + plen in
-          if t.timed then t.req_t0 <- Unix.gettimeofday ();
-          let opcode = if plen = 0 then 0 else Char.code (Bytes.get b ppos) in
-          t.cur_op <- opcode;
-          let r =
-            if Char.code (Bytes.get b (off + 1)) <> Wire.version then begin
-              Metrics.Counter.incr t.ins.c_requests;
-              `Error
-                (Printf.sprintf "unsupported wire version %d"
-                   (Char.code (Bytes.get b (off + 1))))
-            end
-            else if plen = 0 then begin
-              Metrics.Counter.incr t.ins.c_requests;
-              `Error "empty frame"
-            end
-            else dispatch t out b ppos limit
-          in
-          Netbuf.consume inbuf (limit - off);
-          (match r with
-          | `Ok ->
-              note_request t ~op:t.cur_op ~size:plen ~ok:true;
-              `Handled
-          | `Error e ->
-              reply_error_binary t out e;
-              note_request t ~op:t.cur_op ~size:plen ~ok:false;
-              `Handled
-          | `Stop ->
-              note_request t ~op:t.cur_op ~size:plen ~ok:true;
-              `Stop)
-        end
-  end
+(* The binary request [Frame.read] just found: decode and apply it
+   straight out of [inbuf]'s bytes. [true] when the server should stop. *)
+let frame_request t inbuf out =
+  let r = t.reader in
+  let b = Netbuf.bytes inbuf and size = r.Frame.limit - r.Frame.pos in
+  t.cur_op <- Char.code (Bytes.unsafe_get b r.Frame.pos);
+  match dispatch t out b r.Frame.pos r.Frame.limit with
+  | `Ok ->
+      note_request t ~op:t.cur_op ~size ~ok:true;
+      false
+  | `Error e ->
+      reply_error t out ~binary:true e;
+      note_request t ~op:t.cur_op ~size ~ok:false;
+      false
+  | `Stop ->
+      note_request t ~op:t.cur_op ~size ~ok:true;
+      true
 
-(* One JSON line from the front of [inbuf], if complete. This is the
-   debug path — old clients and humans — so allocation is fine. A line
-   still unterminated past {!Wire.max_payload} bytes can never become
-   a request: answer one error and drop the buffered input, as a
-   poisoned binary frame does. *)
-let handle_json t inbuf out =
-  let emit r =
-    Netbuf.add_string out r;
-    Netbuf.add_char out '\n'
+(* The JSON line [Frame.read] just found. This is the debug path — old
+   clients and humans — so allocation is fine. *)
+let line_request t inbuf out =
+  let r = t.reader in
+  let (`Reply (op, ok, wire) | `Stop (op, ok, wire)) as reply =
+    handle_line t (Frame.payload r inbuf)
   in
-  match Netbuf.find_byte inbuf '\n' with
-  | None when Netbuf.length inbuf <= Wire.max_payload -> `Incomplete
-  | None ->
-      let size = Netbuf.length inbuf in
-      Netbuf.clear inbuf;
-      Metrics.Counter.incr t.ins.c_requests;
-      Metrics.Counter.incr t.ins.c_errors;
-      emit
-        (Protocol.encode_response
-           (Protocol.Error
-              (Printf.sprintf "request line longer than %d bytes"
-                 Wire.max_payload)));
-      note_request t ~op:0 ~size ~ok:false;
-      `Handled
-  | Some i ->
-      if t.timed then t.req_t0 <- Unix.gettimeofday ();
-      let line = Netbuf.sub_string inbuf ~off:0 ~len:i in
-      Netbuf.consume inbuf (i + 1);
-      (match handle_line t line with
-      | `Reply (op, ok, r) ->
-          emit r;
-          note_request t ~op ~size:i ~ok;
-          `Handled
-      | `Stop (op, ok, r) ->
-          emit r;
-          note_request t ~op ~size:i ~ok;
-          `Stop)
+  Frame.add_line out wire;
+  note_request t ~op ~size:(r.Frame.limit - r.Frame.pos) ~ok;
+  match reply with `Stop _ -> true | `Reply _ -> false
 
-(* The {!Loop} handler: drain up to [budget] complete requests from
-   [inbuf], dispatching each by its first byte — {!Wire.request_magic}
-   opens a binary frame, anything else is a JSON (or garbage) line —
-   so both encodings interoperate on one connection. *)
-let handle_conn t inbuf out ~budget =
-  let handled = ref 0 in
-  let verdict = ref None in
-  while Option.is_none !verdict && !handled < budget
-        && not (Netbuf.is_empty inbuf) do
-    let r =
-      if Netbuf.get_byte inbuf 0 = Wire.request_magic then
-        handle_binary t inbuf out
-      else handle_json t inbuf out
-    in
-    match r with
-    | `Handled -> incr handled
-    | `Stop ->
-        incr handled;
-        verdict := Some (`Stop !handled)
-    | `Incomplete -> verdict := Some (`Handled !handled)
-    | `Poison ->
-        (* a garbage length prefix desyncs the stream beyond repair:
-           answer with an error and drop whatever else is buffered *)
-        Metrics.Counter.incr t.ins.c_requests;
-        reply_error_binary t out "malformed frame";
-        Netbuf.clear inbuf;
-        incr handled;
-        verdict := Some (`Handled !handled)
-  done;
-  match !verdict with Some r -> r | None -> `Handled !handled
+(* A message [Frame.read] refused: one failed request of unknown op,
+   answered in the encoding it arrived in. *)
+let refused_request t out ~binary =
+  let r = t.reader in
+  Metrics.Counter.incr t.ins.c_requests;
+  reply_error t out ~binary r.Frame.refusal;
+  note_request t ~op:0 ~size:(r.Frame.limit - r.Frame.pos) ~ok:false;
+  false
+
+(* Answer one message [Frame.read] found; [true] when the server
+   should stop. *)
+let handle_message t inbuf out = function
+  | Frame.Frame -> frame_request t inbuf out
+  | Frame.Line -> line_request t inbuf out
+  | Frame.Refused_frame -> refused_request t out ~binary:true
+  | Frame.Refused_line -> refused_request t out ~binary:false
+  | Frame.Incomplete -> false
+
+(* The {!Loop} handler: up to [budget] requests off the front of
+   [inbuf], binary frames and JSON lines alike. A top-level loop rather
+   than a closure, which would be allocated every round. *)
+let rec handle_from t inbuf out ~budget handled =
+  if handled >= budget then `Handled handled
+  else
+    match Frame.read t.reader inbuf with
+    | Frame.Incomplete -> `Handled handled
+    | msg ->
+        if t.timed then t.req_t0 <- Unix.gettimeofday ();
+        if handle_message t inbuf out msg then `Stop (handled + 1)
+        else handle_from t inbuf out ~budget (handled + 1)
+
+let handle_conn t inbuf out ~budget = handle_from t inbuf out ~budget 0
 
 let close t =
   Array.iter
@@ -1545,7 +1477,7 @@ let run_core t ~listeners ?inbox ~on_usr1 () =
     if Atomic.exchange t.usr1 false then ignore (dump_recorder t)
   in
   try
-    Loop.run ~config:t.config.loop
+    Loop.run
       ~on_accept:(fun () -> Metrics.Counter.incr t.ins.c_connections)
       ~on_batch:(fun n ->
         check_usr1 ();

@@ -51,14 +51,15 @@
     [snapshot-*.tmp] files go at startup and with the next successful
     snapshot.
 
-    {b Hot path.} Binary-framed requests ({!Wire.request_magic} first
-    byte) are decoded straight out of the connection's input buffer
-    and answered through a reused scratch buffer — no intermediate
-    request/response values, strings or JSON on the submit, finish,
-    query and stats opcodes. JSON lines remain fully supported as the
-    debug encoding; the two can interleave on one connection. A JSON
-    line still unterminated after {!Wire.max_payload} bytes gets one
-    error reply and the buffered input is dropped.
+    {b Hot path.} {!Frame.read} finds each request in the connection's
+    input buffer without allocating and leaves its span in a reader
+    the core owns. A binary request is decoded straight out of that
+    span and answered through a reused scratch buffer — no
+    intermediate request/response values, strings or JSON on the
+    submit, finish, query and stats opcodes. JSON lines remain fully
+    supported as the debug encoding; the two can interleave on one
+    connection. A message {!Frame.read} refuses is one failed request,
+    answered with the refusal text in the encoding it arrived in.
 
     {b Crash injection.} With [crash_after = Some k], {!Crash} is
     raised once the [k]-th mutation accepted by this process is
@@ -91,10 +92,9 @@
       of every shard the batch mutated, serving and committing peer
       calls meanwhile. No request costs an extra fsync.
     - {e Work stealing.} When admission would queue at the home shard
-      (or its queue is already [steal_threshold] deep), the
-      least-loaded idle peer admits the task instead, in its {e own}
-      id namespace, so the task runs exactly once and routes exactly
-      thereafter.
+      (or it already has a queue), the least-loaded idle peer admits
+      the task instead, in its {e own} id namespace, so the task runs
+      exactly once and routes exactly thereafter.
     - {e Observability.} Each core registers the same instruments,
       labelled with its shard; a [metrics] request answers with their
       {!Pmp_telemetry.Metrics.merge_prometheus} merge, which speaks the
@@ -120,7 +120,6 @@ type config = {
   wal_format : Wal.format;  (** encoding of fresh WAL records *)
   snapshot_every : int;  (** snapshot every k mutations; 0 = only on demand *)
   crash_after : int option;  (** crash-injection test mode *)
-  loop : Loop.config;
   latency_profile : bool;
       (** time every request and pipeline stage into the registry's
           log-bucket histograms. Off by default: the timestamps box
@@ -133,17 +132,14 @@ type config = {
   domains : int;
       (** shard count K: 1 (or less) serves inline; otherwise a power
           of two dividing [machine_size] *)
-  steal_threshold : int;
-      (** sharded: steal when the home queue is at least this deep (0
-          never steals; admissions that would queue always try) *)
 }
 
 val default_config :
   machine_size:int -> policy:Pmp_cluster.Cluster.policy -> dir:string -> config
 (** No admission cap, [fsync_policy = Group], [wal_format =
-    Binary_records], [snapshot_every = 1024], no crash injection,
-    {!Loop.default_config}, no latency profiling or slow-request log,
-    [recorder_size = 256], [domains = 1], [steal_threshold = 1]. *)
+    Binary_records], [snapshot_every = 1024], no crash injection, no
+    latency profiling or slow-request log, [recorder_size = 256],
+    [domains = 1]. *)
 
 exception Crash
 (** Raised by the crash-injection trip; escapes {!serve} with all
@@ -244,9 +240,9 @@ val handle_conn :
   budget:int ->
   [ `Handled of int | `Stop of int ]
 (** The {!Loop} handler: drain up to [budget] complete requests from
-    the in-buffer (binary frames and JSON lines, told apart by their
-    first byte), encoding responses into the out-buffer. Returns the
-    number of requests consumed. *)
+    the in-buffer through {!Frame.read} (binary frames and JSON lines,
+    told apart by their first byte), encoding responses into the
+    out-buffer. Returns the number of requests consumed. *)
 
 val commit : t -> unit
 (** Group-commit the pending WAL batch (one write; fsync per policy),

@@ -1,6 +1,7 @@
 (* Shared test machinery: qcheck-to-alcotest glue, reproducible random
-   sequence construction, and naive reference implementations that the
-   optimised structures are checked against. *)
+   sequence construction, naive reference implementations that the
+   optimised structures are checked against, and a scripted socket peer
+   for the pmpd client. *)
 
 module Sm = Pmp_prng.Splitmix64
 module Machine = Pmp_machine.Machine
@@ -154,3 +155,36 @@ let random_sequence_no_full ~seed ~machine_size ~steps =
 let run_checked alloc seq = Pmp_sim.Engine.run ~check:true alloc seq
 
 let check_ok = Alcotest.(check (result unit string)) "invariants" (Ok ())
+
+(* A [Pmp_server.Client] whose peer the test scripts byte by byte over a
+   Unix socket under [dir]: [f client send hang_up] writes the peer's
+   side with [send] and ends it with [hang_up], so a client that loses
+   its place in the stream reads EOF rather than waiting forever. *)
+let with_scripted_peer ~dir f =
+  let module Client = Pmp_server.Client in
+  let path = Filename.concat dir "peer.sock" in
+  let listener = Pmp_server.Server.listen_unix path in
+  let client =
+    match Client.connect_unix ~proto:Client.Binary path with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "connect %s: %s" path e
+  in
+  let peer, _ = Unix.accept listener in
+  Unix.close listener;
+  let send s = ignore (Unix.write_substring peer s 0 (String.length s)) in
+  let hang_up () = Unix.shutdown peer Unix.SHUTDOWN_SEND in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close client;
+      Unix.close peer)
+    (fun () -> f client send hang_up)
+
+(* The client's next receive must be [expected]: a response, or the
+   exact error text. *)
+let expect_receive ~ctx client expected =
+  let module Protocol = Pmp_server.Protocol in
+  match (Pmp_server.Client.receive client, expected) with
+  | Ok r, Ok r' when r = r' -> ()
+  | Error e, Error e' when e = e' -> ()
+  | Ok r, _ -> Alcotest.failf "%s: got %s" ctx (Protocol.encode_response r)
+  | Error e, _ -> Alcotest.failf "%s: got error %s" ctx e

@@ -280,7 +280,7 @@ let test_sim_rebalance_deterministic () =
 let test_shard_tag_roundtrip () =
   let resp = Protocol.Queued 42 in
   let buf = Buffer.create 32 in
-  Protocol.response_payload_attr buf ~rid:7 ~shard:2 resp;
+  Protocol.response_payload_rid buf ~rid:7 ~shard:2 resp;
   let s = Buffer.contents buf in
   (match
      Protocol.decode_response_payload_attr s ~pos:0 ~limit:(String.length s)
@@ -288,11 +288,9 @@ let test_shard_tag_roundtrip () =
   | Ok (r, Some 7, Some 2) when r = resp -> ()
   | Ok _ -> Alcotest.fail "binary shard-tagged wrapper did not round-trip"
   | Error e -> Alcotest.fail e);
-  (match
-     Protocol.decode_response_payload_rid s ~pos:0 ~limit:(String.length s)
-   with
-  | Ok (r, Some 7) when r = resp -> ()
-  | _ -> Alcotest.fail "rid decoder must accept and drop the shard tag");
+  (match Protocol.decode_response_payload s ~pos:0 ~limit:(String.length s) with
+  | Ok r when r = resp -> ()
+  | _ -> Alcotest.fail "plain decoder must accept and drop the shard tag");
   let buf = Buffer.create 32 in
   Protocol.response_payload_rid buf ~rid:9 resp;
   let s = Buffer.contents buf in
@@ -821,7 +819,9 @@ let test_unterminated_line_capped () =
    consumed and answered with one error, as pmpd does, so a request
    pipelined behind it is still answered; only a garbage length drops
    the rest of the input. The router's replies match the daemon's byte
-   for byte. *)
+   for byte, and a client fed the same frames as responses reports the
+   same refusal and then reads the pong behind it (after a garbage
+   length, the pong the peer sends next). *)
 let test_malformed_frames_match_daemon () =
   with_dir (fun dir ->
       let r =
@@ -855,28 +855,38 @@ let test_malformed_frames_match_daemon () =
       in
       let ping = Protocol.encode_request_binary Protocol.Ping in
       let reply = Protocol.encode_response_binary in
-      List.iter
-        (fun (label, bad, expect) ->
+      let pong = reply Protocol.Pong in
+      List.iteri
+        (fun i (label, bad, refusal, dropped) ->
+          let expect =
+            if dropped then (1, reply (Protocol.Error refusal))
+            else (2, reply (Protocol.Error refusal) ^ pong)
+          in
           let pmpd = daemon [ bad; ping ] and fed = feed r [ bad; ping ] in
           Alcotest.(check (pair int string)) (label ^ ": pmpd") expect pmpd;
-          Alcotest.(check (pair int string)) (label ^ ": router") expect fed)
+          Alcotest.(check (pair int string)) (label ^ ": router") expect fed;
+          let peer = Filename.concat dir (Printf.sprintf "peer-%d" i) in
+          Unix.mkdir peer 0o755;
+          Helpers.with_scripted_peer ~dir:peer (fun client send hang_up ->
+              if dropped then send bad else send (bad ^ pong);
+              Helpers.expect_receive ~ctx:(label ^ ": client") client
+                (Error refusal);
+              if dropped then send pong;
+              hang_up ();
+              Helpers.expect_receive ~ctx:(label ^ ": client, next") client
+                (Ok Protocol.Pong)))
         [
           ( "bad version",
             frame ~version:(Wire.version + 1) "\008",
-            ( 2,
-              reply
-                (Protocol.Error
-                   (Printf.sprintf "unsupported wire version %d"
-                      (Wire.version + 1)))
-              ^ reply Protocol.Pong ) );
-          ( "empty frame",
-            frame ~version:Wire.version "",
-            (2, reply (Protocol.Error "empty frame") ^ reply Protocol.Pong) );
+            Printf.sprintf "unsupported wire version %d" (Wire.version + 1),
+            false );
+          ("empty frame", frame ~version:Wire.version "", "empty frame", false);
           ( "garbage length",
             String.make 1 (Char.chr Wire.request_magic)
             ^ String.make 1 (Char.chr Wire.version)
             ^ String.make Wire.max_varint_bytes '\255',
-            (1, reply (Protocol.Error "malformed frame")) );
+            "malformed frame",
+            true );
         ];
       Server.close server;
       stop_router r)

@@ -178,12 +178,12 @@ let rid_response_roundtrip =
       let buf = Buffer.create 64 in
       Protocol.response_payload_rid buf ~rid r;
       let payload = Buffer.contents buf in
-      Protocol.decode_response_rid (Protocol.encode_response ~rid r)
-      = Ok (r, Some rid)
+      Protocol.decode_response_attr (Protocol.encode_response ~rid r)
+      = Ok (r, Some rid, None)
       && Protocol.decode_response (Protocol.encode_response ~rid r) = Ok r
-      && Protocol.decode_response_payload_rid payload ~pos:0
+      && Protocol.decode_response_payload_attr payload ~pos:0
            ~limit:(String.length payload)
-         = Ok (r, Some rid)
+         = Ok (r, Some rid, None)
       && Protocol.decode_response_binary
            (Protocol.encode_response_binary ~rid r)
          = Ok r)
@@ -1369,17 +1369,17 @@ let test_rid_echo_over_sockets () =
             get_ok ~ctx:"send tagged"
               (Client.send client ~rid:42 (Protocol.Submit 4));
             get_ok ~ctx:"send bare" (Client.send client Protocol.Ping);
-            (match Client.receive_with_rid client with
-            | Ok (Protocol.Placed _, Some 42) -> ()
-            | Ok (r, rid) ->
+            (match Client.receive_attr client with
+            | Ok (Protocol.Placed _, Some 42, _) -> ()
+            | Ok (r, rid, _) ->
                 Alcotest.failf "tagged reply %s carried rid %s"
                   (Protocol.encode_response r)
                   (match rid with
                   | Some i -> string_of_int i
                   | None -> "(none)")
             | Error e -> Alcotest.failf "tagged reply: %s" e);
-            (match Client.receive_with_rid client with
-            | Ok (Protocol.Pong, None) -> ()
+            (match Client.receive_attr client with
+            | Ok (Protocol.Pong, None, _) -> ()
             | Ok _ -> Alcotest.fail "bare reply must carry no rid"
             | Error e -> Alcotest.failf "bare reply: %s" e);
             Client.close client
@@ -1998,6 +1998,168 @@ let test_unterminated_line_capped () =
       | _ -> Alcotest.failf "expected exactly one reply line: %S" reply);
       Server.close s)
 
+(* --- finding messages across reads -------------------------------- *)
+
+module Frame = Pmp_server.Frame
+
+let frame_bytes ?(version = Wire.version) payload =
+  let b = Buffer.create (String.length payload + 12) in
+  Buffer.add_char b (Char.chr Wire.request_magic);
+  Buffer.add_char b (Char.chr version);
+  Wire.add_varint b (String.length payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+let payload_of encode x =
+  let b = Buffer.create 32 in
+  encode b x;
+  Buffer.contents b
+
+(* One message on the wire, paired with what [Frame.read] must report
+   for it: the classification, and the payload, line or refusal text. *)
+let gen_wire_message =
+  QCheck.Gen.(
+    let frame p = (frame_bytes p, (Frame.Frame, p)) in
+    oneof
+      [
+        map (fun r -> frame (payload_of Protocol.request_payload r)) gen_request;
+        map2
+          (fun r rid -> frame (payload_of (Protocol.request_payload_rid ~rid) r))
+          gen_request nat;
+        map3
+          (fun r rid shard ->
+            frame
+              (payload_of
+                 (fun b r -> Protocol.response_payload_rid b ~rid ?shard r)
+                 r))
+          gen_response nat (opt nat);
+        map
+          (fun r ->
+            let line = Protocol.encode_request r in
+            (line ^ "\n", (Frame.Line, line)))
+          gen_request;
+        map
+          (fun r ->
+            let version = Wire.version + 1 in
+            ( frame_bytes ~version (payload_of Protocol.request_payload r),
+              ( Frame.Refused_frame,
+                Printf.sprintf "unsupported wire version %d" version ) ))
+          gen_request;
+        return (frame_bytes "", (Frame.Refused_frame, "empty frame"));
+      ])
+
+(* What may end a stream: a garbage length (one that does not end, a
+   negative one, one over the cap) or a line that never ends. *)
+let gen_wire_tail =
+  let varint n = payload_of Wire.add_varint n in
+  let garbage len =
+    ( String.make 1 (Char.chr Wire.request_magic)
+      ^ String.make 1 (Char.chr Wire.version)
+      ^ len,
+      (Frame.Refused_frame, "malformed frame") )
+  in
+  QCheck.Gen.(
+    frequency
+      [
+        (18, return None);
+        ( 6,
+          map
+            (fun len -> Some (garbage len))
+            (oneofl
+               [
+                 String.make Wire.max_varint_bytes '\255';
+                 varint (-1);
+                 varint (Wire.max_payload + 1);
+               ]) );
+        ( 1,
+          return
+            (Some
+               ( String.make (Wire.max_payload + 1) 'x',
+                 ( Frame.Refused_line,
+                   Printf.sprintf "request line longer than %d bytes"
+                     Wire.max_payload ) )) );
+      ])
+
+(* Everything [Frame.read] finds in [chunks], fed one read at a time. *)
+let frames_found chunks =
+  let nb = Netbuf.create 16 and r = Frame.reader () in
+  let rec drain acc =
+    match Frame.read r nb with
+    | Frame.Incomplete -> acc
+    | (Frame.Frame | Frame.Line) as m -> drain ((m, Frame.payload r nb) :: acc)
+    | (Frame.Refused_frame | Frame.Refused_line) as m ->
+        drain ((m, r.Frame.refusal) :: acc)
+  in
+  List.rev
+    (List.fold_left
+       (fun acc chunk ->
+         Netbuf.add_string nb chunk;
+         drain acc)
+       [] chunks)
+
+(* [s] cut at random points into reads of 1..[most] bytes. *)
+let cut_reads st ~most s =
+  let n = String.length s in
+  let rec go off acc =
+    if off >= n then List.rev acc
+    else
+      let k = 1 + Random.State.int st (min (n - off) most) in
+      go (off + k) (String.sub s off k :: acc)
+  in
+  go 0 []
+
+let frame_reads_split_property =
+  QCheck.Test.make ~name:"frame reader ignores how input is split into reads"
+    ~count:100
+    (QCheck.make
+       ~print:(fun ((msgs, tail), seed) ->
+         Printf.sprintf "seed %d: %s" seed
+           (String.concat " | "
+              (List.map
+                 (fun (s, _) ->
+                   if String.length s > 64 then
+                     Printf.sprintf "%S... (%d bytes)" (String.sub s 0 64)
+                       (String.length s)
+                   else Printf.sprintf "%S" s)
+                 (msgs @ Option.to_list tail))))
+       QCheck.Gen.(
+         pair
+           (pair (list_size (int_range 0 12) gen_wire_message) gen_wire_tail)
+           nat))
+    (fun ((msgs, tail), seed) ->
+      let body = String.concat "" (List.map fst msgs) in
+      let expected = List.map snd (msgs @ Option.to_list tail) in
+      let st = Random.State.make [| seed |] in
+      let reads =
+        match tail with
+        | Some (line, _) when String.length line > Wire.max_payload ->
+            (* each read of an unterminated line scans all of it, so
+               that line comes in a few big reads *)
+            cut_reads st ~most:16 body
+            @ cut_reads st ~most:((String.length line / 2) + 1) line
+        | Some (t, _) -> cut_reads st ~most:16 (body ^ t)
+        | None -> cut_reads st ~most:16 body
+      in
+      frames_found [ String.concat "" reads ] = expected
+      && frames_found reads = expected)
+
+(* A response frame of another version is one refused receive; the pong
+   behind it, in the same write, still decodes. *)
+let test_client_refused_frame () =
+  with_dir (fun dir ->
+      Helpers.with_scripted_peer ~dir (fun client send hang_up ->
+          send
+            (frame_bytes ~version:(Wire.version + 1)
+               (payload_of Protocol.response_payload Protocol.Pong)
+            ^ Protocol.encode_response_binary Protocol.Pong);
+          hang_up ();
+          Helpers.expect_receive ~ctx:"refused frame" client
+            (Error
+               (Printf.sprintf "unsupported wire version %d" (Wire.version + 1)));
+          Helpers.expect_receive ~ctx:"the pong behind it" client
+            (Ok Protocol.Pong)))
+
+
 let suite =
   [
     ("decode errors", `Quick, test_decode_errors);
@@ -2048,10 +2210,11 @@ let suite =
     ("sharded snapshots bound recovery", `Quick, test_sharded_snapshots);
     ("sharded latency profile", `Quick, test_sharded_latency_profile);
     ("unterminated json line capped", `Quick, test_unterminated_line_capped);
+    ("client survives a refused frame", `Quick, test_client_refused_frame);
   ]
   @ Helpers.qtests
       [
         request_roundtrip; response_roundtrip; binary_request_equiv;
         binary_response_equiv; rid_request_roundtrip; rid_response_roundtrip;
-        split_property; crash_recovery;
+        split_property; crash_recovery; frame_reads_split_property;
       ]
