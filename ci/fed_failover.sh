@@ -12,6 +12,7 @@
 # mark-down and one re-admitted task. The victim restarts on its own
 # state directory; a router probe must bring it back within 30 s with
 # no rebalance-audit failure, and a second rid-checked bench must pass.
+# The router and all three shards must then exit 0 on `shutdown`.
 # State and transcripts go to WORKDIR (default fed-failover), replaced
 # on every run; a failed run first dumps the router's flight recorder
 # there.
@@ -47,9 +48,11 @@ bench() {
 }
 
 shard 0
+SHARD0=$PID
 shard 1 --crash-after 40
 VICTIM=$PID
 shard 2
+SHARD2=$PID
 start "$WORK/router.log" "$FED/fed.sock" fed serve \
   --shard-socket "$WORK/shard-0/pmp.sock" \
   --shard-socket "$WORK/shard-1/pmp.sock" \
@@ -78,6 +81,7 @@ grep -q DOWN "$WORK/status-down.txt" || fail "the victim is not marked down"
 
 # 3. restarted on its own state, the victim is probed back in
 shard 1
+SHARD1=$PID
 tries=0
 until $PMP fed status --socket "$FED/fed.sock" > "$WORK/status-up.txt" &&
   ! grep -q DOWN "$WORK/status-up.txt"; do
@@ -97,5 +101,7 @@ ROUTER=
 for k in 0 1 2; do
   printf 'shutdown\n' | $PMP client --socket "$WORK/shard-$k/pmp.sock" > /dev/null
 done
-wait
+wait "$SHARD0"
+wait "$SHARD1"
+wait "$SHARD2"
 echo "fed_failover: victim crashed (42), marked down, re-admitted $(count re-admitted "$WORK/status-down.txt") queued tasks, came back with 0 audit failures"

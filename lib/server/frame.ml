@@ -71,10 +71,10 @@ let read_line r nb =
         (Printf.sprintf "request line longer than %d bytes" Wire.max_payload)
         Refused_line
 
-let read r nb =
-  if Netbuf.is_empty nb then Incomplete
-  else if Netbuf.get_byte nb 0 = Wire.request_magic then read_frame r nb
-  else read_line r nb
+let starts_frame nb =
+  (not (Netbuf.is_empty nb)) && Netbuf.get_byte nb 0 = Wire.request_magic
+
+let read r nb = if starts_frame nb then read_frame r nb else read_line r nb
 
 let payload r nb = Bytes.sub_string (Netbuf.bytes nb) r.pos (r.limit - r.pos)
 

@@ -41,7 +41,13 @@ type reader = private {
 }
 
 val reader : unit -> reader
-(** One per connection and direction. *)
+(** A reader holds only what the last {!read} found, so one can serve
+    any number of buffers: pmpd and the router each share one across
+    their connections. *)
+
+val starts_frame : Netbuf.t -> bool
+(** Whether the front byte is {!Wire.request_magic}: {!read} then looks
+    for a binary frame, and otherwise for a JSON line. *)
 
 val read : reader -> Netbuf.t -> message
 (** Sort the front of the buffer and consume the message found there

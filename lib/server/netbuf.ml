@@ -7,9 +7,17 @@
    the point (Buffer.contents on the old per-connection buffers showed
    up as a string copy per select round in the service profile). *)
 
-type t = { mutable buf : Bytes.t; mutable pos : int; mutable len : int }
+(* [scanned]: how many bytes at the front the last failed [find_byte]
+   searched; appends keep them, a consume or clear forgets them. *)
+type t = {
+  mutable buf : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  mutable scanned : int;
+}
 
-let create cap = { buf = Bytes.create (max 16 cap); pos = 0; len = 0 }
+let create cap =
+  { buf = Bytes.create (max 16 cap); pos = 0; len = 0; scanned = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0
@@ -18,7 +26,8 @@ let offset t = t.pos
 
 let clear t =
   t.pos <- 0;
-  t.len <- 0
+  t.len <- 0;
+  t.scanned <- 0
 
 let compact t =
   if t.pos > 0 then begin
@@ -50,12 +59,22 @@ let consume t n =
   if n < 0 || n > t.len then invalid_arg "Netbuf.consume";
   t.pos <- t.pos + n;
   t.len <- t.len - n;
+  t.scanned <- 0;
   if t.len = 0 then t.pos <- 0
 
+let rec index_in buf c i stop =
+  if i >= stop then -1
+  else if Bytes.unsafe_get buf i = c then i
+  else index_in buf c (i + 1) stop
+
+(* Resume where the last failed search stopped, so waiting for the end
+   of a long line scans each byte once, not once per refill. *)
 let find_byte t c =
-  match Bytes.index_from_opt t.buf t.pos c with
-  | Some i when i < t.pos + t.len -> Some (i - t.pos)
-  | Some _ | None -> None
+  match index_in t.buf c (t.pos + t.scanned) (t.pos + t.len) with
+  | -1 ->
+      t.scanned <- t.len;
+      None
+  | i -> Some (i - t.pos)
 
 let sub_string t ~off ~len =
   if off < 0 || len < 0 || off + len > t.len then invalid_arg "Netbuf.sub_string";

@@ -35,7 +35,10 @@ val consume : t -> int -> unit
     write into the buffer. @raise Invalid_argument beyond {!length}. *)
 
 val find_byte : t -> char -> int option
-(** Offset (relative to the read position) of the first occurrence. *)
+(** Offset (relative to the read position) of the first occurrence. A
+    search that fails remembers how far it looked, and the next one
+    resumes there until something is consumed, so a buffer must only
+    ever be searched for one byte ({!Frame} looks for ['\n']). *)
 
 val sub_string : t -> off:int -> len:int -> string
 (** Copy out a span (relative to the read position). *)

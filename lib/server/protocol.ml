@@ -662,18 +662,21 @@ let decode_response_payload s ~pos ~limit =
 
 (* Decode one complete frame held in [s] (header included). A fresh
    buffer starts at offset 0, so the span [Frame.read] leaves indexes
-   [s] itself. *)
+   [s] itself. A frame that [s] does not hold exactly (cut short, or
+   with bytes behind it) is a length mismatch. *)
 let decode_frame decode_payload s =
   let nb = Netbuf.create (String.length s) in
   Netbuf.add_string nb s;
   let r = Frame.reader () in
-  match Frame.read r nb with
-  | Frame.Frame when Netbuf.is_empty nb ->
-      decode_payload s ~pos:r.Frame.pos ~limit:r.Frame.limit
-  | Frame.Frame -> Result.Error "frame length mismatch"
-  | Frame.Incomplete -> Result.Error "truncated frame"
-  | Frame.Line | Frame.Refused_line -> Result.Error "not a binary frame"
-  | Frame.Refused_frame -> Result.Error r.Frame.refusal
+  if String.length s < 3 then Result.Error "truncated frame"
+  else if not (Frame.starts_frame nb) then Result.Error "not a binary frame"
+  else
+    match Frame.read r nb with
+    | Frame.Frame when Netbuf.is_empty nb ->
+        decode_payload s ~pos:r.Frame.pos ~limit:r.Frame.limit
+    | Frame.Refused_frame -> Result.Error r.Frame.refusal
+    | Frame.Frame | Frame.Incomplete | Frame.Line | Frame.Refused_line ->
+        Result.Error "frame length mismatch"
 
 let decode_request_binary s = decode_frame decode_request_payload s
 let decode_response_binary s = decode_frame decode_response_payload s

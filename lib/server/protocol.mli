@@ -158,8 +158,11 @@ val decode_response_payload_attr :
     shard-tagged wrapper. *)
 
 val decode_request_binary : string -> (request, string) result
-(** Decode one complete frame, header included, refused as
-    {!Frame.read} refuses it. Never raises. *)
+(** Decode one complete frame, header included. Never raises. A string
+    that does not start a frame ({!Frame.starts_frame}) reads [not a
+    binary frame], one under 3 bytes [truncated frame], and one holding
+    more or less than one whole frame [frame length mismatch]; a whole
+    frame is refused as {!Frame.read} refuses it. *)
 
 val decode_response_binary : string -> (response, string) result
 
