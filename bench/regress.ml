@@ -677,13 +677,13 @@ let multicore_probe () =
           ]
 
 (* The federation gate is double, like the scenario gate: the routing
-   core's verdict on a scripted workload — run through the in-process
-   Sim twin (same Fed_index rule, same id scheme, same quotas, same
-   Rebalance planner as the socket router) — is deterministic and
-   pinned byte-for-byte against the baseline, and the live stack (one
-   router in front of three shard daemons, every hop binary+group over
-   Unix sockets) must stay under an absolute per-request overhead
-   ceiling vs the direct service point measured on the same host. *)
+   core's verdict on a scripted workload — run through Sim, which is
+   Route, the code the socket router runs, over in-process clusters —
+   is deterministic and pinned byte-for-byte against the baseline, and
+   the live stack (one router in front of three shard daemons, every
+   hop binary+group over Unix sockets) must stay under an absolute
+   per-request overhead ceiling vs the direct service point measured
+   on the same host. *)
 let federation_probe calib =
   let module L = Pmp_server.Loadgen in
   let module Sim = Pmp_federation.Sim in

@@ -1,0 +1,149 @@
+#!/bin/sh
+# Mutation audit: the test suite must catch the removal of every
+# safety check listed below.
+#
+#   sh ci/mutants.sh [WORKDIR]
+#
+# Copies this checkout (tracked and untracked files, not ignored ones)
+# to WORKDIR/src, checks that the copy passes `dune runtest`, then for
+# each mutant applies its patch (the removal of one check), builds,
+# requires `dune runtest` to fail, and reverts the patch. A patch that
+# no longer applies, or a mutant that does not build, fails the run,
+# so the list cannot rot unnoticed. Builds use the release profile, so
+# a removal that leaves a name unused still compiles. WORKDIR
+# (default _mutants, which dune does not scan) keeps each patch and
+# its logs. Checks the suite does not catch yet are listed in
+# ci/README.md, not here.
+set -eu
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+work=${1:-_mutants}
+mkdir -p "$work"
+work=$(cd "$work" && pwd)
+src=$work/src
+rm -rf "$src"
+mkdir -p "$src"
+# every file git would see, less those deleted in the working tree
+(cd "$root" && git ls-files -co --exclude-standard |
+  while read -r f; do if [ -e "$f" ]; then echo "$f"; fi; done |
+  tar -T - -cf -) | tar -xf - -C "$src"
+
+dune_in_copy() {
+  dune "$@" --root "$src" --profile release
+}
+
+echo "mutants: baseline"
+if ! dune_in_copy runtest > "$work/baseline.log" 2>&1; then
+  echo "mutants: the unmutated copy fails its tests (see $work/baseline.log)" >&2
+  exit 1
+fi
+
+survivors=""
+
+# mutant NAME < PATCH
+mutant() {
+  patch_file=$work/$1.patch
+  cat > "$patch_file"
+  if ! patch -p1 -d "$src" --forward --batch --quiet < "$patch_file"; then
+    echo "mutants: $1: the patch no longer applies" >&2
+    exit 1
+  fi
+  if ! dune_in_copy build @all > "$work/$1.build.log" 2>&1; then
+    echo "mutants: $1: does not build (see $work/$1.build.log)" >&2
+    exit 1
+  fi
+  if dune_in_copy runtest > "$work/$1.log" 2>&1; then
+    echo "mutants: $1: SURVIVED, the suite passes without the check"
+    survivors="$survivors $1"
+  else
+    echo "mutants: $1: caught"
+  fi
+  patch -p1 -R -d "$src" --batch --quiet < "$patch_file"
+}
+
+# A snapshot whose bytes no longer match its digest must be refused.
+mutant snapshot-checksum <<'EOF'
+--- a/lib/server/snapshot.ml
++++ b/lib/server/snapshot.ml
+@@ -217,13 +217,10 @@
+          (Char.code s.[String.length magic]))
+   else begin
+     let limit = n - digest_len in
+-    if Digest.substring s 0 limit <> String.sub s limit digest_len then
+-      Error "checksum mismatch: the snapshot is corrupt"
+-    else
+-      match decode_body s limit with
+-      | t -> Ok t
+-      | exception Bad m -> Error m
+-      | exception Wire.Corrupt m -> Error m
++    match decode_body s limit with
++    | t -> Ok t
++    | exception Bad m -> Error m
++    | exception Wire.Corrupt m -> Error m
+   end
+
+ (* ------------------------------------------------------------------ *)
+EOF
+
+# Cluster refuses to place a task id twice.
+mutant assign-already-placed <<'EOF'
+--- a/lib/cluster/cluster.ml
++++ b/lib/cluster/cluster.ml
+@@ -137,8 +137,6 @@
+
+ let checked_assign (alloc : Allocator.t) (task : Task.t) =
+   let table = alloc.Allocator.table in
+-  if Ptable.mem table task.id then
+-    invalid_arg (Printf.sprintf "Cluster: task %d is already placed" task.id);
+   let resp = alloc.Allocator.assign task in
+   check_moves table resp.Allocator.moves;
+   resp
+EOF
+
+# Cluster refuses a move its allocator's table does not show.
+mutant assign-moves-landed <<'EOF'
+--- a/lib/cluster/cluster.ml
++++ b/lib/cluster/cluster.ml
+@@ -140,7 +140,6 @@
+   if Ptable.mem table task.id then
+     invalid_arg (Printf.sprintf "Cluster: task %d is already placed" task.id);
+   let resp = alloc.Allocator.assign task in
+-  check_moves table resp.Allocator.moves;
+   resp
+
+ let place t task =
+EOF
+
+# The router's stats polls feed the routing index.
+mutant router-poll-feeds-index <<'EOF'
+--- a/lib/federation/router.ml
++++ b/lib/federation/router.ml
+@@ -423,7 +423,6 @@
+   Array.iteri
+     (fun sx -> function
+       | Some (Protocol.Stats_reply s) ->
+-          Route.observe t.route sx s;
+           Metrics.Gauge.set t.shardv.(sx).g_load
+             (float_of_int (Route.load t.route sx))
+       | _ -> ())
+EOF
+
+# A rebalance round's audit refreshes the summaries it touched.
+mutant rebalance-audit-refreshes <<'EOF'
+--- a/lib/federation/route.ml
++++ b/lib/federation/route.ml
+@@ -306,7 +306,6 @@
+   if up t sx then
+     match call sx Protocol.Stats with
+     | Ok (Protocol.Stats_reply s) -> (
+-        observe t sx s;
+         match call sx Protocol.Loads with
+         | Ok (Protocol.Loads_reply loads) ->
+             let sum = Array.fold_left ( + ) 0 loads in
+EOF
+
+if [ -n "$survivors" ]; then
+  echo "mutants: survived:$survivors" >&2
+  exit 1
+fi
+echo "mutants: every mutant caught"

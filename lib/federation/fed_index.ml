@@ -62,11 +62,7 @@ let create ~shard_sizes ~capacities =
   done;
   { index; machine; shards }
 
-let shards t = Array.length t.shards
-let shard_size t sx = t.shards.(sx).size
-let capacity t sx = t.shards.(sx).cap
 let up t sx = t.shards.(sx).up
-let active_est t sx = t.shards.(sx).active_est
 
 let set_up t sx up =
   t.shards.(sx).up <- up;

@@ -24,11 +24,6 @@ val create : shard_sizes:int array -> capacities:int option array -> t
     PEs when it has one. All shards start up with zero load.
     @raise Invalid_argument on empty or mismatched arrays. *)
 
-val shards : t -> int
-
-val shard_size : t -> int -> int
-val capacity : t -> int -> int option
-
 val up : t -> int -> bool
 val set_up : t -> int -> bool -> unit
 (** Marking a shard down poisons its leaf (never picked, reported as
@@ -48,9 +43,6 @@ val note_finish : t -> int -> size:int -> unit
 val load : t -> int -> int
 (** The current summary load of one shard — the value {!pick}
     minimises. *)
-
-val active_est : t -> int -> int
-(** Estimated active size (PEs) of one shard. *)
 
 val pick : t -> size:int -> int option
 (** The routing decision: the {e leftmost} up shard of minimum

@@ -1,4 +1,5 @@
 module Cluster = Pmp_cluster.Cluster
+module Protocol = Pmp_server.Protocol
 module Prng = Pmp_prng.Splitmix64
 
 type op = Submit of { size : int; tenant : int } | Finish of int
@@ -18,168 +19,81 @@ type result = {
   rebalanced_bytes : int;
 }
 
-type entry = {
-  mutable shard : int;
-  mutable local : int;
-  size : int;
-  tenant : int;
-  mutable queued : bool;
-}
-
 let ( let* ) = Result.bind
+
+let answer c = function
+  | Protocol.Submit size -> (
+      match Cluster.submit c ~size with
+      | Ok (Cluster.Placed (id, p)) ->
+          Protocol.Placed (id, Protocol.placement_of_core p)
+      | Ok (Cluster.Queued id) -> Protocol.Queued id
+      | Error e -> Protocol.Error e)
+  | Protocol.Finish id -> (
+      match Cluster.finish c id with
+      | Ok () -> Protocol.Finished
+      | Error e -> Protocol.Error e)
+  | Protocol.Stats -> Protocol.Stats_reply (Cluster.stats c)
+  | Protocol.Loads -> Protocol.Loads_reply (Cluster.leaf_loads c)
+  | _ -> Protocol.Error "not a shard request"
 
 let run ~shards ~machine_size ?(admission_cap = None) ?tenant_quota ?rebalance
     ~ops () =
-  let* plan = Fed_id.plan ~shards in
   let* clusters =
     let rec build acc s =
       if s = shards then Ok (Array.of_list (List.rev acc))
       else
-        match
+        let* c =
           Cluster.create ~machine_size ~policy:Cluster.Greedy ~admission_cap ()
-        with
-        | Ok c -> build (c :: acc) (s + 1)
-        | Error e -> Error e
+        in
+        build (c :: acc) (s + 1)
     in
     build [] 0
   in
-  let index =
-    Fed_index.create
+  let* route =
+    Route.create
       ~shard_sizes:(Array.make shards machine_size)
       ~capacities:(Array.map Cluster.admission_capacity clusters)
+      ~quota:tenant_quota
   in
-  let observe sx =
-    let st = Cluster.stats clusters.(sx) in
-    Fed_index.observe index sx ~max_load:st.Cluster.max_load
-      ~active_size:st.Cluster.active_size
-  in
-  let ledger : (int, entry) Hashtbl.t = Hashtbl.create 256 in
-  let acked = ref [] and n_acked = ref 0 in
-  let tenant_used : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let used tenant = try Hashtbl.find tenant_used tenant with Not_found -> 0 in
-  let routed = Array.make shards 0 in
-  let rejects = ref 0
-  and rebalanced = ref 0
-  and rebalanced_bytes = ref 0 in
-  let submit_on sx ~size =
-    match Cluster.submit clusters.(sx) ~size with
-    | Ok (Cluster.Placed (local, _)) ->
-        observe sx;
-        Some (local, false)
-    | Ok (Cluster.Queued local) ->
-        observe sx;
-        Some (local, true)
-    | Error _ -> None
-  in
-  let do_submit ~size ~tenant =
-    let over_quota =
-      match tenant_quota with
-      | Some q -> used tenant + size > q
-      | None -> false
-    in
-    if over_quota then begin
-      incr rejects;
-      Rejected
-    end
-    else
-      match Fed_index.pick index ~size with
-      | None ->
-          incr rejects;
-          Rejected
-      | Some sx -> (
-          match submit_on sx ~size with
-          | None ->
-              incr rejects;
-              Rejected
-          | Some (local, queued) ->
-              let gid = Fed_id.global_id plan ~shard:sx local in
-              Hashtbl.replace ledger gid
-                { shard = sx; local; size; tenant; queued };
-              acked := gid :: !acked;
+  let call sx req = Ok (answer clusters.(sx) req) in
+  let acked = Array.make (List.length ops) 0 and n_acked = ref 0 in
+  let decide i op =
+    (match rebalance with
+    | Some (config, every) when every > 0 && i > 0 && i mod every = 0 ->
+        Route.rebalance route ~call config
+    | _ -> ());
+    let d =
+      match op with
+      | Submit { size; tenant } -> (
+          match Route.request route ~call ~tenant (Protocol.Submit size) with
+          | (Protocol.Placed (gid, _) | Protocol.Queued gid), Some sx ->
+              acked.(!n_acked) <- gid;
               incr n_acked;
-              Hashtbl.replace tenant_used tenant (used tenant + size);
-              routed.(sx) <- routed.(sx) + 1;
-              Routed sx)
-  in
-  let do_finish nth =
-    if nth < 0 || nth >= !n_acked then Noop
-    else begin
-      (* acked is newest-first *)
-      let gid = List.nth !acked (!n_acked - 1 - nth) in
-      match Hashtbl.find_opt ledger gid with
-      | None -> Noop
-      | Some e -> (
-          match Cluster.finish clusters.(e.shard) e.local with
-          | Ok () ->
-              observe e.shard;
-              Hashtbl.remove ledger gid;
-              Hashtbl.replace tenant_used e.tenant
-                (max 0 (used e.tenant - e.size));
-              Finished_on e.shard
-          | Error _ -> Noop)
-    end
-  in
-  let rebalance_round config =
-    let loads = Array.init shards (fun sx -> Fed_index.load index sx) in
-    let up = Array.make shards true in
-    let tasks sx =
-      Hashtbl.fold
-        (fun gid e acc ->
-          if e.shard = sx then
-            { Rebalance.gid; size = e.size; queued = e.queued } :: acc
-          else acc)
-        ledger []
-      |> List.sort (fun a b -> compare a.Rebalance.gid b.Rebalance.gid)
+              Routed sx
+          | _ -> Rejected)
+      | Finish nth when nth >= 0 && nth < !n_acked -> (
+          match
+            Route.request route ~call ~tenant:0 (Protocol.Finish acked.(nth))
+          with
+          | Protocol.Finished, Some sx -> Finished_on sx
+          | _ -> Noop)
+      | Finish _ -> Noop
     in
-    let moves =
-      Rebalance.plan config ~loads ~up
-        ~shard_sizes:(Array.make shards machine_size)
-        ~tasks
-    in
-    List.iter
-      (fun (m : Rebalance.move) ->
-        let e = Hashtbl.find ledger m.task.gid in
-        (* replay on the destination first, then drain the source:
-           an acknowledged task is never without a home *)
-        match submit_on m.dst ~size:e.size with
-        | None -> ()
-        | Some (local', queued') -> (
-            match Cluster.finish clusters.(m.src) e.local with
-            | Ok () ->
-                observe m.src;
-                e.shard <- m.dst;
-                e.local <- local';
-                e.queued <- queued';
-                incr rebalanced;
-                rebalanced_bytes :=
-                  !rebalanced_bytes + Rebalance.move_bytes config m
-            | Error _ ->
-                (* source refused the drain: undo the replay *)
-                (match Cluster.finish clusters.(m.dst) local' with
-                | Ok () -> observe m.dst
-                | Error _ -> ())))
-      moves
+    (* exact summaries: a stats poll of every shard after each op *)
+    Array.iteri (fun sx c -> Route.observe route sx (Cluster.stats c)) clusters;
+    d
   in
-  let decisions =
-    List.mapi
-      (fun i op ->
-        (match rebalance with
-        | Some (config, every) when every > 0 && i > 0 && i mod every = 0 ->
-            rebalance_round config
-        | _ -> ());
-        match op with
-        | Submit { size; tenant } -> do_submit ~size ~tenant
-        | Finish nth -> do_finish nth)
-      ops
-  in
+  let decisions = Array.of_list (List.mapi decide ops) in
+  let count d = Array.fold_left (fun n d' -> if d' = d then n + 1 else n) 0 in
+  let counts = Route.counts route in
   Ok
     {
-      decisions = Array.of_list decisions;
+      decisions;
       stats = Array.map Cluster.stats clusters;
-      routed;
-      rejects = !rejects;
-      rebalanced = !rebalanced;
-      rebalanced_bytes = !rebalanced_bytes;
+      routed = Array.init shards (fun sx -> count (Routed sx) decisions);
+      rejects = count Rejected decisions;
+      rebalanced = counts.Route.rebalanced;
+      rebalanced_bytes = counts.Route.rebalanced_bytes;
     }
 
 let script ~seed ~ops ~machine_size ~tenants =

@@ -1,15 +1,10 @@
-(** An in-process federation: the router's routing core run against
-    [M] in-memory {!Pmp_cluster.Cluster}s, with {e exact} summaries
-    (the index is refreshed from true shard stats after every
-    mutation, as if a stats poll followed every response).
-
-    This is the deterministic twin of the socket router: same
-    {!Fed_index} choice rule, same id scheme, same tenant quotas, same
-    {!Rebalance} planner. Tests use it for the routing-replay
-    equivalence property (each shard's slice of a federated run,
-    replayed through an independent cluster, must reproduce that
-    shard's stats exactly); the bench-regression gate pins its
-    verdict on a scripted workload byte-for-byte. *)
+(** An in-process federation: {!Route}, the router's routing core, over
+    [M] in-memory {!Pmp_cluster.Cluster}s, polling every shard after
+    each op so summaries are exact. It makes no decision of its own,
+    so a live router that polls after every request routes each op as
+    [Sim] does; the test suite checks that over real sockets, and
+    replays each shard's slice of a run through an independent
+    cluster. The regress gate pins its verdict on a scripted workload. *)
 
 type op =
   | Submit of { size : int; tenant : int }
@@ -19,7 +14,7 @@ type op =
 
 type decision =
   | Routed of int  (** submit placed or queued on this shard *)
-  | Rejected  (** tenant quota or no shard fits *)
+  | Rejected  (** tenant quota, no shard fits, or the shard refused *)
   | Finished_on of int
   | Noop  (** finish of an out-of-range or dead id *)
 
@@ -32,6 +27,13 @@ type result = {
   rebalanced_bytes : int;
 }
 
+val answer :
+  Pmp_cluster.Cluster.t ->
+  Pmp_server.Protocol.request ->
+  Pmp_server.Protocol.response
+(** A cluster answering [submit], [finish], [stats] and [loads] as a
+    pmpd over it would. *)
+
 val run :
   shards:int ->
   machine_size:int ->
@@ -43,8 +45,7 @@ val run :
   (result, string) Stdlib.result
 (** [machine_size] is per shard. [tenant_quota] is a per-tenant cap on
     admitted PEs across the whole federation. [rebalance (config, n)]
-    runs a planner round every [n] ops and executes its moves
-    (drain from source, replay on destination, same federated id).
+    runs a {!Route.rebalance} round before every [n]-th op.
     Deterministic: same arguments, same result. *)
 
 val script : seed:int -> ops:int -> machine_size:int -> tenants:int -> op list

@@ -246,7 +246,7 @@ type t = {
   ratio_ring : float array;  (** rolling load-ratio window, unboxed *)
   mutable ratio_n : int;  (** ratios ever pushed *)
   shard : int;  (** this core's shard; 0 unsharded *)
-  k : int;  (** shard count K; 1 unsharded, where ids translate to themselves *)
+  ids : Sharding.plan;  (** the id map over the K cores; K = 1 unsharded *)
   leaf_off : int;  (** first global leaf of this core's subtree *)
   mesh : mesh option;  (** the other cores; [None] unsharded *)
   mutable published : int;  (** last [seq] published as durable *)
@@ -284,6 +284,9 @@ let recovered_ops t = t.recovered_ops
 let registry t = t.reg
 let recorder t = t.recorder
 let shards t = match t.mesh with None -> [| t |] | Some m -> m.cores
+
+(* K, the core count: 1 unsharded *)
+let k t = t.ids.Sharding.shards
 let flightrec_path t = Filename.concat t.config.dir "flightrec.jsonl"
 
 let dump_recorder t =
@@ -470,7 +473,7 @@ let update_gauges t =
 
 (* One core over [config.dir]: recover whatever snapshot and WAL it
    holds, audit the result, open the WAL for appending. *)
-let create_core config ~shard ~k ~mesh =
+let create_core config ~shard ~ids ~mesh =
   (* The recorder exists before recovery so the replayed WAL tail is
      on record: if recovery fails — including an oracle violation —
      the dump shows exactly which records were applied. *)
@@ -527,12 +530,12 @@ let create_core config ~shard ~k ~mesh =
           ratio_ring = Array.make 1024 0.0;
           ratio_n = 0;
           shard;
-          k;
+          ids;
           leaf_off = shard * config.machine_size;
           mesh;
           published = seq;
-          need = Array.make k 0;
-          owed = Array.make k false;
+          need = Array.make ids.Sharding.shards 0;
+          owed = Array.make ids.Sharding.shards false;
         }
       in
       (match mesh with
@@ -603,11 +606,9 @@ let create config =
   else begin
     mkdir_p config.dir;
     let* () = check_layout config.dir ~k in
-    if k = 1 then create_core config ~shard:0 ~k ~mesh:None
+    let* plan = Sharding.plan ~machine_size:config.machine_size ~shards:k in
+    if k = 1 then create_core config ~shard:0 ~ids:plan ~mesh:None
     else
-      let* plan =
-        Sharding.plan ~machine_size:config.machine_size ~shards:k
-      in
       let m =
         {
           plan;
@@ -635,7 +636,7 @@ let create config =
           let shard_config =
             { config with machine_size = plan.Sharding.shard_size; dir = dirs.(s) }
           in
-          match create_core shard_config ~shard:s ~k ~mesh:(Some m) with
+          match create_core shard_config ~shard:s ~ids:plan ~mesh:(Some m) with
           | Ok c -> build (c :: acc) (s + 1)
           | Error e ->
               List.iter (fun c -> Wal.close c.wal) acc;
@@ -844,7 +845,7 @@ let admit_local t size =
       t.seq <- t.seq + 1;
       Wal.append_submit t.wal ~seq:t.seq ~id:lid ~size;
       after_mutation t;
-      let gid = (lid * t.k) + t.shard in
+      let gid = Sharding.global_id t.ids ~shard:t.shard lid in
       (match sub with
       | Cluster.Placed (_, p) ->
           Protocol.Placed (gid, globalize t (Protocol.placement_of_core p))
@@ -852,7 +853,7 @@ let admit_local t size =
   | Error e -> Protocol.Error e
 
 let finish_local t gid =
-  let lid = gid / t.k in
+  let lid = Sharding.local_id t.ids gid in
   match Cluster.finish t.cluster lid with
   | Ok () ->
       t.seq <- t.seq + 1;
@@ -862,7 +863,7 @@ let finish_local t gid =
   | Error e -> Protocol.Error e
 
 let query_local t gid =
-  let lid = gid / t.k in
+  let lid = Sharding.local_id t.ids gid in
   let state =
     match Cluster.placement t.cluster lid with
     | Some p -> Protocol.Active (globalize t (Protocol.placement_of_core p))
@@ -904,7 +905,7 @@ let service t m origin kind =
    response is handed to [on_resp] with the shard it came from. *)
 let serve_peers ?(on_resp = fun _ _ -> failwith "peer response without a call")
     t m =
-  for src = 0 to t.k - 1 do
+  for src = 0 to k t - 1 do
     if src <> t.shard then
       pop_all m.peer.(src).(t.shard) (function
         | Preq (origin, kind) -> service t m origin kind
@@ -935,7 +936,7 @@ let owe t dest ticket = if ticket > t.need.(dest) then t.need.(dest) <- ticket
 
 (* Every shard's answer to [kind], this one's included, in shard order. *)
 let fan_out t m kind =
-  List.init t.k (fun d ->
+  List.init (k t) (fun d ->
       if d = t.shard then answer t kind else fst (peer_call t m d kind))
 
 let unexpected what = failwith ("peer " ^ what ^ ": unexpected response")
@@ -943,7 +944,7 @@ let unexpected what = failwith ("peer " ^ what ^ ": unexpected response")
 (* Wait until every shard this batch mutated has published a durable
    watermark covering it, serving (and committing) peer calls meanwhile. *)
 let await t m =
-  for d = 0 to t.k - 1 do
+  for d = 0 to k t - 1 do
     let rec wait spins =
       if Atomic.get m.durable.(d) < t.need.(d) then begin
         check_fail m;
@@ -1000,11 +1001,11 @@ let steal_target t m size =
   if s.Cluster.queued_now > 0 || would_queue then
     Sharding.pick_victim m.plan ~self:t.shard ~size ~cap_pes
       ~queued:
-        (Array.init t.k (fun i ->
+        (Array.init (k t) (fun i ->
              if i = t.shard then s.Cluster.queued_now
              else Atomic.get m.queued_pub.(i)))
       ~active:
-        (Array.init t.k (fun i ->
+        (Array.init (k t) (fun i ->
              if i = t.shard then s.Cluster.active_size
              else Atomic.get m.active_pub.(i)))
   else None
@@ -1017,7 +1018,7 @@ let submit t size =
         (Printf.sprintf
            "size %d exceeds the per-shard maximum %d (machine %d over %d \
             domains)"
-           size t.config.machine_size m.plan.Sharding.machine_size t.k)
+           size t.config.machine_size m.plan.Sharding.machine_size (k t))
   | Some m -> (
       match steal_target t m size with
       | None -> admit_local t size
@@ -1033,14 +1034,14 @@ let submit t size =
               resp))
 
 (* The shard owning a global id; negative ids name no task anywhere. *)
-let is_local t gid = t.k = 1 || (gid >= 0 && gid mod t.k = t.shard)
+let is_local t gid = k t = 1 || (gid >= 0 && Sharding.owner t.ids gid = t.shard)
 
 let finish t gid =
   match t.mesh with
   | Some m when not (is_local t gid) ->
       if gid < 0 then Protocol.Error "unknown task"
       else begin
-        let dest = gid mod t.k in
+        let dest = Sharding.owner t.ids gid in
         let resp, ticket = peer_call t m dest (P_finish gid) in
         owe t dest ticket;
         resp
@@ -1051,7 +1052,7 @@ let query t gid =
   match t.mesh with
   | Some m when not (is_local t gid) ->
       if gid < 0 then Protocol.State (gid, Protocol.Unknown)
-      else fst (peer_call t m (gid mod t.k) (P_query gid))
+      else fst (peer_call t m (Sharding.owner t.ids gid) (P_query gid))
   | _ -> query_local t gid
 
 let stats t =
@@ -1236,7 +1237,7 @@ let dispatch t out b pos0 limit =
           let size = Wire.read_varint b cur limit in
           if cur.Wire.pos <> limit then `Error "trailing bytes in frame"
           else if
-            t.k > 1
+            k t > 1
             && (size > t.config.machine_size
                ||
                match t.mesh with
@@ -1266,11 +1267,13 @@ let dispatch t out b pos0 limit =
                 (match sub with
                 | Cluster.Placed (id, p) ->
                     Buffer.add_char s '\001';
-                    Wire.add_varint s ((id * t.k) + t.shard);
+                    Wire.add_varint s
+                      (Sharding.global_id t.ids ~shard:t.shard id);
                     add_scratch_placement t s p
                 | Cluster.Queued id ->
                     Buffer.add_char s '\002';
-                    Wire.add_varint s ((id * t.k) + t.shard));
+                    Wire.add_varint s
+                      (Sharding.global_id t.ids ~shard:t.shard id));
                 Frame.add out t.scratch;
                 `Ok
             | Error e -> `Error e
@@ -1280,7 +1283,7 @@ let dispatch t out b pos0 limit =
           if cur.Wire.pos <> limit then `Error "trailing bytes in frame"
           else if not (is_local t id) then routed t out (Protocol.Finish id)
           else begin
-            let lid = id / t.k in
+            let lid = Sharding.local_id t.ids id in
             let td = if t.timed then Unix.gettimeofday () else 0.0 in
             match Cluster.finish t.cluster lid with
             | Ok () ->
@@ -1305,7 +1308,7 @@ let dispatch t out b pos0 limit =
           if cur.Wire.pos <> limit then `Error "trailing bytes in frame"
           else if not (is_local t id) then routed t out (Protocol.Query id)
           else begin
-            let lid = id / t.k in
+            let lid = Sharding.local_id t.ids id in
             let td = if t.timed then Unix.gettimeofday () else 0.0 in
             let s = t.scratch in
             Buffer.clear s;
@@ -1328,7 +1331,7 @@ let dispatch t out b pos0 limit =
           end
       | _ (* 4, stats *) ->
           if cur.Wire.pos <> limit then `Error "trailing bytes in frame"
-          else if t.k > 1 then routed t out Protocol.Stats
+          else if k t > 1 then routed t out Protocol.Stats
           else begin
             let td = if t.timed then Unix.gettimeofday () else 0.0 in
             let st = Cluster.stats t.cluster in
@@ -1529,7 +1532,7 @@ let linger t m =
     check_fail m;
     serve_peers t m;
     settle t m;
-    if Atomic.get m.finished < t.k then go (pause t m spins)
+    if Atomic.get m.finished < k t then go (pause t m spins)
   in
   go 0
 

@@ -1,8 +1,10 @@
 (* The federation layer: id arithmetic, the second-level min-of-max
-   index, the budgeted rebalance planner, routing-replay equivalence on
-   the deterministic sim, and live multi-shard sessions over real
-   sockets — including the headline failover property: crash one shard
-   mid-stream and no acknowledged task is lost. *)
+   index, the budgeted rebalance planner, the routing core,
+   routing-replay equivalence on the deterministic sim, the live router
+   matched against the sim decision for decision, and live multi-shard
+   sessions over real sockets — including the headline failover
+   property: crash one shard mid-stream and no acknowledged task is
+   lost. *)
 
 module Sm = Pmp_prng.Splitmix64
 module Cluster = Pmp_cluster.Cluster
@@ -12,6 +14,7 @@ module Client = Pmp_server.Client
 module Fed_id = Pmp_federation.Fed_id
 module Fed_index = Pmp_federation.Fed_index
 module Rebalance = Pmp_federation.Rebalance
+module Route = Pmp_federation.Route
 module Sim = Pmp_federation.Sim
 module Router = Pmp_federation.Router
 
@@ -275,6 +278,82 @@ let test_sim_rebalance_deterministic () =
   Alcotest.(check bool) "per-round task budget bounds the total" true
     (a.Sim.rebalanced <= rounds * config.Rebalance.max_tasks)
 
+(* Tenant ids are never reused, so the routing core must forget a
+   tenant whose admitted PEs return to 0, quota or no quota: 1000
+   tenants that each submit and finish leave no entry behind. *)
+let test_route_forgets_idle_tenants () =
+  let route =
+    get_ok ~ctx:"route"
+      (Route.create ~shard_sizes:[| 8; 8 |] ~capacities:[| None; None |]
+         ~quota:None)
+  in
+  let next = Array.make 2 0 in
+  let call sx = function
+    | Protocol.Submit size ->
+        next.(sx) <- next.(sx) + 1;
+        Ok (Protocol.Placed (next.(sx), { Protocol.base = 0; size; copy = 0 }))
+    | Protocol.Finish _ -> Ok Protocol.Finished
+    | _ -> Ok (Protocol.Error "not a shard request")
+  in
+  let tenants = 1000 in
+  let gids =
+    List.init tenants (fun tenant ->
+        match Route.request route ~call ~tenant (Protocol.Submit 1) with
+        | Protocol.Placed (gid, _), Some _ -> (tenant, gid)
+        | r, _ -> Alcotest.failf "submit: %s" (Protocol.encode_response r))
+  in
+  Alcotest.(check int) "every tenant holds a PE" tenants (Route.tenants route);
+  List.iter
+    (fun (tenant, gid) ->
+      match Route.request route ~call ~tenant (Protocol.Finish gid) with
+      | Protocol.Finished, Some _ -> ()
+      | r, _ -> Alcotest.failf "finish: %s" (Protocol.encode_response r))
+    gids;
+  Alcotest.(check int) "no tenant entry left" 0 (Route.tenants route)
+
+(* A rebalance round leaves no stale summary: its audit refreshes every
+   shard it touched. Two 4-PE shards, shard 0 at load 2 and shard 1
+   idle: the round moves one machine-filling task across, and right
+   after it both summaries must read the true load 1 — the source must
+   not keep its pre-move max until the next poll. *)
+let test_rebalance_refreshes_summaries () =
+  let clusters =
+    Array.init 2 (fun _ ->
+        get_ok ~ctx:"cluster"
+          (Cluster.create ~machine_size:4 ~policy:Cluster.Greedy ()))
+  in
+  let call sx req = Ok (Sim.answer clusters.(sx) req) in
+  let route =
+    get_ok ~ctx:"route"
+      (Route.create ~shard_sizes:[| 4; 4 |] ~capacities:[| None; None |]
+         ~quota:None)
+  in
+  let poll () =
+    Array.iteri (fun sx c -> Route.observe route sx (Cluster.stats c)) clusters
+  in
+  let gids =
+    List.init 4 (fun _ ->
+        match Route.request route ~call ~tenant:0 (Protocol.Submit 4) with
+        | Protocol.Placed (gid, _), Some sx -> (gid, sx)
+        | r, _ -> Alcotest.failf "submit: %s" (Protocol.encode_response r))
+  in
+  List.iter
+    (fun (gid, sx) ->
+      if sx = 1 then
+        ignore (Route.request route ~call ~tenant:0 (Protocol.Finish gid)))
+    gids;
+  poll ();
+  Alcotest.(check (list int)) "before the round" [ 2; 0 ]
+    [ Route.load route 0; Route.load route 1 ];
+  Route.rebalance route ~call
+    { Rebalance.default_config with threshold = 0; max_tasks = 1 };
+  Alcotest.(check int) "one task moved" 1 (Route.counts route).Route.rebalanced;
+  Alcotest.(check (list int)) "after the round, as a poll would read" [ 1; 1 ]
+    [ Route.load route 0; Route.load route 1 ];
+  poll ();
+  Alcotest.(check (list int)) "the poll agrees" [ 1; 1 ]
+    [ Route.load route 0; Route.load route 1 ]
+
 (* --- the shard-tagged response wrapper ---------------------------- *)
 
 let test_shard_tag_roundtrip () =
@@ -510,15 +589,20 @@ let decode_reply s =
   end
   else Protocol.decode_response_attr (String.sub s 0 (String.length s - 1))
 
+(* A router over [shards] fresh shards, its config adjusted by [tune]. *)
+let start_router ~dir ~machine_size ~shards tune =
+  Unix.mkdir dir 0o755;
+  let shards = List.init shards (start_shard ~dir ~machine_size) in
+  let sockets = Array.of_list (List.map fst shards) in
+  let router =
+    get_ok ~ctx:"router" (Router.create (tune (router_config ~sockets ~dir)))
+  in
+  (router, shards)
+
 (* A router driven in process, on one connection's buffers, over its
    own pair of fresh shards. *)
 let in_process_router ~dir ~machine_size =
-  Unix.mkdir dir 0o755;
-  let shards = List.init 2 (start_shard ~dir ~machine_size) in
-  let sockets = Array.of_list (List.map fst shards) in
-  let router =
-    get_ok ~ctx:"router" (Router.create (router_config ~sockets ~dir))
-  in
+  let router, shards = start_router ~dir ~machine_size ~shards:2 Fun.id in
   (router, shards, Netbuf.create 256, Netbuf.create 256)
 
 (* Feed frames and return the bytes of every response they produced. *)
@@ -653,6 +737,131 @@ let test_pipelined_matches_serial () =
           bs;
       stop_router serial;
       stop_router piped)
+
+(* The live router against [Sim] on one script. Both run [Route], so
+   with a stats poll after every op (and, given [rebalance], a round
+   after every op too) each op must get the decision [Sim.run]
+   records. Each tenant has its own connection, and a ping on each
+   claims the tenant ids in order; the shard comes from the tag on the
+   rid echo. Returns the mismatches, each described, and the sim's
+   result. *)
+let router_vs_sim ~dir ~shards ~machine_size ?tenant_quota ?rebalance ~seed
+    ~ops () =
+  let tenants = 4 in
+  let script = Sim.script ~seed ~ops ~machine_size ~tenants in
+  let sim =
+    get_ok ~ctx:"sim"
+      (Sim.run ~shards ~machine_size ?tenant_quota
+         ?rebalance:(Option.map (fun c -> (c, 1)) rebalance)
+         ~ops:script ())
+  in
+  let aggregate = float_of_int (shards * machine_size) in
+  let router, shard_doms =
+    start_router ~dir ~machine_size ~shards (fun c ->
+        {
+          c with
+          Router.poll_interval = 0.0;
+          tenant_quota =
+            Option.map (fun q -> float_of_int q /. aggregate) tenant_quota;
+          rebalance;
+          rebalance_interval = 0.0;
+        })
+  in
+  let conns =
+    Array.init tenants (fun _ ->
+        (router, shard_doms, Netbuf.create 256, Netbuf.create 256))
+  in
+  let rid = ref 0 in
+  let send tenant req =
+    incr rid;
+    let _, bytes =
+      feed conns.(tenant) [ Protocol.encode_request_binary ~rid:!rid req ]
+    in
+    match decode_reply bytes with
+    | Ok (resp, Some r, shard) when r = !rid -> (resp, shard)
+    | Ok (resp, _, _) ->
+        Alcotest.failf "no rid on %s" (Protocol.encode_response resp)
+    | Error e -> Alcotest.failf "reply: %s" e
+  in
+  Array.iteri
+    (fun tenant _ ->
+      match send tenant Protocol.Ping with
+      | Protocol.Pong, _ -> ()
+      | r, _ -> Alcotest.failf "ping: %s" (Protocol.encode_response r))
+    conns;
+  let acked = Array.make ops 0 and n_acked = ref 0 in
+  let mismatches = ref [] in
+  List.iteri
+    (fun i op ->
+      let got =
+        match op with
+        | Sim.Submit { size; tenant } -> (
+            match send tenant (Protocol.Submit size) with
+            | (Protocol.Placed (gid, _) | Protocol.Queued gid), Some sx ->
+                acked.(!n_acked) <- gid;
+                incr n_acked;
+                Sim.Routed sx
+            | _ -> Sim.Rejected)
+        | Sim.Finish nth when nth < !n_acked -> (
+            match send 0 (Protocol.Finish acked.(nth)) with
+            | Protocol.Finished, Some sx -> Sim.Finished_on sx
+            | _ -> Sim.Noop)
+        | Sim.Finish _ -> Sim.Noop
+      in
+      ignore (Router.tick router);
+      let show = function
+        | Sim.Routed sx -> Printf.sprintf "routed %d" sx
+        | Sim.Rejected -> "rejected"
+        | Sim.Finished_on sx -> Printf.sprintf "finished on %d" sx
+        | Sim.Noop -> "noop"
+      in
+      if got <> sim.Sim.decisions.(i) then
+        mismatches :=
+          Printf.sprintf "op %d: router %s, sim %s" i (show got)
+            (show sim.Sim.decisions.(i))
+          :: !mismatches)
+    script;
+  stop_router conns.(0);
+  (List.rev !mismatches, sim)
+
+(* ROADMAP's pin of the one routing core: on client requests, with and
+   without a tenant quota (quotas chosen to convert exactly to the
+   router's fraction of the aggregate), and on a rebalance leg that
+   must move tasks — the regress golden moves none. *)
+let test_router_matches_sim () =
+  with_dir (fun dir ->
+      let leg name ~shards ~machine_size ?tenant_quota ?rebalance ~seed ~ops ()
+          =
+        let mismatches, sim =
+          router_vs_sim ~dir:(Filename.concat dir name) ~shards ~machine_size
+            ?tenant_quota ?rebalance ~seed ~ops ()
+        in
+        (match mismatches with
+        | [] -> ()
+        | first :: _ ->
+            Alcotest.failf "%s: %d of %d decisions differ, first %s" name
+              (List.length mismatches) ops first);
+        sim
+      in
+      ignore (leg "3x64" ~shards:3 ~machine_size:64 ~seed:1 ~ops:600 ());
+      let quota48 =
+        leg "3x64-quota48" ~shards:3 ~machine_size:64 ~tenant_quota:48 ~seed:2
+          ~ops:600 ()
+      in
+      let quota32 =
+        leg "2x64-quota32" ~shards:2 ~machine_size:64 ~tenant_quota:32 ~seed:3
+          ~ops:2000 ()
+      in
+      Alcotest.(check bool) "the quotas refused submits" true
+        (quota48.Sim.rejects > 0 && quota32.Sim.rejects > 0);
+      let moved =
+        leg "3x16-rebalance" ~shards:3 ~machine_size:16
+          ~rebalance:
+            { Rebalance.default_config with threshold = 0; max_tasks = 4 }
+          ~seed:7 ~ops:400 ()
+      in
+      Alcotest.(check bool) "the rebalance leg moved tasks" true
+        (moved.Sim.rebalanced > 0))
 
 let submit_batch ~ctx client ~first_rid ~size n =
   for i = 0 to n - 1 do
@@ -899,6 +1108,10 @@ let suite =
       test_fed_index_headroom;
     Alcotest.test_case "sim rebalance deterministic" `Quick
       test_sim_rebalance_deterministic;
+    Alcotest.test_case "route forgets idle tenants" `Quick
+      test_route_forgets_idle_tenants;
+    Alcotest.test_case "rebalance refreshes the summaries it touched" `Quick
+      test_rebalance_refreshes_summaries;
     Alcotest.test_case "shard-tag wrapper roundtrip" `Quick
       test_shard_tag_roundtrip;
     Alcotest.test_case "live 3-shard session" `Quick test_live_session;
@@ -906,6 +1119,8 @@ let suite =
       test_failover_no_acked_loss;
     Alcotest.test_case "pipelined batch = serial, byte for byte" `Quick
       test_pipelined_matches_serial;
+    Alcotest.test_case "live router = Sim, decision for decision" `Quick
+      test_router_matches_sim;
     Alcotest.test_case "shard dies with a batch in flight" `Quick
       test_shard_dies_mid_batch;
     Alcotest.test_case "closed connections release their slot" `Quick
