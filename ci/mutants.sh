@@ -142,6 +142,35 @@ mutant rebalance-audit-refreshes <<'EOF'
              let sum = Array.fold_left ( + ) 0 loads in
 EOF
 
+# pmpd answers a query of a queued task "queued", in every encoding.
+mutant query-reports-queued <<'EOF'
+--- a/lib/server/server.ml
++++ b/lib/server/server.ml
+@@ -898,7 +898,7 @@
+   (match Cluster.placement t.cluster lid with
+   | Some p -> add_at t Protocol.add_active buf gid p
+   | None ->
+-      if Cluster.is_queued t.cluster lid then Protocol.add_queued_task buf gid
++      if Cluster.is_queued t.cluster lid then Protocol.add_unknown buf gid
+       else Protocol.add_unknown buf gid);
+   if t.timed then observe_stages t td (Unix.gettimeofday ()) ~wal:false;
+   true
+EOF
+
+# pmpd's finish appends its WAL record before the ack can leave.
+mutant finish-appends-wal <<'EOF'
+--- a/lib/server/server.ml
++++ b/lib/server/server.ml
+@@ -886,7 +886,6 @@
+   | Ok () ->
+       let ta = now t in
+       t.seq <- t.seq + 1;
+-      Wal.append_finish t.wal ~seq:t.seq ~id:lid;
+       after_mutation t;
+       if t.timed then observe_stages t td ta ~wal:true;
+       Protocol.add_finished buf;
+EOF
+
 if [ -n "$survivors" ]; then
   echo "mutants: survived:$survivors" >&2
   exit 1

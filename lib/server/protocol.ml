@@ -367,65 +367,76 @@ let opcode = function
   | Shutdown -> op_shutdown
   | Health -> op_health
 
-let request_payload buf = function
-  | Submit size ->
-      add_tag buf op_submit;
-      Wire.add_varint buf size
-  | Finish id ->
-      add_tag buf op_finish;
-      Wire.add_varint buf id
-  | Query id ->
-      add_tag buf op_query;
-      Wire.add_varint buf id
-  | Stats -> add_tag buf op_stats
-  | Loads -> add_tag buf op_loads
-  | Metrics -> add_tag buf op_metrics
-  | Snapshot -> add_tag buf op_snapshot
-  | Ping -> add_tag buf op_ping
-  | Health -> add_tag buf op_health
-  | Shutdown -> add_tag buf op_shutdown
+let request_payload buf r =
+  add_tag buf (opcode r);
+  match r with
+  | Submit n | Finish n | Query n -> Wire.add_varint buf n
+  | Stats | Loads | Metrics | Snapshot | Ping | Health | Shutdown -> ()
 
 let request_payload_rid buf ~rid r =
   add_tag buf op_tagged;
   Wire.add_varint buf rid;
   request_payload buf r
 
-let add_placement buf p =
-  Wire.add_varint buf p.base;
-  Wire.add_varint buf p.size;
-  Wire.add_varint buf p.copy
+let add_placement buf ~base ~size ~copy =
+  Wire.add_varint buf base;
+  Wire.add_varint buf size;
+  Wire.add_varint buf copy
+
+let add_placed buf id ~base ~size ~copy =
+  add_tag buf st_placed;
+  Wire.add_varint buf id;
+  add_placement buf ~base ~size ~copy
+
+let add_queued buf id =
+  add_tag buf st_queued;
+  Wire.add_varint buf id
+
+let add_finished buf = add_tag buf st_finished
+
+(* a query's answer: the state tag after the id is 0 unknown, 1 queued,
+   2 active with its placement *)
+let add_state buf id st =
+  add_tag buf st_state;
+  Wire.add_varint buf id;
+  add_tag buf st
+
+let add_active buf id ~base ~size ~copy =
+  add_state buf id 2;
+  add_placement buf ~base ~size ~copy
+
+let add_queued_task buf id = add_state buf id 1
+let add_unknown buf id = add_state buf id 0
+
+let add_stats buf (s : Cluster.stats) =
+  add_tag buf st_stats;
+  Wire.add_varint buf s.Cluster.submitted;
+  Wire.add_varint buf s.Cluster.completed;
+  Wire.add_varint buf s.Cluster.queued_now;
+  Wire.add_varint buf s.Cluster.active_now;
+  Wire.add_varint buf s.Cluster.active_size;
+  Wire.add_varint buf s.Cluster.max_load;
+  Wire.add_varint buf s.Cluster.peak_load;
+  Wire.add_varint buf s.Cluster.optimal_now;
+  Wire.add_varint buf s.Cluster.reallocations;
+  Wire.add_varint buf s.Cluster.tasks_migrated
+
+let add_error buf e =
+  add_tag buf st_error;
+  add_len_string buf e
+
+let add_rid buf rid =
+  add_tag buf st_tagged;
+  Wire.add_varint buf rid
 
 let response_payload buf = function
-  | Placed (id, p) ->
-      add_tag buf st_placed;
-      Wire.add_varint buf id;
-      add_placement buf p
-  | Queued id ->
-      add_tag buf st_queued;
-      Wire.add_varint buf id
-  | Finished -> add_tag buf st_finished
-  | State (id, st) -> begin
-      add_tag buf st_state;
-      Wire.add_varint buf id;
-      match st with
-      | Unknown -> add_tag buf 0
-      | Queued_task -> add_tag buf 1
-      | Active p ->
-          add_tag buf 2;
-          add_placement buf p
-    end
-  | Stats_reply s ->
-      add_tag buf st_stats;
-      Wire.add_varint buf s.Cluster.submitted;
-      Wire.add_varint buf s.Cluster.completed;
-      Wire.add_varint buf s.Cluster.queued_now;
-      Wire.add_varint buf s.Cluster.active_now;
-      Wire.add_varint buf s.Cluster.active_size;
-      Wire.add_varint buf s.Cluster.max_load;
-      Wire.add_varint buf s.Cluster.peak_load;
-      Wire.add_varint buf s.Cluster.optimal_now;
-      Wire.add_varint buf s.Cluster.reallocations;
-      Wire.add_varint buf s.Cluster.tasks_migrated
+  | Placed (id, p) -> add_placed buf id ~base:p.base ~size:p.size ~copy:p.copy
+  | Queued id -> add_queued buf id
+  | Finished -> add_finished buf
+  | State (id, Active p) -> add_active buf id ~base:p.base ~size:p.size ~copy:p.copy
+  | State (id, Queued_task) -> add_queued_task buf id
+  | State (id, Unknown) -> add_unknown buf id
+  | Stats_reply s -> add_stats buf s
   | Loads_reply loads ->
       add_tag buf st_loads;
       Wire.add_varint buf (Array.length loads);
@@ -444,16 +455,15 @@ let response_payload buf = function
       Wire.add_varint buf h.seq;
       Wire.add_varint buf h.recovered_ops
   | Bye -> add_tag buf st_bye
-  | Error e ->
-      add_tag buf st_error;
-      add_len_string buf e
+  | Error e -> add_error buf e
 
 let response_payload_rid buf ~rid ?shard r =
   (match shard with
-  | None -> add_tag buf st_tagged
-  | Some _ -> add_tag buf st_shard_tagged);
-  Wire.add_varint buf rid;
-  Option.iter (Wire.add_varint buf) shard;
+  | None -> add_rid buf rid
+  | Some s ->
+      add_tag buf st_shard_tagged;
+      Wire.add_varint buf rid;
+      Wire.add_varint buf s);
   response_payload buf r
 
 let add_frame = Frame.add_to_buffer
@@ -485,48 +495,85 @@ let get_len_string s pos limit =
 let decoded limit pos v =
   if pos <> limit then Result.Error "trailing bytes in frame" else Ok v
 
-(* Ops 1..10 only; the [op_tagged] wrapper is peeled one level above so
-   it cannot nest. *)
-let decode_request_plain s ~pos ~limit =
-  let op = Char.code s.[pos] in
-  let pos = pos + 1 in
-  let int_req k =
-    let v, pos = Wire.get_varint_string s pos limit in
-    decoded limit pos (k v)
+(* --- reading a request in place ----------------------------------- *)
+
+type op = Op_submit | Op_finish | Op_query | Op of request
+
+type slot = {
+  cur : Wire.cursor;
+  mutable opcode : int;
+  mutable tagged : bool;
+  mutable rid : int;
+  mutable size : int;
+  mutable id : int;
+}
+
+let slot () =
+  { cur = { Wire.pos = 0 }; opcode = 0; tagged = false; rid = 0; size = 0; id = 0 }
+
+let corrupt e = raise (Wire.Corrupt e)
+
+(* The request fields end the payload; [opcode] becomes the request's
+   only once it has read whole. *)
+let read_end slot limit opcode op =
+  if slot.cur.Wire.pos <> limit then corrupt "trailing bytes in frame";
+  slot.opcode <- opcode;
+  op
+
+(* Allocates nothing but the text of a refusal: the nullary requests
+   are constants, and the argument of the other three lands in [slot]. *)
+let read_request slot b ~pos ~limit =
+  let cur = slot.cur in
+  slot.size <- 0;
+  slot.opcode <- (if pos < limit then Char.code (Bytes.unsafe_get b pos) else 0);
+  slot.tagged <- slot.opcode = op_tagged;
+  if pos >= limit then corrupt "truncated frame";
+  cur.Wire.pos <- pos + 1;
+  (* the rid wrapper, peeled one level only so that it cannot nest *)
+  let op =
+    if not slot.tagged then slot.opcode
+    else begin
+      slot.rid <- Wire.read_varint b cur limit;
+      let pos = cur.Wire.pos in
+      if pos >= limit then corrupt "truncated frame";
+      cur.Wire.pos <- pos + 1;
+      Char.code (Bytes.unsafe_get b pos)
+    end
   in
-  let nullary r = decoded limit pos r in
   match op with
-  | 1 -> int_req (fun size -> Submit size)
-  | 2 -> int_req (fun id -> Finish id)
-  | 3 -> int_req (fun id -> Query id)
-  | 4 -> nullary Stats
-  | 5 -> nullary Loads
-  | 6 -> nullary Metrics
-  | 7 -> nullary Snapshot
-  | 8 -> nullary Ping
-  | 9 -> nullary Shutdown
-  | 10 -> nullary Health
-  | op -> Result.Error (Printf.sprintf "unknown binary opcode %d" op)
+  | 1 ->
+      let size = Wire.read_varint b cur limit in
+      let r = read_end slot limit op Op_submit in
+      slot.size <- size;
+      r
+  | 2 ->
+      slot.id <- Wire.read_varint b cur limit;
+      read_end slot limit op Op_finish
+  | 3 ->
+      slot.id <- Wire.read_varint b cur limit;
+      read_end slot limit op Op_query
+  | 4 -> read_end slot limit op (Op Stats)
+  | 5 -> read_end slot limit op (Op Loads)
+  | 6 -> read_end slot limit op (Op Metrics)
+  | 7 -> read_end slot limit op (Op Snapshot)
+  | 8 -> read_end slot limit op (Op Ping)
+  | 9 -> read_end slot limit op (Op Shutdown)
+  | 10 -> read_end slot limit op (Op Health)
+  | op -> corrupt (Printf.sprintf "unknown binary opcode %d" op)
 
 let decode_request_payload_rid s ~pos ~limit =
-  match
-    if Char.code s.[pos] = op_tagged then begin
-      let rid, pos = Wire.get_varint_string s (pos + 1) limit in
-      if pos >= limit then Result.Error "truncated frame"
-      else
-        match decode_request_plain s ~pos ~limit with
-        | Ok r -> Ok (r, Some rid)
-        | Result.Error e -> Result.Error e
-    end
-    else begin
-      match decode_request_plain s ~pos ~limit with
-      | Ok r -> Ok (r, None)
-      | Result.Error e -> Result.Error e
-    end
-  with
-  | r -> r
+  let slot = slot () in
+  match read_request slot (Bytes.unsafe_of_string s) ~pos ~limit with
+  | op ->
+      let r =
+        match op with
+        | Op_submit -> Submit slot.size
+        | Op_finish -> Finish slot.id
+        | Op_query -> Query slot.id
+        | Op r -> r
+      in
+      Ok (r, if slot.tagged then Some slot.rid else None)
   | exception Wire.Corrupt e -> Result.Error e
-  | exception Invalid_argument _ -> Result.Error "truncated frame"
 
 let decode_request_payload s ~pos ~limit =
   Result.map fst (decode_request_payload_rid s ~pos ~limit)

@@ -115,6 +115,28 @@ val request_payload : Buffer.t -> request -> unit
 (** Append the payload (opcode + fields, no frame header) to [buf]. *)
 
 val response_payload : Buffer.t -> response -> unit
+(** Append the payload (status tag + fields) to [buf], through the
+    writers below. *)
+
+(** {2 Response writers}
+
+    Each appends one whole response payload and allocates nothing:
+    {!response_payload} is made of them, and pmpd's op path calls them
+    directly, so it answers without building a {!response}. A
+    placement is its leaf span and copy, as in {!placement}; the query
+    answers are [add_active], [add_queued_task] and [add_unknown].
+    [add_rid] writes the head of {!response_payload_rid}'s wrapper
+    without a shard: the payload appended after it echoes the id. *)
+
+val add_placed : Buffer.t -> int -> base:int -> size:int -> copy:int -> unit
+val add_queued : Buffer.t -> int -> unit
+val add_finished : Buffer.t -> unit
+val add_active : Buffer.t -> int -> base:int -> size:int -> copy:int -> unit
+val add_queued_task : Buffer.t -> int -> unit
+val add_unknown : Buffer.t -> int -> unit
+val add_stats : Buffer.t -> Pmp_cluster.Cluster.stats -> unit
+val add_error : Buffer.t -> string -> unit
+val add_rid : Buffer.t -> int -> unit
 
 val add_frame : Buffer.t -> Buffer.t -> unit
 (** [add_frame buf payload] appends a complete frame wrapping
@@ -136,6 +158,39 @@ val encode_request_binary : ?rid:int -> request -> string
 val encode_response_binary : ?rid:int -> ?shard:int -> response -> string
 (** [?shard] (requires [?rid]; ignored without it) uses the
     shard-tagged wrapper. *)
+
+(** {2 Reading a request in place}
+
+    The zero-allocation decoder: {!read_request} reads a request
+    payload straight out of a byte buffer into a {!slot} its caller
+    owns. pmpd reads every binary request with it, and
+    {!decode_request_payload_rid} is it plus building the {!request}. *)
+
+type op =
+  | Op_submit  (** the size is in the slot *)
+  | Op_finish  (** the id is in the slot *)
+  | Op_query  (** the id is in the slot *)
+  | Op of request  (** a request without an argument: a constant *)
+
+type slot = private {
+  cur : Wire.cursor;  (** the read position *)
+  mutable opcode : int;
+      (** the request's {!opcode}, inside any rid wrapper, once it has
+          read whole; until then, and after a refusal, the payload's
+          first byte *)
+  mutable tagged : bool;  (** the request came in the rid wrapper *)
+  mutable rid : int;  (** that wrapper's request id *)
+  mutable size : int;  (** a submit's task size; 0 for any other request *)
+  mutable id : int;  (** a finish's or query's task id *)
+}
+
+val slot : unit -> slot
+
+val read_request : slot -> Bytes.t -> pos:int -> limit:int -> op
+(** Read the request payload spanning [[pos, limit)] of the bytes,
+    peeling one rid wrapper, and allocate nothing for a well-formed
+    one. @raise Wire.Corrupt with the refusal text
+    {!decode_request_payload_rid} returns. *)
 
 val decode_request_payload :
   string -> pos:int -> limit:int -> (request, string) result

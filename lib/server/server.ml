@@ -191,22 +191,17 @@ let make_instruments reg ~shard =
    the sum (gauge [_max] high-water lines are maxed by suffix). *)
 let merge_max_names = [ "pmpd_max_load"; "pmpd_p99_load_ratio" ]
 
-(* Work one shard asks of another. Ids are global, sizes raw. *)
-type peer_kind =
-  | P_submit of int  (** steal: admit a task of this size over there *)
-  | P_finish of int
-  | P_query of int
-  | P_stats
-  | P_loads
-  | P_metrics
-  | P_snapshot
+(* A peer's answer to one call: the response payload its op wrote,
+   whether the op succeeded, and the callee's durability ticket — its
+   [seq] after the mutation the call ran, 0 when it ran none. *)
+type peer_reply = { payload : string; ok : bool; ticket : int }
 
-(* Calls are synchronous — a shard has at most one call outstanding
-   and owes at most one response per peer — so a ring per ordered pair
-   holds at most two messages and never fills. The int on [Presp] is
-   the callee's durability ticket: its [seq] after the mutation the
-   call ran, 0 when it ran none. *)
-type peer_msg = Preq of int * peer_kind | Presp of Protocol.response * int
+(* A call asks the callee's own core to run a request ({!local}): ids
+   are global, and a submit is a steal, admitted over there. Calls are
+   synchronous — a shard has at most one call outstanding and owes at
+   most one response per peer — so a ring per ordered pair holds at
+   most two messages and never fills. *)
+type peer_msg = Preq of int * Protocol.request | Presp of peer_reply
 
 type t = {
   config : config;
@@ -217,9 +212,14 @@ type t = {
   reg : Metrics.Registry.t;
   ins : instruments;
   scratch : Buffer.t;
-      (** reusable response-payload buffer: [Buffer.clear] keeps the
-          storage, so the fast path encodes without allocating *)
-  cur : Wire.cursor;  (** reusable varint decode position, same idea *)
+      (** the response payload of the request being answered:
+          [Buffer.clear] keeps the storage, so it is written without
+          allocating *)
+  part : Buffer.t;
+      (** this core's part of a peer call or of its own fan-out; apart
+          from [scratch], since a shard serves its peers while a
+          request of its own waits on one *)
+  slot : Protocol.slot;  (** the binary request being read, in place *)
   reader : Frame.reader;  (** where the last request read sits *)
   mutable seq : int;  (** durable mutation count since genesis *)
   mutable snap_tried : int;
@@ -235,10 +235,6 @@ type t = {
       (** arrival time of the request being handled, set only when
           [timed] — a field rather than an argument so the untimed
           fast path never boxes a float at a call boundary *)
-  mutable cur_op : int;
-      (** effective opcode of the binary request being handled: the
-          frame's own opcode, except a rid-tagged wrapper reports its
-          inner opcode so attribution survives tagging *)
   slow_s : float;  (** slow-request threshold in seconds; [infinity] off *)
   started : float;
   wal_base : int;  (** seq already durable when this process opened the WAL *)
@@ -293,8 +289,6 @@ let dump_recorder t =
   let path = flightrec_path t in
   Recorder.dump t.recorder path;
   path
-
-let request_dump = dump_recorder
 
 let wal_lag t =
   let last = Wal.last_seq t.wal in
@@ -431,8 +425,8 @@ let recover config recorder =
         else begin
           let opcode, size =
             match op with
-            | Wal.Submit { size; _ } -> (1, size)
-            | Wal.Finish _ -> (2, 0)
+            | Wal.Submit { size; _ } -> (Protocol.opcode (Protocol.Submit size), size)
+            | Wal.Finish { id } -> (Protocol.opcode (Protocol.Finish id), 0)
           in
           let r = apply_op cluster op in
           Recorder.record recorder ~kind:Recorder.kind_replay ~op:opcode
@@ -508,7 +502,8 @@ let create_core config ~shard ~ids ~mesh =
           reg;
           ins;
           scratch = Buffer.create 256;
-          cur = { Wire.pos = 0 };
+          part = Buffer.create 256;
+          slot = Protocol.slot ();
           reader = Frame.reader ();
           seq;
           snap_tried = snap_seq;
@@ -519,7 +514,6 @@ let create_core config ~shard ~ids ~mesh =
           recorder;
           timed = config.latency_profile || config.slow_ms <> None;
           req_t0 = 0.0;
-          cur_op = 0;
           slow_s =
             (match config.slow_ms with
             | Some ms -> ms /. 1000.0
@@ -830,76 +824,145 @@ let settle t m =
   end
 
 (* ------------------------------------------------------------------ *)
-(* shard-local operations                                              *)
+(* the ops                                                             *)
 
-let globalize t (p : Protocol.placement) =
-  if t.leaf_off = 0 then p else { p with Protocol.base = p.Protocol.base + t.leaf_off }
+(* Submit, finish, query and stats each have one implementation here.
+   It applies the op on this core — cluster, [seq], WAL append,
+   {!after_mutation}, stage timers — and appends the binary response
+   payload to [buf] through Protocol's writers, building no request,
+   response or string on the way; the result is whether the op
+   succeeded. Every encoding reaches them through {!run} or straight
+   from {!frame_request}, and a peer's call through {!local}. Ids and
+   leaves translate by the shard's offsets, the identity when
+   unsharded. *)
+
+let now t = if t.timed then Unix.gettimeofday () else 0.0
+
+(* With timing on: decode ran from the request's arrival to [td], apply
+   from [td] to [ta], and a mutation's WAL append from [ta] to now. *)
+let observe_stages t td ta ~wal =
+  Metrics.Histogram.observe t.ins.h_stage_decode (td -. t.req_t0);
+  Metrics.Histogram.observe t.ins.h_stage_apply (ta -. td);
+  if wal then
+    Metrics.Histogram.observe t.ins.h_stage_wal (Unix.gettimeofday () -. ta)
+
+(* [add] a task's placement with its leaves on the full machine *)
+let add_at t add buf gid (p : Pmp_core.Placement.t) =
+  let sub = p.Pmp_core.Placement.sub in
+  add buf gid
+    ~base:(Pmp_machine.Submachine.first_leaf sub + t.leaf_off)
+    ~size:(Pmp_machine.Submachine.size sub)
+    ~copy:p.Pmp_core.Placement.copy
 
 (* Admit a task on this core, whoever asked: the id comes out of this
    shard's namespace ([local * K + shard]), so a stolen task routes to
    the shard that runs it for every later finish and query. *)
-let admit_local t size =
+let submit_here t buf size =
+  let td = now t in
   match Cluster.submit t.cluster ~size with
+  | Error e ->
+      Protocol.add_error buf e;
+      false
   | Ok sub ->
+      let ta = now t in
       let lid = match sub with Cluster.Placed (i, _) | Cluster.Queued i -> i in
       t.seq <- t.seq + 1;
       Wal.append_submit t.wal ~seq:t.seq ~id:lid ~size;
       after_mutation t;
+      if t.timed then observe_stages t td ta ~wal:true;
       let gid = Sharding.global_id t.ids ~shard:t.shard lid in
       (match sub with
-      | Cluster.Placed (_, p) ->
-          Protocol.Placed (gid, globalize t (Protocol.placement_of_core p))
-      | Cluster.Queued _ -> Protocol.Queued gid)
-  | Error e -> Protocol.Error e
+      | Cluster.Placed (_, p) -> add_at t Protocol.add_placed buf gid p
+      | Cluster.Queued _ -> Protocol.add_queued buf gid);
+      true
 
-let finish_local t gid =
+let finish_here t buf gid =
   let lid = Sharding.local_id t.ids gid in
+  let td = now t in
   match Cluster.finish t.cluster lid with
+  | Error e ->
+      Protocol.add_error buf e;
+      false
   | Ok () ->
+      let ta = now t in
       t.seq <- t.seq + 1;
       Wal.append_finish t.wal ~seq:t.seq ~id:lid;
       after_mutation t;
-      Protocol.Finished
-  | Error e -> Protocol.Error e
+      if t.timed then observe_stages t td ta ~wal:true;
+      Protocol.add_finished buf;
+      true
 
-let query_local t gid =
+let query_here t buf gid =
   let lid = Sharding.local_id t.ids gid in
-  let state =
-    match Cluster.placement t.cluster lid with
-    | Some p -> Protocol.Active (globalize t (Protocol.placement_of_core p))
-    | None ->
-        if Cluster.is_queued t.cluster lid then Protocol.Queued_task
-        else Protocol.Unknown
-  in
-  Protocol.State (gid, state)
+  let td = now t in
+  (match Cluster.placement t.cluster lid with
+  | Some p -> add_at t Protocol.add_active buf gid p
+  | None ->
+      if Cluster.is_queued t.cluster lid then Protocol.add_queued_task buf gid
+      else Protocol.add_unknown buf gid);
+  if t.timed then observe_stages t td (Unix.gettimeofday ()) ~wal:false;
+  true
 
-let mutated = function
-  | Protocol.Placed _ | Protocol.Queued _ | Protocol.Finished -> true
-  | _ -> false
+let stats_here t buf =
+  let td = now t in
+  Protocol.add_stats buf (Cluster.stats t.cluster);
+  if t.timed then observe_stages t td (Unix.gettimeofday ()) ~wal:false;
+  true
 
-(* This core's part of a peer call (or of its own fan-out). *)
-let answer t kind =
-  match kind with
-  | P_submit size ->
-      Metrics.Counter.incr t.ins.c_steal_in;
-      admit_local t size
-  | P_finish gid -> finish_local t gid
-  | P_query gid -> query_local t gid
-  | P_stats -> Protocol.Stats_reply (Cluster.stats t.cluster)
-  | P_loads -> Protocol.Loads_reply (Array.copy (Cluster.leaf_loads t.cluster))
-  | P_metrics -> Protocol.Metrics_reply (metrics t)
-  | P_snapshot -> (
+(* The answers with no writer of their own, encoded whole. *)
+let reply buf (r : Protocol.response) =
+  Protocol.response_payload buf r;
+  match r with Protocol.Error _ -> false | _ -> true
+
+(* This core's part of a request: a peer's call, or this core's share
+   of its own fan-out. Never routes further, so a steal is admitted
+   here and a fan-out's share never fans out again. *)
+let local t buf (req : Protocol.request) =
+  match req with
+  | Protocol.Submit size -> submit_here t buf size
+  | Protocol.Finish gid -> finish_here t buf gid
+  | Protocol.Query gid -> query_here t buf gid
+  | Protocol.Stats -> stats_here t buf
+  | Protocol.Loads -> reply buf (Protocol.Loads_reply (Cluster.leaf_loads t.cluster))
+  | Protocol.Metrics -> reply buf (Protocol.Metrics_reply (metrics t))
+  | Protocol.Snapshot -> (
       match snapshot_now t with
-      | Ok path -> Protocol.Snapshot_reply path
-      | Error e -> Protocol.Error e)
+      | Ok path -> reply buf (Protocol.Snapshot_reply path)
+      | Error e -> reply buf (Protocol.Error e))
+  | Protocol.Ping | Protocol.Health | Protocol.Shutdown ->
+      invalid_arg "Server.local: not a shard's part of a request"
 
-(* Run one peer's call on this core and push the response back. Never
-   blocks, which is what makes serving-while-waiting deadlock-free. *)
-let service t m origin kind =
-  let resp = answer t kind in
-  let ticket = if mutated resp then t.seq else 0 in
+(* The response a payload holds, for the callers that need a value:
+   the JSON encoding, {!handle} and the fan-outs' merges. *)
+let response_of payload =
+  match
+    Protocol.decode_response_payload payload ~pos:0 ~limit:(String.length payload)
+  with
+  | Ok r -> r
+  | Error e -> failwith ("pmpd: undecodable response payload: " ^ e)
+
+(* ------------------------------------------------------------------ *)
+(* peer calls                                                          *)
+
+(* Run one peer's call on this core and push the answer back. Never
+   blocks, which is what makes serving-while-waiting deadlock-free. It
+   may run while a request of this core waits on a peer, so it writes
+   only [part] and puts the request's arrival time back. *)
+let service t m origin req =
+  let seq0 = t.seq and t0 = t.req_t0 in
+  if t.timed then t.req_t0 <- Unix.gettimeofday ();
+  (match req with
+  | Protocol.Submit _ -> Metrics.Counter.incr t.ins.c_steal_in
+  | _ -> ());
+  Buffer.clear t.part;
+  let ok = local t t.part req in
+  t.req_t0 <- t0;
+  let ticket = if t.seq > seq0 then t.seq else 0 in
   if ticket > 0 then t.owed.(origin) <- true;
-  push m m.peer.(t.shard).(origin) (Presp (resp, ticket)) ~dest:origin
+  push m
+    m.peer.(t.shard).(origin)
+    (Presp { payload = Buffer.contents t.part; ok; ticket })
+    ~dest:origin
 
 (* Drain every inbound peer ring, running the calls found there. A
    response is handed to [on_resp] with the shard it came from. *)
@@ -908,15 +971,15 @@ let serve_peers ?(on_resp = fun _ _ -> failwith "peer response without a call")
   for src = 0 to k t - 1 do
     if src <> t.shard then
       pop_all m.peer.(src).(t.shard) (function
-        | Preq (origin, kind) -> service t m origin kind
-        | Presp (r, ticket) -> on_resp src (r, ticket))
+        | Preq (origin, req) -> service t m origin req
+        | Presp r -> on_resp src r)
   done
 
 (* One synchronous call. While waiting, keep serving every inbound
    ring: a cycle of shards blocked on each other still progresses,
    since each answers the others from inside its wait. *)
-let peer_call t m dest kind =
-  push m m.peer.(t.shard).(dest) (Preq (t.shard, kind)) ~dest;
+let peer_call t m dest req =
+  push m m.peer.(t.shard).(dest) (Preq (t.shard, req)) ~dest;
   let result = ref None in
   let on_resp src r =
     if src <> dest || Option.is_some !result then
@@ -934,12 +997,58 @@ let peer_call t m dest kind =
    WAL commit covers [ticket]; {!commit} waits for it. *)
 let owe t dest ticket = if ticket > t.need.(dest) then t.need.(dest) <- ticket
 
-(* Every shard's answer to [kind], this one's included, in shard order. *)
-let fan_out t m kind =
-  List.init (k t) (fun d ->
-      if d = t.shard then answer t kind else fst (peer_call t m d kind))
+(* Shard [dest]'s answer becomes this request's. *)
+let take_reply t buf dest r =
+  owe t dest r.ticket;
+  Buffer.add_string buf r.payload;
+  r.ok
+
+let forward t m buf dest req = take_reply t buf dest (peer_call t m dest req)
 
 let unexpected what = failwith ("peer " ^ what ^ ": unexpected response")
+
+(* The daemon's answer to a [stats], [loads], [metrics] or [snapshot]:
+   every shard's part, this one's included, merged in shard order. Shard
+   [s] owns the global leaves [[s*N/K, (s+1)*N/K)], so the loads
+   concatenate into the unsharded vector; the snapshot reply lists
+   every shard's path. *)
+let fan_out t m buf (req : Protocol.request) =
+  let parts =
+    List.init (k t) (fun d ->
+        response_of
+          (if d = t.shard then begin
+             Buffer.clear t.part;
+             ignore (local t t.part req);
+             Buffer.contents t.part
+           end
+           else (peer_call t m d req).payload))
+  in
+  let each what f =
+    List.map (fun r -> match f r with Some v -> v | None -> unexpected what) parts
+  in
+  reply buf
+    (match req with
+    | Protocol.Stats ->
+        Protocol.Stats_reply
+          (Cluster.merge_stats ~machine_size:m.plan.Sharding.machine_size
+             (each "stats" (function Protocol.Stats_reply s -> Some s | _ -> None)))
+    | Protocol.Loads ->
+        Protocol.Loads_reply
+          (Array.concat
+             (each "loads" (function Protocol.Loads_reply l -> Some l | _ -> None)))
+    | Protocol.Metrics ->
+        Protocol.Metrics_reply
+          (Metrics.merge_prometheus ~max_names:merge_max_names
+             (each "metrics" (function Protocol.Metrics_reply d -> Some d | _ -> None)))
+    | _ -> (
+        match List.find_opt (function Protocol.Error _ -> true | _ -> false) parts with
+        | Some err -> err
+        | None ->
+            Protocol.Snapshot_reply
+              (String.concat ","
+                 (each "snapshot" (function
+                   | Protocol.Snapshot_reply p -> Some p
+                   | _ -> None)))))
 
 (* Wait until every shard this batch mutated has published a durable
    watermark covering it, serving (and committing) peer calls meanwhile. *)
@@ -984,7 +1093,10 @@ let tick t () =
   | Wal.Always | Wal.Group | Wal.Never -> -1.0
 
 (* ------------------------------------------------------------------ *)
-(* request handling                                                    *)
+(* routing                                                             *)
+
+(* Where each request runs — on this core, on the shard that owns its
+   id, or on every shard — is chosen here once, for every encoding. *)
 
 (* Steal when the home shard has a queue (or this task would start
    one): [Sharding.pick_victim] over the published depths, stale by at
@@ -1010,96 +1122,52 @@ let steal_target t m size =
              else Atomic.get m.active_pub.(i)))
   else None
 
-let submit t size =
+let submit t buf size =
   match t.mesh with
-  | None -> admit_local t size
+  | None -> submit_here t buf size
   | Some m when size > t.config.machine_size ->
-      Protocol.Error
+      Protocol.add_error buf
         (Printf.sprintf
            "size %d exceeds the per-shard maximum %d (machine %d over %d \
             domains)"
-           size t.config.machine_size m.plan.Sharding.machine_size (k t))
+           size t.config.machine_size m.plan.Sharding.machine_size (k t));
+      false
   | Some m -> (
       match steal_target t m size with
-      | None -> admit_local t size
-      | Some dest -> (
-          match peer_call t m dest (P_submit size) with
-          | Protocol.Error _, _ ->
-              (* the victim's view changed under us: admit at home,
-                 which may queue — the correct fallback *)
-              admit_local t size
-          | resp, ticket ->
-              Metrics.Counter.incr t.ins.c_steal_out;
-              owe t dest ticket;
-              resp))
+      | None -> submit_here t buf size
+      | Some dest ->
+          let r = peer_call t m dest (Protocol.Submit size) in
+          if r.ok then begin
+            Metrics.Counter.incr t.ins.c_steal_out;
+            take_reply t buf dest r
+          end
+          else
+            (* the victim's view changed under us: admit at home,
+               which may queue — the correct fallback *)
+            submit_here t buf size)
 
 (* The shard owning a global id; negative ids name no task anywhere. *)
-let is_local t gid = k t = 1 || (gid >= 0 && Sharding.owner t.ids gid = t.shard)
+let is_local t gid = gid >= 0 && Sharding.owner t.ids gid = t.shard
 
-let finish t gid =
+let finish t buf gid =
   match t.mesh with
   | Some m when not (is_local t gid) ->
-      if gid < 0 then Protocol.Error "unknown task"
-      else begin
-        let dest = Sharding.owner t.ids gid in
-        let resp, ticket = peer_call t m dest (P_finish gid) in
-        owe t dest ticket;
-        resp
+      if gid < 0 then begin
+        Protocol.add_error buf "unknown task";
+        false
       end
-  | _ -> finish_local t gid
+      else forward t m buf (Sharding.owner t.ids gid) (Protocol.Finish gid)
+  | _ -> finish_here t buf gid
 
-let query t gid =
+let query t buf gid =
   match t.mesh with
   | Some m when not (is_local t gid) ->
-      if gid < 0 then Protocol.State (gid, Protocol.Unknown)
-      else fst (peer_call t m (Sharding.owner t.ids gid) (P_query gid))
-  | _ -> query_local t gid
-
-let stats t =
-  match t.mesh with
-  | None -> Cluster.stats t.cluster
-  | Some m ->
-      Cluster.merge_stats ~machine_size:m.plan.Sharding.machine_size
-        (List.map
-           (function Protocol.Stats_reply s -> s | _ -> unexpected "stats")
-           (fan_out t m P_stats))
-
-(* Shard [s] owns the global leaves [[s*N/K, (s+1)*N/K)], so the loads
-   concatenate in shard order into the unsharded vector. *)
-let loads t =
-  match t.mesh with
-  | None -> Cluster.leaf_loads t.cluster
-  | Some m ->
-      Array.concat
-        (List.map
-           (function Protocol.Loads_reply l -> l | _ -> unexpected "loads")
-           (fan_out t m P_loads))
-
-let all_metrics t =
-  match t.mesh with
-  | None -> metrics t
-  | Some m ->
-      Metrics.merge_prometheus ~max_names:merge_max_names
-        (List.map
-           (function Protocol.Metrics_reply d -> d | _ -> unexpected "metrics")
-           (fan_out t m P_metrics))
-
-(* Every shard snapshots; the reply lists their paths in shard order. *)
-let snapshot t =
-  match t.mesh with
-  | None -> answer t P_snapshot
-  | Some m -> (
-      let parts = fan_out t m P_snapshot in
-      match
-        List.find_opt (function Protocol.Error _ -> true | _ -> false) parts
-      with
-      | Some err -> err
-      | None ->
-          Protocol.Snapshot_reply
-            (String.concat ","
-               (List.map
-                  (function Protocol.Snapshot_reply p -> p | _ -> "")
-                  parts)))
+      if gid < 0 then begin
+        Protocol.add_unknown buf gid;
+        true
+      end
+      else forward t m buf (Sharding.owner t.ids gid) (Protocol.Query gid)
+  | _ -> query_here t buf gid
 
 let health t =
   let seq, recovered =
@@ -1124,39 +1192,43 @@ let health t =
       recovered_ops = recovered;
     }
 
-(* Every request, decoded: the JSON path, rare binary opcodes and the
-   requests a shard must route to its peers. *)
-let respond t (req : Protocol.request) =
+(* Run a decoded request, appending its response payload to [buf];
+   [true] when it succeeded. *)
+let run t buf (req : Protocol.request) =
   match req with
-  | Protocol.Submit size -> (submit t size, false)
-  | Protocol.Finish id -> (finish t id, false)
-  | Protocol.Query id -> (query t id, false)
-  | Protocol.Stats -> (Protocol.Stats_reply (stats t), false)
-  | Protocol.Loads -> (Protocol.Loads_reply (loads t), false)
-  | Protocol.Metrics -> (Protocol.Metrics_reply (all_metrics t), false)
-  | Protocol.Snapshot -> (snapshot t, false)
-  | Protocol.Ping -> (Protocol.Pong, false)
-  | Protocol.Health -> (health t, false)
+  | Protocol.Submit size -> submit t buf size
+  | Protocol.Finish gid -> finish t buf gid
+  | Protocol.Query gid -> query t buf gid
+  | Protocol.Stats | Protocol.Loads | Protocol.Metrics | Protocol.Snapshot -> (
+      match t.mesh with None -> local t buf req | Some m -> fan_out t m buf req)
+  | Protocol.Ping -> reply buf Protocol.Pong
+  | Protocol.Health -> reply buf (health t)
   | Protocol.Shutdown ->
       (match t.mesh with
       | Some m ->
           Atomic.set m.stop true;
           wake_all m
       | None -> ());
-      (Protocol.Bye, true)
+      reply buf Protocol.Bye
 
 let handle t req =
   Metrics.Counter.incr t.ins.c_requests;
-  let ((resp, _) as r) = respond t req in
-  (match resp with
-  | Protocol.Error _ -> Metrics.Counter.incr t.ins.c_errors
-  | _ -> ());
-  r
+  if t.timed then t.req_t0 <- Unix.gettimeofday ();
+  Buffer.clear t.scratch;
+  if not (run t t.scratch req) then Metrics.Counter.incr t.ins.c_errors;
+  (response_of (Buffer.contents t.scratch), req = Protocol.Shutdown)
 
-(* Slow-request log + per-opcode latency + flight-recorder entry for
-   one finished request. With timing off this is a single [record]
-   call: all-immediate arguments, no allocation. *)
+(* ------------------------------------------------------------------ *)
+(* the wire handler                                                    *)
+
+(* A connection's request is counted as it starts, so a [metrics] dump
+   counts the request asking for it. When it is answered: its error,
+   with timing on its latency and the slow-request log, and its flight
+   recorder entry — the opcode, a submit's task size (0 for any other
+   request) and the covering WAL seq. With timing off this allocates
+   nothing: all-immediate arguments. *)
 let note_request t ~op ~size ~ok =
+  if not ok then Metrics.Counter.incr t.ins.c_errors;
   let op = if op >= 0 && op < Array.length op_name then op else 0 in
   let dur_ns, ts_us =
     if t.timed then begin
@@ -1175,247 +1247,70 @@ let note_request t ~op ~size ~ok =
   Recorder.record t.recorder ~kind:Recorder.kind_request ~op ~tenant:0 ~size
     ~seq:t.seq ~dur_ns ~ts_us ~ok
 
-let handle_line t line =
-  match Protocol.decode_request_rid line with
-  | Error e ->
-      Metrics.Counter.incr t.ins.c_requests;
-      Metrics.Counter.incr t.ins.c_errors;
-      `Reply (0, false, Protocol.encode_response (Protocol.Error e))
-  | Ok (req, rid) ->
-      let resp, stop = handle t req in
-      let wire = Protocol.encode_response ?rid resp in
-      let ok = match resp with Protocol.Error _ -> false | _ -> true in
-      if stop then `Stop (Protocol.opcode req, ok, wire)
-      else `Reply (Protocol.opcode req, ok, wire)
-
-(* ------------------------------------------------------------------ *)
-(* the wire handler                                                    *)
-
-(* An error response in the request's own encoding. *)
-let reply_error t out ~binary e =
-  Metrics.Counter.incr t.ins.c_errors;
-  if binary then begin
-    Buffer.clear t.scratch;
-    Protocol.response_payload t.scratch (Protocol.Error e);
-    Frame.add out t.scratch
-  end
-  else Frame.add_line out (Protocol.encode_response (Protocol.Error e))
-
-let add_scratch_placement t s (p : Pmp_core.Placement.t) =
-  Wire.add_varint s
-    (Pmp_machine.Submachine.first_leaf p.Pmp_core.Placement.sub + t.leaf_off);
-  Wire.add_varint s (Pmp_machine.Submachine.size p.Pmp_core.Placement.sub);
-  Wire.add_varint s p.Pmp_core.Placement.copy
-
-(* A hot-opcode request this shard cannot answer alone — a peer's id,
-   a steal, a fan-out — goes through {!respond} like the JSON path. *)
-let routed t out req =
-  match fst (respond t req) with
-  | Protocol.Error e -> `Error e
-  | resp ->
-      Buffer.clear t.scratch;
-      Protocol.response_payload t.scratch resp;
-      Frame.add out t.scratch;
-      `Ok
-
-(* Decode and apply one binary request whose payload spans
-   [[pos0, limit)] of [b], encoding the response straight into [out].
-   Submit, finish, query and stats — the hot opcodes — are dispatched
-   inline without building a [Protocol.request], a [Protocol.response]
-   or any intermediate string: the only per-request allocations left
-   on these paths are the cluster's own. Ids and leaves translate by
-   the shard's offsets, the identity when unsharded. *)
-let dispatch t out b pos0 limit =
-  let opcode = Char.code (Bytes.unsafe_get b pos0) in
-  let cur = t.cur in
-  cur.Wire.pos <- pos0 + 1;
-  match
-    if opcode >= 1 && opcode <= 4 then begin
-      Metrics.Counter.incr t.ins.c_requests;
-      match opcode with
-      | 1 (* submit *) ->
-          let size = Wire.read_varint b cur limit in
-          if cur.Wire.pos <> limit then `Error "trailing bytes in frame"
-          else if
-            k t > 1
-            && (size > t.config.machine_size
-               ||
-               match t.mesh with
-               | Some m -> steal_target t m size <> None
-               | None -> false)
-          then routed t out (Protocol.Submit size)
-          else begin
-            let td = if t.timed then Unix.gettimeofday () else 0.0 in
-            match Cluster.submit t.cluster ~size with
-            | Ok sub ->
-                let id =
-                  match sub with
-                  | Cluster.Placed (id, _) | Cluster.Queued id -> id
-                in
-                let ta = if t.timed then Unix.gettimeofday () else 0.0 in
-                t.seq <- t.seq + 1;
-                Wal.append_submit t.wal ~seq:t.seq ~id ~size;
-                after_mutation t;
-                if t.timed then begin
-                  let tw = Unix.gettimeofday () in
-                  Metrics.Histogram.observe t.ins.h_stage_decode (td -. t.req_t0);
-                  Metrics.Histogram.observe t.ins.h_stage_apply (ta -. td);
-                  Metrics.Histogram.observe t.ins.h_stage_wal (tw -. ta)
-                end;
-                let s = t.scratch in
-                Buffer.clear s;
-                (match sub with
-                | Cluster.Placed (id, p) ->
-                    Buffer.add_char s '\001';
-                    Wire.add_varint s
-                      (Sharding.global_id t.ids ~shard:t.shard id);
-                    add_scratch_placement t s p
-                | Cluster.Queued id ->
-                    Buffer.add_char s '\002';
-                    Wire.add_varint s
-                      (Sharding.global_id t.ids ~shard:t.shard id));
-                Frame.add out t.scratch;
-                `Ok
-            | Error e -> `Error e
-          end
-      | 2 (* finish *) ->
-          let id = Wire.read_varint b cur limit in
-          if cur.Wire.pos <> limit then `Error "trailing bytes in frame"
-          else if not (is_local t id) then routed t out (Protocol.Finish id)
-          else begin
-            let lid = Sharding.local_id t.ids id in
-            let td = if t.timed then Unix.gettimeofday () else 0.0 in
-            match Cluster.finish t.cluster lid with
-            | Ok () ->
-                let ta = if t.timed then Unix.gettimeofday () else 0.0 in
-                t.seq <- t.seq + 1;
-                Wal.append_finish t.wal ~seq:t.seq ~id:lid;
-                after_mutation t;
-                if t.timed then begin
-                  let tw = Unix.gettimeofday () in
-                  Metrics.Histogram.observe t.ins.h_stage_decode (td -. t.req_t0);
-                  Metrics.Histogram.observe t.ins.h_stage_apply (ta -. td);
-                  Metrics.Histogram.observe t.ins.h_stage_wal (tw -. ta)
-                end;
-                Buffer.clear t.scratch;
-                Buffer.add_char t.scratch '\003';
-                Frame.add out t.scratch;
-                `Ok
-            | Error e -> `Error e
-          end
-      | 3 (* query *) ->
-          let id = Wire.read_varint b cur limit in
-          if cur.Wire.pos <> limit then `Error "trailing bytes in frame"
-          else if not (is_local t id) then routed t out (Protocol.Query id)
-          else begin
-            let lid = Sharding.local_id t.ids id in
-            let td = if t.timed then Unix.gettimeofday () else 0.0 in
-            let s = t.scratch in
-            Buffer.clear s;
-            Buffer.add_char s '\004';
-            Wire.add_varint s id;
-            (match Cluster.placement t.cluster lid with
-            | Some p ->
-                Buffer.add_char s '\002';
-                add_scratch_placement t s p
-            | None ->
-                if Cluster.is_queued t.cluster lid then Buffer.add_char s '\001'
-                else Buffer.add_char s '\000');
-            Frame.add out t.scratch;
-            if t.timed then begin
-              Metrics.Histogram.observe t.ins.h_stage_decode (td -. t.req_t0);
-              Metrics.Histogram.observe t.ins.h_stage_apply
-                (Unix.gettimeofday () -. td)
-            end;
-            `Ok
-          end
-      | _ (* 4, stats *) ->
-          if cur.Wire.pos <> limit then `Error "trailing bytes in frame"
-          else if k t > 1 then routed t out Protocol.Stats
-          else begin
-            let td = if t.timed then Unix.gettimeofday () else 0.0 in
-            let st = Cluster.stats t.cluster in
-            let s = t.scratch in
-            Buffer.clear s;
-            Buffer.add_char s '\005';
-            Wire.add_varint s st.Cluster.submitted;
-            Wire.add_varint s st.Cluster.completed;
-            Wire.add_varint s st.Cluster.queued_now;
-            Wire.add_varint s st.Cluster.active_now;
-            Wire.add_varint s st.Cluster.active_size;
-            Wire.add_varint s st.Cluster.max_load;
-            Wire.add_varint s st.Cluster.peak_load;
-            Wire.add_varint s st.Cluster.optimal_now;
-            Wire.add_varint s st.Cluster.reallocations;
-            Wire.add_varint s st.Cluster.tasks_migrated;
-            Frame.add out t.scratch;
-            if t.timed then
-              Metrics.Histogram.observe t.ins.h_stage_apply
-                (Unix.gettimeofday () -. td);
-            `Ok
-          end
-    end
-    else begin
-      (* rare opcodes — including rid-tagged wrappers — fall back to
-         the allocating decoder; a tagged response echoes the rid *)
-      let payload = Bytes.sub_string b pos0 (limit - pos0) in
-      match
-        Protocol.decode_request_payload_rid payload ~pos:0
-          ~limit:(String.length payload)
-      with
-      | Error e ->
-          Metrics.Counter.incr t.ins.c_requests;
-          `Error e
-      | Ok (req, rid) ->
-          t.cur_op <- Protocol.opcode req;
-          let resp, stop = handle t req in
-          Buffer.clear t.scratch;
-          (match rid with
-          | None -> Protocol.response_payload t.scratch resp
-          | Some rid -> Protocol.response_payload_rid t.scratch ~rid resp);
-          Frame.add out t.scratch;
-          if stop then `Stop else `Ok
-    end
-  with
-  | r -> r
-  | exception Wire.Corrupt e -> `Error e
-
-(* The binary request [Frame.read] just found: decode and apply it
-   straight out of [inbuf]'s bytes. [true] when the server should stop. *)
+(* The binary request [Frame.read] just found, read in place out of
+   [inbuf]'s bytes: the rid peeled off, the request run, the answer
+   wrapped in the rid's echo. Submit, finish and query go straight to
+   their op with the argument the slot holds, and no request reaches
+   the ops as a built value, so this path allocates only what the
+   cluster does. One that does not read is answered untagged with the
+   refusal. [true] when the server should stop. *)
 let frame_request t inbuf out =
-  let r = t.reader in
-  let b = Netbuf.bytes inbuf and size = r.Frame.limit - r.Frame.pos in
-  t.cur_op <- Char.code (Bytes.unsafe_get b r.Frame.pos);
-  match dispatch t out b r.Frame.pos r.Frame.limit with
-  | `Ok ->
-      note_request t ~op:t.cur_op ~size ~ok:true;
-      false
-  | `Error e ->
-      reply_error t out ~binary:true e;
-      note_request t ~op:t.cur_op ~size ~ok:false;
-      false
-  | `Stop ->
-      note_request t ~op:t.cur_op ~size ~ok:true;
-      true
-
-(* The JSON line [Frame.read] just found. This is the debug path — old
-   clients and humans — so allocation is fine. *)
-let line_request t inbuf out =
-  let r = t.reader in
-  let (`Reply (op, ok, wire) | `Stop (op, ok, wire)) as reply =
-    handle_line t (Frame.payload r inbuf)
+  Metrics.Counter.incr t.ins.c_requests;
+  let r = t.reader and rq = t.slot and s = t.scratch in
+  Buffer.clear s;
+  let ok =
+    match
+      Protocol.read_request rq (Netbuf.bytes inbuf) ~pos:r.Frame.pos
+        ~limit:r.Frame.limit
+    with
+    | exception Wire.Corrupt e ->
+        Protocol.add_error s e;
+        false
+    | op -> (
+        if rq.Protocol.tagged then Protocol.add_rid s rq.Protocol.rid;
+        match op with
+        | Protocol.Op_submit -> submit t s rq.Protocol.size
+        | Protocol.Op_finish -> finish t s rq.Protocol.id
+        | Protocol.Op_query -> query t s rq.Protocol.id
+        | Protocol.Op req -> run t s req)
   in
-  Frame.add_line out wire;
-  note_request t ~op ~size:(r.Frame.limit - r.Frame.pos) ~ok;
-  match reply with `Stop _ -> true | `Reply _ -> false
+  Frame.add out s;
+  note_request t ~op:rq.Protocol.opcode ~size:rq.Protocol.size ~ok;
+  ok && rq.Protocol.opcode = Protocol.opcode Protocol.Shutdown
+
+(* The JSON line [Frame.read] just found: decoded, run as a binary
+   request is, and its payload decoded back into the response to
+   encode. This is the debug encoding — old clients and humans — so
+   allocation is fine. *)
+let line_request t inbuf out =
+  Metrics.Counter.incr t.ins.c_requests;
+  match Protocol.decode_request_rid (Frame.payload t.reader inbuf) with
+  | Error e ->
+      Frame.add_line out (Protocol.encode_response (Protocol.Error e));
+      note_request t ~op:0 ~size:0 ~ok:false;
+      false
+  | Ok (req, rid) ->
+      Buffer.clear t.scratch;
+      let ok = run t t.scratch req in
+      Frame.add_line out
+        (Protocol.encode_response ?rid (response_of (Buffer.contents t.scratch)));
+      note_request t ~op:(Protocol.opcode req)
+        ~size:(match req with Protocol.Submit size -> size | _ -> 0)
+        ~ok;
+      req = Protocol.Shutdown
 
 (* A message [Frame.read] refused: one failed request of unknown op,
    answered in the encoding it arrived in. *)
 let refused_request t out ~binary =
-  let r = t.reader in
   Metrics.Counter.incr t.ins.c_requests;
-  reply_error t out ~binary r.Frame.refusal;
-  note_request t ~op:0 ~size:(r.Frame.limit - r.Frame.pos) ~ok:false;
+  let e = t.reader.Frame.refusal in
+  if binary then begin
+    Buffer.clear t.scratch;
+    Protocol.add_error t.scratch e;
+    Frame.add out t.scratch
+  end
+  else Frame.add_line out (Protocol.encode_response (Protocol.Error e));
+  note_request t ~op:0 ~size:0 ~ok:false;
   false
 
 (* Answer one message [Frame.read] found; [true] when the server

@@ -51,15 +51,23 @@
     [snapshot-*.tmp] files go at startup and with the next successful
     snapshot.
 
-    {b Hot path.} {!Frame.read} finds each request in the connection's
-    input buffer without allocating and leaves its span in a reader
-    the core owns. A binary request is decoded straight out of that
-    span and answered through a reused scratch buffer — no
-    intermediate request/response values, strings or JSON on the
-    submit, finish, query and stats opcodes. JSON lines remain fully
-    supported as the debug encoding; the two can interleave on one
-    connection. A message {!Frame.read} refuses is one failed request,
-    answered with the refusal text in the encoding it arrived in.
+    {b One op path.} Submit, finish, query and stats each have one
+    implementation. It applies the op on this core — cluster, WAL
+    sequence number, WAL append, snapshot cadence and crash injection,
+    stage timers — and writes the binary response payload into a
+    scratch buffer the core reuses, through {!Protocol}'s
+    zero-allocation writers. Every way in runs it: a binary frame,
+    tagged with a request id or not, a JSON line, {!handle}, and a
+    sharded core's call to a peer. {!Frame.read} finds each request in
+    the connection's input buffer without allocating, and a binary one
+    is read in place ({!Protocol.read_request}) and goes straight to its
+    op, so the binary path allocates only what the cluster does; a
+    tagged one's answer is wrapped in the echo of its id. A JSON line
+    is decoded, run the same way, and its payload decoded back into the
+    response it encodes, so the two encodings give the same answers and
+    can interleave on one connection. A message {!Frame.read}
+    refuses is one failed request, answered with the refusal text in
+    the encoding it arrived in.
 
     {b Crash injection.} With [crash_after = Some k], {!Crash} is
     raised once the [k]-th mutation accepted by this process is
@@ -192,8 +200,9 @@ val metrics : t -> string
 
 val recorder : t -> Recorder.t
 (** The flight recorder: mutations replayed at recovery, then every
-    request handled (opcode, payload size, covering WAL seq, duration
-    and timestamp when timing is on, success flag). *)
+    request a connection sent (opcode, task size for a submit and 0
+    for anything else, covering WAL seq, duration and timestamp when
+    timing is on, success flag). *)
 
 val flightrec_path : t -> string
 (** Where dumps go: [flightrec.jsonl] in this core's directory. *)
@@ -206,15 +215,13 @@ val dump_recorder : t -> string
     refused snapshot, an oracle violation, a WAL gap, a failed round
     trip) leaves its black box behind. *)
 
-val request_dump : t -> string
-(** Alias of {!dump_recorder} — the deterministic, signal-free way for
-    tests and embedders to trigger what SIGUSR1 triggers. *)
-
 val handle : t -> Protocol.request -> Protocol.response * bool
-(** Apply one request; the boolean is [true] when the server should
-    stop ([Shutdown]). Accepted mutations are appended to the WAL
-    (pending) before returning; call {!commit} to make them durable —
-    the event loop does this once per batch.
+(** Apply one request through the op path a connection's requests
+    take, and decode the payload it wrote; the boolean is [true] when
+    the server should stop ([Shutdown]). Not on the flight recorder.
+    Accepted mutations are appended to the WAL (pending) before
+    returning; call {!commit} to make them durable — the event loop
+    does this once per batch.
     @raise Crash when crash injection trips under [fsync_policy =
     Always] (other policies trip in {!commit}).
 
@@ -222,16 +229,6 @@ val handle : t -> Protocol.request -> Protocol.response * bool
     answered by that shard's event loop, so {!handle}, {!handle_conn}
     and {!commit} on a sharded core only make progress inside
     {!serve}. *)
-
-val handle_line :
-  t ->
-  string ->
-  [ `Reply of int * bool * string | `Stop of int * bool * string ]
-(** {!handle} on the JSON line encoding; a request's ["rid"] member,
-    when present, is echoed on the response. Alongside the encoded
-    response: the request's opcode index (0 for undecodable) and
-    whether it succeeded — what the caller needs to feed latency
-    attribution. *)
 
 val handle_conn :
   t ->

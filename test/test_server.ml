@@ -2152,6 +2152,198 @@ let frame_reads_split_property =
       frames_found [ String.concat "" reads ] = expected
       && frames_found reads = expected)
 
+(* --- one op path: every encoding runs the same ops ---------------- *)
+
+(* The flight recorder's [size] is a submit's task size and 0 for any
+   other request, in every encoding: a JSON line, a binary frame and a
+   rid-tagged frame each submitting 8, then a query. *)
+let test_recorder_task_size () =
+  with_dir (fun dir ->
+      let s =
+        get_ok ~ctx:"create"
+          (Server.create
+             (Server.default_config ~machine_size:64 ~policy:Cluster.Greedy ~dir))
+      in
+      let inb = Netbuf.create 256 and out = Netbuf.create 256 in
+      List.iter (Netbuf.add_string inb)
+        [
+          Protocol.encode_request (Protocol.Submit 8) ^ "\n";
+          Protocol.encode_request_binary (Protocol.Submit 8);
+          Protocol.encode_request_binary ~rid:7 (Protocol.Submit 8);
+          Protocol.encode_request_binary (Protocol.Query 0);
+        ];
+      (match Server.handle_conn s inb out ~budget:64 with
+      | `Handled 4 -> ()
+      | _ -> Alcotest.fail "expected four requests handled");
+      Alcotest.(check (list (pair int int)))
+        "opcode and size of each request"
+        [ (1, 8); (1, 8); (1, 8); (3, 0) ]
+        (List.map
+           (fun e -> (e.Recorder.e_op, e.Recorder.e_size))
+           (Recorder.entries (Server.recorder s)));
+      Server.close s)
+
+type encoding = Untagged | Tagged | Json_lines
+
+let encoding_name = function
+  | Untagged -> "untagged binary"
+  | Tagged -> "rid-tagged binary"
+  | Json_lines -> "json"
+
+(* What a plain [Cluster] answers, and the WAL record an accepted
+   mutation leaves. *)
+let cluster_reply c (req : Protocol.request) =
+  let placement = Protocol.placement_of_core in
+  match req with
+  | Protocol.Submit size -> (
+      match Cluster.submit c ~size with
+      | Ok (Cluster.Placed (id, p)) ->
+          (Protocol.Placed (id, placement p), Some (Wal.Submit { id; size }))
+      | Ok (Cluster.Queued id) -> (Protocol.Queued id, Some (Wal.Submit { id; size }))
+      | Error e -> (Protocol.Error e, None))
+  | Protocol.Finish id -> (
+      match Cluster.finish c id with
+      | Ok () -> (Protocol.Finished, Some (Wal.Finish { id }))
+      | Error e -> (Protocol.Error e, None))
+  | Protocol.Query id ->
+      ( Protocol.State
+          ( id,
+            match Cluster.placement c id with
+            | Some p -> Protocol.Active (placement p)
+            | None ->
+                if Cluster.is_queued c id then Protocol.Queued_task
+                else Protocol.Unknown ),
+        None )
+  | Protocol.Stats -> (Protocol.Stats_reply (Cluster.stats c), None)
+  | _ -> invalid_arg "cluster_reply"
+
+(* Submits (over-size and non-power-of-two ones too), finishes and
+   queries of ids from -1 to two past the submits so far — live,
+   queued, finished and never issued — and stats. *)
+let served_script g ~steps =
+  let submits = ref 0 in
+  let some_id () = Sm.int g (!submits + 3) - 1 in
+  List.init steps (fun _ ->
+      match Sm.int g 10 with
+      | 0 | 1 | 2 | 3 ->
+          incr submits;
+          Protocol.Submit [| 1; 2; 4; 8; 16; 32; 3; 6; 0 |].(Sm.int g 9)
+      | 4 | 5 -> Protocol.Finish (some_id ())
+      | 6 | 7 | 8 -> Protocol.Query (some_id ())
+      | _ -> Protocol.Stats)
+
+(* The script through [Server.handle_conn] of a fresh K=1 server, in
+   batches committed as the event loop commits them: the responses read
+   back with their rids, the WAL, and whether the server's cluster ends
+   as [reference] does. JSON lines carry a rid on even steps. *)
+let serve_script ~policy ~admission_cap ~reference encoding reqs =
+  with_dir (fun dir ->
+      let s =
+        get_ok ~ctx:"create"
+          (Server.create
+             {
+               (Server.default_config ~machine_size:16 ~policy ~dir) with
+               Server.admission_cap;
+               snapshot_every = 0;
+             })
+      in
+      let inb = Netbuf.create 256 and out = Netbuf.create 256 in
+      List.iteri
+        (fun i req ->
+          Netbuf.add_string inb
+            (match encoding with
+            | Untagged -> Protocol.encode_request_binary req
+            | Tagged -> Protocol.encode_request_binary ~rid:i req
+            | Json_lines ->
+                Protocol.encode_request
+                  ?rid:(if i mod 2 = 0 then Some i else None)
+                  req
+                ^ "\n"))
+        reqs;
+      while not (Netbuf.is_empty inb) do
+        ignore (Server.handle_conn s inb out ~budget:5);
+        Server.commit s
+      done;
+      let r = Frame.reader () in
+      let rec responses acc =
+        match Frame.read r out with
+        | Frame.Incomplete -> List.rev acc
+        | Frame.Frame ->
+            let p = Frame.payload r out in
+            responses
+              (get_ok ~ctx:"binary response"
+                 (Protocol.decode_response_payload_attr p ~pos:0
+                    ~limit:(String.length p))
+              :: acc)
+        | Frame.Line ->
+            responses
+              (get_ok ~ctx:"json response"
+                 (Protocol.decode_response_attr (Frame.payload r out))
+              :: acc)
+        | Frame.Refused_frame | Frame.Refused_line ->
+            Alcotest.failf "refused response: %s" r.Frame.refusal
+      in
+      let got = responses [] in
+      let same = Server.same_state (Server.cluster s) reference in
+      Server.close s;
+      (got, get_ok ~ctx:"wal" (Wal.load (Filename.concat dir "wal.log")), same))
+
+let served_equals_cluster =
+  QCheck.Test.make
+    ~name:"served answers equal a plain cluster's, in every encoding"
+    ~count:60
+    (QCheck.make
+       ~print:(fun (seed, steps, p) ->
+         Printf.sprintf "seed=%d steps=%d policy=%d" seed steps p)
+       QCheck.Gen.(
+         triple (int_range 0 1_000_000) (int_range 1 120)
+           (int_range 0 (List.length split_policies - 1))))
+    (fun (seed, steps, p) ->
+      Helpers.with_seed ~label:"served" seed (fun g ->
+          let policy = List.nth split_policies p in
+          let admission_cap = Some 1.0 in
+          let reqs = served_script g ~steps in
+          let reference =
+            Result.get_ok (Cluster.create ~machine_size:16 ~policy ~admission_cap ())
+          in
+          let expected = List.map (cluster_reply reference) reqs in
+          let wal =
+            List.mapi (fun seq op -> (seq + 1, op)) (List.filter_map snd expected)
+          in
+          List.iter
+            (fun encoding ->
+              let name = encoding_name encoding in
+              let got, got_wal, same =
+                serve_script ~policy ~admission_cap ~reference encoding reqs
+              in
+              if List.length got <> steps then
+                Alcotest.failf "%s: %d responses to %d requests" name
+                  (List.length got) steps;
+              List.iteri
+                (fun i ((want, _), (resp, rid, _)) ->
+                  if resp <> want then
+                    Alcotest.failf "%s: step %d (%s): got %s, a cluster answers %s"
+                      name i
+                      (Protocol.encode_request (List.nth reqs i))
+                      (Protocol.encode_response resp)
+                      (Protocol.encode_response want);
+                  let echo =
+                    match encoding with
+                    | Untagged -> None
+                    | Tagged -> Some i
+                    | Json_lines -> if i mod 2 = 0 then Some i else None
+                  in
+                  if rid <> echo then Alcotest.failf "%s: step %d: rid not echoed" name i)
+                (List.combine expected got);
+              if got_wal <> wal then
+                Alcotest.failf "%s: the WAL holds %d records, not the %d accepted mutations"
+                  name (List.length got_wal) (List.length wal);
+              match same with
+              | Ok () -> ()
+              | Error e -> Alcotest.failf "%s: served cluster differs: %s" name e)
+            [ Untagged; Tagged; Json_lines ];
+          true))
+
 let suite =
   [
     ("decode errors", `Quick, test_decode_errors);
@@ -2202,10 +2394,12 @@ let suite =
     ("sharded snapshots bound recovery", `Quick, test_sharded_snapshots);
     ("sharded latency profile", `Quick, test_sharded_latency_profile);
     ("unterminated json line capped", `Quick, test_unterminated_line_capped);
+    ("recorder size is the task size", `Quick, test_recorder_task_size);
   ]
   @ Helpers.qtests
       [
         request_roundtrip; response_roundtrip; binary_request_equiv;
         binary_response_equiv; rid_request_roundtrip; rid_response_roundtrip;
         split_property; crash_recovery; frame_reads_split_property;
+        served_equals_cluster;
       ]
