@@ -80,14 +80,15 @@ let min_requests_per_upstream_batch = 2.0
 let max_audit_words_per_event = 250.0
 
 (* the start-up ceiling: [Server.create] on a fresh directory builds
-   the cluster's allocator, whose placement table indexes its own
-   loads, and recovery's verify round trip re-imports that once and
-   compares two leaf-load arrays. Recorded 14.5 words/PE at N=16384;
-   one load index is ~6 words/PE, so a second index in the cluster or
-   an observer built for an empty WAL tail crosses the ceiling. GC
-   words are deterministic, so this gates hard. *)
+   one cluster, whose placement table indexes its own loads, and
+   nothing else of size N: a fresh directory recovers nothing, so no
+   round trip re-imports it. Recorded 6.4 words/PE at N=16384; one
+   load index is ~6 words/PE, so a second index — in the cluster, an
+   observer built for an empty WAL tail, or a round trip's re-import
+   with its two leaf-load arrays — crosses the ceiling. GC words are
+   deterministic, so this gates hard. *)
 let startup_n = 16_384
-let max_startup_words_per_pe = 18.0
+let max_startup_words_per_pe = 8.0
 
 (* the same seeded churn as Workloads.churn in the experiment harness
    (dune forbids sharing a module across two executables in one

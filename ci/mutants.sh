@@ -118,7 +118,7 @@ EOF
 mutant router-poll-feeds-index <<'EOF'
 --- a/lib/federation/router.ml
 +++ b/lib/federation/router.ml
-@@ -423,7 +423,6 @@
+@@ -425,7 +425,6 @@
    Array.iteri
      (fun sx -> function
        | Some (Protocol.Stats_reply s) ->
@@ -146,7 +146,7 @@ EOF
 mutant query-reports-queued <<'EOF'
 --- a/lib/server/server.ml
 +++ b/lib/server/server.ml
-@@ -898,7 +898,7 @@
+@@ -929,7 +929,7 @@
    (match Cluster.placement t.cluster lid with
    | Some p -> add_at t Protocol.add_active buf gid p
    | None ->
@@ -161,7 +161,7 @@ EOF
 mutant finish-appends-wal <<'EOF'
 --- a/lib/server/server.ml
 +++ b/lib/server/server.ml
-@@ -886,7 +886,6 @@
+@@ -917,7 +917,6 @@
    | Ok () ->
        let ta = now t in
        t.seq <- t.seq + 1;
@@ -169,6 +169,40 @@ mutant finish-appends-wal <<'EOF'
        after_mutation t;
        if t.timed then observe_stages t td ta ~wal:true;
        Protocol.add_finished buf;
+EOF
+
+# The router merges its shards' max-type gauges by max, not by sum.
+mutant router-merges-max-gauges <<'EOF'
+--- a/lib/federation/router.ml
++++ b/lib/federation/router.ml
+@@ -393,9 +393,7 @@
+           (Array.to_list (broadcast t Protocol.Metrics))
+       in
+       ( Protocol.Metrics_reply
+-          (router_dump
+-          ^ Metrics.merge_prometheus ~max_names:Pmp_server.Server.merge_max_names
+-              shard_dumps),
++          (router_dump ^ Metrics.merge_prometheus shard_dumps),
+         false )
+   | Protocol.Snapshot ->
+       ( Protocol.Error "snapshots are per-shard; connect to a shard directly",
+EOF
+
+# pmpd's load ratio divides by the whole machine's L*, not a shard's.
+mutant load-ratio-whole-machine <<'EOF'
+--- a/lib/server/server.ml
++++ b/lib/server/server.ml
+@@ -486,9 +486,7 @@
+         Metrics.Gauge.set t.ins.g_shard_queue (float_of_int s.Cluster.queued_now);
+         Atomic.set m.queued_pub.(t.shard) s.Cluster.queued_now;
+         Atomic.set m.active_pub.(t.shard) s.Cluster.active_size;
+-        Pmp_util.Pow2.ceil_div
+-          (Array.fold_left (fun n a -> n + Atomic.get a) 0 m.active_pub)
+-          m.plan.Sharding.machine_size
++        s.Cluster.optimal_now
+   in
+   if optimal > 0 then begin
+     t.ratio_ring.(t.ratio_n mod Array.length t.ratio_ring) <-
 EOF
 
 if [ -n "$survivors" ]; then

@@ -393,7 +393,9 @@ let dispatch t req =
           (Array.to_list (broadcast t Protocol.Metrics))
       in
       ( Protocol.Metrics_reply
-          (router_dump ^ Metrics.merge_prometheus shard_dumps),
+          (router_dump
+          ^ Metrics.merge_prometheus ~max_names:Pmp_server.Server.merge_max_names
+              shard_dumps),
         false )
   | Protocol.Snapshot ->
       ( Protocol.Error "snapshots are per-shard; connect to a shard directly",

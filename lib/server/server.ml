@@ -49,6 +49,8 @@ type instruments = {
   c_snapshot_failures : Metrics.Counter.t;
   c_recoveries : Metrics.Counter.t;
   c_recovered_ops : Metrics.Counter.t;
+  c_reallocs : Metrics.Counter.t;  (** = [Cluster.stats]' [reallocations] *)
+  c_migrated : Metrics.Counter.t;  (** = [Cluster.stats]' [tasks_migrated] *)
   s_recovery : Metrics.Span.t;
   s_snapshot : Metrics.Span.t;
   g_active : Metrics.Gauge.t;
@@ -127,7 +129,10 @@ let make_instruments reg ~shard =
   in
   let g_shard_p99 =
     sharded Metrics.Gauge.make (fun () ->
-        gauge ~help:"Rolling p99 load ratio of this shard's subtree"
+        gauge
+          ~help:
+            "Rolling p99 of this shard's max load over the whole machine's \
+             optimal load"
           "pmpd_shard_p99_load_ratio")
   in
   {
@@ -151,6 +156,10 @@ let make_instruments reg ~shard =
       counter ~help:"Startups that replayed durable state" "pmpd_recoveries_total";
     c_recovered_ops =
       counter ~help:"WAL records replayed at startup" "pmpd_recovered_ops_total";
+    c_reallocs =
+      counter ~help:"Repacks the allocator has run" "pmpd_reallocations_total";
+    c_migrated =
+      counter ~help:"Tasks moved by repacks" "pmpd_tasks_migrated_total";
     s_recovery =
       Metrics.Registry.span reg ~labels:l ~help:"Startup recovery time"
         "pmpd_recovery_seconds";
@@ -188,7 +197,8 @@ let make_instruments reg ~shard =
   }
 
 (* Series where the global value is the max of the shard values, not
-   the sum (gauge [_max] high-water lines are maxed by suffix). *)
+   the sum (gauge [_max] high-water lines are maxed by suffix): the
+   mesh's merge and the federation router's. *)
 let merge_max_names = [ "pmpd_max_load"; "pmpd_p99_load_ratio" ]
 
 (* A peer's answer to one call: the response payload its op wrote,
@@ -308,8 +318,14 @@ let rolling_p99 t =
   end
 
 (* This core's own dump; a sharded daemon answers [metrics] with the
-   merge of every core's. *)
+   merge of every core's. The repack counters copy the cluster's own
+   counts, which a recovery restores, so they are brought up to date
+   here rather than counted. *)
 let metrics t =
+  let s = Cluster.stats t.cluster in
+  let sync c n = Metrics.Counter.inc c (n - Metrics.Counter.value c) in
+  sync t.ins.c_reallocs s.Cluster.reallocations;
+  sync t.ins.c_migrated s.Cluster.tasks_migrated;
   let p99 = rolling_p99 t in
   Metrics.Gauge.set t.ins.g_p99_ratio p99;
   Metrics.Gauge.set t.ins.g_shard_p99 p99;
@@ -411,6 +427,12 @@ let recover config recorder =
   in
   let* records = Wal.load (Filename.concat config.dir "wal.log") in
   let tail = List.filter (fun (seq, _) -> seq > snap_seq) records in
+  (* Recovered state is a snapshot or a WAL tail. Without either — a
+     fresh directory, or the empty wal.log an earlier fresh run left —
+     the cluster is the one [Cluster.create] just built, so there is
+     nothing to audit or round-trip (the suite round-trips every
+     policy's empty state). *)
+  let recovered = snap <> None || tail <> [] in
   (* the imported state passed its structural checks; what the WAL
      tail does to it is audited as it is replayed. An observer that
      sees no event checks nothing, so an empty tail builds none. *)
@@ -443,9 +465,11 @@ let recover config recorder =
       (Cluster.finish_audit cluster)
   in
   let* () =
-    verify_cluster ~seq:last_seq ~admission_cap:config.admission_cap cluster
+    if recovered then
+      verify_cluster ~seq:last_seq ~admission_cap:config.admission_cap cluster
+    else Ok ()
   in
-  Ok (cluster, last_seq, snap_seq, List.length tail, snap <> None)
+  Ok (cluster, last_seq, snap_seq, List.length tail, recovered)
 
 let update_gauges t =
   let s = Cluster.stats t.cluster in
@@ -453,17 +477,25 @@ let update_gauges t =
   Metrics.Gauge.set t.ins.g_load (float_of_int s.Cluster.max_load);
   Metrics.Gauge.set t.ins.g_queued (float_of_int s.Cluster.queued_now);
   Metrics.Gauge.set t.ins.g_wal_lag (float_of_int (wal_lag t));
-  if s.Cluster.optimal_now > 0 then begin
+  (* The ratio is over the whole machine's L*: sharded, from the active
+     sizes the cores publish, stale by at most a batch, so load piled
+     onto one shard reads as high as it is. *)
+  let optimal =
+    match t.mesh with
+    | None -> s.Cluster.optimal_now
+    | Some m ->
+        Metrics.Gauge.set t.ins.g_shard_queue (float_of_int s.Cluster.queued_now);
+        Atomic.set m.queued_pub.(t.shard) s.Cluster.queued_now;
+        Atomic.set m.active_pub.(t.shard) s.Cluster.active_size;
+        Pmp_util.Pow2.ceil_div
+          (Array.fold_left (fun n a -> n + Atomic.get a) 0 m.active_pub)
+          m.plan.Sharding.machine_size
+  in
+  if optimal > 0 then begin
     t.ratio_ring.(t.ratio_n mod Array.length t.ratio_ring) <-
-      float_of_int s.Cluster.max_load /. float_of_int s.Cluster.optimal_now;
+      float_of_int s.Cluster.max_load /. float_of_int optimal;
     t.ratio_n <- t.ratio_n + 1
-  end;
-  match t.mesh with
-  | None -> ()
-  | Some m ->
-      Metrics.Gauge.set t.ins.g_shard_queue (float_of_int s.Cluster.queued_now);
-      Atomic.set m.queued_pub.(t.shard) s.Cluster.queued_now;
-      Atomic.set m.active_pub.(t.shard) s.Cluster.active_size
+  end
 
 (* One core over [config.dir]: recover whatever snapshot and WAL it
    holds, audit the result, open the WAL for appending. *)
@@ -479,13 +511,13 @@ let create_core config ~shard ~ids ~mesh =
         ~size:0 ~seq:0 ~dur_ns:0 ~ts_us:0 ~ok:false;
       Recorder.dump recorder (Filename.concat config.dir "flightrec.jsonl");
       Error e
-  | Ok (cluster, seq, snap_seq, replayed, had_snapshot) ->
+  | Ok (cluster, seq, snap_seq, replayed, recovered) ->
       (* what a crash left behind: a [.tmp] from an interrupted save,
          a snapshot superseded before its prune ran *)
       Snapshot.prune ~dir:config.dir ~keep:snap_seq;
       let reg = Metrics.Registry.create () in
       let ins = make_instruments reg ~shard:(Option.map (fun _ -> shard) mesh) in
-      if replayed > 0 || had_snapshot then begin
+      if recovered then begin
         Metrics.Counter.incr ins.c_recoveries;
         Metrics.Counter.inc ins.c_recovered_ops replayed;
         Metrics.Span.add ins.s_recovery (Unix.gettimeofday () -. t0)

@@ -42,7 +42,11 @@
     What it no longer re-checks is the history before the snapshot:
     the oracle judges only the tail, and the snapshot's prefix is
     vouched for by its checksum and the structural checks. A recovery
-    that fails any step refuses to start.
+    that fails any step refuses to start. The audit and the round trip
+    run on recovered state only: a snapshot, or a non-empty WAL tail.
+    A fresh directory (an empty [wal.log] included) recovers nothing,
+    so its core builds one cluster and counts no recovery; the test
+    suite round-trips every policy's empty state instead.
 
     {b Snapshots} are taken every [snapshot_every] mutations and on a
     [snapshot] request. One that fails is counted in
@@ -107,6 +111,9 @@
       labelled with its shard; a [metrics] request answers with their
       {!Pmp_telemetry.Metrics.merge_prometheus} merge, which speaks the
       unsharded series names plus per-shard [pmpd_shard_*] series.
+      [pmpd_p99_load_ratio] divides each shard's max load by the whole
+      machine's optimal load, from the active sizes the cores publish,
+      so the merged maximum reads as the unsharded daemon's would.
       Latency profiling, the slow-request log and the flight recorder
       work per shard.
     - {e Crash injection} counts fresh mutations across all shards;
@@ -191,12 +198,22 @@ val registry : t -> Pmp_telemetry.Metrics.Registry.t
 val metrics : t -> string
 (** Prometheus dump of this core's registry: requests, mutations,
     batches, group sizes, connections, fsyncs, snapshots (and failed
-    ones), recoveries and spans, plus the SLO gauges — [pmpd_wal_lag] (records written
+    ones), recoveries and spans, the repack counters
+    [pmpd_reallocations_total] and [pmpd_tasks_migrated_total] (the
+    cluster's [reallocations] and [tasks_migrated], which a recovery
+    restores), plus the SLO gauges — [pmpd_wal_lag] (records written
     but not yet known durable) and [pmpd_p99_load_ratio] (rolling p99
-    of max-load over optimal) — and, when timing is on, per-opcode
-    [pmpd_request_seconds{op=...}] and per-stage
-    [pmpd_stage_seconds{stage=...}] latency histograms. The rolling
-    p99 gauge is recomputed by this call. *)
+    of max-load over the whole machine's optimal load) — and, when
+    timing is on, per-opcode [pmpd_request_seconds{op=...}] and
+    per-stage [pmpd_stage_seconds{stage=...}] latency histograms. The
+    rolling p99 gauge and the repack counters are brought up to date
+    by this call. *)
+
+val merge_max_names : string list
+(** The series whose merged value is the largest shard value rather
+    than the sum ([pmpd_max_load], [pmpd_p99_load_ratio]): the
+    [~max_names] of every {!Pmp_telemetry.Metrics.merge_prometheus}
+    over pmpd dumps, the mesh's and the federation router's. *)
 
 val recorder : t -> Recorder.t
 (** The flight recorder: mutations replayed at recovery, then every

@@ -621,6 +621,46 @@ let stop_router ((router, shards, _, _) as r) =
   List.iter (fun (_, d) -> ignore (Domain.join d)) shards;
   Router.close router
 
+(* The router merges its shards' metrics as the mesh merges its cores':
+   a max-type gauge is the largest shard value, not the sum, so the
+   merged [pmpd_max_load] is the merged stats' max load. Two
+   machine-filling tasks go one to each shard, so a sum would read 2. *)
+let test_router_merges_max_gauges () =
+  with_dir (fun dir ->
+      let r = in_process_router ~dir:(Filename.concat dir "fed") ~machine_size:8 in
+      let ask req =
+        match feed r [ Protocol.encode_request_binary req ] with
+        | 1, bytes -> (
+            match decode_reply bytes with
+            | Ok (resp, _, _) -> resp
+            | Error e -> Alcotest.failf "undecodable reply: %s" e)
+        | n, _ -> Alcotest.failf "%d replies to one request" n
+      in
+      for _ = 1 to 2 do
+        match ask (Protocol.Submit 8) with
+        | Protocol.Placed _ -> ()
+        | resp ->
+            Alcotest.failf "submit: unexpected reply %s"
+              (Protocol.encode_response resp)
+      done;
+      let max_load =
+        match ask Protocol.Stats with
+        | Protocol.Stats_reply st -> st.Cluster.max_load
+        | resp ->
+            Alcotest.failf "stats: unexpected reply %s"
+              (Protocol.encode_response resp)
+      in
+      Alcotest.(check int) "one task per shard" 1 max_load;
+      (match ask Protocol.Metrics with
+      | Protocol.Metrics_reply dump ->
+          Alcotest.(check (option (float 0.0))) "merged pmpd_max_load"
+            (Some (float_of_int max_load))
+            (Pmp_telemetry.Metrics.Dump.value dump "pmpd_max_load")
+      | resp ->
+          Alcotest.failf "metrics: unexpected reply %s"
+            (Protocol.encode_response resp));
+      stop_router r)
+
 (* The tentpole contract: a 64-frame batch through the pipelined hop
    answers byte for byte what the same frames answer one at a time —
    same gids, same placement bases, same errors, same order. The
@@ -1127,6 +1167,8 @@ let suite =
       test_connection_slots_released;
     Alcotest.test_case "unterminated json line capped" `Quick
       test_unterminated_line_capped;
+    Alcotest.test_case "router merges max gauges by max" `Quick
+      test_router_merges_max_gauges;
     Alcotest.test_case "malformed frames answered as pmpd does" `Quick
       test_malformed_frames_match_daemon;
   ]

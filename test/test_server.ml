@@ -615,6 +615,36 @@ let split_property =
               true)
             split_policies))
 
+(* A fresh daemon recovers nothing, so it skips recovery's round trip
+   and serves the cluster [Cluster.create] built. This is that round
+   trip, for every policy pmpd serves, with and without an admission
+   cap: the empty state, exported, encoded, decoded and restored,
+   re-encodes to the same bytes and equals the fresh cluster. *)
+let test_empty_state_round_trip () =
+  List.iter
+    (fun admission_cap ->
+      List.iter
+        (fun policy ->
+          let ctx =
+            Printf.sprintf "%s, cap %s" (Cluster.policy_name policy)
+              (Option.fold ~none:"none" ~some:string_of_float admission_cap)
+          in
+          let encode c =
+            Snapshot.encode (Snapshot.of_cluster ~seq:0 ~admission_cap c)
+          in
+          let fresh =
+            get_ok ~ctx (Cluster.create ~machine_size:64 ~policy ~admission_cap ())
+          in
+          let bytes = encode fresh in
+          let again =
+            get_ok ~ctx (Result.bind (Snapshot.decode bytes) Snapshot.restore)
+          in
+          Alcotest.(check bool) (ctx ^ ": re-encodes to the same bytes") true
+            (encode again = bytes);
+          get_ok ~ctx (Server.same_state fresh again))
+        split_policies)
+    [ None; Some 1.5 ]
+
 (* Recovery refuses a snapshot that is damaged or inconsistent, and
    names the cause. The state is an A_M (copy-branch) cluster on 64
    PEs: tasks 0 [0,8), 2 [16,20), 3 [32,48) and 4 [8,10), all on copy
@@ -908,6 +938,35 @@ let test_recovery_counts_ops () =
       Alcotest.(check bool) "recovery counter" true
         (string_contains (Server.metrics s') "pmpd_recoveries_total 1");
       Server.close s')
+
+(* What counts as recovered: an empty wal.log left by a fresh run is
+   nothing, a snapshot is something even when no WAL tail follows it. *)
+let test_recovery_needs_state () =
+  with_dir (fun dir ->
+      let config =
+        {
+          (Server.default_config ~machine_size:16 ~policy:Cluster.Greedy ~dir) with
+          Server.snapshot_every = 0;
+        }
+      in
+      let recoveries s =
+        Pmp_telemetry.Metrics.Dump.value (Server.metrics s) "pmpd_recoveries_total"
+      in
+      let s = Result.get_ok (Server.create config) in
+      Alcotest.(check (option (float 0.0))) "fresh" (Some 0.0) (recoveries s);
+      Server.close s;
+      Alcotest.(check bool) "an empty wal.log is left" true
+        (Sys.file_exists (Filename.concat dir "wal.log"));
+      let s = Result.get_ok (Server.create config) in
+      Alcotest.(check (option (float 0.0))) "empty wal.log" (Some 0.0) (recoveries s);
+      apply s [ Protocol.Submit 4; Protocol.Snapshot ];
+      Server.close s;
+      let s = Result.get_ok (Server.create config) in
+      Alcotest.(check (option (float 0.0))) "snapshot, empty tail" (Some 1.0)
+        (recoveries s);
+      Alcotest.(check int) "no tail replayed" 0 (Server.recovered_ops s);
+      Alcotest.(check int) "seq" 1 (Server.seq s);
+      Server.close s)
 
 (* The snapshots a newer one supersedes must go: after five snapshot
    intervals the directory holds exactly one, and recovering from it
@@ -1670,6 +1729,101 @@ let test_multicore_session () =
           shutdown_server client;
           Client.close client))
 
+(* Serve [config] over a socket and run [f] on [clients] fresh
+   connections; the daemon is shut down however [f] ends, so a failure
+   inside it fails the test rather than hanging it. *)
+let served_session config ~dir ~clients f =
+  with_sharded config ~dir (fun path ->
+      let cs = List.init clients (fun _ -> connect path) in
+      Fun.protect
+        ~finally:(fun () ->
+          shutdown_server (List.hd cs);
+          List.iter Client.close cs)
+        (fun () -> f cs))
+
+(* [pmpd_p99_load_ratio] divides by the whole machine's L*, at any
+   shard count: 16 unit submits on one connection spread over the
+   machine at K=1 (load 1) but pile onto the home shard's 4 PEs at K=4
+   (load 4), and L* is 1 either way. *)
+let test_load_ratio_whole_machine () =
+  List.iter
+    (fun (domains, load) ->
+      with_dir (fun dir ->
+          let config =
+            {
+              (Server.default_config ~machine_size:16 ~policy:Cluster.Greedy ~dir) with
+              Server.snapshot_every = 0;
+              domains;
+            }
+          in
+          let st, dump =
+            served_session config ~dir ~clients:1 (fun cs ->
+                let client = List.hd cs in
+                for _ = 1 to 16 do
+                  ignore (Client.request client (Protocol.Submit 1))
+                done;
+                (stats_of client, metrics_of client))
+          in
+          let ctx = Printf.sprintf "K=%d" domains in
+          Alcotest.(check int) (ctx ^ ": placed") 16 st.Cluster.active_now;
+          Alcotest.(check int) (ctx ^ ": max load") load st.Cluster.max_load;
+          Alcotest.(check int) (ctx ^ ": L*") 1 st.Cluster.optimal_now;
+          Alcotest.(check (option (float 0.0))) (ctx ^ ": p99 load ratio")
+            (Some (float_of_int load))
+            (Metrics.Dump.value dump "pmpd_p99_load_ratio")))
+    [ (1, 1); (4, 4) ]
+
+(* The repack counters carry what [stats] prints as reallocs and moved:
+   a periodic d=1 daemon that has repacked reports the same two numbers
+   in both, unsharded and summed over two shards, each fed its own
+   connection's churn. *)
+let test_repack_counters () =
+  List.iter
+    (fun domains ->
+      with_dir (fun dir ->
+          let config =
+            {
+              (Server.default_config ~machine_size:16
+                 ~policy:(Cluster.Periodic (Pmp_core.Realloc.make_budget 1))
+                 ~dir)
+              with
+              Server.snapshot_every = 0;
+              domains;
+            }
+          in
+          (* per connection: submit 1, 2, finish the oldest, ... *)
+          let churn client =
+            let live = Queue.create () in
+            for i = 0 to 23 do
+              if i mod 3 = 2 then
+                Option.iter
+                  (fun id -> ignore (Client.request client (Protocol.Finish id)))
+                  (Queue.take_opt live)
+              else
+                match Client.request client (Protocol.Submit (1 lsl (i mod 3))) with
+                | Ok (Protocol.Placed (id, _)) -> Queue.push id live
+                | _ -> ()
+            done
+          in
+          let st, dump =
+            served_session config ~dir ~clients:2 (fun cs ->
+                List.iter churn cs;
+                let client = List.hd cs in
+                (stats_of client, metrics_of client))
+          in
+          let ctx = Printf.sprintf "K=%d" domains in
+          Alcotest.(check int) (ctx ^ ": every submit placed") 32
+            st.Cluster.submitted;
+          Alcotest.(check bool) (ctx ^ ": repacked and moved tasks") true
+            (st.Cluster.reallocations > 0 && st.Cluster.tasks_migrated > 0);
+          Alcotest.(check (option (float 0.0))) (ctx ^ ": reallocations")
+            (Some (float_of_int st.Cluster.reallocations))
+            (Metrics.Dump.value dump "pmpd_reallocations_total");
+          Alcotest.(check (option (float 0.0))) (ctx ^ ": tasks migrated")
+            (Some (float_of_int st.Cluster.tasks_migrated))
+            (Metrics.Dump.value dump "pmpd_tasks_migrated_total")))
+    [ 1; 2 ]
+
 (* Work stealing under an admission cap: a single connection hashes to
    shard 0, so without stealing every submission would pile onto one
    quarter of the machine. With a cap forcing shard 0 full, admissions
@@ -2362,6 +2516,8 @@ let suite =
     ("snapshot latest", `Quick, test_snapshot_latest);
     ("group commit crash durability", `Quick, test_group_commit_crash_durability);
     ("recovery counts ops", `Quick, test_recovery_counts_ops);
+    ("recovery needs a snapshot or a wal tail", `Quick, test_recovery_needs_state);
+    ("empty state round-trips for every policy", `Quick, test_empty_state_round_trip);
     ("superseded snapshots pruned", `Quick, test_snapshots_pruned);
     ("recovery rejects config mismatch", `Quick, test_recovery_rejects_config_mismatch);
     ("recovery refuses a flipped byte", `Quick, test_refuse_flipped_byte);
@@ -2386,6 +2542,8 @@ let suite =
     ("metrics monotone across recovery", `Quick, test_metrics_monotone_across_recovery);
     ("multicore stats equivalence", `Quick, test_multicore_stats_equivalence);
     ("multicore session", `Quick, test_multicore_session);
+    ("load ratio over the whole machine", `Quick, test_load_ratio_whole_machine);
+    ("repack counters equal stats", `Quick, test_repack_counters);
     ("multicore stealing", `Quick, test_multicore_steal);
     ("multicore recovery", `Quick, test_multicore_recovery);
     ("shard-count fence", `Quick, test_shard_count_fence);
