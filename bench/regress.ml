@@ -776,7 +776,6 @@ let federation_probe calib =
           {
             (Router.default_config ~sockets ~dir) with
             poll_interval = 0.05;
-            probe_interval = 0.05;
             shutdown_shards = true;
           }
       with

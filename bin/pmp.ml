@@ -26,6 +26,8 @@ module Metrics = Pmp_sim.Metrics
 module Dump = Pmp_telemetry.Metrics.Dump
 module Table = Pmp_util.Table
 
+let ( let* ) = Result.bind
+
 (* ------------------------------------------------------------------ *)
 (* shared argument definitions                                         *)
 
@@ -79,25 +81,29 @@ let backend_of_mode = function
   | Check_index -> Some Pmp_index.Load_view.Checked
   | Check_off | Check_basic | Check_oracle -> None
 
+(* A fresh, deterministic allocator per call: what the oracle replays
+   a sequence from. *)
+let allocator_factory ?backend name machine ~d ~seed () =
+  match Builders.allocator ?backend name machine ~d ~seed with
+  | Ok a -> a
+  | Error (`Msg e) -> invalid_arg e
+
 (* In oracle mode, audit the whole sequence first (with trace shrinking
-   on failure) before handing over to whatever the subcommand wanted to
-   measure. [make] must build a fresh, deterministic allocator. *)
-let oracle_gate mode name machine ~d ~make seq =
+   on failure), then hand back the spec so the measured run is audited
+   too and its trace records carry a per-event verdict. *)
+let oracle_gate mode name machine ~d ~seed seq =
   match mode with
-  | Check_off | Check_basic | Check_index -> Ok ()
-  | Check_oracle -> begin
-      match Builders.oracle_spec name machine ~d with
-      | Error _ as e -> e
-      | Ok spec -> begin
-          match Pmp_oracle.Oracle.check spec ~make seq with
-          | Ok () -> Ok ()
-          | Error cex ->
-              Error
-                (`Msg
-                   (Format.asprintf "oracle violation for %s:@.%a" name
-                      Pmp_oracle.Oracle.pp_counterexample cex))
-        end
-    end
+  | Check_off | Check_basic | Check_index -> Ok None
+  | Check_oracle -> (
+      let* spec = Builders.oracle_spec name machine ~d in
+      let make = allocator_factory name machine ~d ~seed in
+      match Pmp_oracle.Oracle.check spec ~make seq with
+      | Ok () -> Ok (Some spec)
+      | Error cex ->
+          Error
+            (`Msg
+               (Format.asprintf "oracle violation for %s:@.%a" name
+                  Pmp_oracle.Oracle.pp_counterexample cex)))
 
 let heatmap_arg =
   let doc = "Also print an ASCII per-PE load heatmap over time." in
@@ -128,12 +134,32 @@ let parse_trace_format = function
   | other ->
       Error (`Msg (Printf.sprintf "unknown trace format %S (jsonl|chrome)" other))
 
-(* Build the probe a subcommand asked for, run [f probe], then flush
+(* Run [f] on a probe that traces to the file [path] in format [fmt],
+   and close the trace, also when [f] raises. *)
+let with_trace_file fmt path f =
+  let* oc =
+    match open_out path with
+    | oc -> Ok oc
+    | exception Sys_error e -> Error (`Msg ("cannot open trace file: " ^ e))
+  in
+  let tracer = Pmp_telemetry.Tracer.to_channel fmt oc in
+  let probe = Pmp_telemetry.Probe.create ~tracer () in
+  let finish () =
+    Pmp_telemetry.Tracer.close tracer;
+    close_out oc
+  in
+  let r = try f probe with e -> finish (); raise e in
+  finish ();
+  Ok r
+
+(* Build the probe a subcommand asked for, run [f probe], then close
    the trace file and print the metrics dump. The probe stays noop
    (near-zero overhead) unless --trace or --metrics was given. *)
 let with_telemetry ~trace ~format ~metrics f =
-  let ( let* ) = Result.bind in
   let* fmt = parse_trace_format format in
+  let print_metrics probe =
+    if metrics then print_string (Pmp_telemetry.Probe.snapshot probe)
+  in
   match trace with
   | None ->
       let probe =
@@ -141,27 +167,16 @@ let with_telemetry ~trace ~format ~metrics f =
         else Pmp_telemetry.Probe.noop
       in
       let* r = f probe in
-      if metrics then print_string (Pmp_telemetry.Probe.snapshot probe);
+      print_metrics probe;
       Ok r
   | Some path ->
-      let* oc =
-        match open_out path with
-        | oc -> Ok oc
-        | exception Sys_error e -> Error (`Msg ("cannot open trace file: " ^ e))
+      let* probe, r =
+        with_trace_file fmt path (fun probe -> (probe, f probe))
       in
-      let tracer = Pmp_telemetry.Tracer.to_channel fmt oc in
-      let probe = Pmp_telemetry.Probe.create ~tracer () in
-      let finish () =
-        Pmp_telemetry.Tracer.close tracer;
-        close_out oc
-      in
-      let r = try f probe with e -> finish (); raise e in
-      finish ();
-      if metrics then print_string (Pmp_telemetry.Probe.snapshot probe);
-      (match r with
-      | Ok _ -> Printf.printf "trace written to %s\n" path
-      | Error _ -> ());
-      r
+      print_metrics probe;
+      let* r = r in
+      Printf.printf "trace written to %s\n" path;
+      Ok r
 
 let d_arg =
   let doc = "Reallocation parameter d (an integer, or 'inf')." in
@@ -187,8 +202,6 @@ let topology_arg =
   in
   Arg.(value & opt string "tree" & info [ "topology" ] ~docv:"TOPO" ~doc)
 
-let ( let* ) = Result.bind
-
 let print_result (r : Engine.result) =
   let s = Metrics.summarize r in
   Printf.printf "allocator        : %s\n" r.Engine.allocator_name;
@@ -203,6 +216,23 @@ let print_result (r : Engine.result) =
   Printf.printf "tasks moved      : %d\n" r.Engine.tasks_moved;
   Printf.printf "migration traffic: %d PE-hop units\n" r.Engine.migration_traffic
 
+(* The measured run [run] and [replay] share: the oracle gate, the load
+   view --check asks for, the migration-cost model over [topology],
+   telemetry, [Engine.run] and the report. *)
+let simulate mode alloc_name machine ~d ~seed ~topology ~trace ~trace_format
+    ~metrics seq =
+  let* oracle = oracle_gate mode alloc_name machine ~d ~seed seq in
+  let backend = backend_of_mode mode in
+  let cost = Pmp_sim.Cost.make topology in
+  with_telemetry ~trace ~format:trace_format ~metrics (fun probe ->
+      let* alloc =
+        Builders.allocator ~probe ?backend alloc_name machine ~d ~seed
+      in
+      print_result
+        (Engine.run ~check:(mode <> Check_off) ?backend ?oracle ~cost
+           ~telemetry:probe alloc seq);
+      Ok ())
+
 (* ------------------------------------------------------------------ *)
 (* subcommands                                                         *)
 
@@ -214,34 +244,9 @@ let run_cmd =
     let* mode = parse_check check_str in
     let* seq = Builders.workload workload_name ~machine_size ~steps ~seed in
     let* topology = Builders.topology topo machine in
-    let make () =
-      match Builders.allocator alloc_name machine ~d ~seed with
-      | Ok a -> a
-      | Error (`Msg e) -> invalid_arg e
-    in
-    let* () = oracle_gate mode alloc_name machine ~d ~make seq in
-    let cost = Pmp_sim.Cost.make topology in
-    (* in oracle mode the measured run is also audited, so trace
-       records carry a per-event verdict (the gate above already
-       guarantees it passes) *)
-    let* oracle =
-      match mode with
-      | Check_off | Check_basic | Check_index -> Ok None
-      | Check_oracle ->
-          Result.map Option.some (Builders.oracle_spec alloc_name machine ~d)
-    in
-    let backend = backend_of_mode mode in
     let* () =
-      with_telemetry ~trace ~format:trace_format ~metrics (fun probe ->
-          let* alloc =
-            Builders.allocator ~probe ?backend alloc_name machine ~d ~seed
-          in
-          let r =
-            Engine.run ~check:(mode <> Check_off) ?backend ?oracle ~cost
-              ~telemetry:probe alloc seq
-          in
-          print_result r;
-          Ok ())
+      simulate mode alloc_name machine ~d ~seed ~topology ~trace ~trace_format
+        ~metrics seq
     in
     if heatmap then begin
       (* re-run a fresh allocator of the same kind for the picture *)
@@ -325,85 +330,6 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Sweep the reallocation parameter d.") term
 
-(* An interactive (or piped) console over the Cluster facade:
-     submit <size> | finish <id> | stats | loads | quit *)
-let console_cmd =
-  let cap_arg =
-    let doc = "Admission capacity as a multiple of N (omit for the paper's real-time model)." in
-    Arg.(value & opt (some float) None & info [ "cap" ] ~docv:"X" ~doc)
-  in
-  let action machine_size alloc_name d_str cap =
-    let* _ = Builders.machine machine_size in
-    let* d = Builders.parse_d d_str in
-    let* policy = Builders.cluster_policy alloc_name ~d ~seed:42 in
-    let* cluster =
-      Result.map_error
-        (fun e -> `Msg e)
-        (Pmp_cluster.Cluster.create ~machine_size ~policy ~admission_cap:cap ())
-    in
-    let print_stats () =
-      let s = Pmp_cluster.Cluster.stats cluster in
-      Printf.printf
-        "active=%d (size %d)  queued=%d  load=%d (peak %d, opt %d)  reallocs=%d moved=%d\n%!"
-        s.Pmp_cluster.Cluster.active_now s.Pmp_cluster.Cluster.active_size
-        s.Pmp_cluster.Cluster.queued_now s.Pmp_cluster.Cluster.max_load
-        s.Pmp_cluster.Cluster.peak_load s.Pmp_cluster.Cluster.optimal_now
-        s.Pmp_cluster.Cluster.reallocations s.Pmp_cluster.Cluster.tasks_migrated
-    in
-    let rec loop () =
-      match In_channel.input_line stdin with
-      | None -> Ok ()
-      | Some line -> begin
-          match String.split_on_char ' ' (String.trim line) with
-          | [ "" ] -> loop ()
-          | [ "quit" ] | [ "exit" ] -> Ok ()
-          | [ "stats" ] -> print_stats (); loop ()
-          | [ "loads" ] ->
-              Array.iter
-                (fun l -> Printf.printf "%d " l)
-                (Pmp_cluster.Cluster.leaf_loads cluster);
-              print_newline ();
-              loop ()
-          | [ "submit"; size ] -> begin
-              match int_of_string_opt size with
-              | None -> Printf.printf "error: bad size %S\n%!" size; loop ()
-              | Some size -> begin
-                  match Pmp_cluster.Cluster.submit cluster ~size with
-                  | Ok (Pmp_cluster.Cluster.Placed (id, p)) ->
-                      Printf.printf "placed %d at %s\n%!" id
-                        (Format.asprintf "%a" Pmp_core.Placement.pp p);
-                      loop ()
-                  | Ok (Pmp_cluster.Cluster.Queued id) ->
-                      Printf.printf "queued %d\n%!" id;
-                      loop ()
-                  | Error e -> Printf.printf "error: %s\n%!" e; loop ()
-                end
-            end
-          | [ "finish"; id ] -> begin
-              match int_of_string_opt id with
-              | None -> Printf.printf "error: bad id %S\n%!" id; loop ()
-              | Some id -> begin
-                  match Pmp_cluster.Cluster.finish cluster id with
-                  | Ok () -> Printf.printf "finished %d\n%!" id; loop ()
-                  | Error e -> Printf.printf "error: %s\n%!" e; loop ()
-                end
-            end
-          | _ ->
-              Printf.printf "commands: submit <size> | finish <id> | stats | loads | quit\n%!";
-              loop ()
-        end
-    in
-    loop ()
-  in
-  let term =
-    Term.(
-      term_result (const action $ machine_arg $ alloc_arg $ d_arg $ cap_arg))
-  in
-  Cmd.v
-    (Cmd.info "console"
-       ~doc:"Drive a live cluster from stdin (submit/finish/stats).")
-    term
-
 (* ------------------------------------------------------------------ *)
 (* pmpd: the durable allocation daemon and its client                  *)
 
@@ -440,17 +366,17 @@ let listen ~dir ~default socket host port =
       [ fd ]
   | None -> []
 
+let cap_arg =
+  let doc =
+    "Admission capacity as a multiple of N (omit for the paper's real-time \
+     model)."
+  in
+  Arg.(value & opt (some float) None & info [ "cap" ] ~docv:"X" ~doc)
+
 let serve_cmd =
   let dir_arg =
     let doc = "State directory for the WAL and snapshots (created)." in
     Arg.(value & opt string "pmpd-state" & info [ "dir" ] ~docv:"DIR" ~doc)
-  in
-  let cap_arg =
-    let doc =
-      "Admission capacity as a multiple of N (omit for the paper's real-time \
-       model)."
-    in
-    Arg.(value & opt (some float) None & info [ "cap" ] ~docv:"X" ~doc)
   in
   let fsync_arg =
     let doc =
@@ -601,15 +527,40 @@ let connect_client ~proto socket host port =
   | None, None -> Error "give --socket or --port"
 
 (* The connection [client], [client bench], [fed status] and [top]
-   share: --proto, the address flags, connect, run [f], close. *)
-let with_client proto socket host port f =
-  let* proto = parse_proto proto in
+   share: the address flags, connect, run [f], close. *)
+let with_client ~proto socket host port f =
   let* conn =
     Result.map_error (fun e -> `Msg e) (connect_client ~proto socket host port)
   in
   Fun.protect
     ~finally:(fun () -> Pmp_server.Client.close conn)
     (fun () -> f conn)
+
+(* Read commands from stdin and print [ask]'s answer to each through
+   [render], until end of input, [quit], a [Bye] or a failed [ask]:
+   [client]'s loop over a daemon and [console]'s over a bare cluster. *)
+let command_loop render ask =
+  let rec loop () =
+    match In_channel.input_line stdin with
+    | None -> Ok ()
+    | Some line -> (
+        match Pmp_server.Protocol.request_of_command line with
+        | `Blank -> loop ()
+        | `Quit -> Ok ()
+        | `Error e ->
+            Printf.printf "error: %s\n%!" e;
+            loop ()
+        | `Request req -> (
+            match ask req with
+            | Ok resp -> (
+                print_endline (render resp);
+                match resp with Pmp_server.Protocol.Bye -> Ok () | _ -> loop ())
+            | Error e ->
+                (* a crashed daemon shows up here as a closed socket *)
+                Printf.printf "connection error: %s\n%!" e;
+                Ok ()))
+  in
+  loop ()
 
 let stage_names = [ "read"; "decode"; "apply"; "wal_append"; "fsync"; "ack" ]
 
@@ -649,10 +600,11 @@ let client_bench_cmd =
   in
   let conns_arg =
     let doc =
-      "Client connections, each driven from its own domain with its own \
+      "Client connections, the first driven from the calling domain and \
+       each other one from a domain of its own, each with its own \
        decorrelated generator. More than one is the shape that exercises a \
-       sharded server's shards in parallel; the latency histogram and server \
-       stage attribution only apply to a single connection."
+       sharded server's shards in parallel. The latency histogram samples \
+       the first connection; the server stage attribution covers them all."
     in
     Arg.(value & opt int 1 & info [ "conns" ] ~docv:"C" ~doc)
   in
@@ -661,30 +613,9 @@ let client_bench_cmd =
     let module Metrics = Pmp_telemetry.Metrics in
     if requests < 1 || window < 1 || conns < 1 then
       Error (`Msg "--requests, --window and --conns must be at least 1")
-    else if conns > 1 then begin
-      let* proto = parse_proto proto in
-      let r =
-        Pmp_server.Loadgen.drive_parallel
-          ~connect:(fun () -> connect_client ~proto socket host port)
-          ~conns ~requests ~window ~seed ~machine_size ~rids ()
-      in
-      let* o = Result.map_error (fun e -> `Msg e) r in
-      Printf.printf "proto          : %s\n" (Pmp_server.Client.proto_name proto);
-      Printf.printf "connections    : %d\n" conns;
-      Printf.printf "requests       : %d (%d mutations, %d errors)%s\n"
-        o.Pmp_server.Loadgen.requests o.Pmp_server.Loadgen.mutations
-        o.Pmp_server.Loadgen.errors
-        (if rids then ", rids verified" else "");
-      Printf.printf "elapsed        : %.3f s\n" o.Pmp_server.Loadgen.elapsed;
-      Printf.printf "throughput     : %.0f req/s (aggregate)\n"
-        (Pmp_server.Loadgen.requests_per_sec o);
-      Printf.printf "ns/request     : %.0f\n"
-        (Pmp_server.Loadgen.ns_per_request o);
-      print_by_shard o;
-      Ok ()
-    end
     else
-      with_client proto socket host port @@ fun conn ->
+      let* proto = parse_proto proto in
+      with_client ~proto socket host port @@ fun conn ->
       (* buckets from 1 µs to ~8 s *)
       let latency =
         Metrics.Histogram.make
@@ -694,21 +625,22 @@ let client_bench_cmd =
         Result.value ~default:"" (Pmp_server.Client.metrics conn)
       in
       let before = dump () in
-      let gen = Pmp_server.Loadgen.make_gen ~seed ~machine_size in
       let r =
-        Pmp_server.Loadgen.drive conn gen ~requests ~window ~latency ~rids ()
+        Pmp_server.Loadgen.drive_parallel
+          ~connect:(fun () -> connect_client ~proto socket host port)
+          ~conns ~requests ~window ~seed ~machine_size ~latency ~rids ()
       in
       let after = match r with Ok _ -> dump () | Error _ -> "" in
       let* o = Result.map_error (fun e -> `Msg e) r in
       let p = Pmp_server.Loadgen.percentile latency in
-      Printf.printf "proto          : %s\n"
-        (Pmp_server.Client.proto_name (Pmp_server.Client.proto conn));
+      Printf.printf "proto          : %s\n" (Pmp_server.Client.proto_name proto);
+      Printf.printf "connections    : %d\n" conns;
       Printf.printf "requests       : %d (%d mutations, %d errors)%s\n"
         o.Pmp_server.Loadgen.requests o.Pmp_server.Loadgen.mutations
         o.Pmp_server.Loadgen.errors
         (if rids then ", rids verified" else "");
       Printf.printf "elapsed        : %.3f s\n" o.Pmp_server.Loadgen.elapsed;
-      Printf.printf "throughput     : %.0f req/s\n"
+      Printf.printf "throughput     : %.0f req/s (aggregate)\n"
         (Pmp_server.Loadgen.requests_per_sec o);
       Printf.printf "ns/request     : %.0f\n"
         (Pmp_server.Loadgen.ns_per_request o);
@@ -767,33 +699,12 @@ let client_cmd =
     Arg.(value & flag & info [ "json" ] ~doc)
   in
   let action socket host port proto json =
-    with_client proto socket host port @@ fun conn ->
-    let print_response resp =
-      if json then
-        print_endline (Pmp_server.Protocol.encode_response resp)
-      else print_endline (Pmp_server.Protocol.render_response resp)
-    in
-    let rec loop () =
-      match In_channel.input_line stdin with
-      | None -> Ok ()
-      | Some line -> (
-          match Pmp_server.Protocol.request_of_command line with
-          | `Blank -> loop ()
-          | `Quit -> Ok ()
-          | `Error e ->
-              Printf.printf "error: %s\n%!" e;
-              loop ()
-          | `Request req -> (
-              match Pmp_server.Client.request conn req with
-              | Ok resp ->
-                  print_response resp;
-                  if req = Pmp_server.Protocol.Shutdown then Ok () else loop ()
-              | Error e ->
-                  (* a crashed daemon shows up here as a closed socket *)
-                  Printf.printf "connection error: %s\n%!" e;
-                  Ok ()))
-    in
-    loop ()
+    let* proto = parse_proto proto in
+    with_client ~proto socket host port @@ fun conn ->
+    command_loop
+      (if json then fun r -> Pmp_server.Protocol.encode_response r
+       else Pmp_server.Protocol.render_response)
+      (Pmp_server.Client.request conn)
   in
   let term =
     Term.(
@@ -807,6 +718,32 @@ let client_cmd =
          "Drive a running pmpd from stdin (submit/finish/query/stats/loads/\
           metrics/snapshot/shutdown), or benchmark it with $(b,bench).")
     [ client_bench_cmd ]
+
+(* The client's command loop over an in-process cluster instead of a
+   daemon: what pmpd would answer, minus durability. *)
+let console_cmd =
+  let action machine_size alloc_name d_str cap =
+    let* _ = Builders.machine machine_size in
+    let* d = Builders.parse_d d_str in
+    let* policy = Builders.cluster_policy alloc_name ~d ~seed:42 in
+    let* cluster =
+      Result.map_error
+        (fun e -> `Msg e)
+        (Pmp_cluster.Cluster.create ~machine_size ~policy ~admission_cap:cap ())
+    in
+    command_loop Pmp_server.Protocol.render_response (fun req ->
+        Ok (Pmp_server.Protocol.answer cluster req))
+  in
+  let term =
+    Term.(
+      term_result (const action $ machine_arg $ alloc_arg $ d_arg $ cap_arg))
+  in
+  Cmd.v
+    (Cmd.info "console"
+       ~doc:
+         "Drive a live in-process cluster from stdin with $(b,client)'s \
+          commands (submit/finish/query/stats/loads).")
+    term
 
 (* ------------------------------------------------------------------ *)
 (* federation: many tree machines behind one allocator                 *)
@@ -852,12 +789,11 @@ let fed_serve_cmd =
     Arg.(value & opt (some float) None & info [ "tenant-cap" ] ~docv:"X" ~doc)
   in
   let poll_arg =
-    let doc = "Seconds between stats polls that refresh the shard load index." in
+    let doc =
+      "Seconds between rounds of stats polls, which refresh the shard load \
+       index, and health probes, which reconnect downed shards."
+    in
     Arg.(value & opt float 0.5 & info [ "poll-interval" ] ~docv:"S" ~doc)
-  in
-  let probe_arg =
-    let doc = "Seconds between health probes that reconnect downed shards." in
-    Arg.(value & opt float 0.5 & info [ "probe-interval" ] ~docv:"S" ~doc)
   in
   let rebalance_arg =
     let doc =
@@ -891,9 +827,8 @@ let fed_serve_cmd =
     Arg.(value & opt int 4096 & info [ "flight-recorder" ] ~docv:"K" ~doc)
   in
   let action machine_size alloc_name d_str seed shards shard_sockets dir cap
-      tenant_cap socket host port poll_interval probe_interval
-      rebalance_threshold rebalance_tasks rebalance_bytes rebalance_interval
-      recorder_size =
+      tenant_cap socket host port poll_interval rebalance_threshold
+      rebalance_tasks rebalance_bytes rebalance_interval recorder_size =
     let* _ = Builders.machine machine_size in
     let* d = Builders.parse_d d_str in
     let* () =
@@ -957,7 +892,6 @@ let fed_serve_cmd =
         (Pmp_federation.Router.default_config ~sockets ~dir) with
         tenant_quota = tenant_cap;
         poll_interval;
-        probe_interval;
         rebalance =
           Option.map
             (fun threshold ->
@@ -990,9 +924,9 @@ let fed_serve_cmd =
       term_result
         (const action $ machine_arg $ alloc_arg $ d_arg $ seed_arg
        $ shards_arg $ shard_socket_arg $ dir_arg $ cap_arg $ tenant_cap_arg
-       $ socket_arg $ host_arg $ port_arg $ poll_arg $ probe_arg
-       $ rebalance_arg $ rebalance_tasks_arg $ rebalance_bytes_arg
-       $ rebalance_interval_arg $ recorder_arg))
+       $ socket_arg $ host_arg $ port_arg $ poll_arg $ rebalance_arg
+       $ rebalance_tasks_arg $ rebalance_bytes_arg $ rebalance_interval_arg
+       $ recorder_arg))
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1003,8 +937,8 @@ let fed_serve_cmd =
     term
 
 let fed_status_cmd =
-  let action socket host port proto =
-    with_client proto socket host port @@ fun conn ->
+  let action socket host port =
+    with_client ~proto:Pmp_server.Client.Binary socket host port @@ fun conn ->
     let request req =
       Result.map_error (fun e -> `Msg e) (Pmp_server.Client.request conn req)
     in
@@ -1049,10 +983,7 @@ let fed_status_cmd =
     Ok ()
   in
   let term =
-    Term.(
-      term_result
-        (const action $ socket_arg $ host_arg $ port_arg
-       $ proto_arg ~default:"binary"))
+    Term.(term_result (const action $ socket_arg $ host_arg $ port_arg))
   in
   Cmd.v
     (Cmd.info "status"
@@ -1078,33 +1009,29 @@ let top_cmd =
     let doc = "Stop after $(docv) frames (0 = run until interrupted)." in
     Arg.(value & opt int 0 & info [ "count" ] ~docv:"N" ~doc)
   in
-  let action socket host port proto interval count =
-    with_client proto socket host port @@ fun conn ->
+  let action socket host port interval count =
+    with_client ~proto:Pmp_server.Client.Binary socket host port @@ fun conn ->
     if interval <= 0.0 then Error (`Msg "--interval must be positive")
     else begin
       let module P = Pmp_server.Protocol in
       let module C = Pmp_cluster.Cluster in
-      let ask req =
-        Result.map_error (fun e -> `Msg e) (Pmp_server.Client.request conn req)
+      let ask req pick =
+        let* r =
+          Result.map_error (fun e -> `Msg e) (Pmp_server.Client.request conn req)
+        in
+        Option.to_result
+          ~none:(`Msg ("unexpected response: " ^ P.render_response r))
+          (pick r)
       in
       let rec frames i prev =
         let* health =
-          let* r = ask P.Health in
-          match r with
-          | P.Health_reply h -> Ok h
-          | r -> Error (`Msg ("unexpected response: " ^ P.render_response r))
+          ask P.Health (function P.Health_reply h -> Some h | _ -> None)
         in
         let* stats =
-          let* r = ask P.Stats in
-          match r with
-          | P.Stats_reply s -> Ok s
-          | r -> Error (`Msg ("unexpected response: " ^ P.render_response r))
+          ask P.Stats (function P.Stats_reply s -> Some s | _ -> None)
         in
         let* loads =
-          let* r = ask P.Loads in
-          match r with
-          | P.Loads_reply l -> Ok l
-          | r -> Error (`Msg ("unexpected response: " ^ P.render_response r))
+          ask P.Loads (function P.Loads_reply l -> Some l | _ -> None)
         in
         let* dump =
           Result.map_error (fun e -> `Msg e) (Pmp_server.Client.metrics conn)
@@ -1202,8 +1129,8 @@ let top_cmd =
   let term =
     Term.(
       term_result
-        (const action $ socket_arg $ host_arg $ port_arg
-       $ proto_arg ~default:"binary" $ interval_arg $ count_arg))
+        (const action $ socket_arg $ host_arg $ port_arg $ interval_arg
+       $ count_arg))
   in
   Cmd.v
     (Cmd.info "top"
@@ -1283,34 +1210,16 @@ let replay_cmd =
     let* machine = Builders.machine machine_size in
     let* d = Builders.parse_d d_str in
     let* mode = parse_check check_str in
-    let* seq =
-      match Trace.load path with Ok s -> Ok s | Error e -> Error (`Msg e)
-    in
+    let* seq = Result.map_error (fun e -> `Msg e) (Trace.load path) in
     if not (Sequence.fits seq ~machine_size) then
       Error (`Msg "trace contains tasks larger than the machine")
-    else begin
-      let make () =
-        match Builders.allocator alloc_name machine ~d ~seed with
-        | Ok a -> a
-        | Error (`Msg e) -> invalid_arg e
+    else
+      (* run's default migration-cost model *)
+      let topology =
+        Pmp_machine.Topology.create Pmp_machine.Topology.Tree machine
       in
-      let* () = oracle_gate mode alloc_name machine ~d ~make seq in
-      let* oracle =
-        match mode with
-        | Check_off | Check_basic | Check_index -> Ok None
-        | Check_oracle ->
-            Result.map Option.some (Builders.oracle_spec alloc_name machine ~d)
-      in
-      let backend = backend_of_mode mode in
-      with_telemetry ~trace ~format:trace_format ~metrics (fun probe ->
-          let* alloc =
-            Builders.allocator ~probe ?backend alloc_name machine ~d ~seed
-          in
-          print_result
-            (Engine.run ~check:(mode <> Check_off) ?backend ?oracle
-               ~telemetry:probe alloc seq);
-          Ok ())
-    end
+      simulate mode alloc_name machine ~d ~seed ~topology ~trace ~trace_format
+        ~metrics seq
   in
   let term =
     Term.(
@@ -1592,41 +1501,23 @@ let scenario_cmd =
         if no_oracle then Ok None
         else Result.map Option.some (Builders.oracle_spec alloc_name machine ~d)
       in
-      let make () =
-        match Builders.allocator ~backend alloc_name machine ~d ~seed with
-        | Ok a -> a
-        | Error (`Msg e) -> invalid_arg e
+      let make = allocator_factory ~backend alloc_name machine ~d ~seed in
+      let run probe =
+        Pmp_scenario.Runner.run ~telemetry:probe ?oracle ~make ~seed scn
       in
-      let with_probe f =
+      let t0 = Sys.time () in
+      let* verdict, _sim =
         match trace_prefix with
-        | None -> Ok (f Pmp_telemetry.Probe.noop)
+        | None -> Ok (run Pmp_telemetry.Probe.noop)
         | Some prefix ->
             let ext =
               match fmt with
               | Pmp_telemetry.Tracer.Jsonl -> "jsonl"
               | Pmp_telemetry.Tracer.Chrome -> "trace.json"
             in
-            let path = Printf.sprintf "%s%s.%s" prefix scn.Scenario.name ext in
-            let* oc =
-              match open_out path with
-              | oc -> Ok oc
-              | exception Sys_error e ->
-                  Error (`Msg ("cannot open trace file: " ^ e))
-            in
-            let tracer = Pmp_telemetry.Tracer.to_channel fmt oc in
-            let probe = Pmp_telemetry.Probe.create ~tracer () in
-            let finish () =
-              Pmp_telemetry.Tracer.close tracer;
-              close_out oc
-            in
-            let r = try f probe with e -> finish (); raise e in
-            finish ();
-            Ok r
-      in
-      let t0 = Sys.time () in
-      let* verdict, _sim =
-        with_probe (fun probe ->
-            Pmp_scenario.Runner.run ~telemetry:probe ?oracle ~make ~seed scn)
+            with_trace_file fmt
+              (Printf.sprintf "%s%s.%s" prefix scn.Scenario.name ext)
+              run
       in
       Format.printf "%a  (%.2fs cpu)@." Verdict.pp verdict (Sys.time () -. t0);
       Ok verdict

@@ -57,7 +57,7 @@ start "$WORK/router.log" "$FED/fed.sock" fed serve \
   --shard-socket "$WORK/shard-0/pmp.sock" \
   --shard-socket "$WORK/shard-1/pmp.sock" \
   --shard-socket "$WORK/shard-2/pmp.sock" \
-  --dir "$FED" --poll-interval 0.1 --probe-interval 0.1 \
+  --dir "$FED" --poll-interval 0.1 \
   --rebalance-threshold 2 --rebalance-interval 0.2
 ROUTER=$PID
 

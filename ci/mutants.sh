@@ -9,12 +9,17 @@
 # each mutant applies its patch (the removal of one check), builds,
 # requires `dune runtest` to fail, and reverts the patch. A patch that
 # no longer applies, or a mutant that does not build, fails the run,
-# so the list cannot rot unnoticed. Builds use the release profile, so
-# a removal that leaves a name unused still compiles. WORKDIR
+# so the list cannot rot unnoticed. Every `dune runtest` runs under a
+# time limit ($limit below): a suite that hangs on a mutant instead of
+# failing fails the run too, by name. Builds use the release profile,
+# so a removal that leaves a name unused still compiles. WORKDIR
 # (default _mutants, which dune does not scan) keeps each patch and
 # its logs. Checks the suite does not catch yet are listed in
 # ci/README.md, not here.
 set -eu
+
+# seconds one `dune runtest` may take (the whole suite takes ~30 s)
+limit=600
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 work=${1:-_mutants}
@@ -32,13 +37,32 @@ dune_in_copy() {
   dune "$@" --root "$src" --profile release
 }
 
+# `dune runtest` in the copy, logged to $1; prints how it ended:
+# passed, failed, or hung (cut at the time limit)
+runtest_in_copy() {
+  status=0
+  timeout -k 10 "$limit" dune runtest --root "$src" --profile release \
+    > "$1" 2>&1 || status=$?
+  case $status in
+    0) echo passed ;;
+    124 | 137) echo hung ;;
+    *) echo failed ;;
+  esac
+}
+
 echo "mutants: baseline"
-if ! dune_in_copy runtest > "$work/baseline.log" 2>&1; then
-  echo "mutants: the unmutated copy fails its tests (see $work/baseline.log)" >&2
-  exit 1
-fi
+case $(runtest_in_copy "$work/baseline.log") in
+  passed) ;;
+  hung)
+    echo "mutants: the unmutated copy's tests hung past ${limit}s (see $work/baseline.log)" >&2
+    exit 1 ;;
+  *)
+    echo "mutants: the unmutated copy fails its tests (see $work/baseline.log)" >&2
+    exit 1 ;;
+esac
 
 survivors=""
+hung=""
 
 # mutant NAME < PATCH
 mutant() {
@@ -52,12 +76,15 @@ mutant() {
     echo "mutants: $1: does not build (see $work/$1.build.log)" >&2
     exit 1
   fi
-  if dune_in_copy runtest > "$work/$1.log" 2>&1; then
-    echo "mutants: $1: SURVIVED, the suite passes without the check"
-    survivors="$survivors $1"
-  else
-    echo "mutants: $1: caught"
-  fi
+  case $(runtest_in_copy "$work/$1.log") in
+    passed)
+      echo "mutants: $1: SURVIVED, the suite passes without the check"
+      survivors="$survivors $1" ;;
+    hung)
+      echo "mutants: $1: HUNG, the suite did not finish within ${limit}s"
+      hung="$hung $1" ;;
+    *) echo "mutants: $1: caught" ;;
+  esac
   patch -p1 -R -d "$src" --batch --quiet < "$patch_file"
 }
 
@@ -118,7 +145,7 @@ EOF
 mutant router-poll-feeds-index <<'EOF'
 --- a/lib/federation/router.ml
 +++ b/lib/federation/router.ml
-@@ -425,7 +425,6 @@
+@@ -457,7 +457,6 @@
    Array.iteri
      (fun sx -> function
        | Some (Protocol.Stats_reply s) ->
@@ -146,7 +173,7 @@ EOF
 mutant query-reports-queued <<'EOF'
 --- a/lib/server/server.ml
 +++ b/lib/server/server.ml
-@@ -929,7 +929,7 @@
+@@ -930,7 +930,7 @@
    (match Cluster.placement t.cluster lid with
    | Some p -> add_at t Protocol.add_active buf gid p
    | None ->
@@ -161,7 +188,7 @@ EOF
 mutant finish-appends-wal <<'EOF'
 --- a/lib/server/server.ml
 +++ b/lib/server/server.ml
-@@ -917,7 +917,6 @@
+@@ -918,7 +918,6 @@
    | Ok () ->
        let ta = now t in
        t.seq <- t.seq + 1;
@@ -175,14 +202,31 @@ EOF
 mutant router-merges-max-gauges <<'EOF'
 --- a/lib/federation/router.ml
 +++ b/lib/federation/router.ml
-@@ -393,9 +393,7 @@
-           (Array.to_list (broadcast t Protocol.Metrics))
-       in
+@@ -425,8 +425,7 @@
        ( Protocol.Metrics_reply
--          (router_dump
--          ^ Metrics.merge_prometheus ~max_names:Pmp_server.Server.merge_max_names
--              shard_dumps),
-+          (router_dump ^ Metrics.merge_prometheus shard_dumps),
+           (router_dump
+           ^ with_load_ratio t
+-              (Metrics.merge_prometheus
+-                 ~max_names:Pmp_server.Server.merge_max_names shard_dumps)),
++              (Metrics.merge_prometheus shard_dumps)),
+         false )
+   | Protocol.Snapshot ->
+       ( Protocol.Error "snapshots are per-shard; connect to a shard directly",
+EOF
+
+# The router reports its own federation-wide load ratio, not the max
+# of its shards' ratios, each over the shard's own L*.
+mutant router-load-ratio-federation <<'EOF'
+--- a/lib/federation/router.ml
++++ b/lib/federation/router.ml
+@@ -425,8 +425,7 @@
+       ( Protocol.Metrics_reply
+           (router_dump
+-          ^ with_load_ratio t
+-              (Metrics.merge_prometheus
+-                 ~max_names:Pmp_server.Server.merge_max_names shard_dumps)),
++          ^ Metrics.merge_prometheus
++              ~max_names:Pmp_server.Server.merge_max_names shard_dumps),
          false )
    | Protocol.Snapshot ->
        ( Protocol.Error "snapshots are per-shard; connect to a shard directly",
@@ -192,7 +236,7 @@ EOF
 mutant load-ratio-whole-machine <<'EOF'
 --- a/lib/server/server.ml
 +++ b/lib/server/server.ml
-@@ -486,9 +486,7 @@
+@@ -487,9 +487,7 @@
          Metrics.Gauge.set t.ins.g_shard_queue (float_of_int s.Cluster.queued_now);
          Atomic.set m.queued_pub.(t.shard) s.Cluster.queued_now;
          Atomic.set m.active_pub.(t.shard) s.Cluster.active_size;
@@ -205,8 +249,9 @@ mutant load-ratio-whole-machine <<'EOF'
      t.ratio_ring.(t.ratio_n mod Array.length t.ratio_ring) <-
 EOF
 
-if [ -n "$survivors" ]; then
-  echo "mutants: survived:$survivors" >&2
+if [ -n "$survivors" ] || [ -n "$hung" ]; then
+  if [ -n "$survivors" ]; then echo "mutants: survived:$survivors" >&2; fi
+  if [ -n "$hung" ]; then echo "mutants: hung:$hung" >&2; fi
   exit 1
 fi
 echo "mutants: every mutant caught"

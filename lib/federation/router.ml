@@ -13,7 +13,6 @@ type config = {
   sockets : string array;
   tenant_quota : float option;
   poll_interval : float;
-  probe_interval : float;
   rebalance : Rebalance.config option;
   rebalance_interval : float;
   shutdown_shards : bool;
@@ -26,7 +25,6 @@ let default_config ~sockets ~dir =
     sockets;
     tenant_quota = None;
     poll_interval = 0.5;
-    probe_interval = 0.5;
     rebalance = None;
     rebalance_interval = 1.0;
     shutdown_shards = false;
@@ -80,9 +78,13 @@ type t = {
       (** [Route]'s totals, caught up on each dump *)
   g_connections : Metrics.Gauge.t;
   recorder : Recorder.t;
+  ratios : float array;
+      (** rolling window of the polls' load ratios, over the whole
+          federation's L* *)
+  mutable n_ratios : int;  (** ratios ever pushed *)
+  g_ratio : Metrics.Gauge.t;  (** their p99, as each dump reports it *)
   t0 : float;
   mutable last_poll : float;
-  mutable last_probe : float;
   mutable last_rebalance : float;
   mutable dump_requested : bool;
   reader : Frame.reader;
@@ -287,9 +289,11 @@ let create config =
       totals;
       g_connections;
       recorder = Recorder.create config.recorder_size;
+      ratios = Array.make 1024 0.0;
+      n_ratios = 0;
+      g_ratio = Metrics.Gauge.make ();
       t0 = now;
       last_poll = now;
-      last_probe = now;
       last_rebalance = now;
       dump_requested = false;
       reader = Frame.reader ();
@@ -344,6 +348,40 @@ let broadcast t req =
     (function Some { reply = Ok r } -> Some r | Some _ | None -> None)
     calls
 
+(* The federation-wide view of the shards that answered a stats
+   broadcast; [None] when none did. *)
+let merged_stats t replies =
+  match
+    List.filter_map
+      (function Some (Protocol.Stats_reply s) -> Some s | _ -> None)
+      (Array.to_list replies)
+  with
+  | [] -> None
+  | stats -> Some (Cluster.merge_stats ~machine_size:(aggregate_size t) stats)
+
+(* Each shard's [pmpd_p99_load_ratio] divides by its own L*, so their
+   max reads 1 while the router piles load onto one shard. The merged
+   dump carries the rolling p99 of the polls' federation-wide ratios,
+   nearest-rank as pmpd takes its own, and its high-water mark, in
+   their place. *)
+let with_load_ratio t dump =
+  let n = min t.n_ratios (Array.length t.ratios) in
+  let sorted = Array.sub t.ratios 0 n in
+  Array.sort Float.compare sorted;
+  Metrics.Gauge.set t.g_ratio
+    (if n = 0 then 0.0
+     else sorted.(min (n - 1) (int_of_float (float_of_int n *. 0.99))));
+  let sample name v = Printf.sprintf "%s %.9g" name v in
+  String.split_on_char '\n' dump
+  |> List.map (fun line ->
+         match String.split_on_char ' ' line with
+         | [ ("pmpd_p99_load_ratio" as name); _ ] ->
+             sample name (Metrics.Gauge.value t.g_ratio)
+         | [ ("pmpd_p99_load_ratio_max" as name); _ ] ->
+             sample name (Metrics.Gauge.max_seen t.g_ratio)
+         | _ -> line)
+  |> String.concat "\n"
+
 (* ------------------------------------------------------------------ *)
 (* fan-out requests                                                    *)
 
@@ -352,17 +390,9 @@ let dispatch t req =
   | Protocol.Submit _ | Protocol.Finish _ | Protocol.Query _ ->
       invalid_arg "Router.dispatch: per-task requests are pipelined"
   | Protocol.Stats -> (
-      let replies = broadcast t Protocol.Stats in
-      match
-        List.filter_map
-          (function Some (Protocol.Stats_reply s) -> Some s | _ -> None)
-          (Array.to_list replies)
-      with
-      | [] -> (Protocol.Error "no shard up", false)
-      | stats ->
-          ( Protocol.Stats_reply
-              (Cluster.merge_stats ~machine_size:(aggregate_size t) stats),
-            false ))
+      match merged_stats t (broadcast t Protocol.Stats) with
+      | None -> (Protocol.Error "no shard up", false)
+      | Some s -> (Protocol.Stats_reply s, false))
   | Protocol.Loads ->
       let replies = broadcast t Protocol.Loads in
       let part sx = function
@@ -394,8 +424,9 @@ let dispatch t req =
       in
       ( Protocol.Metrics_reply
           (router_dump
-          ^ Metrics.merge_prometheus ~max_names:Pmp_server.Server.merge_max_names
-              shard_dumps),
+          ^ with_load_ratio t
+              (Metrics.merge_prometheus
+                 ~max_names:Pmp_server.Server.merge_max_names shard_dumps)),
         false )
   | Protocol.Snapshot ->
       ( Protocol.Error "snapshots are per-shard; connect to a shard directly",
@@ -422,6 +453,7 @@ let dispatch t req =
 (* periodic work                                                       *)
 
 let poll t =
+  let replies = broadcast t Protocol.Stats in
   Array.iteri
     (fun sx -> function
       | Some (Protocol.Stats_reply s) ->
@@ -429,7 +461,13 @@ let poll t =
           Metrics.Gauge.set t.shardv.(sx).g_load
             (float_of_int (Route.load t.route sx))
       | _ -> ())
-    (broadcast t Protocol.Stats)
+    replies;
+  match merged_stats t replies with
+  | Some s when s.Cluster.optimal_now > 0 ->
+      t.ratios.(t.n_ratios mod Array.length t.ratios) <-
+        float_of_int s.Cluster.max_load /. float_of_int s.Cluster.optimal_now;
+      t.n_ratios <- t.n_ratios + 1
+  | _ -> ()
 
 (* Reconnect every down shard that answers a health probe as ready, and
    refresh its summary right away: the recovered shard still carries
@@ -469,10 +507,7 @@ let tick t =
   let now = Unix.gettimeofday () in
   if now -. t.last_poll >= t.config.poll_interval then begin
     t.last_poll <- now;
-    poll t
-  end;
-  if now -. t.last_probe >= t.config.probe_interval then begin
-    t.last_probe <- now;
+    poll t;
     probe t
   end;
   (match t.config.rebalance with
@@ -484,7 +519,7 @@ let tick t =
         note_event t
       done
   | _ -> ());
-  Float.max 0.05 (Float.min t.config.poll_interval t.config.probe_interval)
+  Float.max 0.05 t.config.poll_interval
 
 (* ------------------------------------------------------------------ *)
 (* connection handling                                                 *)

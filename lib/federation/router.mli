@@ -7,7 +7,11 @@
     metrics and the flight recorder. Each connection is a tenant, and
     rid-tagged responses carry the serving shard. Its tick polls stats
     into {!Route.observe}, probes down shards back in and runs
-    {!Route.rebalance} rounds.
+    {!Route.rebalance} rounds. Each poll also takes the federation's
+    load ratio — the largest shard load over the whole federation's
+    L* — whose rolling p99 the merged metrics report as
+    [pmpd_p99_load_ratio], where a shard's own ratio divides by its
+    own L*.
 
     {b The pipelined hop.} {!handle_conn} issues a batch of client
     requests in client order, each to its shard's upstream buffer,
@@ -34,8 +38,8 @@ type config = {
   tenant_quota : float option;
       (** per-tenant cap on admitted PEs, as a multiple of the
           aggregate machine size; [None] = no tenant quotas *)
-  poll_interval : float;  (** seconds between stats polls *)
-  probe_interval : float;  (** seconds between down-shard probes *)
+  poll_interval : float;
+      (** seconds between rounds of stats polls and down-shard probes *)
   rebalance : Rebalance.config option;
   rebalance_interval : float;
   shutdown_shards : bool;
@@ -46,7 +50,7 @@ type config = {
 }
 
 val default_config : sockets:string array -> dir:string -> config
-(** No tenant quotas, 0.5 s polls, 0.5 s probes, no rebalancing,
+(** No tenant quotas, polls and probes every 0.5 s, no rebalancing,
     [shutdown_shards = false], recorder of 4096 entries. *)
 
 type t
@@ -78,7 +82,7 @@ val tick : t -> float
 (** Run due periodic work (polls, probes, rebalance, requested
     recorder dumps); returns the select-timeout cap. Exposed for
     in-process tests: with [poll_interval = 0] every tick polls every
-    shard, as {!Sim} does after each op. *)
+    shard, as {!Sim} does after each op, and probes every down one. *)
 
 val serve : t -> listeners:Unix.file_descr list -> unit
 (** Run the event loop until a [shutdown] request. Dumps the flight

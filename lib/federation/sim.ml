@@ -21,21 +21,6 @@ type result = {
 
 let ( let* ) = Result.bind
 
-let answer c = function
-  | Protocol.Submit size -> (
-      match Cluster.submit c ~size with
-      | Ok (Cluster.Placed (id, p)) ->
-          Protocol.Placed (id, Protocol.placement_of_core p)
-      | Ok (Cluster.Queued id) -> Protocol.Queued id
-      | Error e -> Protocol.Error e)
-  | Protocol.Finish id -> (
-      match Cluster.finish c id with
-      | Ok () -> Protocol.Finished
-      | Error e -> Protocol.Error e)
-  | Protocol.Stats -> Protocol.Stats_reply (Cluster.stats c)
-  | Protocol.Loads -> Protocol.Loads_reply (Cluster.leaf_loads c)
-  | _ -> Protocol.Error "not a shard request"
-
 let run ~shards ~machine_size ?(admission_cap = None) ?tenant_quota ?rebalance
     ~ops () =
   let* clusters =
@@ -55,7 +40,7 @@ let run ~shards ~machine_size ?(admission_cap = None) ?tenant_quota ?rebalance
       ~capacities:(Array.map Cluster.admission_capacity clusters)
       ~quota:tenant_quota
   in
-  let call sx req = Ok (answer clusters.(sx) req) in
+  let call sx req = Ok (Protocol.answer clusters.(sx) req) in
   let acked = Array.make (List.length ops) 0 and n_acked = ref 0 in
   let decide i op =
     (match rebalance with

@@ -27,13 +27,6 @@ type result = {
   rebalanced_bytes : int;
 }
 
-val answer :
-  Pmp_cluster.Cluster.t ->
-  Pmp_server.Protocol.request ->
-  Pmp_server.Protocol.response
-(** A cluster answering [submit], [finish], [stats] and [loads] as a
-    pmpd over it would. *)
-
 val run :
   shards:int ->
   machine_size:int ->

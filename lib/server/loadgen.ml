@@ -73,7 +73,7 @@ let requests_per_sec o = float_of_int o.requests /. Float.max 1e-9 o.elapsed
 
 exception Fail of string
 
-let drive client gen ~requests ~window ?latency ?(rids = false) () =
+let drive_conn client gen ~requests ~window ~latency ~rids =
   let window = max 1 window in
   let times = Array.make window 0.0 in
   let sent = ref 0
@@ -140,28 +140,36 @@ let drive client gen ~requests ~window ?latency ?(rids = false) () =
         }
   | exception Fail e -> Error e
 
+let drive client gen ~requests ~window ?(rids = false) () =
+  drive_conn client gen ~requests ~window ~latency:None ~rids
+
 let percentile h p = Metrics.Histogram.quantile h (p /. 100.0)
 
-(* Closed-loop driving from several client domains at once — the only
-   way to make a sharded server actually run its shards in parallel.
-   Each connection gets its own generator (decorrelated seed) and its
-   own share of the request budget; outcomes sum, wall-clock is the
-   slowest connection's. *)
+(* Closed-loop driving over [conns] connections at once — the only way
+   to make a sharded server actually run its shards in parallel. Each
+   connection gets its own generator (decorrelated seed) and its own
+   share of the request budget; the first drives on the calling domain
+   and samples [latency], the rest each on a domain of their own.
+   Outcomes sum, wall-clock is the slowest connection's. *)
 let drive_parallel ~connect ~conns ~requests ~window ~seed ~machine_size
-    ?(rids = false) () =
+    ?latency ?(rids = false) () =
   let conns = max 1 conns in
   let per = max 1 (requests / conns) in
-  let worker i () =
+  let worker ~latency i () =
     match connect () with
     | Error e -> Error ("connect: " ^ e)
     | Ok client ->
         let gen = make_gen ~seed:(seed + (i * 7919)) ~machine_size in
-        let r = drive client gen ~requests:per ~window ~rids () in
+        let r = drive_conn client gen ~requests:per ~window ~latency ~rids in
         Client.close client;
         r
   in
-  let domains = List.init conns (fun i -> Domain.spawn (worker i)) in
-  let results = List.map Domain.join domains in
+  let others =
+    List.init (conns - 1) (fun i ->
+        Domain.spawn (worker ~latency:None (i + 1)))
+  in
+  let first = worker ~latency 0 () in
+  let results = first :: List.map Domain.join others in
   let merge_by_shard a b =
     List.fold_left
       (fun acc (s, n) ->
@@ -271,29 +279,18 @@ let metrics_of socket =
 
 (* One complete benchmark: spin a server with the given WAL policy and
    format, drive the churn workload (seed 0xB00, window 32) through
-   one connection or [conns], read the daemon's final metrics, shut
-   the server down, clean up. *)
+   [conns] connections, read the daemon's final metrics, shut the
+   server down, clean up. *)
 let bench ?fsync_policy ?wal_format ?(proto = Client.Binary) ?latency_profile
     ?recorder_size ?domains ?(conns = 1) ~requests () =
   let seed = 0xB00 and machine_size = 256 and window = 32 in
   with_local_service ~machine_size ?fsync_policy ?wal_format ?latency_profile
     ?recorder_size ?domains (fun socket ->
-      let outcome =
-        if conns <= 1 then
-          match Client.connect_unix ~proto socket with
-          | Error e -> Error ("connect: " ^ e)
-          | Ok client ->
-              let gen = make_gen ~seed ~machine_size in
-              let r = drive client gen ~requests ~window () in
-              Client.close client;
-              r
-        else
-          drive_parallel
-            ~connect:(fun () -> Client.connect_unix ~proto socket)
-            ~conns ~requests ~window ~seed ~machine_size ()
-      in
-      Result.bind outcome (fun o ->
-          Result.map (fun dump -> (o, dump)) (metrics_of socket)))
+      Result.bind
+        (drive_parallel
+           ~connect:(fun () -> Client.connect_unix ~proto socket)
+           ~conns ~requests ~window ~seed ~machine_size ())
+        (fun o -> Result.map (fun dump -> (o, dump)) (metrics_of socket)))
 
 (* ------------------------------------------------------------------ *)
 (* allocation probe                                                    *)

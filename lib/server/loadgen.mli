@@ -41,16 +41,14 @@ val drive :
   gen ->
   requests:int ->
   window:int ->
-  ?latency:Pmp_telemetry.Metrics.Histogram.t ->
   ?rids:bool ->
   unit ->
   (outcome, string) result
 (** Closed loop: keep up to [window] requests in flight until
-    [requests] responses are back. With [latency], per-request
-    round-trip times are observed in {e microseconds}. With [rids],
-    every request carries its send index as a request id and the echo
-    on each (strictly in-order) response is checked against it — an
-    end-to-end test of the attribution plumbing on both encodings. *)
+    [requests] responses are back. With [rids], every request carries
+    its send index as a request id and the echo on each (strictly
+    in-order) response is checked against it — an end-to-end test of
+    the attribution plumbing on both encodings. *)
 
 val percentile : Pmp_telemetry.Metrics.Histogram.t -> float -> float
 (** [percentile h 99.0] = {!Pmp_telemetry.Metrics.Histogram.quantile}
@@ -64,15 +62,19 @@ val drive_parallel :
   window:int ->
   seed:int ->
   machine_size:int ->
+  ?latency:Pmp_telemetry.Metrics.Histogram.t ->
   ?rids:bool ->
   unit ->
   (outcome, string) result
-(** {!drive} from [conns] client domains at once — the load shape that
-    lets a sharded server actually exercise its shards in parallel.
-    Each connection runs its own decorrelated generator
-    ([seed + i * 7919]) through [requests / conns] requests. Outcomes
-    sum; [elapsed] is the slowest connection's, so throughput derived
-    from it is aggregate. *)
+(** {!drive} over [conns] connections at once — the load shape that
+    lets a sharded server actually exercise its shards in parallel,
+    and, at [conns = 1], one connection. Each connection runs its own
+    decorrelated generator ([seed + i * 7919]) through
+    [requests / conns] requests; the first drives on the calling
+    domain, each other one on a domain of its own. Outcomes sum;
+    [elapsed] is the slowest connection's, so throughput derived from
+    it is aggregate. With [latency], the first connection's round-trip
+    times are observed in {e microseconds}. *)
 
 val with_local_service :
   ?machine_size:int ->
@@ -101,12 +103,11 @@ val bench :
   requests:int ->
   unit ->
   (outcome * string, string) result
-(** {!with_local_service} at machine 256 + {!drive} of the seed-0xB00
-    churn with a window of 32 (or {!drive_parallel} when
-    [conns > 1]): the complete measurement for one (protocol, fsync
-    policy, WAL format, domains, connections) point. Also returns the
-    daemon's {!Pmp_telemetry.Metrics.prometheus} dump, read after the
-    drive. *)
+(** {!with_local_service} at machine 256 + {!drive_parallel} of the
+    seed-0xB00 churn over [conns] connections with a window of 32: the
+    complete measurement for one (protocol, fsync policy, WAL format,
+    domains, connections) point. Also returns the daemon's
+    {!Pmp_telemetry.Metrics.prometheus} dump, read after the drive. *)
 
 val words_per_request : ?requests:int -> unit -> (float, string) result
 (** Minor words allocated per request by the binary fast path,

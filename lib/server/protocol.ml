@@ -785,3 +785,24 @@ let render_response = function
         h.uptime_ms h.seq h.recovered_ops
   | Bye -> "bye"
   | Error e -> "error: " ^ e
+
+let answer c = function
+  | Submit size -> (
+      match Cluster.submit c ~size with
+      | Ok (Cluster.Placed (id, p)) -> Placed (id, placement_of_core p)
+      | Ok (Cluster.Queued id) -> Queued id
+      | Result.Error e -> Error e)
+  | Finish id -> (
+      match Cluster.finish c id with
+      | Ok () -> Finished
+      | Result.Error e -> Error e)
+  | Query id ->
+      State
+        ( id,
+          match Cluster.placement c id with
+          | Some p -> Active (placement_of_core p)
+          | None -> if Cluster.is_queued c id then Queued_task else Unknown )
+  | Stats -> Stats_reply (Cluster.stats c)
+  | Loads -> Loads_reply (Cluster.leaf_loads c)
+  | Metrics | Snapshot | Ping | Health | Shutdown ->
+      Error "a bare cluster answers only submit, finish, query, stats and loads"

@@ -230,3 +230,9 @@ val request_of_command :
 
 val render_response : response -> string
 (** Human-readable one-line rendering for the interactive client. *)
+
+val answer : Pmp_cluster.Cluster.t -> request -> response
+(** A bare cluster answering [submit], [finish], [query], [stats] and
+    [loads] as a pmpd over it would; any other request gets an
+    [Error]. [pmp console] answers through it, and so does each of
+    [Pmp_federation.Sim]'s in-process shards. *)

@@ -322,7 +322,7 @@ let test_rebalance_refreshes_summaries () =
         get_ok ~ctx:"cluster"
           (Cluster.create ~machine_size:4 ~policy:Cluster.Greedy ()))
   in
-  let call sx req = Ok (Sim.answer clusters.(sx) req) in
+  let call sx req = Ok (Protocol.answer clusters.(sx) req) in
   let route =
     get_ok ~ctx:"route"
       (Route.create ~shard_sizes:[| 4; 4 |] ~capacities:[| None; None |]
@@ -410,7 +410,6 @@ let router_config ~sockets ~dir =
   {
     (Router.default_config ~sockets ~dir) with
     poll_interval = 0.05;
-    probe_interval = 0.05;
     shutdown_shards = true;
   }
 
@@ -621,6 +620,25 @@ let stop_router ((router, shards, _, _) as r) =
   List.iter (fun (_, d) -> ignore (Domain.join d)) shards;
   Router.close router
 
+(* One request through an in-process router, one reply back. *)
+let ask r req =
+  match feed r [ Protocol.encode_request_binary req ] with
+  | 1, bytes -> (
+      match decode_reply bytes with
+      | Ok (resp, _, _) -> resp
+      | Error e -> Alcotest.failf "undecodable reply: %s" e)
+  | n, _ -> Alcotest.failf "%d replies to one request" n
+
+let stats_of_router r =
+  match ask r Protocol.Stats with
+  | Protocol.Stats_reply st -> st
+  | resp -> Alcotest.failf "stats: unexpected reply %s" (Protocol.encode_response resp)
+
+let metric_of_router r name =
+  match ask r Protocol.Metrics with
+  | Protocol.Metrics_reply dump -> Pmp_telemetry.Metrics.Dump.value dump name
+  | resp -> Alcotest.failf "metrics: unexpected reply %s" (Protocol.encode_response resp)
+
 (* The router merges its shards' metrics as the mesh merges its cores':
    a max-type gauge is the largest shard value, not the sum, so the
    merged [pmpd_max_load] is the merged stats' max load. Two
@@ -628,14 +646,7 @@ let stop_router ((router, shards, _, _) as r) =
 let test_router_merges_max_gauges () =
   with_dir (fun dir ->
       let r = in_process_router ~dir:(Filename.concat dir "fed") ~machine_size:8 in
-      let ask req =
-        match feed r [ Protocol.encode_request_binary req ] with
-        | 1, bytes -> (
-            match decode_reply bytes with
-            | Ok (resp, _, _) -> resp
-            | Error e -> Alcotest.failf "undecodable reply: %s" e)
-        | n, _ -> Alcotest.failf "%d replies to one request" n
-      in
+      let ask = ask r in
       for _ = 1 to 2 do
         match ask (Protocol.Submit 8) with
         | Protocol.Placed _ -> ()
@@ -643,22 +654,44 @@ let test_router_merges_max_gauges () =
             Alcotest.failf "submit: unexpected reply %s"
               (Protocol.encode_response resp)
       done;
-      let max_load =
-        match ask Protocol.Stats with
-        | Protocol.Stats_reply st -> st.Cluster.max_load
-        | resp ->
-            Alcotest.failf "stats: unexpected reply %s"
-              (Protocol.encode_response resp)
-      in
+      let max_load = (stats_of_router r).Cluster.max_load in
       Alcotest.(check int) "one task per shard" 1 max_load;
-      (match ask Protocol.Metrics with
-      | Protocol.Metrics_reply dump ->
-          Alcotest.(check (option (float 0.0))) "merged pmpd_max_load"
-            (Some (float_of_int max_load))
-            (Pmp_telemetry.Metrics.Dump.value dump "pmpd_max_load")
-      | resp ->
-          Alcotest.failf "metrics: unexpected reply %s"
-            (Protocol.encode_response resp));
+      Alcotest.(check (option (float 0.0))) "merged pmpd_max_load"
+        (Some (float_of_int max_load))
+        (metric_of_router r "pmpd_max_load");
+      stop_router r)
+
+(* Behind a router, [pmpd_p99_load_ratio] divides the largest shard
+   load by the whole federation's L*, as the merged stats do: 16 unit
+   submits over four 4-PE shards, routed on summaries no poll has
+   refreshed, stack up on some shard while L* is 1 — and each shard's
+   own ratio, over its own L*, reads 1 there. *)
+let test_router_load_ratio () =
+  with_dir (fun dir ->
+      let router, shards =
+        start_router ~dir:(Filename.concat dir "fed") ~machine_size:4 ~shards:4
+          (fun c -> { c with Router.poll_interval = 0.0 })
+      in
+      let r = (router, shards, Netbuf.create 256, Netbuf.create 256) in
+      for _ = 1 to 16 do
+        match ask r (Protocol.Submit 1) with
+        | Protocol.Placed _ -> ()
+        | resp ->
+            Alcotest.failf "submit: unexpected reply %s"
+              (Protocol.encode_response resp)
+      done;
+      (* one poll *)
+      ignore (Router.tick router);
+      let st = stats_of_router r in
+      Alcotest.(check (pair int int)) "merged max load and L*" (2, 1)
+        (st.Cluster.max_load, st.Cluster.optimal_now);
+      let ratio =
+        Some (float_of_int st.Cluster.max_load /. float_of_int st.Cluster.optimal_now)
+      in
+      Alcotest.(check (option (float 0.0))) "pmpd_p99_load_ratio" ratio
+        (metric_of_router r "pmpd_p99_load_ratio");
+      Alcotest.(check (option (float 0.0))) "and its high-water mark" ratio
+        (metric_of_router r "pmpd_p99_load_ratio_max");
       stop_router r)
 
 (* The tentpole contract: a 64-frame batch through the pipelined hop
@@ -1169,6 +1202,8 @@ let suite =
       test_unterminated_line_capped;
     Alcotest.test_case "router merges max gauges by max" `Quick
       test_router_merges_max_gauges;
+    Alcotest.test_case "router load ratio over the whole federation" `Quick
+      test_router_load_ratio;
     Alcotest.test_case "malformed frames answered as pmpd does" `Quick
       test_malformed_frames_match_daemon;
   ]

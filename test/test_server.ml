@@ -1061,16 +1061,33 @@ let shutdown_server client =
   | Ok r -> Alcotest.failf "shutdown: unexpected reply %s" (Protocol.encode_response r)
   | Error e -> Alcotest.failf "shutdown: %s" e
 
-let with_served config ~listener f =
+(* Ask the daemon [connect] reaches to shut down, if it still listens:
+   a no-op once the test's own [shutdown_server] has stopped it. *)
+let stop_daemon connect =
+  match connect () with
+  | Ok c ->
+      ignore (Client.request c Protocol.Shutdown);
+      Client.close c
+  | Error _ -> ()
+
+(* Serve [config] in its own domain on [listener]. However [f] ends,
+   the daemon is shut down through [connect] before the join, so a
+   failed check fails the test rather than hanging it. *)
+let with_served config ~listener ~connect f =
   let server = Result.get_ok (Server.create config) in
   let domain = Domain.spawn (fun () -> Server.serve server ~listeners:[ listener ]) in
-  Fun.protect ~finally:(fun () -> Domain.join domain) f
+  Fun.protect
+    ~finally:(fun () ->
+      stop_daemon connect;
+      Domain.join domain)
+    f
 
 let test_unix_socket () =
   with_dir (fun dir ->
       let config = Server.default_config ~machine_size:64 ~policy:Cluster.Greedy ~dir in
       let path = Filename.concat dir "pmp.sock" in
-      with_served config ~listener:(Server.listen_unix path) (fun () ->
+      with_served config ~listener:(Server.listen_unix path)
+        ~connect:(fun () -> Client.connect_unix path) (fun () ->
           let client = get_ok ~ctx:"connect" (Client.connect_unix path) in
           run_session client;
           shutdown_server client;
@@ -1080,7 +1097,8 @@ let test_unix_socket_binary () =
   with_dir (fun dir ->
       let config = Server.default_config ~machine_size:64 ~policy:Cluster.Greedy ~dir in
       let path = Filename.concat dir "pmp.sock" in
-      with_served config ~listener:(Server.listen_unix path) (fun () ->
+      with_served config ~listener:(Server.listen_unix path)
+        ~connect:(fun () -> Client.connect_unix path) (fun () ->
           let client =
             get_ok ~ctx:"connect"
               (Client.connect_unix ~proto:Client.Binary path)
@@ -1096,7 +1114,8 @@ let test_mixed_protocol_session () =
   with_dir (fun dir ->
       let config = Server.default_config ~machine_size:64 ~policy:Cluster.Greedy ~dir in
       let path = Filename.concat dir "pmp.sock" in
-      with_served config ~listener:(Server.listen_unix path) (fun () ->
+      with_served config ~listener:(Server.listen_unix path)
+        ~connect:(fun () -> Client.connect_unix path) (fun () ->
           let client = get_ok ~ctx:"connect" (Client.connect_unix path) in
           (* pipeline the whole mixed burst before reading anything *)
           let send proto r =
@@ -1133,10 +1152,9 @@ let test_tcp_socket () =
           ~dir
       in
       let listener, port = Server.listen_tcp ~host:"127.0.0.1" ~port:0 in
-      with_served config ~listener (fun () ->
-          let client =
-            get_ok ~ctx:"connect" (Client.connect_tcp ~host:"127.0.0.1" ~port ())
-          in
+      let connect () = Client.connect_tcp ~host:"127.0.0.1" ~port () in
+      with_served config ~listener ~connect (fun () ->
+          let client = get_ok ~ctx:"connect" (connect ()) in
           run_session client;
           shutdown_server client;
           Client.close client))
@@ -1147,7 +1165,8 @@ let test_pipelined_batch () =
   with_dir (fun dir ->
       let config = Server.default_config ~machine_size:256 ~policy:Cluster.Copies ~dir in
       let path = Filename.concat dir "pmp.sock" in
-      with_served config ~listener:(Server.listen_unix path) (fun () ->
+      with_served config ~listener:(Server.listen_unix path)
+        ~connect:(fun () -> Client.connect_unix path) (fun () ->
           let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
           Unix.connect fd (ADDR_UNIX path);
           let oc = Unix.out_channel_of_descr fd in
@@ -1182,7 +1201,8 @@ let test_concurrent_clients () =
   with_dir (fun dir ->
       let config = Server.default_config ~machine_size:64 ~policy:Cluster.Greedy ~dir in
       let path = Filename.concat dir "pmp.sock" in
-      with_served config ~listener:(Server.listen_unix path) (fun () ->
+      with_served config ~listener:(Server.listen_unix path)
+        ~connect:(fun () -> Client.connect_unix path) (fun () ->
           let worker () =
             let client = Result.get_ok (Client.connect_unix path) in
             let ids =
@@ -1397,7 +1417,8 @@ let test_health_opcode () =
         Server.default_config ~machine_size:16 ~policy:Cluster.Greedy ~dir
       in
       let path = Filename.concat dir "pmp.sock" in
-      with_served config ~listener:(Server.listen_unix path) (fun () ->
+      with_served config ~listener:(Server.listen_unix path)
+        ~connect:(fun () -> Client.connect_unix path) (fun () ->
           let check proto seq_floor =
             let client =
               get_ok ~ctx:"connect" (Client.connect_unix ~proto path)
@@ -1430,7 +1451,8 @@ let test_rid_echo_over_sockets () =
         Server.default_config ~machine_size:16 ~policy:Cluster.Greedy ~dir
       in
       let path = Filename.concat dir "pmp.sock" in
-      with_served config ~listener:(Server.listen_unix path) (fun () ->
+      with_served config ~listener:(Server.listen_unix path)
+        ~connect:(fun () -> Client.connect_unix path) (fun () ->
           let check proto =
             let client =
               get_ok ~ctx:"connect" (Client.connect_unix ~proto path)
@@ -1480,7 +1502,9 @@ let test_latency_attribution_reconciles () =
       in
       let dump =
         Fun.protect
-          ~finally:(fun () -> Domain.join domain)
+          ~finally:(fun () ->
+            stop_daemon (fun () -> Client.connect_unix path);
+            Domain.join domain)
           (fun () ->
             let client =
               get_ok ~ctx:"connect"
@@ -1622,13 +1646,18 @@ let sharded_config ?(domains = 4) ~dir () =
   }
 
 (* Serve [config] in its own domain over a socket in [dir]; [f] gets
-   the socket path and must shut the daemon down. *)
+   the socket path. However [f] ends, the daemon is shut down before
+   the join, as {!with_served} does. *)
 let with_sharded config ~dir f =
   let server = get_ok ~ctx:"create" (Server.create config) in
   let path = Filename.concat dir "pmp.sock" in
   let listener = Server.listen_unix path in
   let domain = Domain.spawn (fun () -> Server.serve server ~listeners:[ listener ]) in
-  Fun.protect ~finally:(fun () -> Domain.join domain) (fun () -> f path)
+  Fun.protect
+    ~finally:(fun () ->
+      stop_daemon (fun () -> Client.connect_unix path);
+      Domain.join domain)
+    (fun () -> f path)
 
 let connect path =
   get_ok ~ctx:"connect" (Client.connect_unix ~proto:Client.Binary path)
@@ -2464,6 +2493,18 @@ let served_equals_cluster =
           let wal =
             List.mapi (fun seq op -> (seq + 1, op)) (List.filter_map snd expected)
           in
+          (* the console's and Sim's answers, over a cluster of their own *)
+          let bare =
+            Result.get_ok (Cluster.create ~machine_size:16 ~policy ~admission_cap ())
+          in
+          List.iteri
+            (fun i (req, (want, _)) ->
+              let got = Protocol.answer bare req in
+              if got <> want then
+                Alcotest.failf "Protocol.answer: step %d (%s): got %s, a cluster answers %s"
+                  i (Protocol.encode_request req) (Protocol.encode_response got)
+                  (Protocol.encode_response want))
+            (List.combine reqs expected);
           List.iter
             (fun encoding ->
               let name = encoding_name encoding in
