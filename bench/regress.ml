@@ -533,10 +533,9 @@ let load_index_probe calib =
 let service_probe calib =
   let module L = Pmp_server.Loadgen in
   let run label ?(latency_profile = false) ?recorder_size ~proto ~fsync_policy
-      ~wal_format ~requests () =
+      ~requests () =
     match
-      L.bench ~proto ~fsync_policy ~wal_format ~latency_profile ?recorder_size
-        ~requests ()
+      L.bench ~proto ~fsync_policy ~latency_profile ?recorder_size ~requests ()
     with
     | Ok (o, _) when o.L.errors > 0 ->
         failwith
@@ -557,35 +556,32 @@ let service_probe calib =
   (* best-of-2 for the two sides of the overhead ratio: a 5%-scale
      comparison needs more smoothing than the 5x-scale speedup floor *)
   let best_ns label ?latency_profile ?recorder_size ~proto ~fsync_policy
-      ~wal_format ~requests () =
+      ~requests () =
     let ((o1, _) as r1) =
-      run label ?latency_profile ?recorder_size ~proto ~fsync_policy
-        ~wal_format ~requests ()
+      run label ?latency_profile ?recorder_size ~proto ~fsync_policy ~requests ()
     in
     let ((o2, _) as r2) =
-      run label ?latency_profile ?recorder_size ~proto ~fsync_policy
-        ~wal_format ~requests ()
+      run label ?latency_profile ?recorder_size ~proto ~fsync_policy ~requests ()
     in
     if L.ns_per_request o1 <= L.ns_per_request o2 then r1 else r2
   in
   let fast, fast_per_fsync =
     best_ns "binary+group" ~proto:Pmp_server.Client.Binary
-      ~fsync_policy:Pmp_server.Wal.Group
-      ~wal_format:Pmp_server.Wal.Binary_records ~requests:30_000 ()
+      ~fsync_policy:Pmp_server.Wal.Group ~requests:30_000 ()
   in
   (* the same matrix point with every observability feature on: stage
      and per-opcode histograms plus a live flight recorder *)
   let instrumented, _ =
     best_ns "binary+group+obs" ~latency_profile:true ~recorder_size:1024
       ~proto:Pmp_server.Client.Binary ~fsync_policy:Pmp_server.Wal.Group
-      ~wal_format:Pmp_server.Wal.Binary_records ~requests:30_000 ()
+      ~requests:30_000 ()
   in
-  (* the seed's configuration: JSON lines, fsync on every append — a
-     real fsync per mutation, so a tenth of the requests suffices *)
+  (* the seed's configuration: JSON lines on the wire, fsync on every
+     append — a real fsync per mutation, so a tenth of the requests
+     suffices *)
   let slow, slow_per_fsync =
     run "json+always" ~proto:Pmp_server.Client.Json
-      ~fsync_policy:Pmp_server.Wal.Always
-      ~wal_format:Pmp_server.Wal.Json_records ~requests:3_000 ()
+      ~fsync_policy:Pmp_server.Wal.Always ~requests:3_000 ()
   in
   let words =
     match L.words_per_request () with
@@ -649,8 +645,7 @@ let multicore_probe () =
         let run ~domains () =
           match
             L.bench ~proto:Pmp_server.Client.Binary
-              ~fsync_policy:Pmp_server.Wal.Group
-              ~wal_format:Pmp_server.Wal.Binary_records ~domains ~conns:4
+              ~fsync_policy:Pmp_server.Wal.Group ~domains ~conns:4
               ~requests:30_000 ()
           with
           | Ok (o, _) -> o
@@ -822,7 +817,7 @@ let federation_probe calib =
   let direct =
     match
       L.bench ~proto:Client.Binary ~fsync_policy:Pmp_server.Wal.Group
-        ~wal_format:Pmp_server.Wal.Binary_records ~requests:10_000 ()
+        ~requests:10_000 ()
     with
     | Ok (o, _) -> o
     | Error e -> failwith ("federation probe (direct): " ^ e)

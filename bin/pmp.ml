@@ -387,14 +387,6 @@ let serve_cmd =
     in
     Arg.(value & opt string "group" & info [ "fsync-policy" ] ~docv:"POLICY" ~doc)
   in
-  let wal_format_arg =
-    let doc =
-      "Encoding of fresh WAL records: $(b,binary) (compact frames) or \
-       $(b,json) (one debuggable object per line). Recovery reads both, so \
-       switching is safe at any restart."
-    in
-    Arg.(value & opt string "binary" & info [ "wal-format" ] ~docv:"FMT" ~doc)
-  in
   let snapshot_arg =
     let doc = "Write a snapshot every $(docv) mutations (0 = on demand only)." in
     Arg.(value & opt int 1024 & info [ "snapshot-every" ] ~docv:"K" ~doc)
@@ -448,16 +440,13 @@ let serve_cmd =
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K" ~doc)
   in
   let action machine_size alloc_name d_str seed cap dir socket host port
-      fsync_policy wal_format snapshot_every crash_after latency_profile
-      slow_ms recorder_size domains =
+      fsync_policy snapshot_every crash_after latency_profile slow_ms
+      recorder_size domains =
     let* _ = Builders.machine machine_size in
     let* d = Builders.parse_d d_str in
     let* policy = Builders.cluster_policy alloc_name ~d ~seed in
     let* fsync_policy =
       Result.map_error (fun e -> `Msg e) (Pmp_server.Wal.parse_policy fsync_policy)
-    in
-    let* wal_format =
-      Result.map_error (fun e -> `Msg e) (Pmp_server.Wal.parse_format wal_format)
     in
     let config =
       {
@@ -466,7 +455,6 @@ let serve_cmd =
         admission_cap = cap;
         dir;
         fsync_policy;
-        wal_format;
         snapshot_every;
         crash_after;
         latency_profile;
@@ -498,8 +486,8 @@ let serve_cmd =
       term_result
         (const action $ machine_arg $ alloc_arg $ d_arg $ seed_arg $ cap_arg
        $ dir_arg $ socket_arg $ host_arg $ port_arg $ fsync_arg
-       $ wal_format_arg $ snapshot_arg $ crash_arg $ latency_profile_arg
-       $ slow_ms_arg $ recorder_arg $ domains_arg))
+       $ snapshot_arg $ crash_arg $ latency_profile_arg $ slow_ms_arg
+       $ recorder_arg $ domains_arg))
   in
   Cmd.v
     (Cmd.info "serve"

@@ -52,7 +52,7 @@ serve() {
   dir=$WORK/$1
   shift
   start "$dir.log" "$dir/pmp.sock" serve -m 128 -a am -d 2 --domains="$K" \
-    --fsync-policy=group --wal-format=binary --snapshot-every "$SNAP" \
+    --fsync-policy=group --snapshot-every "$SNAP" \
     --dir "$dir" --socket "$dir/pmp.sock" "$@"
 }
 

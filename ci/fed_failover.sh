@@ -34,8 +34,7 @@ shard() {
   dir=$WORK/shard-$1
   shift
   start "$dir.log" "$dir/pmp.sock" serve -m 64 -a greedy --dir "$dir" \
-    --socket "$dir/pmp.sock" --cap 1.5 --fsync-policy=group \
-    --wal-format=binary "$@"
+    --socket "$dir/pmp.sock" --cap 1.5 --fsync-policy=group "$@"
 }
 
 # count WORDS FILE: the number `fed status` printed before WORDS

@@ -145,7 +145,7 @@ EOF
 mutant router-poll-feeds-index <<'EOF'
 --- a/lib/federation/router.ml
 +++ b/lib/federation/router.ml
-@@ -457,7 +457,6 @@
+@@ -449,7 +449,6 @@
    Array.iteri
      (fun sx -> function
        | Some (Protocol.Stats_reply s) ->
@@ -173,7 +173,7 @@ EOF
 mutant query-reports-queued <<'EOF'
 --- a/lib/server/server.ml
 +++ b/lib/server/server.ml
-@@ -930,7 +930,7 @@
+@@ -907,7 +907,7 @@
    (match Cluster.placement t.cluster lid with
    | Some p -> add_at t Protocol.add_active buf gid p
    | None ->
@@ -188,7 +188,7 @@ EOF
 mutant finish-appends-wal <<'EOF'
 --- a/lib/server/server.ml
 +++ b/lib/server/server.ml
-@@ -918,7 +918,6 @@
+@@ -895,7 +895,6 @@
    | Ok () ->
        let ta = now t in
        t.seq <- t.seq + 1;
@@ -202,7 +202,7 @@ EOF
 mutant router-merges-max-gauges <<'EOF'
 --- a/lib/federation/router.ml
 +++ b/lib/federation/router.ml
-@@ -425,8 +425,7 @@
+@@ -417,8 +417,7 @@
        ( Protocol.Metrics_reply
            (router_dump
            ^ with_load_ratio t
@@ -219,7 +219,7 @@ EOF
 mutant router-load-ratio-federation <<'EOF'
 --- a/lib/federation/router.ml
 +++ b/lib/federation/router.ml
-@@ -425,8 +425,7 @@
+@@ -417,8 +417,7 @@
        ( Protocol.Metrics_reply
            (router_dump
 -          ^ with_load_ratio t
@@ -236,7 +236,7 @@ EOF
 mutant load-ratio-whole-machine <<'EOF'
 --- a/lib/server/server.ml
 +++ b/lib/server/server.ml
-@@ -487,9 +487,7 @@
+@@ -472,9 +472,7 @@
          Metrics.Gauge.set t.ins.g_shard_queue (float_of_int s.Cluster.queued_now);
          Atomic.set m.queued_pub.(t.shard) s.Cluster.queued_now;
          Atomic.set m.active_pub.(t.shard) s.Cluster.active_size;
@@ -245,8 +245,30 @@ mutant load-ratio-whole-machine <<'EOF'
 -          m.plan.Sharding.machine_size
 +        s.Cluster.optimal_now
    in
-   if optimal > 0 then begin
-     t.ratio_ring.(t.ratio_n mod Array.length t.ratio_ring) <-
+   Metrics.Ratio_window.push t.ratios ~max_load:s.Cluster.max_load ~optimal
+
+EOF
+
+# A WAL holding a JSON record, which pmp 1.14 and earlier could write,
+# is refused by name rather than dropped as a torn tail.
+mutant wal-refuses-json <<'EOF'
+--- a/lib/server/wal.ml
++++ b/lib/server/wal.ml
+@@ -193,14 +193,6 @@
+     let len = String.length data in
+     let rec parse idx pos last_seq acc =
+       if pos >= len then Ok (List.rev acc)
+-      else if data.[pos] = '{' then
+-        Error
+-          (Printf.sprintf
+-             "%s: wal record %d is a JSON record, which pmp 1.14 and earlier \
+-              could write and this version does not read; to migrate, serve \
+-              this directory with pmp 1.14 and send it `snapshot` (which \
+-              empties the log) then `shutdown`, or serve a fresh --dir"
+-             file (idx + 1))
+       else if Char.code data.[pos] <> Wire.wal_magic then
+         (* no record opens here: a final line of such bytes is a torn
+            write (a zero-filled tail after power loss reads so) and
 EOF
 
 if [ -n "$survivors" ] || [ -n "$hung" ]; then

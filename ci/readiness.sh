@@ -43,8 +43,10 @@ wait "$PID"
 grep -Eq '^ready .*recovered_ops=[1-9]' "$WORK/health-recovered.txt" ||
   fail "a restarted daemon must be ready and report its replayed records"
 
-# 3. a WAL contradicting the acknowledged ids: no ready, no socket
-printf '{"seq": 4,"op": "submit","id": 999,"size": 8}\n' >> "$STATE/wal.log"
+# 3. a WAL contradicting the acknowledged ids: no ready, no socket. The
+# record is a submit (tag 1) of size 8 at seq 4 claiming id 999: magic
+# 0xA7, version 1, payload length 5, tag 1, then varints 4, 999, 8.
+printf '\247\001\005\001\004\347\007\010' >> "$STATE/wal.log"
 if $PMP serve -m 64 -a greedy --dir "$STATE" --socket "$STATE/pmp.sock" \
   >> "$WORK/serve.log" 2>&1; then
   fail "a poisoned WAL must refuse to serve"

@@ -78,10 +78,8 @@ type t = {
       (** [Route]'s totals, caught up on each dump *)
   g_connections : Metrics.Gauge.t;
   recorder : Recorder.t;
-  ratios : float array;
-      (** rolling window of the polls' load ratios, over the whole
-          federation's L* *)
-  mutable n_ratios : int;  (** ratios ever pushed *)
+  ratios : Metrics.Ratio_window.t;
+      (** the polls' load ratios, over the whole federation's L* *)
   g_ratio : Metrics.Gauge.t;  (** their p99, as each dump reports it *)
   t0 : float;
   mutable last_poll : float;
@@ -289,8 +287,7 @@ let create config =
       totals;
       g_connections;
       recorder = Recorder.create config.recorder_size;
-      ratios = Array.make 1024 0.0;
-      n_ratios = 0;
+      ratios = Metrics.Ratio_window.make ();
       g_ratio = Metrics.Gauge.make ();
       t0 = now;
       last_poll = now;
@@ -365,12 +362,7 @@ let merged_stats t replies =
    nearest-rank as pmpd takes its own, and its high-water mark, in
    their place. *)
 let with_load_ratio t dump =
-  let n = min t.n_ratios (Array.length t.ratios) in
-  let sorted = Array.sub t.ratios 0 n in
-  Array.sort Float.compare sorted;
-  Metrics.Gauge.set t.g_ratio
-    (if n = 0 then 0.0
-     else sorted.(min (n - 1) (int_of_float (float_of_int n *. 0.99))));
+  Metrics.Gauge.set t.g_ratio (Metrics.Ratio_window.p99 t.ratios);
   let sample name v = Printf.sprintf "%s %.9g" name v in
   String.split_on_char '\n' dump
   |> List.map (fun line ->
@@ -463,11 +455,10 @@ let poll t =
       | _ -> ())
     replies;
   match merged_stats t replies with
-  | Some s when s.Cluster.optimal_now > 0 ->
-      t.ratios.(t.n_ratios mod Array.length t.ratios) <-
-        float_of_int s.Cluster.max_load /. float_of_int s.Cluster.optimal_now;
-      t.n_ratios <- t.n_ratios + 1
-  | _ -> ()
+  | Some s ->
+      Metrics.Ratio_window.push t.ratios ~max_load:s.Cluster.max_load
+        ~optimal:s.Cluster.optimal_now
+  | None -> ()
 
 (* Reconnect every down shard that answers a health probe as ready, and
    refresh its summary right away: the recovered shard still carries

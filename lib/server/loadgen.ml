@@ -216,8 +216,7 @@ let rec rm_rf path =
 let service_counter = Atomic.make 0
 
 let with_local_service ?(machine_size = 256) ?(fsync_policy = Wal.Group)
-    ?(wal_format = Wal.Binary_records) ?(latency_profile = false)
-    ?recorder_size ?(domains = 1) f =
+    ?(latency_profile = false) ?recorder_size ?(domains = 1) f =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -230,7 +229,6 @@ let with_local_service ?(machine_size = 256) ?(fsync_policy = Wal.Group)
     {
       base with
       fsync_policy;
-      wal_format;
       snapshot_every = 0;
       latency_profile;
       recorder_size =
@@ -277,14 +275,14 @@ let metrics_of socket =
       Client.close client;
       Result.map_error (fun e -> "metrics: " ^ e) r
 
-(* One complete benchmark: spin a server with the given WAL policy and
-   format, drive the churn workload (seed 0xB00, window 32) through
+(* One complete benchmark: spin a server with the given WAL policy,
+   drive the churn workload (seed 0xB00, window 32) through
    [conns] connections, read the daemon's final metrics, shut the
    server down, clean up. *)
-let bench ?fsync_policy ?wal_format ?(proto = Client.Binary) ?latency_profile
+let bench ?fsync_policy ?(proto = Client.Binary) ?latency_profile
     ?recorder_size ?domains ?(conns = 1) ~requests () =
   let seed = 0xB00 and machine_size = 256 and window = 32 in
-  with_local_service ~machine_size ?fsync_policy ?wal_format ?latency_profile
+  with_local_service ~machine_size ?fsync_policy ?latency_profile
     ?recorder_size ?domains (fun socket ->
       Result.bind
         (drive_parallel

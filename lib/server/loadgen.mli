@@ -79,7 +79,6 @@ val drive_parallel :
 val with_local_service :
   ?machine_size:int ->
   ?fsync_policy:Wal.fsync_policy ->
-  ?wal_format:Wal.format ->
   ?latency_profile:bool ->
   ?recorder_size:int ->
   ?domains:int ->
@@ -89,12 +88,11 @@ val with_local_service :
     snapshots, serving in its own domain from a fresh temporary state
     directory; shut the server down, join the domain and delete the
     directory afterwards (also on exceptions). Defaults: machine 256,
-    group commit, binary WAL, no latency profiling, the server's
+    group commit, no latency profiling, the server's
     default flight-recorder size, [domains = 1]. *)
 
 val bench :
   ?fsync_policy:Wal.fsync_policy ->
-  ?wal_format:Wal.format ->
   ?proto:Client.proto ->
   ?latency_profile:bool ->
   ?recorder_size:int ->
@@ -105,8 +103,8 @@ val bench :
   (outcome * string, string) result
 (** {!with_local_service} at machine 256 + {!drive_parallel} of the
     seed-0xB00 churn over [conns] connections with a window of 32: the
-    complete measurement for one (protocol, fsync policy, WAL format,
-    domains, connections) point. Also returns the daemon's
+    complete measurement for one (protocol, fsync policy, domains,
+    connections) point. Also returns the daemon's
     {!Pmp_telemetry.Metrics.prometheus} dump, read after the drive. *)
 
 val words_per_request : ?requests:int -> unit -> (float, string) result

@@ -65,21 +65,8 @@ let request_fields = function
   | Shutdown -> [ ("op", Json.Str "shutdown") ]
 
 let encode_request ?rid r =
-  match (rid, r) with
-  | Some n, _ -> Json.to_string (Json.Obj (request_fields r @ [ ("rid", num n) ]))
-  | None, Submit size ->
-      Json.to_string (Json.Obj [ ("op", Json.Str "submit"); ("size", num size) ])
-  | None, Finish id ->
-      Json.to_string (Json.Obj [ ("op", Json.Str "finish"); ("id", num id) ])
-  | None, Query id ->
-      Json.to_string (Json.Obj [ ("op", Json.Str "query"); ("id", num id) ])
-  | None, Stats -> {|{"op": "stats"}|}
-  | None, Loads -> {|{"op": "loads"}|}
-  | None, Metrics -> {|{"op": "metrics"}|}
-  | None, Snapshot -> {|{"op": "snapshot"}|}
-  | None, Ping -> {|{"op": "ping"}|}
-  | None, Health -> {|{"op": "health"}|}
-  | None, Shutdown -> {|{"op": "shutdown"}|}
+  let rid = match rid with None -> [] | Some n -> [ ("rid", num n) ] in
+  Json.to_string (Json.Obj (request_fields r @ rid))
 
 (* Field accessors that fail as [Error] rather than raising: the
    server feeds these raw network bytes. *)

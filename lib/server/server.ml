@@ -9,7 +9,6 @@ type config = {
   admission_cap : float option;
   dir : string;
   fsync_policy : Wal.fsync_policy;
-  wal_format : Wal.format;
   snapshot_every : int;
   crash_after : int option;
   latency_profile : bool;
@@ -25,7 +24,6 @@ let default_config ~machine_size ~policy ~dir =
     admission_cap = None;
     dir;
     fsync_policy = Wal.Group;
-    wal_format = Wal.Binary_records;
     snapshot_every = 1024;
     crash_after = None;
     latency_profile = false;
@@ -249,8 +247,7 @@ type t = {
   started : float;
   wal_base : int;  (** seq already durable when this process opened the WAL *)
   usr1 : bool Atomic.t;  (** a SIGUSR1 dump is pending *)
-  ratio_ring : float array;  (** rolling load-ratio window, unboxed *)
-  mutable ratio_n : int;  (** ratios ever pushed *)
+  ratios : Metrics.Ratio_window.t;  (** behind [pmpd_p99_load_ratio] *)
   shard : int;  (** this core's shard; 0 unsharded *)
   ids : Sharding.plan;  (** the id map over the K cores; K = 1 unsharded *)
   leaf_off : int;  (** first global leaf of this core's subtree *)
@@ -305,18 +302,6 @@ let wal_lag t =
   if last = min_int then 0
   else max 0 (last - max (Wal.durable_seq t.wal) t.wal_base)
 
-(* p99 of the rolling load-ratio window. The ring is written with
-   plain float-array stores on the commit path; sorting a copy here is
-   fine — rendering metrics is a cold path. *)
-let rolling_p99 t =
-  let n = min t.ratio_n (Array.length t.ratio_ring) in
-  if n = 0 then 0.0
-  else begin
-    let copy = Array.sub t.ratio_ring 0 n in
-    Array.sort Float.compare copy;
-    copy.(min (n - 1) (int_of_float (float_of_int n *. 0.99)))
-  end
-
 (* This core's own dump; a sharded daemon answers [metrics] with the
    merge of every core's. The repack counters copy the cluster's own
    counts, which a recovery restores, so they are brought up to date
@@ -326,7 +311,7 @@ let metrics t =
   let sync c n = Metrics.Counter.inc c (n - Metrics.Counter.value c) in
   sync t.ins.c_reallocs s.Cluster.reallocations;
   sync t.ins.c_migrated s.Cluster.tasks_migrated;
-  let p99 = rolling_p99 t in
+  let p99 = Metrics.Ratio_window.p99 t.ratios in
   Metrics.Gauge.set t.ins.g_p99_ratio p99;
   Metrics.Gauge.set t.ins.g_shard_p99 p99;
   Metrics.prometheus t.reg
@@ -491,11 +476,7 @@ let update_gauges t =
           (Array.fold_left (fun n a -> n + Atomic.get a) 0 m.active_pub)
           m.plan.Sharding.machine_size
   in
-  if optimal > 0 then begin
-    t.ratio_ring.(t.ratio_n mod Array.length t.ratio_ring) <-
-      float_of_int s.Cluster.max_load /. float_of_int optimal;
-    t.ratio_n <- t.ratio_n + 1
-  end
+  Metrics.Ratio_window.push t.ratios ~max_load:s.Cluster.max_load ~optimal
 
 (* One core over [config.dir]: recover whatever snapshot and WAL it
    holds, audit the result, open the WAL for appending. *)
@@ -522,10 +503,7 @@ let create_core config ~shard ~ids ~mesh =
         Metrics.Counter.inc ins.c_recovered_ops replayed;
         Metrics.Span.add ins.s_recovery (Unix.gettimeofday () -. t0)
       end;
-      let wal =
-        Wal.open_log ~format:config.wal_format
-          (Filename.concat config.dir "wal.log")
-      in
+      let wal = Wal.open_log (Filename.concat config.dir "wal.log") in
       let t =
         {
           config;
@@ -553,8 +531,7 @@ let create_core config ~shard ~ids ~mesh =
           started = Unix.gettimeofday ();
           wal_base = seq;
           usr1 = Atomic.make false;
-          ratio_ring = Array.make 1024 0.0;
-          ratio_n = 0;
+          ratios = Metrics.Ratio_window.make ();
           shard;
           ids;
           leaf_off = shard * config.machine_size;

@@ -23,7 +23,9 @@
     {b Recovery.} Snapshots hold the cluster's O(live) state, not its
     history (see {!Snapshot}), so recovery costs O(live tasks + WAL
     tail) however long the daemon ran. On startup, {!create}:
-    - refuses a JSON snapshot left by pmp 1.7 or earlier, by name;
+    - refuses a JSON snapshot left by pmp 1.7 or earlier, by name, and
+      a WAL holding a JSON record (pmp 1.14 or earlier), naming the
+      file and how to migrate;
     - loads the latest snapshot, verifies its checksum and imports it
       with {!Pmp_cluster.Cluster.import}, whose structural checks
       (sizes, alignment, placements inside the machine and of their
@@ -132,7 +134,6 @@ type config = {
   admission_cap : float option;
   dir : string;  (** state directory: WAL + snapshots (created) *)
   fsync_policy : Wal.fsync_policy;  (** when WAL batches hit disk *)
-  wal_format : Wal.format;  (** encoding of fresh WAL records *)
   snapshot_every : int;  (** snapshot every k mutations; 0 = only on demand *)
   crash_after : int option;  (** crash-injection test mode *)
   latency_profile : bool;
@@ -151,10 +152,9 @@ type config = {
 
 val default_config :
   machine_size:int -> policy:Pmp_cluster.Cluster.policy -> dir:string -> config
-(** No admission cap, [fsync_policy = Group], [wal_format =
-    Binary_records], [snapshot_every = 1024], no crash injection, no
-    latency profiling or slow-request log, [recorder_size = 256],
-    [domains = 1]. *)
+(** No admission cap, [fsync_policy = Group], [snapshot_every = 1024],
+    no crash injection, no latency profiling or slow-request log,
+    [recorder_size = 256], [domains = 1]. *)
 
 exception Crash
 (** Raised by the crash-injection trip; escapes {!serve} with all

@@ -1,43 +1,7 @@
-module Json = Pmp_util.Json
-
 type op = Submit of { id : int; size : int } | Finish of { id : int }
 
-let num n = Json.Num (float_of_int n)
-
-let op_to_json ~seq op =
-  Json.Obj
-    (("seq", num seq)
-    ::
-    (match op with
-    | Submit { id; size } ->
-        [ ("op", Json.Str "submit"); ("id", num id); ("size", num size) ]
-    | Finish { id } -> [ ("op", Json.Str "finish"); ("id", num id) ]))
-
-let int_field v name =
-  match Option.bind (Json.member name v) Json.to_int with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "missing integer field %S" name)
-
-let ( let* ) = Result.bind
-
-let op_of_json v =
-  let* seq = int_field v "seq" in
-  let* op =
-    match Option.bind (Json.member "op" v) Json.to_str with
-    | Some "submit" ->
-        let* id = int_field v "id" in
-        let* size = int_field v "size" in
-        Ok (Submit { id; size })
-    | Some "finish" ->
-        let* id = int_field v "id" in
-        Ok (Finish { id })
-    | Some other -> Error (Printf.sprintf "unknown wal op %S" other)
-    | None -> Error "missing string field \"op\""
-  in
-  Ok (seq, op)
-
 (* ------------------------------------------------------------------ *)
-(* policies and formats                                                *)
+(* policies                                                            *)
 
 type fsync_policy = Always | Group | Interval of float | Never
 
@@ -65,20 +29,12 @@ let policy_name = function
   | Never -> "never"
   | Interval s -> Printf.sprintf "interval:%g" (s *. 1000.)
 
-type format = Json_records | Binary_records
-
-let parse_format s =
-  match String.lowercase_ascii (String.trim s) with
-  | "json" -> Ok Json_records
-  | "binary" -> Ok Binary_records
-  | s -> Error (Printf.sprintf "unknown wal format %S (want binary|json)" s)
-
 (* ------------------------------------------------------------------ *)
 (* the log                                                             *)
 
+type format = Binary_records
+
 type t = {
-  file : string;
-  format : format;
   fd : Unix.file_descr;
   pending : Netbuf.t;  (** encoded records awaiting {!commit} *)
   mutable pending_records : int;
@@ -87,13 +43,11 @@ type t = {
   mutable durable_seq : int;  (** highest seq known fsynced *)
 }
 
-let open_log ?(format = Json_records) file =
+let open_log ?format:(_ : format option) file =
   let fd =
     Unix.openfile file [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
   in
   {
-    file;
-    format;
     fd;
     pending = Netbuf.create 4096;
     pending_records = 0;
@@ -102,16 +56,12 @@ let open_log ?(format = Json_records) file =
     durable_seq = min_int;
   }
 
-let path t = t.file
-let format t = t.format
 let pending_records t = t.pending_records
 let last_seq t = t.last_seq
 let durable_seq t = t.durable_seq
 
-(* Binary record: wal_magic, version, varint payload length, payload =
-   op tag byte, varint seq, varint id, (submit only) varint size. The
-   magic can't begin a JSON line, so one log can mix both formats and
-   old JSON logs load unchanged. *)
+(* A record: wal_magic, version, varint payload length, payload = op
+   tag byte, varint seq, varint id, (submit only) varint size. *)
 
 let tag_submit = '\001'
 let tag_finish = '\002'
@@ -121,41 +71,28 @@ let record_done t seq =
   t.last_seq <- seq
 
 let append_submit t ~seq ~id ~size =
-  (match t.format with
-  | Binary_records ->
-      let p = t.pending in
-      let plen =
-        1 + Wire.varint_length seq + Wire.varint_length id
-        + Wire.varint_length size
-      in
-      Netbuf.add_char p (Char.chr Wire.wal_magic);
-      Netbuf.add_char p (Char.chr Wire.version);
-      Netbuf.add_varint p plen;
-      Netbuf.add_char p tag_submit;
-      Netbuf.add_varint p seq;
-      Netbuf.add_varint p id;
-      Netbuf.add_varint p size
-  | Json_records ->
-      Netbuf.add_string t.pending
-        (Json.to_string (op_to_json ~seq (Submit { id; size })));
-      Netbuf.add_char t.pending '\n');
+  let p = t.pending in
+  let plen =
+    1 + Wire.varint_length seq + Wire.varint_length id + Wire.varint_length size
+  in
+  Netbuf.add_char p (Char.chr Wire.wal_magic);
+  Netbuf.add_char p (Char.chr Wire.version);
+  Netbuf.add_varint p plen;
+  Netbuf.add_char p tag_submit;
+  Netbuf.add_varint p seq;
+  Netbuf.add_varint p id;
+  Netbuf.add_varint p size;
   record_done t seq
 
 let append_finish t ~seq ~id =
-  (match t.format with
-  | Binary_records ->
-      let p = t.pending in
-      let plen = 1 + Wire.varint_length seq + Wire.varint_length id in
-      Netbuf.add_char p (Char.chr Wire.wal_magic);
-      Netbuf.add_char p (Char.chr Wire.version);
-      Netbuf.add_varint p plen;
-      Netbuf.add_char p tag_finish;
-      Netbuf.add_varint p seq;
-      Netbuf.add_varint p id
-  | Json_records ->
-      Netbuf.add_string t.pending
-        (Json.to_string (op_to_json ~seq (Finish { id })));
-      Netbuf.add_char t.pending '\n');
+  let p = t.pending in
+  let plen = 1 + Wire.varint_length seq + Wire.varint_length id in
+  Netbuf.add_char p (Char.chr Wire.wal_magic);
+  Netbuf.add_char p (Char.chr Wire.version);
+  Netbuf.add_varint p plen;
+  Netbuf.add_char p tag_finish;
+  Netbuf.add_varint p seq;
+  Netbuf.add_varint p id;
   record_done t seq
 
 let append t ~seq op =
@@ -200,10 +137,10 @@ let close t =
 
 type decoded = R_ok of int * op | R_bad of string | R_torn
 
-(* One binary record at [pos]. R_torn means the record runs past EOF —
+(* One record at [pos]. R_torn means the record runs past EOF —
    the signature of a crash mid-write — and is only ever produced with
    a next position of [len]. *)
-let decode_binary data pos len =
+let decode_record data pos len =
   if pos + 2 > len then (R_torn, len)
   else if Char.code data.[pos + 1] <> Wire.version then
     ( R_bad
@@ -249,26 +186,6 @@ let decode_binary data pos len =
           (r, limit)
         end
 
-(* One text line at [pos]: a JSON record, or garbage. *)
-let decode_line data pos len =
-  let eol =
-    match String.index_from_opt data pos '\n' with Some i -> i | None -> len
-  in
-  let next = if eol = len then len else eol + 1 in
-  let r =
-    if data.[pos] = '{' then begin
-      let line = String.sub data pos (eol - pos) in
-      match Json.of_string line with
-      | v -> (
-          match op_of_json v with
-          | Ok (seq, op) -> R_ok (seq, op)
-          | Error e -> R_bad e)
-      | exception Json.Parse_error e -> R_bad ("bad json: " ^ e)
-    end
-    else R_bad "not a wal record"
-  in
-  (r, next)
-
 let load file =
   if not (Sys.file_exists file) then Ok []
   else begin
@@ -276,29 +193,36 @@ let load file =
     let len = String.length data in
     let rec parse idx pos last_seq acc =
       if pos >= len then Ok (List.rev acc)
-      else begin
-        let is_binary = Char.code data.[pos] = Wire.wal_magic in
-        let r, next =
-          if is_binary then decode_binary data pos len
-          else decode_line data pos len
-        in
-        match r with
-        | R_ok (seq, op) ->
+      else if data.[pos] = '{' then
+        Error
+          (Printf.sprintf
+             "%s: wal record %d is a JSON record, which pmp 1.14 and earlier \
+              could write and this version does not read; to migrate, serve \
+              this directory with pmp 1.14 and send it `snapshot` (which \
+              empties the log) then `shutdown`, or serve a fresh --dir"
+             file (idx + 1))
+      else if Char.code data.[pos] <> Wire.wal_magic then
+        (* no record opens here: a final line of such bytes is a torn
+           write (a zero-filled tail after power loss reads so) and
+           drops; anything after it is corruption *)
+        match String.index_from_opt data pos '\n' with
+        | Some eol when eol + 1 < len ->
+            Error (Printf.sprintf "wal record %d: not a wal record" (idx + 1))
+        | Some _ | None -> Ok (List.rev acc)
+      else
+        match decode_record data pos len with
+        | R_ok (seq, op), next ->
             if seq <= last_seq then
               Error
                 (Printf.sprintf "wal record %d: seq %d not increasing" (idx + 1)
                    seq)
             else parse (idx + 1) next seq ((seq, op) :: acc)
-        | R_torn ->
+        | R_torn, _ ->
             (* incomplete final record cut short by a crash: drop it *)
             Ok (List.rev acc)
-        | R_bad e ->
-            (* a malformed final text line is a torn write and drops; a
-               complete binary record never tears, so it (and anything
-               interior) is real corruption *)
-            if next >= len && not is_binary then Ok (List.rev acc)
-            else Error (Printf.sprintf "wal record %d: %s" (idx + 1) e)
-      end
+        | R_bad e, _ ->
+            (* a complete record never tears, so this is corruption *)
+            Error (Printf.sprintf "wal record %d: %s" (idx + 1) e)
     in
     parse 0 0 min_int []
   end

@@ -7,11 +7,11 @@
     rotated (truncated) whenever a {!Snapshot} covering its records is
     durably written.
 
-    Records come in two encodings that can coexist in one file, told
-    apart by each record's first byte: compact binary frames opening
-    with {!Wire.wal_magic} (the hot path), and single-line JSON objects
-    opening with ['{'] (the debug format, and what pre-binary servers
-    wrote). {!load} replays both.
+    A record is a compact binary frame: {!Wire.wal_magic}, a version
+    byte, a varint payload length, then an op tag and varint fields.
+    pmp 1.14 and earlier could also write single-line JSON records,
+    which open with ['{']; {!load} refuses a log holding one, naming
+    the file and how to migrate, rather than keep a second decoder.
 
     Appends are {e buffered}: {!append} encodes into memory and only
     {!commit} hands the batch to the OS in a single [write] (plus at
@@ -33,9 +33,6 @@ type op =
   | Finish of { id : int }
       (** An accepted completion (or queued-task cancellation). *)
 
-val op_to_json : seq:int -> op -> Pmp_util.Json.t
-val op_of_json : Pmp_util.Json.t -> (int * op, string) result
-
 (** When the log forces batches to stable storage. Whatever the
     policy, acknowledged mutations always reach the OS before their
     responses reach the socket. *)
@@ -52,21 +49,16 @@ val parse_policy : string -> (fsync_policy, string) result
 
 val policy_name : fsync_policy -> string
 
-type format = Json_records | Binary_records
-
-val parse_format : string -> (format, string) result
-(** [binary | json]. *)
+type format = Binary_records
+(** The one record encoding. This type and {!open_log}'s [?format] are
+    kept only because the repository benchmark ([bench/e2e/layers.ml])
+    names them; both go with the next change to that benchmark. *)
 
 type t
 (** An open log, positioned for appending. *)
 
 val open_log : ?format:format -> string -> t
-(** Opens (creating if absent) for append. [format] (default
-    [Json_records]) governs what {!append} writes; {!load} always
-    accepts both. @raise Unix.Unix_error. *)
-
-val path : t -> string
-val format : t -> format
+(** Opens (creating if absent) for append. @raise Unix.Unix_error. *)
 
 val append : t -> seq:int -> op -> unit
 (** Encode one record into the pending batch. Nothing reaches the file
@@ -74,7 +66,7 @@ val append : t -> seq:int -> op -> unit
 
 val append_submit : t -> seq:int -> id:int -> size:int -> unit
 (** As {!append} but without building an {!op} — the zero-allocation
-    fast path (binary format appends allocate nothing). *)
+    fast path. *)
 
 val append_finish : t -> seq:int -> id:int -> unit
 
@@ -107,5 +99,8 @@ val close : t -> unit
 val load : string -> ((int * op) list, string) result
 (** All records in file order as [(seq, op)]. [Ok []] when the file
     does not exist. A final record cut short by a crash is dropped
-    (torn tail); malformed interior records and non-increasing
-    sequence numbers are errors. *)
+    (torn tail), and so is a final line that opens no record (a
+    zero-filled tail after power loss reads so). Malformed interior
+    records, bytes opening no record with more records after them,
+    and non-increasing sequence numbers are errors, and so is a JSON
+    record anywhere: the error names the file and how to migrate. *)

@@ -10,8 +10,9 @@
 exception Corrupt of string
 
 (* First bytes that can never open a JSON value or a text line: the
-   server and the WAL loader dispatch on them to keep old JSON peers
-   and old JSON logs working unchanged. *)
+   server dispatches on them to keep JSON peers working unchanged, and
+   the WAL loader tells an old JSON log, which it refuses, from
+   records. *)
 let request_magic = 0xB5
 let wal_magic = 0xA7
 let version = 0x01

@@ -1,5 +1,5 @@
 (** LEB128 varints and framing constants shared by the binary
-    {!Protocol} and the binary {!Wal} record format.
+    {!Protocol} and the {!Wal} record format.
 
     A varint carries a full OCaml [int] (the 63-bit two's-complement
     bit pattern, seven bits per byte, most significant chunk last), so
@@ -15,8 +15,9 @@ val request_magic : int
     the encoding of each request from this byte. *)
 
 val wal_magic : int
-(** First byte of every binary WAL record; same autodetection trick
-    lets one log mix JSON and binary records. *)
+(** First byte of every WAL record. Like {!request_magic} it cannot
+    open a JSON value, so {!Wal.load} tells a JSON record that an old
+    release wrote, which it refuses, from a record. *)
 
 val version : int
 (** Wire format version carried in every frame's second byte. *)

@@ -58,12 +58,12 @@ let quantile_of_buckets buckets ~max_seen ~count q =
             let frac =
               (rank -. float_of_int below) /. float_of_int in_bucket
             in
+            (* nothing observed lies above max_seen, so the covering
+               bucket ends there *)
+            let hi = Float.min upper max_seen in
             match lower with
-            | None -> if Float.is_finite upper then upper else max_seen
-            | Some lo ->
-                if Float.is_finite upper then interp lo upper frac
-                else if max_seen > lo then interp lo max_seen frac
-                else max_seen
+            | Some lo when hi > lo -> Float.min hi (interp lo hi frac)
+            | Some _ | None -> hi
           end
           else go (Some upper) cum rest
     in
@@ -135,6 +135,29 @@ module Span = struct
   let count t = t.count
   let total t = t.total
   let max_seen t = t.max_seen
+end
+
+module Ratio_window = struct
+  type t = { ring : float array; mutable n : int  (** ratios ever pushed *) }
+
+  let make () = { ring = Array.make 1024 0.0; n = 0 }
+
+  (* int arguments and a float-array store: nothing is boxed *)
+  let push t ~max_load ~optimal =
+    if optimal > 0 then begin
+      t.ring.(t.n mod Array.length t.ring) <-
+        float_of_int max_load /. float_of_int optimal;
+      t.n <- t.n + 1
+    end
+
+  let p99 t =
+    let n = min t.n (Array.length t.ring) in
+    if n = 0 then 0.0
+    else begin
+      let sorted = Array.sub t.ring 0 n in
+      Array.sort Float.compare sorted;
+      sorted.(min (n - 1) (int_of_float (float_of_int n *. 0.99)))
+    end
 end
 
 let log_bounds ~start ~ratio ~count =

@@ -46,10 +46,11 @@ val quantile_of_buckets :
     [q]-quantile (q in [0,1], clamped) from Prometheus-style cumulative
     [(upper_bound, cumulative_count)] buckets, interpolating
     geometrically inside the covering bucket (log-spaced buckets spread
-    mass log-uniformly). The first bucket reports its upper bound; the
-    [+Inf] overflow bucket interpolates towards [max_seen]; buckets with
-    non-positive bounds interpolate linearly. Returns [0.0] when
-    [count = 0]. *)
+    mass log-uniformly). Nothing observed lies above [max_seen], so a
+    covering bucket ends there, the [+Inf] overflow bucket included,
+    and the estimate never exceeds it. The first bucket reports its
+    upper bound (or [max_seen], if lower); buckets with non-positive
+    bounds interpolate linearly. Returns [0.0] when [count = 0]. *)
 
 module Histogram : sig
   type t
@@ -85,6 +86,24 @@ module Span : sig
   val count : t -> int
   val total : t -> float
   val max_seen : t -> float
+end
+
+(** The rolling window behind [pmpd_p99_load_ratio]: the last 1024
+    load ratios pushed, each a max load over L*, pmpd's one per
+    committed batch and the federation router's one per poll. *)
+module Ratio_window : sig
+  type t
+
+  val make : unit -> t
+
+  val push : t -> max_load:int -> optimal:int -> unit
+  (** Record [max_load / optimal]; nothing when [optimal <= 0] (an
+      empty machine has no ratio). It takes ints, so a caller on the
+      commit path boxes no float. *)
+
+  val p99 : t -> float
+  (** Nearest-rank p99 of the window; [0.0] before the first push. It
+      sorts a copy, so it belongs on a cold path such as a dump. *)
 end
 
 val log_bounds : start:float -> ratio:float -> count:int -> float array

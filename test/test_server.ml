@@ -289,6 +289,10 @@ let write_wal ?(name = "wal.log") dir records =
   Wal.close w;
   path
 
+let append_bytes path s =
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+      Out_channel.output_string oc s)
+
 let check_load ~ctx path expected =
   let got = get_ok ~ctx (Wal.load path) in
   if got <> expected then
@@ -308,33 +312,29 @@ let test_wal_roundtrip () =
         (sample_ops @ [ (5, Wal.Finish { id = 2 }) ]);
       check_load ~ctx:"missing file" (Filename.concat dir "nope.log") [])
 
+(* A final stretch that opens no record drops as a torn tail. Power
+   loss can leave the file extended over blocks whose data never
+   landed, so the tail reads as zeros. (Records cut short at every
+   byte offset are "wal binary torn tail".) *)
 let test_wal_torn_tail () =
   with_dir (fun dir ->
       let path = write_wal dir sample_ops in
-      (* a crash mid-append leaves a truncated final line *)
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc {|{"seq": 5,"op": "fin|};
-      close_out oc;
-      check_load ~ctx:"torn tail dropped" path sample_ops;
-      (* same, with the tear after the closing newline of a record *)
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc "garbage\n";
-      close_out oc;
+      append_bytes path (String.make 4096 '\000');
+      check_load ~ctx:"zero-filled tail dropped" path sample_ops;
+      let path = write_wal ~name:"line.log" dir sample_ops in
+      append_bytes path "garbage\n";
       check_load ~ctx:"torn last line dropped" path sample_ops)
 
 let test_wal_interior_corruption () =
   with_dir (fun dir ->
       let path = write_wal dir [ List.hd sample_ops ] in
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc "garbage\n";
-      output_string oc
-        (Pmp_util.Json.to_string ~indent:0
-           (Wal.op_to_json ~seq:2 (Wal.Finish { id = 0 }))
-        ^ "\n");
-      close_out oc;
+      append_bytes path "garbage\n";
+      let w = Wal.open_log path in
+      Wal.append w ~seq:2 (Wal.Finish { id = 0 });
+      Wal.close w;
       (match Wal.load path with
       | Error _ -> ()
-      | Ok _ -> Alcotest.fail "interior corruption must not load");
+      | Ok _ -> Alcotest.fail "a garbage line before a record must not load");
       (* non-increasing sequence numbers are corruption too *)
       let path2 =
         write_wal ~name:"seq.log" dir
@@ -358,7 +358,7 @@ let test_wal_reset () =
 let test_wal_binary_roundtrip () =
   with_dir (fun dir ->
       let path = Filename.concat dir "wal.bin" in
-      let w = Wal.open_log ~format:Wal.Binary_records path in
+      let w = Wal.open_log path in
       List.iter (fun (seq, op) -> Wal.append w ~seq op) sample_ops;
       Alcotest.(check int) "buffered before commit" (List.length sample_ops)
         (Wal.pending_records w);
@@ -366,14 +366,7 @@ let test_wal_binary_roundtrip () =
       ignore (Wal.commit w ~fsync:false);
       Alcotest.(check int) "drained after commit" 0 (Wal.pending_records w);
       check_load ~ctx:"committed batch" path sample_ops;
-      Wal.close w;
-      (* a JSON-format handle appends to the same log: recovery reads
-         record-by-record on the leading byte, so formats can mix *)
-      let w = Wal.open_log ~format:Wal.Json_records path in
-      Wal.append w ~seq:5 (Wal.Finish { id = 2 });
-      Wal.close w;
-      check_load ~ctx:"mixed formats" path
-        (sample_ops @ [ (5, Wal.Finish { id = 2 }) ]))
+      Wal.close w)
 
 (* Chop a group-committed binary log at every possible byte offset: a
    torn tail must always load as the exact prefix of records whose
@@ -381,7 +374,7 @@ let test_wal_binary_roundtrip () =
 let test_wal_binary_torn_tail () =
   with_dir (fun dir ->
       let path = Filename.concat dir "wal.bin" in
-      let w = Wal.open_log ~format:Wal.Binary_records path in
+      let w = Wal.open_log path in
       (* commit one record at a time to learn each frame boundary *)
       let boundaries =
         List.map
@@ -408,7 +401,7 @@ let test_wal_binary_torn_tail () =
 let test_wal_binary_interior_corruption () =
   with_dir (fun dir ->
       let path = Filename.concat dir "wal.bin" in
-      let w = Wal.open_log ~format:Wal.Binary_records path in
+      let w = Wal.open_log path in
       List.iter (fun (seq, op) -> Wal.append w ~seq op) sample_ops;
       ignore (Wal.commit w ~fsync:false);
       Wal.close w;
@@ -439,16 +432,7 @@ let test_fsync_policy_parse () =
       match Wal.parse_policy s with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "bad policy %S parsed" s)
-    [ ""; "warp"; "interval"; "interval:"; "interval:x"; "interval:-5" ];
-  (match Wal.parse_format "binary" with
-  | Ok Wal.Binary_records -> ()
-  | _ -> Alcotest.fail "binary format should parse");
-  (match Wal.parse_format "json" with
-  | Ok Wal.Json_records -> ()
-  | _ -> Alcotest.fail "json format should parse");
-  match Wal.parse_format "xml" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad format parsed"
+    [ ""; "warp"; "interval"; "interval:"; "interval:x"; "interval:-5" ]
 
 (* --- snapshots ---------------------------------------------------- *)
 
@@ -645,10 +629,11 @@ let test_empty_state_round_trip () =
         split_policies)
     [ None; Some 1.5 ]
 
-(* Recovery refuses a snapshot that is damaged or inconsistent, and
-   names the cause. The state is an A_M (copy-branch) cluster on 64
-   PEs: tasks 0 [0,8), 2 [16,20), 3 [32,48) and 4 [8,10), all on copy
-   0, with task 1 finished. [damage] gets the snapshot's path. *)
+(* Recovery refuses a snapshot or WAL that is damaged or inconsistent,
+   names the cause and leaves a flight-recorder dump. The state is an
+   A_M (copy-branch) cluster on 64 PEs: tasks 0 [0,8), 2 [16,20),
+   3 [32,48) and 4 [8,10), all on copy 0, with task 1 finished, and an
+   empty WAL. [damage] gets the snapshot's path. *)
 let refused_snapshot ~cause damage =
   with_dir (fun dir ->
       let config =
@@ -668,10 +653,12 @@ let refused_snapshot ~cause damage =
       in
       damage path;
       match Server.create config with
-      | Ok _ -> Alcotest.failf "recovery accepted a snapshot with %s" cause
+      | Ok _ -> Alcotest.failf "recovery accepted a state with %s" cause
       | Error e ->
           if not (string_contains e cause) then
-            Alcotest.failf "refusal %S does not name %S" e cause)
+            Alcotest.failf "refusal %S does not name %S" e cause;
+          Alcotest.(check bool) "the refusal left a flight-recorder dump" true
+            (Sys.file_exists (Filename.concat dir "flightrec.jsonl")))
 
 let rewrite path f =
   let snap = get_ok ~ctx:"load" (Snapshot.load path) in
@@ -734,6 +721,15 @@ let test_refuse_legacy_json () =
       Out_channel.with_open_text
         (Filename.concat (Filename.dirname path) "snapshot-0000000006.json")
         (fun oc -> output_string oc "{\"format\": 1, \"seq\": 6, \"events\": []}\n"))
+
+(* pmp 1.14 and earlier could write JSON WAL records; this version
+   refuses a log holding one, naming the file, rather than keep a
+   second decoder *)
+let test_refuse_json_wal () =
+  refused_snapshot ~cause:"wal.log: wal record 1 is a JSON record" (fun path ->
+      append_bytes
+        (Filename.concat (Filename.dirname path) "wal.log")
+        "{\"seq\": 7,\"op\": \"submit\",\"id\": 5,\"size\": 1}\n")
 
 (* A periodic snapshot that fails is retried only once another
    [snapshot_every] mutations have passed, not on every mutation, and
@@ -849,9 +845,6 @@ let crash_recovery =
                          written file, so [Never] is durability enough *)
                       fsync_policy =
                         (if seed land 1 = 0 then Wal.Group else Wal.Never);
-                      wal_format =
-                        (if seed land 2 = 0 then Wal.Binary_records
-                         else Wal.Json_records);
                       crash_after;
                     }
                   in
@@ -899,7 +892,6 @@ let test_group_commit_crash_durability () =
           (Server.default_config ~machine_size:64 ~policy:Cluster.Greedy ~dir) with
           Server.snapshot_every = 0;
           fsync_policy = Wal.Group;
-          wal_format = Wal.Binary_records;
           crash_after;
         }
       in
@@ -2566,6 +2558,7 @@ let suite =
     ("recovery refuses a misaligned placement", `Quick, test_refuse_misaligned);
     ("recovery refuses unbalanced counters", `Quick, test_refuse_unbalanced);
     ("recovery refuses a legacy json snapshot", `Quick, test_refuse_legacy_json);
+    ("recovery refuses a json wal", `Quick, test_refuse_json_wal);
     ("failed snapshot retried next interval", `Quick, test_snapshot_failure_retry);
     ("unix socket session", `Quick, test_unix_socket);
     ("unix socket session, binary", `Quick, test_unix_socket_binary);
