@@ -382,8 +382,8 @@ let serve_cmd =
     let doc =
       "WAL durability policy: $(b,always) (fsync every record), $(b,group) \
        (one fsync per event-loop batch — same acknowledgement guarantee, a \
-       fraction of the fsyncs), $(b,interval:<ms>) (fsync on a timer; a \
-       crash may lose the last interval) or $(b,never)."
+       fraction of the fsyncs) or $(b,never) (durability left to the OS; \
+       a crash may lose acknowledged writes)."
     in
     Arg.(value & opt string "group" & info [ "fsync-policy" ] ~docv:"POLICY" ~doc)
   in
@@ -432,10 +432,13 @@ let serve_cmd =
        of two K > 1 partitions the machine into K subtree shards, each the \
        same daemon core (WAL, snapshots, recovery audit, metrics, flight \
        recorder) over N/K PEs in its own domain and state directory \
-       <dir>/shard-<s>, with work-stealing admission: a shard with a queue \
-       (or about to start one) hands a submission to the least-loaded idle \
-       peer. A state directory only restarts with the K it was written \
-       with."
+       <dir>/shard-<s>. A submission of size 2^k goes to the leftmost shard \
+       whose least-loaded order-k window is the machine's least (shards \
+       with admission headroom first; the connection's home shard wins a \
+       tie), from the load summaries each shard publishes at each commit, \
+       so one connection under greedy without --cap places as K = 1 does. \
+       Tasks larger than N/K are refused. A state directory only restarts \
+       with the K it was written with."
     in
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K" ~doc)
   in

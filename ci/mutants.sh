@@ -145,7 +145,7 @@ EOF
 mutant router-poll-feeds-index <<'EOF'
 --- a/lib/federation/router.ml
 +++ b/lib/federation/router.ml
-@@ -449,7 +449,6 @@
+@@ -419,7 +419,6 @@
    Array.iteri
      (fun sx -> function
        | Some (Protocol.Stats_reply s) ->
@@ -159,7 +159,7 @@ EOF
 mutant rebalance-audit-refreshes <<'EOF'
 --- a/lib/federation/route.ml
 +++ b/lib/federation/route.ml
-@@ -306,7 +306,6 @@
+@@ -355,7 +355,6 @@
    if up t sx then
      match call sx Protocol.Stats with
      | Ok (Protocol.Stats_reply s) -> (
@@ -173,7 +173,7 @@ EOF
 mutant query-reports-queued <<'EOF'
 --- a/lib/server/server.ml
 +++ b/lib/server/server.ml
-@@ -907,7 +907,7 @@
+@@ -943,7 +943,7 @@
    (match Cluster.placement t.cluster lid with
    | Some p -> add_at t Protocol.add_active buf gid p
    | None ->
@@ -188,7 +188,7 @@ EOF
 mutant finish-appends-wal <<'EOF'
 --- a/lib/server/server.ml
 +++ b/lib/server/server.ml
-@@ -895,7 +895,6 @@
+@@ -931,7 +931,6 @@
    | Ok () ->
        let ta = now t in
        t.seq <- t.seq + 1;
@@ -198,20 +198,20 @@ mutant finish-appends-wal <<'EOF'
        Protocol.add_finished buf;
 EOF
 
-# The router merges its shards' max-type gauges by max, not by sum.
-mutant router-merges-max-gauges <<'EOF'
---- a/lib/federation/router.ml
-+++ b/lib/federation/router.ml
-@@ -417,8 +417,7 @@
-       ( Protocol.Metrics_reply
-           (router_dump
-           ^ with_load_ratio t
--              (Metrics.merge_prometheus
--                 ~max_names:Pmp_server.Server.merge_max_names shard_dumps)),
-+              (Metrics.merge_prometheus shard_dumps)),
-         false )
-   | Protocol.Snapshot ->
-       ( Protocol.Error "snapshots are per-shard; connect to a shard directly",
+# The fan-out merge, the mesh's and the router's, merges max-type
+# gauges by max, not by sum.
+mutant merges-max-gauges <<'EOF'
+--- a/lib/server/server.ml
++++ b/lib/server/server.ml
+@@ -222,7 +222,7 @@
+               (Array.to_list parts)))
+   | Protocol.Metrics ->
+       Protocol.Metrics_reply
+-        (Metrics.merge_prometheus ~max_names:merge_max_names
++        (Metrics.merge_prometheus
+            (each (function Protocol.Metrics_reply d -> Some d | _ -> None)))
+   | _ -> invalid_arg "Server.merge_parts: not a stats, loads or metrics request"
+ 
 EOF
 
 # The router reports its own federation-wide load ratio, not the max
@@ -219,34 +219,48 @@ EOF
 mutant router-load-ratio-federation <<'EOF'
 --- a/lib/federation/router.ml
 +++ b/lib/federation/router.ml
-@@ -417,8 +417,7 @@
-       ( Protocol.Metrics_reply
-           (router_dump
--          ^ with_load_ratio t
--              (Metrics.merge_prometheus
--                 ~max_names:Pmp_server.Server.merge_max_names shard_dumps)),
-+          ^ Metrics.merge_prometheus
-+              ~max_names:Pmp_server.Server.merge_max_names shard_dumps),
+@@ -387,7 +387,7 @@
+       let router_dump = Metrics.prometheus t.registry in
+       ( (match Server.merge_parts ~sizes:t.shard_sizes req (broadcast t req) with
+         | Protocol.Metrics_reply shards ->
+-            Protocol.Metrics_reply (router_dump ^ with_load_ratio t shards)
++            Protocol.Metrics_reply (router_dump ^ shards)
+         | r -> r),
          false )
    | Protocol.Snapshot ->
-       ( Protocol.Error "snapshots are per-shard; connect to a shard directly",
 EOF
 
 # pmpd's load ratio divides by the whole machine's L*, not a shard's.
 mutant load-ratio-whole-machine <<'EOF'
 --- a/lib/server/server.ml
 +++ b/lib/server/server.ml
-@@ -472,9 +472,7 @@
+@@ -507,9 +507,7 @@
+     | Some m ->
          Metrics.Gauge.set t.ins.g_shard_queue (float_of_int s.Cluster.queued_now);
-         Atomic.set m.queued_pub.(t.shard) s.Cluster.queued_now;
-         Atomic.set m.active_pub.(t.shard) s.Cluster.active_size;
+         publish_load t m ~active_size:s.Cluster.active_size;
 -        Pmp_util.Pow2.ceil_div
 -          (Array.fold_left (fun n a -> n + Atomic.get a) 0 m.active_pub)
--          m.plan.Sharding.machine_size
+-          t.plan.Sharding.machine_size
 +        s.Cluster.optimal_now
    in
    Metrics.Ratio_window.push t.ratios ~max_load:s.Cluster.max_load ~optimal
+ 
+EOF
 
+# A sharded pmpd places each submit by the shards' load summaries,
+# not always on the connection's home shard.
+mutant mesh-places-by-summaries <<'EOF'
+--- a/lib/server/server.ml
++++ b/lib/server/server.ml
+@@ -1163,7 +1163,7 @@
+       false
+   | Some m ->
+       let dest =
+-        if Pmp_util.Pow2.is_pow2 size then place t m size else t.shard
++        if Pmp_util.Pow2.is_pow2 size then t.shard else t.shard
+       in
+       if dest = t.shard then submit_here t buf size
+       else begin
 EOF
 
 # A WAL holding a JSON record, which pmp 1.14 and earlier could write,
@@ -254,7 +268,7 @@ EOF
 mutant wal-refuses-json <<'EOF'
 --- a/lib/server/wal.ml
 +++ b/lib/server/wal.ml
-@@ -193,14 +193,6 @@
+@@ -181,14 +181,6 @@
      let len = String.length data in
      let rec parse idx pos last_seq acc =
        if pos >= len then Ok (List.rev acc)

@@ -282,6 +282,7 @@ let merge_stats ~machine_size = function
       }
 
 let leaf_loads t = Load_view.leaf_loads t.loads
+let window_load t ~order = fst (Load_view.min_max_at_order t.loads order)
 let machine_size t = Machine.size t.machine
 
 let queued_tasks t =

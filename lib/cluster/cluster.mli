@@ -91,6 +91,11 @@ val merge_stats : machine_size:int -> stats list -> stats
     @raise Invalid_argument on an empty list. *)
 
 val leaf_loads : t -> int array
+
+val window_load : t -> order:int -> int
+(** The least max PE load over the order-[order] windows: how loaded
+    the window is that a greedy submit of size [2{^order}] lands on. *)
+
 val machine_size : t -> int
 
 val queued_tasks : t -> (Pmp_workload.Task.id * int) list

@@ -1,11 +1,12 @@
 module Protocol = Pmp_server.Protocol
 module Cluster = Pmp_cluster.Cluster
+module Sharding = Pmp_util.Sharding
 
 type call = int -> Protocol.request -> (Protocol.response, string) result
 
-(* A ledger entry is the overlay over the [Fed_id] arithmetic: where
-   the task lives *now*, which can differ from its birth shard after
-   failover re-admission or a rebalance move. *)
+(* A ledger entry is the overlay over the {!Sharding} id arithmetic:
+   where the task lives *now*, which can differ from its birth shard
+   after failover re-admission or a rebalance move. *)
 type entry = {
   mutable shard : int;
   mutable local : int;
@@ -18,6 +19,7 @@ type pending =
   | Submit_on of { sx : int; size : int; tenant : int }
   | Finish_on of { gid : int; e : entry; freed : int }
   | Query_on of { gid : int; e : entry }
+  | Birth_on of { gid : int; sx : int; finish : bool }
 
 type issued =
   | Answer of Protocol.response * int option
@@ -33,12 +35,13 @@ type counts = {
 }
 
 type t = {
-  plan : Fed_id.plan;
   shard_sizes : int array;
   offsets : int array;  (** first aggregate leaf per shard *)
   quota : int option;
   index : Fed_index.t;
   ledger : (int, entry) Hashtbl.t;
+  landed : (int, unit) Hashtbl.t;
+      (** the slots moved tasks occupy now, as ids: no client's *)
   used : (int, int) Hashtbl.t;  (** admitted PEs per tenant, when > 0 *)
   finishing : (int, unit) Hashtbl.t;  (** gids whose finish is in flight *)
   mutable submits : int;  (** submits in flight *)
@@ -47,15 +50,20 @@ type t = {
 
 let create ~shard_sizes ~capacities ~quota =
   let m = Array.length shard_sizes in
-  Result.map
-    (fun plan ->
+  if m < 1 then Error "federation needs at least one shard, got 0"
+  else
+    let offsets = Array.make m 0 in
+    for s = 1 to m - 1 do
+      offsets.(s) <- offsets.(s - 1) + shard_sizes.(s - 1)
+    done;
+    Ok
       {
-        plan;
         shard_sizes;
-        offsets = Array.init m (Fed_id.leaf_offset ~shard_sizes);
+        offsets;
         quota;
         index = Fed_index.create ~shard_sizes ~capacities;
         ledger = Hashtbl.create 1024;
+        landed = Hashtbl.create 16;
         used = Hashtbl.create 16;
         finishing = Hashtbl.create 16;
         submits = 0;
@@ -68,8 +76,7 @@ let create ~shard_sizes ~capacities ~quota =
             rebalanced_bytes = 0;
             audit_failures = 0;
           };
-      })
-    (Fed_id.plan ~shards:m)
+      }
 
 let shards t = Array.length t.shard_sizes
 let up t sx = Fed_index.up t.index sx
@@ -88,6 +95,18 @@ let add_used t tenant delta =
 let observe t sx (s : Cluster.stats) =
   Fed_index.observe t.index sx ~max_load:s.Cluster.max_load
     ~active_size:s.Cluster.active_size
+
+(* The id the arithmetic gives a task's current home: its own until it
+   moves, then the slot it landed in. *)
+let slot t e = Sharding.global_id ~shards:(shards t) ~shard:e.shard e.local
+
+(* Re-home a task after a failover re-admission or a rebalance move. *)
+let move t e ~shard ~local ~queued =
+  Hashtbl.remove t.landed (slot t e);
+  e.shard <- shard;
+  e.local <- local;
+  e.queued <- queued;
+  Hashtbl.replace t.landed (slot t e) ()
 
 (* ------------------------------------------------------------------ *)
 (* submits                                                             *)
@@ -152,7 +171,7 @@ let refused e = function
    time; a refusal gives it back. *)
 let submitted t ~tenant ~size sx resp =
   let admit local ~queued =
-    let gid = Fed_id.global_id t.plan ~shard:sx local in
+    let gid = Sharding.global_id ~shards:(shards t) ~shard:sx local in
     Hashtbl.replace t.ledger gid { shard = sx; local; size; tenant; queued };
     t.counts.routed.(sx) <- t.counts.routed.(sx) + 1;
     gid
@@ -173,10 +192,31 @@ let reject t e =
 (* ------------------------------------------------------------------ *)
 (* client requests: issue, then settle                                 *)
 
+(* The answer to a finish or query of an id that names no task: a
+   negative id, a landing slot, or one its birth shard refuses. *)
+let miss ~finish gid =
+  if finish then Protocol.Error "unknown or finished task"
+  else Protocol.State (gid, Protocol.Unknown)
+
+let down sx = Answer (Protocol.Error (Printf.sprintf "shard %d down" sx), None)
+
+(* An id the ledger lacks — a task of an earlier router, or of no one —
+   goes to the shard that minted it, which answers with authority for
+   every task never moved. The slot a move landed in was issued to no
+   client, so it names no task. *)
+let birth t ~finish gid =
+  let shards = shards t in
+  let sx = Sharding.owner ~shards gid in
+  if gid < 0 || Hashtbl.mem t.landed gid then Answer (miss ~finish gid, None)
+  else if not (up t sx) then down sx
+  else
+    let local = Sharding.local_id ~shards gid in
+    Call
+      ( sx,
+        (if finish then Protocol.Finish local else Protocol.Query local),
+        Birth_on { gid; sx; finish } )
+
 let issue t ~tenant req =
-  let down e =
-    Answer (Protocol.Error (Printf.sprintf "shard %d down" e.shard), None)
-  in
   match req with
   | Protocol.Submit size -> (
       let over_quota =
@@ -195,8 +235,8 @@ let issue t ~tenant req =
             Call (sx, req, Submit_on { sx; size; tenant }))
   | Protocol.Finish gid -> (
       match Hashtbl.find_opt t.ledger gid with
-      | None -> Answer (Protocol.Error "unknown or finished task", None)
-      | Some e when not (up t e.shard) -> down e
+      | None -> birth t ~finish:true gid
+      | Some e when not (up t e.shard) -> down e.shard
       | Some e ->
           let freed = min e.size (used t e.tenant) in
           add_used t e.tenant (-freed);
@@ -206,8 +246,8 @@ let issue t ~tenant req =
           Call (e.shard, Protocol.Finish e.local, Finish_on { gid; e; freed }))
   | Protocol.Query gid -> (
       match Hashtbl.find_opt t.ledger gid with
-      | None -> Answer (Protocol.State (gid, Protocol.Unknown), None)
-      | Some e when not (up t e.shard) -> down e
+      | None -> birth t ~finish:false gid
+      | Some e when not (up t e.shard) -> down e.shard
       | Some e -> Call (e.shard, Protocol.Query e.local, Query_on { gid; e }))
   | _ -> invalid_arg "Route.issue: not a per-task request"
 
@@ -224,6 +264,7 @@ let settle t pending reply =
       match reply with
       | Ok Protocol.Finished ->
           Hashtbl.remove t.ledger gid;
+          Hashtbl.remove t.landed (slot t e);
           Some (Protocol.Finished, Some e.shard)
       | reply ->
           add_used t e.tenant freed;
@@ -236,6 +277,15 @@ let settle t pending reply =
         | Ok (Protocol.State (_, st)) ->
             (Protocol.State (gid, globalize_state t e.shard st), Some e.shard)
         | reply -> refused e reply)
+  | Birth_on { gid; sx; finish } ->
+      Some
+        (match reply with
+        | Ok Protocol.Finished when finish -> (Protocol.Finished, Some sx)
+        | Ok (Protocol.State (_, ((Protocol.Active _ | Protocol.Queued_task) as st)))
+          when not finish ->
+            (Protocol.State (gid, globalize_state t sx st), Some sx)
+        | Ok _ -> (miss ~finish gid, None)
+        | Error err -> (Protocol.Error ("shard failure: " ^ err), None))
 
 let failover t ~call = function
   | Submit_on { size; tenant; _ } -> (
@@ -244,7 +294,8 @@ let failover t ~call = function
       | Error e ->
           add_used t tenant (-size);
           (reject t e, None))
-  | Finish_on _ | Query_on _ -> invalid_arg "Route.failover: not a submit"
+  | Finish_on _ | Query_on _ | Birth_on _ ->
+      invalid_arg "Route.failover: not a submit"
 
 let request t ~call ~tenant req =
   match issue t ~tenant req with
@@ -290,9 +341,7 @@ let mark_down t ~call sx =
               match admitted (Ok resp) with
               | None -> ()
               | Some (local', queued') ->
-                  e.shard <- sx';
-                  e.local <- local';
-                  e.queued <- queued';
+                  move t e ~shard:sx' ~local:local' ~queued:queued';
                   t.counts.routed.(sx') <- t.counts.routed.(sx') + 1;
                   t.counts.readmitted <- t.counts.readmitted + 1))
       (living_on t sx)
@@ -346,9 +395,7 @@ let rebalance t ~call config =
                     Fed_index.note_finish t.index mv.src ~size:e.size;
                   if not queued' then
                     Fed_index.note_submit t.index mv.dst ~size:e.size;
-                  e.shard <- mv.dst;
-                  e.local <- local';
-                  e.queued <- queued';
+                  move t e ~shard:mv.dst ~local:local' ~queued:queued';
                   t.counts.rebalanced <- t.counts.rebalanced + 1;
                   t.counts.rebalanced_bytes <-
                     t.counts.rebalanced_bytes + Rebalance.move_bytes config mv;

@@ -1,13 +1,16 @@
 (** The federation's routing core: every decision the router makes.
 
     A submit goes to the up shard of least summary load ({!Fed_index},
-    the paper's greedy min-of-max rule one level up). [Route] also
-    keeps the ledger of where each {!Fed_id} id lives now, each
-    tenant's admitted PEs against its quota, and what is in flight in
-    the client batch; it re-admits a dead shard's queue and runs
-    {!Rebalance} rounds. It is pure: no socket, no clock, no metrics
-    registry. {!Router} is [Route] plus I/O; {!Sim} is [Route] over
-    in-memory clusters.
+    the paper's greedy min-of-max rule one level up). A task's
+    federated id is [local * M + shard] ({!Pmp_util.Sharding}'s
+    interleaving, the same as a sharded pmpd's), so any id names its
+    {e birth} shard. [Route] also keeps the ledger of where each task
+    it routed lives now, which differs from its birth shard after a
+    failover re-admission or a rebalance move, each tenant's admitted
+    PEs against its quota, and what is in flight in the client batch;
+    it re-admits a dead shard's queue and runs {!Rebalance} rounds. It
+    is pure: no socket, no clock, no metrics registry. {!Router} is
+    [Route] plus I/O; {!Sim} is [Route] over in-memory clusters.
 
     {b The index.} {!issue} of a submit raises the picked shard's
     estimate, so later picks in the batch see it, and {!settle} keeps
@@ -46,7 +49,17 @@ type issued =
       (** send to the shard, then {!settle} the reply *)
 
 val issue : t -> tenant:int -> Protocol.request -> issued
-(** A [submit], [finish] or [query].
+(** A [submit], [finish] or [query]. A finish or query of an id the
+    ledger lacks — a task an earlier router routed, or no task — is a
+    call to the birth shard the id names, for its local id there; that
+    shard answers with authority for every task never moved. A
+    negative id, and an id the birth shard refuses, answer as a ledger
+    miss always did: [unknown or finished task] for a finish, [task N
+    unknown] for a query, and so does an id naming the slot a task
+    this router moved landed in, which no client was issued. A down
+    birth shard answers [shard N down], as for a ledger entry. A
+    restarted router knows neither where its predecessor moved a task
+    nor the slots those moves landed in.
     @raise Invalid_argument on any other request. *)
 
 val settle :

@@ -5,7 +5,7 @@ module Protocol = Pmp_server.Protocol
 module Frame = Pmp_server.Frame
 module Recorder = Pmp_server.Recorder
 module Metrics = Pmp_telemetry.Metrics
-module Cluster = Pmp_cluster.Cluster
+module Server = Pmp_server.Server
 
 let ( let* ) = Result.bind
 
@@ -196,7 +196,7 @@ let create config =
   (* the recorder dumps (and, for routers serving on a Unix socket
      under [dir], the listen socket) need the directory to exist —
      shards the router spawns itself create only their own subdirs *)
-  Pmp_server.Server.mkdir_p config.dir;
+  Server.mkdir_p config.dir;
   let* conns = connect_shards config.sockets in
   let shard_sizes = Array.of_list (List.map snd conns) in
   let aggregate = Array.fold_left ( + ) 0 shard_sizes in
@@ -345,17 +345,6 @@ let broadcast t req =
     (function Some { reply = Ok r } -> Some r | Some _ | None -> None)
     calls
 
-(* The federation-wide view of the shards that answered a stats
-   broadcast; [None] when none did. *)
-let merged_stats t replies =
-  match
-    List.filter_map
-      (function Some (Protocol.Stats_reply s) -> Some s | _ -> None)
-      (Array.to_list replies)
-  with
-  | [] -> None
-  | stats -> Some (Cluster.merge_stats ~machine_size:(aggregate_size t) stats)
-
 (* Each shard's [pmpd_p99_load_ratio] divides by its own L*, so their
    max reads 1 while the router piles load onto one shard. The merged
    dump carries the rolling p99 of the polls' federation-wide ratios,
@@ -381,21 +370,8 @@ let dispatch t req =
   match req with
   | Protocol.Submit _ | Protocol.Finish _ | Protocol.Query _ ->
       invalid_arg "Router.dispatch: per-task requests are pipelined"
-  | Protocol.Stats -> (
-      match merged_stats t (broadcast t Protocol.Stats) with
-      | None -> (Protocol.Error "no shard up", false)
-      | Some s -> (Protocol.Stats_reply s, false))
-  | Protocol.Loads ->
-      let replies = broadcast t Protocol.Loads in
-      let part sx = function
-        | Some (Protocol.Loads_reply l) when Array.length l = t.shard_sizes.(sx)
-          ->
-            l
-        | _ -> Array.make t.shard_sizes.(sx) 0
-      in
-      ( Protocol.Loads_reply
-          (Array.concat (Array.to_list (Array.mapi part replies))),
-        false )
+  | Protocol.Stats | Protocol.Loads ->
+      (Server.merge_parts ~sizes:t.shard_sizes req (broadcast t req), false)
   | Protocol.Metrics ->
       let sync c n = Metrics.Counter.inc c (n - Metrics.Counter.value c) in
       let n = Route.counts t.route in
@@ -409,16 +385,10 @@ let dispatch t req =
       Metrics.Gauge.set t.g_connections
         (float_of_int (List.length t.conn_tenants));
       let router_dump = Metrics.prometheus t.registry in
-      let shard_dumps =
-        List.filter_map
-          (function Some (Protocol.Metrics_reply txt) -> Some txt | _ -> None)
-          (Array.to_list (broadcast t Protocol.Metrics))
-      in
-      ( Protocol.Metrics_reply
-          (router_dump
-          ^ with_load_ratio t
-              (Metrics.merge_prometheus
-                 ~max_names:Pmp_server.Server.merge_max_names shard_dumps)),
+      ( (match Server.merge_parts ~sizes:t.shard_sizes req (broadcast t req) with
+        | Protocol.Metrics_reply shards ->
+            Protocol.Metrics_reply (router_dump ^ with_load_ratio t shards)
+        | r -> r),
         false )
   | Protocol.Snapshot ->
       ( Protocol.Error "snapshots are per-shard; connect to a shard directly",
@@ -454,11 +424,11 @@ let poll t =
             (float_of_int (Route.load t.route sx))
       | _ -> ())
     replies;
-  match merged_stats t replies with
-  | Some s ->
-      Metrics.Ratio_window.push t.ratios ~max_load:s.Cluster.max_load
-        ~optimal:s.Cluster.optimal_now
-  | None -> ()
+  match Server.merge_parts ~sizes:t.shard_sizes Protocol.Stats replies with
+  | Protocol.Stats_reply s ->
+      Metrics.Ratio_window.push t.ratios ~max_load:s.max_load
+        ~optimal:s.optimal_now
+  | _ -> ()
 
 (* Reconnect every down shard that answers a health probe as ready, and
    refresh its summary right away: the recovered shard still carries

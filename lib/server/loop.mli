@@ -66,9 +66,10 @@ val run :
     buffered), append the encoded responses to [out], and return how
     many it consumed. [on_batch total] then [on_commit ()] run after
     each round that handled at least one request, before any response
-    is written. [tick ()] is consulted for a select-timeout cap in
-    seconds (negative for none) — the interval fsync policy lives
-    there. [SIGPIPE] is set to ignore for the process, so writes to
+    is written. [tick ()] runs before the loop sleeps and returns a
+    select-timeout cap in seconds (negative for none): pmpd's writes a
+    SIGUSR1 dump requested while idle, the router's runs its polls.
+    [SIGPIPE] is set to ignore for the process, so writes to
     vanished peers surface as [EPIPE] and drop only that
     connection; [SIGUSR1] gets [on_usr1] (or ignore) installed before
     the first [select] — see {!setup_sigusr1}. A signal interrupting

@@ -117,7 +117,7 @@ let make_instruments reg ~shard =
     sharded Metrics.Counter.make (fun () ->
         Metrics.Registry.counter reg
           ~labels:(l @ [ ("dir", "in") ])
-          ~help:"Tasks stolen between shards" "pmpd_shard_steals_total")
+          ~help:"Submits placed on a peer shard" "pmpd_shard_steals_total")
   in
   let c_steal_out =
     sharded Metrics.Counter.make (fun () ->
@@ -199,13 +199,40 @@ let make_instruments reg ~shard =
    mesh's merge and the federation router's. *)
 let merge_max_names = [ "pmpd_max_load"; "pmpd_p99_load_ratio" ]
 
+(* Shard [s] owns the leaves after its predecessors' — the mesh's
+   [[s*N/K, (s+1)*N/K)] — so the loads concatenate in shard order. *)
+let merge_parts ~sizes (req : Protocol.request) parts =
+  let each f = List.filter_map (fun p -> Option.bind p f) (Array.to_list parts) in
+  match req with
+  | Protocol.Stats -> (
+      match each (function Protocol.Stats_reply s -> Some s | _ -> None) with
+      | [] -> Protocol.Error "no shard up"
+      | stats ->
+          Protocol.Stats_reply
+            (Cluster.merge_stats
+               ~machine_size:(Array.fold_left ( + ) 0 sizes)
+               stats))
+  | Protocol.Loads ->
+      Protocol.Loads_reply
+        (Array.concat
+           (List.mapi
+              (fun s -> function
+                | Some (Protocol.Loads_reply l) when Array.length l = sizes.(s) -> l
+                | _ -> Array.make sizes.(s) 0)
+              (Array.to_list parts)))
+  | Protocol.Metrics ->
+      Protocol.Metrics_reply
+        (Metrics.merge_prometheus ~max_names:merge_max_names
+           (each (function Protocol.Metrics_reply d -> Some d | _ -> None)))
+  | _ -> invalid_arg "Server.merge_parts: not a stats, loads or metrics request"
+
 (* A peer's answer to one call: the response payload its op wrote,
    whether the op succeeded, and the callee's durability ticket — its
    [seq] after the mutation the call ran, 0 when it ran none. *)
 type peer_reply = { payload : string; ok : bool; ticket : int }
 
 (* A call asks the callee's own core to run a request ({!local}): ids
-   are global, and a submit is a steal, admitted over there. Calls are
+   are global, and a submit is one the caller placed there. Calls are
    synchronous — a shard has at most one call outstanding and owes at
    most one response per peer — so a ring per ordered pair holds at
    most two messages and never fills. *)
@@ -235,7 +262,6 @@ type t = {
   mutable fresh_mutations : int;  (** accepted by this process *)
   mutable crash_armed : bool;
       (** crash injection tripped; fires after the covering commit *)
-  mutable last_fsync : float;  (** for the [Interval] policy *)
   recovered_ops : int;
   recorder : Recorder.t;
   timed : bool;  (** latency profiling or slow-request logging is on *)
@@ -249,7 +275,7 @@ type t = {
   usr1 : bool Atomic.t;  (** a SIGUSR1 dump is pending *)
   ratios : Metrics.Ratio_window.t;  (** behind [pmpd_p99_load_ratio] *)
   shard : int;  (** this core's shard; 0 unsharded *)
-  ids : Sharding.plan;  (** the id map over the K cores; K = 1 unsharded *)
+  plan : Sharding.plan;  (** the subtree plan over the K cores; K = 1 unsharded *)
   leaf_off : int;  (** first global leaf of this core's subtree *)
   mesh : mesh option;  (** the other cores; [None] unsharded *)
   mutable published : int;  (** last [seq] published as durable *)
@@ -265,14 +291,15 @@ type t = {
    a lost or spurious byte costs a round, not correctness. Pipe [s]
    wakes shard [s], pipe [K] the acceptor. *)
 and mesh = {
-  plan : Sharding.plan;
   mutable cores : t array;
   acc : Unix.file_descr Spsc.t array;  (** acceptor -> shard *)
   peer : peer_msg Spsc.t array array;  (** [peer.(src).(dst)] *)
   durable : int Atomic.t array;
       (** per shard: [seq] covered by its last WAL commit *)
-  queued_pub : int Atomic.t array;  (** published queued_now, per shard *)
   active_pub : int Atomic.t array;  (** published active PE-size *)
+  summary : int Atomic.t array array;
+      (** [summary.(s).(o)]: the least max load of shard [s]'s order-[o]
+          windows, as it last published, for [o] in [0 .. log (N/K)] *)
   fresh : int Atomic.t;  (** fresh mutations, process-wide (crash injection) *)
   stop : bool Atomic.t;
   fail : exn option Atomic.t;  (** first exception that ended a shard *)
@@ -289,7 +316,7 @@ let recorder t = t.recorder
 let shards t = match t.mesh with None -> [| t |] | Some m -> m.cores
 
 (* K, the core count: 1 unsharded *)
-let k t = t.ids.Sharding.shards
+let k t = t.plan.Sharding.shards
 let flightrec_path t = Filename.concat t.config.dir "flightrec.jsonl"
 
 let dump_recorder t =
@@ -456,6 +483,15 @@ let recover config recorder =
   in
   Ok (cluster, last_seq, snap_seq, List.length tail, recovered)
 
+(* Publish this core's load summaries, which the other cores place by:
+   its active size and, at every order, the least max load of its
+   windows. *)
+let publish_load t m ~active_size =
+  Atomic.set m.active_pub.(t.shard) active_size;
+  Array.iteri
+    (fun order a -> Atomic.set a (Cluster.window_load t.cluster ~order))
+    m.summary.(t.shard)
+
 let update_gauges t =
   let s = Cluster.stats t.cluster in
   Metrics.Gauge.set t.ins.g_active (float_of_int s.Cluster.active_now);
@@ -470,17 +506,16 @@ let update_gauges t =
     | None -> s.Cluster.optimal_now
     | Some m ->
         Metrics.Gauge.set t.ins.g_shard_queue (float_of_int s.Cluster.queued_now);
-        Atomic.set m.queued_pub.(t.shard) s.Cluster.queued_now;
-        Atomic.set m.active_pub.(t.shard) s.Cluster.active_size;
+        publish_load t m ~active_size:s.Cluster.active_size;
         Pmp_util.Pow2.ceil_div
           (Array.fold_left (fun n a -> n + Atomic.get a) 0 m.active_pub)
-          m.plan.Sharding.machine_size
+          t.plan.Sharding.machine_size
   in
   Metrics.Ratio_window.push t.ratios ~max_load:s.Cluster.max_load ~optimal
 
 (* One core over [config.dir]: recover whatever snapshot and WAL it
    holds, audit the result, open the WAL for appending. *)
-let create_core config ~shard ~ids ~mesh =
+let create_core config ~shard ~plan ~mesh =
   (* The recorder exists before recovery so the replayed WAL tail is
      on record: if recovery fails — including an oracle violation —
      the dump shows exactly which records were applied. *)
@@ -519,7 +554,6 @@ let create_core config ~shard ~ids ~mesh =
           snap_tried = snap_seq;
           fresh_mutations = 0;
           crash_armed = false;
-          last_fsync = Unix.gettimeofday ();
           recovered_ops = replayed;
           recorder;
           timed = config.latency_profile || config.slow_ms <> None;
@@ -533,12 +567,12 @@ let create_core config ~shard ~ids ~mesh =
           usr1 = Atomic.make false;
           ratios = Metrics.Ratio_window.make ();
           shard;
-          ids;
-          leaf_off = shard * config.machine_size;
+          plan;
+          leaf_off = Sharding.leaf_offset plan shard;
           mesh;
           published = seq;
-          need = Array.make ids.Sharding.shards 0;
-          owed = Array.make ids.Sharding.shards false;
+          need = Array.make plan.Sharding.shards 0;
+          owed = Array.make plan.Sharding.shards false;
         }
       in
       (match mesh with
@@ -610,17 +644,20 @@ let create config =
     mkdir_p config.dir;
     let* () = check_layout config.dir ~k in
     let* plan = Sharding.plan ~machine_size:config.machine_size ~shards:k in
-    if k = 1 then create_core config ~shard:0 ~ids:plan ~mesh:None
+    if k = 1 then create_core config ~shard:0 ~plan ~mesh:None
     else
       let m =
         {
-          plan;
           cores = [||];
           acc = Array.init k (fun _ -> Spsc.create 1024);
           peer = Array.init k (fun _ -> Array.init k (fun _ -> Spsc.create 8));
           durable = Array.init k (fun _ -> Atomic.make 0);
-          queued_pub = Array.init k (fun _ -> Atomic.make 0);
           active_pub = Array.init k (fun _ -> Atomic.make 0);
+          summary =
+            Array.init k (fun _ ->
+                Array.init
+                  (Pmp_util.Pow2.ilog2 plan.Sharding.shard_size + 1)
+                  (fun _ -> Atomic.make 0));
           fresh = Atomic.make 0;
           stop = Atomic.make false;
           fail = Atomic.make None;
@@ -639,7 +676,7 @@ let create config =
           let shard_config =
             { config with machine_size = plan.Sharding.shard_size; dir = dirs.(s) }
           in
-          match create_core shard_config ~shard:s ~ids:plan ~mesh:(Some m) with
+          match create_core shard_config ~shard:s ~plan ~mesh:(Some m) with
           | Ok c -> build (c :: acc) (s + 1)
           | Error e ->
               List.iter (fun c -> Wal.close c.wal) acc;
@@ -786,8 +823,7 @@ let after_mutation t =
       observe_group t;
       if Wal.commit t.wal ~fsync:true then Metrics.Counter.incr t.ins.c_fsyncs;
       if crash_due then raise Crash
-  | Wal.Group | Wal.Interval _ | Wal.Never ->
-      if crash_due then t.crash_armed <- true
+  | Wal.Group | Wal.Never -> if crash_due then t.crash_armed <- true
 
 (* This core's group commit: one write (and per policy one fsync)
    covering every mutation appended since the last one. *)
@@ -796,7 +832,7 @@ let commit_wal t =
   let fsync =
     match t.config.fsync_policy with
     | Wal.Always | Wal.Group -> true
-    | Wal.Interval _ | Wal.Never -> false
+    | Wal.Never -> false
   in
   if t.timed then begin
     let t0 = Unix.gettimeofday () in
@@ -864,8 +900,8 @@ let add_at t add buf gid (p : Pmp_core.Placement.t) =
     ~copy:p.Pmp_core.Placement.copy
 
 (* Admit a task on this core, whoever asked: the id comes out of this
-   shard's namespace ([local * K + shard]), so a stolen task routes to
-   the shard that runs it for every later finish and query. *)
+   shard's namespace ([local * K + shard]), so a task placed here from
+   a peer routes here for every later finish and query. *)
 let submit_here t buf size =
   let td = now t in
   match Cluster.submit t.cluster ~size with
@@ -879,14 +915,14 @@ let submit_here t buf size =
       Wal.append_submit t.wal ~seq:t.seq ~id:lid ~size;
       after_mutation t;
       if t.timed then observe_stages t td ta ~wal:true;
-      let gid = Sharding.global_id t.ids ~shard:t.shard lid in
+      let gid = Sharding.global_id ~shards:(k t) ~shard:t.shard lid in
       (match sub with
       | Cluster.Placed (_, p) -> add_at t Protocol.add_placed buf gid p
       | Cluster.Queued _ -> Protocol.add_queued buf gid);
       true
 
 let finish_here t buf gid =
-  let lid = Sharding.local_id t.ids gid in
+  let lid = Sharding.local_id ~shards:(k t) gid in
   let td = now t in
   match Cluster.finish t.cluster lid with
   | Error e ->
@@ -902,7 +938,7 @@ let finish_here t buf gid =
       true
 
 let query_here t buf gid =
-  let lid = Sharding.local_id t.ids gid in
+  let lid = Sharding.local_id ~shards:(k t) gid in
   let td = now t in
   (match Cluster.placement t.cluster lid with
   | Some p -> add_at t Protocol.add_active buf gid p
@@ -924,8 +960,8 @@ let reply buf (r : Protocol.response) =
   match r with Protocol.Error _ -> false | _ -> true
 
 (* This core's part of a request: a peer's call, or this core's share
-   of its own fan-out. Never routes further, so a steal is admitted
-   here and a fan-out's share never fans out again. *)
+   of its own fan-out. Never routes further, so a submit a peer placed
+   here is admitted here and a fan-out's share never fans out again. *)
 let local t buf (req : Protocol.request) =
   match req with
   | Protocol.Submit size -> submit_here t buf size
@@ -956,18 +992,23 @@ let response_of payload =
 (* Run one peer's call on this core and push the answer back. Never
    blocks, which is what makes serving-while-waiting deadlock-free. It
    may run while a request of this core waits on a peer, so it writes
-   only [part] and puts the request's arrival time back. *)
+   only [part] and puts the request's arrival time back. A mutation
+   republishes the load summaries before the answer leaves, so the
+   caller's next placement sees it. *)
 let service t m origin req =
   let seq0 = t.seq and t0 = t.req_t0 in
   if t.timed then t.req_t0 <- Unix.gettimeofday ();
-  (match req with
-  | Protocol.Submit _ -> Metrics.Counter.incr t.ins.c_steal_in
-  | _ -> ());
   Buffer.clear t.part;
   let ok = local t t.part req in
   t.req_t0 <- t0;
+  (match req with
+  | Protocol.Submit _ when ok -> Metrics.Counter.incr t.ins.c_steal_in
+  | _ -> ());
   let ticket = if t.seq > seq0 then t.seq else 0 in
-  if ticket > 0 then t.owed.(origin) <- true;
+  if ticket > 0 then begin
+    t.owed.(origin) <- true;
+    publish_load t m ~active_size:(Cluster.stats t.cluster).Cluster.active_size
+  end;
   push m
     m.peer.(t.shard).(origin)
     (Presp { payload = Buffer.contents t.part; ok; ticket })
@@ -1017,13 +1058,11 @@ let forward t m buf dest req = take_reply t buf dest (peer_call t m dest req)
 let unexpected what = failwith ("peer " ^ what ^ ": unexpected response")
 
 (* The daemon's answer to a [stats], [loads], [metrics] or [snapshot]:
-   every shard's part, this one's included, merged in shard order. Shard
-   [s] owns the global leaves [[s*N/K, (s+1)*N/K)], so the loads
-   concatenate into the unsharded vector; the snapshot reply lists
-   every shard's path. *)
+   every shard's part, this one's included, merged in shard order by
+   {!merge_parts}; the snapshot reply lists every shard's path. *)
 let fan_out t m buf (req : Protocol.request) =
   let parts =
-    List.init (k t) (fun d ->
+    Array.init (k t) (fun d ->
         response_of
           (if d = t.shard then begin
              Buffer.clear t.part;
@@ -1032,32 +1071,24 @@ let fan_out t m buf (req : Protocol.request) =
            end
            else (peer_call t m d req).payload))
   in
-  let each what f =
-    List.map (fun r -> match f r with Some v -> v | None -> unexpected what) parts
-  in
   reply buf
     (match req with
-    | Protocol.Stats ->
-        Protocol.Stats_reply
-          (Cluster.merge_stats ~machine_size:m.plan.Sharding.machine_size
-             (each "stats" (function Protocol.Stats_reply s -> Some s | _ -> None)))
-    | Protocol.Loads ->
-        Protocol.Loads_reply
-          (Array.concat
-             (each "loads" (function Protocol.Loads_reply l -> Some l | _ -> None)))
-    | Protocol.Metrics ->
-        Protocol.Metrics_reply
-          (Metrics.merge_prometheus ~max_names:merge_max_names
-             (each "metrics" (function Protocol.Metrics_reply d -> Some d | _ -> None)))
-    | _ -> (
-        match List.find_opt (function Protocol.Error _ -> true | _ -> false) parts with
+    | Protocol.Snapshot -> (
+        match Array.find_opt (function Protocol.Error _ -> true | _ -> false) parts with
         | Some err -> err
         | None ->
             Protocol.Snapshot_reply
               (String.concat ","
-                 (each "snapshot" (function
-                   | Protocol.Snapshot_reply p -> Some p
-                   | _ -> None)))))
+                 (Array.to_list
+                    (Array.map
+                       (function
+                         | Protocol.Snapshot_reply p -> p
+                         | _ -> unexpected "snapshot")
+                       parts))))
+    | _ ->
+        merge_parts
+          ~sizes:(Array.make (k t) t.config.machine_size)
+          req (Array.map Option.some parts))
 
 (* Wait until every shard this batch mutated has published a durable
    watermark covering it, serving (and committing) peer calls meanwhile. *)
@@ -1087,76 +1118,62 @@ let commit t =
       publish t m;
       await t m
 
-(* Select-timeout cap for the [Interval] policy: fsync when the
-   deadline passes, report the time to the next one. *)
-let tick t () =
-  match t.config.fsync_policy with
-  | Wal.Interval every ->
-      let now = Unix.gettimeofday () in
-      if now -. t.last_fsync >= every then begin
-        if Wal.commit t.wal ~fsync:true then
-          Metrics.Counter.incr t.ins.c_fsyncs;
-        t.last_fsync <- now
-      end;
-      Float.max 0.0 (t.last_fsync +. every -. now)
-  | Wal.Always | Wal.Group | Wal.Never -> -1.0
-
 (* ------------------------------------------------------------------ *)
 (* routing                                                             *)
 
 (* Where each request runs — on this core, on the shard that owns its
    id, or on every shard — is chosen here once, for every encoding. *)
 
-(* Steal when the home shard has a queue (or this task would start
-   one): [Sharding.pick_victim] over the published depths, stale by at
-   most a batch — which can make the choice suboptimal but never
-   wrong, since the victim admits under its own cluster. *)
-let steal_target t m size =
-  let s = Cluster.stats t.cluster in
-  let cap_pes = Cluster.admission_capacity t.cluster in
-  let would_queue =
-    match cap_pes with
-    | Some c -> s.Cluster.active_size + size > c
-    | None -> false
+(* The paper's greedy choice one level up, by {!Sharding.pick}: a
+   submit of order [o] goes to the leftmost shard whose least max load
+   over its order-[o] windows is the machine's least — the shard
+   holding the whole tree's leftmost least-loaded window, which its own
+   greedy allocator then picks — preferring admission headroom, unless
+   home ties that choice. Home's figures are current; the peers' are
+   what they last published, stale by at most a batch, which can make
+   the choice suboptimal but never wrong: the shard picked admits
+   under its own cluster. *)
+let place t m size =
+  let order = Pmp_util.Pow2.ilog2 size in
+  let headroom =
+    match Cluster.admission_capacity t.cluster with
+    | None -> fun _ -> true
+    | Some cap ->
+        let own = (Cluster.stats t.cluster).Cluster.active_size in
+        fun s ->
+          (if s = t.shard then own else Atomic.get m.active_pub.(s)) + size <= cap
   in
-  if s.Cluster.queued_now > 0 || would_queue then
-    Sharding.pick_victim m.plan ~self:t.shard ~size ~cap_pes
-      ~queued:
-        (Array.init (k t) (fun i ->
-             if i = t.shard then s.Cluster.queued_now
-             else Atomic.get m.queued_pub.(i)))
-      ~active:
-        (Array.init (k t) (fun i ->
-             if i = t.shard then s.Cluster.active_size
-             else Atomic.get m.active_pub.(i)))
-  else None
+  Sharding.pick ~home:t.shard ~shards:(k t)
+    ~fits:(fun _ -> true)
+    ~headroom
+    (fun s ->
+      if s = t.shard then Cluster.window_load t.cluster ~order
+      else Atomic.get m.summary.(s).(order))
+  |> Option.value ~default:t.shard
 
 let submit t buf size =
   match t.mesh with
   | None -> submit_here t buf size
-  | Some m when size > t.config.machine_size ->
+  | Some _ when size > t.config.machine_size ->
       Protocol.add_error buf
         (Printf.sprintf
            "size %d exceeds the per-shard maximum %d (machine %d over %d \
             domains)"
-           size t.config.machine_size m.plan.Sharding.machine_size (k t));
+           size t.config.machine_size t.plan.Sharding.machine_size (k t));
       false
-  | Some m -> (
-      match steal_target t m size with
-      | None -> submit_here t buf size
-      | Some dest ->
-          let r = peer_call t m dest (Protocol.Submit size) in
-          if r.ok then begin
-            Metrics.Counter.incr t.ins.c_steal_out;
-            take_reply t buf dest r
-          end
-          else
-            (* the victim's view changed under us: admit at home,
-               which may queue — the correct fallback *)
-            submit_here t buf size)
+  | Some m ->
+      let dest =
+        if Pmp_util.Pow2.is_pow2 size then place t m size else t.shard
+      in
+      if dest = t.shard then submit_here t buf size
+      else begin
+        let r = peer_call t m dest (Protocol.Submit size) in
+        if r.ok then Metrics.Counter.incr t.ins.c_steal_out;
+        take_reply t buf dest r
+      end
 
 (* The shard owning a global id; negative ids name no task anywhere. *)
-let is_local t gid = gid >= 0 && Sharding.owner t.ids gid = t.shard
+let is_local t gid = gid >= 0 && Sharding.owner ~shards:(k t) gid = t.shard
 
 let finish t buf gid =
   match t.mesh with
@@ -1165,7 +1182,7 @@ let finish t buf gid =
         Protocol.add_error buf "unknown task";
         false
       end
-      else forward t m buf (Sharding.owner t.ids gid) (Protocol.Finish gid)
+      else forward t m buf (Sharding.owner ~shards:(k t) gid) (Protocol.Finish gid)
   | _ -> finish_here t buf gid
 
 let query t buf gid =
@@ -1175,7 +1192,7 @@ let query t buf gid =
         Protocol.add_unknown buf gid;
         true
       end
-      else forward t m buf (Sharding.owner t.ids gid) (Protocol.Query gid)
+      else forward t m buf (Sharding.owner ~shards:(k t) gid) (Protocol.Query gid)
   | _ -> query_here t buf gid
 
 let health t =
@@ -1402,7 +1419,7 @@ let run_core t ~listeners ?inbox ~on_usr1 () =
          else None)
       ~tick:(fun () ->
         check_usr1 ();
-        tick t ())
+        -1.0)
       ?inbox ~listeners ~handle:(handle_conn t) ()
   with e ->
     (* any abnormal exit — crash injection included — leaves the
@@ -1461,7 +1478,7 @@ let acceptor m listeners =
                   match Unix.accept ~cloexec:true fd with
                   | client, _ ->
                       Unix.set_nonblock client;
-                      let s = Sharding.conn_shard m.plan !n in
+                      let s = Sharding.conn_shard m.cores.(0).plan !n in
                       incr n;
                       push m m.acc.(s) client ~dest:s
                   | exception

@@ -16,8 +16,7 @@
     batch and before writing any response byte. Under the default
     [Group] policy the commit fsyncs, so acknowledgements imply
     stable storage at a per-batch (not per-record) fsync cost;
-    [Always] forces every record individually, [Interval] trades the
-    tail of an interval for even fewer fsyncs, [Never] leaves
+    [Always] forces every record individually, [Never] leaves
     durability to the OS.
 
     {b Recovery.} Snapshots hold the cluster's O(live) state, not its
@@ -95,24 +94,37 @@
       placements are shifted by the shard's leaf offset so clients
       see coordinates on the full machine. WAL records keep local ids.
       The largest admissible task is [N/K] PEs.
-    - {e Peer calls.} A finish or query of another shard's id, a steal
-      and the [stats], [loads], [metrics] and [snapshot] fan-outs are
-      synchronous calls over per-pair SPSC rings. While it waits for a
-      response a shard keeps serving the calls addressed to it, so
-      shards blocked on each other still progress.
+    - {e Placement.} The paper's greedy rule one level up, by
+      {!Pmp_util.Sharding.pick}, the scan the federation router also
+      places by: each core publishes, at each commit and before it
+      answers a peer call that mutated it, its active size and the
+      least max load of its windows at every order ([log (N/K) + 1]
+      atomics). A submit of order [k] goes to the leftmost shard of
+      least order-[k] summary — the shard holding the whole tree's
+      leftmost least-loaded window, which that shard's own greedy
+      allocator then picks — preferring shards with admission
+      headroom, unless home ties that choice. The task is admitted in
+      that shard's own id namespace and never moves. A lone connection
+      (homed on shard 0) under [greedy] without a cap therefore places
+      exactly as one unsharded core; concurrent connections read
+      their peers' summaries stale by at most a batch.
+    - {e Peer calls.} A finish or query of another shard's id, a
+      submit placed on a peer and the [stats], [loads], [metrics] and
+      [snapshot] fan-outs are synchronous calls over per-pair SPSC
+      rings. While it waits for a response a shard keeps serving the
+      calls addressed to it, so shards blocked on each other still
+      progress.
     - {e Cross-shard durability.} A mutation that ran on another shard
       is acknowledged only once that shard's WAL commit covers it: a
       batch's {!commit} also waits for the published durable watermark
       of every shard the batch mutated, serving and committing peer
       calls meanwhile. No request costs an extra fsync.
-    - {e Work stealing.} When admission would queue at the home shard
-      (or it already has a queue), the least-loaded idle peer admits
-      the task instead, in its {e own} id namespace, so the task runs
-      exactly once and routes exactly thereafter.
     - {e Observability.} Each core registers the same instruments,
       labelled with its shard; a [metrics] request answers with their
-      {!Pmp_telemetry.Metrics.merge_prometheus} merge, which speaks the
-      unsharded series names plus per-shard [pmpd_shard_*] series.
+      {!merge_parts} merge, which speaks the unsharded series names
+      plus per-shard [pmpd_shard_*] series;
+      [pmpd_shard_steals_total{dir="out"}] counts the submits a shard
+      placed on a peer, [{dir="in"}] those it admitted for one.
       [pmpd_p99_load_ratio] divides each shard's max load by the whole
       machine's optimal load, from the active sizes the cores publish,
       so the merged maximum reads as the unsharded daemon's would.
@@ -214,6 +226,22 @@ val merge_max_names : string list
     than the sum ([pmpd_max_load], [pmpd_p99_load_ratio]): the
     [~max_names] of every {!Pmp_telemetry.Metrics.merge_prometheus}
     over pmpd dumps, the mesh's and the federation router's. *)
+
+val merge_parts :
+  sizes:int array ->
+  Protocol.request ->
+  Protocol.response option array ->
+  Protocol.response
+(** The whole machine's answer to a [stats], [loads] or [metrics]
+    request from its shards' answers in leaf order, where shard [s]
+    has [sizes.(s)] PEs: the mesh's fan-out and the federation
+    router's. Stats merge by {!Pmp_cluster.Cluster.merge_stats} over
+    the summed size, loads concatenate, dumps merge by
+    {!Pmp_telemetry.Metrics.merge_prometheus} with {!merge_max_names}.
+    A part that is [None] or not the request's reply — a down shard —
+    is skipped for stats and metrics and zero-filled for loads; stats
+    with no part at all answer ["no shard up"].
+    @raise Invalid_argument on any other request. *)
 
 val recorder : t -> Recorder.t
 (** The flight recorder: mutations replayed at recovery, then every

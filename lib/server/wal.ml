@@ -3,31 +3,19 @@ type op = Submit of { id : int; size : int } | Finish of { id : int }
 (* ------------------------------------------------------------------ *)
 (* policies                                                            *)
 
-type fsync_policy = Always | Group | Interval of float | Never
+type fsync_policy = Always | Group | Never
 
 let parse_policy s =
   match String.lowercase_ascii (String.trim s) with
   | "always" -> Ok Always
   | "group" -> Ok Group
   | "never" -> Ok Never
-  | s -> (
-      match String.index_opt s ':' with
-      | Some i when String.sub s 0 i = "interval" ->
-          let ms = String.sub s (i + 1) (String.length s - i - 1) in
-          (match float_of_string_opt ms with
-          | Some ms when ms > 0. -> Ok (Interval (ms /. 1000.))
-          | Some _ | None ->
-              Error (Printf.sprintf "bad fsync interval %S (want a positive ms count)" ms))
-      | _ ->
-          Error
-            (Printf.sprintf
-               "unknown fsync policy %S (want always|group|interval:<ms>|never)" s))
+  | s -> Error (Printf.sprintf "unknown fsync policy %S (want always|group|never)" s)
 
 let policy_name = function
   | Always -> "always"
   | Group -> "group"
   | Never -> "never"
-  | Interval s -> Printf.sprintf "interval:%g" (s *. 1000.)
 
 (* ------------------------------------------------------------------ *)
 (* the log                                                             *)

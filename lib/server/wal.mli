@@ -39,13 +39,10 @@ type op =
 type fsync_policy =
   | Always  (** fsync every record the moment it is appended *)
   | Group  (** one fsync per committed batch (the default) *)
-  | Interval of float
-      (** fsync at most every this-many {e seconds}; batches in
-          between are write-only (crash may lose the last interval) *)
   | Never  (** leave durability entirely to the OS *)
 
 val parse_policy : string -> (fsync_policy, string) result
-(** [always | group | interval:<ms> | never]. *)
+(** [always | group | never]. *)
 
 val policy_name : fsync_policy -> string
 

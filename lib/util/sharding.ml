@@ -10,32 +10,28 @@ let plan ~machine_size ~shards =
       (Printf.sprintf "%d shards cannot partition %d PEs" shards machine_size)
   else Ok { shards; machine_size; shard_size = machine_size / shards }
 
-let global_id p ~shard local = (local * p.shards) + shard
-let local_id p g = g / p.shards
-let owner p g = g mod p.shards
 let leaf_offset p shard = shard * p.shard_size
 let conn_shard p n = n mod p.shards
+let global_id ~shards ~shard local = (local * shards) + shard
+let local_id ~shards g = g / shards
+let owner ~shards g = g mod shards
 
-let pick_victim p ~self ~size ~cap_pes ~queued ~active =
-  if p.shards < 2 || size > p.shard_size then None
-  else begin
-    let fits s =
-      match cap_pes with None -> true | Some c -> active.(s) + size <= c
-    in
-    let better v s =
-      match v with
-      | None -> true
-      | Some v -> active.(s) < active.(v) (* ties keep the leftmost *)
-    in
-    let victim = ref None in
-    for s = 0 to p.shards - 1 do
-      if s <> self && queued.(s) = 0 && fits s && better !victim s then
-        victim := Some s
+let pick ?home ~shards ~fits ~headroom load =
+  let scan ok =
+    let best = ref None and least = ref max_int in
+    for s = 0 to shards - 1 do
+      if ok s then begin
+        let l = load s in
+        if l < !least then begin
+          best := Some s;
+          least := l
+        end
+      end
     done;
-    (* Only steal when the victim is strictly better off than we are:
-       a saturated-everywhere machine keeps FIFO order at home rather
-       than bouncing tasks between equally hot shards. *)
-    match !victim with
-    | Some v when queued.(self) > 0 || active.(v) < active.(self) -> Some v
-    | _ -> None
-  end
+    match (!best, home) with
+    | Some _, Some h when ok h && load h = !least -> Some h
+    | best, _ -> best
+  in
+  match scan (fun s -> fits s && headroom s) with
+  | None -> scan fits
+  | best -> best

@@ -1,4 +1,6 @@
-(** The arithmetic of a domain-sharded machine.
+(** The arithmetic of a sharded machine, at both levels of the
+    hierarchy: the K shards of one daemon and the M daemons of a
+    federation.
 
     A machine of [N] PEs served by [K] worker domains is partitioned
     into [K] disjoint aligned subtrees of [N/K] leaves; shard [s] owns
@@ -7,15 +9,17 @@
     own subtree), so the only shared state is explicit messages — but
     ids, leaf numbers and statistics must all be translated between
     the shard-local and the global view. This module is that
-    translation, plus the steal policy, kept pure so every property
-    (bijectivity of the id map, exactly-one-owner, never-steal-to-self)
-    is testable without spawning a single domain.
+    translation and the placement rule both levels share, kept pure so
+    every property (bijectivity of the id map, exactly-one-owner, the
+    leftmost minimum) is testable without spawning a single domain.
 
     {b Ids are interleaved}, not blocked: shard [s]'s [i]-th task gets
     global id [i*K + s]. The owner of any global id is therefore
     [id mod K] — any client-visible id routes to its shard with no
     routing table, and the id sequences of different shards never
-    collide no matter how unevenly traffic lands. *)
+    collide no matter how unevenly traffic lands. The id functions take
+    any [K >= 1]: a federation's shards are whole machines, so their
+    count need not be a power of two. *)
 
 type plan = private {
   shards : int;  (** K; a power of two *)
@@ -29,38 +33,40 @@ val plan : machine_size:int -> shards:int -> (plan, string) result
     of two). Note a plan with [shards = 1] is degenerate-but-valid:
     every translation is the identity. *)
 
-val global_id : plan -> shard:int -> int -> int
-(** [global_id p ~shard local] = [local * K + shard]. *)
-
-val local_id : plan -> int -> int
-(** [local_id p g] = [g / K]. *)
-
-val owner : plan -> int -> int
-(** [owner p g] = [g mod K] — the shard whose cluster assigned [g]. *)
-
 val leaf_offset : plan -> int -> int
 (** First global leaf of a shard's subtree: [shard * shard_size]. *)
 
 val conn_shard : plan -> int -> int
 (** Home shard of the [n]-th accepted connection (round-robin hash):
-    connection affinity keeps a client's submit/finish traffic on one
-    shard, so the common case never crosses a domain boundary. *)
+    connection affinity keeps a client's finish and query traffic on
+    one shard, so those never cross a domain boundary for its own
+    tasks placed at home. *)
 
-val pick_victim :
-  plan ->
-  self:int ->
-  size:int ->
-  cap_pes:int option ->
-  queued:int array ->
-  active:int array ->
+(** {2 Ids} *)
+
+val global_id : shards:int -> shard:int -> int -> int
+(** [global_id ~shards ~shard local] = [local * shards + shard]. *)
+
+val local_id : shards:int -> int -> int
+(** [local_id ~shards g] = [g / shards]. *)
+
+val owner : shards:int -> int -> int
+(** [owner ~shards g] = [g mod shards] — the shard whose cluster
+    assigned [g]. *)
+
+(** {2 Placement} *)
+
+val pick :
+  ?home:int ->
+  shards:int ->
+  fits:(int -> bool) ->
+  headroom:(int -> bool) ->
+  (int -> int) ->
   int option
-(** The work-stealing fallback, consulted when [self]'s admission
-    queue runs hot: choose the shard that should admit a task of
-    [size] instead. [queued].(s) and [active].(s) are each shard's
-    published queued-task count and active PE-size (read from the
-    shared atomics — stale by at most one batch, which only ever makes
-    the choice suboptimal, never wrong). Returns a shard with no
-    queue whose admission capacity ([cap_pes], per shard) fits the
-    task, preferring the least loaded and breaking ties leftward;
-    [None] (admit locally) when no shard is strictly better or the
-    task cannot fit anywhere. Never returns [self]. *)
+(** [pick ~shards ~fits ~headroom load] is the paper's greedy choice
+    one level up: the {e leftmost} shard of least [load] among those
+    that [fits] and have admission [headroom], falling back to the
+    leftmost least among those that merely [fits] (the shard will queue
+    the task); [None] when none fits. With [home], home wins a tie
+    with that choice in the same tier, which keeps a submit off the
+    peers when it would gain nothing there. *)

@@ -2,8 +2,8 @@
 
     The queue between two specific domains in the sharded server: the
     acceptor hands connections to each shard over one, and each ordered
-    pair of shards exchanges steal/forward calls and their responses
-    over one. Exactly one domain may
+    pair of shards exchanges peer calls and their responses over one.
+    Exactly one domain may
     call {!push} and exactly one (possibly different) domain may call
     {!pop} — under that contract every operation is wait-free: one
     atomic read, one atomic write, no locks, no CAS loops.
@@ -37,7 +37,6 @@ val pop : 'a t -> 'a option
 val length : 'a t -> int
 (** Racy but monotone-consistent snapshot ([tail - head] read with two
     atomic loads): exact when called from producer or consumer, and
-    never negative. Feeds the per-shard queue-depth gauges and the
-    steal heuristic. *)
+    never negative. *)
 
 val is_empty : 'a t -> bool

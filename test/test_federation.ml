@@ -1,5 +1,5 @@
-(* The federation layer: id arithmetic, the second-level min-of-max
-   index, the budgeted rebalance planner, the routing core,
+(* The federation layer: id arithmetic, the second-level summaries
+   and their pick, the budgeted rebalance planner, the routing core,
    routing-replay equivalence on the deterministic sim, the live router
    matched against the sim decision for decision, and live multi-shard
    sessions over real sockets — including the headline failover
@@ -11,7 +11,6 @@ module Cluster = Pmp_cluster.Cluster
 module Protocol = Pmp_server.Protocol
 module Server = Pmp_server.Server
 module Client = Pmp_server.Client
-module Fed_id = Pmp_federation.Fed_id
 module Fed_index = Pmp_federation.Fed_index
 module Rebalance = Pmp_federation.Rebalance
 module Route = Pmp_federation.Route
@@ -47,23 +46,18 @@ let with_dir f =
 
 (* --- federated id arithmetic -------------------------------------- *)
 
-let test_fed_id_plan () =
-  (match Fed_id.plan ~shards:0 with
-  | Ok _ -> Alcotest.fail "plan 0 unexpectedly ok"
-  | Error _ -> ());
-  let _ = get_ok ~ctx:"plan 1" (Fed_id.plan ~shards:1) in
-  Alcotest.(check (list int))
-    "leaf offsets over uneven machines" [ 0; 8; 12; 28 ]
-    (List.init 4 (Fed_id.leaf_offset ~shard_sizes:[| 8; 4; 16; 8 |]))
-
+(* A federation mints and routes its ids with the shared interleaving,
+   over whole machines whose count need not be a power of two: every
+   (shard, local) pair at 1 to 8 shards must come back from its id. *)
 let prop_fed_id_bijection =
   QCheck.Test.make ~name:"federation: id scheme is a bijection" ~count:500
     QCheck.(triple (int_range 1 8) (int_bound 7) (int_bound 100_000))
     (fun (shards, shard, local) ->
       let shard = shard mod shards in
-      let p = get_ok ~ctx:"plan" (Fed_id.plan ~shards) in
-      let g = Fed_id.global_id p ~shard local in
-      Fed_id.owner p g = shard && Fed_id.local_id p g = local && g >= 0)
+      let g = Pmp_util.Sharding.global_id ~shards ~shard local in
+      Pmp_util.Sharding.owner ~shards g = shard
+      && Pmp_util.Sharding.local_id ~shards g = local
+      && g >= 0)
 
 (* --- the second-level index --------------------------------------- *)
 
@@ -278,6 +272,30 @@ let test_sim_rebalance_deterministic () =
   Alcotest.(check bool) "per-round task budget bounds the total" true
     (a.Sim.rebalanced <= rounds * config.Rebalance.max_tasks)
 
+(* A federation needs a shard, and reports placements in the aggregate
+   leaf space, shard machines side by side in shard order: over shards
+   of 8, 4, 16 and 8 PEs a shard-local base 1 reads 1, 9, 13 and 29. *)
+let test_route_aggregate_leaves () =
+  (match Route.create ~shard_sizes:[||] ~capacities:[||] ~quota:None with
+  | Ok _ -> Alcotest.fail "a federation of no shards was created"
+  | Error _ -> ());
+  let route =
+    get_ok ~ctx:"route"
+      (Route.create ~shard_sizes:[| 8; 4; 16; 8 |] ~capacities:(Array.make 4 None)
+         ~quota:None)
+  in
+  let call _ = function
+    | Protocol.Submit size ->
+        Ok (Protocol.Placed (0, { Protocol.base = 1; size; copy = 0 }))
+    | _ -> Ok (Protocol.Error "not a submit")
+  in
+  Alcotest.(check (list (pair int int)))
+    "each shard once, leftmost first, bases offset" [ (0, 1); (1, 9); (2, 13); (3, 29) ]
+    (List.init 4 (fun _ ->
+         match Route.request route ~call ~tenant:0 (Protocol.Submit 4) with
+         | Protocol.Placed (_, p), Some sx -> (sx, p.Protocol.base)
+         | r, _ -> Alcotest.failf "submit: %s" (Protocol.encode_response r)))
+
 (* Tenant ids are never reused, so the routing core must forget a
    tenant whose admitted PEs return to 0, quota or no quota: 1000
    tenants that each submit and finish leave no entry behind. *)
@@ -353,6 +371,56 @@ let test_rebalance_refreshes_summaries () =
   poll ();
   Alcotest.(check (list int)) "the poll agrees" [ 1; 1 ]
     [ Route.load route 0; Route.load route 1 ]
+
+(* A ledger miss asks the id's birth shard, but the slot a rebalance
+   move landed in is no client's id: over two 4-PE shards, shard 1
+   mints locals 0 and 1 for gids 1 and 3, so the task moved to it gets
+   local 2, the slot of gid 5, which no submit returned. Asked for 5,
+   the router answers as for any unknown id, and the moved task lives
+   on under its own id. *)
+let test_landing_slot_names_no_task () =
+  let clusters =
+    Array.init 2 (fun _ ->
+        get_ok ~ctx:"cluster"
+          (Cluster.create ~machine_size:4 ~policy:Cluster.Greedy ()))
+  in
+  let call sx req = Ok (Protocol.answer clusters.(sx) req) in
+  let route =
+    get_ok ~ctx:"route"
+      (Route.create ~shard_sizes:[| 4; 4 |] ~capacities:[| None; None |]
+         ~quota:None)
+  in
+  let ask req = fst (Route.request route ~call ~tenant:0 req) in
+  let gids =
+    List.init 4 (fun _ ->
+        match Route.request route ~call ~tenant:0 (Protocol.Submit 4) with
+        | Protocol.Placed (gid, _), Some sx -> (gid, sx)
+        | r, _ -> Alcotest.failf "submit: %s" (Protocol.encode_response r))
+  in
+  Alcotest.(check (list (pair int int))) "alternating shards"
+    [ (0, 0); (1, 1); (2, 0); (3, 1) ] gids;
+  List.iter (fun (gid, sx) -> if sx = 1 then ignore (ask (Protocol.Finish gid))) gids;
+  Array.iteri (fun sx c -> Route.observe route sx (Cluster.stats c)) clusters;
+  Route.rebalance route ~call
+    { Rebalance.default_config with threshold = 0; max_tasks = 1 };
+  Alcotest.(check int) "one task moved" 1 (Route.counts route).Route.rebalanced;
+  let expect ~ctx want got =
+    if got <> want then
+      Alcotest.failf "%s: got %s, want %s" ctx (Protocol.encode_response got)
+        (Protocol.encode_response want)
+  in
+  expect ~ctx:"query 5" (Protocol.State (5, Protocol.Unknown))
+    (ask (Protocol.Query 5));
+  expect ~ctx:"finish 5" (Protocol.Error "unknown or finished task")
+    (ask (Protocol.Finish 5));
+  Alcotest.(check (list int)) "both tasks still live" [ 1; 1 ]
+    (Array.to_list
+       (Array.map (fun c -> (Cluster.stats c).Cluster.active_now) clusters));
+  List.iter
+    (fun (gid, sx) ->
+      if sx = 0 then expect ~ctx:"finish by own id" Protocol.Finished
+          (ask (Protocol.Finish gid)))
+    gids
 
 (* --- the shard-tagged response wrapper ---------------------------- *)
 
@@ -693,6 +761,57 @@ let test_router_load_ratio () =
       Alcotest.(check (option (float 0.0))) "and its high-water mark" ratio
         (metric_of_router r "pmpd_p99_load_ratio_max");
       stop_router r)
+
+(* A router that did not route a task still finds it: a second router
+   over the same shards has an empty ledger, so a finish or query of
+   the first one's ids goes to the birth shard the id names, which
+   answers with authority. A negative id, and an id its shard refuses,
+   keep the answers a ledger miss always gave. *)
+let test_ledger_miss_asks_birth_shard () =
+  with_dir (fun dir ->
+      let ((first, shards, _, _) as r) =
+        in_process_router ~dir:(Filename.concat dir "fed") ~machine_size:16
+      in
+      let placed =
+        List.init 3 (fun i ->
+            match ask r (Protocol.Submit 4) with
+            | Protocol.Placed (gid, p) -> (gid, p)
+            | resp ->
+                Alcotest.failf "submit %d: unexpected reply %s" i
+                  (Protocol.encode_response resp))
+      in
+      let sockets = Array.of_list (List.map fst shards) in
+      let second =
+        get_ok ~ctx:"second router"
+          (Router.create (router_config ~sockets ~dir:(Filename.concat dir "fed")))
+      in
+      let r' = (second, shards, Netbuf.create 256, Netbuf.create 256) in
+      let expect ~ctx want got =
+        if got <> want then
+          Alcotest.failf "%s: got %s, want %s" ctx (Protocol.encode_response got)
+            (Protocol.encode_response want)
+      in
+      List.iter
+        (fun (gid, p) ->
+          let ctx what = Printf.sprintf "task %d: %s" gid what in
+          expect ~ctx:(ctx "query") (Protocol.State (gid, Protocol.Active p))
+            (ask r' (Protocol.Query gid));
+          expect ~ctx:(ctx "finish") Protocol.Finished (ask r' (Protocol.Finish gid));
+          expect ~ctx:(ctx "query after finish")
+            (Protocol.State (gid, Protocol.Unknown))
+            (ask r' (Protocol.Query gid));
+          expect ~ctx:(ctx "finish again")
+            (Protocol.Error "unknown or finished task")
+            (ask r' (Protocol.Finish gid)))
+        placed;
+      expect ~ctx:"negative query" (Protocol.State (-3, Protocol.Unknown))
+        (ask r' (Protocol.Query (-3)));
+      expect ~ctx:"negative finish" (Protocol.Error "unknown or finished task")
+        (ask r' (Protocol.Finish (-3)));
+      Alcotest.(check int) "the shards hold nothing" 0
+        (stats_of_router r').Cluster.active_now;
+      stop_router r';
+      Router.close first)
 
 (* The tentpole contract: a 64-frame batch through the pipelined hop
    answers byte for byte what the same frames answer one at a time —
@@ -1175,16 +1294,19 @@ let test_malformed_frames_match_daemon () =
 
 let suite =
   [
-    Alcotest.test_case "fed_id plan and offsets" `Quick test_fed_id_plan;
     Alcotest.test_case "fed_index pick script" `Quick test_fed_index_pick;
     Alcotest.test_case "fed_index headroom preference" `Quick
       test_fed_index_headroom;
     Alcotest.test_case "sim rebalance deterministic" `Quick
       test_sim_rebalance_deterministic;
+    Alcotest.test_case "route places in the aggregate leaf space" `Quick
+      test_route_aggregate_leaves;
     Alcotest.test_case "route forgets idle tenants" `Quick
       test_route_forgets_idle_tenants;
     Alcotest.test_case "rebalance refreshes the summaries it touched" `Quick
       test_rebalance_refreshes_summaries;
+    Alcotest.test_case "a moved task's landing slot names no task" `Quick
+      test_landing_slot_names_no_task;
     Alcotest.test_case "shard-tag wrapper roundtrip" `Quick
       test_shard_tag_roundtrip;
     Alcotest.test_case "live 3-shard session" `Quick test_live_session;
@@ -1204,6 +1326,8 @@ let suite =
       test_router_merges_max_gauges;
     Alcotest.test_case "router load ratio over the whole federation" `Quick
       test_router_load_ratio;
+    Alcotest.test_case "a ledger miss asks the birth shard" `Quick
+      test_ledger_miss_asks_birth_shard;
     Alcotest.test_case "malformed frames answered as pmpd does" `Quick
       test_malformed_frames_match_daemon;
   ]

@@ -180,24 +180,22 @@ let prop_index_matches_scan (levels, seed, steps) =
    can reach, so check every slot it answers from after every op:
    min_load_subtree (value and leftmost window) and a random window's
    max at every order, plus the max and total. The traffic mixes unit
-   adds with the deltas Fed_index issues — the 2^30 poison and
-   arbitrary set-to-value jumps — on windows of every order, the root
-   included. *)
+   adds with set-to-value jumps, up to 2^30, on windows of every
+   order, the root included. *)
 let prop_every_order_matches_scan (levels, seed, steps) =
   let n = 1 lsl levels in
   let m = Machine.create n in
   let ix = Index.create m in
   let lm = Load_map.create m in
   let g = Sm.create seed in
-  (* value currently installed on each window, as Fed_index.set_leaf
-     keeps per shard: every delta moves a window to a new value, so no
-     load can go negative *)
+  (* value currently installed on each window: every delta moves a
+     window to a new value, so no load can go negative *)
   let installed = Hashtbl.create 16 in
   let ok = ref true in
   let value () =
     match Sm.int g 4 with
     | 0 -> 0
-    | 1 -> 1 lsl 30 (* Fed_index's load for a down shard *)
+    | 1 -> 1 lsl 30
     | 2 -> 1 + Sm.int g 3
     | _ -> Sm.int g 1_000_000
   in

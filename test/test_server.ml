@@ -426,13 +426,15 @@ let test_fsync_policy_parse () =
   check "always" Wal.Always;
   check "group" Wal.Group;
   check "never" Wal.Never;
-  check "interval:250" (Wal.Interval 0.25);
   List.iter
     (fun s ->
       match Wal.parse_policy s with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "bad policy %S parsed" s)
-    [ ""; "warp"; "interval"; "interval:"; "interval:x"; "interval:-5" ]
+    [
+      ""; "warp"; "interval"; "interval:"; "interval:x"; "interval:-5";
+      "interval:250";
+    ]
 
 (* --- snapshots ---------------------------------------------------- *)
 
@@ -1763,12 +1765,14 @@ let served_session config ~dir ~clients f =
         (fun () -> f cs))
 
 (* [pmpd_p99_load_ratio] divides by the whole machine's L*, at any
-   shard count: 16 unit submits on one connection spread over the
-   machine at K=1 (load 1) but pile onto the home shard's 4 PEs at K=4
-   (load 4), and L* is 1 either way. *)
+   shard count. 17 unit submits on one connection cover every leaf
+   once and leaf 0 twice; finishing the 12 tasks at leaves >= 4 leaves
+   5 tasks on leaves 0-3, all on shard 0 at K=4: max load 2, the
+   machine's L* 1, so the ratio reads 2 — where shard 0's own L*
+   (ceil (5/4) = 2) would read 1. *)
 let test_load_ratio_whole_machine () =
   List.iter
-    (fun (domains, load) ->
+    (fun domains ->
       with_dir (fun dir ->
           let config =
             {
@@ -1780,19 +1784,104 @@ let test_load_ratio_whole_machine () =
           let st, dump =
             served_session config ~dir ~clients:1 (fun cs ->
                 let client = List.hd cs in
-                for _ = 1 to 16 do
-                  ignore (Client.request client (Protocol.Submit 1))
-                done;
+                let placed =
+                  List.init 17 (fun i ->
+                      match Client.request client (Protocol.Submit 1) with
+                      | Ok (Protocol.Placed (id, p)) -> (id, p.Protocol.base)
+                      | r ->
+                          Alcotest.failf "submit %d: %s" i
+                            (match r with
+                            | Ok r -> Protocol.encode_response r
+                            | Error e -> e))
+                in
+                List.iter
+                  (fun (id, base) ->
+                    if base >= 4 then
+                      match Client.request client (Protocol.Finish id) with
+                      | Ok Protocol.Finished -> ()
+                      | _ -> Alcotest.failf "finish %d" id)
+                  placed;
                 (stats_of client, metrics_of client))
           in
           let ctx = Printf.sprintf "K=%d" domains in
-          Alcotest.(check int) (ctx ^ ": placed") 16 st.Cluster.active_now;
-          Alcotest.(check int) (ctx ^ ": max load") load st.Cluster.max_load;
+          Alcotest.(check int) (ctx ^ ": live") 5 st.Cluster.active_now;
+          Alcotest.(check int) (ctx ^ ": max load") 2 st.Cluster.max_load;
           Alcotest.(check int) (ctx ^ ": L*") 1 st.Cluster.optimal_now;
           Alcotest.(check (option (float 0.0))) (ctx ^ ": p99 load ratio")
-            (Some (float_of_int load))
+            (Some 2.0)
             (Metrics.Dump.value dump "pmpd_p99_load_ratio")))
-    [ (1, 1); (4, 4) ]
+    [ 1; 4 ]
+
+(* The mesh places as one machine: a lone connection, homed on shard
+   0, of a greedy daemon without a cap gets, from K shards, exactly the
+   placements one greedy [Cluster] over the whole machine gives the
+   same script — each submit's (base, size), each query's, and the
+   final loads — for random scripts of submits of every size up to
+   N/K and finishes of live tasks. *)
+let test_mesh_places_as_one_cluster () =
+  let where = function
+    | Ok (Protocol.Placed (id, p)) | Ok (Protocol.State (id, Protocol.Active p)) ->
+        (id, (p.Protocol.base, p.Protocol.size))
+    | Ok r -> Alcotest.failf "unexpected reply %s" (Protocol.encode_response r)
+    | Error e -> Alcotest.failf "request failed: %s" e
+  in
+  List.iter
+    (fun (domains, seed) ->
+      with_dir (fun dir ->
+          let reference =
+            get_ok ~ctx:"cluster"
+              (Cluster.create ~machine_size:64 ~policy:Cluster.Greedy ())
+          in
+          let sizes = Pmp_util.Pow2.ilog2 (64 / domains) + 1 in
+          served_session (sharded_config ~domains ~dir ()) ~dir ~clients:1
+            (fun cs ->
+              let client = List.hd cs in
+              let g = Sm.create seed in
+              (* live tasks: (served id, reference id, placement) *)
+              let live = ref [] in
+              for step = 1 to 150 do
+                let ctx what =
+                  Printf.sprintf "K=%d seed %d step %d: %s" domains seed step what
+                in
+                match !live with
+                | _ :: _ when Sm.int g 3 = 0 ->
+                    let ((sid, rid, _) as task) =
+                      List.nth !live (Sm.int g (List.length !live))
+                    in
+                    (match Client.request client (Protocol.Finish sid) with
+                    | Ok Protocol.Finished -> ()
+                    | _ -> Alcotest.failf "%s" (ctx "finish refused"));
+                    get_ok ~ctx:(ctx "reference finish") (Cluster.finish reference rid);
+                    live := List.filter (( != ) task) !live
+                | _ ->
+                    let size = 1 lsl Sm.int g sizes in
+                    let rid, want =
+                      match Cluster.submit reference ~size with
+                      | Ok (Cluster.Placed (rid, p)) ->
+                          let sub = p.Pmp_core.Placement.sub in
+                          ( rid,
+                            ( Pmp_machine.Submachine.first_leaf sub,
+                              Pmp_machine.Submachine.size sub ) )
+                      | _ -> Alcotest.failf "%s" (ctx "reference did not place")
+                    in
+                    let sid, got = where (Client.request client (Protocol.Submit size)) in
+                    Alcotest.(check (pair int int)) (ctx "submit placement") want got;
+                    live := (sid, rid, want) :: !live
+              done;
+              List.iter
+                (fun (sid, _, want) ->
+                  Alcotest.(check (pair int int))
+                    (Printf.sprintf "K=%d seed %d: query %d" domains seed sid)
+                    want
+                    (snd (where (Client.request client (Protocol.Query sid)))))
+                !live;
+              match Client.request client Protocol.Loads with
+              | Ok (Protocol.Loads_reply loads) ->
+                  Alcotest.(check (array int))
+                    (Printf.sprintf "K=%d seed %d: loads" domains seed)
+                    (Cluster.leaf_loads reference) loads
+              | _ -> Alcotest.fail "loads")))
+    [ (2, 1); (2, 2); (4, 3); (4, 4) ]
 
 (* The repack counters carry what [stats] prints as reallocs and moved:
    a periodic d=1 daemon that has repacked reports the same two numbers
@@ -1845,11 +1934,12 @@ let test_repack_counters () =
             (Metrics.Dump.value dump "pmpd_tasks_migrated_total")))
     [ 1; 2 ]
 
-(* Work stealing under an admission cap: a single connection hashes to
-   shard 0, so without stealing every submission would pile onto one
-   quarter of the machine. With a cap forcing shard 0 full, admissions
-   spill to idle shards (the steal counters say so), every stolen task
-   still finishes exactly once, and the books balance. *)
+(* Placement on peers under an admission cap: a single connection
+   hashes to shard 0, so submits that stayed home would pile onto one
+   quarter of the machine. They spread to the shards of least load and
+   headroom instead (the steal counters count the submits placed on a
+   peer, once at each end), every such task still finishes exactly
+   once, and the books balance. *)
 let test_multicore_steal () =
   with_dir (fun dir ->
       let config =
@@ -1963,7 +2053,7 @@ let test_shard_count_fence () =
         [ 1; 4 ])
 
 (* Drive a K=4 victim with crash injection over a socket, one request
-   at a time: submits (capped, so some steal or queue) and finishes of
+   at a time: submits (capped, so some go to peers or queue) and finishes of
    random acked tasks, whichever shard owns them. Returns the acked
    live ids, the acked submit/finish counts and the in-flight request
    the crash abandoned. *)
@@ -2014,9 +2104,9 @@ let crash_sharded ~dir ~seed ~crash_at ~snapshot_every =
 (* Crash recovery at K=4: the restart replays every shard's WAL and
    passes every shard's audit, its merged counts are exactly the acked
    mutations plus the in-flight one (durable by the time the crash
-   fires, unreported), and every acked live id queries back. The cap
-   makes shard 0, which holds the connection, steal: mutations — the
-   lost one too, at times — run on the other shards. *)
+   fires, unreported), and every acked live id queries back. Shard 0
+   holds the connection and places submits on its peers: mutations —
+   the lost one too, at times — run on the other shards. *)
 let test_sharded_crash_recovery () =
   let off_home = ref 0 in
   List.iter
@@ -2060,7 +2150,7 @@ let test_sharded_crash_recovery () =
               shutdown_server client;
               Client.close client)))
     [ (11, 9, 0); (23, 17, 3); (37, 30, 4) ];
-  (* the one connection lives on shard 0: steals must have moved work *)
+  (* the one connection lives on shard 0: placement must have moved work *)
   Alcotest.(check bool) "mutations ran on other shards" true (!off_home > 0)
 
 (* Every shard directory keeps its black box through a crash: a
@@ -2577,6 +2667,7 @@ let suite =
     ("multicore stats equivalence", `Quick, test_multicore_stats_equivalence);
     ("multicore session", `Quick, test_multicore_session);
     ("load ratio over the whole machine", `Quick, test_load_ratio_whole_machine);
+    ("mesh places as one cluster", `Quick, test_mesh_places_as_one_cluster);
     ("repack counters equal stats", `Quick, test_repack_counters);
     ("multicore stealing", `Quick, test_multicore_steal);
     ("multicore recovery", `Quick, test_multicore_recovery);

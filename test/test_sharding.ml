@@ -1,8 +1,8 @@
 (* The shard plan: the id interleaving must be a bijection that routes
-   every global id back to the shard that minted it, and the steal
-   victim choice must respect capacity, prefer the least-loaded idle
-   shard, and never pick a victim that is no better than staying
-   home. *)
+   every global id back to the shard that minted it, at any shard
+   count, and the placement scan both levels share must pick the
+   leftmost least-loaded shard, headroom first, with home winning only
+   a tie. *)
 
 module Sharding = Pmp_util.Sharding
 
@@ -33,18 +33,17 @@ let test_leaf_offsets () =
     (List.init 6 (Sharding.conn_shard p))
 
 (* global_id is a bijection between (shard, local) pairs and global
-   ids, with owner/local_id as its inverse. *)
+   ids, with owner/local_id as its inverse, at any shard count: the
+   mesh's powers of two and a federation's arbitrary counts alike. *)
 let prop_id_bijection =
   QCheck.Test.make ~name:"sharding: id interleaving is a bijection"
     ~count:500
-    QCheck.(triple (int_bound 3) (int_bound 3) (int_bound 100_000))
-    (fun (k_exp, shard, local) ->
-      let shards = 1 lsl k_exp in
+    QCheck.(triple (int_range 1 9) (int_bound 8) (int_bound 100_000))
+    (fun (shards, shard, local) ->
       let shard = shard mod shards in
-      let p = plan_exn ~machine_size:256 ~shards in
-      let g = Sharding.global_id p ~shard local in
-      Sharding.owner p g = shard
-      && Sharding.local_id p g = local
+      let g = Sharding.global_id ~shards ~shard local in
+      Sharding.owner ~shards g = shard
+      && Sharding.local_id ~shards g = local
       && g >= 0)
 
 let prop_id_distinct =
@@ -53,72 +52,43 @@ let prop_id_distinct =
     QCheck.(
       quad (int_bound 2) (int_bound 7) (int_bound 2) (int_bound 7))
     (fun (s1, l1, s2, l2) ->
-      let p = plan_exn ~machine_size:64 ~shards:8 in
+      let shards = 8 in
       let s1 = s1 mod 8 and s2 = s2 mod 8 in
-      let g1 = Sharding.global_id p ~shard:s1 l1
-      and g2 = Sharding.global_id p ~shard:s2 l2 in
+      let g1 = Sharding.global_id ~shards ~shard:s1 l1
+      and g2 = Sharding.global_id ~shards ~shard:s2 l2 in
       if s1 = s2 && l1 = l2 then g1 = g2 else g1 <> g2)
 
-let test_pick_victim () =
-  let p = plan_exn ~machine_size:256 ~shards:4 in
-  let pv ?cap_pes ~self ~size queued active =
-    Sharding.pick_victim p ~self ~size ~cap_pes
-      ~queued:(Array.of_list queued)
-      ~active:(Array.of_list active)
+(* The placement scan: leftmost least load, shards with headroom
+   before shards that would queue, and home wins only a tie in the
+   tier the choice came from. *)
+let test_pick () =
+  let pick ?home ?(fits = fun _ -> true) ?(headroom = fun _ -> true) loads =
+    Sharding.pick ?home ~shards:(Array.length loads) ~fits ~headroom
+      (Array.get loads)
   in
-  (* least-loaded idle peer wins; leftmost on ties *)
-  Alcotest.(check (option int)) "least loaded" (Some 2)
-    (pv ~self:0 ~size:8 [ 0; 0; 0; 0 ] [ 40; 30; 10; 10 ]);
-  Alcotest.(check (option int)) "leftmost tie" (Some 1)
-    (pv ~self:0 ~size:8 [ 0; 0; 0; 0 ] [ 40; 10; 10; 10 ]);
-  (* a queued peer is not idle and cannot be a victim *)
-  Alcotest.(check (option int)) "queued peers skipped" (Some 3)
-    (pv ~self:0 ~size:8 [ 0; 1; 2; 0 ] [ 40; 0; 0; 20 ]);
-  (* no stealing when home is no worse than every candidate *)
-  Alcotest.(check (option int)) "no strict improvement" None
-    (pv ~self:0 ~size:8 [ 0; 0; 0; 0 ] [ 10; 10; 10; 10 ]);
-  (* ...unless home is already queueing: then equal-load peers do help *)
-  Alcotest.(check (option int)) "home queueing overrides" (Some 1)
-    (pv ~self:0 ~size:8 [ 3; 0; 0; 0 ] [ 10; 10; 10; 10 ]);
-  (* capacity-pessimal fit: a peer that cannot admit is skipped *)
-  Alcotest.(check (option int)) "capacity respected" (Some 3)
-    (pv ~self:0 ~size:32 ~cap_pes:40 [ 0; 0; 0; 0 ] [ 40; 30; 20; 5 ]);
-  Alcotest.(check (option int)) "nobody fits" None
-    (pv ~self:0 ~size:32 ~cap_pes:40 [ 0; 0; 0; 0 ] [ 40; 30; 20; 30 ]);
-  (* oversized tasks never move *)
-  Alcotest.(check (option int)) "oversize" None
-    (pv ~self:0 ~size:65 [ 0; 0; 0; 0 ] [ 40; 0; 0; 0 ])
-
-(* The victim, when some shard is picked, is always: not self, idle,
-   within capacity, minimal active load among such candidates, and a
-   strict improvement unless home queues. *)
-let prop_victim_sound =
-  QCheck.Test.make ~name:"sharding: pick_victim soundness" ~count:500
-    QCheck.(
-      pair
-        (pair (int_bound 3) (int_bound 64))
-        (pair
-           (array_of_size (QCheck.Gen.return 4) (int_bound 3))
-           (array_of_size (QCheck.Gen.return 4) (int_bound 80))))
-    (fun ((self, size), (queued, active)) ->
-      let p = plan_exn ~machine_size:256 ~shards:4 in
-      let size = max 1 size in
-      let cap_pes = Some 64 in
-      match Sharding.pick_victim p ~self ~size ~cap_pes ~queued ~active with
-      | None -> true
-      | Some v ->
-          let fits s = active.(s) + size <= 64 in
-          let candidate s = s <> self && queued.(s) = 0 && fits s in
-          candidate v
-          && (queued.(self) > 0 || active.(v) < active.(self))
-          && Array.for_all
-               (fun s -> not (candidate s) || active.(v) <= active.(s))
-               (Array.init 4 Fun.id))
+  let none_of l s = not (List.mem s l) in
+  Alcotest.(check (option int)) "leftmost least" (Some 1)
+    (pick [| 3; 1; 2; 1 |]);
+  Alcotest.(check (option int)) "home ties" (Some 3)
+    (pick ~home:3 [| 3; 1; 2; 1 |]);
+  Alcotest.(check (option int)) "home above the least stays out" (Some 1)
+    (pick ~home:2 [| 3; 1; 2; 1 |]);
+  Alcotest.(check (option int)) "headroom first" (Some 2)
+    (pick ~headroom:(none_of [ 1; 3 ]) [| 3; 1; 2; 1 |]);
+  Alcotest.(check (option int)) "a queueing home does not tie" (Some 2)
+    (pick ~home:1 ~headroom:(none_of [ 1; 3 ]) [| 3; 1; 2; 2 |]);
+  Alcotest.(check (option int)) "no headroom anywhere: leftmost least"
+    (Some 1)
+    (pick ~headroom:(fun _ -> false) [| 3; 1; 2; 1 |]);
+  Alcotest.(check (option int)) "only shards that fit" (Some 2)
+    (pick ~fits:(none_of [ 1; 3 ]) [| 3; 1; 2; 1 |]);
+  Alcotest.(check (option int)) "nothing fits" None
+    (pick ~home:0 ~fits:(fun _ -> false) [| 3; 1; 2; 1 |])
 
 let suite =
   [
     Alcotest.test_case "plan validation" `Quick test_plan_validation;
     Alcotest.test_case "leaf offsets" `Quick test_leaf_offsets;
-    Alcotest.test_case "pick_victim" `Quick test_pick_victim;
+    Alcotest.test_case "pick" `Quick test_pick;
   ]
-  @ Helpers.qtests [ prop_id_bijection; prop_id_distinct; prop_victim_sound ]
+  @ Helpers.qtests [ prop_id_bijection; prop_id_distinct ]
