@@ -285,6 +285,38 @@ mutant wal-refuses-json <<'EOF'
             write (a zero-filled tail after power loss reads so) and
 EOF
 
+# A bench-regress row of the drift kind fails a value past the
+# baseline's value x (1 + tolerance).
+mutant gate-drift <<'EOF'
+--- a/bench/gates.ml
++++ b/bench/gates.ml
+@@ -230,7 +230,7 @@
+           | Same, _ -> test (same b) ("= baseline " ^ brief b) v
+           | _, Some b ->
+               let c = b *. (1.0 +. tolerance) in
+-              test (number (fun x -> x <= c))
++              test (fun _ -> true)
+                 (Printf.sprintf "<= %g, baseline %g + %.0f%%" c b (tolerance *. 100.0))
+                 v
+           | _, None -> (Fail, "the baseline's value is not a number")))
+EOF
+
+# A bench-regress entry the baseline has and the run lacks (a case, a
+# load-index size, a scenario) is judged, and fails its rows.
+mutant gate-missing-row <<'EOF'
+--- a/bench/gates.ml
++++ b/bench/gates.ml
+@@ -160,7 +160,7 @@
+         if step <> "*" then [ step ]
+         else
+           let own = fields run in
+-          match own @ List.filter (fun k -> not (List.mem k own)) (fields base) with
++          match own with
+           | [] -> [ "*" ]
+           | keys -> keys
+       in
+EOF
+
 if [ -n "$survivors" ] || [ -n "$hung" ]; then
   if [ -n "$survivors" ]; then echo "mutants: survived:$survivors" >&2; fi
   if [ -n "$hung" ]; then echo "mutants: hung:$hung" >&2; fi
