@@ -20,6 +20,7 @@
    read "not taken". *)
 
 module Machine = Pmp_machine.Machine
+module Load_map = Pmp_machine.Load_map
 module Realloc = Pmp_core.Realloc
 module Engine = Pmp_sim.Engine
 module Json = Pmp_util.Json
@@ -117,8 +118,8 @@ let dropped = [ "optimal/N=65536 (quadratic repack, no extra signal)" ]
 
 let case_key c = Printf.sprintf "%s/N=%d" c.alloc c.n
 
-let build_alloc ?backend name machine =
-  match Builders.allocator ?backend name machine ~d:(Realloc.Budget 2) ~seed with
+let build_alloc name machine =
+  match Builders.allocator name machine ~d:(Realloc.Budget 2) ~seed with
   | Ok a -> a
   | Error (`Msg m) -> failwith m
 
@@ -182,56 +183,78 @@ let run_case calib c =
         ("events_per_second", Json.Num (Float.round (events /. wall)));
       ] )
 
-(* replay one trace through greedy twice — once on the O(N) scan
-   backend, once on the O(log N) index — and report the per-event
-   speedup. Measured in-process on the same trace and host, so the
-   ratio is portable; this is the acceptance gate for the index. *)
+(* replay one trace twice — through greedy, whose choice is one
+   O(log N) query of the load index, and through the same leftmost
+   min-of-max rule run as an O(N) scan over a Load_map — and report the
+   per-event speedup. Measured in-process on the same trace and host,
+   so the ratio is portable; this is the acceptance gate for the
+   index. *)
 let speedup_probe () =
   let n = 65536 in
   let steps = 1_000 in
   let machine = Machine.create n in
   let seq = churn ~steps n in
   let events = Pmp_workload.Sequence.events seq in
-  (* drive the allocator directly, no engine in the way: this times
-     exactly the code the index replaced (the per-arrival
-     min-of-max-window query plus the load bookkeeping) *)
-  let time backend =
-    let alloc = build_alloc ~backend "greedy" machine in
-    let t0 = Unix.gettimeofday () in
-    Array.iter
-      (fun (ev : Pmp_workload.Event.t) ->
-        match ev with
-        | Arrive task ->
-            let resp = alloc.Pmp_core.Allocator.assign task in
-            ignore (Sys.opaque_identity resp)
-        | Depart id -> alloc.Pmp_core.Allocator.remove id)
-      events;
-    let wall = Unix.gettimeofday () -. t0 in
-    let final =
-      List.sort compare
-        (List.map
-           (fun ((t : Pmp_workload.Task.t), (p : Pmp_core.Placement.t)) ->
-             (t.Pmp_workload.Task.id, p.Pmp_core.Placement.sub,
-              p.Pmp_core.Placement.copy))
-           (Pmp_core.Allocator.placements alloc))
+  (* both sides run the events directly, no engine in the way: this
+     times exactly the code the index replaced (the per-arrival
+     min-of-max-window query plus the load bookkeeping). A side builds
+     its state untimed and returns its per-event step and a reader of
+     its final placements. *)
+  let index () =
+    let alloc = build_alloc "greedy" machine in
+    let step : Pmp_workload.Event.t -> unit = function
+      | Arrive task ->
+          ignore (Sys.opaque_identity (alloc.Pmp_core.Allocator.assign task))
+      | Depart id -> alloc.Pmp_core.Allocator.remove id
     in
-    (wall *. 1e9 /. float_of_int (max 1 (Array.length events)), final)
+    ( step,
+      fun () ->
+        List.map
+          (fun ((t : Pmp_workload.Task.t), p) -> (t.Pmp_workload.Task.id, p))
+          (Pmp_core.Allocator.placements alloc) )
   in
-  let best backend =
-    let ns, final = time backend in
+  let scan () =
+    let lm = Load_map.create machine and homes = Hashtbl.create 64 in
+    let step : Pmp_workload.Event.t -> unit = function
+      | Arrive task ->
+          let _, sub =
+            Load_map.min_max_at_order lm (Pmp_workload.Task.order task)
+          in
+          Load_map.add lm sub 1;
+          Hashtbl.replace homes task.Pmp_workload.Task.id sub
+      | Depart id ->
+          Load_map.add lm (Hashtbl.find homes id) (-1);
+          Hashtbl.remove homes id
+    in
+    ( step,
+      fun () ->
+        Hashtbl.fold
+          (fun id sub acc -> (id, Pmp_core.Placement.direct sub) :: acc)
+          homes [] )
+  in
+  let time side =
+    let step, final = side () in
+    let t0 = Unix.gettimeofday () in
+    Array.iter step events;
+    let wall = Unix.gettimeofday () -. t0 in
+    ( wall *. 1e9 /. float_of_int (max 1 (Array.length events)),
+      List.sort compare (final ()) )
+  in
+  let best side =
+    let ns, final = time side in
     let ns = ref ns and n = ref 1 in
     while !n < 3 do
-      let v, _ = time backend in
+      let v, _ = time side in
       if v < !ns then ns := v;
       incr n
     done;
     (!ns, final)
   in
   (* index first so the scan run cannot look better via a warm cache *)
-  let index_ns, final_index = best Pmp_index.Load_view.Indexed in
-  let scan_ns, final_scan = best Pmp_index.Load_view.Scan in
+  let index_ns, final_index = best index in
+  let scan_ns, final_scan = best scan in
   if final_index <> final_scan then
-    failwith "speedup probe: scan and index backends place tasks differently";
+    failwith "speedup probe: greedy and the scan place tasks differently";
   let speedup = scan_ns /. index_ns in
   Json.Obj
     [

@@ -47,10 +47,6 @@ let check_arg =
   let doc =
     "Validation mode. $(b,--check) (or $(b,--check=basic)) cross-checks \
      every allocator response against an independent mirror. \
-     $(b,--check=index) additionally runs the allocator and the mirror \
-     over a differential load view: every load query is answered by the \
-     O(log N) index and cross-checked against the naive leaf scan, \
-     failing the run on the first divergence. \
      $(b,--check=oracle) instead holds the run to the allocator's \
      theorem envelope — the T3.1/T4.1/T4.2 load bound, the \
      d-reallocation budget, and the copy-packing invariant — and, on a \
@@ -62,29 +58,21 @@ let check_arg =
     & info [ "check" ] ~docv:"MODE" ~doc)
 
 (* The validation modes --check parses to. *)
-type check_mode = Check_off | Check_basic | Check_index | Check_oracle
+type check_mode = Check_off | Check_basic | Check_oracle
 
 let parse_check = function
   | None -> Ok Check_off
   | Some "basic" -> Ok Check_basic
-  | Some "index" -> Ok Check_index
   | Some "oracle" -> Ok Check_oracle
   | Some other ->
       Error
         (`Msg
-           (Printf.sprintf "unknown check mode %S (basic|index|oracle)" other))
-
-(* In index mode both the allocator and the engine's mirror run the
-   Checked load view (index cross-checked against the scan on every
-   query); otherwise everything runs on the default indexed backend. *)
-let backend_of_mode = function
-  | Check_index -> Some Pmp_index.Load_view.Checked
-  | Check_off | Check_basic | Check_oracle -> None
+           (Printf.sprintf "unknown check mode %S (basic|oracle)" other))
 
 (* A fresh, deterministic allocator per call: what the oracle replays
    a sequence from. *)
-let allocator_factory ?backend name machine ~d ~seed () =
-  match Builders.allocator ?backend name machine ~d ~seed with
+let allocator_factory name machine ~d ~seed () =
+  match Builders.allocator name machine ~d ~seed with
   | Ok a -> a
   | Error (`Msg e) -> invalid_arg e
 
@@ -93,7 +81,7 @@ let allocator_factory ?backend name machine ~d ~seed () =
    too and its trace records carry a per-event verdict. *)
 let oracle_gate mode name machine ~d ~seed seq =
   match mode with
-  | Check_off | Check_basic | Check_index -> Ok None
+  | Check_off | Check_basic -> Ok None
   | Check_oracle -> (
       let* spec = Builders.oracle_spec name machine ~d in
       let make = allocator_factory name machine ~d ~seed in
@@ -216,21 +204,18 @@ let print_result (r : Engine.result) =
   Printf.printf "tasks moved      : %d\n" r.Engine.tasks_moved;
   Printf.printf "migration traffic: %d PE-hop units\n" r.Engine.migration_traffic
 
-(* The measured run [run] and [replay] share: the oracle gate, the load
-   view --check asks for, the migration-cost model over [topology],
-   telemetry, [Engine.run] and the report. *)
+(* The measured run [run] and [replay] share: the oracle gate, the
+   migration-cost model over [topology], telemetry, [Engine.run] and the
+   report. *)
 let simulate mode alloc_name machine ~d ~seed ~topology ~trace ~trace_format
     ~metrics seq =
   let* oracle = oracle_gate mode alloc_name machine ~d ~seed seq in
-  let backend = backend_of_mode mode in
   let cost = Pmp_sim.Cost.make topology in
   with_telemetry ~trace ~format:trace_format ~metrics (fun probe ->
-      let* alloc =
-        Builders.allocator ~probe ?backend alloc_name machine ~d ~seed
-      in
+      let* alloc = Builders.allocator ~probe alloc_name machine ~d ~seed in
       print_result
-        (Engine.run ~check:(mode <> Check_off) ?backend ?oracle ~cost
-           ~telemetry:probe alloc seq);
+        (Engine.run ~check:(mode <> Check_off) ?oracle ~cost ~telemetry:probe
+           alloc seq);
       Ok ())
 
 (* ------------------------------------------------------------------ *)
@@ -295,7 +280,7 @@ let sweep_cmd =
            d; its provable envelope on arbitrary sequences is L* + d *)
         let oracle =
           match mode with
-          | Check_off | Check_basic | Check_index -> None
+          | Check_off | Check_basic -> None
           | Check_oracle ->
               Some
                 {
@@ -1433,13 +1418,6 @@ let scenario_cmd =
     in
     Arg.(value & opt (some int) None & info [ "m"; "machine" ] ~docv:"N" ~doc)
   in
-  let backend_arg =
-    let doc =
-      "Load-view backend: $(b,indexed) (O(log N)), $(b,scan) (reference), or \
-       $(b,checked) (both, cross-checked on every query)."
-    in
-    Arg.(value & opt string "indexed" & info [ "backend" ] ~docv:"B" ~doc)
-  in
   let no_oracle_arg =
     let doc =
       "Skip the open-loop oracle replay and the closed-loop load-bound audit \
@@ -1463,21 +1441,12 @@ let scenario_cmd =
     in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"PREFIX" ~doc)
   in
-  let action name_sel machine_opt alloc_name seed d_str backend_str no_oracle
-      out trace_prefix trace_format =
+  let action name_sel machine_opt alloc_name seed d_str no_oracle out
+      trace_prefix trace_format =
     let* scenarios =
       match name_sel with
       | "all" -> Ok Registry.all
       | name -> Result.map (fun s -> [ s ]) (Builders.scenario name)
-    in
-    let* backend =
-      match Pmp_index.Load_view.backend_of_string backend_str with
-      | Some b -> Ok b
-      | None ->
-          Error
-            (`Msg
-               (Printf.sprintf "unknown backend %S (indexed|scan|checked)"
-                  backend_str))
     in
     let* d = Builders.parse_d d_str in
     let* fmt = parse_trace_format trace_format in
@@ -1492,7 +1461,7 @@ let scenario_cmd =
         if no_oracle then Ok None
         else Result.map Option.some (Builders.oracle_spec alloc_name machine ~d)
       in
-      let make = allocator_factory ~backend alloc_name machine ~d ~seed in
+      let make = allocator_factory alloc_name machine ~d ~seed in
       let run probe =
         Pmp_scenario.Runner.run ~telemetry:probe ?oracle ~make ~seed scn
       in
@@ -1557,7 +1526,7 @@ let scenario_cmd =
     Term.(
       term_result
         (const action $ scenario_pos $ machine_opt_arg $ alloc_arg $ seed_arg
-       $ d_arg $ backend_arg $ no_oracle_arg $ out_arg $ trace_prefix_arg
+       $ d_arg $ no_oracle_arg $ out_arg $ trace_prefix_arg
        $ trace_format_arg))
   in
   Cmd.v

@@ -317,6 +317,22 @@ mutant gate-missing-row <<'EOF'
        in
 EOF
 
+# A load-index add recombines every aggregate slot a child's change
+# can reach: slots lo+1..hi+1 of the parent, not just up to hi.
+mutant index-dirty-range <<'EOF'
+--- a/lib/index/load_index.ml
++++ b/lib/index/load_index.ml
+@@ -85,7 +85,7 @@
+     let or_ = ol + s in
+     let p = t.pending.((1 lsl d) + r) in
+     let first = ref (-1) and last = ref (-1) in
+-    for e = (if lo = 0 then 0 else lo + 1) to hi + 1 do
++    for e = (if lo = 0 then 0 else lo + 1) to hi do
+       let x =
+         if e = 0 then p + max t.mm.(ol) t.mm.(or_)
+         else p + min t.mm.(ol + e - 1) t.mm.(or_ + e - 1)
+EOF
+
 if [ -n "$survivors" ] || [ -n "$hung" ]; then
   if [ -n "$survivors" ]; then echo "mutants: survived:$survivors" >&2; fi
   if [ -n "$hung" ]; then echo "mutants: hung:$hung" >&2; fi

@@ -35,31 +35,27 @@ let canonical = function
   | "am" | "a_m" -> "periodic"
   | name -> name
 
-let allocator ?probe ?backend name m ~d ~seed =
+let allocator ?probe name m ~d ~seed =
   match canonical name with
-  | "greedy" -> Ok (Pmp_core.Greedy.create ?probe ?backend m)
+  | "greedy" -> Ok (Pmp_core.Greedy.create ?probe m)
   | "copies" -> Ok (Pmp_core.Copies.create m)
   | "copies-bestfit" ->
       Ok (Pmp_core.Copies.create ~fit:Pmp_core.Copystack.Best_fit m)
   | "optimal" -> Ok (Pmp_core.Optimal.create m)
-  | "periodic" -> Ok (Pmp_core.Periodic.create ?probe ?backend m ~d)
-  | "hybrid" -> Ok (Pmp_core.Hybrid.create ?probe ?backend m ~d)
+  | "periodic" -> Ok (Pmp_core.Periodic.create ?probe m ~d)
+  | "hybrid" -> Ok (Pmp_core.Hybrid.create ?probe m ~d)
   | "randomized" ->
       Ok (Pmp_core.Randomized.create m ~rng:(Sm.create (seed + 1)))
   | "rand-periodic" ->
-      Ok
-        (Pmp_core.Rand_periodic.create ?probe ?backend m
-           ~rng:(Sm.create (seed + 1)) ~d)
+      Ok (Pmp_core.Rand_periodic.create ?probe m ~rng:(Sm.create (seed + 1)) ~d)
   | "two-choice" ->
-      Ok (Pmp_core.Baselines.two_choice ?backend m ~rng:(Sm.create (seed + 3)))
-  | "greedy-rightmost" -> Ok (Pmp_core.Baselines.rightmost_greedy ?backend m)
+      Ok (Pmp_core.Baselines.two_choice m ~rng:(Sm.create (seed + 3)))
+  | "greedy-rightmost" -> Ok (Pmp_core.Baselines.rightmost_greedy m)
   | "greedy-random-tie" ->
-      Ok
-        (Pmp_core.Baselines.random_tie_greedy ?backend m
-           ~rng:(Sm.create (seed + 2)))
-  | "leftmost-always" -> Ok (Pmp_core.Baselines.leftmost_always ?backend m)
-  | "round-robin" -> Ok (Pmp_core.Baselines.round_robin ?backend m)
-  | "worst-fit" -> Ok (Pmp_core.Baselines.worst_fit ?backend m)
+      Ok (Pmp_core.Baselines.random_tie_greedy m ~rng:(Sm.create (seed + 2)))
+  | "leftmost-always" -> Ok (Pmp_core.Baselines.leftmost_always m)
+  | "round-robin" -> Ok (Pmp_core.Baselines.round_robin m)
+  | "worst-fit" -> Ok (Pmp_core.Baselines.worst_fit m)
   | other -> Error (`Msg (Printf.sprintf "unknown allocator %S" other))
 
 (* The subset of allocator names the long-lived Cluster facade (and so

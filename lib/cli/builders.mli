@@ -19,7 +19,6 @@ val allocator_names : string list
 
 val allocator :
   ?probe:Pmp_telemetry.Probe.t ->
-  ?backend:Pmp_index.Load_view.backend ->
   string ->
   Pmp_machine.Machine.t ->
   d:Pmp_core.Realloc.t ->
@@ -28,8 +27,7 @@ val allocator :
 (** Build a fresh allocator by CLI name. Randomized allocators derive
     their stream from [seed]. [?probe] is threaded into allocators
     that support source-side instrumentation (greedy, periodic,
-    hybrid, rand-periodic); [?backend] into the load-view-based ones
-    ([Checked] is the [--check=index] differential mode). *)
+    hybrid, rand-periodic). *)
 
 val cluster_policy :
   string ->

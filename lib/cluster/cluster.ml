@@ -1,7 +1,7 @@
 module Machine = Pmp_machine.Machine
 module Task = Pmp_workload.Task
 module Allocator = Pmp_core.Allocator
-module Load_view = Pmp_index.Load_view
+module Load_index = Pmp_index.Load_index
 module Observer = Pmp_oracle.Oracle.Observer
 module Ptable = Pmp_core.Ptable
 
@@ -25,7 +25,7 @@ type t = {
   machine : Machine.t;
   policy : policy;
   alloc : Allocator.t;
-  loads : Load_view.t;  (** the allocator's table's own view *)
+  loads : Load_index.t;  (** the allocator's table's own view *)
   capacity : int option;  (** PEs; [None] = unlimited (real-time model) *)
   queue : Task.t Queue.t;
       (** FIFO; a cancelled task stays in it, dead, until it reaches
@@ -103,7 +103,7 @@ type submission = Placed of Task.id * Pmp_core.Placement.t | Queued of Task.id
 
 (* every PE counts each task covering it, so the loads sum to the
    active size *)
-let active_size t = Load_view.total_load t.loads
+let active_size t = Load_index.total_load t.loads
 
 let fits t size =
   match t.capacity with
@@ -149,7 +149,7 @@ let place t task =
   | Some obs -> note_audit t (Observer.observe_assign obs task resp)
   | None -> ());
   t.tasks_migrated <- t.tasks_migrated + List.length resp.Allocator.moves;
-  let load = Load_view.max_overall t.loads in
+  let load = Load_index.max_load t.loads in
   if load > t.peak_load then t.peak_load <- load;
   resp.Allocator.placement
 
@@ -246,7 +246,7 @@ let stats (t : t) =
     queued_now = Hashtbl.length t.queued_ids;
     active_now = Ptable.length t.alloc.Allocator.table;
     active_size = active_size t;
-    max_load = Load_view.max_overall t.loads;
+    max_load = Load_index.max_load t.loads;
     peak_load = t.peak_load;
     optimal_now = Pmp_util.Pow2.ceil_div (active_size t) (Machine.size t.machine);
     reallocations = t.alloc.Allocator.realloc_events ();
@@ -281,8 +281,8 @@ let merge_stats ~machine_size = function
         optimal_now = Pmp_util.Pow2.ceil_div acc.active_size machine_size;
       }
 
-let leaf_loads t = Load_view.leaf_loads t.loads
-let window_load t ~order = fst (Load_view.min_max_at_order t.loads order)
+let leaf_loads t = Load_index.leaf_loads t.loads
+let window_load t ~order = fst (Load_index.min_load_subtree t.loads ~order)
 let machine_size t = Machine.size t.machine
 
 let queued_tasks t =
@@ -376,7 +376,7 @@ let import ~machine_size ~policy ?(admission_cap = None) (st : state) =
   in
   let* () =
     check
-      (st.peak_load >= Load_view.max_overall t.loads && st.tasks_migrated >= 0)
+      (st.peak_load >= Load_index.max_load t.loads && st.tasks_migrated >= 0)
       "peak load below the current load, or a negative migration count"
   in
   t.next_id <- st.next_id;

@@ -1,18 +1,18 @@
 module Task = Pmp_workload.Task
 module Sub = Pmp_machine.Submachine
-module Load_view = Pmp_index.Load_view
+module Load_index = Pmp_index.Load_index
 
 (* Shared skeleton: the table's load view plus a policy choosing the
    submachine index for an arrival, given the per-submachine loads at
    its order. *)
-let make ?backend m ~name ~choose : Allocator.t =
+let make m ~name ~choose : Allocator.t =
   let table = Ptable.create 64 in
-  let loads = Ptable.loads ?backend table m in
+  let loads = Ptable.loads table m in
   let assign (task : Task.t) =
     if task.size > Pmp_machine.Machine.size m then
       invalid_arg (name ^ ".assign: task larger than machine");
     let order = Task.order task in
-    let index = choose ~order (Load_view.loads_at_order loads order) in
+    let index = choose ~order (Load_index.loads_at_order loads order) in
     let sub = Sub.make m ~order ~index in
     let placement = Placement.direct sub in
     Ptable.replace table task placement;
@@ -36,15 +36,15 @@ let make ?backend m ~name ~choose : Allocator.t =
 let min_load arr = Array.fold_left min arr.(0) arr
 let max_load arr = Array.fold_left max arr.(0) arr
 
-let rightmost_greedy ?backend m =
+let rightmost_greedy m =
   let choose ~order:_ arr =
     let target = min_load arr in
     let rec find i = if arr.(i) = target then i else find (i - 1) in
     find (Array.length arr - 1)
   in
-  make ?backend m ~name:"greedy-rightmost" ~choose
+  make m ~name:"greedy-rightmost" ~choose
 
-let random_tie_greedy ?backend m ~rng =
+let random_tie_greedy m ~rng =
   let choose ~order:_ arr =
     let target = min_load arr in
     let candidates = ref [] in
@@ -52,12 +52,12 @@ let random_tie_greedy ?backend m ~rng =
     let cands = Array.of_list !candidates in
     cands.(Pmp_prng.Splitmix64.int rng (Array.length cands))
   in
-  make ?backend m ~name:"greedy-random-tie" ~choose
+  make m ~name:"greedy-random-tie" ~choose
 
-let leftmost_always ?backend m =
-  make ?backend m ~name:"leftmost-always" ~choose:(fun ~order:_ _ -> 0)
+let leftmost_always m =
+  make m ~name:"leftmost-always" ~choose:(fun ~order:_ _ -> 0)
 
-let round_robin ?backend m =
+let round_robin m =
   let cursors = Array.make (Pmp_machine.Machine.levels m + 1) 0 in
   let choose ~order arr =
     let slots = Array.length arr in
@@ -65,13 +65,13 @@ let round_robin ?backend m =
     cursors.(order) <- (index + 1) mod slots;
     index
   in
-  make ?backend m ~name:"round-robin" ~choose
+  make m ~name:"round-robin" ~choose
 
 (* Not built on [make]: sampling two candidates only needs two
    O(log N) subtree-max queries, not the full per-level load scan. *)
-let two_choice ?backend m ~rng : Allocator.t =
+let two_choice m ~rng : Allocator.t =
   let table = Ptable.create 64 in
-  let loads = Ptable.loads ?backend table m in
+  let loads = Ptable.loads table m in
   let assign (task : Task.t) =
     if task.size > Pmp_machine.Machine.size m then
       invalid_arg "two-choice.assign: task larger than machine";
@@ -80,8 +80,8 @@ let two_choice ?backend m ~rng : Allocator.t =
     let a = Pmp_prng.Splitmix64.int rng slots in
     let b = Pmp_prng.Splitmix64.int rng slots in
     let sub_of i = Sub.make m ~order ~index:i in
-    let la = Load_view.max_load loads (sub_of a)
-    and lb = Load_view.max_load loads (sub_of b) in
+    let la = Load_index.max_load_in loads (sub_of a)
+    and lb = Load_index.max_load_in loads (sub_of b) in
     let index = if la < lb then a else if lb < la then b else min a b in
     let sub = sub_of index in
     let placement = Placement.direct sub in
@@ -103,10 +103,10 @@ let two_choice ?backend m ~rng : Allocator.t =
     export = Allocator.no_export "two-choice";
   }
 
-let worst_fit ?backend m =
+let worst_fit m =
   let choose ~order:_ arr =
     let target = max_load arr in
     let rec find i = if arr.(i) = target then i else find (i + 1) in
     find 0
   in
-  make ?backend m ~name:"worst-fit" ~choose
+  make m ~name:"worst-fit" ~choose

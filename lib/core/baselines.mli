@@ -7,34 +7,25 @@
     selection, not from the leftmost tie-break, and how badly naive
     policies (always-leftmost clustering, worst-fit) lose. *)
 
-val rightmost_greedy :
-  ?backend:Pmp_index.Load_view.backend -> Pmp_machine.Machine.t -> Allocator.t
+val rightmost_greedy : Pmp_machine.Machine.t -> Allocator.t
 (** Min-load selection, rightmost tie-break — the mirror image of
     [A_G]; same worst-case bound by symmetry. *)
 
 val random_tie_greedy :
-  ?backend:Pmp_index.Load_view.backend ->
-  Pmp_machine.Machine.t ->
-  rng:Pmp_prng.Splitmix64.t ->
-  Allocator.t
+  Pmp_machine.Machine.t -> rng:Pmp_prng.Splitmix64.t -> Allocator.t
 (** Min-load selection, uniform random tie-break. *)
 
-val leftmost_always :
-  ?backend:Pmp_index.Load_view.backend -> Pmp_machine.Machine.t -> Allocator.t
+val leftmost_always : Pmp_machine.Machine.t -> Allocator.t
 (** Ignores load entirely: always the leftmost submachine of the
     arriving size. Models a naive allocator that clusters everything
     on one side of the machine. *)
 
-val round_robin :
-  ?backend:Pmp_index.Load_view.backend -> Pmp_machine.Machine.t -> Allocator.t
+val round_robin : Pmp_machine.Machine.t -> Allocator.t
 (** Ignores load: cycles through the submachine indices of each size
     independently. Spreads tasks but is oblivious to departures. *)
 
 val two_choice :
-  ?backend:Pmp_index.Load_view.backend ->
-  Pmp_machine.Machine.t ->
-  rng:Pmp_prng.Splitmix64.t ->
-  Allocator.t
+  Pmp_machine.Machine.t -> rng:Pmp_prng.Splitmix64.t -> Allocator.t
 (** "Balanced allocations" (Azar, Broder, Karlin & Upfal — the paper's
     reference [2]) adapted to submachines: sample two independent
     uniformly random submachines of the arriving size and take the
@@ -44,8 +35,7 @@ val two_choice :
     the comparison the E6 experiment draws. Still oblivious to
     everything except the two sampled loads; never reallocates. *)
 
-val worst_fit :
-  ?backend:Pmp_index.Load_view.backend -> Pmp_machine.Machine.t -> Allocator.t
+val worst_fit : Pmp_machine.Machine.t -> Allocator.t
 (** Deliberately adversarial straw-man: picks the {e most} loaded
     submachine (leftmost on ties). Lower-bounds how bad load-aware
     placement can get; useful for sanity-scaling plots. *)

@@ -8,14 +8,11 @@
 
 val create :
   ?probe:Pmp_telemetry.Probe.t ->
-  ?backend:Pmp_index.Load_view.backend ->
   ?state:Allocator.state ->
   Pmp_machine.Machine.t ->
   Allocator.t
 (** [?probe] (default {!Pmp_telemetry.Probe.noop}) times each
     placement search ([record_placement]); greedy never repacks, so
-    that is its entire footprint. [?backend] (default [Indexed])
-    selects the load-accounting implementation: the O(log N)
-    {!Pmp_index.Load_index}, the pre-index [Load_map] scan, or both
-    cross-checked ([--check=index]). [?state] (valid per
+    that is its entire footprint. The choice reads the table's
+    {!Pmp_index.Load_index} in O(log N). [?state] (valid per
     {!Allocator.check_state}) resumes an exported greedy allocator. *)

@@ -1,7 +1,7 @@
-let create ?probe ?backend ?state m ~d =
+let create ?probe ?state m ~d =
   let choose loads ~order =
-    snd (Pmp_index.Load_view.min_max_at_order loads order)
+    snd (Pmp_index.Load_index.min_load_subtree loads ~order)
   in
-  Repacking.create ?probe ?backend ?state m
+  Repacking.create ?probe ?state m
     ~name:(Printf.sprintf "hybrid(d=%s)" (Realloc.to_string d))
     ~d ~choose

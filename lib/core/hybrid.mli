@@ -12,7 +12,6 @@
 
 val create :
   ?probe:Pmp_telemetry.Probe.t ->
-  ?backend:Pmp_index.Load_view.backend ->
   ?state:Allocator.state ->
   Pmp_machine.Machine.t ->
   d:Realloc.t ->

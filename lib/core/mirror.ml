@@ -1,10 +1,10 @@
 module Task = Pmp_workload.Task
 module Sub = Pmp_machine.Submachine
-module Load_view = Pmp_index.Load_view
+module Load_index = Pmp_index.Load_index
 
 type t = {
   m : Pmp_machine.Machine.t;
-  loads : Load_view.t;  (** [table]'s own view *)
+  loads : Load_index.t;  (** [table]'s own view *)
   table : Ptable.t;
   mutable active_size : int;
   (* The cursor of the last clean [check_against]: the allocator table
@@ -14,11 +14,11 @@ type t = {
   mutable their_mark : int;
 }
 
-let create ?backend m =
+let create m =
   let table = Ptable.create 64 in
   {
     m;
-    loads = Ptable.loads ?backend table m;
+    loads = Ptable.loads table m;
     table;
     active_size = 0;
     peer = None;
@@ -55,10 +55,10 @@ let active t = Ptable.to_list t.table
 let num_active t = Ptable.length t.table
 let active_size t = t.active_size
 
-let max_load t = Load_view.max_overall t.loads
-let max_load_in t sub = Load_view.max_load t.loads sub
-let imbalance t = Load_view.imbalance t.loads
-let loads_at_order t ~order = Load_view.loads_at_order t.loads order
+let max_load t = Load_index.max_load t.loads
+let max_load_in t sub = Load_index.max_load_in t.loads sub
+let imbalance t = Load_index.imbalance t.loads
+let loads_at_order t ~order = Load_index.loads_at_order t.loads order
 
 let assigned_size_in t sub =
   Ptable.fold
@@ -76,7 +76,7 @@ let tasks_inside t sub =
       if Sub.contains sub p.Placement.sub then task :: acc else acc)
     t.table []
 
-let leaf_loads t = Load_view.leaf_loads t.loads
+let leaf_loads t = Load_index.leaf_loads t.loads
 
 let full_check t theirs =
   let n = Ptable.length theirs in

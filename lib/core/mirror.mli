@@ -11,10 +11,7 @@
 
 type t
 
-val create : ?backend:Pmp_index.Load_view.backend -> Pmp_machine.Machine.t -> t
-(** [?backend] (default [Indexed]) selects the load-accounting
-    implementation; [Checked] cross-checks every engine-side load
-    sample against the naive scan. *)
+val create : Pmp_machine.Machine.t -> t
 
 val machine : t -> Pmp_machine.Machine.t
 

@@ -74,11 +74,11 @@ let copy_branch ?state m ~d ~eager ~name ~probe : Allocator.t =
   }
 
 let create ?(force_copies = false) ?(eager = false) ?(probe = Probe.noop)
-    ?backend ?state m ~d =
+    ?state m ~d =
   let name = Printf.sprintf "periodic(d=%s)" (Realloc.to_string d) in
   if (not force_copies) && Realloc.exceeds_greedy_threshold d m then
     {
-      (Greedy.create ~probe ?backend ?state m) with
+      (Greedy.create ~probe ?state m) with
       Allocator.name = name ^ "=greedy";
     }
   else

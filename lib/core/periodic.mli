@@ -38,7 +38,6 @@ val create :
   ?force_copies:bool ->
   ?eager:bool ->
   ?probe:Pmp_telemetry.Probe.t ->
-  ?backend:Pmp_index.Load_view.backend ->
   ?state:Allocator.state ->
   Pmp_machine.Machine.t ->
   d:Realloc.t ->

@@ -1,6 +1,6 @@
 module Task = Pmp_workload.Task
 module Sub = Pmp_machine.Submachine
-module Load_view = Pmp_index.Load_view
+module Load_index = Pmp_index.Load_index
 
 (* a power of two, so the ring slot of write [w] is [w land (size - 1)] *)
 let journal_size = 64
@@ -9,7 +9,7 @@ type t = {
   tbl : (Task.id, Task.t * Placement.t) Hashtbl.t;
   ring : int array;  (** write [w] stored its id at [w mod journal_size] *)
   mutable writes : int;
-  mutable view : Load_view.t option;  (** built by the first {!loads} *)
+  mutable view : Load_index.t option;  (** built by the first {!loads} *)
 }
 
 let create n =
@@ -34,31 +34,31 @@ let replace t (task : Task.t) (p : Placement.t) =
       if Hashtbl.mem t.tbl task.id then begin
         let _, (old : Placement.t) = Hashtbl.find t.tbl task.id in
         if not (Sub.equal old.sub p.sub) then begin
-          Load_view.add v old.sub (-1);
-          Load_view.add v p.sub 1
+          Load_index.range_add v old.sub (-1);
+          Load_index.range_add v p.sub 1
         end;
         Hashtbl.replace t.tbl task.id (task, p)
       end
       else begin
-        Load_view.add v p.sub 1;
+        Load_index.range_add v p.sub 1;
         Hashtbl.add t.tbl task.id (task, p)
       end);
   journal t task.id
 
 let remove t id =
   let ((_, (p : Placement.t)) as entry) = Hashtbl.find t.tbl id in
-  (match t.view with None -> () | Some v -> Load_view.add v p.sub (-1));
+  (match t.view with None -> () | Some v -> Load_index.range_add v p.sub (-1));
   Hashtbl.remove t.tbl id;
   journal t id;
   entry
 
-let loads ?backend t m =
+let loads t m =
   match t.view with
   | Some v -> v
   | None ->
-      let v = Load_view.create ?backend m in
+      let v = Load_index.create m in
       Hashtbl.iter
-        (fun _ (_, (p : Placement.t)) -> Load_view.add v p.sub 1)
+        (fun _ (_, (p : Placement.t)) -> Load_index.range_add v p.sub 1)
         t.tbl;
       t.view <- Some v;
       v

@@ -13,7 +13,7 @@
     ids written since its previous check instead of the whole table.
 
     A table also indexes its own per-PE loads, once asked: the first
-    {!loads} call builds a {!Pmp_index.Load_view} from the entries, and
+    {!loads} call builds a {!Pmp_index.Load_index} from the entries, and
     from then on every {!replace} and {!remove} keeps it current. That
     view is the only load accounting a table's owner needs. A table
     nobody asks about carries no view, and its writes cost what they
@@ -35,17 +35,12 @@ val remove :
     view, its load goes too. @raise Not_found if the task is not in the
     table (which is then left as it was). *)
 
-val loads :
-  ?backend:Pmp_index.Load_view.backend ->
-  t ->
-  Pmp_machine.Machine.t ->
-  Pmp_index.Load_view.t
+val loads : t -> Pmp_machine.Machine.t -> Pmp_index.Load_index.t
 (** [loads t m] is the table's view of the per-PE loads on [m]: every
     PE counts the entries whose submachine covers it (the paper's load,
     whatever the copy). The first call builds the view over the current
-    entries, one {!Pmp_index.Load_view.add} each, on [?backend]
-    (default [Indexed]); later calls return that same view, whatever
-    [?backend] they name.
+    entries, one {!Pmp_index.Load_index.range_add} each; later calls
+    return that same view.
     The view is the table's: read it, but change loads only through
     {!replace} and {!remove}. *)
 

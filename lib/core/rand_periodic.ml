@@ -1,6 +1,6 @@
 module Sub = Pmp_machine.Submachine
 
-let create ?probe ?backend m ~rng ~d =
+let create ?probe m ~rng ~d =
   let choose _loads ~order =
     let slots = Sub.count_at_order m order in
     Sub.make m ~order ~index:(Pmp_prng.Splitmix64.int rng slots)
@@ -8,6 +8,6 @@ let create ?probe ?backend m ~rng ~d =
   let name = Printf.sprintf "rand-periodic(d=%s)" (Realloc.to_string d) in
   (* the skeleton's export cannot see [rng] *)
   {
-    (Repacking.create ?probe ?backend m ~name ~d ~choose) with
+    (Repacking.create ?probe m ~name ~d ~choose) with
     Allocator.export = Allocator.no_export name;
   }

@@ -20,7 +20,6 @@
 
 val create :
   ?probe:Pmp_telemetry.Probe.t ->
-  ?backend:Pmp_index.Load_view.backend ->
   Pmp_machine.Machine.t ->
   rng:Pmp_prng.Splitmix64.t ->
   d:Realloc.t ->

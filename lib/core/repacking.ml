@@ -1,9 +1,8 @@
 module Task = Pmp_workload.Task
-module Load_view = Pmp_index.Load_view
+module Load_index = Pmp_index.Load_index
 module Probe = Pmp_telemetry.Probe
 
-let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) ?state m ~name
-    ~d ~choose : Allocator.t =
+let create ?(probe = Probe.noop) ?state m ~name ~d ~choose : Allocator.t =
   let table = Ptable.create 64 in
   let active_size = ref 0 in
   let arrived_since_repack = ref 0 in
@@ -18,7 +17,7 @@ let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) ?state m ~name
       arrived_since_repack := st.arrived;
       reallocs := st.repacks)
     state;
-  let loads = Ptable.loads ~backend table m in
+  let loads = Ptable.loads table m in
   let n = Pmp_machine.Machine.size m in
   let threshold = Realloc.threshold_size d ~machine_size:n in
   let repack_all () =
@@ -53,7 +52,7 @@ let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) ?state m ~name
       | None -> false
     in
     let above_optimal =
-      Load_view.max_overall loads > Pmp_util.Pow2.ceil_div !active_size n
+      Load_index.max_load loads > Pmp_util.Pow2.ceil_div !active_size n
     in
     let moves =
       if budget_open && above_optimal then

@@ -1,9 +1,9 @@
 (** Shared skeleton for allocators that combine an arbitrary online
     placement rule with lazily-spent reallocation budget.
 
-    The skeleton owns the task table, whose own load view
-    ({!Ptable.loads}, backend selectable) the placement rule reads, and
-    the budget accounting; the placement rule only picks a submachine
+    The skeleton owns the task table, whose own load index
+    ({!Ptable.loads}) the placement rule reads, and the budget
+    accounting; the placement rule only picks a submachine
     for each arriving order given the current loads. A repack rewrites
     the table, and the view follows every rewritten placement.
     Whenever an arrival leaves the machine above the instantaneous optimum
@@ -19,12 +19,11 @@
 
 val create :
   ?probe:Pmp_telemetry.Probe.t ->
-  ?backend:Pmp_index.Load_view.backend ->
   ?state:Allocator.state ->
   Pmp_machine.Machine.t ->
   name:string ->
   d:Realloc.t ->
-  choose:(Pmp_index.Load_view.t -> order:int -> Pmp_machine.Submachine.t) ->
+  choose:(Pmp_index.Load_index.t -> order:int -> Pmp_machine.Submachine.t) ->
   Allocator.t
 (** [choose loads ~order] must return a submachine of size [2{^order}]
     inside the machine; the skeleton handles everything else. [?probe]

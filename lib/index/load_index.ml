@@ -69,8 +69,6 @@ let create m =
     total = 0;
   }
 
-let machine t = t.m
-
 let node_of t (sub : Sub.t) = (1 lsl (t.levels - sub.order)) + sub.index
 
 (* start of the slice of the depth-[d] node of rank [r] *)
@@ -147,10 +145,6 @@ let min_load_subtree t ~order =
     invalid_arg "Load_index.min_load_subtree";
   let target = t.levels - order in
   (t.mm.(target), { Sub.order; index = down t target 0 0 })
-
-let min_leaf t =
-  let value, sub = min_load_subtree t ~order:0 in
-  (value, sub.Sub.index)
 
 let leaf_load t leaf =
   max_load_in t { Sub.order = 0; index = leaf }

@@ -22,8 +22,6 @@ type t
 val create : Pmp_machine.Machine.t -> t
 (** All PE loads start at zero. *)
 
-val machine : t -> Pmp_machine.Machine.t
-
 val range_add : t -> Pmp_machine.Submachine.t -> int -> unit
 (** [range_add t sub delta] adds [delta] to the load of every PE in
     [sub]'s aligned leaf interval. [delta] may be negative
@@ -41,9 +39,6 @@ val min_load_subtree : t -> order:int -> int * Pmp_machine.Submachine.t
     PE load and [load] is that minimum — the greedy allocator's choice
     rule, in [O(log N)]. @raise Invalid_argument if [order] exceeds
     the machine levels. *)
-
-val min_leaf : t -> int * int
-(** [(load, leaf)] of the leftmost least-loaded PE. [O(log N)]. *)
 
 val total_load : t -> int
 (** Sum of all PE loads (= total active task size). [O(1)]. *)

@@ -21,8 +21,6 @@ let create m =
     pending = Array.make (2 * n) 0;
   }
 
-let machine t = t.m
-
 let node_of t (sub : Submachine.t) =
   (1 lsl (Machine.levels t.m - sub.order)) + sub.index
 

@@ -13,8 +13,6 @@ type t
 val create : Machine.t -> t
 (** All PE loads start at zero. *)
 
-val machine : t -> Machine.t
-
 val add : t -> Submachine.t -> int -> unit
 (** [add t sub delta] adds [delta] to the load of every PE in [sub].
     [delta] may be negative (deallocation); resulting loads must stay

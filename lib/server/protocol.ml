@@ -15,11 +15,6 @@ type request =
   | Health
   | Shutdown
 
-let is_mutation = function
-  | Submit _ | Finish _ -> true
-  | Query _ | Stats | Loads | Metrics | Snapshot | Ping | Health | Shutdown ->
-      false
-
 type task_state = Active of placement | Queued_task | Unknown
 
 type health = {

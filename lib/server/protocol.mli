@@ -32,10 +32,6 @@ type request =
   | Health  (** readiness + uptime; see {!health} *)
   | Shutdown
 
-val is_mutation : request -> bool
-(** [Submit] and [Finish] mutate cluster state and are the only
-    requests the WAL records. *)
-
 type task_state = Active of placement | Queued_task | Unknown
 
 type health = {

@@ -24,13 +24,13 @@ type result = {
   final_imbalance : float;
 }
 
-let run ?(check = false) ?backend ?oracle ?cost ?(telemetry = Probe.noop)
+let run ?(check = false) ?oracle ?cost ?(telemetry = Probe.noop)
     (alloc : Allocator.t) seq =
   let n = Machine.size alloc.machine in
   if not (Sequence.fits seq ~machine_size:n) then
     invalid_arg "Engine.run: sequence has tasks larger than the machine";
   let events = Sequence.events seq in
-  let mirror = Mirror.create ?backend alloc.machine in
+  let mirror = Mirror.create alloc.machine in
   let observer = Option.map (fun spec -> Oracle.Observer.create spec alloc) oracle in
   (* [""] = no oracle, ["ok"] = audited and passed; a violation emits
      its trace record (so the trace's last line carries the verdict)

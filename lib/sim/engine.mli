@@ -29,7 +29,6 @@ type result = {
 
 val run :
   ?check:bool ->
-  ?backend:Pmp_index.Load_view.backend ->
   ?oracle:Pmp_oracle.Oracle.spec ->
   ?cost:Cost.t ->
   ?telemetry:Pmp_telemetry.Probe.t ->
@@ -40,9 +39,6 @@ val run :
     structural invariants, failing fast on the first violation (use
     {!Pmp_oracle.Oracle.check} instead when a shrunk counterexample is
     wanted — the engine cannot replay the allocator from scratch).
-    [?backend] selects the mirror's load-accounting implementation
-    ([Checked] cross-checks every load sample against the naive scan —
-    the [--check=index] mode).
     With [~telemetry] (default {!Pmp_telemetry.Probe.noop}) every
     event updates the probe's counters/gauges/histograms and span
     timers and, when the probe carries a tracer, emits one structured

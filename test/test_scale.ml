@@ -62,7 +62,7 @@ let test_optimal_moderate_scale () =
 (* --- scenario suite at N = 2^20 ----------------------------------- *)
 
 (* These are the headline production-shaped runs: a full megaprocessor
-   (2^20 CUs) under the Indexed load view. A few CPU-seconds each, so
+   (2^20 CUs) on the load index. A few CPU-seconds each, so
    they only run when explicitly requested via PMP_SCALE=big (the
    nightly CI job sets it). *)
 
@@ -77,8 +77,8 @@ let scenario_at_full_scale name () =
     let machine = Machine.create machine_size in
     let make () =
       match
-        Pmp_cli.Builders.allocator ~backend:Pmp_index.Load_view.Indexed "greedy"
-          machine ~d:(Realloc.make_budget 2) ~seed:42
+        Pmp_cli.Builders.allocator "greedy" machine ~d:(Realloc.make_budget 2)
+          ~seed:42
       with
       | Ok a -> a
       | Error (`Msg e) -> failwith e

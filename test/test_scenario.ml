@@ -1,6 +1,5 @@
 (* The scenario layer: compiled streams are well-formed and
-   deterministic, verdicts are golden-stable, and the three load-view
-   backends agree on every placement and on the verdict. *)
+   deterministic, and verdicts are golden-stable. *)
 
 module Machine = Pmp_machine.Machine
 module Realloc = Pmp_core.Realloc
@@ -131,45 +130,6 @@ let test_golden_rolling_restart () =
      true}"
     (golden_verdict "rolling-restart")
 
-(* --- backend equivalence ------------------------------------------ *)
-
-(* The Indexed, Scan and Checked load views must be observationally
-   identical through the whole scenario pipeline: same completions
-   (task, times, slowdowns), same verdict. *)
-let run_backend name backend =
-  let scn = Option.get (Registry.find name) in
-  let machine = Machine.create 256 in
-  let make () =
-    match
-      Builders.allocator ~backend "greedy" machine ~d:(Realloc.make_budget 2)
-        ~seed:7
-    with
-    | Ok a -> a
-    | Error (`Msg e) -> failwith e
-  in
-  let v, sim = Runner.run ~make ~seed:7 scn in
-  (Json.to_string (Verdict.to_json v), sim)
-
-let test_backend_equivalence () =
-  List.iter
-    (fun name ->
-      let v_idx, sim_idx = run_backend name Pmp_index.Load_view.Indexed in
-      let v_scan, sim_scan = run_backend name Pmp_index.Load_view.Scan in
-      let v_chk, sim_chk = run_backend name Pmp_index.Load_view.Checked in
-      Alcotest.(check string) (name ^ ": indexed = scan") v_idx v_scan;
-      Alcotest.(check string) (name ^ ": indexed = checked") v_idx v_chk;
-      let completions (r : CL.script_result) =
-        List.map
-          (fun (c : CL.completion) ->
-            (c.CL.task.Pmp_workload.Task.id, c.CL.finish, c.CL.slowdown))
-          r.CL.completions
-      in
-      Alcotest.(check bool)
-        (name ^ ": completions identical") true
-        (completions sim_idx = completions sim_scan
-        && completions sim_idx = completions sim_chk))
-    [ "flash-crowd"; "rolling-restart"; "multi-tenant" ]
-
 (* --- registry ----------------------------------------------------- *)
 
 let test_registry () =
@@ -190,6 +150,5 @@ let suite =
     Alcotest.test_case "golden: flash-crowd" `Quick test_golden_flash_crowd;
     Alcotest.test_case "golden: rolling-restart" `Quick
       test_golden_rolling_restart;
-    Alcotest.test_case "backends agree" `Slow test_backend_equivalence;
   ]
   @ Helpers.qtests [ prop_well_formed; prop_deterministic; prop_execution_sane ]
