@@ -68,6 +68,14 @@ let max_startup_words_per_pe = 8.0
 (* a load-index add recombines only the slots it changes, in place *)
 let max_words_per_add = 0.0
 
+(* the WAL ceiling: one checksummed frame per group commit holds a
+   record as a varint of id * 2 + kind plus a submit's size, ~3.5 bytes
+   at the state runs' ids, and a frame adds a length and a 4-byte CRC
+   (and a seq, when it starts a run) per 64 records. Self-framed
+   records, each repeating magic, version, length and seq, read ~10.5
+   there and fail. *)
+let max_wal_bytes_per_record = 5.0
+
 type kind =
   | Same
   | Equal of Json.t
@@ -102,6 +110,9 @@ let table =
          tasks), not O(history) *)
       hard No_growth [ "state"; "runs"; "*"; "snapshot_bytes_per_live_task" ];
       hard No_growth [ "state"; "runs"; "*"; "wal_records_replayed" ];
+      hard
+        (At_most max_wal_bytes_per_record)
+        [ "state"; "runs"; "*"; "wal_bytes_per_record" ];
       hard (At_most max_words_per_add) [ "load_index"; "sizes"; "*"; "words_per_add" ];
       advisory Drift [ "load_index"; "sizes"; "*"; "norm_ns_per_add" ];
       hard (At_least min_service_speedup) [ "service"; "speedup" ];

@@ -44,6 +44,10 @@ val max_startup_words_per_pe : float
 val max_words_per_add : float
 (** [Load_index.range_add] words per add. *)
 
+val max_wal_bytes_per_record : float
+(** wal.log bytes per record a restart replays from it, in the state
+    runs. *)
+
 (** {1 The table} *)
 
 type kind =

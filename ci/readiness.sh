@@ -6,10 +6,11 @@
 #
 # A fresh daemon answers `ready ... recovered_ops=0` after three
 # mutations; restarted on the same state directory it replays its WAL
-# and reports recovered_ops > 0. A record that contradicts an
-# acknowledged id is then appended to the WAL: `pmp serve` must refuse
-# to start, leaving a flight-recorder dump whose last entry is the
-# failed start and which holds the failed replay. State and transcripts
+# and reports recovered_ops > 0. A frame that contradicts an
+# acknowledged id, written by a second daemon so that it verifies, is
+# then appended to the WAL: `pmp serve` must refuse to start, naming the
+# id, leaving a flight-recorder dump whose last entry is the failed
+# start and which holds the failed replay. State and transcripts
 # go to WORKDIR (default readiness), replaced on every run.
 set -eu
 cd "$(dirname "$0")/.."
@@ -44,13 +45,28 @@ grep -Eq '^ready .*recovered_ops=[1-9]' "$WORK/health-recovered.txt" ||
   fail "a restarted daemon must be ready and report its replayed records"
 
 # 3. a WAL contradicting the acknowledged ids: no ready, no socket. The
-# record is a submit (tag 1) of size 8 at seq 4 claiming id 999: magic
-# 0xA7, version 1, payload length 5, tag 1, then varints 4, 999, 8.
-printf '\247\001\005\001\004\347\007\010' >> "$STATE/wal.log"
+# poison is a frame the daemon's own encoder wrote, so its checksum
+# verifies: a donor daemon on a fresh directory takes `submit 8` in four
+# client sessions, one commit each, and the bytes the fourth added (seq
+# 4, id 3) go onto the end of the victim's log, whose cluster would
+# assign id 2.
+DONOR=$WORK/donor
+start "$WORK/donor.log" "$DONOR/pmp.sock" serve -m 64 -a greedy \
+  --dir "$DONOR" --socket "$DONOR/pmp.sock"
+for _ in 1 2 3; do
+  printf 'submit 8\n' | $PMP client --socket "$DONOR/pmp.sock" >/dev/null
+done
+before=$(wc -c < "$DONOR/wal.log")
+printf 'submit 8\n' | $PMP client --socket "$DONOR/pmp.sock" >/dev/null
+tail -c +"$((before + 1))" "$DONOR/wal.log" >> "$STATE/wal.log"
+printf 'shutdown\n' | $PMP client --socket "$DONOR/pmp.sock" >/dev/null
+wait "$PID"
 if $PMP serve -m 64 -a greedy --dir "$STATE" --socket "$STATE/pmp.sock" \
   >> "$WORK/serve.log" 2>&1; then
   fail "a poisoned WAL must refuse to serve"
 fi
+grep -q 'wal submit expected id 3, cluster assigned 2' "$WORK/serve.log" ||
+  fail "the refusal must name the contradicted id"
 test -s "$STATE/flightrec.jsonl" ||
   fail "the refusal left no flight-recorder dump"
 python3 - "$STATE/flightrec.jsonl" <<'PY'

@@ -91,6 +91,11 @@ let add_string t s =
   Bytes.blit_string s 0 t.buf (t.pos + t.len) n;
   t.len <- t.len + n
 
+let add_subbytes t b off n =
+  reserve t n;
+  Bytes.blit b off t.buf (t.pos + t.len) n;
+  t.len <- t.len + n
+
 let add_buffer t b =
   let n = Buffer.length b in
   reserve t n;

@@ -45,6 +45,9 @@ val sub_string : t -> off:int -> len:int -> string
 
 val add_char : t -> char -> unit
 val add_string : t -> string -> unit
+val add_subbytes : t -> Bytes.t -> int -> int -> unit
+(** [add_subbytes t b off n] appends [n] bytes of [b] from [off]. *)
+
 val add_buffer : t -> Buffer.t -> unit
 val add_varint : t -> int -> unit
 

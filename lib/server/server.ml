@@ -437,8 +437,9 @@ let recover config recorder =
           in
           Ok (c, s.Snapshot.seq)
   in
-  let* records = Wal.load (Filename.concat config.dir "wal.log") in
-  let tail = List.filter (fun (seq, _) -> seq > snap_seq) records in
+  let wal_path = Filename.concat config.dir "wal.log" in
+  let* wal = Wal.scan wal_path in
+  let tail = List.filter (fun (seq, _) -> seq > snap_seq) wal.Wal.records in
   (* Recovered state is a snapshot or a WAL tail. Without either — a
      fresh directory, or the empty wal.log an earlier fresh run left —
      the cluster is the one [Cluster.create] just built, so there is
@@ -480,6 +481,21 @@ let recover config recorder =
     if recovered then
       verify_cluster ~seq:last_seq ~admission_cap:config.admission_cap cluster
     else Ok ()
+  in
+  (* the WAL is appended to next, and frames written after a torn tail
+     would make the next recovery refuse it as damage *)
+  let* () =
+    let cut = wal.Wal.length - wal.Wal.verified in
+    if cut = 0 then Ok ()
+    else
+      match Unix.truncate wal_path wal.Wal.verified with
+      | () ->
+          Printf.eprintf "pmpd: %s: cut a torn tail of %d bytes\n%!" wal_path cut;
+          Ok ()
+      | exception Unix.Unix_error (e, _, _) ->
+          Error
+            (Printf.sprintf "%s: cannot cut its torn tail: %s" wal_path
+               (Unix.error_message e))
   in
   Ok (cluster, last_seq, snap_seq, List.length tail, recovered)
 

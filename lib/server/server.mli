@@ -23,8 +23,9 @@
     history (see {!Snapshot}), so recovery costs O(live tasks + WAL
     tail) however long the daemon ran. On startup, {!create}:
     - refuses a JSON snapshot left by pmp 1.7 or earlier, by name, and
-      a WAL holding a JSON record (pmp 1.14 or earlier), naming the
-      file and how to migrate;
+      a JSON (pmp 1.14 or earlier) or version-1 (pmp 1.18 or earlier)
+      WAL, naming the file and how to migrate, and a WAL whose damaged
+      frame a verifying frame follows ({!Wal.scan});
     - loads the latest snapshot, verifies its checksum and imports it
       with {!Pmp_cluster.Cluster.import}, whose structural checks
       (sizes, alignment, placements inside the machine and of their
@@ -45,6 +46,8 @@
     vouched for by its checksum and the structural checks. A recovery
     that fails any step refuses to start. The audit and the round trip
     run on recovered state only: a snapshot, or a non-empty WAL tail.
+    A recovery that succeeds cuts a torn tail the WAL load dropped off
+    [wal.log], with one line on stderr, before the log is appended to.
     A fresh directory (an empty [wal.log] included) recovers nothing,
     so its core builds one cluster and counts no recovery; the test
     suite round-trips every policy's empty state instead.

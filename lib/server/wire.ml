@@ -1,5 +1,5 @@
 (* LEB128 varints and the framing constants shared by the binary wire
-   protocol (Protocol) and the binary WAL record format (Wal).
+   protocol (Protocol) and the WAL file format (Wal).
 
    Varints carry the full 63-bit OCaml int: encoding walks the two's
    complement bit pattern with logical shifts, so negative ints
@@ -11,11 +11,13 @@ exception Corrupt of string
 
 (* First bytes that can never open a JSON value or a text line: the
    server dispatches on them to keep JSON peers working unchanged, and
-   the WAL loader tells an old JSON log, which it refuses, from
-   records. *)
+   the WAL loader tells an old JSON log, which it refuses, from a WAL
+   file. The WAL versions its file format on its own: the protocol's
+   [version] and [wal_version] change independently. *)
 let request_magic = 0xB5
 let wal_magic = 0xA7
 let version = 0x01
+let wal_version = 0x02
 
 (* A frame no real client produces; protects the server's buffers from
    a garbage length prefix. *)

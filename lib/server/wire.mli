@@ -1,5 +1,5 @@
 (** LEB128 varints and framing constants shared by the binary
-    {!Protocol} and the {!Wal} record format.
+    {!Protocol} and the {!Wal} file format.
 
     A varint carries a full OCaml [int] (the 63-bit two's-complement
     bit pattern, seven bits per byte, most significant chunk last), so
@@ -15,12 +15,20 @@ val request_magic : int
     the encoding of each request from this byte. *)
 
 val wal_magic : int
-(** First byte of every WAL record. Like {!request_magic} it cannot
-    open a JSON value, so {!Wal.load} tells a JSON record that an old
-    release wrote, which it refuses, from a record. *)
+(** First byte of a WAL file, before its {!wal_version} byte. Like
+    {!request_magic} it cannot open a JSON value, so {!Wal.load} tells
+    a JSON log that an old release wrote, which it refuses, from a WAL
+    file. *)
 
 val version : int
-(** Wire format version carried in every frame's second byte. *)
+(** Wire format version carried in every protocol frame's second
+    byte. *)
+
+val wal_version : int
+(** Version of the WAL file format, its second byte: 2, the
+    checksummed frames of pmp 1.19. Version 1 (pmp 1.18 and earlier)
+    repeated {!wal_magic} and a version byte in every record. It is the
+    WAL's own, apart from the protocol's {!version}. *)
 
 val max_payload : int
 (** Upper bound on a frame's payload length; a length prefix beyond it

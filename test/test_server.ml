@@ -18,6 +18,13 @@ let get_ok ~ctx = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%s: %s" ctx e
 
+let string_contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i =
+    i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1))
+  in
+  go 0
+
 (* --- temp state directories ------------------------------------- *)
 
 let temp_count = ref 0
@@ -312,9 +319,9 @@ let test_wal_roundtrip () =
         (sample_ops @ [ (5, Wal.Finish { id = 2 }) ]);
       check_load ~ctx:"missing file" (Filename.concat dir "nope.log") [])
 
-(* A final stretch that opens no record drops as a torn tail. Power
-   loss can leave the file extended over blocks whose data never
-   landed, so the tail reads as zeros. (Records cut short at every
+(* A final stretch in which no frame verifies drops as a torn tail.
+   Power loss can leave the file extended over blocks whose data never
+   landed, so the tail reads as zeros. (Commits cut short at every
    byte offset are "wal binary torn tail".) *)
 let test_wal_torn_tail () =
   with_dir (fun dir ->
@@ -323,7 +330,7 @@ let test_wal_torn_tail () =
       check_load ~ctx:"zero-filled tail dropped" path sample_ops;
       let path = write_wal ~name:"line.log" dir sample_ops in
       append_bytes path "garbage\n";
-      check_load ~ctx:"torn last line dropped" path sample_ops)
+      check_load ~ctx:"garbage tail dropped" path sample_ops)
 
 let test_wal_interior_corruption () =
   with_dir (fun dir ->
@@ -334,7 +341,7 @@ let test_wal_interior_corruption () =
       Wal.close w;
       (match Wal.load path with
       | Error _ -> ()
-      | Ok _ -> Alcotest.fail "a garbage line before a record must not load");
+      | Ok _ -> Alcotest.fail "garbage before a frame must not load");
       (* non-increasing sequence numbers are corruption too *)
       let path2 =
         write_wal ~name:"seq.log" dir
@@ -398,23 +405,154 @@ let test_wal_binary_torn_tail () =
         check_load ~ctx:(Printf.sprintf "cut at byte %d" cut) torn expected
       done)
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* [s] with byte [i] replaced by [c] *)
+let with_byte s i c =
+  let b = Bytes.of_string s in
+  Bytes.set b i c;
+  Bytes.to_string b
+
+(* Damage in the first of two commits, which a verifying frame
+   follows, is refused, naming the frame and its byte offset; damage in
+   the last one reads as a torn write and drops it. *)
 let test_wal_binary_interior_corruption () =
   with_dir (fun dir ->
       let path = Filename.concat dir "wal.bin" in
+      let first = List.filteri (fun i _ -> i < 2) sample_ops in
+      let second = List.filteri (fun i _ -> i >= 2) sample_ops in
       let w = Wal.open_log path in
-      List.iter (fun (seq, op) -> Wal.append w ~seq op) sample_ops;
+      List.iter (fun (seq, op) -> Wal.append w ~seq op) first;
+      ignore (Wal.commit w ~fsync:false);
+      let mid = (Unix.stat path).Unix.st_size in
+      List.iter (fun (seq, op) -> Wal.append w ~seq op) second;
       ignore (Wal.commit w ~fsync:false);
       Wal.close w;
-      let full = In_channel.with_open_bin path In_channel.input_all in
-      (* flip a byte inside the first record's payload: the frame is
-         complete, so this is corruption, not a torn tail *)
-      let mangled = Bytes.of_string full in
-      Bytes.set mangled 3 '\xff';
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_bytes oc mangled);
-      match Wal.load path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "corrupt interior record must not load")
+      let full = read_file path in
+      let flip at =
+        write_file path (with_byte full at (Char.chr (255 - Char.code full.[at])))
+      in
+      flip (mid - 2);
+      (match Wal.load path with
+      | Ok _ -> Alcotest.fail "a damaged first commit must not load"
+      | Error e ->
+          if not (string_contains e "wal frame 1 at byte 2") then
+            Alcotest.failf "refusal %S does not name frame 1 at byte 2" e);
+      flip (String.length full - 2);
+      check_load ~ctx:"damaged final commit dropped" path first)
+
+(* The check value of CRC-32C (Castagnoli) *)
+let test_wal_crc32c () =
+  Alcotest.(check int) "crc32c \"123456789\"" 0xE3069283
+    (Wal.crc32c (Bytes.of_string "xx123456789") 2 9)
+
+(* Steady state, appends and their commit allocate nothing: records,
+   framing and checksum are written into buffers the log reuses. *)
+let test_wal_append_commit_allocation () =
+  with_dir (fun dir ->
+      let w = Wal.open_log (Filename.concat dir "wal.log") in
+      let rounds lo hi =
+        for i = lo to hi - 1 do
+          Wal.append_submit w ~seq:((2 * i) + 1) ~id:i ~size:4;
+          Wal.append_finish w ~seq:((2 * i) + 2) ~id:i;
+          ignore (Wal.commit w ~fsync:false)
+        done
+      in
+      let words f =
+        let w0 = Gc.minor_words () in
+        f ();
+        Gc.minor_words () -. w0
+      in
+      rounds 0 100;
+      let idle = words (fun () -> ()) in
+      let busy = words (fun () -> rounds 100 1100) in
+      Wal.close w;
+      Alcotest.(check (float 0.0)) "words for 1000 appends + commits" idle busy)
+
+(* Random logs cut into random commits (two or more, learning each
+   commit's end from the file size): a single-byte change before the
+   final commit is refused, while a truncation anywhere, or a change
+   inside the final commit, loads exactly the commits before it. *)
+let wal_damage_property =
+  let gen_op =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun id size -> Wal.Submit { id; size }) (int_range 0 1_000_000)
+            (int_range 0 4096);
+          map (fun id -> Wal.Finish { id }) (int_range 0 1_000_000);
+        ])
+  in
+  QCheck.Test.make ~name:"wal damage: refused before the last commit, dropped in it"
+    ~count:60
+    (QCheck.make
+       ~print:(fun (seq0, commits, mask) ->
+         Printf.sprintf "seq0=%d commits=[%s] mask=%d" seq0
+           (String.concat "; "
+              (List.map (fun c -> string_of_int (List.length c)) commits))
+           mask)
+       QCheck.Gen.(
+         triple (int_range 1 1_000_000)
+           (list_size (int_range 2 6) (list_size (int_range 1 8) gen_op))
+           (int_range 1 255)))
+    (fun (seq0, commits, mask) ->
+      with_dir (fun dir ->
+          let path = Filename.concat dir "wal.log" in
+          let w = Wal.open_log path in
+          let next = ref seq0 in
+          let ends =
+            List.map
+              (fun ops ->
+                let recs =
+                  List.map
+                    (fun op ->
+                      let r = (!next, op) in
+                      Wal.append w ~seq:!next op;
+                      incr next;
+                      r)
+                    ops
+                in
+                ignore (Wal.commit w ~fsync:false);
+                ((Unix.stat path).Unix.st_size, recs))
+              commits
+          in
+          Wal.close w;
+          let full = read_file path in
+          let n = String.length full in
+          let before cut =
+            List.concat_map (fun (fin, recs) -> if fin <= cut then recs else []) ends
+          in
+          let last_start = fst (List.nth ends (List.length ends - 2)) in
+          let loads ~ctx bytes expected =
+            write_file path bytes;
+            match Wal.load path with
+            | Ok got when got = expected -> ()
+            | Ok got ->
+                Alcotest.failf "%s: loaded %d records, wanted %d" ctx (List.length got)
+                  (List.length expected)
+            | Error e -> Alcotest.failf "%s: refused: %s" ctx e
+          in
+          for cut = 0 to n - 1 do
+            loads ~ctx:(Printf.sprintf "cut at %d of %d" cut n) (String.sub full 0 cut)
+              (before cut)
+          done;
+          for i = 0 to n - 1 do
+            let bytes = with_byte full i (Char.chr (Char.code full.[i] lxor mask)) in
+            let ctx =
+              Printf.sprintf "byte %d of %d (last commit from %d)" i n last_start
+            in
+            if i >= last_start then loads ~ctx bytes (before last_start)
+            else begin
+              write_file path bytes;
+              match Wal.load path with
+              | Error _ -> ()
+              | Ok _ -> Alcotest.failf "%s: a damaged commit loaded" ctx
+            end
+          done;
+          true))
 
 let test_fsync_policy_parse () =
   let check s expected =
@@ -512,13 +650,6 @@ let test_snapshot_latest () =
 (* --- rebuilding from a snapshot ---------------------------------- *)
 
 let policy_of_index i = List.nth all_policies (i mod List.length all_policies)
-
-let string_contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i =
-    i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1))
-  in
-  go 0
 
 (* all_policies plus the budgets whose A_M / hybrid arrival counter
    decides when a repack fires at these machine sizes *)
@@ -733,6 +864,17 @@ let test_refuse_json_wal () =
         (Filename.concat (Filename.dirname path) "wal.log")
         "{\"seq\": 7,\"op\": \"submit\",\"id\": 5,\"size\": 1}\n")
 
+(* pmp 1.18 and earlier wrote self-framed version-1 records, each
+   opening with the magic and version 1: a log of them is refused by
+   name, with how to migrate. The record is a submit of size 8 at seq
+   7 with id 5. *)
+let test_refuse_v1_wal () =
+  refused_snapshot ~cause:"wal.log is a version-1 wal, which pmp 1.18"
+    (fun path ->
+      append_bytes
+        (Filename.concat (Filename.dirname path) "wal.log")
+        "\167\001\004\001\007\005\008")
+
 (* A periodic snapshot that fails is retried only once another
    [snapshot_every] mutations have passed, not on every mutation, and
    is counted; no [.tmp] outlives a startup or a successful snapshot. *)
@@ -932,6 +1074,109 @@ let test_recovery_counts_ops () =
       Alcotest.(check bool) "recovery counter" true
         (string_contains (Server.metrics s') "pmpd_recoveries_total 1");
       Server.close s')
+
+(* 16 PEs, greedy, no snapshots *)
+let small_config dir =
+  {
+    (Server.default_config ~machine_size:16 ~policy:Cluster.Greedy ~dir) with
+    Server.snapshot_every = 0;
+  }
+
+(* Four mutations served through [Server], one commit each, in a fresh
+   [dir]; returns the server, the WAL's path, and its size after each
+   commit. *)
+let four_commits dir =
+  let path = Filename.concat dir "wal.log" in
+  let s = Result.get_ok (Server.create (small_config dir)) in
+  let ends =
+    List.map
+      (fun r ->
+        ignore (Server.handle s r);
+        Server.commit s;
+        (Unix.stat path).Unix.st_size)
+      Protocol.[ Submit 2; Submit 1; Submit 4; Finish 1 ]
+  in
+  (s, path, ends)
+
+let answers s =
+  List.map (fun r -> fst (Server.handle s r)) Protocol.[ Query 0; Query 1; Query 2; Stats ]
+
+(* Damage any byte before the last commit, to 0x00 or to its
+   complement, one at a time: every restart refuses, or answers
+   [query] and [stats] exactly as acked. A record dropped or altered
+   without an error fails. *)
+let test_wal_byte_damage () =
+  with_dir (fun dir ->
+      let s, path, ends = four_commits dir in
+      let acked = answers s in
+      Server.close s;
+      let full = read_file path in
+      for i = 0 to List.nth ends 2 - 1 do
+        List.iter
+          (fun c ->
+            write_file path (with_byte full i c);
+            match Server.create (small_config dir) with
+            | Error _ -> ()
+            | Ok r ->
+                let got = answers r in
+                Server.close r;
+                let show l = String.concat "; " (List.map Protocol.encode_response l) in
+                if got <> acked then
+                  Alcotest.failf "byte %d set to 0x%02x: the restart answers %s, acked %s"
+                    i (Char.code c) (show got) (show acked))
+          [ '\000'; Char.chr (255 - Char.code full.[i]) ]
+      done)
+
+(* A crash mid-write leaves part of the last commit: cut it at every
+   length, or keep that many of its bytes and zero the rest (a length
+   that landed over a block that did not). The restart drops it; two
+   more mutations are acked; after a shutdown and a second restart
+   every acked mutation holds, which needs the dropped bytes gone from
+   the file before the new ones were appended. *)
+let test_wal_torn_tail_cut () =
+  with_dir (fun dir ->
+      let s, path, ends = four_commits (Filename.concat dir "orig") in
+      Server.close s;
+      let full = read_file path in
+      let start = List.nth ends 2 and fin = List.nth ends 3 in
+      let more = Protocol.[ Submit 1; Finish 0 ] in
+      let reference =
+        Result.get_ok (Server.create (small_config (Filename.concat dir "ref")))
+      in
+      apply ~batch:1 reference (Protocol.[ Submit 2; Submit 1; Submit 4 ] @ more);
+      let trial = Filename.concat dir "trial" in
+      for k = 1 to fin - start - 1 do
+        List.iter
+          (fun (what, bytes) ->
+            let ctx = Printf.sprintf "%s at %d of %d" what k (fin - start) in
+            rm_rf trial;
+            Unix.mkdir trial 0o755;
+            write_file (Filename.concat trial "wal.log") bytes;
+            let restart () =
+              match Server.create (small_config trial) with
+              | Ok r -> r
+              | Error e -> Alcotest.failf "%s: the restart refused: %s" ctx e
+            in
+            let r = restart () in
+            Alcotest.(check int) (ctx ^ ": recovered seq") 3 (Server.seq r);
+            apply ~batch:1 r more;
+            Server.close r;
+            let r = restart () in
+            Alcotest.(check int) (ctx ^ ": seq after the second restart") 5
+              (Server.seq r);
+            (match
+               Server.same_state (Server.cluster r) (Server.cluster reference)
+             with
+            | Ok () -> ()
+            | Error e -> Alcotest.failf "%s: an acked mutation was lost: %s" ctx e);
+            Server.close r)
+          [
+            ("cut", String.sub full 0 (start + k));
+            ( "zeroed",
+              String.sub full 0 (start + k) ^ String.make (fin - start - k) '\000' );
+          ]
+      done;
+      Server.close reference)
 
 (* What counts as recovered: an empty wal.log left by a fresh run is
    nothing, a snapshot is something even when no WAL tail follows it. *)
@@ -2633,12 +2878,16 @@ let suite =
     ("wal binary round-trip", `Quick, test_wal_binary_roundtrip);
     ("wal binary torn tail", `Quick, test_wal_binary_torn_tail);
     ("wal binary interior corruption", `Quick, test_wal_binary_interior_corruption);
+    ("wal crc32c check value", `Quick, test_wal_crc32c);
+    ("wal append and commit allocate nothing", `Quick, test_wal_append_commit_allocation);
     ("fsync policy parsing", `Quick, test_fsync_policy_parse);
     ("policy codec", `Quick, test_policy_codec);
     ("snapshot round-trip", `Quick, test_snapshot_roundtrip);
     ("snapshot latest", `Quick, test_snapshot_latest);
     ("group commit crash durability", `Quick, test_group_commit_crash_durability);
     ("recovery counts ops", `Quick, test_recovery_counts_ops);
+    ("wal byte damage refused or harmless", `Quick, test_wal_byte_damage);
+    ("wal torn tail cut before appending", `Quick, test_wal_torn_tail_cut);
     ("recovery needs a snapshot or a wal tail", `Quick, test_recovery_needs_state);
     ("empty state round-trips for every policy", `Quick, test_empty_state_round_trip);
     ("superseded snapshots pruned", `Quick, test_snapshots_pruned);
@@ -2649,6 +2898,7 @@ let suite =
     ("recovery refuses unbalanced counters", `Quick, test_refuse_unbalanced);
     ("recovery refuses a legacy json snapshot", `Quick, test_refuse_legacy_json);
     ("recovery refuses a json wal", `Quick, test_refuse_json_wal);
+    ("recovery refuses a version-1 wal", `Quick, test_refuse_v1_wal);
     ("failed snapshot retried next interval", `Quick, test_snapshot_failure_retry);
     ("unix socket session", `Quick, test_unix_socket);
     ("unix socket session, binary", `Quick, test_unix_socket_binary);
@@ -2684,5 +2934,5 @@ let suite =
         request_roundtrip; response_roundtrip; binary_request_equiv;
         binary_response_equiv; rid_request_roundtrip; rid_response_roundtrip;
         split_property; crash_recovery; frame_reads_split_property;
-        served_equals_cluster;
+        served_equals_cluster; wal_damage_property;
       ]
