@@ -15,7 +15,7 @@ let min_service_speedup = 5.0
 
 (* group commit must batch: the binary+group service run writes more
    than this many WAL records per fsync (recorded ~16 on a 2-vCPU Xeon
-   host), and json+always exactly one. Both ratios come from counters
+   host), and binary+always exactly one. Both ratios come from counters
    the daemon keeps (pmpd_wal_group_size_sum / pmpd_fsync_total), not
    from a clock, so they gate hard; no fsync at all reads as infinitely
    many records per fsync, which fails. *)
@@ -119,7 +119,7 @@ let table =
       hard
         (Above min_group_records_per_fsync)
         [ "service"; "binary_group_records_per_fsync" ];
-      hard (Equal (Json.Num 1.0)) [ "service"; "json_always_records_per_fsync" ];
+      hard (Equal (Json.Num 1.0)) [ "service"; "always_records_per_fsync" ];
       hard Drift [ "service"; "words_per_request" ];
       advisory Drift [ "service"; "norm_ns_per_request" ];
       advisory

@@ -524,20 +524,18 @@ let load_index_probe calib =
 
 (* The service gate: a live pmpd on a Unix socket, driven through the
    shared Loadgen workload. Both sides of the ratio run on the same
-   host, so binary+group vs json+fsync-per-append transports across
+   host, so group commit vs fsync-per-append transports across
    machines like the scan-vs-index speedup does; the allocation budget
    of the read fast path is deterministic like words_per_event, and
    each side's WAL records per fsync is read from the daemon's own
    metrics. Raw service ns/request is recorded calibration-normalised
    and gated as an advisory timing field. *)
 let service_probe calib =
-  let run label ?latency_profile ?recorder_size ~proto ~fsync_policy ~requests
-      () =
+  let run label ?latency_profile ?recorder_size ~fsync_policy ~requests () =
     let label = Printf.sprintf "service probe (%s)" label in
     let o, dump =
       served label
-        (L.bench ~proto ~fsync_policy ?latency_profile ?recorder_size ~requests
-           ())
+        (L.bench ~fsync_policy ?latency_profile ?recorder_size ~requests ())
     in
     match
       ( Dump.value dump "pmpd_wal_group_size_sum",
@@ -550,23 +548,20 @@ let service_probe calib =
      comparison needs more smoothing than the 5x-scale speedup floor *)
   let fast, fast_per_fsync =
     best_of_two (fun () ->
-        run "binary+group" ~proto:Pmp_server.Client.Binary
-          ~fsync_policy:Pmp_server.Wal.Group ~requests:30_000 ())
+        run "binary+group" ~fsync_policy:Pmp_server.Wal.Group ~requests:30_000
+          ())
   in
   (* the same matrix point with every observability feature on: stage
      and per-opcode histograms plus a live flight recorder *)
   let instrumented, _ =
     best_of_two (fun () ->
         run "binary+group+obs" ~latency_profile:true ~recorder_size:1024
-          ~proto:Pmp_server.Client.Binary ~fsync_policy:Pmp_server.Wal.Group
-          ~requests:30_000 ())
+          ~fsync_policy:Pmp_server.Wal.Group ~requests:30_000 ())
   in
-  (* the seed's configuration: JSON lines on the wire, fsync on every
-     append — a real fsync per mutation, so a tenth of the requests
-     suffices *)
+  (* the seed's durability: fsync on every append — a real fsync per
+     mutation, so a tenth of the requests suffices *)
   let slow, slow_per_fsync =
-    run "json+always" ~proto:Pmp_server.Client.Json
-      ~fsync_policy:Pmp_server.Wal.Always ~requests:3_000 ()
+    run "binary+always" ~fsync_policy:Pmp_server.Wal.Always ~requests:3_000 ()
   in
   let words =
     match L.words_per_request () with
@@ -578,13 +573,13 @@ let service_probe calib =
   and instr_ns = L.ns_per_request instrumented in
   Json.Obj
     [
-      ("case", Json.Str "service: binary+group vs json+always (unix socket)");
+      ("case", Json.Str "service: binary+group vs binary+always (unix socket)");
       ("fast_requests", Json.Num (float_of_int fast.L.requests));
       ("fast_mutations", Json.Num (float_of_int fast.L.mutations));
       ("slow_requests", Json.Num (float_of_int slow.L.requests));
       ("slow_mutations", Json.Num (float_of_int slow.L.mutations));
       ("binary_group_ns_per_request", Json.Num (Float.round fast_ns));
-      ("json_always_ns_per_request", Json.Num (Float.round slow_ns));
+      ("always_ns_per_request", Json.Num (Float.round slow_ns));
       ("instrumented_ns_per_request", Json.Num (Float.round instr_ns));
       ("observability_overhead", Json.Num (instr_ns /. fast_ns));
       ("max_observability_overhead", Json.Num Gates.max_observability_overhead);
@@ -595,7 +590,7 @@ let service_probe calib =
       ("min_required", Json.Num Gates.min_service_speedup);
       ("words_per_request", Json.Num words);
       ("binary_group_records_per_fsync", Json.Num fast_per_fsync);
-      ("json_always_records_per_fsync", Json.Num slow_per_fsync);
+      ("always_records_per_fsync", Json.Num slow_per_fsync);
       ("min_group_records_per_fsync", Json.Num Gates.min_group_records_per_fsync);
     ]
 
@@ -628,8 +623,7 @@ let multicore_probe () =
         (best_of_two (fun () ->
              served
                (Printf.sprintf "multicore probe (domains=%d)" domains)
-               (L.bench ~proto:Pmp_server.Client.Binary
-                  ~fsync_policy:Pmp_server.Wal.Group ~domains ~conns:4
+               (L.bench ~fsync_policy:Pmp_server.Wal.Group ~domains ~conns:4
                   ~requests:30_000 ())))
     in
     let d1 = best 1 and d4 = best 4 in
@@ -748,7 +742,7 @@ let federation_probe calib =
       Domain.spawn (fun () -> Router.serve router ~listeners:[ fed_listener ])
     in
     let result =
-      match Client.connect_unix ~proto:Client.Binary fed_path with
+      match Client.connect_unix fed_path with
       | Error e -> Error e
       | Ok c ->
           Fun.protect
@@ -781,8 +775,7 @@ let federation_probe calib =
   in
   let direct, _ =
     served "federation probe (direct)"
-      (L.bench ~proto:Client.Binary ~fsync_policy:Pmp_server.Wal.Group
-         ~requests:10_000 ())
+      (L.bench ~fsync_policy:Pmp_server.Wal.Group ~requests:10_000 ())
   in
   let fed, per_batch = run_federated ~requests:10_000 in
   let direct_ns = L.ns_per_request direct
@@ -898,7 +891,7 @@ let () =
       (fun () -> load_index_probe calib)
   in
   let sv =
-    measuring "service throughput (binary+group vs json+always)" (fun () ->
+    measuring "service throughput (binary+group vs binary+always)" (fun () ->
         service_probe calib)
   in
   let mc = measuring "multicore scaling (domains=4 vs domains=1)" multicore_probe in

@@ -484,38 +484,27 @@ let serve_cmd =
           + crash recovery).")
     term
 
-let proto_arg ~default =
-  let doc =
-    "Wire protocol for requests: $(b,binary) (compact frames, the fast \
-     path) or $(b,json) (debuggable lines). Responses are decoded by \
-     first-byte detection either way."
-  in
-  Arg.(value & opt string default & info [ "proto" ] ~docv:"PROTO" ~doc)
-
-let parse_proto proto =
-  Result.map_error (fun e -> `Msg e) (Pmp_server.Client.parse_proto proto)
-
-let connect_client ~proto socket host port =
+let connect_client socket host port =
   match (socket, port) with
-  | Some path, None -> Pmp_server.Client.connect_unix ~proto path
-  | None, Some port -> Pmp_server.Client.connect_tcp ~proto ~host ~port ()
+  | Some path, None -> Pmp_server.Client.connect_unix path
+  | None, Some port -> Pmp_server.Client.connect_tcp ~host ~port ()
   | Some _, Some _ -> Error "give either --socket or --port, not both"
   | None, None -> Error "give --socket or --port"
 
 (* The connection [client], [client bench], [fed status] and [top]
    share: the address flags, connect, run [f], close. *)
-let with_client ~proto socket host port f =
+let with_client socket host port f =
   let* conn =
-    Result.map_error (fun e -> `Msg e) (connect_client ~proto socket host port)
+    Result.map_error (fun e -> `Msg e) (connect_client socket host port)
   in
   Fun.protect
     ~finally:(fun () -> Pmp_server.Client.close conn)
     (fun () -> f conn)
 
-(* Read commands from stdin and print [ask]'s answer to each through
-   [render], until end of input, [quit], a [Bye] or a failed [ask]:
-   [client]'s loop over a daemon and [console]'s over a bare cluster. *)
-let command_loop render ask =
+(* Read commands from stdin and print [ask]'s answer to each, until end
+   of input, [quit], a [Bye] or a failed [ask]: [client]'s loop over a
+   daemon and [console]'s over a bare cluster. *)
+let command_loop ask =
   let rec loop () =
     match In_channel.input_line stdin with
     | None -> Ok ()
@@ -529,7 +518,7 @@ let command_loop render ask =
         | `Request req -> (
             match ask req with
             | Ok resp -> (
-                print_endline (render resp);
+                print_endline (Pmp_server.Protocol.render_response resp);
                 match resp with Pmp_server.Protocol.Bye -> Ok () | _ -> loop ())
             | Error e ->
                 (* a crashed daemon shows up here as a closed socket *)
@@ -584,14 +573,12 @@ let client_bench_cmd =
     in
     Arg.(value & opt int 1 & info [ "conns" ] ~docv:"C" ~doc)
   in
-  let action socket host port proto requests window seed machine_size rids
-      conns =
+  let action socket host port requests window seed machine_size rids conns =
     let module Metrics = Pmp_telemetry.Metrics in
     if requests < 1 || window < 1 || conns < 1 then
       Error (`Msg "--requests, --window and --conns must be at least 1")
     else
-      let* proto = parse_proto proto in
-      with_client ~proto socket host port @@ fun conn ->
+      with_client socket host port @@ fun conn ->
       (* buckets from 1 µs to ~8 s *)
       let latency =
         Metrics.Histogram.make
@@ -603,13 +590,12 @@ let client_bench_cmd =
       let before = dump () in
       let r =
         Pmp_server.Loadgen.drive_parallel
-          ~connect:(fun () -> connect_client ~proto socket host port)
+          ~connect:(fun () -> connect_client socket host port)
           ~conns ~requests ~window ~seed ~machine_size ~latency ~rids ()
       in
       let after = match r with Ok _ -> dump () | Error _ -> "" in
       let* o = Result.map_error (fun e -> `Msg e) r in
       let p = Pmp_server.Loadgen.percentile latency in
-      Printf.printf "proto          : %s\n" (Pmp_server.Client.proto_name proto);
       Printf.printf "connections    : %d\n" conns;
       Printf.printf "requests       : %d (%d mutations, %d errors)%s\n"
         o.Pmp_server.Loadgen.requests o.Pmp_server.Loadgen.mutations
@@ -658,9 +644,8 @@ let client_bench_cmd =
   let term =
     Term.(
       term_result
-        (const action $ socket_arg $ host_arg $ port_arg
-       $ proto_arg ~default:"binary" $ requests_arg $ window_arg $ seed_arg
-       $ machine_arg $ rid_arg $ conns_arg))
+        (const action $ socket_arg $ host_arg $ port_arg $ requests_arg
+       $ window_arg $ seed_arg $ machine_arg $ rid_arg $ conns_arg))
   in
   Cmd.v
     (Cmd.info "bench"
@@ -670,23 +655,12 @@ let client_bench_cmd =
     term
 
 let client_cmd =
-  let json_arg =
-    let doc = "Print raw JSON response lines instead of rendering them." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let action socket host port proto json =
-    let* proto = parse_proto proto in
-    with_client ~proto socket host port @@ fun conn ->
-    command_loop
-      (if json then fun r -> Pmp_server.Protocol.encode_response r
-       else Pmp_server.Protocol.render_response)
-      (Pmp_server.Client.request conn)
+  let action socket host port =
+    with_client socket host port @@ fun conn ->
+    command_loop (Pmp_server.Client.request conn)
   in
   let term =
-    Term.(
-      term_result
-        (const action $ socket_arg $ host_arg $ port_arg
-       $ proto_arg ~default:"json" $ json_arg))
+    Term.(term_result (const action $ socket_arg $ host_arg $ port_arg))
   in
   Cmd.group ~default:term
     (Cmd.info "client"
@@ -707,8 +681,7 @@ let console_cmd =
         (fun e -> `Msg e)
         (Pmp_cluster.Cluster.create ~machine_size ~policy ~admission_cap:cap ())
     in
-    command_loop Pmp_server.Protocol.render_response (fun req ->
-        Ok (Pmp_server.Protocol.answer cluster req))
+    command_loop (fun req -> Ok (Pmp_server.Protocol.answer cluster req))
   in
   let term =
     Term.(
@@ -914,7 +887,7 @@ let fed_serve_cmd =
 
 let fed_status_cmd =
   let action socket host port =
-    with_client ~proto:Pmp_server.Client.Binary socket host port @@ fun conn ->
+    with_client socket host port @@ fun conn ->
     let request req =
       Result.map_error (fun e -> `Msg e) (Pmp_server.Client.request conn req)
     in
@@ -986,7 +959,7 @@ let top_cmd =
     Arg.(value & opt int 0 & info [ "count" ] ~docv:"N" ~doc)
   in
   let action socket host port interval count =
-    with_client ~proto:Pmp_server.Client.Binary socket host port @@ fun conn ->
+    with_client socket host port @@ fun conn ->
     if interval <= 0.0 then Error (`Msg "--interval must be positive")
     else begin
       let module P = Pmp_server.Protocol in

@@ -2,12 +2,11 @@
 # Crash a pmpd mid-stream, restart it on the same state directory, and
 # diff its stats against a reference daemon fed only the durable prefix.
 #
-#   sh ci/crash_recover.sh DOMAINS PROTO SNAPSHOT_EVERY [WORKDIR]
+#   sh ci/crash_recover.sh DOMAINS SNAPSHOT_EVERY [WORKDIR]
 #
-# DOMAINS is the shard count (--domains), PROTO the client protocol
-# (json | binary), SNAPSHOT_EVERY the daemon's --snapshot-every. State
-# directories and transcripts go to WORKDIR (default
-# crash-recover/k<DOMAINS>-<PROTO>), replaced on every run. Run from
+# DOMAINS is the shard count (--domains), SNAPSHOT_EVERY the daemon's
+# --snapshot-every. State directories and transcripts go to WORKDIR
+# (default crash-recover/k<DOMAINS>), replaced on every run. Run from
 # anywhere; it builds pmp from this checkout and exits nonzero on the
 # first failed check.
 #
@@ -19,16 +18,11 @@
 # it replays fewer than DOMAINS x SNAPSHOT_EVERY WAL records, and each
 # state directory holds at most one snapshot and no *.tmp.
 set -eu
-usage="usage: sh ci/crash_recover.sh DOMAINS json|binary SNAPSHOT_EVERY [WORKDIR]"
+usage="usage: sh ci/crash_recover.sh DOMAINS SNAPSHOT_EVERY [WORKDIR]"
 K=${1:?$usage}
-PROTO=${2:?$usage}
-SNAP=${3:?$usage}
-case $PROTO in
-  json | binary) ;;
-  *) echo "$usage" >&2; exit 2 ;;
-esac
+SNAP=${2:?$usage}
 cd "$(dirname "$0")/.."
-WORK=${4:-crash-recover/k$K-$PROTO}
+WORK=${3:-crash-recover/k$K}
 . ci/daemon.sh
 rm -rf "$WORK"
 mkdir -p "$WORK"
@@ -57,7 +51,7 @@ serve() {
 }
 
 client() {
-  $PMP client --proto="$PROTO" --socket "$WORK/$1/pmp.sock"
+  $PMP client --socket "$WORK/$1/pmp.sock"
 }
 
 # 1. the victim: crash injection after mutation 7
@@ -112,4 +106,4 @@ wait "$PID"
 grep '^submitted=' "$WORK/recovered.txt" > "$WORK/recovered-stats.txt"
 grep '^submitted=' "$WORK/reference.txt" > "$WORK/reference-stats.txt"
 diff -u "$WORK/reference-stats.txt" "$WORK/recovered-stats.txt"
-echo "crash_recover: K=$K $PROTO snapshot-every $SNAP: recovered = reference ($replayed WAL records replayed)"
+echo "crash_recover: K=$K snapshot-every $SNAP: recovered = reference ($replayed WAL records replayed)"

@@ -43,7 +43,7 @@ count() {
 }
 
 bench() {
-  $PMP client bench --socket "$FED/fed.sock" --proto=binary --rid -n "$1"
+  $PMP client bench --socket "$FED/fed.sock" --rid -n "$1"
 }
 
 shard 0

@@ -145,7 +145,7 @@ EOF
 mutant router-poll-feeds-index <<'EOF'
 --- a/lib/federation/router.ml
 +++ b/lib/federation/router.ml
-@@ -419,7 +419,6 @@
+@@ -426,7 +426,6 @@
    Array.iteri
      (fun sx -> function
        | Some (Protocol.Stats_reply s) ->
@@ -169,11 +169,11 @@ mutant rebalance-audit-refreshes <<'EOF'
              let sum = Array.fold_left ( + ) 0 loads in
 EOF
 
-# pmpd answers a query of a queued task "queued", in every encoding.
+# pmpd answers a query of a queued task "queued", tagged or not.
 mutant query-reports-queued <<'EOF'
 --- a/lib/server/server.ml
 +++ b/lib/server/server.ml
-@@ -943,7 +943,7 @@
+@@ -959,7 +959,7 @@
    (match Cluster.placement t.cluster lid with
    | Some p -> add_at t Protocol.add_active buf gid p
    | None ->
@@ -188,7 +188,7 @@ EOF
 mutant finish-appends-wal <<'EOF'
 --- a/lib/server/server.ml
 +++ b/lib/server/server.ml
-@@ -931,7 +931,6 @@
+@@ -947,7 +947,6 @@
    | Ok () ->
        let ta = now t in
        t.seq <- t.seq + 1;
@@ -219,7 +219,7 @@ EOF
 mutant router-load-ratio-federation <<'EOF'
 --- a/lib/federation/router.ml
 +++ b/lib/federation/router.ml
-@@ -387,7 +387,7 @@
+@@ -394,7 +394,7 @@
        let router_dump = Metrics.prometheus t.registry in
        ( (match Server.merge_parts ~sizes:t.shard_sizes req (broadcast t req) with
          | Protocol.Metrics_reply shards ->
@@ -234,7 +234,7 @@ EOF
 mutant load-ratio-whole-machine <<'EOF'
 --- a/lib/server/server.ml
 +++ b/lib/server/server.ml
-@@ -507,9 +507,7 @@
+@@ -523,9 +523,7 @@
      | Some m ->
          Metrics.Gauge.set t.ins.g_shard_queue (float_of_int s.Cluster.queued_now);
          publish_load t m ~active_size:s.Cluster.active_size;
@@ -252,7 +252,7 @@ EOF
 mutant mesh-places-by-summaries <<'EOF'
 --- a/lib/server/server.ml
 +++ b/lib/server/server.ml
-@@ -1163,7 +1163,7 @@
+@@ -1179,7 +1179,7 @@
        false
    | Some m ->
        let dest =
@@ -339,7 +339,7 @@ EOF
 mutant gate-drift <<'EOF'
 --- a/bench/gates.ml
 +++ b/bench/gates.ml
-@@ -230,7 +230,7 @@
+@@ -241,7 +241,7 @@
            | Same, _ -> test (same b) ("= baseline " ^ brief b) v
            | _, Some b ->
                let c = b *. (1.0 +. tolerance) in
@@ -355,7 +355,7 @@ EOF
 mutant gate-missing-row <<'EOF'
 --- a/bench/gates.ml
 +++ b/bench/gates.ml
-@@ -160,7 +160,7 @@
+@@ -171,7 +171,7 @@
          if step <> "*" then [ step ]
          else
            let own = fields run in
@@ -364,6 +364,21 @@ mutant gate-missing-row <<'EOF'
            | [] -> [ "*" ]
            | keys -> keys
        in
+EOF
+
+# pmpd, the router and the client refuse a message that opens no
+# frame, a JSON line among them, instead of reading it as one.
+mutant wire-refuses-json <<'EOF'
+--- a/lib/server/frame.ml
++++ b/lib/server/frame.ml
+@@ -61,7 +61,6 @@
+
+ let read r nb =
+   if Netbuf.is_empty nb then Incomplete
+-  else if Netbuf.get_byte nb 0 <> Wire.request_magic then drop r nb not_a_frame
+   else read_frame r nb
+
+ let payload r nb = Bytes.sub_string (Netbuf.bytes nb) r.pos (r.limit - r.pos)
 EOF
 
 # A load-index add recombines every aggregate slot a child's change

@@ -54,7 +54,6 @@ type batch = lane option array
 (* A client request of the current batch, in client order; [wait] is
    its shard call until the reply is settled. *)
 type slot = {
-  binary : bool;
   rid : int option;
   req : Protocol.request;
   mutable resp : Protocol.response;
@@ -81,6 +80,8 @@ type t = {
   ratios : Metrics.Ratio_window.t;
       (** the polls' load ratios, over the whole federation's L* *)
   g_ratio : Metrics.Gauge.t;  (** their p99, as each dump reports it *)
+  c_refused : Metrics.Counter.t;
+      (** messages refused here, added to the shards' [pmpd_errors_total] *)
   t0 : float;
   mutable last_poll : float;
   mutable last_rebalance : float;
@@ -178,7 +179,7 @@ let connect_shards sockets =
         List.iter (fun (c, _) -> Client.close c) acc;
         Error (Printf.sprintf "shard %d: %s: %s" sx sockets.(sx) e)
       in
-      match Client.connect_unix ~proto:Client.Binary sockets.(sx) with
+      match Client.connect_unix sockets.(sx) with
       | Error e -> fail e
       | Ok c -> (
           match Client.request c Protocol.Loads with
@@ -289,6 +290,7 @@ let create config =
       recorder = Recorder.create config.recorder_size;
       ratios = Metrics.Ratio_window.make ();
       g_ratio = Metrics.Gauge.make ();
+      c_refused = Metrics.Counter.make ();
       t0 = now;
       last_poll = now;
       last_rebalance = now;
@@ -349,7 +351,8 @@ let broadcast t req =
    max reads 1 while the router piles load onto one shard. The merged
    dump carries the rolling p99 of the polls' federation-wide ratios,
    nearest-rank as pmpd takes its own, and its high-water mark, in
-   their place. *)
+   their place. Its [pmpd_errors_total] also counts the messages the
+   router refused itself, which no shard saw. *)
 let with_load_ratio t dump =
   Metrics.Gauge.set t.g_ratio (Metrics.Ratio_window.p99 t.ratios);
   let sample name v = Printf.sprintf "%s %.9g" name v in
@@ -360,6 +363,10 @@ let with_load_ratio t dump =
              sample name (Metrics.Gauge.value t.g_ratio)
          | [ ("pmpd_p99_load_ratio_max" as name); _ ] ->
              sample name (Metrics.Gauge.max_seen t.g_ratio)
+         | [ ("pmpd_errors_total" as name); n ] ->
+             sample name
+               (float_of_string n
+               +. float_of_int (Metrics.Counter.value t.c_refused))
          | _ -> line)
   |> String.concat "\n"
 
@@ -439,9 +446,7 @@ let probe t =
     Array.init (shards t) (fun sx ->
         if shard_up t sx then None
         else
-          match
-            Client.connect_unix ~proto:Client.Binary t.shardv.(sx).socket
-          with
+          match Client.connect_unix t.shardv.(sx).socket with
           | Error _ -> None
           | Ok c ->
               let health = issue b sx c Protocol.Health in
@@ -497,17 +502,14 @@ let tenant_of_conn t inbuf =
 let forget_conn t inbuf =
   t.conn_tenants <- List.filter (fun (b, _) -> b != inbuf) t.conn_tenants
 
-let reply t out ~binary ~rid ~shard resp =
-  if binary then begin
-    Buffer.clear t.scratch;
-    (match rid with
-    | Some rid -> Protocol.response_payload_rid t.scratch ~rid ?shard resp
-    | None -> Protocol.response_payload t.scratch resp);
-    Frame.add out t.scratch
-  end
-  else Frame.add_line out (Protocol.encode_response ?rid ?shard resp)
+let reply t out ~rid ~shard resp =
+  Buffer.clear t.scratch;
+  (match rid with
+  | Some rid -> Protocol.response_payload_rid t.scratch ~rid ?shard resp
+  | None -> Protocol.response_payload t.scratch resp);
+  Frame.add out t.scratch
 
-let respond t out ~tenant ~binary ~rid ~served req resp =
+let respond t out ~tenant ~rid ~served req resp =
   Recorder.record t.recorder ~kind:Recorder.kind_request
     ~op:(Protocol.opcode req) ~tenant
     ~size:(match req with Protocol.Submit s -> s | _ -> 0)
@@ -516,7 +518,15 @@ let respond t out ~tenant ~binary ~rid ~served req resp =
   (* the shard tag rides the rid echo: only attributed responses
      carry it *)
   let shard = if rid = None then None else served in
-  reply t out ~binary ~rid ~shard resp
+  reply t out ~rid ~shard resp
+
+(* A message refused before it named a request: one failed request of
+   op 0, as pmpd counts it. *)
+let refuse t out ~tenant e =
+  Metrics.Counter.incr t.c_refused;
+  Recorder.record t.recorder ~kind:Recorder.kind_request ~op:0 ~tenant
+    ~size:0 ~seq:0 ~dur_ns:0 ~ts_us:0 ~ok:false;
+  reply t out ~rid:None ~shard:None (Protocol.Error e)
 
 (* The completion phase: flush each touched shard once, read its
    replies in order, apply them, then answer the client in its own
@@ -545,15 +555,14 @@ let complete t ~tenant out =
           (fun (pending, _) ->
             answer s (Route.failover t.route ~call:(rpc t) pending))
           s.wait;
-        respond t out ~tenant ~binary:s.binary ~rid:s.rid ~served:s.served
-          s.req s.resp)
+        respond t out ~tenant ~rid:s.rid ~served:s.served s.req s.resp)
       t.slots;
     Queue.clear t.slots
   end
 
-(* The next request off the front of [inbuf], in either encoding.
-   Refusals follow pmpd's rules ({!Frame.read}), so the requests
-   pipelined behind a refused frame are still answered. *)
+(* The next request off the front of [inbuf]. Refusals follow pmpd's
+   rules ({!Frame.read}), so the requests pipelined behind a refused
+   frame are still answered. *)
 let next_request t inbuf =
   let r = t.reader in
   match Frame.read r inbuf with
@@ -564,14 +573,9 @@ let next_request t inbuf =
         Protocol.decode_request_payload_rid payload ~pos:0
           ~limit:(String.length payload)
       with
-      | Error e -> `Bad (true, e)
-      | Ok (req, rid) -> `Request (true, rid, req))
-  | Frame.Line -> (
-      match Protocol.decode_request_rid (Frame.payload r inbuf) with
-      | Error e -> `Bad (false, e)
-      | Ok (req, rid) -> `Request (false, rid, req))
-  | Frame.Refused_frame -> `Bad (true, r.Frame.refusal)
-  | Frame.Refused_line -> `Bad (false, r.Frame.refusal)
+      | Error e -> `Bad e
+      | Ok (req, rid) -> `Request (rid, req))
+  | Frame.Refused -> `Bad r.Frame.refusal
 
 let handle_conn t inbuf out ~budget =
   let tenant = tenant_of_conn t inbuf in
@@ -582,11 +586,11 @@ let handle_conn t inbuf out ~budget =
         && not (Netbuf.is_empty inbuf) do
     match next_request t inbuf with
     | `Incomplete -> continue := false
-    | `Bad (binary, e) ->
+    | `Bad e ->
         incr consumed;
         complete t ~tenant out;
-        reply t out ~binary ~rid:None ~shard:None (Protocol.Error e)
-    | `Request (binary, rid, req) -> (
+        refuse t out ~tenant e
+    | `Request (rid, req) -> (
         incr consumed;
         Metrics.Counter.incr t.c_requests;
         match req with
@@ -595,10 +599,9 @@ let handle_conn t inbuf out ~budget =
             let s =
               match Route.issue t.route ~tenant req with
               | Route.Answer (resp, served) ->
-                  { binary; rid; req; resp; served; wait = None }
+                  { rid; req; resp; served; wait = None }
               | Route.Call (sx, up, pending) ->
                   {
-                    binary;
                     rid;
                     req;
                     resp = Protocol.Error "no reply";
@@ -610,7 +613,7 @@ let handle_conn t inbuf out ~budget =
         | _ ->
             complete t ~tenant out;
             let resp, halt = dispatch t req in
-            respond t out ~tenant ~binary ~rid ~served:None req resp;
+            respond t out ~tenant ~rid ~served:None req resp;
             stop := halt)
   done;
   complete t ~tenant out;

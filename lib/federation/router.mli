@@ -71,12 +71,14 @@ val handle_conn :
   Pmp_server.Netbuf.t ->
   budget:int ->
   [ `Handled of int | `Stop of int ]
-(** The loop handler: consume up to [budget] complete requests (either
-    encoding) from the in-buffer as one pipelined batch, append their
-    responses to the out-buffer in request order. Requests are found,
-    and refused, by {!Pmp_server.Frame.read}, as in pmpd. The in-buffer
-    also names the connection, which is the tenant. Exposed for
-    in-process tests and benchmarks. *)
+(** The loop handler: consume up to [budget] complete requests from the
+    in-buffer as one pipelined batch, append their responses to the
+    out-buffer in request order. Requests are found, and refused, by
+    {!Pmp_server.Frame.read}, as in pmpd: a refused message, a JSON
+    line among them, is answered with one error frame, recorded as a
+    failed request of op 0 and counted in the [pmpd_errors_total] the
+    merged metrics report. The in-buffer also names the connection,
+    which is the tenant. Exposed for in-process tests and benchmarks. *)
 
 val tick : t -> float
 (** Run due periodic work (polls, probes, rebalance, requested

@@ -1,63 +1,45 @@
-type proto = Json | Binary
-
-let parse_proto s =
-  match String.lowercase_ascii (String.trim s) with
-  | "json" -> Ok Json
-  | "binary" -> Ok Binary
-  | s -> Error (Printf.sprintf "unknown protocol %S (want binary|json)" s)
-
-let proto_name = function Json -> "json" | Binary -> "binary"
-
 type t = {
   fd : Unix.file_descr;
-  mutable proto : proto;
   inbuf : Netbuf.t;  (** response bytes read, not yet decoded *)
   out : Netbuf.t;  (** queued request bytes not yet written *)
-  scratch : Buffer.t;  (** one binary payload being framed *)
+  scratch : Buffer.t;  (** one request payload being framed *)
   reader : Frame.reader;
 }
 
-let of_fd ?(proto = Json) fd =
+let of_fd fd =
   {
     fd;
-    proto;
     inbuf = Netbuf.create 4096;
     out = Netbuf.create 256;
     scratch = Buffer.create 32;
     reader = Frame.reader ();
   }
 
-let connect ?proto sockaddr =
+let connect sockaddr =
   (* a server that died mid-conversation must read as an [Error], not
      a fatal SIGPIPE on our next send *)
   Loop.ignore_sigpipe ();
   let domain = Unix.domain_of_sockaddr sockaddr in
   let fd = Unix.socket domain SOCK_STREAM 0 in
   match Unix.connect fd sockaddr with
-  | () -> Ok (of_fd ?proto fd)
+  | () -> Ok (of_fd fd)
   | exception Unix.Unix_error (e, _, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error (Unix.error_message e)
 
-let connect_unix ?proto path = connect ?proto (Unix.ADDR_UNIX path)
+let connect_unix path = connect (Unix.ADDR_UNIX path)
 
-let connect_tcp ?proto ~host ~port () =
+let connect_tcp ~host ~port () =
   match Unix.inet_addr_of_string host with
-  | addr -> connect ?proto (Unix.ADDR_INET (addr, port))
+  | addr -> connect (Unix.ADDR_INET (addr, port))
   | exception Failure _ -> Error (Printf.sprintf "bad host %S" host)
 
-let proto t = t.proto
-let set_proto t proto = t.proto <- proto
-
 let queue t ?rid req =
-  match t.proto with
-  | Json -> Frame.add_line t.out (Protocol.encode_request ?rid req)
-  | Binary ->
-      Buffer.clear t.scratch;
-      (match rid with
-      | None -> Protocol.request_payload t.scratch req
-      | Some rid -> Protocol.request_payload_rid t.scratch ~rid req);
-      Frame.add t.out t.scratch
+  Buffer.clear t.scratch;
+  (match rid with
+  | None -> Protocol.request_payload t.scratch req
+  | Some rid -> Protocol.request_payload_rid t.scratch ~rid req);
+  Frame.add t.out t.scratch
 
 (* The socket blocks, so each drain writes what the kernel takes; a
    signal that interrupts it is retried. *)
@@ -75,9 +57,8 @@ let send t ?rid req =
   queue t ?rid req;
   flush t
 
-(* Each response's encoding is told by its first byte, as pmpd tells a
-   request's, so a connection can switch formats mid-stream; a refused
-   frame is consumed whole, so the responses behind it still decode. *)
+(* Responses are found as pmpd finds requests; a refused frame is
+   consumed whole, so the responses behind it still decode. *)
 let rec receive_attr t =
   let r = t.reader in
   match Frame.read r t.inbuf with
@@ -85,8 +66,7 @@ let rec receive_attr t =
       let payload = Frame.payload r t.inbuf in
       Protocol.decode_response_payload_attr payload ~pos:0
         ~limit:(String.length payload)
-  | Frame.Line -> Protocol.decode_response_attr (Frame.payload r t.inbuf)
-  | Frame.Refused_frame | Frame.Refused_line -> Error r.Frame.refusal
+  | Frame.Refused -> Error r.Frame.refusal
   | Frame.Incomplete -> (
       (* room for 4 KiB, not the default 64: replies are mostly a few
          bytes, and a 64 KiB buffer per upstream connection measurably

@@ -1,36 +1,20 @@
 (** A blocking client for the {!Protocol}.
 
     One socket, synchronous {!request} or pipelined {!send}/{!receive}
-    (the server answers strictly in order). Speaks either encoding —
-    compact binary frames or JSON lines — and detects the encoding of
-    every incoming response from its first byte, so the format can
-    even switch mid-connection. Bytes move through a {!Netbuf} in each
-    direction and messages are found and framed by {!Frame}, so a
-    response is refused as pmpd refuses a request: a frame of another
-    version or with an empty payload is one [Error] and the responses
-    behind it still decode; a garbage length, or a JSON line longer
-    than {!Wire.max_payload}, is one [Error] that drops what was
-    buffered. Used by [pmp client], the federation router's upstream
-    connections, the examples and the end-to-end tests. *)
-
-type proto = Json | Binary
-
-val parse_proto : string -> (proto, string) result
-(** [binary | json]. *)
-
-val proto_name : proto -> string
+    (the server answers strictly in order), binary frames both ways.
+    Bytes move through a {!Netbuf} in each direction and messages are
+    found and framed by {!Frame}, so a response is refused as pmpd
+    refuses a request: a frame of another version or with an empty
+    payload is one [Error] and the responses behind it still decode; a
+    garbage length, or a message that does not open a frame, is one
+    [Error] that drops what was buffered. Used by [pmp client], the
+    federation router's upstream connections, the examples and the
+    end-to-end tests. *)
 
 type t
 
-val connect_unix : ?proto:proto -> string -> (t, string) result
-(** [proto] (default [Json]) selects the encoding of outgoing
-    requests. *)
-
-val connect_tcp :
-  ?proto:proto -> host:string -> port:int -> unit -> (t, string) result
-
-val proto : t -> proto
-val set_proto : t -> proto -> unit
+val connect_unix : string -> (t, string) result
+val connect_tcp : host:string -> port:int -> unit -> (t, string) result
 
 val request : t -> Protocol.request -> (Protocol.response, string) result
 (** Send one request and wait for its response. *)

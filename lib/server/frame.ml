@@ -3,7 +3,7 @@
    Protocol) comes through [read], so the refusal rules and their texts
    live here only. *)
 
-type message = Incomplete | Frame | Line | Refused_frame | Refused_line
+type message = Incomplete | Frame | Refused
 
 type reader = {
   mutable pos : int;
@@ -14,17 +14,22 @@ type reader = {
 
 let reader () = { pos = 0; limit = 0; refusal = ""; cur = { Wire.pos = 0 } }
 
-let refuse r text msg =
-  r.refusal <- text;
-  msg
+let not_a_frame =
+  "not a binary frame: pmp 1.19 and earlier also read JSON lines, which \
+   this version refuses; use pmp client, or the frames of TUTORIAL.md \
+   section 12"
 
-(* Past a garbage length or an unterminated line no later message can be
-   found, so everything buffered goes. *)
-let drop r nb text msg =
+let refuse r text =
+  r.refusal <- text;
+  Refused
+
+(* Past a garbage length or a message that opens no frame, no later
+   frame boundary can be found, so everything buffered goes. *)
+let drop r nb text =
   r.pos <- 0;
   r.limit <- Netbuf.length nb;
   Netbuf.clear nb;
-  refuse r text msg
+  refuse r text
 
 let read_frame r nb =
   let avail = Netbuf.length nb in
@@ -34,13 +39,11 @@ let read_frame r nb =
     r.cur.Wire.pos <- off + 2;
     match Wire.read_varint b r.cur (off + avail) with
     | exception Wire.Corrupt _ ->
-        if avail - 2 >= Wire.max_varint_bytes then
-          drop r nb "malformed frame" Refused_frame
+        if avail - 2 >= Wire.max_varint_bytes then drop r nb "malformed frame"
         else Incomplete
     | len ->
         let pos = r.cur.Wire.pos in
-        if len < 0 || len > Wire.max_payload then
-          drop r nb "malformed frame" Refused_frame
+        if len < 0 || len > Wire.max_payload then drop r nb "malformed frame"
         else if pos + len > off + avail then Incomplete
         else begin
           (* the length scanned: the frame is consumed whatever its
@@ -50,31 +53,16 @@ let read_frame r nb =
           Netbuf.consume nb (pos + len - off);
           let version = Char.code (Bytes.unsafe_get b (off + 1)) in
           if version <> Wire.version then
-            refuse r
-              (Printf.sprintf "unsupported wire version %d" version)
-              Refused_frame
-          else if len = 0 then refuse r "empty frame" Refused_frame
+            refuse r (Printf.sprintf "unsupported wire version %d" version)
+          else if len = 0 then refuse r "empty frame"
           else Frame
         end
   end
 
-let read_line r nb =
-  match Netbuf.find_byte nb '\n' with
-  | Some i ->
-      r.pos <- Netbuf.offset nb;
-      r.limit <- r.pos + i;
-      Netbuf.consume nb (i + 1);
-      Line
-  | None when Netbuf.length nb <= Wire.max_payload -> Incomplete
-  | None ->
-      drop r nb
-        (Printf.sprintf "request line longer than %d bytes" Wire.max_payload)
-        Refused_line
-
-let starts_frame nb =
-  (not (Netbuf.is_empty nb)) && Netbuf.get_byte nb 0 = Wire.request_magic
-
-let read r nb = if starts_frame nb then read_frame r nb else read_line r nb
+let read r nb =
+  if Netbuf.is_empty nb then Incomplete
+  else if Netbuf.get_byte nb 0 <> Wire.request_magic then drop r nb not_a_frame
+  else read_frame r nb
 
 let payload r nb = Bytes.sub_string (Netbuf.bytes nb) r.pos (r.limit - r.pos)
 
@@ -89,7 +77,3 @@ let add_to_buffer buf payload =
   Buffer.add_char buf (Char.chr Wire.version);
   Wire.add_varint buf (Buffer.length payload);
   Buffer.add_buffer buf payload
-
-let add_line out line =
-  Netbuf.add_string out line;
-  Netbuf.add_char out '\n'

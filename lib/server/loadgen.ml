@@ -148,19 +148,22 @@ let percentile h p = Metrics.Histogram.quantile h (p /. 100.0)
 (* Closed-loop driving over [conns] connections at once — the only way
    to make a sharded server actually run its shards in parallel. Each
    connection gets its own generator (decorrelated seed) and its own
-   share of the request budget; the first drives on the calling domain
-   and samples [latency], the rest each on a domain of their own.
-   Outcomes sum, wall-clock is the slowest connection's. *)
+   share of the request budget, the shares summing to [requests]; the
+   first drives on the calling domain and samples [latency], the rest
+   each on a domain of their own. Outcomes sum, wall-clock is the
+   slowest connection's. *)
 let drive_parallel ~connect ~conns ~requests ~window ~seed ~machine_size
     ?latency ?(rids = false) () =
   let conns = max 1 conns in
-  let per = max 1 (requests / conns) in
+  let share i = (requests / conns) + if i < requests mod conns then 1 else 0 in
   let worker ~latency i () =
     match connect () with
     | Error e -> Error ("connect: " ^ e)
     | Ok client ->
         let gen = make_gen ~seed:(seed + (i * 7919)) ~machine_size in
-        let r = drive_conn client gen ~requests:per ~window ~latency ~rids in
+        let r =
+          drive_conn client gen ~requests:(share i) ~window ~latency ~rids
+        in
         Client.close client;
         r
   in
@@ -279,14 +282,14 @@ let metrics_of socket =
    drive the churn workload (seed 0xB00, window 32) through
    [conns] connections, read the daemon's final metrics, shut the
    server down, clean up. *)
-let bench ?fsync_policy ?(proto = Client.Binary) ?latency_profile
-    ?recorder_size ?domains ?(conns = 1) ~requests () =
+let bench ?fsync_policy ?latency_profile ?recorder_size ?domains ?(conns = 1)
+    ~requests () =
   let seed = 0xB00 and machine_size = 256 and window = 32 in
   with_local_service ~machine_size ?fsync_policy ?latency_profile
     ?recorder_size ?domains (fun socket ->
       Result.bind
         (drive_parallel
-           ~connect:(fun () -> Client.connect_unix ~proto socket)
+           ~connect:(fun () -> Client.connect_unix socket)
            ~conns ~requests ~window ~seed ~machine_size ())
         (fun o -> Result.map (fun dump -> (o, dump)) (metrics_of socket)))
 

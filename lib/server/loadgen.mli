@@ -48,7 +48,7 @@ val drive :
     [requests] responses are back. With [rids], every request carries
     its send index as a request id and the echo on each (strictly
     in-order) response is checked against it — an end-to-end test of
-    the attribution plumbing on both encodings. *)
+    the attribution plumbing. *)
 
 val percentile : Pmp_telemetry.Metrics.Histogram.t -> float -> float
 (** [percentile h 99.0] = {!Pmp_telemetry.Metrics.Histogram.quantile}
@@ -69,9 +69,12 @@ val drive_parallel :
 (** {!drive} over [conns] connections at once — the load shape that
     lets a sharded server actually exercise its shards in parallel,
     and, at [conns = 1], one connection. Each connection runs its own
-    decorrelated generator ([seed + i * 7919]) through
-    [requests / conns] requests; the first drives on the calling
-    domain, each other one on a domain of its own. Outcomes sum;
+    decorrelated generator ([seed + i * 7919]) through its share of
+    [requests]: [requests / conns], and one more for each of the first
+    [requests mod conns] connections, so the shares sum to [requests]
+    (a connection whose share is 0 drives nothing). The first drives on
+    the calling domain, each other one on a domain of its own. Outcomes
+    sum;
     [elapsed] is the slowest connection's, so throughput derived from
     it is aggregate. With [latency], the first connection's round-trip
     times are observed in {e microseconds}. *)
@@ -93,7 +96,6 @@ val with_local_service :
 
 val bench :
   ?fsync_policy:Wal.fsync_policy ->
-  ?proto:Client.proto ->
   ?latency_profile:bool ->
   ?recorder_size:int ->
   ?domains:int ->
@@ -103,7 +105,7 @@ val bench :
   (outcome * string, string) result
 (** {!with_local_service} at machine 256 + {!drive_parallel} of the
     seed-0xB00 churn over [conns] connections with a window of 32: the
-    complete measurement for one (protocol, fsync policy, domains,
+    complete measurement for one (fsync policy, domains,
     connections) point. Also returns the daemon's
     {!Pmp_telemetry.Metrics.prometheus} dump, read after the drive. *)
 

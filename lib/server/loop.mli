@@ -5,7 +5,7 @@
     accepted connections, each with a reusable {!Netbuf} pair: socket
     reads refill the in-buffer, [handle] decodes requests straight out
     of it and encodes responses into the out-buffer, socket writes
-    drain the out-buffer. No strings, lines, or closures are built per
+    drain the out-buffer. No strings or closures are built per
     request — the same storage is recycled round after round, which is
     what makes the server's zero-allocation fast path possible.
 

@@ -1,4 +1,3 @@
-module Json = Pmp_util.Json
 module Cluster = Pmp_cluster.Cluster
 
 type placement = { base : int; size : int; copy : int }
@@ -45,256 +44,12 @@ let placement_of_core (p : Pmp_core.Placement.t) =
     copy = p.Pmp_core.Placement.copy;
   }
 
-let num n = Json.Num (float_of_int n)
-
-let request_fields = function
-  | Submit size -> [ ("op", Json.Str "submit"); ("size", num size) ]
-  | Finish id -> [ ("op", Json.Str "finish"); ("id", num id) ]
-  | Query id -> [ ("op", Json.Str "query"); ("id", num id) ]
-  | Stats -> [ ("op", Json.Str "stats") ]
-  | Loads -> [ ("op", Json.Str "loads") ]
-  | Metrics -> [ ("op", Json.Str "metrics") ]
-  | Snapshot -> [ ("op", Json.Str "snapshot") ]
-  | Ping -> [ ("op", Json.Str "ping") ]
-  | Health -> [ ("op", Json.Str "health") ]
-  | Shutdown -> [ ("op", Json.Str "shutdown") ]
-
-let encode_request ?rid r =
-  let rid = match rid with None -> [] | Some n -> [ ("rid", num n) ] in
-  Json.to_string (Json.Obj (request_fields r @ rid))
-
-(* Field accessors that fail as [Error] rather than raising: the
-   server feeds these raw network bytes. *)
-let parse line =
-  match Json.of_string line with
-  | v -> Ok v
-  | exception Json.Parse_error e -> Result.Error ("bad json: " ^ e)
-
-let int_field v name =
-  match Option.bind (Json.member name v) Json.to_int with
-  | Some n -> Ok n
-  | None -> Result.Error (Printf.sprintf "missing integer field %S" name)
-
-let str_field v name =
-  match Option.bind (Json.member name v) Json.to_str with
-  | Some s -> Ok s
-  | None -> Result.Error (Printf.sprintf "missing string field %S" name)
-
-let bool_field v name =
-  match
-    Option.bind (Json.member name v) (function
-      | Json.Bool b -> Some b
-      | _ -> None)
-  with
-  | Some b -> Ok b
-  | None -> Result.Error (Printf.sprintf "missing boolean field %S" name)
-
-let ( let* ) = Result.bind
-
-(* An absent "rid" is simply an untagged request; a present-but-mistyped
-   one is dropped the same way rather than rejected — rid is a tracing
-   aid, not part of the request's meaning. *)
-let rid_of v = Option.bind (Json.member "rid" v) Json.to_int
-
-let decode_request_value v =
-  let* op = str_field v "op" in
-  match op with
-  | "submit" ->
-      let* size = int_field v "size" in
-      Ok (Submit size)
-  | "finish" ->
-      let* id = int_field v "id" in
-      Ok (Finish id)
-  | "query" ->
-      let* id = int_field v "id" in
-      Ok (Query id)
-  | "stats" -> Ok Stats
-  | "loads" -> Ok Loads
-  | "metrics" -> Ok Metrics
-  | "snapshot" -> Ok Snapshot
-  | "ping" -> Ok Ping
-  | "health" -> Ok Health
-  | "shutdown" -> Ok Shutdown
-  | other -> Result.Error (Printf.sprintf "unknown op %S" other)
-
-let decode_request line =
-  let* v = parse line in
-  decode_request_value v
-
-let decode_request_rid line =
-  let* v = parse line in
-  let* r = decode_request_value v in
-  Ok (r, rid_of v)
-
-let ok_fields status rest =
-  Json.Obj (("ok", Json.Bool true) :: ("status", Json.Str status) :: rest)
-
-let placement_fields p =
-  [ ("base", num p.base); ("size", num p.size); ("copy", num p.copy) ]
-
-let stats_fields (s : Cluster.stats) =
-  [
-    ("submitted", num s.Cluster.submitted);
-    ("completed", num s.Cluster.completed);
-    ("queued_now", num s.Cluster.queued_now);
-    ("active_now", num s.Cluster.active_now);
-    ("active_size", num s.Cluster.active_size);
-    ("max_load", num s.Cluster.max_load);
-    ("peak_load", num s.Cluster.peak_load);
-    ("optimal_now", num s.Cluster.optimal_now);
-    ("reallocations", num s.Cluster.reallocations);
-    ("tasks_migrated", num s.Cluster.tasks_migrated);
-  ]
-
-let health_fields h =
-  [
-    ("ready", Json.Bool h.ready);
-    ("uptime_ms", num h.uptime_ms);
-    ("seq", num h.seq);
-    ("recovered_ops", num h.recovered_ops);
-  ]
-
-let response_value r =
-  match r with
-  | Placed (id, p) -> ok_fields "placed" (("id", num id) :: placement_fields p)
-  | Queued id -> ok_fields "queued" [ ("id", num id) ]
-  | Finished -> ok_fields "finished" []
-  | State (id, st) ->
-      ok_fields "state"
-        (("id", num id)
-        ::
-        (match st with
-        | Active p -> ("state", Json.Str "active") :: placement_fields p
-        | Queued_task -> [ ("state", Json.Str "queued") ]
-        | Unknown -> [ ("state", Json.Str "unknown") ]))
-  | Stats_reply s -> ok_fields "stats" (stats_fields s)
-  | Loads_reply loads ->
-      ok_fields "loads"
-        [ ("loads", Json.Arr (Array.to_list (Array.map (fun l -> num l) loads))) ]
-  | Metrics_reply text -> ok_fields "metrics" [ ("metrics", Json.Str text) ]
-  | Snapshot_reply path -> ok_fields "snapshot" [ ("path", Json.Str path) ]
-  | Pong -> ok_fields "pong" []
-  | Health_reply h -> ok_fields "health" (health_fields h)
-  | Bye -> ok_fields "bye" []
-  | Error e -> Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str e) ]
-
-let encode_response ?rid ?shard r =
-  let extra =
-    (match rid with Some n -> [ ("rid", num n) ] | None -> [])
-    @ match shard with Some s -> [ ("shard", num s) ] | None -> []
-  in
-  match (extra, response_value r) with
-  | [], v -> Json.to_string v
-  | extra, Json.Obj fields -> Json.to_string (Json.Obj (fields @ extra))
-  | _, v -> Json.to_string v
-
-let decode_placement v =
-  let* base = int_field v "base" in
-  let* size = int_field v "size" in
-  let* copy = int_field v "copy" in
-  Ok { base; size; copy }
-
-let decode_response_value v =
-  match Option.bind (Json.member "ok" v) (function
-    | Json.Bool b -> Some b
-    | _ -> None)
-  with
-  | None -> Result.Error "missing boolean field \"ok\""
-  | Some false -> (
-      match str_field v "error" with
-      | Ok e -> Ok (Error e)
-      | Result.Error _ -> Ok (Error "unspecified error"))
-  | Some true -> (
-      let* status = str_field v "status" in
-      match status with
-      | "placed" ->
-          let* id = int_field v "id" in
-          let* p = decode_placement v in
-          Ok (Placed (id, p))
-      | "queued" ->
-          let* id = int_field v "id" in
-          Ok (Queued id)
-      | "finished" -> Ok Finished
-      | "state" -> (
-          let* id = int_field v "id" in
-          let* st = str_field v "state" in
-          match st with
-          | "active" ->
-              let* p = decode_placement v in
-              Ok (State (id, Active p))
-          | "queued" -> Ok (State (id, Queued_task))
-          | "unknown" -> Ok (State (id, Unknown))
-          | other -> Result.Error (Printf.sprintf "unknown task state %S" other))
-      | "stats" ->
-          let field = int_field v in
-          let* submitted = field "submitted" in
-          let* completed = field "completed" in
-          let* queued_now = field "queued_now" in
-          let* active_now = field "active_now" in
-          let* active_size = field "active_size" in
-          let* max_load = field "max_load" in
-          let* peak_load = field "peak_load" in
-          let* optimal_now = field "optimal_now" in
-          let* reallocations = field "reallocations" in
-          let* tasks_migrated = field "tasks_migrated" in
-          Ok
-            (Stats_reply
-               {
-                 Cluster.submitted;
-                 completed;
-                 queued_now;
-                 active_now;
-                 active_size;
-                 max_load;
-                 peak_load;
-                 optimal_now;
-                 reallocations;
-                 tasks_migrated;
-               })
-      | "loads" -> (
-          match Option.bind (Json.member "loads" v) Json.to_list with
-          | None -> Result.Error "missing array field \"loads\""
-          | Some elems ->
-              let loads = List.filter_map Json.to_int elems in
-              if List.length loads <> List.length elems then
-                Result.Error "non-integer load entry"
-              else Ok (Loads_reply (Array.of_list loads)))
-      | "metrics" ->
-          let* text = str_field v "metrics" in
-          Ok (Metrics_reply text)
-      | "snapshot" ->
-          let* path = str_field v "path" in
-          Ok (Snapshot_reply path)
-      | "pong" -> Ok Pong
-      | "health" ->
-          let* ready = bool_field v "ready" in
-          let* uptime_ms = int_field v "uptime_ms" in
-          let* seq = int_field v "seq" in
-          let* recovered_ops = int_field v "recovered_ops" in
-          Ok (Health_reply { ready; uptime_ms; seq; recovered_ops })
-      | "bye" -> Ok Bye
-      | other -> Result.Error (Printf.sprintf "unknown status %S" other))
-
-let decode_response line =
-  let* v = parse line in
-  decode_response_value v
-
-(* Like [rid], "shard" is a tracing aid: absent or mistyped means no
-   attribution, never a decode error. *)
-let shard_of v = Option.bind (Json.member "shard" v) Json.to_int
-
-let decode_response_attr line =
-  let* v = parse line in
-  let* r = decode_response_value v in
-  Ok (r, rid_of v, shard_of v)
-
 (* ------------------------------------------------------------------ *)
-(* binary encoding                                                     *)
+(* encoding                                                            *)
 
 (* Payloads open with an opcode (requests) or status tag (responses);
    every integer is a varint, every string is varint length + bytes.
-   Frame wraps each payload in the header that tells it from a JSON
-   line, so old JSON peers keep working without negotiation. *)
+   Frame wraps each payload in its header. *)
 
 let op_submit = 1
 let op_finish = 2
@@ -697,15 +452,12 @@ let decode_frame decode_payload s =
   let nb = Netbuf.create (String.length s) in
   Netbuf.add_string nb s;
   let r = Frame.reader () in
-  if String.length s < 3 then Result.Error "truncated frame"
-  else if not (Frame.starts_frame nb) then Result.Error "not a binary frame"
-  else
-    match Frame.read r nb with
-    | Frame.Frame when Netbuf.is_empty nb ->
-        decode_payload s ~pos:r.Frame.pos ~limit:r.Frame.limit
-    | Frame.Refused_frame -> Result.Error r.Frame.refusal
-    | Frame.Frame | Frame.Incomplete | Frame.Line | Frame.Refused_line ->
-        Result.Error "frame length mismatch"
+  match Frame.read r nb with
+  | Frame.Frame when Netbuf.is_empty nb ->
+      decode_payload s ~pos:r.Frame.pos ~limit:r.Frame.limit
+  | Frame.Refused -> Result.Error r.Frame.refusal
+  | Frame.Incomplete when String.length s < 3 -> Result.Error "truncated frame"
+  | Frame.Frame | Frame.Incomplete -> Result.Error "frame length mismatch"
 
 let decode_request_binary s = decode_frame decode_request_payload s
 let decode_response_binary s = decode_frame decode_response_payload s

@@ -1,19 +1,22 @@
 (** The pmpd wire protocol.
 
-    One request per line, one response per line, both single-line JSON
-    objects — trivially framable over any byte stream, pipelinable
-    (send many lines, read as many responses, in order), and parseable
-    with {!Pmp_util.Json} alone. Requests name an ["op"]; responses
-    always carry ["ok"] and, when [ok] is [true], a ["status"]
-    discriminator.
+    Every request and every response is one binary frame ({!Frame}):
+    {!Wire.request_magic}, the wire {!Wire.version}, a varint payload
+    length, then the payload, an opcode (requests) or status tag
+    (responses) followed by varint fields. Frames are self-delimiting,
+    so a client may pipeline: send many requests, then read as many
+    responses, which come back strictly in order. A message that does
+    not open a frame is refused ({!Frame.read}). [pmp client] reads the
+    commands of {!request_of_command} from stdin and prints each answer
+    through {!render_response}:
 
     {v
-    -> {"op":"submit","size":8}
-    <- {"ok":true,"status":"placed","id":0,"base":16,"size":8,"copy":0}
-    -> {"op":"finish","id":0}
-    <- {"ok":true,"status":"finished"}
-    -> {"op":"submit","size":3}
-    <- {"ok":false,"error":"size must be a positive power of two"}
+    > submit 8
+    placed 0 at [16..24) copy 0
+    > finish 0
+    finished
+    > submit 3
+    error: size must be a positive power of two
     v} *)
 
 type placement = { base : int; size : int; copy : int }
@@ -61,47 +64,16 @@ type response =
 
 val placement_of_core : Pmp_core.Placement.t -> placement
 
-val encode_request : ?rid:int -> request -> string
-(** Single line, no trailing newline. [?rid] adds a client-chosen
-    request id as a ["rid"] member; the server echoes it on the
-    response so latency can be attributed per request across
-    pipelining. *)
+(** {1 Encoding}
 
-val decode_request : string -> (request, string) result
-(** Never raises: malformed JSON, unknown ops and missing or mistyped
-    fields all come back as [Error]. Ignores any ["rid"]. *)
-
-val decode_request_rid : string -> (request * int option, string) result
-(** Like {!decode_request} but also returns the ["rid"] member when
-    present (and integer-valued). *)
-
-val encode_response : ?rid:int -> ?shard:int -> response -> string
-(** [?shard] adds a ["shard"] member — the federation router stamps
-    the upstream shard that served a rid-tagged response so clients
-    can attribute throughput per shard. *)
-
-val decode_response : string -> (response, string) result
-
-val decode_response_attr :
-  string -> (response * int option * int option, string) result
-(** Like {!decode_response} but also returns the ["rid"] and ["shard"]
-    members when present: [(response, rid, shard)]. *)
-
-(** {1 Binary encoding}
-
-    The compact wire format for the hot path: a {!Frame} around a
-    payload — an opcode (or status tag) byte followed by varint
-    fields; strings are varint length + bytes. The frame's first byte
-    can never begin a JSON value, so servers and clients detect the
-    encoding of every message from its first byte and both formats
-    interoperate on one connection.
+    A payload is an opcode (or status tag) byte followed by varint
+    fields; strings are varint length + bytes. {!Frame} wraps it.
 
     A request or response carries at most one tag, in one form per
-    direction: a request id ({!request_payload_rid}, the ["rid"]
-    member in JSON) on requests; on responses the echoed request id
-    and, from a federation router, the serving shard
-    ({!response_payload_rid} [?shard], the ["rid"] and ["shard"]
-    members), read back by the [_attr] decoders. *)
+    direction: a request id ({!request_payload_rid}) on requests; on
+    responses the echoed request id and, from a federation router, the
+    serving shard ({!response_payload_rid} [?shard]), read back by the
+    [_attr] decoders. *)
 
 val opcode : request -> int
 (** The request's binary opcode (1..10). Server metrics and flight
@@ -210,10 +182,10 @@ val decode_response_payload_attr :
 
 val decode_request_binary : string -> (request, string) result
 (** Decode one complete frame, header included. Never raises. A string
-    that does not start a frame ({!Frame.starts_frame}) reads [not a
-    binary frame], one under 3 bytes [truncated frame], and one holding
-    more or less than one whole frame [frame length mismatch]; a whole
-    frame is refused as {!Frame.read} refuses it. *)
+    is refused as {!Frame.read} refuses it (one that does not open with
+    {!Wire.request_magic} reads [not a binary frame: ...]); otherwise
+    one under 3 bytes reads [truncated frame], and one holding more or
+    less than one whole frame [frame length mismatch]. *)
 
 val decode_response_binary : string -> (response, string) result
 

@@ -892,8 +892,8 @@ let settle t m =
    {!after_mutation}, stage timers — and appends the binary response
    payload to [buf] through Protocol's writers, building no request,
    response or string on the way; the result is whether the op
-   succeeded. Every encoding reaches them through {!run} or straight
-   from {!frame_request}, and a peer's call through {!local}. Ids and
+   succeeded. A request reaches them through {!run} or straight from
+   {!frame_request}, and a peer's call through {!local}. Ids and
    leaves translate by the shard's offsets, the identity when
    unsharded. *)
 
@@ -994,7 +994,7 @@ let local t buf (req : Protocol.request) =
       invalid_arg "Server.local: not a shard's part of a request"
 
 (* The response a payload holds, for the callers that need a value:
-   the JSON encoding, {!handle} and the fan-outs' merges. *)
+   {!handle} and the fan-outs' merges. *)
 let response_of payload =
   match
     Protocol.decode_response_payload payload ~pos:0 ~limit:(String.length payload)
@@ -1138,7 +1138,7 @@ let commit t =
 (* routing                                                             *)
 
 (* Where each request runs — on this core, on the shard that owns its
-   id, or on every shard — is chosen here once, for every encoding. *)
+   id, or on every shard — is chosen here once, for every way in. *)
 
 (* The paper's greedy choice one level up, by {!Sharding.pick}: a
    submit of order [o] goes to the leftmost shard whose least max load
@@ -1289,7 +1289,7 @@ let note_request t ~op ~size ~ok =
   Recorder.record t.recorder ~kind:Recorder.kind_request ~op ~tenant:0 ~size
     ~seq:t.seq ~dur_ns ~ts_us ~ok
 
-(* The binary request [Frame.read] just found, read in place out of
+(* The request [Frame.read] just found, read in place out of
    [inbuf]'s bytes: the rid peeled off, the request run, the answer
    wrapped in the rid's echo. Submit, finish and query go straight to
    their op with the argument the slot holds, and no request reaches
@@ -1320,38 +1320,13 @@ let frame_request t inbuf out =
   note_request t ~op:rq.Protocol.opcode ~size:rq.Protocol.size ~ok;
   ok && rq.Protocol.opcode = Protocol.opcode Protocol.Shutdown
 
-(* The JSON line [Frame.read] just found: decoded, run as a binary
-   request is, and its payload decoded back into the response to
-   encode. This is the debug encoding — old clients and humans — so
-   allocation is fine. *)
-let line_request t inbuf out =
-  Metrics.Counter.incr t.ins.c_requests;
-  match Protocol.decode_request_rid (Frame.payload t.reader inbuf) with
-  | Error e ->
-      Frame.add_line out (Protocol.encode_response (Protocol.Error e));
-      note_request t ~op:0 ~size:0 ~ok:false;
-      false
-  | Ok (req, rid) ->
-      Buffer.clear t.scratch;
-      let ok = run t t.scratch req in
-      Frame.add_line out
-        (Protocol.encode_response ?rid (response_of (Buffer.contents t.scratch)));
-      note_request t ~op:(Protocol.opcode req)
-        ~size:(match req with Protocol.Submit size -> size | _ -> 0)
-        ~ok;
-      req = Protocol.Shutdown
-
 (* A message [Frame.read] refused: one failed request of unknown op,
-   answered in the encoding it arrived in. *)
-let refused_request t out ~binary =
+   answered with the refusal. *)
+let refused_request t out =
   Metrics.Counter.incr t.ins.c_requests;
-  let e = t.reader.Frame.refusal in
-  if binary then begin
-    Buffer.clear t.scratch;
-    Protocol.add_error t.scratch e;
-    Frame.add out t.scratch
-  end
-  else Frame.add_line out (Protocol.encode_response (Protocol.Error e));
+  Buffer.clear t.scratch;
+  Protocol.add_error t.scratch t.reader.Frame.refusal;
+  Frame.add out t.scratch;
   note_request t ~op:0 ~size:0 ~ok:false;
   false
 
@@ -1359,14 +1334,12 @@ let refused_request t out ~binary =
    should stop. *)
 let handle_message t inbuf out = function
   | Frame.Frame -> frame_request t inbuf out
-  | Frame.Line -> line_request t inbuf out
-  | Frame.Refused_frame -> refused_request t out ~binary:true
-  | Frame.Refused_line -> refused_request t out ~binary:false
+  | Frame.Refused -> refused_request t out
   | Frame.Incomplete -> false
 
 (* The {!Loop} handler: up to [budget] requests off the front of
-   [inbuf], binary frames and JSON lines alike. A top-level loop rather
-   than a closure, which would be allocated every round. *)
+   [inbuf]. A top-level loop rather than a closure, which would be
+   allocated every round. *)
 let rec handle_from t inbuf out ~budget handled =
   if handled >= budget then `Handled handled
   else

@@ -64,18 +64,17 @@
     sequence number, WAL append, snapshot cadence and crash injection,
     stage timers — and writes the binary response payload into a
     scratch buffer the core reuses, through {!Protocol}'s
-    zero-allocation writers. Every way in runs it: a binary frame,
-    tagged with a request id or not, a JSON line, {!handle}, and a
-    sharded core's call to a peer. {!Frame.read} finds each request in
-    the connection's input buffer without allocating, and a binary one
-    is read in place ({!Protocol.read_request}) and goes straight to its
-    op, so the binary path allocates only what the cluster does; a
-    tagged one's answer is wrapped in the echo of its id. A JSON line
-    is decoded, run the same way, and its payload decoded back into the
-    response it encodes, so the two encodings give the same answers and
-    can interleave on one connection. A message {!Frame.read}
-    refuses is one failed request, answered with the refusal text in
-    the encoding it arrived in.
+    zero-allocation writers. Every way in runs it: a frame, tagged
+    with a request id or not, {!handle}, and a sharded core's call to a
+    peer. {!Frame.read} finds each request in the connection's input
+    buffer without allocating, and it is read in place
+    ({!Protocol.read_request}) and goes straight to its op, so serving
+    a request allocates only what the cluster does; a tagged one's
+    answer is wrapped in the echo of its id. A message {!Frame.read}
+    refuses, a JSON line among them, is one failed request of op 0
+    (counted in [pmpd_errors_total] and the flight recorder), answered
+    with one error frame carrying the refusal text; the connection
+    stays open.
 
     {b Crash injection.} With [crash_after = Some k], {!Crash} is
     raised once the [k]-th mutation accepted by this process is
@@ -285,8 +284,7 @@ val handle_conn :
   budget:int ->
   [ `Handled of int | `Stop of int ]
 (** The {!Loop} handler: drain up to [budget] complete requests from
-    the in-buffer through {!Frame.read} (binary frames and JSON lines,
-    told apart by their first byte), encoding responses into the
+    the in-buffer through {!Frame.read}, encoding responses into the
     out-buffer. Returns the number of requests consumed. *)
 
 val commit : t -> unit

@@ -9,11 +9,11 @@
 
 exception Corrupt of string
 
-(* First bytes that can never open a JSON value or a text line: the
-   server dispatches on them to keep JSON peers working unchanged, and
-   the WAL loader tells an old JSON log, which it refuses, from a WAL
-   file. The WAL versions its file format on its own: the protocol's
-   [version] and [wal_version] change independently. *)
+(* The first byte of every frame and of every WAL file. The WAL's
+   cannot open a JSON value, so the loader tells an old JSON log, which
+   it refuses, from a WAL file. The WAL versions its file format on its
+   own: the protocol's [version] and [wal_version] change
+   independently. *)
 let request_magic = 0xB5
 let wal_magic = 0xA7
 let version = 0x01

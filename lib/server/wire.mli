@@ -10,15 +10,13 @@ exception Corrupt of string
 (** Malformed wire data: truncated or overlong varint, bad frame. *)
 
 val request_magic : int
-(** First byte of every binary protocol frame (request and response).
-    Chosen so it can never open a JSON value — the server autodetects
-    the encoding of each request from this byte. *)
+(** First byte of every protocol frame (request and response). A
+    message that opens with any other byte is refused ({!Frame.read}). *)
 
 val wal_magic : int
-(** First byte of a WAL file, before its {!wal_version} byte. Like
-    {!request_magic} it cannot open a JSON value, so {!Wal.load} tells
-    a JSON log that an old release wrote, which it refuses, from a WAL
-    file. *)
+(** First byte of a WAL file, before its {!wal_version} byte. It cannot
+    open a JSON value, so {!Wal.load} tells a JSON log that an old
+    release wrote, which it refuses, from a WAL file. *)
 
 val version : int
 (** Wire format version carried in every protocol frame's second

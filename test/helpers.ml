@@ -165,7 +165,7 @@ let with_scripted_peer ~dir f =
   let path = Filename.concat dir "peer.sock" in
   let listener = Pmp_server.Server.listen_unix path in
   let client =
-    match Client.connect_unix ~proto:Client.Binary path with
+    match Client.connect_unix path with
     | Ok c -> c
     | Error e -> Alcotest.failf "connect %s: %s" path e
   in
@@ -186,5 +186,27 @@ let expect_receive ~ctx client expected =
   match (Pmp_server.Client.receive client, expected) with
   | Ok r, Ok r' when r = r' -> ()
   | Error e, Error e' when e = e' -> ()
-  | Ok r, _ -> Alcotest.failf "%s: got %s" ctx (Protocol.encode_response r)
+  | Ok r, _ -> Alcotest.failf "%s: got %s" ctx (Protocol.render_response r)
   | Error e, _ -> Alcotest.failf "%s: got error %s" ctx e
+
+(* A request as [pmp client] takes it ([Protocol.request_of_command]),
+   for failure messages. *)
+let command_of_request (r : Pmp_server.Protocol.request) =
+  match r with
+  | Submit n -> Printf.sprintf "submit %d" n
+  | Finish id -> Printf.sprintf "finish %d" id
+  | Query id -> Printf.sprintf "query %d" id
+  | Stats -> "stats"
+  | Loads -> "loads"
+  | Metrics -> "metrics"
+  | Snapshot -> "snapshot"
+  | Ping -> "ping"
+  | Health -> "health"
+  | Shutdown -> "shutdown"
+
+(* What pmpd, the router and the client answer a message that does not
+   open a frame, a JSON line of pmp 1.19 and earlier among them. *)
+let not_a_frame =
+  "not a binary frame: pmp 1.19 and earlier also read JSON lines, which \
+   this version refuses; use pmp client, or the frames of TUTORIAL.md \
+   section 12"

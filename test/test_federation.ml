@@ -294,7 +294,7 @@ let test_route_aggregate_leaves () =
     (List.init 4 (fun _ ->
          match Route.request route ~call ~tenant:0 (Protocol.Submit 4) with
          | Protocol.Placed (_, p), Some sx -> (sx, p.Protocol.base)
-         | r, _ -> Alcotest.failf "submit: %s" (Protocol.encode_response r)))
+         | r, _ -> Alcotest.failf "submit: %s" (Protocol.render_response r)))
 
 (* Tenant ids are never reused, so the routing core must forget a
    tenant whose admitted PEs return to 0, quota or no quota: 1000
@@ -318,14 +318,14 @@ let test_route_forgets_idle_tenants () =
     List.init tenants (fun tenant ->
         match Route.request route ~call ~tenant (Protocol.Submit 1) with
         | Protocol.Placed (gid, _), Some _ -> (tenant, gid)
-        | r, _ -> Alcotest.failf "submit: %s" (Protocol.encode_response r))
+        | r, _ -> Alcotest.failf "submit: %s" (Protocol.render_response r))
   in
   Alcotest.(check int) "every tenant holds a PE" tenants (Route.tenants route);
   List.iter
     (fun (tenant, gid) ->
       match Route.request route ~call ~tenant (Protocol.Finish gid) with
       | Protocol.Finished, Some _ -> ()
-      | r, _ -> Alcotest.failf "finish: %s" (Protocol.encode_response r))
+      | r, _ -> Alcotest.failf "finish: %s" (Protocol.render_response r))
     gids;
   Alcotest.(check int) "no tenant entry left" 0 (Route.tenants route)
 
@@ -353,7 +353,7 @@ let test_rebalance_refreshes_summaries () =
     List.init 4 (fun _ ->
         match Route.request route ~call ~tenant:0 (Protocol.Submit 4) with
         | Protocol.Placed (gid, _), Some sx -> (gid, sx)
-        | r, _ -> Alcotest.failf "submit: %s" (Protocol.encode_response r))
+        | r, _ -> Alcotest.failf "submit: %s" (Protocol.render_response r))
   in
   List.iter
     (fun (gid, sx) ->
@@ -395,7 +395,7 @@ let test_landing_slot_names_no_task () =
     List.init 4 (fun _ ->
         match Route.request route ~call ~tenant:0 (Protocol.Submit 4) with
         | Protocol.Placed (gid, _), Some sx -> (gid, sx)
-        | r, _ -> Alcotest.failf "submit: %s" (Protocol.encode_response r))
+        | r, _ -> Alcotest.failf "submit: %s" (Protocol.render_response r))
   in
   Alcotest.(check (list (pair int int))) "alternating shards"
     [ (0, 0); (1, 1); (2, 0); (3, 1) ] gids;
@@ -406,8 +406,8 @@ let test_landing_slot_names_no_task () =
   Alcotest.(check int) "one task moved" 1 (Route.counts route).Route.rebalanced;
   let expect ~ctx want got =
     if got <> want then
-      Alcotest.failf "%s: got %s, want %s" ctx (Protocol.encode_response got)
-        (Protocol.encode_response want)
+      Alcotest.failf "%s: got %s, want %s" ctx (Protocol.render_response got)
+        (Protocol.render_response want)
   in
   expect ~ctx:"query 5" (Protocol.State (5, Protocol.Unknown))
     (ask (Protocol.Query 5));
@@ -433,7 +433,7 @@ let test_shard_tag_roundtrip () =
      Protocol.decode_response_payload_attr s ~pos:0 ~limit:(String.length s)
    with
   | Ok (r, Some 7, Some 2) when r = resp -> ()
-  | Ok _ -> Alcotest.fail "binary shard-tagged wrapper did not round-trip"
+  | Ok _ -> Alcotest.fail "shard-tagged wrapper did not round-trip"
   | Error e -> Alcotest.fail e);
   (match Protocol.decode_response_payload s ~pos:0 ~limit:(String.length s) with
   | Ok r when r = resp -> ()
@@ -441,16 +441,11 @@ let test_shard_tag_roundtrip () =
   let buf = Buffer.create 32 in
   Protocol.response_payload_rid buf ~rid:9 resp;
   let s = Buffer.contents buf in
-  (match
-     Protocol.decode_response_payload_attr s ~pos:0 ~limit:(String.length s)
-   with
-  | Ok (r, Some 9, None) when r = resp -> ()
-  | _ -> Alcotest.fail "plain rid wrapper reports no shard");
   match
-    Protocol.decode_response_attr (Protocol.encode_response ~rid:7 ~shard:2 resp)
+    Protocol.decode_response_payload_attr s ~pos:0 ~limit:(String.length s)
   with
-  | Ok (r, Some 7, Some 2) when r = resp -> ()
-  | _ -> Alcotest.fail "JSON shard member did not round-trip"
+  | Ok (r, Some 9, None) when r = resp -> ()
+  | _ -> Alcotest.fail "plain rid wrapper reports no shard"
 
 (* --- live federation over real sockets ---------------------------- *)
 
@@ -485,7 +480,7 @@ let submit_acked ~ctx client size =
   match Client.request client (Protocol.Submit size) with
   | Ok (Protocol.Placed (gid, _)) | Ok (Protocol.Queued gid) -> gid
   | Ok r ->
-      Alcotest.failf "%s: unexpected reply %s" ctx (Protocol.encode_response r)
+      Alcotest.failf "%s: unexpected reply %s" ctx (Protocol.render_response r)
   | Error e -> Alcotest.failf "%s: %s" ctx e
 
 let shutdown_router client =
@@ -493,7 +488,7 @@ let shutdown_router client =
   | Ok Protocol.Bye -> ()
   | Ok r ->
       Alcotest.failf "shutdown: unexpected reply %s"
-        (Protocol.encode_response r)
+        (Protocol.render_response r)
   | Error e -> Alcotest.failf "shutdown: %s" e
 
 (* A full session against 3 shards: min-of-max spreads machine-filling
@@ -512,9 +507,7 @@ let test_live_session () =
       let rdom =
         Domain.spawn (fun () -> Router.serve router ~listeners:[ listener ])
       in
-      let client =
-        get_ok ~ctx:"connect" (Client.connect_unix ~proto:Client.Binary fed_path)
-      in
+      let client = get_ok ~ctx:"connect" (Client.connect_unix fed_path) in
       (* three machine-filling tasks: min-of-max must use every shard *)
       let gids = List.init 3 (fun _ -> submit_acked ~ctx:"submit" client 8) in
       Alcotest.(check (list int))
@@ -526,14 +519,14 @@ let test_live_session () =
           | Ok (Protocol.State (g', Protocol.Active _)) when g' = g -> ()
           | Ok r ->
               Alcotest.failf "query %d: unexpected reply %s" g
-                (Protocol.encode_response r)
+                (Protocol.render_response r)
           | Error e -> Alcotest.failf "query %d: %s" g e)
         gids;
       (match Client.request client (Protocol.Finish (List.hd gids)) with
       | Ok Protocol.Finished -> ()
       | Ok r ->
           Alcotest.failf "finish: unexpected reply %s"
-            (Protocol.encode_response r)
+            (Protocol.render_response r)
       | Error e -> Alcotest.failf "finish: %s" e);
       (match Client.request client Protocol.Stats with
       | Ok (Protocol.Stats_reply st) ->
@@ -541,14 +534,14 @@ let test_live_session () =
           Alcotest.(check int) "completed" 1 st.Cluster.completed
       | Ok r ->
           Alcotest.failf "stats: unexpected reply %s"
-            (Protocol.encode_response r)
+            (Protocol.render_response r)
       | Error e -> Alcotest.failf "stats: %s" e);
       (match Client.request client Protocol.Loads with
       | Ok (Protocol.Loads_reply loads) ->
           Alcotest.(check int) "aggregate loads" 24 (Array.length loads)
       | Ok r ->
           Alcotest.failf "loads: unexpected reply %s"
-            (Protocol.encode_response r)
+            (Protocol.render_response r)
       | Error e -> Alcotest.failf "loads: %s" e);
       shutdown_router client;
       Client.close client;
@@ -578,9 +571,7 @@ let test_failover_no_acked_loss () =
       let rdom =
         Domain.spawn (fun () -> Router.serve router ~listeners:[ listener ])
       in
-      let client =
-        get_ok ~ctx:"connect" (Client.connect_unix ~proto:Client.Binary fed_path)
-      in
+      let client = get_ok ~ctx:"connect" (Client.connect_unix fed_path) in
       (* enough unit tasks to fill all 12 PEs, queue backlog on every
          shard, and trip the victim's 6th mutation mid-stream; every
          one must be acknowledged despite the crash *)
@@ -607,7 +598,7 @@ let test_failover_no_acked_loss () =
                 Alcotest.failf "query %d: lost acknowledged task (%s)" g msg
           | Ok r ->
               Alcotest.failf "query %d: unexpected reply %s" g
-                (Protocol.encode_response r)
+                (Protocol.render_response r)
           | Error e -> Alcotest.failf "query %d: %s" g e)
         gids;
       (* restart the victim on its own durable state; the router's
@@ -623,7 +614,7 @@ let test_failover_no_acked_loss () =
             wait_resolved g
         | Ok r ->
             Alcotest.failf "query %d after restart: %s" g
-              (Protocol.encode_response r)
+              (Protocol.render_response r)
         | Error e -> Alcotest.failf "query %d after restart: %s" g e
       in
       List.iter wait_resolved gids;
@@ -646,15 +637,15 @@ let metric_of client name =
   | Some v -> v
   | None -> Alcotest.failf "metrics: no %s" name
 
-(* One response, either encoding, with its rid and shard tags. *)
+(* One response frame, with its rid and shard tags. *)
 let decode_reply s =
-  if Char.code s.[0] = Wire.request_magic then begin
+  if Char.code s.[0] <> Wire.request_magic then Error "not a frame"
+  else begin
     let cur = { Wire.pos = 2 } in
     let len = Wire.read_varint (Bytes.of_string s) cur (String.length s) in
     Protocol.decode_response_payload_attr s ~pos:cur.Wire.pos
       ~limit:(cur.Wire.pos + len)
   end
-  else Protocol.decode_response_attr (String.sub s 0 (String.length s - 1))
 
 (* A router over [shards] fresh shards, its config adjusted by [tune]. *)
 let start_router ~dir ~machine_size ~shards tune =
@@ -700,12 +691,12 @@ let ask r req =
 let stats_of_router r =
   match ask r Protocol.Stats with
   | Protocol.Stats_reply st -> st
-  | resp -> Alcotest.failf "stats: unexpected reply %s" (Protocol.encode_response resp)
+  | resp -> Alcotest.failf "stats: unexpected reply %s" (Protocol.render_response resp)
 
 let metric_of_router r name =
   match ask r Protocol.Metrics with
   | Protocol.Metrics_reply dump -> Pmp_telemetry.Metrics.Dump.value dump name
-  | resp -> Alcotest.failf "metrics: unexpected reply %s" (Protocol.encode_response resp)
+  | resp -> Alcotest.failf "metrics: unexpected reply %s" (Protocol.render_response resp)
 
 (* The router merges its shards' metrics as the mesh merges its cores':
    a max-type gauge is the largest shard value, not the sum, so the
@@ -720,7 +711,7 @@ let test_router_merges_max_gauges () =
         | Protocol.Placed _ -> ()
         | resp ->
             Alcotest.failf "submit: unexpected reply %s"
-              (Protocol.encode_response resp)
+              (Protocol.render_response resp)
       done;
       let max_load = (stats_of_router r).Cluster.max_load in
       Alcotest.(check int) "one task per shard" 1 max_load;
@@ -746,7 +737,7 @@ let test_router_load_ratio () =
         | Protocol.Placed _ -> ()
         | resp ->
             Alcotest.failf "submit: unexpected reply %s"
-              (Protocol.encode_response resp)
+              (Protocol.render_response resp)
       done;
       (* one poll *)
       ignore (Router.tick router);
@@ -778,7 +769,7 @@ let test_ledger_miss_asks_birth_shard () =
             | Protocol.Placed (gid, p) -> (gid, p)
             | resp ->
                 Alcotest.failf "submit %d: unexpected reply %s" i
-                  (Protocol.encode_response resp))
+                  (Protocol.render_response resp))
       in
       let sockets = Array.of_list (List.map fst shards) in
       let second =
@@ -788,8 +779,8 @@ let test_ledger_miss_asks_birth_shard () =
       let r' = (second, shards, Netbuf.create 256, Netbuf.create 256) in
       let expect ~ctx want got =
         if got <> want then
-          Alcotest.failf "%s: got %s, want %s" ctx (Protocol.encode_response got)
-            (Protocol.encode_response want)
+          Alcotest.failf "%s: got %s, want %s" ctx (Protocol.render_response got)
+            (Protocol.render_response want)
       in
       List.iter
         (fun (gid, p) ->
@@ -816,9 +807,9 @@ let test_ledger_miss_asks_birth_shard () =
 (* The tentpole contract: a 64-frame batch through the pipelined hop
    answers byte for byte what the same frames answer one at a time —
    same gids, same placement bases, same errors, same order. The
-   stream mixes both encodings, rid-tagged and bare frames, fan-outs
-   that cut the batch, an undecodable frame, ids no submit has
-   returned yet, and a task finished twice in one batch. *)
+   stream mixes rid-tagged and bare frames, fan-outs that cut the
+   batch, an undecodable frame, ids no submit has returned yet, and a
+   task finished twice in one batch. *)
 let test_pipelined_matches_serial () =
   with_dir (fun dir ->
       let machine_size = 16 in
@@ -840,10 +831,8 @@ let test_pipelined_matches_serial () =
       let rid = ref 0 in
       let frame req =
         incr rid;
-        match !rid mod 9 with
-        | 0 -> Protocol.encode_request ~rid:!rid req ^ "\n"
-        | 4 -> Protocol.encode_request_binary req
-        | _ -> Protocol.encode_request_binary ~rid:!rid req
+        if !rid mod 9 = 4 then Protocol.encode_request_binary req
+        else Protocol.encode_request_binary ~rid:!rid req
       in
       let bad_frame =
         String.init 4 (function
@@ -972,14 +961,14 @@ let router_vs_sim ~dir ~shards ~machine_size ?tenant_quota ?rebalance ~seed
     match decode_reply bytes with
     | Ok (resp, Some r, shard) when r = !rid -> (resp, shard)
     | Ok (resp, _, _) ->
-        Alcotest.failf "no rid on %s" (Protocol.encode_response resp)
+        Alcotest.failf "no rid on %s" (Protocol.render_response resp)
     | Error e -> Alcotest.failf "reply: %s" e
   in
   Array.iteri
     (fun tenant _ ->
       match send tenant Protocol.Ping with
       | Protocol.Pong, _ -> ()
-      | r, _ -> Alcotest.failf "ping: %s" (Protocol.encode_response r))
+      | r, _ -> Alcotest.failf "ping: %s" (Protocol.render_response r))
     conns;
   let acked = Array.make ops 0 and n_acked = ref 0 in
   let mismatches = ref [] in
@@ -1067,7 +1056,7 @@ let submit_batch ~ctx client ~first_rid ~size n =
           gid
       | Ok (r, rid, _) ->
           Alcotest.failf "%s: reply %d: %s (rid %s)" ctx i
-            (Protocol.encode_response r)
+            (Protocol.render_response r)
             (Option.fold ~none:"none" ~some:string_of_int rid)
       | Error e -> Alcotest.failf "%s: reply %d: %s" ctx i e)
 
@@ -1100,9 +1089,7 @@ let test_shard_dies_mid_batch () =
       let rdom =
         Domain.spawn (fun () -> Router.serve router ~listeners:[ listener ])
       in
-      let client =
-        get_ok ~ctx:"connect" (Client.connect_unix ~proto:Client.Binary fed_path)
-      in
+      let client = get_ok ~ctx:"connect" (Client.connect_unix fed_path) in
       (* two tasks per shard: the victim is 4 mutations short of its trip *)
       let warm = submit_batch ~ctx:"warm-up" client ~first_rid:0 ~size:8 6 in
       (* 16 of these land on the victim, which dies a few in *)
@@ -1116,7 +1103,7 @@ let test_shard_dies_mid_batch () =
       | Ok (Protocol.Pong, Some 999, _) -> ()
       | Ok (r, _, _) ->
           Alcotest.failf "a stray reply after the batch: %s"
-            (Protocol.encode_response r)
+            (Protocol.render_response r)
       | Error e -> Alcotest.failf "ping: %s" e);
       let crashed = Domain.join (snd (List.nth shards victim)) in
       Alcotest.(check bool) "crash injection fired" true crashed;
@@ -1133,7 +1120,7 @@ let test_shard_dies_mid_batch () =
             wait_resolved g
         | Ok r ->
             Alcotest.failf "query %d after restart: %s" g
-              (Protocol.encode_response r)
+              (Protocol.render_response r)
         | Error e -> Alcotest.failf "query %d after restart: %s" g e
       in
       List.iter wait_resolved (warm @ hot);
@@ -1164,14 +1151,11 @@ let test_connection_slots_released () =
       let rdom =
         Domain.spawn (fun () -> Router.serve router ~listeners:[ listener ])
       in
-      let client =
-        get_ok ~ctx:"connect" (Client.connect_unix ~proto:Client.Binary fed_path)
-      in
+      let client = get_ok ~ctx:"connect" (Client.connect_unix fed_path) in
       let start = metric_of client "fed_connections" in
       for _ = 1 to 200 do
         let c =
-          get_ok ~ctx:"connect"
-            (Client.connect_unix ~proto:Client.Binary fed_path)
+          get_ok ~ctx:"connect" (Client.connect_unix fed_path)
         in
         (match Client.request c Protocol.Ping with
         | Ok Protocol.Pong -> ()
@@ -1194,35 +1178,15 @@ let test_connection_slots_released () =
       Domain.join rdom;
       List.iter (fun (_, d) -> ignore (Domain.join d)) shards)
 
-(* The router's JSON path has the daemon's frame cap: a line still
-   unterminated past Wire.max_payload bytes is answered with one error
-   and dropped, not buffered (and rescanned) without bound. *)
-let test_unterminated_line_capped () =
-  with_dir (fun dir ->
-      let ((_, _, inb, _) as r) =
-        in_process_router ~dir:(Filename.concat dir "fed") ~machine_size:16
-      in
-      let n, reply = feed r [ String.make Wire.max_payload 'x' ] in
-      Alcotest.(check int) "within the cap: incomplete" 0 n;
-      Alcotest.(check string) "no reply yet" "" reply;
-      let n, reply = feed r [ "x" ] in
-      Alcotest.(check int) "one failed request" 1 n;
-      Alcotest.(check int) "input dropped" 0 (Netbuf.length inb);
-      (match String.split_on_char '\n' reply with
-      | [ line; "" ] -> (
-          match Protocol.decode_response line with
-          | Ok (Protocol.Error _) -> ()
-          | _ -> Alcotest.failf "not an error reply: %s" line)
-      | _ -> Alcotest.failf "expected exactly one reply line: %S" reply);
-      stop_router r)
-
 (* A frame with an unsupported wire version or an empty payload is
    consumed and answered with one error, as pmpd does, so a request
-   pipelined behind it is still answered; only a garbage length drops
-   the rest of the input. The router's replies match the daemon's byte
-   for byte, and a client fed the same frames as responses reports the
-   same refusal and then reads the pong behind it (after a garbage
-   length, the pong the peer sends next). *)
+   pipelined behind it is still answered; a garbage length, and a JSON
+   line, which opens no frame, drop the rest of the input. The router's
+   replies match the daemon's byte for byte, and a client fed the same
+   frames as responses reports the same refusal and then reads the pong
+   behind it (after a dropping refusal, the pong the peer sends next).
+   Both daemons count each refusal in [pmpd_errors_total] and record it
+   as a failed request of op 0. *)
 let test_malformed_frames_match_daemon () =
   with_dir (fun dir ->
       let r =
@@ -1288,7 +1252,35 @@ let test_malformed_frames_match_daemon () =
             ^ String.make Wire.max_varint_bytes '\255',
             "malformed frame",
             true );
+          ("json line", {|{"op":"ping"}|} ^ "\n", Helpers.not_a_frame, true);
         ];
+      let errors ctx (_, bytes) =
+        match decode_reply bytes with
+        | Ok (Protocol.Metrics_reply dump, _, _) ->
+            Pmp_telemetry.Metrics.Dump.value dump "pmpd_errors_total"
+        | _ -> Alcotest.failf "%s: no metrics reply" ctx
+      in
+      let metrics = Protocol.encode_request_binary Protocol.Metrics in
+      Alcotest.(check (option (float 0.0))) "pmpd: errors counted" (Some 4.0)
+        (errors "pmpd" (daemon [ metrics ]));
+      Alcotest.(check (option (float 0.0))) "router: errors counted" (Some 4.0)
+        (errors "router" (feed r [ metrics ]));
+      let refused path =
+        let module Json = Pmp_util.Json in
+        List.length
+          (List.filter
+             (fun line ->
+               let field k = Json.member k (Json.of_string line) in
+               field "kind" = Some (Json.Str "request")
+               && field "op" = Some (Json.Num 0.0)
+               && field "ok" = Some (Json.Bool false))
+             (In_channel.with_open_text path In_channel.input_lines))
+      in
+      Alcotest.(check int) "pmpd: refusals recorded" 4
+        (refused (Server.dump_recorder server));
+      let router, _, _, _ = r in
+      Alcotest.(check int) "router: refusals recorded" 4
+        (refused (Router.dump_recorder router));
       Server.close server;
       stop_router r)
 
@@ -1320,8 +1312,6 @@ let suite =
       test_shard_dies_mid_batch;
     Alcotest.test_case "closed connections release their slot" `Quick
       test_connection_slots_released;
-    Alcotest.test_case "unterminated json line capped" `Quick
-      test_unterminated_line_capped;
     Alcotest.test_case "router merges max gauges by max" `Quick
       test_router_merges_max_gauges;
     Alcotest.test_case "router load ratio over the whole federation" `Quick

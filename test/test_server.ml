@@ -65,10 +65,7 @@ let gen_request =
           ];
       ])
 
-let arb_request =
-  QCheck.make
-    ~print:(fun r -> Protocol.encode_request r)
-    gen_request
+let arb_request = QCheck.make ~print:Helpers.command_of_request gen_request
 
 let gen_placement =
   QCheck.Gen.(
@@ -112,8 +109,7 @@ let gen_response =
           (fun l -> Protocol.Loads_reply (Array.of_list l))
           (list_size (int_range 0 64) nat);
         (* metrics and errors carry arbitrary strings — newlines,
-           quotes and control bytes must survive the single-line
-           framing *)
+           quotes and control bytes must survive the framing *)
         map (fun s -> Protocol.Metrics_reply s) string;
         map (fun s -> Protocol.Snapshot_reply s) string;
         return Protocol.Pong;
@@ -126,71 +122,48 @@ let gen_response =
         map (fun s -> Protocol.Error s) string;
       ])
 
-let arb_response =
-  QCheck.make ~print:(fun r -> Protocol.encode_response r) gen_response
+let arb_response = QCheck.make ~print:Protocol.render_response gen_response
 
 let request_roundtrip =
   QCheck.Test.make ~name:"request encode/decode round-trip" ~count:500
     arb_request (fun r ->
-      Protocol.decode_request (Protocol.encode_request r) = Ok r)
+      Protocol.decode_request_binary (Protocol.encode_request_binary r) = Ok r)
 
 let response_roundtrip =
   QCheck.Test.make ~name:"response encode/decode round-trip" ~count:500
     arb_response (fun r ->
-      let line = Protocol.encode_response r in
-      (not (String.contains line '\n'))
-      && Protocol.decode_response line = Ok r)
-
-(* The binary codec must agree with the JSON codec request for
-   request: same value in, same value back out of either encoding. *)
-let binary_request_equiv =
-  QCheck.Test.make ~name:"binary request codec matches JSON codec" ~count:500
-    arb_request (fun r ->
-      Protocol.decode_request_binary (Protocol.encode_request_binary r) = Ok r
-      && Protocol.decode_request (Protocol.encode_request r) = Ok r)
-
-let binary_response_equiv =
-  QCheck.Test.make ~name:"binary response codec matches JSON codec" ~count:500
-    arb_response (fun r ->
       let bin = Protocol.encode_response_binary r in
-      (* binary frames are self-delimiting: a concatenated stream must
-         split exactly where the frame says it ends *)
+      (* frames are self-delimiting: a concatenated stream must split
+         exactly where the frame says it ends *)
       Protocol.decode_response_binary bin = Ok r
-      && Protocol.decode_response (Protocol.encode_response r) = Ok r
       && bin.[0] = Char.chr Pmp_server.Wire.request_magic)
 
 (* Request-id attribution: a rid attached to any request or response
-   survives both encodings and comes back as exactly [Some rid]; the
-   plain decoders keep accepting (and ignoring) tagged messages. *)
+   comes back as exactly [Some rid]; the plain decoders keep accepting
+   (and ignoring) tagged messages. *)
 let arb_rid = QCheck.make QCheck.Gen.(int_range 0 1_000_000_000)
 
 let rid_request_roundtrip =
-  QCheck.Test.make ~name:"request ids echo through both encodings" ~count:300
+  QCheck.Test.make ~name:"request ids echo through frames" ~count:300
     (QCheck.pair arb_request arb_rid) (fun (r, rid) ->
       let buf = Buffer.create 64 in
       Protocol.request_payload_rid buf ~rid r;
       let payload = Buffer.contents buf in
-      Protocol.decode_request_rid (Protocol.encode_request ~rid r)
+      Protocol.decode_request_payload_rid payload ~pos:0
+        ~limit:(String.length payload)
       = Ok (r, Some rid)
-      && Protocol.decode_request (Protocol.encode_request ~rid r) = Ok r
-      && Protocol.decode_request_payload_rid payload ~pos:0
-           ~limit:(String.length payload)
-         = Ok (r, Some rid)
       && Protocol.decode_request_binary (Protocol.encode_request_binary ~rid r)
          = Ok r)
 
 let rid_response_roundtrip =
-  QCheck.Test.make ~name:"response ids echo through both encodings" ~count:300
+  QCheck.Test.make ~name:"response ids echo through frames" ~count:300
     (QCheck.pair arb_response arb_rid) (fun (r, rid) ->
       let buf = Buffer.create 64 in
       Protocol.response_payload_rid buf ~rid r;
       let payload = Buffer.contents buf in
-      Protocol.decode_response_attr (Protocol.encode_response ~rid r)
+      Protocol.decode_response_payload_attr payload ~pos:0
+        ~limit:(String.length payload)
       = Ok (r, Some rid, None)
-      && Protocol.decode_response (Protocol.encode_response ~rid r) = Ok r
-      && Protocol.decode_response_payload_attr payload ~pos:0
-           ~limit:(String.length payload)
-         = Ok (r, Some rid, None)
       && Protocol.decode_response_binary
            (Protocol.encode_response_binary ~rid r)
          = Ok r)
@@ -210,9 +183,8 @@ let test_binary_decode_errors () =
   reject ~ctx:"empty" "";
   refuse ~ctx:"bad magic"
     ("\x00" ^ String.sub good 1 (String.length good - 1))
-    "not a binary frame";
-  refuse ~ctx:"json line" (Protocol.encode_request (Protocol.Submit 8))
-    "not a binary frame";
+    Helpers.not_a_frame;
+  refuse ~ctx:"json line" {|{"op":"submit","size":8}|} Helpers.not_a_frame;
   reject ~ctx:"bad version"
     (String.make 1 good.[0] ^ "\x7f" ^ String.sub good 2 (String.length good - 2));
   for cut = 0 to String.length good - 1 do
@@ -225,32 +197,8 @@ let test_binary_decode_errors () =
   refuse ~ctx:"length mismatch" "\xb5\x01\x05\x01\x08"
     "frame length mismatch"
 
-let test_decode_errors () =
-  let bad =
-    [
-      ""; "{"; "not json"; "[1,2]"; "42"; "null";
-      {|{"op":"warp"}|};
-      {|{"op":"submit"}|};
-      {|{"op":"submit","size":"big"}|};
-      {|{"op":"finish"}|};
-      {|{"noop":true}|};
-    ]
-  in
-  List.iter
-    (fun line ->
-      match Protocol.decode_request line with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "decode_request accepted %S" line)
-    bad;
-  List.iter
-    (fun line ->
-      match Protocol.decode_response line with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "decode_response accepted %S" line)
-    (bad @ [ {|{"ok":true}|}; {|{"ok":true,"status":"warp"}|} ])
-
 let test_command_parsing () =
-  let req = Alcotest.testable (Fmt.of_to_string Protocol.encode_request) ( = ) in
+  let req = Alcotest.testable (Fmt.of_to_string Helpers.command_of_request) ( = ) in
   let check_req cmd expected =
     match Protocol.request_of_command cmd with
     | `Request r -> Alcotest.check req cmd expected r
@@ -1120,7 +1068,7 @@ let test_wal_byte_damage () =
             | Ok r ->
                 let got = answers r in
                 Server.close r;
-                let show l = String.concat "; " (List.map Protocol.encode_response l) in
+                let show l = String.concat "; " (List.map Protocol.render_response l) in
                 if got <> acked then
                   Alcotest.failf "byte %d set to 0x%02x: the restart answers %s, acked %s"
                     i (Char.code c) (show got) (show acked))
@@ -1268,7 +1216,7 @@ let test_recovery_rejects_config_mismatch () =
 
 let expect_placed ~ctx = function
   | Ok (Protocol.Placed (id, _)) -> id
-  | Ok r -> Alcotest.failf "%s: unexpected reply %s" ctx (Protocol.encode_response r)
+  | Ok r -> Alcotest.failf "%s: unexpected reply %s" ctx (Protocol.render_response r)
   | Error e -> Alcotest.failf "%s: %s" ctx e
 
 let run_session client =
@@ -1276,28 +1224,28 @@ let run_session client =
   let _ = expect_placed ~ctx:"submit 4" (Client.request client (Protocol.Submit 4)) in
   (match Client.request client (Protocol.Query id0) with
   | Ok (Protocol.State (_, Protocol.Active _)) -> ()
-  | Ok r -> Alcotest.failf "query: unexpected reply %s" (Protocol.encode_response r)
+  | Ok r -> Alcotest.failf "query: unexpected reply %s" (Protocol.render_response r)
   | Error e -> Alcotest.failf "query: %s" e);
   (match Client.request client (Protocol.Finish id0) with
   | Ok Protocol.Finished -> ()
-  | Ok r -> Alcotest.failf "finish: unexpected reply %s" (Protocol.encode_response r)
+  | Ok r -> Alcotest.failf "finish: unexpected reply %s" (Protocol.render_response r)
   | Error e -> Alcotest.failf "finish: %s" e);
   (match Client.request client (Protocol.Submit 3) with
   | Ok (Protocol.Error _) -> ()
   | Ok r ->
-      Alcotest.failf "bad submit: unexpected reply %s" (Protocol.encode_response r)
+      Alcotest.failf "bad submit: unexpected reply %s" (Protocol.render_response r)
   | Error e -> Alcotest.failf "bad submit: %s" e);
   match Client.request client Protocol.Stats with
   | Ok (Protocol.Stats_reply st) ->
       Alcotest.(check int) "submitted" 2 st.Cluster.submitted;
       Alcotest.(check int) "completed" 1 st.Cluster.completed
-  | Ok r -> Alcotest.failf "stats: unexpected reply %s" (Protocol.encode_response r)
+  | Ok r -> Alcotest.failf "stats: unexpected reply %s" (Protocol.render_response r)
   | Error e -> Alcotest.failf "stats: %s" e
 
 let shutdown_server client =
   match Client.request client Protocol.Shutdown with
   | Ok Protocol.Bye -> ()
-  | Ok r -> Alcotest.failf "shutdown: unexpected reply %s" (Protocol.encode_response r)
+  | Ok r -> Alcotest.failf "shutdown: unexpected reply %s" (Protocol.render_response r)
   | Error e -> Alcotest.failf "shutdown: %s" e
 
 (* Ask the daemon [connect] reaches to shut down, if it still listens:
@@ -1332,57 +1280,6 @@ let test_unix_socket () =
           shutdown_server client;
           Client.close client))
 
-let test_unix_socket_binary () =
-  with_dir (fun dir ->
-      let config = Server.default_config ~machine_size:64 ~policy:Cluster.Greedy ~dir in
-      let path = Filename.concat dir "pmp.sock" in
-      with_served config ~listener:(Server.listen_unix path)
-        ~connect:(fun () -> Client.connect_unix path) (fun () ->
-          let client =
-            get_ok ~ctx:"connect"
-              (Client.connect_unix ~proto:Client.Binary path)
-          in
-          run_session client;
-          shutdown_server client;
-          Client.close client))
-
-(* One connection can interleave JSON lines and binary frames: the
-   server dispatches on each request's first byte, and every response
-   comes back in its request's encoding, in order. *)
-let test_mixed_protocol_session () =
-  with_dir (fun dir ->
-      let config = Server.default_config ~machine_size:64 ~policy:Cluster.Greedy ~dir in
-      let path = Filename.concat dir "pmp.sock" in
-      with_served config ~listener:(Server.listen_unix path)
-        ~connect:(fun () -> Client.connect_unix path) (fun () ->
-          let client = get_ok ~ctx:"connect" (Client.connect_unix path) in
-          (* pipeline the whole mixed burst before reading anything *)
-          let send proto r =
-            Client.set_proto client proto;
-            get_ok ~ctx:"send" (Client.send client r)
-          in
-          send Client.Json (Protocol.Submit 8);
-          send Client.Binary (Protocol.Submit 4);
-          send Client.Json (Protocol.Query 0);
-          send Client.Binary Protocol.Stats;
-          let recv ctx = get_ok ~ctx (Client.receive client) in
-          (match recv "reply 1" with
-          | Protocol.Placed (0, _) -> ()
-          | r -> Alcotest.failf "reply 1: %s" (Protocol.encode_response r));
-          (match recv "reply 2" with
-          | Protocol.Placed (1, _) -> ()
-          | r -> Alcotest.failf "reply 2: %s" (Protocol.encode_response r));
-          (match recv "reply 3" with
-          | Protocol.State (0, Protocol.Active _) -> ()
-          | r -> Alcotest.failf "reply 3: %s" (Protocol.encode_response r));
-          (match recv "reply 4" with
-          | Protocol.Stats_reply st ->
-              Alcotest.(check int) "submitted" 2 st.Cluster.submitted
-          | r -> Alcotest.failf "reply 4: %s" (Protocol.encode_response r));
-          Client.set_proto client Client.Binary;
-          shutdown_server client;
-          Client.close client))
-
 let test_tcp_socket () =
   with_dir (fun dir ->
       let config =
@@ -1398,41 +1295,34 @@ let test_tcp_socket () =
           shutdown_server client;
           Client.close client))
 
-(* Pipelining: write a burst of requests as one blob, then read the
-   responses — they must come back complete, in order, one per line. *)
+(* Pipelining: write a burst of frames as one blob, then read the
+   responses — they must come back complete and in order. *)
 let test_pipelined_batch () =
   with_dir (fun dir ->
       let config = Server.default_config ~machine_size:256 ~policy:Cluster.Copies ~dir in
       let path = Filename.concat dir "pmp.sock" in
       with_served config ~listener:(Server.listen_unix path)
         ~connect:(fun () -> Client.connect_unix path) (fun () ->
-          let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-          Unix.connect fd (ADDR_UNIX path);
-          let oc = Unix.out_channel_of_descr fd in
-          let ic = Unix.in_channel_of_descr fd in
+          let client = get_ok ~ctx:"connect" (Client.connect_unix path) in
           let n = 200 in
           for i = 1 to n do
-            output_string oc
-              (Protocol.encode_request (Protocol.Submit (if i mod 2 = 0 then 2 else 1)));
-            output_char oc '\n'
+            Client.queue client (Protocol.Submit (if i mod 2 = 0 then 2 else 1))
           done;
-          flush oc;
+          get_ok ~ctx:"one write" (Client.flush client);
           for i = 0 to n - 1 do
-            match Protocol.decode_response (input_line ic) with
+            match Client.receive client with
             | Ok (Protocol.Placed (id, _)) ->
                 Alcotest.(check int) "ids in submission order" i id
             | Ok r ->
-                Alcotest.failf "batch reply %d: %s" i (Protocol.encode_response r)
+                Alcotest.failf "batch reply %d: %s" i (Protocol.render_response r)
             | Error e -> Alcotest.failf "batch reply %d: %s" i e
           done;
-          let client = get_ok ~ctx:"connect" (Client.connect_unix path) in
           (match Client.request client Protocol.Stats with
           | Ok (Protocol.Stats_reply st) ->
               Alcotest.(check int) "all submissions counted" n st.Cluster.submitted
           | _ -> Alcotest.fail "stats after batch");
           shutdown_server client;
-          Client.close client;
-          Unix.close fd))
+          Client.close client))
 
 (* Two concurrent clients in their own domains: every reply lands on
    the connection that asked, and nothing is lost or duplicated. *)
@@ -1570,16 +1460,13 @@ let test_crash_dump_matches_wal_tail () =
       in
       (* pipeline a burst without reading: the crash severs the server
          before it answers, and waiting for replies would deadlock *)
-      let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-      Unix.connect fd (ADDR_UNIX path);
-      let oc = Unix.out_channel_of_descr fd in
+      let client = get_ok ~ctx:"connect" (Client.connect_unix path) in
       for _ = 1 to 12 do
-        output_string oc (Protocol.encode_request (Protocol.Submit 1));
-        output_char oc '\n'
+        Client.queue client (Protocol.Submit 1)
       done;
-      flush oc;
+      get_ok ~ctx:"burst" (Client.flush client);
       let crashed = Domain.join domain in
-      Unix.close fd;
+      Client.close client;
       Alcotest.(check bool) "crash injection fired" true crashed;
       let dump = Server.flightrec_path server in
       Alcotest.(check bool) "dump exists" true (Sys.file_exists dump);
@@ -1658,10 +1545,8 @@ let test_health_opcode () =
       let path = Filename.concat dir "pmp.sock" in
       with_served config ~listener:(Server.listen_unix path)
         ~connect:(fun () -> Client.connect_unix path) (fun () ->
-          let check proto seq_floor =
-            let client =
-              get_ok ~ctx:"connect" (Client.connect_unix ~proto path)
-            in
+          let check seq_floor =
+            let client = get_ok ~ctx:"connect" (Client.connect_unix path) in
             ignore
               (expect_placed ~ctx:"submit"
                  (Client.request client (Protocol.Submit 2)));
@@ -1674,12 +1559,12 @@ let test_health_opcode () =
                   (h.Protocol.seq >= seq_floor);
                 Alcotest.(check int) "fresh start replayed nothing" 0
                   h.Protocol.recovered_ops
-            | Ok r -> Alcotest.failf "health: %s" (Protocol.encode_response r)
+            | Ok r -> Alcotest.failf "health: %s" (Protocol.render_response r)
             | Error e -> Alcotest.failf "health: %s" e);
             Client.close client
           in
-          check Client.Json 1;
-          check Client.Binary 2;
+          check 1;
+          check 2;
           let client = get_ok ~ctx:"connect" (Client.connect_unix path) in
           shutdown_server client;
           Client.close client))
@@ -1692,31 +1577,23 @@ let test_rid_echo_over_sockets () =
       let path = Filename.concat dir "pmp.sock" in
       with_served config ~listener:(Server.listen_unix path)
         ~connect:(fun () -> Client.connect_unix path) (fun () ->
-          let check proto =
-            let client =
-              get_ok ~ctx:"connect" (Client.connect_unix ~proto path)
-            in
-            get_ok ~ctx:"send tagged"
-              (Client.send client ~rid:42 (Protocol.Submit 4));
-            get_ok ~ctx:"send bare" (Client.send client Protocol.Ping);
-            (match Client.receive_attr client with
-            | Ok (Protocol.Placed _, Some 42, _) -> ()
-            | Ok (r, rid, _) ->
-                Alcotest.failf "tagged reply %s carried rid %s"
-                  (Protocol.encode_response r)
-                  (match rid with
-                  | Some i -> string_of_int i
-                  | None -> "(none)")
-            | Error e -> Alcotest.failf "tagged reply: %s" e);
-            (match Client.receive_attr client with
-            | Ok (Protocol.Pong, None, _) -> ()
-            | Ok _ -> Alcotest.fail "bare reply must carry no rid"
-            | Error e -> Alcotest.failf "bare reply: %s" e);
-            Client.close client
-          in
-          check Client.Json;
-          check Client.Binary;
           let client = get_ok ~ctx:"connect" (Client.connect_unix path) in
+          get_ok ~ctx:"send tagged"
+            (Client.send client ~rid:42 (Protocol.Submit 4));
+          get_ok ~ctx:"send bare" (Client.send client Protocol.Ping);
+          (match Client.receive_attr client with
+          | Ok (Protocol.Placed _, Some 42, _) -> ()
+          | Ok (r, rid, _) ->
+              Alcotest.failf "tagged reply %s carried rid %s"
+                (Protocol.render_response r)
+                (match rid with
+                | Some i -> string_of_int i
+                | None -> "(none)")
+          | Error e -> Alcotest.failf "tagged reply: %s" e);
+          (match Client.receive_attr client with
+          | Ok (Protocol.Pong, None, _) -> ()
+          | Ok _ -> Alcotest.fail "bare reply must carry no rid"
+          | Error e -> Alcotest.failf "bare reply: %s" e);
           shutdown_server client;
           Client.close client))
 
@@ -1745,10 +1622,7 @@ let test_latency_attribution_reconciles () =
             stop_daemon (fun () -> Client.connect_unix path);
             Domain.join domain)
           (fun () ->
-            let client =
-              get_ok ~ctx:"connect"
-                (Client.connect_unix ~proto:Client.Binary path)
-            in
+            let client = get_ok ~ctx:"connect" (Client.connect_unix path) in
             for _ = 1 to 50 do
               ignore
                 (expect_placed ~ctx:"submit"
@@ -1758,7 +1632,7 @@ let test_latency_attribution_reconciles () =
               match Client.request client (Protocol.Finish i) with
               | Ok Protocol.Finished -> ()
               | Ok r ->
-                  Alcotest.failf "finish %d: %s" i (Protocol.encode_response r)
+                  Alcotest.failf "finish %d: %s" i (Protocol.render_response r)
               | Error e -> Alcotest.failf "finish %d: %s" i e
             done;
             let dump = get_ok ~ctx:"metrics" (Client.metrics client) in
@@ -1872,7 +1746,7 @@ module Wire = Pmp_server.Wire
 let stats_of client =
   match Client.request client Protocol.Stats with
   | Ok (Protocol.Stats_reply st) -> st
-  | Ok r -> Alcotest.failf "stats: unexpected reply %s" (Protocol.encode_response r)
+  | Ok r -> Alcotest.failf "stats: unexpected reply %s" (Protocol.render_response r)
   | Error e -> Alcotest.failf "stats: %s" e
 
 let metrics_of client = get_ok ~ctx:"metrics" (Client.metrics client)
@@ -1898,8 +1772,7 @@ let with_sharded config ~dir f =
       Domain.join domain)
     (fun () -> f path)
 
-let connect path =
-  get_ok ~ctx:"connect" (Client.connect_unix ~proto:Client.Binary path)
+let connect path = get_ok ~ctx:"connect" (Client.connect_unix path)
 
 (* The daemon-wide statistics of a created (not serving) daemon. *)
 let merged_stats server =
@@ -1913,7 +1786,7 @@ let total_recovered server =
 let drive_service ~domains ~requests ~seed =
   get_ok ~ctx:"service"
     (Loadgen.with_local_service ~machine_size:64 ~domains (fun socket ->
-         match Client.connect_unix ~proto:Client.Binary socket with
+         match Client.connect_unix socket with
          | Error e -> Error ("connect: " ^ e)
          | Ok client ->
              let gen = Loadgen.make_gen ~seed ~machine_size:64 in
@@ -1962,7 +1835,7 @@ let test_multicore_session () =
               | Ok (Protocol.State (_, Protocol.Active _)) -> ()
               | Ok r ->
                   Alcotest.failf "query %d: unexpected reply %s" id
-                    (Protocol.encode_response r)
+                    (Protocol.render_response r)
               | Error e -> Alcotest.failf "query %d: %s" id e)
             ids;
           (* cross-shard finishes all land *)
@@ -1972,7 +1845,7 @@ let test_multicore_session () =
               | Ok Protocol.Finished -> ()
               | Ok r ->
                   Alcotest.failf "finish %d: unexpected reply %s" id
-                    (Protocol.encode_response r)
+                    (Protocol.render_response r)
               | Error e -> Alcotest.failf "finish %d: %s" id e)
             ids;
           (* a finished id is gone everywhere *)
@@ -1980,7 +1853,7 @@ let test_multicore_session () =
           | Ok (Protocol.State (_, Protocol.Unknown)) -> ()
           | Ok r ->
               Alcotest.failf "query gone: unexpected reply %s"
-                (Protocol.encode_response r)
+                (Protocol.render_response r)
           | Error e -> Alcotest.failf "query gone: %s" e);
           let st = stats_of client in
           Alcotest.(check int) "submitted" 12 st.Cluster.submitted;
@@ -2036,7 +1909,7 @@ let test_load_ratio_whole_machine () =
                       | r ->
                           Alcotest.failf "submit %d: %s" i
                             (match r with
-                            | Ok r -> Protocol.encode_response r
+                            | Ok r -> Protocol.render_response r
                             | Error e -> e))
                 in
                 List.iter
@@ -2067,7 +1940,7 @@ let test_mesh_places_as_one_cluster () =
   let where = function
     | Ok (Protocol.Placed (id, p)) | Ok (Protocol.State (id, Protocol.Active p)) ->
         (id, (p.Protocol.base, p.Protocol.size))
-    | Ok r -> Alcotest.failf "unexpected reply %s" (Protocol.encode_response r)
+    | Ok r -> Alcotest.failf "unexpected reply %s" (Protocol.render_response r)
     | Error e -> Alcotest.failf "request failed: %s" e
   in
   List.iter
@@ -2202,7 +2075,7 @@ let test_multicore_steal () =
                 ids := id :: !ids
             | Ok r ->
                 Alcotest.failf "submit %d: unexpected reply %s" i
-                  (Protocol.encode_response r)
+                  (Protocol.render_response r)
             | Error e -> Alcotest.failf "submit %d: %s" i e
           done;
           let dump = metrics_of client in
@@ -2228,7 +2101,7 @@ let test_multicore_steal () =
               | Ok Protocol.Finished -> ()
               | Ok r ->
                   Alcotest.failf "finish %d: unexpected reply %s" id
-                    (Protocol.encode_response r)
+                    (Protocol.render_response r)
               | Error e -> Alcotest.failf "finish %d: %s" id e)
             !ids;
           let st = stats_of client in
@@ -2338,7 +2211,7 @@ let crash_sharded ~dir ~seed ~crash_at ~snapshot_every =
         live := List.filter (( <> ) id) !live;
         go ()
     | _, Ok r ->
-        Alcotest.failf "unexpected reply %s" (Protocol.encode_response r)
+        Alcotest.failf "unexpected reply %s" (Protocol.render_response r)
     | _, Error _ -> req
   in
   let lost = go () in
@@ -2389,7 +2262,7 @@ let test_sharded_crash_recovery () =
                       (* only the lost request may have finished it *)
                       if lost <> Protocol.Finish id then
                         Alcotest.failf "acked id %d: %s" id
-                          (Protocol.encode_response r)
+                          (Protocol.render_response r)
                   | Error e -> Alcotest.failf "query %d: %s" id e)
                 live;
               shutdown_server client;
@@ -2469,7 +2342,7 @@ let test_sharded_snapshots () =
                 paths
           | Ok r ->
               Alcotest.failf "snapshot: unexpected reply %s"
-                (Protocol.encode_response r)
+                (Protocol.render_response r)
           | Error e -> Alcotest.failf "snapshot: %s" e);
           shutdown_server client;
           Client.close client))
@@ -2492,31 +2365,34 @@ let test_sharded_latency_profile () =
       if n <= 0.0 then Alcotest.failf "no %s stage samples in:\n%s" stage dump)
     [ "apply"; "fsync" ]
 
-(* A JSON request line can never outgrow a frame: one that is still
-   unterminated past Wire.max_payload bytes gets a single error reply
-   and the buffered input is dropped, instead of buffering (and
-   rescanning) without bound. *)
-let test_unterminated_line_capped () =
-  with_dir (fun dir ->
-      let s = get_ok ~ctx:"create" (Server.create (sharded_config ~domains:1 ~dir ())) in
-      let inb = Netbuf.create 256 and out = Netbuf.create 256 in
-      Netbuf.add_string inb (String.make Wire.max_payload 'x');
-      (match Server.handle_conn s inb out ~budget:64 with
-      | `Handled 0 -> ()
-      | _ -> Alcotest.fail "a line within the cap is just incomplete");
-      Netbuf.add_char inb 'x';
-      (match Server.handle_conn s inb out ~budget:64 with
-      | `Handled 1 -> ()
-      | _ -> Alcotest.fail "an over-long line is one (failed) request");
-      Alcotest.(check int) "input dropped" 0 (Netbuf.length inb);
-      let reply = Netbuf.sub_string out ~off:0 ~len:(Netbuf.length out) in
-      (match String.split_on_char '\n' reply with
-      | [ line; "" ] -> (
-          match Protocol.decode_response line with
-          | Ok (Protocol.Error _) -> ()
-          | _ -> Alcotest.failf "not an error reply: %s" line)
-      | _ -> Alcotest.failf "expected exactly one reply line: %S" reply);
-      Server.close s)
+(* The connections' shares of a parallel drive sum to the requests
+   asked for: 100 over 3 connections is 34 + 33 + 33, not 3 x 33, and
+   2 over 3 leaves one connection idle. Every request is a submit or a
+   finish, so the daemon's stats count each one. *)
+let test_drive_parallel_exact () =
+  List.iter
+    (fun (requests, conns) ->
+      let ctx = Printf.sprintf "%d over %d" requests conns in
+      let o, st =
+        get_ok ~ctx
+          (Loadgen.with_local_service (fun socket ->
+               let connect () = Client.connect_unix socket in
+               Result.bind
+                 (Loadgen.drive_parallel ~connect ~conns ~requests ~window:8
+                    ~seed:1 ~machine_size:256 ())
+                 (fun o ->
+                   Result.bind (connect ()) (fun c ->
+                       let r = Client.request c Protocol.Stats in
+                       Client.close c;
+                       match r with
+                       | Ok (Protocol.Stats_reply st) -> Ok (o, st)
+                       | Ok r -> Error (Protocol.render_response r)
+                       | Error e -> Error e))))
+      in
+      Alcotest.(check int) (ctx ^ ": requests driven") requests o.Loadgen.requests;
+      Alcotest.(check int) (ctx ^ ": submitted + completed") requests
+        (st.Cluster.submitted + st.Cluster.completed))
+    [ (100, 3); (2, 3) ]
 
 (* --- finding messages across reads -------------------------------- *)
 
@@ -2536,7 +2412,7 @@ let payload_of encode x =
   Buffer.contents b
 
 (* One message on the wire, paired with what [Frame.read] must report
-   for it: the classification, and the payload, line or refusal text. *)
+   for it: the classification, and the payload or refusal text. *)
 let gen_wire_message =
   QCheck.Gen.(
     let frame p = (frame_bytes p, (Frame.Frame, p)) in
@@ -2555,28 +2431,23 @@ let gen_wire_message =
           gen_response nat (opt nat);
         map
           (fun r ->
-            let line = Protocol.encode_request r in
-            (line ^ "\n", (Frame.Line, line)))
-          gen_request;
-        map
-          (fun r ->
             let version = Wire.version + 1 in
             ( frame_bytes ~version (payload_of Protocol.request_payload r),
-              ( Frame.Refused_frame,
+              ( Frame.Refused,
                 Printf.sprintf "unsupported wire version %d" version ) ))
           gen_request;
-        return (frame_bytes "", (Frame.Refused_frame, "empty frame"));
+        return (frame_bytes "", (Frame.Refused, "empty frame"));
       ])
 
 (* What may end a stream: a garbage length (one that does not end, a
-   negative one, one over the cap) or a line that never ends. *)
+   negative one, one over the cap) or a byte that opens no frame. *)
 let gen_wire_tail =
   let varint n = payload_of Wire.add_varint n in
   let garbage len =
     ( String.make 1 (Char.chr Wire.request_magic)
       ^ String.make 1 (Char.chr Wire.version)
       ^ len,
-      (Frame.Refused_frame, "malformed frame") )
+      (Frame.Refused, "malformed frame") )
   in
   QCheck.Gen.(
     frequency
@@ -2591,13 +2462,10 @@ let gen_wire_tail =
                  varint (-1);
                  varint (Wire.max_payload + 1);
                ]) );
-        ( 1,
-          return
-            (Some
-               ( String.make (Wire.max_payload + 1) 'x',
-                 ( Frame.Refused_line,
-                   Printf.sprintf "request line longer than %d bytes"
-                     Wire.max_payload ) )) );
+        ( 2,
+          map
+            (fun c -> Some (String.make 1 c, (Frame.Refused, Helpers.not_a_frame)))
+            (oneofl [ '{'; 'x'; '\n'; '\000' ]) );
       ])
 
 (* Everything [Frame.read] finds in [chunks], fed one read at a time. *)
@@ -2606,9 +2474,8 @@ let frames_found chunks =
   let rec drain acc =
     match Frame.read r nb with
     | Frame.Incomplete -> acc
-    | (Frame.Frame | Frame.Line) as m -> drain ((m, Frame.payload r nb) :: acc)
-    | (Frame.Refused_frame | Frame.Refused_line) as m ->
-        drain ((m, r.Frame.refusal) :: acc)
+    | Frame.Frame -> drain ((Frame.Frame, Frame.payload r nb) :: acc)
+    | Frame.Refused -> drain ((Frame.Refused, r.Frame.refusal) :: acc)
   in
   List.rev
     (List.fold_left
@@ -2651,22 +2518,18 @@ let frame_reads_split_property =
       let expected = List.map snd (msgs @ Option.to_list tail) in
       let st = Random.State.make [| seed |] in
       let reads =
-        match tail with
-        | Some (line, _) when String.length line > Wire.max_payload ->
-            (* 16 MiB in reads of at most 16 bytes would take a million
-               reads, so that line comes in reads of up to 1 MiB *)
-            cut_reads st ~most:16 body @ cut_reads st ~most:(1 lsl 20) line
-        | Some (t, _) -> cut_reads st ~most:16 (body ^ t)
-        | None -> cut_reads st ~most:16 body
+        cut_reads st ~most:16
+          (body ^ match tail with Some (t, _) -> t | None -> "")
       in
       frames_found [ String.concat "" reads ] = expected
       && frames_found reads = expected)
 
-(* --- one op path: every encoding runs the same ops ---------------- *)
+(* --- one op path: every request runs the same ops ------------------ *)
 
 (* The flight recorder's [size] is a submit's task size and 0 for any
-   other request, in every encoding: a JSON line, a binary frame and a
-   rid-tagged frame each submitting 8, then a query. *)
+   other request: a frame and a rid-tagged frame each submitting 8, a
+   query, then a JSON line, which is refused as one failed request of
+   op 0. *)
 let test_recorder_task_size () =
   with_dir (fun dir ->
       let s =
@@ -2677,28 +2540,25 @@ let test_recorder_task_size () =
       let inb = Netbuf.create 256 and out = Netbuf.create 256 in
       List.iter (Netbuf.add_string inb)
         [
-          Protocol.encode_request (Protocol.Submit 8) ^ "\n";
           Protocol.encode_request_binary (Protocol.Submit 8);
           Protocol.encode_request_binary ~rid:7 (Protocol.Submit 8);
           Protocol.encode_request_binary (Protocol.Query 0);
+          {|{"op":"submit","size":8}|} ^ "\n";
         ];
       (match Server.handle_conn s inb out ~budget:64 with
       | `Handled 4 -> ()
       | _ -> Alcotest.fail "expected four requests handled");
-      Alcotest.(check (list (pair int int)))
-        "opcode and size of each request"
-        [ (1, 8); (1, 8); (1, 8); (3, 0) ]
+      Alcotest.(check (list (triple int int bool)))
+        "opcode, size and outcome of each request"
+        [ (1, 8, true); (1, 8, true); (3, 0, true); (0, 0, false) ]
         (List.map
-           (fun e -> (e.Recorder.e_op, e.Recorder.e_size))
+           (fun e -> (e.Recorder.e_op, e.Recorder.e_size, e.Recorder.e_ok))
            (Recorder.entries (Server.recorder s)));
       Server.close s)
 
-type encoding = Untagged | Tagged | Json_lines
+type tagging = Untagged | Tagged
 
-let encoding_name = function
-  | Untagged -> "untagged binary"
-  | Tagged -> "rid-tagged binary"
-  | Json_lines -> "json"
+let tagging_name = function Untagged -> "untagged" | Tagged -> "rid-tagged"
 
 (* What a plain [Cluster] answers, and the WAL record an accepted
    mutation leaves. *)
@@ -2745,8 +2605,8 @@ let served_script g ~steps =
 (* The script through [Server.handle_conn] of a fresh K=1 server, in
    batches committed as the event loop commits them: the responses read
    back with their rids, the WAL, and whether the server's cluster ends
-   as [reference] does. JSON lines carry a rid on even steps. *)
-let serve_script ~policy ~admission_cap ~reference encoding reqs =
+   as [reference] does. *)
+let serve_script ~policy ~admission_cap ~reference tagging reqs =
   with_dir (fun dir ->
       let s =
         get_ok ~ctx:"create"
@@ -2761,14 +2621,9 @@ let serve_script ~policy ~admission_cap ~reference encoding reqs =
       List.iteri
         (fun i req ->
           Netbuf.add_string inb
-            (match encoding with
+            (match tagging with
             | Untagged -> Protocol.encode_request_binary req
-            | Tagged -> Protocol.encode_request_binary ~rid:i req
-            | Json_lines ->
-                Protocol.encode_request
-                  ?rid:(if i mod 2 = 0 then Some i else None)
-                  req
-                ^ "\n"))
+            | Tagged -> Protocol.encode_request_binary ~rid:i req))
         reqs;
       while not (Netbuf.is_empty inb) do
         ignore (Server.handle_conn s inb out ~budget:5);
@@ -2781,17 +2636,11 @@ let serve_script ~policy ~admission_cap ~reference encoding reqs =
         | Frame.Frame ->
             let p = Frame.payload r out in
             responses
-              (get_ok ~ctx:"binary response"
+              (get_ok ~ctx:"response"
                  (Protocol.decode_response_payload_attr p ~pos:0
                     ~limit:(String.length p))
               :: acc)
-        | Frame.Line ->
-            responses
-              (get_ok ~ctx:"json response"
-                 (Protocol.decode_response_attr (Frame.payload r out))
-              :: acc)
-        | Frame.Refused_frame | Frame.Refused_line ->
-            Alcotest.failf "refused response: %s" r.Frame.refusal
+        | Frame.Refused -> Alcotest.failf "refused response: %s" r.Frame.refusal
       in
       let got = responses [] in
       let same = Server.same_state (Server.cluster s) reference in
@@ -2800,7 +2649,7 @@ let serve_script ~policy ~admission_cap ~reference encoding reqs =
 
 let served_equals_cluster =
   QCheck.Test.make
-    ~name:"served answers equal a plain cluster's, in every encoding"
+    ~name:"served answers equal a plain cluster's, tagged or not"
     ~count:60
     (QCheck.make
        ~print:(fun (seed, steps, p) ->
@@ -2829,14 +2678,14 @@ let served_equals_cluster =
               let got = Protocol.answer bare req in
               if got <> want then
                 Alcotest.failf "Protocol.answer: step %d (%s): got %s, a cluster answers %s"
-                  i (Protocol.encode_request req) (Protocol.encode_response got)
-                  (Protocol.encode_response want))
+                  i (Helpers.command_of_request req) (Protocol.render_response got)
+                  (Protocol.render_response want))
             (List.combine reqs expected);
           List.iter
-            (fun encoding ->
-              let name = encoding_name encoding in
+            (fun tagging ->
+              let name = tagging_name tagging in
               let got, got_wal, same =
-                serve_script ~policy ~admission_cap ~reference encoding reqs
+                serve_script ~policy ~admission_cap ~reference tagging reqs
               in
               if List.length got <> steps then
                 Alcotest.failf "%s: %d responses to %d requests" name
@@ -2846,15 +2695,10 @@ let served_equals_cluster =
                   if resp <> want then
                     Alcotest.failf "%s: step %d (%s): got %s, a cluster answers %s"
                       name i
-                      (Protocol.encode_request (List.nth reqs i))
-                      (Protocol.encode_response resp)
-                      (Protocol.encode_response want);
-                  let echo =
-                    match encoding with
-                    | Untagged -> None
-                    | Tagged -> Some i
-                    | Json_lines -> if i mod 2 = 0 then Some i else None
-                  in
+                      (Helpers.command_of_request (List.nth reqs i))
+                      (Protocol.render_response resp)
+                      (Protocol.render_response want);
+                  let echo = match tagging with Untagged -> None | Tagged -> Some i in
                   if rid <> echo then Alcotest.failf "%s: step %d: rid not echoed" name i)
                 (List.combine expected got);
               if got_wal <> wal then
@@ -2863,12 +2707,11 @@ let served_equals_cluster =
               match same with
               | Ok () -> ()
               | Error e -> Alcotest.failf "%s: served cluster differs: %s" name e)
-            [ Untagged; Tagged; Json_lines ];
+            [ Untagged; Tagged ];
           true))
 
 let suite =
   [
-    ("decode errors", `Quick, test_decode_errors);
     ("binary decode errors", `Quick, test_binary_decode_errors);
     ("command parsing", `Quick, test_command_parsing);
     ("wal round-trip", `Quick, test_wal_roundtrip);
@@ -2901,8 +2744,6 @@ let suite =
     ("recovery refuses a version-1 wal", `Quick, test_refuse_v1_wal);
     ("failed snapshot retried next interval", `Quick, test_snapshot_failure_retry);
     ("unix socket session", `Quick, test_unix_socket);
-    ("unix socket session, binary", `Quick, test_unix_socket_binary);
-    ("mixed-protocol session", `Quick, test_mixed_protocol_session);
     ("tcp socket session", `Quick, test_tcp_socket);
     ("pipelined batch", `Quick, test_pipelined_batch);
     ("concurrent clients", `Quick, test_concurrent_clients);
@@ -2926,13 +2767,13 @@ let suite =
     ("sharded crash keeps every flight recorder", `Quick, test_sharded_crash_flightrec);
     ("sharded snapshots bound recovery", `Quick, test_sharded_snapshots);
     ("sharded latency profile", `Quick, test_sharded_latency_profile);
-    ("unterminated json line capped", `Quick, test_unterminated_line_capped);
+    ("parallel drive splits requests exactly", `Quick, test_drive_parallel_exact);
     ("recorder size is the task size", `Quick, test_recorder_task_size);
   ]
   @ Helpers.qtests
       [
-        request_roundtrip; response_roundtrip; binary_request_equiv;
-        binary_response_equiv; rid_request_roundtrip; rid_response_roundtrip;
+        request_roundtrip; response_roundtrip; rid_request_roundtrip;
+        rid_response_roundtrip;
         split_property; crash_recovery; frame_reads_split_property;
         served_equals_cluster; wal_damage_property;
       ]
